@@ -483,21 +483,23 @@ const (
 var bigCorpusOnce sync.Once
 var bigCorpusXML []byte
 
-func loadBigCorpus(b testing.TB, eng *Engine) {
-	bigCorpusOnce.Do(func() {
-		var sb []byte
-		sb = append(sb, "<doc>"...)
-		for s := 0; s < bigScenes; s++ {
-			base := int64(s) * 100
-			sb = append(sb, fmt.Sprintf(`<scene id="s%d" start="%d" end="%d"/>`, s, base, base+99)...)
-			for h := 0; h < bigHitsPerScene; h++ {
-				hs := base + int64(h)
-				sb = append(sb, fmt.Sprintf(`<hit start="%d" end="%d"/>`, hs, hs+1)...)
-			}
+// sceneCorpusXML generates the big-corpus shape at a given scene count: each
+// scene spans 100 positions and holds bigHitsPerScene hits.
+func sceneCorpusXML(scenes int) []byte {
+	sb := []byte("<doc>")
+	for s := 0; s < scenes; s++ {
+		base := int64(s) * 100
+		sb = append(sb, fmt.Sprintf(`<scene id="s%d" start="%d" end="%d"/>`, s, base, base+99)...)
+		for h := 0; h < bigHitsPerScene; h++ {
+			hs := base + int64(h)
+			sb = append(sb, fmt.Sprintf(`<hit start="%d" end="%d"/>`, hs, hs+1)...)
 		}
-		sb = append(sb, "</doc>"...)
-		bigCorpusXML = sb
-	})
+	}
+	return append(sb, "</doc>"...)
+}
+
+func loadBigCorpus(b testing.TB, eng *Engine) {
+	bigCorpusOnce.Do(func() { bigCorpusXML = sceneCorpusXML(bigScenes) })
 	if err := eng.LoadXML("big.xml", bigCorpusXML); err != nil {
 		b.Fatal(err)
 	}
@@ -570,17 +572,40 @@ func BenchmarkStreamExec(b *testing.B) {
 	}
 }
 
+// mutateBenchMark is the j-th "mark" of the mutation benchmarks: its start,
+// and whether it lands narrow-contained in a scene (a mark whose 2-wide
+// region straddles a scene boundary matches nothing).
+func mutateBenchMark(j int) (start int64, contained bool) {
+	start = int64(j*197) % (bigScenes * 100)
+	return start, start%100 <= 97
+}
+
 // mutateBenchInserts appends n "mark" annotations at deterministic
-// positions and returns how many land narrow-contained in a scene (marks
-// whose 2-wide region straddles a scene boundary match nothing).
+// positions and returns how many land narrow-contained in a scene.
 func mutateBenchInserts(tb testing.TB, eng *Engine, n int) int {
 	contained := 0
 	for j := 0; j < n; j++ {
-		s := int64(j*197) % (bigScenes * 100)
+		s, in := mutateBenchMark(j)
 		if err := eng.InsertAnnotation("big.xml", "mark", Region{Start: s, End: s + 2}); err != nil {
 			tb.Fatal(err)
 		}
-		if s%100 <= 97 {
+		if in {
+			contained++
+		}
+	}
+	return contained
+}
+
+// mutateBenchDeletes removes every step-th of the first n marks again and
+// returns how many of the removed ones were contained.
+func mutateBenchDeletes(tb testing.TB, eng *Engine, n, step int) int {
+	contained := 0
+	for j := 0; j < n; j += step {
+		s, in := mutateBenchMark(j)
+		if removed, err := eng.DeleteAnnotation("big.xml", "mark", s, s+2); err != nil || removed != 1 {
+			tb.Fatalf("delete mark %d: removed %d, err %v", j, removed, err)
+		}
+		if in {
 			contained++
 		}
 	}
@@ -609,14 +634,17 @@ func rebuildIndexes(tb testing.TB, eng *Engine, name string) {
 // BenchmarkMutateThenQuery pins the write path's reason to exist: insert
 // 1,000 annotations into the 122k-region corpus that has already served a
 // query, then re-query the mutated layer. The incremental arm lets the
-// inserts ride as a delta layer that merges into the warm base orderings at
-// read time; the rebuild arm pays a full BuildIndex over the mutated
+// inserts ride as a delta layer that the re-query merges with the mark
+// layer's rows alone; the rebuild arm pays a full BuildIndex over the mutated
 // snapshot before the same query — the only write model available before
-// the delta layer existed. The timed section covers inserts + (rebuild) +
-// query; corpus loading and the warm-up query are excluded.
+// the delta layer existed. The mixed arm is the incremental one with deletes
+// in it — every eighth mark is removed again before the re-query — because a
+// write path is not only inserts. The timed section covers inserts +
+// (deletes | rebuild) + query; corpus loading and the warm-up query are
+// excluded.
 func BenchmarkMutateThenQuery(b *testing.B) {
 	const inserts = 1000
-	for _, arm := range []string{"incremental", "rebuild"} {
+	for _, arm := range []string{"incremental", "mixed", "rebuild"} {
 		b.Run(arm, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -632,7 +660,10 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 				}
 				b.StartTimer()
 				want := mutateBenchInserts(b, eng, inserts)
-				if arm == "rebuild" {
+				switch arm {
+				case "mixed":
+					want -= mutateBenchDeletes(b, eng, inserts, 8)
+				case "rebuild":
 					rebuildIndexes(b, eng, "big.xml")
 				}
 				res, err := prep.Exec(Config{})

@@ -356,6 +356,32 @@ func TestServerQueryCached(t *testing.T) {
 	}
 }
 
+// TestServerAnnotationBadName: client input is not an element name until the
+// engine says so. A name that would serialise to ill-formed XML is a 400
+// carrying the engine's typed error, and the catalog does not move.
+func TestServerAnnotationBadName(t *testing.T) {
+	eng, _, ts := newTestServer(t, 1, serverConfig{})
+	gen := eng.CatalogGeneration()
+	for _, elem := range []string{"a b", "<x", "1st", "", `x y=\"1\"`} {
+		code, body := doReq(t, http.MethodPost, ts.URL+"/documents/doc00.xml/annotations",
+			[]byte(`{"op":"insert","elem":"`+elem+`","start":1,"end":2}`))
+		if code != 400 || !strings.Contains(string(body), "invalid annotation element name") {
+			t.Fatalf("insert elem %q = %d: %s, want 400 invalid annotation element name", elem, code, body)
+		}
+	}
+	if got := eng.CatalogGeneration(); got != gen {
+		t.Fatalf("rejected inserts moved the generation %d -> %d", gen, got)
+	}
+	// The document still serialises to XML that loads.
+	res, err := eng.Query(`doc("doc00.xml")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := soxq.New().LoadXML("again.xml", []byte(res.String())); err != nil {
+		t.Fatalf("document no longer well-formed: %v", err)
+	}
+}
+
 // TestServerAdmission pins the admission gate: with every slot held, a query
 // waits QueueTimeout and then gets 503 with Retry-After; once a slot frees,
 // queries run again and the rejection is visible on /healthz.

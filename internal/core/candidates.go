@@ -105,12 +105,18 @@ func (ix *RegionIndex) FilterByName(nameID int32) *Candidates {
 	}
 	// On a delta index, a name no insert or delete ever touched has exactly
 	// the base's candidate set (inserted areas carry touched names; deletes
-	// record every killed area's name) — delegate to the base's per-name
-	// cache instead of re-intersecting the merged columns.
-	if ix.base != nil && !ix.nameTouched(nameID) {
+	// record every killed area's name) and is served by the base's per-name
+	// cache; a touched name merges that cached sequence with its own delta
+	// rows. Neither looks at another layer's rows.
+	var c *Candidates
+	switch {
+	case ix.base == nil:
+		c = ix.Filter(ix.doc.ElementsByName(nameID))
+	case ix.nameTouched(nameID):
+		c = ix.layer(nameID)
+	default:
 		return ix.base.FilterByName(nameID)
 	}
-	c := ix.Filter(ix.doc.ElementsByName(nameID))
 	// Pre-build the end-ordered columns and the watermark suffix-mins, so
 	// cached candidates are immediately usable by the overlap joins and the
 	// streaming merge without a lazy write after publication.

@@ -72,14 +72,16 @@ func buildDelta(t *testing.T) (*tree.Doc, *RegionIndex) {
 
 // assertIndexEqual compares every observable ordering of two indexes: region
 // rows, bounds rows, document-order area list, per-area geometry, the
-// end-ordered columns, the watermark suffix-mins, and the multi-region flag.
+// end-ordered columns, the watermark suffix-mins, the live counts and the
+// multi-region flag.
 func assertIndexEqual(t *testing.T, got, want *RegionIndex) {
 	t.Helper()
 	if g, w := got.Areas(), want.Areas(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("areas: %v != %v", g, w)
 	}
-	if got.NumRegions() != want.NumRegions() || got.MultiRegion() != want.MultiRegion() {
-		t.Fatalf("regions=%d/%d multi=%v/%v", got.NumRegions(), want.NumRegions(), got.MultiRegion(), want.MultiRegion())
+	if got.NumAreas() != want.NumAreas() || got.NumRegions() != want.NumRegions() || got.MultiRegion() != want.MultiRegion() {
+		t.Fatalf("areas=%d/%d regions=%d/%d multi=%v/%v", got.NumAreas(), want.NumAreas(),
+			got.NumRegions(), want.NumRegions(), got.MultiRegion(), want.MultiRegion())
 	}
 	if !reflect.DeepEqual(got.rStart, want.rStart) || !reflect.DeepEqual(got.rEnd, want.rEnd) || !reflect.DeepEqual(got.rID, want.rID) {
 		t.Fatalf("region rows differ:\n%v %v %v\n%v %v %v", got.rStart, got.rEnd, got.rID, want.rStart, want.rEnd, want.rID)
@@ -104,15 +106,6 @@ func assertIndexEqual(t *testing.T, got, want *RegionIndex) {
 	wb, wev := want.suffixMins()
 	if !reflect.DeepEqual(gb, wb) || !reflect.DeepEqual(gev, wev) {
 		t.Fatalf("suffix-mins differ: %v/%v != %v/%v", gb, gev, wb, wev)
-	}
-	gp, wp := got.endPerm(), want.endPerm()
-	if len(gp) != len(wp) {
-		t.Fatalf("end permutation length: %d != %d", len(gp), len(wp))
-	}
-	for k := range gp {
-		if gp[k] != wp[k] {
-			t.Fatalf("end permutation differs at %d: %v != %v", k, gp, wp)
-		}
 	}
 }
 
@@ -229,13 +222,8 @@ func TestCompactIdenticalToFreshBuild(t *testing.T) {
 	}
 	// Byte-identical internals: force every lazy structure on both sides and
 	// compare the full struct contents.
-	compacted.endPerm()
-	fresh.endPerm()
 	compacted.suffixMins()
 	fresh.suffixMins()
-	if !reflect.DeepEqual(compacted.rEndPerm, fresh.rEndPerm) {
-		t.Fatalf("end permutation differs")
-	}
 	if !reflect.DeepEqual(compacted.areaOff, fresh.areaOff) || !reflect.DeepEqual(compacted.areaRegs, fresh.areaRegs) {
 		t.Fatalf("area geometry differs")
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,24 +22,28 @@ import (
 // A RegionIndex is immutable after Build and safe for concurrent use.
 // Annotation writes derive new index layers instead of mutating (see
 // delta.go): a delta index carries the base pointer and its delta columns,
-// and materialises the merged orderings below on first read.
+// serves named candidate sequences and point lookups from them, and fills the
+// merged orderings below only for a reader that needs every row.
 type RegionIndex struct {
 	doc  *tree.Doc
 	opts Options
 
-	// Delta layers (nil/empty on a base index; see delta.go). insPre[i] owns
-	// insRegs[insOff[i]:insOff[i+1]]; delPre lists every tombstoned area.
-	// The columns extend the parent layer's columns in place, so derivation
-	// must be linear and serialized (engine write lock).
+	// Delta layers (nil/empty on a base index; see delta.go). insPre ascends
+	// and insPre[i] owns insRegs[insOff[i]:insOff[i+1]]; delPre lists every
+	// tombstoned area, ascending. The insert columns extend the parent
+	// layer's columns in place, so derivation must be linear and serialized
+	// (engine write lock).
 	base            *RegionIndex
 	insPre, insName []int32
 	insOff          []int32
 	insRegs         []interval.Region
 	delPre, delName []int32
 	mergeOnce       sync.Once
-	insRank         map[int32]int32    // live inserted pre -> insPre rank
-	deadSet         map[int32]struct{} // tombstoned area pres
-	dRows           regionRows         // live delta region rows, (start, end, id)-sorted
+	delta           *deltaRows // whole-index delta rows, set by the full merge
+
+	// Live area, region-row and multi-region-area counts: set at build,
+	// carried and adjusted by every delta derivation.
+	nAreas, nRegions, nMulti int
 
 	// Region rows, sorted by (start, end, id).
 	rStart []int64
@@ -63,10 +68,8 @@ type RegionIndex struct {
 
 	endPermOnce sync.Once
 	eDone       atomic.Bool // end-ordered columns built (guards delta-aware derivation)
-	rEndPerm    []int32     // region row indices ordered by (end, start, id)
-	endIdxOnce  sync.Once   // derives rEndPerm from the end columns when the merge path skipped it
 	// Flat region columns in (end, start, id) order — the overlap joins scan
-	// these contiguously instead of dereferencing rEndPerm per row.
+	// these contiguously instead of dereferencing a permutation per row.
 	eStart []int64
 	eEnd   []int64
 	eID    []int32
@@ -221,9 +224,7 @@ func (ix *RegionIndex) addArea(pre int32, regions []interval.Region) {
 		ix.rEnd = append(ix.rEnd, r.End)
 		ix.rID = append(ix.rID, pre)
 	}
-	if len(regions) > 1 {
-		ix.multiRegion = true
-	}
+	ix.count(regions, 1)
 }
 
 func (ix *RegionIndex) sortRows() {
@@ -278,14 +279,6 @@ func (ix *RegionIndex) sortRows() {
 	ix.bID = permute32(ix.bID, bperm)
 }
 
-// endPerm returns region row indices ordered ascending by (end, start, id).
-func (ix *RegionIndex) endPerm() []int32 {
-	ix.materialize()
-	ix.endPermOnce.Do(ix.buildEndOrder)
-	ix.endIdxOnce.Do(ix.buildEndPermIdx)
-	return ix.rEndPerm
-}
-
 // endCols returns the flat region columns in (end, start, id) order.
 func (ix *RegionIndex) endCols() (start, end []int64, id []int32) {
 	ix.materialize()
@@ -298,18 +291,8 @@ func (ix *RegionIndex) buildEndOrder() {
 	if b := ix.base; b != nil && b.eDone.Load() {
 		// Delta-aware path: the base already paid for its end-ordering, so
 		// derive the merged one by the same run-copy merge the start ordering
-		// used, O(n + d log n) instead of a fresh O(n log n) sort. Swapping
-		// the start/end columns turns (end, start, id) order into the
-		// (start, end, id) order mergeRows preserves. rEndPerm is left for
-		// endPerm() to derive on demand — the joins scan the flat columns.
-		d := regionRows{
-			start: append([]int64(nil), ix.dRows.end...),
-			end:   append([]int64(nil), ix.dRows.start...),
-			id:    append([]int32(nil), ix.dRows.id...),
-		}
-		sort.Sort(&d)
-		e, s, id := mergeRows(b.eEnd, b.eStart, b.eID, ix.deadSet, &d)
-		ix.eStart, ix.eEnd, ix.eID = s, e, id
+		// used, O(n + d log n) instead of a fresh O(n log n) sort.
+		ix.eStart, ix.eEnd, ix.eID = mergeByEnd(b.eStart, b.eEnd, b.eID, ix.delta)
 		return
 	}
 	p := make([]int32, len(ix.rStart))
@@ -326,35 +309,9 @@ func (ix *RegionIndex) buildEndOrder() {
 		}
 		return ix.rID[i] < ix.rID[j]
 	})
-	ix.rEndPerm = p
 	ix.eStart = permute64(ix.rStart, p)
 	ix.eEnd = permute64(ix.rEnd, p)
 	ix.eID = permute32(ix.rID, p)
-}
-
-// buildEndPermIdx recovers the end-order permutation from the flat end
-// columns when the delta-aware merge in buildEndOrder skipped building it:
-// each end-ordered row's index in the start-ordered rows is found by binary
-// search, with equal (start, end, id) runs assigned ascending indices.
-func (ix *RegionIndex) buildEndPermIdx() {
-	if ix.rEndPerm != nil || ix.eID == nil {
-		return
-	}
-	p := make([]int32, len(ix.eID))
-	run := 0
-	for k := range p {
-		s, e, id := ix.eStart[k], ix.eEnd[k], ix.eID[k]
-		if k > 0 && ix.eStart[k-1] == s && ix.eEnd[k-1] == e && ix.eID[k-1] == id {
-			run++
-		} else {
-			run = 0
-		}
-		lo := sort.Search(len(ix.rID), func(m int) bool {
-			return !rowLess(ix.rStart[m], ix.rEnd[m], ix.rID[m], s, e, id)
-		})
-		p[k] = int32(lo + run)
-	}
-	ix.rEndPerm = p
 }
 
 // suffixMins returns the whole-index suffix-min id arrays backing the
@@ -392,45 +349,32 @@ func (ix *RegionIndex) Doc() *tree.Doc { return ix.doc }
 func (ix *RegionIndex) Options() Options { return ix.opts }
 
 // NumAreas returns the number of area-annotations in the document.
-func (ix *RegionIndex) NumAreas() int { ix.materialize(); return len(ix.areas) }
+func (ix *RegionIndex) NumAreas() int { return ix.nAreas }
 
 // NumRegions returns the number of region rows (>= NumAreas).
-func (ix *RegionIndex) NumRegions() int { ix.materialize(); return len(ix.rStart) }
+func (ix *RegionIndex) NumRegions() int { return ix.nRegions }
 
 // MultiRegion reports whether any area has more than one region.
-func (ix *RegionIndex) MultiRegion() bool { ix.materialize(); return ix.multiRegion }
+func (ix *RegionIndex) MultiRegion() bool { return ix.multiRegion }
 
 // Areas returns the ascending pre list of all area-annotations. The returned
 // slice must not be modified.
 func (ix *RegionIndex) Areas() []int32 { ix.materialize(); return ix.areas }
 
-// IsArea reports whether node pre is an area-annotation. On a delta index the
-// lookup routes tombstone -> delta -> base without merged per-area geometry.
-func (ix *RegionIndex) IsArea(pre int32) bool {
-	if ix.base != nil {
-		ix.materialize()
-		if _, gone := ix.deadSet[pre]; gone {
-			return false
-		}
-		if _, ok := ix.insRank[pre]; ok {
-			return true
-		}
-		return ix.base.IsArea(pre)
-	}
-	_, ok := ix.areaRank[pre]
-	return ok
-}
+// IsArea reports whether node pre is an area-annotation.
+func (ix *RegionIndex) IsArea(pre int32) bool { return ix.RegionsOf(pre) != nil }
 
 // RegionsOf returns the regions of area pre (start-ordered), or nil when pre
-// is not an area-annotation. The returned slice must not be modified.
+// is not an area-annotation. The returned slice must not be modified. On a
+// delta index the lookup routes tombstone -> delta -> base by binary search
+// of the sorted delta columns; nothing is merged.
 func (ix *RegionIndex) RegionsOf(pre int32) []interval.Region {
 	if ix.base != nil {
-		ix.materialize()
-		if _, gone := ix.deadSet[pre]; gone {
+		if ix.tombstoned(pre) {
 			return nil
 		}
-		if rank, ok := ix.insRank[pre]; ok {
-			return ix.insRegs[ix.insOff[rank]:ix.insOff[rank+1]]
+		if i, ok := slices.BinarySearch(ix.insPre, pre); ok {
+			return ix.insRegions(i)
 		}
 		return ix.base.RegionsOf(pre)
 	}

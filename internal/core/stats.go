@@ -53,9 +53,10 @@ func (ix *RegionIndex) Gen() IndexGen {
 }
 
 // Stats returns the index statistics, computed on first use. The result is
-// safe to share: the index is immutable after Build.
+// safe to share: the index is immutable after Build. A delta index reads its
+// carried live counts and the snapshot's per-name element lists, which each
+// write derives from its parent's — no merge, no rescan.
 func (ix *RegionIndex) Stats() Stats {
-	ix.materialize()
 	ix.statsOnce.Do(func() {
 		d := ix.doc
 		card := map[string]int{}

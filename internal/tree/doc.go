@@ -101,14 +101,36 @@ type Doc struct {
 	// overrides size[0..len) — appending under the root element grows the
 	// document node's and root element's subtree without touching the size
 	// column older snapshots still read. dead is the tombstone bitset
-	// (whole subtrees; copy-on-write per delete); elemSnap memoizes the
-	// snapshot's merged live element-name lists.
+	// (whole subtrees; copy-on-write per delete). elems holds the live
+	// element list of every name the lineage's mutations touched, sorted by
+	// name id (immutable once the snapshot is committed; other names read the
+	// pristine index).
 	base     *Doc
 	mutSeq   uint64
 	sizeHead []int32
 	dead     []uint64
 	deadCnt  int32
-	elemSnap sync.Map // element name id -> []int32
+	elems    []nameElems
+}
+
+// nameElems is one element name's ascending live pre list.
+type nameElems struct {
+	id   int32
+	pres []int32
+}
+
+// findElems locates name id in the sorted elems list: its slot, and whether
+// the slot holds it.
+func findElems(elems []nameElems, id int32) (int, bool) {
+	lo, hi := 0, len(elems)
+	for lo < hi {
+		if m := (lo + hi) / 2; elems[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(elems) && elems[lo].id == id
 }
 
 var docOrderCounter atomic.Int64
@@ -231,63 +253,27 @@ func (d *Doc) AttrByName(pre int32, name string) (value string, ok bool) {
 
 // ElementsByName returns the ascending pre list of live elements named id.
 // The index is built lazily on first use and shared by all callers; the
-// returned slice must not be modified. A mutation snapshot serves the
-// pristine ancestor's list filtered by its tombstones plus a scan of the
-// appended tail, memoized per (snapshot, name).
+// returned slice must not be modified. A mutation snapshot serves its own
+// list for the names its lineage touched — each commit derives it from the
+// parent's list plus the nodes it appended or tombstoned (see mutate.go) —
+// and the pristine ancestor's list for every other name.
 func (d *Doc) ElementsByName(id int32) []int32 {
-	if d.base == nil {
-		d.elemIndexOnce.Do(func() {
-			idx := make(map[int32][]int32)
-			for pre := int32(0); pre < int32(len(d.kind)); pre++ {
-				if d.kind[pre] == ElementNode {
-					idx[d.name[pre]] = append(idx[d.name[pre]], pre)
-				}
-			}
-			d.elemIndex = idx
-		})
-		return d.elemIndex[id]
-	}
-	if v, ok := d.elemSnap.Load(id); ok {
-		return v.([]int32)
-	}
-	actual, _ := d.elemSnap.LoadOrStore(id, d.mergeElemsByName(id))
-	return actual.([]int32)
-}
-
-// mergeElemsByName builds a snapshot's live element list for one name: the
-// pristine base list (dead-filtered) followed by matches in the appended tail
-// [base nodes, snapshot nodes). When nothing touched the name the base list
-// is returned as-is (zero-copy).
-func (d *Doc) mergeElemsByName(id int32) []int32 {
-	base := d.base.ElementsByName(id)
-	var tail []int32
-	for pre := int32(len(d.base.kind)); pre < int32(len(d.kind)); pre++ {
-		if d.kind[pre] == ElementNode && d.name[pre] == id && d.Alive(pre) {
-			tail = append(tail, pre)
+	if d.base != nil {
+		if k, ok := findElems(d.elems, id); ok {
+			return d.elems[k].pres
 		}
+		return d.base.ElementsByName(id)
 	}
-	deadHit := false
-	if d.dead != nil {
-		for _, p := range base {
-			if !d.Alive(p) {
-				deadHit = true
-				break
+	d.elemIndexOnce.Do(func() {
+		idx := make(map[int32][]int32)
+		for pre := int32(0); pre < int32(len(d.kind)); pre++ {
+			if d.kind[pre] == ElementNode {
+				idx[d.name[pre]] = append(idx[d.name[pre]], pre)
 			}
 		}
-	}
-	if !deadHit {
-		if tail == nil {
-			return base
-		}
-		return append(base[:len(base):len(base)], tail...)
-	}
-	merged := make([]int32, 0, len(base)+len(tail))
-	for _, p := range base {
-		if d.Alive(p) {
-			merged = append(merged, p)
-		}
-	}
-	return append(merged, tail...)
+		d.elemIndex = idx
+	})
+	return d.elemIndex[id]
 }
 
 // StringValue computes the XPath string-value of node pre: for text,

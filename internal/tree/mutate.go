@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 )
 
 // This file implements the document write path: append-only snapshots.
@@ -35,9 +36,9 @@ func (d *Doc) RootElement() int32 {
 }
 
 // cloneSnapshot derives a new snapshot sharing all column storage with d.
-// The caller adjusts sizeHead/dead as its mutation requires. (Doc holds a
-// sync.Once and a sync.Map, so snapshots are built field-by-field rather than
-// by struct copy.)
+// The caller adjusts sizeHead/dead/elems as its mutation requires. (Doc holds
+// a sync.Once, so snapshots are built field-by-field rather than by struct
+// copy.)
 func (d *Doc) cloneSnapshot() *Doc {
 	c := &Doc{
 		Name:     d.Name,
@@ -61,6 +62,7 @@ func (d *Doc) cloneSnapshot() *Doc {
 		sizeHead: d.sizeHead,
 		dead:     d.dead,
 		deadCnt:  d.deadCnt,
+		elems:    d.elems,
 	}
 	if d.base != nil {
 		c.base = d.base
@@ -83,6 +85,7 @@ func (d *Doc) WithTombstones(pres []int32) (*Doc, error) {
 	c := d.cloneSnapshot()
 	nd := make([]uint64, (int(n)+63)/64)
 	copy(nd, d.dead)
+	hit := map[int32]struct{}{} // names of the elements this call kills
 	for _, pre := range pres {
 		switch {
 		case pre <= 0 || pre >= n:
@@ -97,11 +100,40 @@ func (d *Doc) WithTombstones(pres []int32) (*Doc, error) {
 			if nd[w]&(1<<b) == 0 {
 				nd[w] |= 1 << b
 				c.deadCnt++
+				if d.kind[p] == ElementNode {
+					hit[d.name[p]] = struct{}{}
+				}
 			}
 		}
 	}
 	c.dead = nd
+	// Element lists of the names that lost a node: the parent's live list
+	// minus the newly dead, O(that name's layer). Nothing else is rescanned.
+	c.elems = slices.Clone(d.elems)
+	for id := range hit {
+		l := c.ownElems(id)
+		live := make([]int32, 0, len(*l))
+		for _, p := range *l {
+			if c.Alive(p) {
+				live = append(live, p)
+			}
+		}
+		*l = live
+	}
 	return c, nil
+}
+
+// ownElems returns the snapshot's own element list of name id for the
+// mutation deriving the snapshot to replace, on its own copy of elems. A name
+// the lineage had not touched starts from the pristine list, capped so that
+// an append copies it rather than extending it in place.
+func (d *Doc) ownElems(id int32) *[]int32 {
+	k, ok := findElems(d.elems, id)
+	if !ok {
+		l := d.base.ElementsByName(id)
+		d.elems = slices.Insert(d.elems, k, nameElems{id, l[:len(l):len(l)]})
+	}
+	return &d.elems[k].pres
 }
 
 // Appender extends a sealed document with new subtrees appended as the last
@@ -321,6 +353,18 @@ func (a *Appender) Commit() (*Doc, error) {
 	// extra words are zero, so the new nodes are alive everywhere.
 	for int64(len(d.dead))*64 < int64(n) && d.dead != nil {
 		d.dead = append(d.dead, 0)
+	}
+
+	// Element lists: the parent's list of each appended element's name plus
+	// the new pres, which exceed every older one. A list the lineage already
+	// owns extends in place beyond the parent's length (the column
+	// discipline); the pristine document's list is never extended in place.
+	d.elems = slices.Clone(a.src.elems)
+	for pre := a.baseN; pre < n; pre++ {
+		if d.kind[pre] == ElementNode {
+			l := d.ownElems(d.name[pre])
+			*l = append(*l, pre)
+		}
 	}
 	return d, nil
 }

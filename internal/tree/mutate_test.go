@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -75,7 +77,7 @@ func TestAppenderSnapshot(t *testing.T) {
 		t.Fatal("snapshot changed the document order key")
 	}
 
-	// ElementsByName merges the appended tail; the base list is unchanged.
+	// ElementsByName sees the appended element; the base list is unchanged.
 	hitID, _ := d2.Dict().Lookup("hit")
 	if got := d2.ElementsByName(hitID); len(got) != 1 || got[0] != pre {
 		t.Fatalf("ElementsByName(hit) = %v", got)
@@ -219,5 +221,86 @@ func TestAppendAfterTombstone(t *testing.T) {
 	}
 	if !strings.Contains(d3.XMLString(0), `<hit start="0" end="3"/>`) {
 		t.Fatalf("append after tombstone: %s", d3.XMLString(0))
+	}
+}
+
+// scanElems is the ElementsByName oracle: one pass over every node.
+func scanElems(d *Doc, id int32) []int32 {
+	var out []int32
+	for pre := int32(0); pre < int32(d.NumNodes()); pre++ {
+		if d.Kind(pre) == ElementNode && d.NameID(pre) == id && d.Alive(pre) {
+			out = append(out, pre)
+		}
+	}
+	return out
+}
+
+// TestElementListsDeriveFromParent drives a random append/tombstone history
+// and checks, after every commit, that each name's element list equals a full
+// scan of the new snapshot — and that every older snapshot still reads
+// exactly the list it had (lists extend in place beyond an older snapshot's
+// length, never inside it).
+func TestElementListsDeriveFromParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d := buildSample(t)
+	names := []string{"a", "b", "c", "hit", "note", "mark"}
+	type pinned struct {
+		d     *Doc
+		lists map[int32][]int32
+	}
+	var history []pinned
+	check := func(d *Doc) {
+		t.Helper()
+		p := pinned{d: d, lists: map[int32][]int32{}}
+		for id := int32(0); id < int32(d.Dict().Len()); id++ {
+			got, want := d.ElementsByName(id), scanElems(d, id)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seq %d: ElementsByName(%s) = %v, scan says %v", d.MutSeq(), d.Dict().Name(id), got, want)
+			}
+			p.lists[id] = slices.Clone(got)
+		}
+		history = append(history, p)
+	}
+	check(d)
+	for step := 0; step < 120; step++ {
+		if rng.Intn(3) > 0 {
+			a, err := NewAppender(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.StartElement(names[rng.Intn(len(names))])
+			if rng.Intn(2) == 0 { // a nested element of another name
+				a.StartElement(names[rng.Intn(len(names))])
+				a.Text("x")
+				a.EndElement()
+			}
+			a.EndElement()
+			if d, err = a.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			var live []int32
+			for pre := int32(2); pre < int32(d.NumNodes()); pre++ {
+				if d.Kind(pre) == ElementNode && d.Alive(pre) {
+					live = append(live, pre)
+				}
+			}
+			if len(live) == 0 {
+				continue
+			}
+			var err error
+			if d, err = d.WithTombstones([]int32{live[rng.Intn(len(live))]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(d)
+	}
+	for _, p := range history {
+		for id, want := range p.lists {
+			if got := p.d.ElementsByName(id); !slices.Equal(got, want) {
+				t.Fatalf("snapshot seq %d: list of %s changed under later writes: %v, was %v",
+					p.d.MutSeq(), p.d.Dict().Name(id), got, want)
+			}
+		}
 	}
 }

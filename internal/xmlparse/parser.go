@@ -125,6 +125,21 @@ func isNameChar(c byte) bool {
 	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
 }
 
+// IsName reports whether s is a name as the parser reads one: the rule every
+// element and attribute name of a parsed document satisfied, and so the rule
+// a name written into a document must satisfy for the result to parse back.
+func IsName(s string) bool {
+	if s == "" || !isNameStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isNameChar(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (p *parser) readName() (string, error) {
 	start := p.pos
 	if p.eof() || !isNameStart(p.data[p.pos]) {

@@ -1,13 +1,14 @@
 package soxq
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"soxq/internal/core"
 	"soxq/internal/interval"
 	"soxq/internal/tree"
+	"soxq/internal/xmlparse"
 )
 
 // Annotation write path. InsertAnnotation and DeleteAnnotation mutate a
@@ -15,10 +16,11 @@ import (
 // an append-only snapshot (tree.Appender) or a tombstone snapshot
 // (tree.WithTombstones), and every cached index under the engine's current
 // options is re-derived as a delta layer (core.ApplyInsert/ApplyDelete) that
-// merges LSM-style into the base orderings on first read. Queries already in
-// flight keep draining the snapshot they resolved — a mutation lands a new
-// generation, it never disturbs an old one. Deltas fold into a fresh base
-// when they reach the auto-compaction threshold (or on CompactAnnotations).
+// reads merge LSM-style with the base, one annotation layer at a time.
+// Queries already in flight keep draining the snapshot they resolved — a
+// mutation lands a new generation, it never disturbs an old one. Deltas fold
+// into a fresh base when they reach the auto-compaction threshold (or on
+// CompactAnnotations).
 
 // Region is one [start, end] annotation region, in the engine's configured
 // position domain (integers by default; dateTime/timecode positions convert
@@ -27,6 +29,11 @@ type Region struct {
 	Start int64
 	End   int64
 }
+
+// ErrInvalidAnnotationName is returned (wrapped) by InsertAnnotation when the
+// element name is not an XML name the parser would read back: the snapshot
+// must keep serialising to well-formed XML.
+var ErrInvalidAnnotationName = errors.New("soxq: invalid annotation element name")
 
 // DefaultCompactThreshold is the number of pending delta annotations
 // (inserts + deletes) at which a mutation triggers auto-compaction of a
@@ -56,8 +63,8 @@ func (e *Engine) ParsePosition(s string) (int64, error) {
 // document advances to a new snapshot and its cached region index gains a
 // delta layer instead of being rebuilt.
 func (e *Engine) InsertAnnotation(docName, elem string, regions ...Region) error {
-	if elem == "" {
-		return fmt.Errorf("soxq: empty annotation element name")
+	if !xmlparse.IsName(elem) {
+		return fmt.Errorf("%w %q", ErrInvalidAnnotationName, elem)
 	}
 	if len(regions) == 0 {
 		return fmt.Errorf("soxq: annotation %q needs at least one region", elem)
@@ -145,13 +152,7 @@ func (e *Engine) DeleteAnnotation(docName, elem string, start, end int64) (int, 
 	if err != nil {
 		return 0, err
 	}
-	var targets []int32
-	for _, p := range ix.FilterByName(nameID).AreaPres() {
-		regs := ix.RegionsOf(p)
-		if regs[0].Start == start && regs[len(regs)-1].End == end {
-			targets = append(targets, p)
-		}
-	}
+	targets := ix.AreasWithBounds(nameID, start, end)
 	if len(targets) == 0 {
 		return 0, nil
 	}
@@ -162,14 +163,11 @@ func (e *Engine) DeleteAnnotation(docName, elem string, start, end int64) (int, 
 	// Every area inside a tombstoned subtree dies with it; the delta layer
 	// records them all, with their element names, so per-name candidate
 	// caches of untouched layers stay exact.
-	areas := ix.Areas()
 	var killedPre, killedName []int32
 	for _, t := range targets {
-		hi := t + d.Size(t)
-		lo := sort.Search(len(areas), func(i int) bool { return areas[i] >= t })
-		for i := lo; i < len(areas) && areas[i] <= hi; i++ {
-			killedPre = append(killedPre, areas[i])
-			killedName = append(killedName, d.NameID(areas[i]))
+		for _, p := range ix.AreasIn(t, t+d.Size(t)) {
+			killedPre = append(killedPre, p)
+			killedName = append(killedName, d.NameID(p))
 		}
 	}
 	e.rekeyIndexes(d, d2, func(old *core.RegionIndex) *core.RegionIndex {

@@ -1,8 +1,11 @@
 package soxq
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,6 +126,30 @@ func TestInsertAnnotationErrors(t *testing.T) {
 	}
 	// The failed inserts must not have perturbed the document.
 	assertMatchesOracle(t, eng, mutateDoc, mutateQueries...)
+}
+
+// TestInsertAnnotationRejectsBadNames: an element name the XML parser would
+// not read back is refused with the typed error before anything is interned
+// or appended, so the snapshot keeps serialising to well-formed XML.
+func TestInsertAnnotationRejectsBadNames(t *testing.T) {
+	eng := mutateEngine(t)
+	for _, elem := range []string{"", "a b", "<x", "1st", "-x", "a>b", `a"b`, "a/b", "x y='1'"} {
+		err := eng.InsertAnnotation("m.xml", elem, Region{Start: 1, End: 2})
+		if !errors.Is(err, ErrInvalidAnnotationName) {
+			t.Errorf("InsertAnnotation(%q) = %v, want ErrInvalidAnnotationName", elem, err)
+		}
+	}
+	for _, elem := range []string{"mark", "_m", "ns:mark", "m-1.b", "märk"} {
+		if err := eng.InsertAnnotation("m.xml", elem, Region{Start: 1, End: 2}); err != nil {
+			t.Errorf("InsertAnnotation(%q): %v", elem, err)
+		}
+	}
+	// What the engine now serialises parses back to the same document.
+	res, err := eng.Query(`doc("m.xml")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesOracle(t, eng, res.String(), mutateQueries...)
 }
 
 // TestInsertAnnotationMultiRegion: with standoff-region declared, one insert
@@ -489,6 +516,27 @@ func TestMutationTelemetry(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
+	// Which merge a read-after-write paid: a named step merges its layer,
+	// once per snapshot; only a wildcard step merges the whole index; the
+	// delete merges nothing.
+	const layerMerges, fullMerges = `soxq_index_merges_total{scope="layer"}`, `soxq_index_merges_total{scope="full"}`
+	run := func(q string) {
+		t.Helper()
+		if _, err := eng.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(`doc("m.xml")//scene/select-narrow::hit`)
+	run(`doc("m.xml")//scene/select-wide::hit`)
+	m1 := scrapeMetrics(t, eng)
+	if l, f := m1[layerMerges]-m[layerMerges], m1[fullMerges]-m[fullMerges]; l != 1 || f != 0 {
+		t.Errorf("named reads after a write: %d layer / %d full merges, want 1 / 0", l, f)
+	}
+	run(`doc("m.xml")//scene/select-narrow::*`)
+	m2 := scrapeMetrics(t, eng)
+	if l, f := m2[layerMerges]-m1[layerMerges], m2[fullMerges]-m1[fullMerges]; l != 0 || f != 1 {
+		t.Errorf("wildcard read after a write: %d layer / %d full merges, want 0 / 1", l, f)
+	}
 	if n, err := eng.DeleteAnnotation("m.xml", "hit", 30, 40); err != nil || n != 1 {
 		t.Fatalf("delete = %d, %v", n, err)
 	}
@@ -496,6 +544,9 @@ func TestMutationTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = scrapeMetrics(t, eng)
+	if l, f := m[layerMerges]-m2[layerMerges], m[fullMerges]-m2[fullMerges]; l != 0 || f != 0 {
+		t.Errorf("delete + compact: %d layer / %d full merges, want none", l, f)
+	}
 	for name, want := range map[string]int64{
 		`soxq_mutations_total{op="delete"}`: 1,
 		`soxq_compactions_total`:            1,
@@ -745,4 +796,53 @@ func TestIncrementalMutationFasterThanRebuild(t *testing.T) {
 			inc, reb, float64(reb)/float64(inc))
 	}
 	t.Logf("incremental %v vs full rebuild %v: %.1fx", inc, reb, float64(reb)/float64(inc))
+}
+
+// TestDeleteCostIndependentOfBaseSize is the same-run scaling guard on the
+// delete path: removing a mark costs the mark layer and the pending delta,
+// not the document. The same 1,000-mark layer is written into the 122k-region
+// corpus and into one a tenth its size; the median delete on the large one
+// may cost at most 4x the small one's (an O(base) delete costs 10x).
+func TestDeleteCostIndependentOfBaseSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing ratio is meaningless under the race detector")
+	}
+	const marks, small = 1000, bigScenes / 10
+	measure := func(xml []byte) time.Duration {
+		eng := New()
+		if err := eng.LoadXML("big.xml", xml); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.BuildIndex("big.xml"); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < marks; j++ {
+			s := int64(j*197) % (small * 100) // inside both documents, all bounds distinct
+			if err := eng.InsertAnnotation("big.xml", "mark", Region{Start: s, End: s + 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var each []time.Duration
+		for j := 0; j < marks; j += 4 {
+			s := int64(j*197) % (small * 100)
+			t0 := time.Now()
+			n, err := eng.DeleteAnnotation("big.xml", "mark", s, s+2)
+			each = append(each, time.Since(t0))
+			if err != nil || n != 1 {
+				t.Fatalf("delete mark %d: removed %d, err %v", j, n, err)
+			}
+		}
+		slices.Sort(each)
+		return each[len(each)/2]
+	}
+	best := math.Inf(1)
+	var lg, sm time.Duration
+	for run := 0; run < 3 && best > 4; run++ { // a loaded runner gets three tries
+		lg, sm = measure(sceneCorpusXML(bigScenes)), measure(sceneCorpusXML(small))
+		best = min(best, float64(lg)/float64(sm))
+	}
+	t.Logf("median delete %v on %d scenes vs %v on %d: %.1fx", lg, bigScenes, sm, small, best)
+	if best > 4 {
+		t.Fatalf("delete cost grows with the base: %.1fx, want <= 4x", best)
+	}
 }

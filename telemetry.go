@@ -106,6 +106,15 @@ func newEngineObs(e *Engine) *engineObs {
 	r.CounterFunc("soxq_arena_pool_misses_total", "join-arena acquires that allocated (process-wide)",
 		func() int64 { _, m := core.ArenaPoolStats(); return int64(m) })
 
+	// Delta-index merges by scope (process-wide, like the arena pool): a
+	// named read after a write merges one annotation layer; a full merge
+	// touches every row of the index, and is what a slow write or first row
+	// paid when this moves.
+	r.CounterFunc(`soxq_index_merges_total{scope="layer"}`, "region-index delta merges by scope (process-wide)",
+		func() int64 { l, _ := core.IndexMergeStats(); return int64(l) })
+	r.CounterFunc(`soxq_index_merges_total{scope="full"}`, "",
+		func() int64 { _, f := core.IndexMergeStats(); return int64(f) })
+
 	// Cost-model feedback loops: llSetupRows calibration and strategy-memo
 	// drift invalidations.
 	r.CounterFunc("soxq_calibration_updates_total", "llSetupRows calibration samples folded in",

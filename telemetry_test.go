@@ -113,6 +113,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`soxq_joins_total{algorithm="naive"}`,
 		`soxq_arena_pool_hits_total`,
 		`soxq_arena_pool_misses_total`,
+		`soxq_index_merges_total{scope="layer"}`,
+		`soxq_index_merges_total{scope="full"}`,
 		`soxq_worksteal_steals_total`,
 		`soxq_worksteal_inflight_waits_total`,
 		`soxq_chunk_adapt_total{dir="grow"}`,
