@@ -9,6 +9,7 @@ package soxq
 // (or per context node) fails here long before it shows up in a benchmark.
 
 import (
+	"io"
 	"testing"
 )
 
@@ -74,6 +75,37 @@ func TestStreamAllocsJoinPath(t *testing.T) {
 	const budget = 200
 	if got > budget {
 		t.Errorf("warm join-path Stream drain allocated %.0f times per run, budget %d", got, budget)
+	}
+}
+
+// TestWriteXMLAllocsJoinPath: serialising the same join-path drain through
+// Cursor.WriteXML stays within the drain's own budget — items append into one
+// reused buffer, so serialisation adds the buffer's growth, nothing per item.
+func TestWriteXMLAllocsJoinPath(t *testing.T) {
+	eng := allocsEngine(t)
+	prep, err := eng.Prepare(`doc("sample.xml")//music/select-narrow::shot`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed error
+	write := func() {
+		cur, err := prep.Stream(Config{StreamChunk: 2})
+		if err == nil {
+			err = cur.WriteXML(io.Discard)
+			cur.Close()
+		}
+		if err != nil {
+			failed = err
+		}
+	}
+	write()
+	got := testing.AllocsPerRun(20, write)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	const budget = 200 // TestStreamAllocsJoinPath's
+	if got > budget {
+		t.Errorf("warm join-path WriteXML allocated %.0f times per run, budget %d", got, budget)
 	}
 }
 

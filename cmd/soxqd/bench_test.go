@@ -38,6 +38,28 @@ func benchDoc(scenes, hitsPerScene int) string {
 	return sb.String()
 }
 
+// benchQuery is the corpus query the benchmark and the wire tests stream:
+// every hit inside a scene, benchDocs * benchRowsPerMember rows.
+const benchQuery = `doc("bench")//scene/select-narrow::hit`
+
+// benchEngine loads the benchmark corpus "bench" into a fresh engine.
+func benchEngine(tb testing.TB) *soxq.Engine {
+	tb.Helper()
+	eng := soxq.New()
+	doc := benchDoc(benchScenes, benchHitsPerScene)
+	members := make([]string, benchDocs)
+	for i := range members {
+		members[i] = fmt.Sprintf("doc%02d.xml", i)
+		if err := eng.LoadXML(members[i], []byte(doc)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := eng.CreateCorpus("bench", members...); err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
 // BenchmarkServerThroughput measures one full HTTP query round trip over the
 // 122k-region corpus: request in, 120k NDJSON rows streamed out, connection
 // reused across iterations. The sequential cell (shards drained one after
@@ -45,22 +67,11 @@ func benchDoc(scenes, hitsPerScene int) string {
 // parallel cell fans the eight shards across four workers and self-skips on
 // a single-core runner, where there is no parallelism to measure.
 func BenchmarkServerThroughput(b *testing.B) {
-	eng := soxq.New()
-	doc := benchDoc(benchScenes, benchHitsPerScene)
-	members := make([]string, benchDocs)
-	for i := range members {
-		members[i] = fmt.Sprintf("doc%02d.xml", i)
-		if err := eng.LoadXML(members[i], []byte(doc)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := eng.CreateCorpus("bench", members...); err != nil {
-		b.Fatal(err)
-	}
+	eng := benchEngine(b)
 	s := newServer(eng, serverConfig{})
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
-	q := url.QueryEscape(`doc("bench")//scene/select-narrow::hit`)
+	q := url.QueryEscape(benchQuery)
 	wantRows := benchDocs * benchRowsPerMember
 
 	run := func(b *testing.B, parallel int) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"soxq"
 )
@@ -328,11 +330,10 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 //	cache     cache=1 serves a corpus query from the engine's result cache
 //	          (materialised; hits skip execution entirely)
 //
-// Results stream as they are produced: NDJSON emits one {"xml":...} object
-// per item and a trailing {"done":true,"rows":N} (or {"error":...}) record;
-// XML wraps the items in a <results> element. The response status is
-// committed before execution finishes, so mid-stream failures surface in
-// the stream's trailer, not the status code.
+// Either way the rows reach the client through writeRows, which documents
+// the wire formats and the flush policy. The response status is committed
+// before execution finishes, so mid-stream failures surface in the stream's
+// trailer, not the status code.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := queryText(r)
 	if q == "" {
@@ -384,7 +385,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		s.writeResult(w, r, format, res)
+		writeRows(w, r, format, &resultRows{res: res})
 		return
 	}
 	var cur *soxq.Cursor
@@ -398,96 +399,167 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cur.Close()
-	s.writeStream(w, r, format, cur)
+	writeRows(w, r, format, cur)
 }
 
-// flushEvery is how many rows a streamed response buffers before an explicit
-// flush — frequent enough that a slowly-produced stream reaches the client
-// incrementally, rare enough not to defeat response buffering.
-const flushEvery = 64
+// Flush policy of writeRows. Framed rows collect in one buffer, which is
+// handed to the ResponseWriter and flushed to the client when it reaches a
+// threshold — flushMin at first, doubling per flush up to flushMax, so the
+// first rows leave early and a long reply settles on few, large writes — or
+// when flushInterval has passed since the last flush, so a slowly produced
+// stream still arrives incrementally; the clock is read once per
+// flushCheckRows rows. A reply that never reaches flushMin is written once
+// when the query ends, with no explicit flush.
+const (
+	flushMin       = 4 << 10
+	flushMax       = 32 << 10
+	flushInterval  = 5 * time.Millisecond
+	flushCheckRows = 64
+)
 
-type ndjsonRow struct {
-	XML string `json:"xml"`
+// rowSource is what writeRows drains: a streamed *soxq.Cursor, or a
+// materialised result behind resultRows.
+type rowSource interface {
+	Next() bool
+	Value() soxq.Value
+	Err() error
 }
 
-type ndjsonTrailer struct {
-	Done  bool   `json:"done,omitempty"`
-	Rows  int    `json:"rows"`
-	Error string `json:"error,omitempty"`
+// resultRows iterates a materialised (cached) result as a rowSource.
+type resultRows struct {
+	res *soxq.Result
+	n   int // rows handed out so far
 }
 
-// writeStream drains the cursor into the response. Client disconnects are
-// detected through the request context and write failures; either way the
-// drain stops and the deferred Close in the caller tears the pipeline down.
-func (s *server) writeStream(w http.ResponseWriter, r *http.Request, format string, cur *soxq.Cursor) {
-	flusher, _ := w.(http.Flusher)
+func (r *resultRows) Next() bool        { r.n++; return r.n <= r.res.Len() }
+func (r *resultRows) Value() soxq.Value { return r.res.Value(r.n - 1) }
+func (r *resultRows) Err() error        { return nil }
+
+// writeRows drains src into the response; it is the one row loop behind the
+// streamed and the cache=1 path, so clients need not care which served them.
+// NDJSON emits one {"xml":...} object per item and a trailing
+// {"done":true,"rows":N} (or {"rows":N,"error":...}) record; XML wraps the
+// items, one per line, in a <results> element that ends in an <error>
+// element on failure. Each row's XML is appended into a reused scratch and
+// from there, JSON-escaped, into the reused output buffer — no per-row
+// string, encoder call or write. Client disconnects are detected through the
+// request context and write failures; either way the drain stops and the
+// caller's deferred Close and release tear the query down.
+func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSource) {
 	ctx := r.Context()
-	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
 	xmlOut := format == "xml"
+	var scratch [256]byte // rows this short never touch the heap
+	row := scratch[:0]
+	out := make([]byte, 0, 512) // a small reply costs one allocation, a large one grows it
 	if xmlOut {
 		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-		if _, err := io.WriteString(w, "<results>\n"); err != nil {
-			return
-		}
+		out = append(out, "<results>\n"...)
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	rows := 0
-	for cur.Next() {
+	rows, limit, last := 0, flushMin, time.Now()
+	for src.Next() {
 		if ctx.Err() != nil {
 			return
 		}
-		var err error
 		if xmlOut {
-			_, err = io.WriteString(w, cur.Value().XML()+"\n")
+			out = append(src.Value().AppendXML(out), '\n')
 		} else {
-			err = enc.Encode(ndjsonRow{XML: cur.Value().XML()})
-		}
-		if err != nil {
-			return // client gone; nothing sensible left to write
+			row = src.Value().AppendXML(row[:0])
+			out = append(out, `{"xml":`...)
+			out = appendJSONString(out, row)
+			out = append(out, "}\n"...)
 		}
 		rows++
-		if rows%flushEvery == 0 && flusher != nil {
+		if len(out) < limit && (rows%flushCheckRows != 0 || time.Since(last) < flushInterval) {
+			continue
+		}
+		if _, err := w.Write(out); err != nil {
+			return // client gone; nothing sensible left to write
+		}
+		if flusher != nil {
 			flusher.Flush()
 		}
+		out, limit, last = out[:0], min(2*limit, flushMax), time.Now()
 	}
-	if err := cur.Err(); err != nil {
-		if xmlOut {
-			var b strings.Builder
-			xml.EscapeText(&b, []byte(err.Error()))
-			fmt.Fprintf(w, "<error>%s</error>\n</results>\n", b.String())
-		} else {
-			enc.Encode(ndjsonTrailer{Rows: rows, Error: err.Error()})
-		}
-		return
+	switch err := src.Err(); {
+	case xmlOut && err != nil:
+		b := bytes.NewBuffer(append(out, "<error>"...))
+		xml.EscapeText(b, []byte(err.Error()))
+		out = append(b.Bytes(), "</error>\n</results>\n"...)
+	case xmlOut:
+		out = append(out, "</results>\n"...)
+	case err != nil:
+		out = append(out, `{"rows":`...)
+		out = strconv.AppendInt(out, int64(rows), 10)
+		out = append(out, `,"error":`...)
+		out = appendJSONString(out, []byte(err.Error()))
+		out = append(out, "}\n"...)
+	default:
+		out = append(out, `{"done":true,"rows":`...)
+		out = strconv.AppendInt(out, int64(rows), 10)
+		out = append(out, "}\n"...)
 	}
-	if xmlOut {
-		io.WriteString(w, "</results>\n")
-	} else {
-		enc.Encode(ndjsonTrailer{Done: true, Rows: rows})
-	}
+	w.Write(out)
 }
 
-// writeResult writes a materialised (cached) result in the same wire formats
-// as writeStream, so clients need not care which path served them.
-func (s *server) writeResult(w http.ResponseWriter, r *http.Request, format string, res *soxq.Result) {
-	if format == "xml" {
-		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-		io.WriteString(w, "<results>\n")
-		for i := 0; i < res.Len(); i++ {
-			if _, err := io.WriteString(w, res.Value(i).XML()+"\n"); err != nil {
-				return
+// appendJSONString appends s to dst as a JSON string literal, byte for byte
+// what encoding/json writes for a string with HTML escaping on (json.Encoder's
+// default, which the NDJSON rows have always carried): \" \\ \b \f \n \r \t,
+// \u00XX for the other control characters and for < > &, \u2028 and \u2029
+// for the two line separators, and \ufffd for each invalid UTF-8 byte.
+func appendJSONString(dst, s []byte) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0 // s[start:i] is pending output that needs no escaping
+	for i := 0; i < len(s); {
+		b := s[i]
+		if jsonPlain[b] {
+			i++
+			continue
+		}
+		if b >= utf8.RuneSelf {
+			r, n := utf8.DecodeRune(s[i:])
+			switch {
+			case r == utf8.RuneError && n == 1:
+				dst = append(append(dst, s[start:i]...), `\ufffd`...)
+				start = i + n
+			case r == '\u2028' || r == '\u2029':
+				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+				start = i + n
 			}
+			i += n
+			continue
 		}
-		io.WriteString(w, "</results>\n")
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i := 0; i < res.Len(); i++ {
-		if err := enc.Encode(ndjsonRow{XML: res.Value(i).XML()}); err != nil {
-			return
+		dst = append(dst, s[start:i]...)
+		switch b {
+		case '"', '\\':
+			dst = append(dst, '\\', b)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
 		}
+		i++
+		start = i
 	}
-	enc.Encode(ndjsonTrailer{Done: true, Rows: res.Len()})
+	return append(append(dst, s[start:]...), '"')
 }
+
+// jsonPlain marks the bytes appendJSONString copies through: printable ASCII
+// other than the two JSON and three HTML-unsafe characters.
+var jsonPlain = func() (t [256]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()

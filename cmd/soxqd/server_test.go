@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"encoding/xml"
 	"fmt"
 	"io"
 	"math/rand"
@@ -100,6 +101,14 @@ func doReq(t testing.TB, method, url string, body []byte) (int, []byte) {
 		t.Fatal(err)
 	}
 	return code, b
+}
+
+// ndjsonTrailer is the last record of an NDJSON reply, as the tests decode
+// it and as the per-row encoder writeRows replaced (legacyWrite) encoded it.
+type ndjsonTrailer struct {
+	Done  bool   `json:"done,omitempty"`
+	Rows  int    `json:"rows"`
+	Error string `json:"error,omitempty"`
 }
 
 // parseNDJSON reads an NDJSON query response: the data rows and the trailer.
@@ -604,5 +613,214 @@ func TestServerConcurrentExercise(t *testing.T) {
 				runtime.NumGoroutine(), baseline, s.inflight.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// wireDocs are the members of the golden tests' corpus "wire": attribute and
+// text values that need XML escapes, JSON escapes, and both.
+var wireDocs = []string{
+	`<doc><scene id="s0" start="0" end="99"/><note start="10" end="20" text="a &lt; b &amp; &quot;c&quot; &#9;tab">x &amp; y &lt; z &gt; "q" \ back</note></doc>`,
+	`<doc><scene id="s1" start="0" end="99"/><note start="30" end="40" text="plain"/><!--c--></doc>`,
+}
+
+// wireQuery returns, per note: the element (XML and JSON escapes in one
+// row), an attribute item, and string, integer, decimal and boolean atomics.
+const wireQuery = `for $n in doc("wire")//note return ($n, $n/@text, string($n), 1, 1.5, true())`
+
+// legacyWrite writes a reply the way the per-row code writeRows replaced
+// did: json.Encoder (HTML escaping on) and Value.XML per row, the trailer
+// through the same encoder, the XML error through xml.EscapeText.
+func legacyWrite(w io.Writer, format string, rows []soxq.Value, runErr error) {
+	enc := json.NewEncoder(w)
+	if format == "xml" {
+		io.WriteString(w, "<results>\n")
+	}
+	for _, v := range rows {
+		if format == "xml" {
+			io.WriteString(w, v.XML()+"\n")
+		} else {
+			enc.Encode(struct {
+				XML string `json:"xml"`
+			}{v.XML()})
+		}
+	}
+	switch {
+	case format == "xml" && runErr != nil:
+		var b strings.Builder
+		xml.EscapeText(&b, []byte(runErr.Error()))
+		fmt.Fprintf(w, "<error>%s</error>\n</results>\n", b.String())
+	case format == "xml":
+		io.WriteString(w, "</results>\n")
+	case runErr != nil:
+		enc.Encode(ndjsonTrailer{Rows: len(rows), Error: runErr.Error()})
+	default:
+		enc.Encode(ndjsonTrailer{Done: true, Rows: len(rows)})
+	}
+}
+
+func legacyBody(format string, rows []soxq.Value, runErr error) string {
+	var b strings.Builder
+	legacyWrite(&b, format, rows, runErr)
+	return b.String()
+}
+
+// TestWireGolden: for streamed x cache=1 and ndjson x xml the response body
+// is byte for byte what the per-row encoder produced — node, attribute and
+// atomic rows, XML and JSON escapes together — and a mid-stream error ends
+// both formats with the trailer it always had.
+func TestWireGolden(t *testing.T) {
+	eng, _, ts := newTestServer(t, 1, serverConfig{})
+	members := make([]string, len(wireDocs))
+	for i, d := range wireDocs {
+		members[i] = fmt.Sprintf("w%d.xml", i)
+		if err := eng.LoadXML(members[i], []byte(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.CreateCorpus("wire", members...); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.QueryCorpus(wireQuery, "wire", soxq.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 12 {
+		t.Fatalf("wire query has %d rows, want 12", res.Len())
+	}
+	// legacyBody goes through this build's Value.XML, so pin the bytes of a
+	// node, an attribute and an atomic row as literals too.
+	const firstRows = `{"xml":"\u003cnote start=\"10\" end=\"20\" text=\"a \u0026lt; b \u0026amp; \u0026quot;c\u0026quot; \u0026#9;tab\"\u003ex \u0026amp; y \u0026lt; z \u0026gt; \"q\" \\ back\u003c/note\u003e"}
+{"xml":"text=\"a \u0026lt; b \u0026amp; \u0026quot;c\u0026quot; \u0026#9;tab\""}
+{"xml":"x \u0026 y \u003c z \u003e \"q\" \\ back"}
+{"xml":"1"}
+{"xml":"1.5"}
+{"xml":"true"}
+`
+	if got := legacyBody("ndjson", res.Values(), nil); !strings.HasPrefix(got, firstRows) {
+		t.Fatalf("rows changed:\n%s\nwant prefix\n%s", got, firstRows)
+	}
+	for _, format := range []string{"ndjson", "xml"} {
+		want := legacyBody(format, res.Values(), nil)
+		for _, cache := range []string{"", "&cache=1"} {
+			code, body := doReq(t, http.MethodGet,
+				ts.URL+"/query?corpus=wire&format="+format+cache+"&q="+queryParam(wireQuery), nil)
+			if code != 200 || string(body) != want {
+				t.Errorf("format=%s%s: status %d, body\n%s\nwant\n%s", format, cache, code, body, want)
+			}
+		}
+	}
+
+	// Mid-stream error: the first two 1024-row chunks arrive, the third
+	// fails, and the trailer carries the row count and the error.
+	const failing = `for $i in 1 to 3000 return if ($i lt 2500) then $i else $i idiv 0`
+	cur, err := eng.StreamQuery(failing, soxq.Config{StreamChunk: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []soxq.Value
+	for cur.Next() {
+		rows = append(rows, cur.Value())
+	}
+	runErr := cur.Close()
+	if len(rows) != 2048 || runErr == nil || !strings.Contains(runErr.Error(), "FOAR0001") {
+		t.Fatalf("failing query: %d rows, error %v; want 2048 rows and FOAR0001", len(rows), runErr)
+	}
+	for _, format := range []string{"ndjson", "xml"} {
+		code, body := doReq(t, http.MethodGet, ts.URL+"/query?format="+format+"&q="+queryParam(failing), nil)
+		if want := legacyBody(format, rows, runErr); code != 200 || string(body) != want {
+			t.Errorf("mid-stream error, format=%s: status %d, body ends %q, want %q",
+				format, code, body[max(0, len(body)-120):], want[len(want)-120:])
+		}
+	}
+	_, body := doReq(t, http.MethodGet, ts.URL+"/query?q="+queryParam(failing), nil)
+	if !bytes.HasSuffix(body, []byte(`{"rows":2048,"error":"`+runErr.Error()+"\"}\n")) {
+		t.Errorf("NDJSON error trailer: body ends %q", body[max(0, len(body)-120):])
+	}
+}
+
+// TestWireFlushing pins the two ends of the flush policy over real HTTP: a
+// reply that never reaches flushMin is written once, unflushed, so net/http
+// still gives it a Content-Length; the 120 000-row reply is chunked and its
+// first row reaches the writer long before the query has produced its last.
+func TestWireFlushing(t *testing.T) {
+	_, _, ts := newTestServer(t, 2, serverConfig{})
+	for _, format := range []string{"ndjson", "xml"} {
+		resp, err := http.Get(ts.URL + "/query?corpus=news&format=" + format + "&q=" + queryParam(testQuery))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("format=%s: %d-byte reply has Content-Length %d, Transfer-Encoding %v",
+				format, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
+
+	eng := benchEngine(t)
+	cur, err := eng.StreamQueryCorpus(benchQuery, "bench", soxq.Config{StreamChunk: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	src := &countingRows{rowSource: cur}
+	sink := newSinkResponse()
+	producedAtFirstWrite := -1
+	sink.onWrite = func() {
+		if producedAtFirstWrite < 0 {
+			producedAtFirstWrite = src.n
+		}
+	}
+	writeRows(sink, httptest.NewRequest(http.MethodGet, "/query", nil), "ndjson", src)
+	const rows = benchDocs * benchRowsPerMember
+	if src.n != rows || producedAtFirstWrite < 1 || producedAtFirstWrite > 200 {
+		t.Errorf("first write after %d of %d rows, want within the first 4 KiB of rows", producedAtFirstWrite, src.n)
+	}
+}
+
+// countingRows counts the rows a rowSource has produced.
+type countingRows struct {
+	rowSource
+	n int
+}
+
+func (c *countingRows) Next() bool {
+	if !c.rowSource.Next() {
+		return false
+	}
+	c.n++
+	return true
+}
+
+// TestWireCachedCancel: the cache=1 path runs the same loop as the streamed
+// one, so a cached reply to a request whose client has gone stops at the
+// next row instead of serialising the whole result, and the handler returns
+// its admission slot.
+func TestWireCachedCancel(t *testing.T) {
+	s := newServer(benchEngine(t), serverConfig{MaxQueries: 1})
+	target := "/query?cache=1&corpus=bench&q=" + queryParam(benchQuery)
+	full := newSinkResponse()
+	s.handler().ServeHTTP(full, httptest.NewRequest(http.MethodGet, target, nil))
+	if full.writes < 10 || full.flushes != full.writes-1 {
+		t.Fatalf("cached reply: %d writes, %d flushes; want it streamed incrementally", full.writes, full.flushes)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := newSinkResponse()
+	cut.onWrite = cancel // the client goes away as the first bytes arrive
+	s.handler().ServeHTTP(cut, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+	if cut.writes != 1 || cut.bytes >= full.bytes/100 {
+		t.Errorf("cancelled cached reply: %d writes, %d of %d bytes; want it to stop after the first write",
+			cut.writes, cut.bytes, full.bytes)
+	}
+	if n, held := s.inflight.Load(), len(s.sem); n != 0 || held != 0 {
+		t.Errorf("after the cancelled reply: inflight %d, %d admission slots held", n, held)
+	}
+	// With MaxQueries 1, a leaked slot would turn this into a 503.
+	again := httptest.NewRecorder()
+	s.handler().ServeHTTP(again, httptest.NewRequest(http.MethodGet, "/query?q=1", nil))
+	if again.Code != 200 {
+		t.Errorf("query after the cancelled reply = %d, want 200", again.Code)
 	}
 }

@@ -1,136 +1,123 @@
 package tree
 
-import (
-	"io"
-	"strings"
-)
+import "unicode/utf8"
 
-// SerializeNode writes node pre (and its subtree) as XML text. For the
-// document node all children are written in order; attributes are emitted in
-// stored order. Text content and attribute values are escaped so that the
-// output re-parses to an identical tree.
-func (d *Doc) SerializeNode(w io.Writer, pre int32) error {
-	s := serializer{d: d, w: w}
-	s.node(pre)
-	return s.err
+// AppendXML appends node pre (and its subtree) as XML text to dst and returns
+// the extended slice; it is the package's one serialiser. For the document
+// node all children are written in order; attributes are emitted in stored
+// order. Text content and attribute values are escaped so that the output
+// re-parses to an identical tree.
+func (d *Doc) AppendXML(dst []byte, pre int32) []byte {
+	switch d.kind[pre] {
+	case DocumentNode:
+		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
+			dst = d.AppendXML(dst, c)
+		}
+	case ElementNode:
+		name := d.NodeName(pre)
+		dst = append(dst, '<')
+		dst = append(dst, name...)
+		for i, hi := d.Attrs(pre); i < hi; i++ {
+			dst = d.AppendAttrXML(append(dst, ' '), i)
+		}
+		if d.Size(pre) == 0 {
+			return append(dst, "/>"...)
+		}
+		dst = append(dst, '>')
+		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
+			dst = d.AppendXML(dst, c)
+		}
+		dst = append(dst, "</"...)
+		dst = append(dst, name...)
+		dst = append(dst, '>')
+	case TextNode:
+		dst = appendEscaped(dst, d.ValueBytes(pre), false)
+	case CommentNode:
+		dst = append(dst, "<!--"...)
+		dst = append(dst, d.ValueBytes(pre)...)
+		dst = append(dst, "-->"...)
+	case PINode:
+		dst = append(dst, "<?"...)
+		dst = append(dst, d.NodeName(pre)...)
+		if v := d.ValueBytes(pre); len(v) > 0 {
+			dst = append(dst, ' ')
+			dst = append(dst, v...)
+		}
+		dst = append(dst, "?>"...)
+	}
+	return dst
+}
+
+// AppendAttrXML appends attribute row i as name="value", the value escaped
+// for a double-quoted attribute.
+func (d *Doc) AppendAttrXML(dst []byte, i int32) []byte {
+	dst = append(dst, d.AttrName(i)...)
+	dst = append(dst, '=', '"')
+	dst = appendEscaped(dst, d.AttrValueBytes(i), true)
+	return append(dst, '"')
 }
 
 // XMLString renders node pre (and its subtree) as a string.
 func (d *Doc) XMLString(pre int32) string {
-	var sb strings.Builder
-	_ = d.SerializeNode(&sb, pre)
-	return sb.String()
+	var buf [128]byte // most result rows fit: one allocation, the string
+	return string(d.AppendXML(buf[:0], pre))
 }
 
-type serializer struct {
-	d   *Doc
-	w   io.Writer
-	err error
+// appendEscaped appends s escaped for element content, or with attr for a
+// double-quoted attribute value. A value holding no escapable character is
+// copied verbatim; one that does is decoded rune by rune, so an invalid UTF-8
+// byte in it becomes U+FFFD (xmlparse does not validate UTF-8) — a quirk
+// serialised output has always had and keeps byte for byte.
+func appendEscaped(dst, s []byte, attr bool) []byte {
+	first := 0
+	for first < len(s) && xmlEscape(s[first], attr) == "" {
+		first++
+	}
+	if first == len(s) {
+		return append(dst, s...)
+	}
+	last := 0
+	for i := 0; i < len(s); {
+		esc, n := xmlEscape(s[i], attr), 1
+		if s[i] >= utf8.RuneSelf {
+			var r rune
+			if r, n = utf8.DecodeRune(s[i:]); r == utf8.RuneError && n == 1 {
+				esc = "\uFFFD"
+			}
+		}
+		if esc != "" {
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, esc...)
+			last = i + n
+		}
+		i += n
+	}
+	return append(dst, s[last:]...)
 }
 
-func (s *serializer) write(str string) {
-	if s.err == nil {
-		_, s.err = io.WriteString(s.w, str)
+// xmlEscape returns the replacement for byte b in element content (& < > and
+// CR) or, with attr, in a double-quoted attribute value (also " TAB LF); ""
+// means b stands for itself.
+func xmlEscape(b byte, attr bool) string {
+	switch b {
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '\r':
+		return "&#13;"
 	}
-}
-
-func (s *serializer) node(pre int32) {
-	d := s.d
-	switch d.kind[pre] {
-	case DocumentNode:
-		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-			s.node(c)
-		}
-	case ElementNode:
-		name := d.NodeName(pre)
-		s.write("<")
-		s.write(name)
-		lo, hi := d.Attrs(pre)
-		for i := lo; i < hi; i++ {
-			s.write(" ")
-			s.write(d.AttrName(i))
-			s.write("=\"")
-			s.write(EscapeAttr(d.AttrValue(i)))
-			s.write("\"")
-		}
-		if d.Size(pre) == 0 {
-			s.write("/>")
-			return
-		}
-		s.write(">")
-		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-			s.node(c)
-		}
-		s.write("</")
-		s.write(name)
-		s.write(">")
-	case TextNode:
-		s.write(EscapeText(d.Value(pre)))
-	case CommentNode:
-		s.write("<!--")
-		s.write(d.Value(pre))
-		s.write("-->")
-	case PINode:
-		s.write("<?")
-		s.write(d.NodeName(pre))
-		if v := d.Value(pre); v != "" {
-			s.write(" ")
-			s.write(v)
-		}
-		s.write("?>")
-	}
-}
-
-// EscapeText escapes character data for element content.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>\r") {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
-		case '\r':
-			sb.WriteString("&#13;")
-		default:
-			sb.WriteRune(r)
-		}
-	}
-	return sb.String()
-}
-
-// EscapeAttr escapes an attribute value for a double-quoted attribute.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<>\"\t\n\r") {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 8)
-	for _, r := range s {
-		switch r {
-		case '&':
-			sb.WriteString("&amp;")
-		case '<':
-			sb.WriteString("&lt;")
-		case '>':
-			sb.WriteString("&gt;")
+	if attr {
+		switch b {
 		case '"':
-			sb.WriteString("&quot;")
+			return "&quot;"
 		case '\t':
-			sb.WriteString("&#9;")
+			return "&#9;"
 		case '\n':
-			sb.WriteString("&#10;")
-		case '\r':
-			sb.WriteString("&#13;")
-		default:
-			sb.WriteRune(r)
+			return "&#10;"
 		}
 	}
-	return sb.String()
+	return ""
 }

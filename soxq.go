@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -634,14 +633,14 @@ func (r *Result) Values() []Value {
 // String renders the whole sequence, items separated by spaces, nodes as
 // XML.
 func (r *Result) String() string {
-	var sb strings.Builder
+	var buf []byte
 	for i := range r.items {
 		if i > 0 {
-			sb.WriteByte(' ')
+			buf = append(buf, ' ')
 		}
-		sb.WriteString(Value{it: r.items[i]}.XML())
+		buf = Value{it: r.items[i]}.AppendXML(buf)
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // Strings returns the string value of every item.
@@ -667,13 +666,20 @@ func (v Value) String() string { return v.it.StringValue() }
 // XML renders a node as XML markup; atomic values render as their string
 // value and attribute nodes as name="value".
 func (v Value) XML() string {
+	var buf [128]byte // most result rows fit: one allocation, the string
+	return string(v.AppendXML(buf[:0]))
+}
+
+// AppendXML appends what XML returns to dst and returns the extended slice;
+// a caller serialising many values reuses one buffer and allocates nothing
+// per value.
+func (v Value) AppendXML(dst []byte) []byte {
 	switch v.it.Kind {
 	case xqeval.KNode:
-		return v.it.D.XMLString(v.it.Pre)
+		return v.it.D.AppendXML(dst, v.it.Pre)
 	case xqeval.KAttr:
-		return fmt.Sprintf(`%s="%s"`, v.it.D.AttrName(v.it.Att),
-			tree.EscapeAttr(v.it.D.AttrValue(v.it.Att)))
+		return v.it.D.AppendAttrXML(dst, v.it.Att)
 	default:
-		return v.it.StringValue()
+		return append(dst, v.it.StringValue()...)
 	}
 }

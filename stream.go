@@ -1,7 +1,6 @@
 package soxq
 
 import (
-	"bufio"
 	"io"
 
 	"soxq/internal/xqexec"
@@ -60,25 +59,28 @@ func (c *Cursor) Close() error {
 // WriteXML serialises the remaining items of the stream to w — nodes as XML
 // markup, atomic values as their string values, items separated by single
 // spaces (the streamed equivalent of Result.String). Serialisation is itself
-// a pipeline sink: each item is written as it is produced.
+// a pipeline sink: each item is appended to one reused buffer as it is
+// produced, and the buffer is handed to w whenever it passes 4 KiB.
 func (c *Cursor) WriteXML(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	var buf []byte
 	first := true
 	for c.Next() {
 		if !first {
-			if err := bw.WriteByte(' '); err != nil {
-				return err
-			}
+			buf = append(buf, ' ')
 		}
 		first = false
-		if _, err := bw.WriteString(c.Value().XML()); err != nil {
-			return err
+		if buf = c.Value().AppendXML(buf); len(buf) >= 4096 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	if err := c.Err(); err != nil {
+	if err := c.Err(); err != nil || len(buf) == 0 {
 		return err
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // Stream executes the compiled query as a pull-based cursor pipeline:
