@@ -759,6 +759,18 @@ func BenchmarkParallelSteal(b *testing.B) {
 
 // ---- supporting benchmarks ---------------------------------------------
 
+// BenchmarkLoad measures the load path a user waits for before the first
+// query: LoadXML (shred the bytes into columns) plus BuildIndex (section 4.3)
+// over the 2000 x 60 scene document of the streaming benchmarks.
+func BenchmarkLoad(b *testing.B) {
+	bigCorpusOnce.Do(func() { bigCorpusXML = sceneCorpusXML(bigScenes) })
+	b.SetBytes(int64(len(bigCorpusXML)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		loadBigCorpus(b, New())
+	}
+}
+
 // BenchmarkIndexBuild measures region-index construction (section 4.3).
 func BenchmarkIndexBuild(b *testing.B) {
 	data := dataFor(b, 0.05)

@@ -151,23 +151,7 @@ func (c *Candidates) endCols() (start, end []int64, id []int32) {
 		return c.ix.endCols()
 	}
 	if c.eID == nil && len(c.rID) > 0 {
-		perm := make([]int32, len(c.rID))
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		sort.Slice(perm, func(a, b int) bool {
-			i, j := perm[a], perm[b]
-			if c.rEnd[i] != c.rEnd[j] {
-				return c.rEnd[i] < c.rEnd[j]
-			}
-			if c.rStart[i] != c.rStart[j] {
-				return c.rStart[i] < c.rStart[j]
-			}
-			return c.rID[i] < c.rID[j]
-		})
-		c.eStart = permute64(c.rStart, perm)
-		c.eEnd = permute64(c.rEnd, perm)
-		c.eID = permute32(c.rID, perm)
+		c.eStart, c.eEnd, c.eID = byEnd(c.rStart, c.rEnd, c.rID)
 	}
 	return c.eStart, c.eEnd, c.eID
 }

@@ -271,7 +271,8 @@ func (ix *RegionIndex) Compact() *RegionIndex {
 		return ix
 	}
 	b := ix.base
-	n := &RegionIndex{doc: ix.doc, opts: ix.opts, areaRank: make(map[int32]int32, ix.nAreas)}
+	n := &RegionIndex{doc: ix.doc, opts: ix.opts}
+	n.reserve(ix.nAreas, ix.nRegions)
 	// Base areas, then inserts, both ascending like the tombstones: one
 	// forward walk, no merge and no lookups.
 	dead := ix.delPre

@@ -227,7 +227,7 @@ func TestCompactIdenticalToFreshBuild(t *testing.T) {
 	if !reflect.DeepEqual(compacted.areaOff, fresh.areaOff) || !reflect.DeepEqual(compacted.areaRegs, fresh.areaRegs) {
 		t.Fatalf("area geometry differs")
 	}
-	if !reflect.DeepEqual(compacted.areaRank, fresh.areaRank) {
+	if !reflect.DeepEqual(compacted.rank, fresh.rank) {
 		t.Fatalf("area ranks differ")
 	}
 	assertIndexEqual(t, compacted, fresh)

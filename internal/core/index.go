@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -62,7 +62,8 @@ type RegionIndex struct {
 	areas    []int32
 	areaOff  []int32
 	areaRegs []interval.Region
-	areaRank map[int32]int32
+	rank     []int32 // pre -> position in areas, -1 for no area; ends at the last area
+	rows     []row   // build scratch: the region rows before sorting
 
 	multiRegion bool
 
@@ -91,7 +92,7 @@ type RegionIndex struct {
 // element is an area-annotation iff it has one or more region child
 // elements, each holding start and end child elements.
 func BuildIndex(doc *tree.Doc, opts Options) (*RegionIndex, error) {
-	ix := &RegionIndex{doc: doc, opts: opts, areaRank: make(map[int32]int32)}
+	ix := &RegionIndex{doc: doc, opts: opts}
 	var err error
 	if opts.UseRegionElements {
 		err = ix.scanRegionElements()
@@ -117,6 +118,13 @@ func (ix *RegionIndex) scanAttributes() error {
 		}
 		return nil
 	}
+	areas := 0
+	for i := int32(0); i < int32(d.NumAttrs()); i++ {
+		if d.AttrNameID(i) == startID {
+			areas++
+		}
+	}
+	ix.reserve(areas, areas)
 	n := int32(d.NumNodes())
 	for pre := int32(0); pre < n; pre++ {
 		if d.Kind(pre) != tree.ElementNode || !d.Alive(pre) {
@@ -157,6 +165,8 @@ func (ix *RegionIndex) scanRegionElements() error {
 	startID, _ := d.Dict().Lookup(ix.opts.Start)
 	endID, _ := d.Dict().Lookup(ix.opts.End)
 	n := int32(d.NumNodes())
+	regions := len(d.ElementsByName(regionID))
+	ix.reserve(regions, regions)
 	for pre := int32(0); pre < n; pre++ {
 		if d.Kind(pre) != tree.ElementNode || d.NameID(pre) == regionID || !d.Alive(pre) {
 			continue
@@ -214,69 +224,93 @@ func (ix *RegionIndex) readRegionElement(pre, startID, endID int32) (interval.Re
 	return interval.NewRegion(start, end)
 }
 
+// reserve sizes the build for at most areas areas and regions region rows, so
+// that addArea never re-grows a column.
+func (ix *RegionIndex) reserve(areas, regions int) {
+	ix.areas = make([]int32, 0, areas)
+	ix.areaOff = make([]int32, 0, areas+1)
+	ix.areaRegs = make([]interval.Region, 0, regions)
+	ix.rows = make([]row, 0, regions)
+}
+
+// addArea appends one area; pres must ascend across calls.
 func (ix *RegionIndex) addArea(pre int32, regions []interval.Region) {
-	ix.areaRank[pre] = int32(len(ix.areas))
 	ix.areas = append(ix.areas, pre)
 	ix.areaOff = append(ix.areaOff, int32(len(ix.areaRegs)))
 	ix.areaRegs = append(ix.areaRegs, regions...)
 	for _, r := range regions {
-		ix.rStart = append(ix.rStart, r.Start)
-		ix.rEnd = append(ix.rEnd, r.End)
-		ix.rID = append(ix.rID, pre)
+		ix.rows = append(ix.rows, row{r.Start, r.End, pre})
 	}
 	ix.count(regions, 1)
 }
 
+// sortRows seals a build: the dense rank column over the areas added, the
+// region rows in (start, end, id) order and, when some area has several
+// regions, one covering bounds row per area in the same order.
 func (ix *RegionIndex) sortRows() {
 	ix.areaOff = append(ix.areaOff, int32(len(ix.areaRegs)))
-	perm := make([]int32, len(ix.rStart))
-	for i := range perm {
-		perm[i] = int32(i)
+	if nA := len(ix.areas); nA > 0 {
+		ix.rank = make([]int32, ix.areas[nA-1]+1)
+		for i := range ix.rank {
+			ix.rank[i] = -1
+		}
+		for i, pre := range ix.areas {
+			ix.rank[pre] = int32(i)
+		}
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		i, j := perm[a], perm[b]
-		if ix.rStart[i] != ix.rStart[j] {
-			return ix.rStart[i] < ix.rStart[j]
-		}
-		if ix.rEnd[i] != ix.rEnd[j] {
-			return ix.rEnd[i] < ix.rEnd[j]
-		}
-		return ix.rID[i] < ix.rID[j]
-	})
-	ix.rStart = permute64(ix.rStart, perm)
-	ix.rEnd = permute64(ix.rEnd, perm)
-	ix.rID = permute32(ix.rID, perm)
-
+	ix.rStart, ix.rEnd, ix.rID = sortedCols(ix.rows)
+	ix.rows = nil
 	if !ix.multiRegion {
 		ix.bStart, ix.bEnd, ix.bID = ix.rStart, ix.rEnd, ix.rID
 		return
 	}
-	// Bounds table: one covering region per area.
-	nA := len(ix.areas)
-	ix.bStart = make([]int64, nA)
-	ix.bEnd = make([]int64, nA)
-	ix.bID = make([]int32, nA)
-	bperm := make([]int32, nA)
-	for i := 0; i < nA; i++ {
+	bounds := make([]row, len(ix.areas))
+	for i, pre := range ix.areas {
 		regs := ix.areaRegs[ix.areaOff[i]:ix.areaOff[i+1]]
-		ix.bStart[i] = regs[0].Start
-		ix.bEnd[i] = regs[len(regs)-1].End
-		ix.bID[i] = ix.areas[i]
-		bperm[i] = int32(i)
+		bounds[i] = row{regs[0].Start, regs[len(regs)-1].End, pre}
 	}
-	sort.Slice(bperm, func(a, b int) bool {
-		i, j := bperm[a], bperm[b]
-		if ix.bStart[i] != ix.bStart[j] {
-			return ix.bStart[i] < ix.bStart[j]
-		}
-		if ix.bEnd[i] != ix.bEnd[j] {
-			return ix.bEnd[i] < ix.bEnd[j]
-		}
-		return ix.bID[i] < ix.bID[j]
-	})
-	ix.bStart = permute64(ix.bStart, bperm)
-	ix.bEnd = permute64(ix.bEnd, bperm)
-	ix.bID = permute32(ix.bID, bperm)
+	ix.bStart, ix.bEnd, ix.bID = sortedCols(bounds)
+}
+
+// row is one sort key of the build: a region or bounds row keyed
+// (start, end, id), or a region row keyed (end, start, id) for the end order.
+type row struct {
+	k1, k2 int64
+	id     int32
+}
+
+func cmpRows(a, b row) int {
+	if c := cmp.Compare(a.k1, b.k1); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.k2, b.k2); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// sortedCols sorts rows by (k1, k2, id), unless they arrive sorted as the
+// rows of a document written in position order do, and unpacks them into
+// columns of exact size. Equal keys are equal rows, so the order is unique.
+func sortedCols(rows []row) (k1, k2 []int64, id []int32) {
+	if !slices.IsSortedFunc(rows, cmpRows) {
+		slices.SortFunc(rows, cmpRows)
+	}
+	k1, k2, id = make([]int64, len(rows)), make([]int64, len(rows)), make([]int32, len(rows))
+	for i, r := range rows {
+		k1[i], k2[i], id[i] = r.k1, r.k2, r.id
+	}
+	return k1, k2, id
+}
+
+// byEnd returns the given (start, end, id) columns in (end, start, id) order.
+func byEnd(rStart, rEnd []int64, rID []int32) (start, end []int64, id []int32) {
+	rows := make([]row, len(rID))
+	for i := range rows {
+		rows[i] = row{rEnd[i], rStart[i], rID[i]}
+	}
+	end, start, id = sortedCols(rows)
+	return start, end, id
 }
 
 // endCols returns the flat region columns in (end, start, id) order.
@@ -295,23 +329,7 @@ func (ix *RegionIndex) buildEndOrder() {
 		ix.eStart, ix.eEnd, ix.eID = mergeByEnd(b.eStart, b.eEnd, b.eID, ix.delta)
 		return
 	}
-	p := make([]int32, len(ix.rStart))
-	for i := range p {
-		p[i] = int32(i)
-	}
-	sort.Slice(p, func(a, b int) bool {
-		i, j := p[a], p[b]
-		if ix.rEnd[i] != ix.rEnd[j] {
-			return ix.rEnd[i] < ix.rEnd[j]
-		}
-		if ix.rStart[i] != ix.rStart[j] {
-			return ix.rStart[i] < ix.rStart[j]
-		}
-		return ix.rID[i] < ix.rID[j]
-	})
-	ix.eStart = permute64(ix.rStart, p)
-	ix.eEnd = permute64(ix.rEnd, p)
-	ix.eID = permute32(ix.rID, p)
+	ix.eStart, ix.eEnd, ix.eID = byEnd(ix.rStart, ix.rEnd, ix.rID)
 }
 
 // suffixMins returns the whole-index suffix-min id arrays backing the
@@ -378,10 +396,10 @@ func (ix *RegionIndex) RegionsOf(pre int32) []interval.Region {
 		}
 		return ix.base.RegionsOf(pre)
 	}
-	rank, ok := ix.areaRank[pre]
-	if !ok {
+	if uint(pre) >= uint(len(ix.rank)) || ix.rank[pre] < 0 {
 		return nil
 	}
+	rank := ix.rank[pre]
 	return ix.areaRegs[ix.areaOff[rank]:ix.areaOff[rank+1]]
 }
 
@@ -399,13 +417,7 @@ func (ix *RegionIndex) AreaOf(pre int32) (interval.Area, bool) {
 }
 
 // regionCount returns the number of regions of area pre.
-func (ix *RegionIndex) regionCount(pre int32) int32 {
-	if ix.base != nil {
-		return int32(len(ix.RegionsOf(pre)))
-	}
-	rank := ix.areaRank[pre]
-	return ix.areaOff[rank+1] - ix.areaOff[rank]
-}
+func (ix *RegionIndex) regionCount(pre int32) int32 { return int32(len(ix.RegionsOf(pre))) }
 
 func (ix *RegionIndex) parsePos(b []byte) (int64, error) {
 	if ix.opts.Type == TypeInteger {
@@ -462,20 +474,4 @@ func pick(cond bool, a, b string) string {
 		return a
 	}
 	return b
-}
-
-func permute64(v []int64, perm []int32) []int64 {
-	out := make([]int64, len(v))
-	for i, p := range perm {
-		out[i] = v[p]
-	}
-	return out
-}
-
-func permute32(v []int32, perm []int32) []int32 {
-	out := make([]int32, len(v))
-	for i, p := range perm {
-		out[i] = v[p]
-	}
-	return out
 }

@@ -18,13 +18,18 @@ func NewDict() *Dict {
 }
 
 // Intern returns the id for name, assigning a fresh id when unseen.
-func (d *Dict) Intern(name string) int32 {
-	if id, ok := d.byName[name]; ok {
+func (d *Dict) Intern(name string) int32 { return intern(d, name) }
+
+// intern is Intern over a string or a slice of the input; the map probe
+// converts without allocating, so only a name's first sighting makes a string.
+func intern[S chars](d *Dict, name S) int32 {
+	if id, ok := d.byName[string(name)]; ok {
 		return id
 	}
 	id := int32(len(d.names))
-	d.names = append(d.names, name)
-	d.byName[name] = id
+	s := string(name)
+	d.names = append(d.names, s)
+	d.byName[s] = id
 	return id
 }
 

@@ -252,11 +252,9 @@ func (a *Appender) Attr(name, value string) {
 	d := a.d
 	owner := a.open[len(a.open)-1]
 	nameID := a.intern(name)
-	for i := d.attFirstRow(owner); i < int32(len(d.attOwner)); i++ {
-		if d.attName[i] == nameID {
-			a.fail("duplicate attribute %q on element %q", name, d.NodeName(owner))
-			return
-		}
+	if d.hasAttr(owner, nameID) {
+		a.fail("duplicate attribute %q on element %q", name, d.NodeName(owner))
+		return
 	}
 	d.attOwner = append(d.attOwner, owner)
 	d.attName = append(d.attName, nameID)

@@ -3,6 +3,7 @@ package xmark
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 
 	"soxq/internal/tree"
 )
@@ -173,21 +174,18 @@ func (s *standoffizer) write(pre int32) {
 		s.xml.WriteByte(' ')
 		s.xml.Write(d.AppendAttrXML(s.xml.AvailableBuffer(), a))
 	}
-	fmt.Fprintf(&s.xml, ` %s="%d" %s="%d"`, s.cfg.StartAttr, s.start[pre], s.cfg.EndAttr, s.end[pre])
+	b := append(append(s.xml.AvailableBuffer(), ' '), s.cfg.StartAttr...)
+	b = strconv.AppendInt(append(b, `="`...), s.start[pre], 10)
+	b = append(append(append(b, `" `...), s.cfg.EndAttr...), `="`...)
+	s.xml.Write(append(strconv.AppendInt(b, s.end[pre], 10), '"'))
 
-	var children []int32
-	for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-		if d.Kind(c) == tree.ElementNode && !s.records[c] {
-			children = append(children, c)
-		}
-	}
-	assigned := s.assign[pre]
-	if len(children) == 0 && len(assigned) == 0 {
+	first, assigned := s.kept(d.FirstChild(pre)), s.assign[pre]
+	if first < 0 && len(assigned) == 0 {
 		s.xml.WriteString("/>")
 		return
 	}
 	s.xml.WriteByte('>')
-	for _, c := range children {
+	for c := first; c >= 0; c = s.kept(d.NextSibling(c)) {
 		s.write(c)
 	}
 	for _, rec := range assigned {
@@ -196,4 +194,13 @@ func (s *standoffizer) write(pre int32) {
 	s.xml.WriteString("</")
 	s.xml.WriteString(d.NodeName(pre))
 	s.xml.WriteByte('>')
+}
+
+// kept returns the first of c and its following siblings that stays a child
+// in the stand-off document: an element that is not a (reassigned) record.
+func (s *standoffizer) kept(c int32) int32 {
+	for c >= 0 && (s.d.Kind(c) != tree.ElementNode || s.records[c]) {
+		c = s.d.NextSibling(c)
+	}
+	return c
 }

@@ -2,6 +2,7 @@ package xmark
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -245,6 +246,40 @@ func TestStandOffizeContainment(t *testing.T) {
 	if len(pairs) != len(orig.ElementsByName(origPersonID)) {
 		t.Fatalf("select-narrow::person from people = %d, want %d",
 			len(pairs), len(orig.ElementsByName(origPersonID)))
+	}
+}
+
+// TestStandOffizeChecksum pins the converted bytes: the stand-off document is
+// fixture identity for the Figure 6 benchmark, so a change to how it is
+// written must not change what is written.
+func TestStandOffizeChecksum(t *testing.T) {
+	raw, err := GenerateBytes(Config{Scale: 0.01, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := xmlparse.Parse("plain.xml", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		permute bool
+		xml     uint64
+	}{{true, 0xcc1508736b0127c1}, {false, 0xdb26a1d2b99035e5}} {
+		cfg := DefaultStandOffConfig()
+		cfg.Seed, cfg.Permute = 42, c.permute
+		res, err := StandOffize(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := func(b []byte) uint64 {
+			h := fnv.New64a()
+			h.Write(b)
+			return h.Sum64()
+		}
+		if len(res.XML) != 596816 || sum(res.XML) != c.xml || len(res.Blob) != 759861 || sum(res.Blob) != 0x76d247ab920bac46 {
+			t.Fatalf("permute=%v: XML %d bytes %#x, BLOB %d bytes %#x", c.permute,
+				len(res.XML), sum(res.XML), len(res.Blob), sum(res.Blob))
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"strings"
+	"unicode/utf8"
 
 	"soxq/internal/tree"
 )
@@ -51,67 +51,92 @@ func ParseFile(path string) (*tree.Doc, error) {
 	return Parse(path, data)
 }
 
-// ParseWithOptions shreds data into a document named name using opts.
+// ParseWithOptions shreds data into a document named name using opts. The
+// parser works on the input bytes throughout: names are interned and values
+// appended to the store straight from data, and the store's columns are sized
+// once, from counts over the input, before the first event.
 func ParseWithOptions(name string, data []byte, opts Options) (*tree.Doc, error) {
-	p := &parser{
-		name: name,
-		data: data,
-		b:    tree.NewBuilder(name),
-		opts: opts,
-		line: 1,
-		col:  1,
-	}
+	p := &parser{name: name, data: data, b: tree.NewBuilder(name), opts: opts}
+	p.reserve()
 	if err := p.run(); err != nil {
 		return nil, err
 	}
 	return p.b.Done()
 }
 
+// reserve sizes the store's columns from one hop over the '<' bytes: a node
+// other than text begins at a '<' that opens no end tag, a text node ends at
+// a '<' that follows no '>', an attribute needs its '=', and content is what
+// the input holds beyond three bytes a tag ("<a>") and four an attribute
+// (`b=""`). Only '<' or '=' inside values make that estimate low, and then one
+// column grows by append. The len(data) caps are what the densest well-formed
+// input ("x<a/>") holds: garbage reserves no more than a document could.
+func (p *parser) reserve() {
+	d, lt, nodes := p.data, 0, 1
+	for i := 0; i < len(d); i++ {
+		j := bytes.IndexByte(d[i:], '<')
+		if j < 0 {
+			break
+		}
+		i += j
+		lt++
+		if i+1 < len(d) && d[i+1] != '/' {
+			nodes++
+		}
+		if i > 0 && d[i-1] != '>' {
+			nodes++
+		}
+	}
+	attrs := min(bytes.Count(d, []byte("=")), len(d)/4)
+	p.b.Reserve(min(nodes, len(d)/2+1), attrs, max(len(d)-3*lt-4*attrs, 0))
+}
+
 type parser struct {
 	name string
 	data []byte
 	pos  int
-	line int
-	col  int
 	b    *tree.Builder
 	opts Options
 
-	depth   int  // open element depth
-	sawRoot bool // a root element has been completed or opened
-	stack   []string
+	depth   int    // open element depth
+	sawRoot bool   // a root element has been completed or opened
+	buf     []byte // scratch for the values that need decoding
+	names   [64]struct {
+		name []byte // a slice of data
+		id   int32
+	}
 }
 
+// intern returns the store's id of a name read from the input. A document's
+// few hot names are recognised by one comparison with the name last seen in
+// their (length, first byte) slot, not by a hash per occurrence.
+func (p *parser) intern(name []byte) int32 {
+	e := &p.names[(len(name)*31+int(name[0]))&63]
+	if string(e.name) != string(name) {
+		e.name, e.id = name, p.b.Intern(name)
+	}
+	return e.id
+}
+
+// errf reports a violation at p.pos. Line and column are not tracked while
+// parsing; they are counted here, from the input before p.pos.
 func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Doc: p.name, Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
+	before := p.data[:p.pos]
+	return &SyntaxError{Doc: p.name, Msg: fmt.Sprintf(format, args...),
+		Line: 1 + bytes.Count(before, []byte("\n")), Col: p.pos - bytes.LastIndexByte(before, '\n')}
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.data) }
 
-// advance moves the cursor n bytes forward, maintaining line/col.
-func (p *parser) advance(n int) {
-	for i := 0; i < n; i++ {
-		if p.data[p.pos] == '\n' {
-			p.line++
-			p.col = 1
-		} else {
-			p.col++
-		}
-		p.pos++
-	}
-}
-
 func (p *parser) rest() []byte { return p.data[p.pos:] }
 
-func (p *parser) hasPrefix(s string) bool {
-	r := p.rest()
-	return len(r) >= len(s) && string(r[:len(s)]) == s
-}
+func (p *parser) hasPrefix(s string) bool { return bytes.HasPrefix(p.rest(), []byte(s)) }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 func (p *parser) skipSpace() {
 	for !p.eof() && isSpace(p.data[p.pos]) {
-		p.advance(1)
+		p.pos++
 	}
 }
 
@@ -140,48 +165,70 @@ func IsName(s string) bool {
 	return true
 }
 
-func (p *parser) readName() (string, error) {
-	start := p.pos
-	if p.eof() || !isNameStart(p.data[p.pos]) {
-		return "", p.errf("expected name")
+// Byte classes of character data and attribute values: one pass over a value
+// ORs them together, and the value leaves the append-from-input path only for
+// what it contains.
+const (
+	cLT   uint8 = 1 << iota // '<': ends text, illegal in an attribute value
+	cGT                     // '>': may close a "]]>"
+	cAmp                    // '&': a reference to decode
+	cCR                     // '\r': end-of-line normalisation
+	cNorm                   // '\t' '\n' '\r': a space in an attribute value
+	cData                   // anything but XML whitespace
+)
+
+var class, nameChar = func() (cl [256]uint8, nc [256]bool) {
+	for c := range cl {
+		cl[c], nc[c] = cData, isNameChar(byte(c))
 	}
-	for !p.eof() && isNameChar(p.data[p.pos]) {
-		p.advance(1)
+	cl[' '], cl['\t'], cl['\n'], cl['\r'] = 0, cNorm, cNorm, cNorm|cCR
+	cl['<'], cl['>'], cl['&'] = cLT|cData, cGT|cData, cAmp|cData
+	return cl, nc
+}()
+
+// readName reads the name at p.pos, or returns nil and stays put.
+func (p *parser) readName() []byte {
+	d, i := p.data, p.pos
+	if i >= len(d) || !isNameStart(d[i]) {
+		return nil
 	}
-	return string(p.data[start:p.pos]), nil
+	for i++; i < len(d) && nameChar[d[i]]; i++ {
+	}
+	name := d[p.pos:i]
+	p.pos = i
+	return name
 }
 
 func (p *parser) expect(s string) error {
 	if !p.hasPrefix(s) {
 		return p.errf("expected %q", s)
 	}
-	p.advance(len(s))
+	p.pos += len(s)
 	return nil
 }
 
 func (p *parser) run() error {
 	// Optional XML declaration.
-	if p.hasPrefix("<?xml") && len(p.data) > p.pos+5 && (isSpace(p.data[p.pos+5]) || p.data[p.pos+5] == '?') {
-		end := bytes.Index(p.rest(), []byte("?>"))
+	if p.hasPrefix("<?xml") && len(p.data) > 5 && (isSpace(p.data[5]) || p.data[5] == '?') {
+		end := bytes.Index(p.data, []byte("?>"))
 		if end < 0 {
 			return p.errf("unterminated XML declaration")
 		}
-		p.advance(end + 2)
+		p.pos = end + 2
 	}
 	for !p.eof() {
-		c := p.data[p.pos]
-		if c == '<' {
-			if err := p.markup(); err != nil {
-				return err
-			}
-			continue
+		var err error
+		if p.data[p.pos] == '<' {
+			err = p.markup()
+		} else {
+			err = p.text()
 		}
-		if err := p.text(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	if p.depth != 0 {
-		return p.errf("unexpected end of input: %d unclosed element(s), innermost <%s>", p.depth, p.stack[len(p.stack)-1])
+		return p.errf("unexpected end of input: %d unclosed element(s), innermost <%s>", p.depth, p.b.OpenName())
 	}
 	if !p.sawRoot {
 		return p.errf("document has no root element")
@@ -190,34 +237,38 @@ func (p *parser) run() error {
 }
 
 func (p *parser) markup() error {
-	switch {
-	case p.hasPrefix("<!--"):
-		return p.comment()
-	case p.hasPrefix("<![CDATA["):
-		return p.cdata()
-	case p.hasPrefix("<!DOCTYPE"):
-		return p.doctype()
-	case p.hasPrefix("<?"):
-		return p.pi()
-	case p.hasPrefix("</"):
-		return p.endTag()
-	default:
-		return p.startTag()
+	if p.pos+1 < len(p.data) {
+		switch p.data[p.pos+1] {
+		case '/':
+			return p.endTag()
+		case '?':
+			return p.pi()
+		case '!':
+			switch {
+			case p.hasPrefix("<!--"):
+				return p.comment()
+			case p.hasPrefix("<![CDATA["):
+				return p.cdata()
+			case p.hasPrefix("<!DOCTYPE"):
+				return p.doctype()
+			}
+		}
 	}
+	return p.startTag()
 }
 
 func (p *parser) comment() error {
-	p.advance(4)
+	p.pos += 4
 	idx := bytes.Index(p.rest(), []byte("-->"))
 	if idx < 0 {
 		return p.errf("unterminated comment")
 	}
-	body := string(p.rest()[:idx])
-	if strings.Contains(body, "--") {
+	body := p.rest()[:idx]
+	if bytes.Contains(body, []byte("--")) {
 		return p.errf("'--' not allowed inside comment")
 	}
-	p.b.Comment(body)
-	p.advance(idx + 3)
+	p.b.CommentBytes(body)
+	p.pos += idx + 3
 	return nil
 }
 
@@ -225,13 +276,13 @@ func (p *parser) cdata() error {
 	if p.depth == 0 {
 		return p.errf("CDATA outside the root element")
 	}
-	p.advance(9)
+	p.pos += 9
 	idx := bytes.Index(p.rest(), []byte("]]>"))
 	if idx < 0 {
 		return p.errf("unterminated CDATA section")
 	}
-	p.b.Text(string(p.rest()[:idx]))
-	p.advance(idx + 3)
+	p.b.TextBytes(p.rest()[:idx])
+	p.pos += idx + 3
 	return nil
 }
 
@@ -240,9 +291,8 @@ func (p *parser) doctype() error {
 	if p.sawRoot {
 		return p.errf("DOCTYPE after root element")
 	}
-	p.advance(len("<!DOCTYPE"))
 	bracket := 0
-	for !p.eof() {
+	for p.pos += len("<!DOCTYPE"); !p.eof(); p.pos++ {
 		switch p.data[p.pos] {
 		case '[':
 			bracket++
@@ -250,38 +300,36 @@ func (p *parser) doctype() error {
 			bracket--
 		case '>':
 			if bracket == 0 {
-				p.advance(1)
+				p.pos++
 				return nil
 			}
 		}
-		p.advance(1)
 	}
 	return p.errf("unterminated DOCTYPE")
 }
 
 func (p *parser) pi() error {
-	p.advance(2)
-	target, err := p.readName()
-	if err != nil {
+	p.pos += 2
+	target := p.readName()
+	if target == nil {
 		return p.errf("expected processing-instruction target")
 	}
-	if strings.EqualFold(target, "xml") {
+	if bytes.EqualFold(target, []byte("xml")) {
 		return p.errf("reserved PI target %q", target)
 	}
 	idx := bytes.Index(p.rest(), []byte("?>"))
 	if idx < 0 {
 		return p.errf("unterminated processing instruction")
 	}
-	data := strings.TrimLeft(string(p.rest()[:idx]), " \t\r\n")
-	p.b.PI(target, data)
-	p.advance(idx + 2)
+	p.b.PIID(p.intern(target), bytes.TrimLeft(p.rest()[:idx], " \t\r\n"))
+	p.pos += idx + 2
 	return nil
 }
 
 func (p *parser) startTag() error {
-	p.advance(1) // '<'
-	name, err := p.readName()
-	if err != nil {
+	p.pos++ // '<'
+	name := p.readName()
+	if name == nil {
 		return p.errf("malformed start tag")
 	}
 	if p.depth == 0 {
@@ -290,11 +338,9 @@ func (p *parser) startTag() error {
 		}
 		p.sawRoot = true
 	}
-	p.b.StartElement(name)
+	p.b.StartElementID(p.intern(name))
 	p.depth++
-	p.stack = append(p.stack, name)
 
-	seen := map[string]bool{}
 	for {
 		p.skipSpace()
 		if p.eof() {
@@ -302,7 +348,7 @@ func (p *parser) startTag() error {
 		}
 		switch p.data[p.pos] {
 		case '>':
-			p.advance(1)
+			p.pos++
 			return nil
 		case '/':
 			if err := p.expect("/>"); err != nil {
@@ -310,17 +356,18 @@ func (p *parser) startTag() error {
 			}
 			p.b.EndElement()
 			p.depth--
-			p.stack = p.stack[:len(p.stack)-1]
 			return nil
 		}
-		attName, err := p.readName()
-		if err != nil {
+		attName := p.readName()
+		if attName == nil {
 			return p.errf("malformed attribute in <%s>", name)
 		}
-		if seen[attName] {
+		// The attribute rows the builder holds for this element are the names
+		// seen so far in the tag.
+		attID := p.intern(attName)
+		if p.b.HasAttr(attID) {
 			return p.errf("duplicate attribute %q in <%s>", attName, name)
 		}
-		seen[attName] = true
 		p.skipSpace()
 		if err := p.expect("="); err != nil {
 			return err
@@ -330,35 +377,41 @@ func (p *parser) startTag() error {
 		if err != nil {
 			return err
 		}
-		p.b.Attr(attName, val)
+		p.b.AttrID(attID, val)
 	}
 }
 
-func (p *parser) attValue() (string, error) {
-	if p.eof() || (p.data[p.pos] != '"' && p.data[p.pos] != '\'') {
-		return "", p.errf("attribute value must be quoted")
+// attValue reads a quoted attribute value. The result is a slice of the
+// input, or of p.buf when the value needed decoding.
+func (p *parser) attValue() ([]byte, error) {
+	d := p.data
+	if p.eof() || (d[p.pos] != '"' && d[p.pos] != '\'') {
+		return nil, p.errf("attribute value must be quoted")
 	}
-	quote := p.data[p.pos]
-	p.advance(1)
-	start := p.pos
-	for !p.eof() && p.data[p.pos] != quote {
-		if p.data[p.pos] == '<' {
-			return "", p.errf("'<' not allowed in attribute value")
-		}
-		p.advance(1)
+	quote, start, flags := d[p.pos], p.pos+1, uint8(0)
+	i := start
+	for ; i < len(d) && d[i] != quote; i++ {
+		flags |= class[d[i]]
 	}
-	if p.eof() {
-		return "", p.errf("unterminated attribute value")
+	raw := d[start:i]
+	if flags&cLT != 0 {
+		p.pos = start + bytes.IndexByte(raw, '<')
+		return nil, p.errf("'<' not allowed in attribute value")
 	}
-	raw := string(p.data[start:p.pos])
-	p.advance(1)
+	if p.pos = i; p.eof() {
+		return nil, p.errf("unterminated attribute value")
+	}
+	p.pos++
+	if flags&(cAmp|cNorm) == 0 {
+		return raw, nil
+	}
 	return p.decodeEntities(raw, true)
 }
 
 func (p *parser) endTag() error {
-	p.advance(2)
-	name, err := p.readName()
-	if err != nil {
+	p.pos += 2
+	name := p.readName()
+	if name == nil {
 		return p.errf("malformed end tag")
 	}
 	p.skipSpace()
@@ -368,65 +421,85 @@ func (p *parser) endTag() error {
 	if p.depth == 0 {
 		return p.errf("end tag </%s> without open element", name)
 	}
-	open := p.stack[len(p.stack)-1]
-	if open != name {
+	if open := p.b.OpenName(); open != string(name) {
 		return p.errf("end tag </%s> does not match <%s>", name, open)
 	}
 	p.b.EndElement()
 	p.depth--
-	p.stack = p.stack[:len(p.stack)-1]
 	return nil
 }
 
 func (p *parser) text() error {
-	start := p.pos
-	for !p.eof() && p.data[p.pos] != '<' {
-		if p.data[p.pos] == '>' && p.pos >= start+2 && p.data[p.pos-1] == ']' && p.data[p.pos-2] == ']' {
+	d, start, flags := p.data, p.pos, uint8(0)
+	i := start
+	for ; i < len(d) && d[i] != '<'; i++ {
+		flags |= class[d[i]]
+	}
+	val := d[start:i]
+	p.pos = i
+	if flags&cGT != 0 {
+		if idx := bytes.Index(val, []byte("]]>")); idx >= 0 {
+			p.pos = start + idx + 2
 			return p.errf("']]>' not allowed in character data")
 		}
-		p.advance(1)
 	}
-	raw := string(p.data[start:p.pos])
-	decoded, err := p.decodeEntities(raw, false)
-	if err != nil {
-		return err
+	blank := flags&cData == 0
+	if flags&cAmp != 0 {
+		var err error
+		if val, err = p.decodeEntities(val, false); err != nil {
+			return err
+		}
+		blank = len(bytes.TrimLeft(val, " \t\r\n")) == 0
 	}
 	if p.depth == 0 {
-		if strings.TrimLeft(decoded, " \t\r\n") != "" {
+		if !blank {
 			return p.errf("character data outside the root element")
 		}
 		return nil // ignorable whitespace between top-level constructs
 	}
-	if p.opts.DropWhitespaceText && strings.TrimLeft(decoded, " \t\r\n") == "" {
+	if p.opts.DropWhitespaceText && blank {
 		return nil
 	}
-	p.b.Text(normalizeNewlines(decoded))
+	if flags&(cCR|cAmp) != 0 {
+		val = p.normalizeNewlines(val)
+	}
+	p.b.TextBytes(val)
 	return nil
 }
 
 // normalizeNewlines applies XML end-of-line handling: CRLF and lone CR
-// become LF.
-func normalizeNewlines(s string) string {
-	if !strings.Contains(s, "\r") {
+// become LF. A value that changes is rewritten into p.buf (in place when it
+// is p.buf already: the output never overtakes the input).
+func (p *parser) normalizeNewlines(s []byte) []byte {
+	if bytes.IndexByte(s, '\r') < 0 {
 		return s
 	}
-	s = strings.ReplaceAll(s, "\r\n", "\n")
-	return strings.ReplaceAll(s, "\r", "\n")
+	out := p.buf[:0]
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\r' {
+			c = '\n'
+			if i+1 < len(s) && s[i+1] == '\n' {
+				i++
+			}
+		}
+		out = append(out, c)
+	}
+	p.buf = out
+	return out
 }
 
+var predefined = map[string]byte{"amp": '&', "lt": '<', "gt": '>', "quot": '"', "apos": '\''}
+
 // decodeEntities expands the five predefined entities and numeric character
-// references. In attribute values, tabs/newlines are normalised to spaces
-// per the XML attribute-value normalisation rules.
-func (p *parser) decodeEntities(s string, inAttr bool) (string, error) {
-	if !strings.ContainsAny(s, "&\t\n\r") {
-		return s, nil
-	}
-	var sb strings.Builder
-	sb.Grow(len(s))
+// references of s into p.buf. In attribute values, tabs/newlines are
+// normalised to spaces per the XML attribute-value normalisation rules.
+func (p *parser) decodeEntities(s []byte, inAttr bool) ([]byte, error) {
+	out := p.buf[:0]
 	for i := 0; i < len(s); {
 		c := s[i]
 		if inAttr && (c == '\t' || c == '\n' || c == '\r') {
-			sb.WriteByte(' ')
+			out = append(out, ' ')
 			if c == '\r' && i+1 < len(s) && s[i+1] == '\n' {
 				i++
 			}
@@ -434,71 +507,55 @@ func (p *parser) decodeEntities(s string, inAttr bool) (string, error) {
 			continue
 		}
 		if c != '&' {
-			sb.WriteByte(c)
+			out = append(out, c)
 			i++
 			continue
 		}
-		semi := strings.IndexByte(s[i:], ';')
+		semi := bytes.IndexByte(s[i:], ';')
 		if semi < 0 || semi == 1 {
-			return "", p.errf("malformed entity reference")
+			return nil, p.errf("malformed entity reference")
 		}
 		ent := s[i+1 : i+semi]
-		switch {
-		case ent == "amp":
-			sb.WriteByte('&')
-		case ent == "lt":
-			sb.WriteByte('<')
-		case ent == "gt":
-			sb.WriteByte('>')
-		case ent == "quot":
-			sb.WriteByte('"')
-		case ent == "apos":
-			sb.WriteByte('\'')
-		case strings.HasPrefix(ent, "#x") || strings.HasPrefix(ent, "#X"):
-			r, err := parseCharRef(ent[2:], 16)
-			if err != nil {
-				return "", p.errf("bad character reference &%s;", ent)
+		if c, ok := predefined[string(ent)]; ok {
+			out = append(out, c)
+		} else if ent[0] == '#' {
+			digits, base := ent[1:], int64(10)
+			if len(digits) > 0 && (digits[0] == 'x' || digits[0] == 'X') {
+				digits, base = digits[1:], 16
 			}
-			sb.WriteRune(r)
-		case strings.HasPrefix(ent, "#"):
-			r, err := parseCharRef(ent[1:], 10)
-			if err != nil {
-				return "", p.errf("bad character reference &%s;", ent)
+			r, ok := parseCharRef(digits, base)
+			if !ok {
+				return nil, p.errf("bad character reference &%s;", ent)
 			}
-			sb.WriteRune(r)
-		default:
-			return "", p.errf("unknown entity &%s;", ent)
+			out = utf8.AppendRune(out, r)
+		} else {
+			return nil, p.errf("unknown entity &%s;", ent)
 		}
 		i += semi + 1
 	}
-	return sb.String(), nil
+	p.buf = out
+	return out, nil
 }
 
-func parseCharRef(digits string, base int32) (rune, error) {
-	if digits == "" {
-		return 0, fmt.Errorf("empty")
-	}
+// parseCharRef reads the digits of a character reference; ok is false for no
+// digits, a bad digit, and a code point XML does not allow.
+func parseCharRef(digits []byte, base int64) (r rune, ok bool) {
 	var v int64
-	for i := 0; i < len(digits); i++ {
-		c := digits[i]
-		var d int32
+	for _, c := range digits {
+		var d int64
 		switch {
 		case c >= '0' && c <= '9':
-			d = int32(c - '0')
+			d = int64(c - '0')
 		case base == 16 && c >= 'a' && c <= 'f':
-			d = int32(c-'a') + 10
+			d = int64(c-'a') + 10
 		case base == 16 && c >= 'A' && c <= 'F':
-			d = int32(c-'A') + 10
+			d = int64(c-'A') + 10
 		default:
-			return 0, fmt.Errorf("bad digit %q", c)
+			return 0, false
 		}
-		v = v*int64(base) + int64(d)
-		if v > 0x10FFFF {
-			return 0, fmt.Errorf("out of range")
+		if v = v*base + d; v > 0x10FFFF {
+			return 0, false
 		}
 	}
-	if v == 0 || (v >= 0xD800 && v <= 0xDFFF) {
-		return 0, fmt.Errorf("invalid code point")
-	}
-	return rune(v), nil
+	return rune(v), len(digits) > 0 && v != 0 && (v < 0xD800 || v > 0xDFFF)
 }

@@ -197,7 +197,8 @@ func (e *Engine) CompactAnnotations(name string) error {
 
 // rekeyIndexes moves every cached index of the old snapshot to the new one:
 // indexes under the engine's current options are derived incrementally via
-// derive, others are dropped and rebuild lazily from the new snapshot.
+// derive, others are dropped and rebuild lazily from the new snapshot. With a
+// nil derive (unload, reload) the old snapshot's indexes are only dropped.
 func (e *Engine) rekeyIndexes(old, new *tree.Doc, derive func(*core.RegionIndex) *core.RegionIndex) {
 	for k, ix := range e.indexes {
 		if k.doc != old {

@@ -51,8 +51,9 @@ type row struct {
 
 // benchLine matches one benchmark result line with B/op and allocs/op
 // columns, e.g. "BenchmarkStreamExec/range-loop/exec-4  3  144670543 ns/op
-// 222983376 B/op  122 allocs/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+\S+ ns/op\s+(\d+) B/op\s+(\d+) allocs/op`)
+// 222983376 B/op  122 allocs/op"; a benchmark that calls SetBytes prints an
+// MB/s column between the two.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+\S+ ns/op(?:\s+\S+ MB/s)?\s+(\d+) B/op\s+(\d+) allocs/op`)
 
 func main() {
 	file := flag.String("baseline", "BENCH_stream.json", "baseline file")

@@ -265,6 +265,10 @@ func (e *Engine) LoadXML(name string, data []byte) error {
 		return err
 	}
 	e.mu.Lock()
+	// A reload supersedes the document: its cached indexes go with it, or each
+	// one would pin the old tree for the life of the engine. Runs and cursors
+	// that already resolved the old snapshot keep their own references.
+	e.rekeyIndexes(e.docs[name], nil, nil)
 	e.docs[name] = d
 	e.gen.Add(1)
 	e.mu.Unlock()
@@ -331,11 +335,7 @@ func (e *Engine) Unload(name string) {
 	d := e.docs[name]
 	delete(e.docs, name)
 	delete(e.blobs, name)
-	for k := range e.indexes {
-		if k.doc == d {
-			delete(e.indexes, k)
-		}
-	}
+	e.rekeyIndexes(d, nil, nil)
 	e.plans.Purge()
 	e.gen.Add(1)
 }

@@ -380,3 +380,69 @@ func TestXMarkSubstrateQueries(t *testing.T) {
 		t.Fatalf("Q8 join total = %s, closed auctions = %s (every buyer must resolve)", sum.String(), closed.String())
 	}
 }
+
+// TestReloadSweepsIndexes: loading over an already-loaded name drops the
+// superseded document's cached indexes with it (each one would otherwise pin
+// the old tree for the life of the engine), while a cursor opened before the
+// reload still drains the snapshot it resolved.
+func TestReloadSweepsIndexes(t *testing.T) {
+	eng := mutateEngine(t)
+	cached := func() int {
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		return len(eng.indexes)
+	}
+	const q = `for $s in doc("m.xml")//scene return $s/select-narrow::hit/@id`
+	prep, err := eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := prep.Exec(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := prep.Stream(Config{StreamChunk: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cur.Next() { // resolve the document: the run is now pinned
+		t.Fatal("empty stream")
+	}
+	got := cur.Value().XML()
+
+	reloaded := strings.Replace(mutateDoc, `id="h1"`, `id="reloaded"`, 1)
+	for i := 0; i < 5; i++ {
+		if err := eng.LoadXML("m.xml", []byte(reloaded)); err != nil {
+			t.Fatal(err)
+		}
+		if n := cached(); n != 0 {
+			t.Fatalf("reload %d: %d cached indexes survive the superseded document", i, n)
+		}
+		if err := eng.BuildIndex("m.xml"); err != nil {
+			t.Fatal(err)
+		}
+		if n := cached(); n != 1 {
+			t.Fatalf("reload %d: %d cached indexes, want 1", i, n)
+		}
+	}
+
+	for cur.Next() {
+		got += " " + cur.Value().XML()
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := before.String(); got != want {
+		t.Fatalf("cursor opened before the reload drifted:\ngot  %q\nwant %q", got, want)
+	}
+	if n := cached(); n != 1 {
+		t.Fatalf("draining the pinned cursor left %d cached indexes, want 1", n)
+	}
+	after, err := prep.Exec(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := after.String(); !strings.Contains(s, "reloaded") || strings.Contains(s, `"h1"`) {
+		t.Fatalf("run after the reload = %q", s)
+	}
+}
