@@ -65,7 +65,7 @@ plan:
     for $s in
       path doc("d.xml")
         step descendant-or-self::node()
-        step child::music[@artist = "U2"]
+        step child::music[@artist = "U2"] pred{attr}
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto}
     return string($s/@id)
 stream:
@@ -116,7 +116,7 @@ plan:
     for $s in
       path doc("d.xml") (out=1)
         step descendant-or-self::node() (in=1 out=13)
-        step child::music[@artist = "U2"] (in=13 out=1)
+        step child::music[@artist = "U2"] pred{attr} (in=13 out=1)
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto(basic)} est{cand=3 ctx=1 out=3 basic=4 ll=36} (in=1 out=1 cand=3 joins=basic:1 stream{chunks=1 chunk=1..1})
     return string($s/@id)
 stream:

@@ -68,8 +68,9 @@ func fuzzDoc(r *rand.Rand) string {
 
 // fuzzQueries generates a handful of query programs over the document's
 // layers: bare StandOff paths (chunked final steps), filtered contexts,
-// loops with StandOff bodies (loop-lifted joins), and nested FLWORs over
-// annotation layers (cursor-valued bindings).
+// loops with StandOff bodies (loop-lifted joins), nested FLWORs over
+// annotation layers (cursor-valued bindings), and predicates and
+// constructors over StandOff steps.
 func fuzzQueries(r *rand.Rand) []string {
 	axes := []string{"select-narrow", "select-wide", "reject-narrow", "reject-wide"}
 	layer := func() string { return fuzzLayers[r.Intn(len(fuzzLayers))] }
@@ -97,6 +98,17 @@ func fuzzQueries(r *rand.Rand) []string {
 	// streaming, and the random final axis keeps the chunked step covered.
 	qs = append(qs, fmt.Sprintf(`doc("f.xml")//%s/reject-%s::%s/%s::%s/%s::%s`,
 		layer(), []string{"narrow", "wide"}[r.Intn(2)], layer(), axis(), layer(), axis(), layer()))
+	// The XMark Q1/Q2 shapes: positional and attribute-equality predicates on
+	// a StandOff step (filtered in place, see xqplan.PredClass) and a
+	// constructor over the result (fragments cut from one slab per chunk).
+	// Drawn last, so the queries above are what a seed always generated.
+	first := layer()
+	qs = append(qs,
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return $a/%s::%s[1]`, layer(), axis(), layer()),
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return $a/%s::%s[last()]/@id`, layer(), axis(), layer()),
+		fmt.Sprintf(`doc("f.xml")//%s/%s::%s[@id = "%s%d"]`, layer(), axis(), first, first[:1], 1+r.Intn(20)),
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return <r n="{$a/@id}">{ $a/%s::%s[1]/%s::%s }</r>`,
+			layer(), axis(), layer(), axis(), layer()))
 	return qs
 }
 

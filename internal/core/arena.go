@@ -23,6 +23,7 @@ type JoinArena struct {
 	loaned   []Pair   // the last Join result, reclaimed on the next Join
 
 	ctxRows  []ctxRow
+	ctxTmp   []ctxRow // sortCtxRows' other buffer
 	pseudo   []int32
 	ctxNodes []CtxNode // joinBasic per-iteration context remap
 	csOff    []int32   // counting-sort bucket offsets
@@ -148,6 +149,22 @@ func (a *JoinArena) getCtxRows(n int) []ctxRow {
 func (a *JoinArena) putCtxRows(rows []ctxRow) {
 	if a != nil {
 		a.ctxRows = rows
+	}
+}
+
+// getCtxTmp returns a ctxRow buffer of length n with arbitrary contents (the
+// radix scratch of sortCtxRows); putCtxTmp stores back whichever of the two
+// row buffers the sort ended up not returning.
+func (a *JoinArena) getCtxTmp(n int) []ctxRow {
+	if a == nil || cap(a.ctxTmp) < n {
+		return make([]ctxRow, n)
+	}
+	return a.ctxTmp[:n]
+}
+
+func (a *JoinArena) putCtxTmp(rows []ctxRow) {
+	if a != nil {
+		a.ctxTmp = rows
 	}
 }
 

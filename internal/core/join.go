@@ -172,17 +172,71 @@ func buildCtxRows(ix *RegionIndex, ctx []CtxNode, pseudoKeys bool, a *JoinArena)
 			rows = append(rows, ctxRow{key: key, start: r.Start, end: r.End})
 		}
 	}
-	slices.SortFunc(rows, func(x, y ctxRow) int {
-		if x.start != y.start {
-			return cmpI64(x.start, y.start)
-		}
-		return cmpI64(x.end, y.end)
-	})
+	rows = sortCtxRows(rows, a)
 	a.putCtxRows(rows)
 	if pseudoKeys {
 		a.putPseudo(pseudoToIter)
 	}
 	return rows, pseudoToIter, multi
+}
+
+// sortCtxRows orders the context table by (start, end) and returns it,
+// possibly in the arena's other row buffer. Like sortByPre: nothing to do for
+// rows that arrive ordered (a context in document order over a document
+// written in position order), the comparison sort for a short table, else an
+// LSD radix sort over the bytes of start that vary, equal starts then put in
+// end order.
+func sortCtxRows(rows []ctxRow, a *JoinArena) []ctxRow {
+	cmpRows := func(x, y ctxRow) int {
+		if x.start != y.start {
+			return cmpI64(x.start, y.start)
+		}
+		return cmpI64(x.end, y.end)
+	}
+	if slices.IsSortedFunc(rows, cmpRows) {
+		return rows
+	}
+	if len(rows) < radixMin {
+		slices.SortFunc(rows, cmpRows)
+		return rows
+	}
+	lo, hi := rows[0].start, rows[0].start
+	for _, r := range rows {
+		lo, hi = min(lo, r.start), max(hi, r.start)
+	}
+	src, dst := rows, a.getCtxTmp(len(rows))
+	for shift := 0; uint64(hi-lo)>>shift != 0; shift += 8 {
+		var pos [256]int32
+		for _, r := range src {
+			pos[uint8(uint64(r.start-lo)>>shift)]++
+		}
+		if pos[uint8(uint64(src[0].start-lo)>>shift)] == int32(len(src)) {
+			continue // every start shares this byte
+		}
+		at := int32(0)
+		for d, n := range pos {
+			pos[d] = at
+			at += n
+		}
+		for _, r := range src {
+			d := uint8(uint64(r.start-lo) >> shift)
+			dst[pos[d]] = r
+			pos[d]++
+		}
+		src, dst = dst, src
+	}
+	for i := 0; i < len(src); {
+		j := i + 1
+		for j < len(src) && src[j].start == src[i].start {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], cmpRows)
+		}
+		i = j
+	}
+	a.putCtxTmp(dst)
+	return src
 }
 
 // ctxHasMultiRegion reports whether any context node is a multi-region area.
@@ -353,15 +407,9 @@ func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg Join
 			break
 		}
 	}
-	hits := emit.out
 	// Aggregate: a candidate area qualifies for a pseudo-iteration when the
 	// number of matched regions equals its region count.
-	slices.SortFunc(hits, func(x, y Pair) int {
-		if x.Iter != y.Iter {
-			return int(x.Iter) - int(y.Iter)
-		}
-		return int(x.Pre) - int(y.Pre)
-	})
+	hits := sortPairs(emit.out, a)
 	out := a.getPairs()
 	for s := 0; s < len(hits); {
 		e := s
@@ -460,46 +508,9 @@ func cmpI64(a, b int64) int {
 	}
 }
 
-// sortDedupPairs sorts pairs by (Iter, Pre) and removes duplicates. Large
-// inputs use a counting sort over the iteration column (the joins emit in
-// candidate order, so iterations arrive interleaved but each iteration's
-// bucket is small and cheap to sort).
+// sortDedupPairs sorts pairs by (Iter, Pre) and removes duplicates.
 func sortDedupPairs(pairs *[]Pair, a *JoinArena) {
-	p := *pairs
-	if len(p) >= 64 {
-		maxIter := int32(0)
-		for _, x := range p {
-			if x.Iter > maxIter {
-				maxIter = x.Iter
-			}
-		}
-		if int(maxIter) < 4*len(p) { // counting sort pays off
-			off := a.getOff(int(maxIter) + 2)
-			for _, x := range p {
-				off[x.Iter+1]++
-			}
-			for i := 1; i < len(off); i++ {
-				off[i] += off[i-1]
-			}
-			sorted := a.getPairsLen(len(p))
-			fill := a.getFill(int(maxIter) + 1)
-			copy(fill, off[:len(off)-1])
-			for _, x := range p {
-				sorted[fill[x.Iter]] = x
-				fill[x.Iter]++
-			}
-			for i := int32(0); i <= maxIter; i++ {
-				bucket := sorted[off[i]:off[i+1]]
-				slices.SortFunc(bucket, func(x, y Pair) int { return int(x.Pre) - int(y.Pre) })
-			}
-			a.putPairs(p)
-			p = sorted
-		} else {
-			sortPairsDirect(p)
-		}
-	} else {
-		sortPairsDirect(p)
-	}
+	p := sortPairs(*pairs, a)
 	out := p[:0]
 	for i, pr := range p {
 		if i == 0 || pr != p[i-1] {
@@ -507,6 +518,100 @@ func sortDedupPairs(pairs *[]Pair, a *JoinArena) {
 		}
 	}
 	*pairs = out
+}
+
+// sortPairs orders pairs by (Iter, Pre) and returns them, possibly in another
+// arena buffer than the one passed in (which is then recycled). The joins emit
+// in candidate order, so iterations arrive interleaved: large inputs are dealt
+// to their iterations by a counting sort over the Iter column, and every
+// iteration's bucket is then ordered by Pre in time linear in its length.
+func sortPairs(p []Pair, a *JoinArena) []Pair {
+	if len(p) < 64 {
+		sortPairsDirect(p)
+		return p
+	}
+	maxIter := int32(0)
+	for _, x := range p {
+		if x.Iter > maxIter {
+			maxIter = x.Iter
+		}
+	}
+	if int(maxIter) >= 4*len(p) { // too sparse for the counting sort to pay off
+		sortPairsDirect(p)
+		return p
+	}
+	off := a.getOff(int(maxIter) + 2)
+	for _, x := range p {
+		off[x.Iter+1]++
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	sorted := a.getPairsLen(len(p))
+	fill := a.getFill(int(maxIter) + 1)
+	copy(fill, off[:len(off)-1])
+	for _, x := range p {
+		sorted[fill[x.Iter]] = x
+		fill[x.Iter]++
+	}
+	// The input buffer has been dealt out; each bucket borrows its own range
+	// of it as radix scratch.
+	for i := int32(0); i <= maxIter; i++ {
+		sortByPre(sorted[off[i]:off[i+1]], p[off[i]:off[i+1]])
+	}
+	a.putPairs(p)
+	return sorted
+}
+
+// radixMin is the bucket length from which the radix sort beats the
+// comparison sort (BenchmarkSortDedupPairs).
+const radixMin = 64
+
+// sortByPre orders one iteration's bucket by Pre: nothing to do for a bucket
+// that arrives ordered (candidates of a document written in position order),
+// the comparison sort for a short one, and otherwise an LSD radix sort over
+// the bytes of Pre that vary, through tmp (same length as b).
+func sortByPre(b, tmp []Pair) {
+	ordered, maxPre := true, int32(0)
+	for i, x := range b {
+		if i > 0 && x.Pre < b[i-1].Pre {
+			ordered = false
+		}
+		if x.Pre > maxPre {
+			maxPre = x.Pre
+		}
+	}
+	if ordered {
+		return
+	}
+	if len(b) < radixMin {
+		slices.SortFunc(b, func(x, y Pair) int { return int(x.Pre) - int(y.Pre) })
+		return
+	}
+	src, dst := b, tmp
+	for shift := 0; maxPre>>shift != 0; shift += 8 {
+		var pos [256]int32
+		for _, x := range src {
+			pos[uint8(x.Pre>>shift)]++
+		}
+		if pos[uint8(src[0].Pre>>shift)] == int32(len(src)) {
+			continue // every Pre shares this byte
+		}
+		at := int32(0)
+		for d, n := range pos {
+			pos[d] = at
+			at += n
+		}
+		for _, x := range src {
+			d := uint8(x.Pre >> shift)
+			dst[pos[d]] = x
+			pos[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &b[0] {
+		copy(b, src)
+	}
 }
 
 func sortPairsDirect(p []Pair) {

@@ -25,6 +25,14 @@ type Builder struct {
 	inTag    bool    // attributes still allowed
 	err      error
 	finished bool
+
+	slab *FragmentSlab // the slab the document is cut from, or nil
+
+	// Name ids of the last document copied from, in this document's
+	// dictionary (see CopySubtree): remapIDs[id] is the id here of remapFrom's
+	// name id, or -1 while unresolved.
+	remapFrom *Dict
+	remapIDs  []int32
 }
 
 // chars is how an event's value arrives: a string from a node constructor, a
@@ -250,7 +258,12 @@ func (b *Builder) Done() (*Doc, error) {
 	// with pre' >= pre. attOwner is ascending because events arrive in
 	// document order.
 	n := len(d.kind)
-	d.attFirst = make([]int32, n+1)
+	if b.slab != nil {
+		b.slab.seal(d)
+	}
+	if d.attFirst == nil {
+		d.attFirst = make([]int32, n+1)
+	}
 	row := int32(0)
 	for pre := 0; pre <= n; pre++ {
 		for row < int32(len(d.attOwner)) && int(d.attOwner[row]) < pre {

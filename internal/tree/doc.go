@@ -294,13 +294,20 @@ func (d *Doc) StringValue(pre int32) string {
 	if total == 0 {
 		return ""
 	}
-	buf := make([]byte, 0, total)
-	for p := pre + 1; p <= end; p++ {
+	return string(d.AppendStringValue(make([]byte, 0, total), pre))
+}
+
+// AppendStringValue appends the string-value of node pre to dst.
+func (d *Doc) AppendStringValue(dst []byte, pre int32) []byte {
+	if d.kind[pre] != ElementNode && d.kind[pre] != DocumentNode {
+		return append(dst, d.ValueBytes(pre)...)
+	}
+	for p, end := pre+1, pre+d.Size(pre); p <= end; p++ {
 		if d.kind[p] == TextNode && d.Alive(p) {
-			buf = append(buf, d.ValueBytes(p)...)
+			dst = append(dst, d.ValueBytes(p)...)
 		}
 	}
-	return string(buf)
+	return dst
 }
 
 // IsAncestorOf reports whether node a is a proper ancestor of node b, using

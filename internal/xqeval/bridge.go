@@ -193,12 +193,9 @@ func (ev *Evaluator) TreeStepItems(sp *xqplan.StepPlan, it Item) ([]Item, error)
 	if !it.IsNode() {
 		return nil, errf(codeType, "axis step applied to an atomic value")
 	}
-	res, err := ev.treeStep(sp, []stepRow{{item: it}})
-	if err != nil {
-		return nil, err
-	}
-	ev.Stats.RecordStep(sp, 1, int64(len(res[0])))
-	return res[0], nil
+	res := ev.appendTreeStep(nil, sp, it)
+	ev.Stats.RecordStep(sp, 1, int64(len(res)))
+	return res, nil
 }
 
 // EvalStepTypeError is the error the bulk step raises for an atomic context

@@ -53,7 +53,7 @@ func (ev *Evaluator) evalValueComp(v *xqast.Binary, f *frame) (LLSeq, error) {
 	if err != nil {
 		return LLSeq{}, err
 	}
-	op := map[string]string{"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}[v.Op]
+	op := generalOp(v.Op)
 	b := newLLBuilder(f.n)
 	for i := 0; i < f.n; i++ {
 		lg, rg := l.Group(i), r.Group(i)
@@ -71,6 +71,25 @@ func (ev *Evaluator) evalValueComp(v *xqast.Binary, f *frame) (LLSeq, error) {
 		b.add(Bool(ok))
 	}
 	return b.done(), nil
+}
+
+// generalOp returns the general-comparison spelling of a value-comparison
+// operator, which is what comparePair switches on.
+func generalOp(valueOp string) string {
+	switch valueOp {
+	case "eq":
+		return "="
+	case "ne":
+		return "!="
+	case "lt":
+		return "<"
+	case "le":
+		return "<="
+	case "gt":
+		return ">"
+	default: // "ge": evalBinary dispatches the six value comparisons only
+		return ">="
+	}
 }
 
 // comparePair compares two atomized items. In general comparisons (general
@@ -91,9 +110,9 @@ func comparePair(op string, a, b Item, general bool) (bool, error) {
 		// numerically, as XPath 1.0 did. We compare numerically when both
 		// sides parse as numbers (region positions always do) and fall
 		// back to string comparison otherwise.
-		if _, okA := a.NumericValue(); okA {
-			if _, okB := b.NumericValue(); okB {
-				numeric = true
+		if x, ok := a.NumericValue(); ok {
+			if y, ok := b.NumericValue(); ok {
+				return numCompare(op, x, y), nil
 			}
 		}
 	case a.Kind == KBool || b.Kind == KBool:

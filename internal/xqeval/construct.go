@@ -8,19 +8,91 @@ import (
 	"soxq/internal/xqast"
 )
 
+// fragSize totals what the fragments of one constructor evaluation will hold,
+// to size the slab they are cut from (tree.FragmentSlab). An estimate that
+// errs high wastes some bytes of the slab; one that errs low lets a fragment
+// grow off it.
+type fragSize struct{ nodes, attrs, content int }
+
+// slab allocates the slab for frags fragments of the size counted so far.
+func (z fragSize) slab(frags int) *tree.FragmentSlab {
+	return tree.NewFragmentSlab(frags, z.nodes, z.attrs, z.content)
+}
+
+// addContent counts items inserted as element content: nodes by deep copy,
+// attribute nodes as attributes, atomic values as text.
+func (z *fragSize) addContent(items []Item) {
+	for _, it := range items {
+		switch it.Kind {
+		case KNode:
+			n, a, c := it.D.SubtreeExtent(it.Pre)
+			z.nodes, z.attrs, z.content = z.nodes+n, z.attrs+a, z.content+c
+		case KAttr:
+			z.attrs++
+			z.content += valueLen(it)
+		default:
+			z.nodes++
+			z.content += valueLen(it) + 1 // and the joining space
+		}
+	}
+}
+
+// addValue counts items atomized into attribute or text values.
+func (z *fragSize) addValue(items []Item) {
+	for _, it := range items {
+		z.content += valueLen(it) + 1
+	}
+}
+
+// valueLen bounds the length of an item's string value from above.
+func valueLen(it Item) int {
+	switch it.Kind {
+	case KNode:
+		_, _, c := it.D.SubtreeExtent(it.Pre)
+		return c
+	case KAttr:
+		return len(it.D.AttrValueBytes(it.Att))
+	case KString, KUntyped:
+		return len(it.S)
+	default:
+		return 24 // a formatted number or boolean
+	}
+}
+
+// appendValue appends the string values of items, joined by single spaces —
+// the value of an attribute or text constructor (XQuery 3.7.1.1).
+func appendValue(dst []byte, items []Item) []byte {
+	for k, it := range items {
+		if k > 0 {
+			dst = append(dst, ' ')
+		}
+		switch it.Kind {
+		case KNode:
+			dst = it.D.AppendStringValue(dst, it.Pre)
+		case KAttr:
+			dst = append(dst, it.D.AttrValueBytes(it.Att)...)
+		default:
+			dst = append(dst, it.StringValue()...)
+		}
+	}
+	return dst
+}
+
 // evalDirectElem evaluates a direct element constructor, producing one new
-// element (a fresh fragment document) per iteration.
+// element (a fragment document of its own) per iteration.
 func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error) {
 	// Evaluate attribute value templates and content in the current frame.
 	type valuePart struct {
 		lit string // literal text, used when seq is unset
 		seq *LLSeq // evaluated enclosed expression
 	}
+	size := fragSize{nodes: 2 * f.n, attrs: len(v.Attrs) * f.n} // document node + element
 	attrs := make([][]valuePart, len(v.Attrs))
 	for ai, a := range v.Attrs {
 		for _, part := range a.Value {
 			if sl, ok := part.(*xqast.StringLit); ok {
 				attrs[ai] = append(attrs[ai], valuePart{lit: sl.V})
+				size.content += len(sl.V) * f.n
 				continue
 			}
 			seq, err := ev.eval(part, f)
@@ -28,6 +100,7 @@ func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error
 				return LLSeq{}, err
 			}
 			attrs[ai] = append(attrs[ai], valuePart{seq: &seq})
+			size.addValue(seq.Items)
 		}
 	}
 	content := make([]LLSeq, len(v.Content))
@@ -37,26 +110,29 @@ func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error
 			return LLSeq{}, err
 		}
 		content[ci] = seq
+		size.addContent(seq.Items)
 	}
-	b := newLLBuilder(f.n)
+	slab := size.slab(f.n)
+	elem := slab.Intern(v.Name)
+	attrIDs := make([]int32, len(v.Attrs))
+	for ai, a := range v.Attrs {
+		attrIDs[ai] = slab.Intern(a.Name)
+	}
+	out := LLSeq{Off: ascOff(f.n), Items: make([]Item, f.n)}
+	var val []byte
 	for i := 0; i < f.n; i++ {
-		fb := tree.NewFragmentBuilder()
-		fb.StartElement(v.Name)
-		for ai, a := range v.Attrs {
-			var sb strings.Builder
+		fb := slab.NewFragment()
+		fb.StartElementID(elem)
+		for ai := range v.Attrs {
+			val = val[:0]
 			for _, part := range attrs[ai] {
 				if part.seq == nil {
-					sb.WriteString(part.lit)
-					continue
-				}
-				for k, it := range part.seq.Group(i) {
-					if k > 0 {
-						sb.WriteByte(' ')
-					}
-					sb.WriteString(it.Atomize().StringValue())
+					val = append(val, part.lit...)
+				} else {
+					val = appendValue(val, part.seq.Group(i))
 				}
 			}
-			fb.Attr(a.Name, sb.String())
+			fb.AttrID(attrIDs[ai], val)
 		}
 		sawContent := false
 		prevAtomic := false
@@ -71,9 +147,9 @@ func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error
 		if err != nil {
 			return LLSeq{}, errf(codeType, "element constructor: %v", err)
 		}
-		b.add(NodeItem(doc, 1)) // pre 1 is the constructed element
+		out.Items[i] = NodeItem(doc, 1) // pre 1 is the constructed element
 	}
-	return b.done(), nil
+	return out, nil
 }
 
 // appendContent copies one evaluated content expression into the builder.
@@ -86,14 +162,14 @@ func appendContent(fb *tree.Builder, items []Item, enclosed bool, sawContent, pr
 	for _, it := range items {
 		switch it.Kind {
 		case KNode:
-			copyNode(fb, it.D, it.Pre)
+			fb.CopySubtree(it.D, it.Pre)
 			*sawContent = true
 			*prevAtomic = false
 		case KAttr:
 			if *sawContent {
 				return errf(codeAttrLate, "attribute %q follows non-attribute content", it.D.AttrName(it.Att))
 			}
-			fb.Attr(it.D.AttrName(it.Att), it.D.AttrValue(it.Att))
+			fb.CopyAttr(it.D, it.Att)
 			*prevAtomic = false
 		default:
 			s := it.StringValue()
@@ -110,35 +186,8 @@ func appendContent(fb *tree.Builder, items []Item, enclosed bool, sawContent, pr
 	return nil
 }
 
-// copyNode deep-copies a node (and its subtree) into the builder. Copying a
-// document node copies its children.
-func copyNode(fb *tree.Builder, d *tree.Doc, pre int32) {
-	switch d.Kind(pre) {
-	case tree.DocumentNode:
-		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-			copyNode(fb, d, c)
-		}
-	case tree.ElementNode:
-		fb.StartElement(d.NodeName(pre))
-		lo, hi := d.Attrs(pre)
-		for a := lo; a < hi; a++ {
-			fb.Attr(d.AttrName(a), d.AttrValue(a))
-		}
-		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-			copyNode(fb, d, c)
-		}
-		fb.EndElement()
-	case tree.TextNode:
-		fb.Text(d.Value(pre))
-	case tree.CommentNode:
-		fb.Comment(d.Value(pre))
-	case tree.PINode:
-		fb.PI(d.NodeName(pre), d.Value(pre))
-	}
-}
-
 func (ev *Evaluator) evalComputedElem(v *xqast.ComputedElem, f *frame) (LLSeq, error) {
-	names, err := ev.constructorNames(v.Name, v.NameExpr, f)
+	names, err := ev.constructorNames(v.NameExpr, f)
 	if err != nil {
 		return LLSeq{}, err
 	}
@@ -146,10 +195,13 @@ func (ev *Evaluator) evalComputedElem(v *xqast.ComputedElem, f *frame) (LLSeq, e
 	if err != nil {
 		return LLSeq{}, err
 	}
-	b := newLLBuilder(f.n)
+	size := fragSize{nodes: 2 * f.n}
+	size.addContent(content.Items)
+	slab := size.slab(f.n)
+	out := LLSeq{Off: ascOff(f.n), Items: make([]Item, f.n)}
 	for i := 0; i < f.n; i++ {
-		fb := tree.NewFragmentBuilder()
-		fb.StartElement(names[i])
+		fb := slab.NewFragment()
+		fb.StartElementID(slab.Intern(nameAt(names, v.Name, i)))
 		saw, prevAtomic := false, false
 		if err := appendContent(fb, content.Group(i), true, &saw, &prevAtomic); err != nil {
 			return LLSeq{}, err
@@ -159,13 +211,13 @@ func (ev *Evaluator) evalComputedElem(v *xqast.ComputedElem, f *frame) (LLSeq, e
 		if err != nil {
 			return LLSeq{}, errf(codeType, "element constructor: %v", err)
 		}
-		b.add(NodeItem(doc, 1))
+		out.Items[i] = NodeItem(doc, 1)
 	}
-	return b.done(), nil
+	return out, nil
 }
 
 func (ev *Evaluator) evalComputedAttr(v *xqast.ComputedAttr, f *frame) (LLSeq, error) {
-	names, err := ev.constructorNames(v.Name, v.NameExpr, f)
+	names, err := ev.constructorNames(v.NameExpr, f)
 	if err != nil {
 		return LLSeq{}, err
 	}
@@ -173,30 +225,29 @@ func (ev *Evaluator) evalComputedAttr(v *xqast.ComputedAttr, f *frame) (LLSeq, e
 	if err != nil {
 		return LLSeq{}, err
 	}
-	b := newLLBuilder(f.n)
+	// A free-standing attribute node lives on a carrier element in its own
+	// fragment; inserting it into constructor content copies the name/value
+	// pair.
+	size := fragSize{nodes: 2 * f.n, attrs: f.n}
+	size.addValue(content.Items)
+	slab := size.slab(f.n)
+	carrier := slab.Intern("attribute-carrier")
+	out := LLSeq{Off: ascOff(f.n), Items: make([]Item, f.n)}
+	var val []byte
 	for i := 0; i < f.n; i++ {
-		var sb strings.Builder
-		for k, it := range content.Group(i) {
-			if k > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(it.Atomize().StringValue())
-		}
-		// A free-standing attribute node lives on a carrier element in its
-		// own fragment; inserting it into constructor content copies the
-		// name/value pair.
-		fb := tree.NewFragmentBuilder()
-		fb.StartElement("attribute-carrier")
-		fb.Attr(names[i], sb.String())
+		val = appendValue(val[:0], content.Group(i))
+		fb := slab.NewFragment()
+		fb.StartElementID(carrier)
+		fb.AttrID(slab.Intern(nameAt(names, v.Name, i)), val)
 		fb.EndElement()
 		doc, err := fb.Done()
 		if err != nil {
 			return LLSeq{}, errf(codeType, "attribute constructor: %v", err)
 		}
 		lo, _ := doc.Attrs(1)
-		b.add(AttrItem(doc, 1, lo))
+		out.Items[i] = AttrItem(doc, 1, lo)
 	}
-	return b.done(), nil
+	return out, nil
 }
 
 func (ev *Evaluator) evalComputedText(v *xqast.ComputedText, f *frame) (LLSeq, error) {
@@ -204,18 +255,17 @@ func (ev *Evaluator) evalComputedText(v *xqast.ComputedText, f *frame) (LLSeq, e
 	if err != nil {
 		return LLSeq{}, err
 	}
-	b := newLLBuilder(f.n)
+	size := fragSize{nodes: 3 * f.n} // document node, carrier, text
+	size.addValue(content.Items)
+	slab := size.slab(f.n)
+	carrier := slab.Intern("text-carrier")
+	b := newLLBuilderCap(f.n, f.n)
+	var val []byte
 	for i := 0; i < f.n; i++ {
-		var sb strings.Builder
-		for k, it := range content.Group(i) {
-			if k > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(it.Atomize().StringValue())
-		}
-		fb := tree.NewFragmentBuilder()
-		fb.StartElement("text-carrier")
-		fb.Text(sb.String())
+		val = appendValue(val[:0], content.Group(i))
+		fb := slab.NewFragment()
+		fb.StartElementID(carrier)
+		fb.TextBytes(val)
 		fb.EndElement()
 		doc, err := fb.Done()
 		if err != nil {
@@ -230,15 +280,13 @@ func (ev *Evaluator) evalComputedText(v *xqast.ComputedText, f *frame) (LLSeq, e
 	return b.done(), nil
 }
 
-// constructorNames resolves the element/attribute name per iteration.
-func (ev *Evaluator) constructorNames(static string, nameExpr xqast.Expr, f *frame) ([]string, error) {
-	names := make([]string, f.n)
+// constructorNames evaluates a computed constructor's name expression per
+// iteration; nil when the name is static.
+func (ev *Evaluator) constructorNames(nameExpr xqast.Expr, f *frame) ([]string, error) {
 	if nameExpr == nil {
-		for i := range names {
-			names[i] = static
-		}
-		return names, nil
+		return nil, nil
 	}
+	names := make([]string, f.n)
 	seq, err := ev.eval(nameExpr, f)
 	if err != nil {
 		return nil, err
@@ -255,6 +303,14 @@ func (ev *Evaluator) constructorNames(static string, nameExpr xqast.Expr, f *fra
 		names[i] = name
 	}
 	return names, nil
+}
+
+// nameAt returns iteration i's constructor name.
+func nameAt(names []string, static string, i int) string {
+	if names == nil {
+		return static
+	}
+	return names[i]
 }
 
 // newFragmentElem builds a single-element fragment with the given attributes

@@ -62,9 +62,13 @@ type Evaluator struct {
 
 	depth int
 
-	// stepPres is the recycled per-context-node pre buffer of the fast
-	// tree-step path (single-goroutine, like the evaluator itself).
+	// stepPres is the recycled per-context-node pre buffer of the tree
+	// steps (single-goroutine, like the evaluator itself).
 	stepPres []int32
+
+	// genericPredicates makes every step predicate run as xqplan.PredGeneric;
+	// tests set it to check the classified predicates against the evaluator.
+	genericPredicates bool
 
 	// seqs is the scoped scratch arena of the streaming pipeline (see
 	// seqarena.go); nil outside a streaming run, in which case every

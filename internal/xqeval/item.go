@@ -370,6 +370,14 @@ var (
 // sortDedupNodes sorts items (which must all be nodes) in document order and
 // removes identity duplicates, in place.
 func sortDedupNodes(items []Item) []Item {
+	if slices.IsSortedFunc(items, func(a, b Item) int {
+		if c := CompareDocOrder(a, b); c != 0 {
+			return c
+		}
+		return -1 // a duplicate is out of order
+	}) {
+		return items
+	}
 	slices.SortStableFunc(items, CompareDocOrder)
 	out := items[:0]
 	for i, it := range items {

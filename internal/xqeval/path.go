@@ -1,6 +1,8 @@
 package xqeval
 
 import (
+	"bytes"
+	"slices"
 	"time"
 
 	"soxq/internal/core"
@@ -83,124 +85,85 @@ func (ev *Evaluator) evalFilter(v *xqast.Filter, f *frame) (LLSeq, error) {
 	return cur, nil
 }
 
-// stepRow is one context node of a step with its originating iteration.
-type stepRow struct {
-	iter int32
-	item Item
-}
-
-// evalStep applies one compiled axis step to the context sequence.
+// evalStep applies one compiled axis step to the context sequence, in three
+// stages over one flat buffer: the step's matches grouped per context row,
+// the predicates filtering those rows in place, and the rows of an iteration
+// merged into its document-order, duplicate-free group.
+//
+// A context row is what positional predicates count within. For forward and
+// select steps every context node is a row; the union of per-node results
+// equals the sequence-level semi-join. The reject steps are anti-joins over
+// the *whole* context sequence of an iteration (section 3.1: "not contained
+// in ANY area-annotation in S1"), so there the row is the iteration itself —
+// a union of per-node complements would be wrong.
 func (ev *Evaluator) evalStep(sp *xqplan.StepPlan, ctx LLSeq, f *frame) (LLSeq, error) {
-	// Flatten the context. For forward and select steps every context node
-	// becomes one "inner iteration" so positional predicates see
-	// per-context-node positions; the union of per-node results equals the
-	// sequence-level semi-join. The reject steps are anti-joins over the
-	// *whole* context sequence of an iteration (section 3.1: "not
-	// contained in ANY area-annotation in S1"), so there the group is the
-	// iteration itself — a union of per-node complements would be wrong.
+	for _, it := range ctx.Items {
+		if !it.IsNode() {
+			return LLSeq{}, errf(codeType, "axis step applied to an atomic value")
+		}
+	}
 	perIteration := sp.Axis == xpath.AxisRejectNarrow || sp.Axis == xpath.AxisRejectWide
-	if !perIteration && !sp.StandOff && len(sp.Predicates) == 0 {
-		return ev.evalStepTreeFast(sp, ctx)
-	}
-	rows := make([]stepRow, 0, ctx.Total())
-	if perIteration {
-		for i := 0; i < ctx.N(); i++ {
-			rows = append(rows, stepRow{iter: int32(i)})
-		}
-		for i := 0; i < ctx.N(); i++ {
-			for _, it := range ctx.Group(i) {
-				if !it.IsNode() {
-					return LLSeq{}, errf(codeType, "axis step applied to an atomic value")
-				}
-			}
-		}
-	} else {
-		for i := 0; i < ctx.N(); i++ {
-			for _, it := range ctx.Group(i) {
-				if !it.IsNode() {
-					return LLSeq{}, errf(codeType, "axis step applied to an atomic value")
-				}
-				rows = append(rows, stepRow{iter: int32(i), item: it})
-			}
-		}
-	}
-	var results [][]Item
+	var rows LLSeq
 	var err error
 	if sp.StandOff {
-		if perIteration {
-			results, err = ev.standOffRejectStep(sp, ctx)
-		} else {
-			results, err = ev.standOffStep(sp, rows)
-		}
+		rows, err = ev.standOffRows(sp, ctx, perIteration)
 	} else {
-		results, err = ev.treeStep(sp, rows)
+		rows = ev.treeRows(sp, ctx)
 	}
 	if err != nil {
 		return LLSeq{}, err
 	}
-	// Predicates, evaluated per context node group.
-	for _, pred := range sp.Predicates {
-		results, err = ev.applyStepPredicate(results, rows, pred, f, sp.Axis.Reverse())
-		if err != nil {
+	for i, pred := range sp.Predicates {
+		if rows, err = ev.filterRows(rows, sp.Preds[i], pred, ctx, perIteration, f, sp.Axis.Reverse()); err != nil {
 			return LLSeq{}, err
 		}
 	}
-	// Merge per original iteration, dedup in document order.
-	b := newLLBuilder(ctx.N())
-	r := 0
-	for i := 0; i < ctx.N(); i++ {
-		var items []Item
-		for r < len(rows) && rows[r].iter == int32(i) {
-			items = append(items, results[r]...)
-			r++
+	// A row is in document order and duplicate-free (the axes and the join
+	// return it so), which makes the rows the answer when each iteration has
+	// exactly one — the $b/axis::x shape. The exception is a reject row with
+	// candidates of several documents, which come in the order the context
+	// first touches the documents.
+	out := rows
+	if perIteration {
+		for r := 0; r < rows.N(); r++ {
+			sortDedupNodes(rows.Group(r)) // sorts in place; nothing to dedup across documents
 		}
-		b.add(sortDedupNodes(items)...)
+	} else if !oneItemPerGroup(ctx) {
+		out = ev.mergeRows(rows, ctx)
 	}
-	out := b.done()
 	ev.Stats.RecordStep(sp, int64(ctx.Total()), int64(out.Total()))
 	return out, nil
 }
 
-// evalStepTreeFast is the predicate-free tree-axis step: matches are written
-// straight into the output items buffer — no per-row result slices, no
-// stepRow table — and each iteration's segment is sort-deduped in place. The
-// per-row pre scratch lives on the evaluator (the loop below never re-enters
-// eval, so the buffer cannot be in use twice).
-func (ev *Evaluator) evalStepTreeFast(sp *xqplan.StepPlan, ctx LLSeq) (LLSeq, error) {
-	// The output buffers come from the scoped arena during streaming runs (a
-	// builder loan — its reclaim reads the final headers, so growth past the
-	// context-size hint is safe); the builder is only used as a buffer pair,
-	// the segments below are written directly.
-	ob := ev.scrBuilderCap(ctx.N(), ctx.Total())
-	out := ob.seq
-	for i := 0; i < ctx.N(); i++ {
-		segStart := len(out.Items)
-		for _, it := range ctx.Group(i) {
-			switch {
-			case it.Kind == KAttr:
-				res, err := attrSourceStep(sp, it)
-				if err != nil {
-					return LLSeq{}, err
-				}
-				out.Items = append(out.Items, res...)
-			case !it.IsNode():
-				return LLSeq{}, errf(codeType, "axis step applied to an atomic value")
-			case sp.Axis == xpath.AxisAttribute:
-				out.Items = appendAttrAxis(out.Items, it, sp.Test)
-			default:
-				ev.stepPres = xpath.AppendCompiledStep(ev.stepPres[:0], it.D, sp.Axis, sp.CompiledTest(it.D), it.Pre)
-				for _, p := range ev.stepPres {
-					out.Items = append(out.Items, NodeItem(it.D, p))
-				}
-			}
-		}
-		seg := sortDedupNodes(out.Items[segStart:])
-		out.Items = out.Items[:segStart+len(seg)]
-		out.Off = append(out.Off, int32(len(out.Items)))
+// oneItemPerGroup reports whether every iteration of s holds exactly one item.
+func oneItemPerGroup(s LLSeq) bool {
+	if s.Total() != s.N() {
+		return false
 	}
-	ob.seq = out // write the final headers back so the reclaim sees growth
-	ev.Stats.RecordStep(sp, int64(ctx.Total()), int64(len(out.Items)))
-	return out, nil
+	for i, o := range s.Off {
+		if o != int32(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeRows folds a per-context-node result (row r belongs to context item r)
+// into one group per iteration, compacting rows.Items in place: the rows of
+// an iteration are adjacent already, and only an iteration with several rows
+// needs its segment sorted and deduplicated.
+func (ev *Evaluator) mergeRows(rows, ctx LLSeq) LLSeq {
+	off := ev.scrOffs(ctx.N() + 1)
+	w := int32(0)
+	for i := 0; i < ctx.N(); i++ {
+		seg := rows.Items[rows.Off[ctx.Off[i]]:rows.Off[ctx.Off[i+1]]]
+		if ctx.Off[i+1]-ctx.Off[i] > 1 {
+			seg = sortDedupNodes(seg)
+		}
+		w += int32(copy(rows.Items[w:], seg))
+		off = append(off, w)
+	}
+	return LLSeq{Off: off, Items: rows.Items[:w]}
 }
 
 // strategyFor resolves the join strategy of one StandOff step against one
@@ -249,40 +212,34 @@ func (ev *Evaluator) countJoin(strat core.Strategy) {
 	}
 }
 
-// treeStep evaluates a standard axis per context node, using the step's
-// per-document pre-compiled node test.
-func (ev *Evaluator) treeStep(sp *xqplan.StepPlan, rows []stepRow) ([][]Item, error) {
-	results := make([][]Item, len(rows))
-	for r, row := range rows {
-		it := row.item
-		if it.Kind == KAttr {
-			res, err := attrSourceStep(sp, it)
-			if err != nil {
-				return nil, err
-			}
-			results[r] = res
-			continue
-		}
-		if sp.Axis == xpath.AxisAttribute {
-			results[r] = attrAxis(it, sp.Test)
-			continue
-		}
-		pres := xpath.CompiledStep(it.D, sp.Axis, sp.CompiledTest(it.D), it.Pre)
-		if len(pres) == 0 {
-			continue
-		}
-		items := make([]Item, len(pres))
-		for k, p := range pres {
-			items[k] = NodeItem(it.D, p)
-		}
-		results[r] = items
+// treeRows evaluates a standard axis: one row per context node, matches
+// written straight into the row buffer.
+func (ev *Evaluator) treeRows(sp *xqplan.StepPlan, ctx LLSeq) LLSeq {
+	ob := ev.scrBuilderCap(ctx.Total(), ctx.Total())
+	for _, it := range ctx.Items {
+		ob.seq.Items = ev.appendTreeStep(ob.seq.Items, sp, it)
+		ob.endGroup()
 	}
-	return results, nil
+	return ob.seq
 }
 
-// attrAxis returns the matching attribute nodes of an element.
-func attrAxis(it Item, test xpath.Test) []Item {
-	return appendAttrAxis(nil, it, test)
+// appendTreeStep appends the matches of a standard axis step from one context
+// node, in document order, using the step's per-document pre-compiled node
+// test. The pre scratch lives on the evaluator (nothing here re-enters eval,
+// so the buffer cannot be in use twice).
+func (ev *Evaluator) appendTreeStep(dst []Item, sp *xqplan.StepPlan, it Item) []Item {
+	switch {
+	case it.Kind == KAttr:
+		return appendAttrSourceStep(dst, sp, it)
+	case sp.Axis == xpath.AxisAttribute:
+		return appendAttrAxis(dst, it, sp.Test)
+	}
+	ev.stepPres = xpath.AppendCompiledStep(ev.stepPres[:0], it.D, sp.Axis, sp.CompiledTest(it.D), it.Pre)
+	dst = slices.Grow(dst, len(ev.stepPres))
+	for _, p := range ev.stepPres {
+		dst = append(dst, NodeItem(it.D, p))
+	}
+	return dst
 }
 
 // appendAttrAxis appends the matching attribute nodes of an element to dst.
@@ -302,153 +259,152 @@ func appendAttrAxis(dst []Item, it Item, test xpath.Test) []Item {
 	return dst
 }
 
-// attrSourceStep evaluates the few axes that make sense from an attribute
-// node context.
-func attrSourceStep(sp *xqplan.StepPlan, it Item) ([]Item, error) {
+// appendAttrSourceStep evaluates the few axes that make sense from an
+// attribute node context.
+func appendAttrSourceStep(dst []Item, sp *xqplan.StepPlan, it Item) []Item {
 	c := sp.CompiledTest(it.D)
 	switch sp.Axis {
 	case xpath.AxisParent:
 		if c.Matches(it.D, it.Pre) {
-			return []Item{NodeItem(it.D, it.Pre)}, nil
+			dst = append(dst, NodeItem(it.D, it.Pre))
 		}
-		return nil, nil
 	case xpath.AxisAncestor, xpath.AxisAncestorOrSelf:
-		var out []Item
-		pres := xpath.CompiledStep(it.D, xpath.AxisAncestorOrSelf, c, it.Pre)
-		for _, p := range pres {
-			out = append(out, NodeItem(it.D, p))
+		for _, p := range xpath.CompiledStep(it.D, xpath.AxisAncestorOrSelf, c, it.Pre) {
+			dst = append(dst, NodeItem(it.D, p))
 		}
 		if sp.Axis == xpath.AxisAncestorOrSelf && sp.Test.Kind == xpath.TestAnyNode {
-			out = append(out, it)
+			dst = append(dst, it)
 		}
-		return out, nil
 	case xpath.AxisSelf:
 		if sp.Test.Kind == xpath.TestAnyNode ||
 			(sp.Test.Kind == xpath.TestAttribute && (sp.Test.Name == "" || it.D.AttrName(it.Att) == sp.Test.Name)) {
-			return []Item{it}, nil
+			dst = append(dst, it)
 		}
-		return nil, nil
-	default:
-		// child/descendant/sibling/... of an attribute: empty.
-		return nil, nil
 	}
+	// child/descendant/sibling/... of an attribute: empty.
+	return dst
 }
 
-// standOffStep evaluates one of the four StandOff axes: partition the
-// context per document fragment (section 4.4), run the step's join strategy
-// against each document's region index, and map the (iter, pre) pairs back
-// to items.
-func (ev *Evaluator) standOffStep(sp *xqplan.StepPlan, rows []stepRow) ([][]Item, error) {
-	if ev.IndexFor == nil {
-		return nil, errf(codeStandOffIndex, "no region index provider configured")
-	}
-	op := sp.SO.Op
-	results := make([][]Item, len(rows))
+// docContext is the part of a StandOff step's context that lies in one
+// document: its area candidates' context nodes, Iter being the context row.
+type docContext struct {
+	d     *tree.Doc
+	nodes []core.CtxNode
+}
 
-	// Partition context rows by document.
-	byDoc := map[*tree.Doc][]core.CtxNode{}
-	var docs []*tree.Doc
-	for r, row := range rows {
-		it := row.item
-		if it.Kind != KNode { // attributes are never area-annotations
-			continue
+// partitionByDoc splits the context per document fragment (section 4.4), in
+// the order the context first touches the documents. Attribute context items
+// are dropped: attributes are never area-annotations.
+func partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
+	var parts []docContext
+	cur := -1 // index of the part the previous node went to
+	for i := 0; i < ctx.N(); i++ {
+		for r := ctx.Off[i]; r < ctx.Off[i+1]; r++ {
+			it := ctx.Items[r]
+			if it.Kind != KNode {
+				continue
+			}
+			if cur < 0 || parts[cur].d != it.D {
+				cur = slices.IndexFunc(parts, func(p docContext) bool { return p.d == it.D })
+				if cur < 0 {
+					cur = len(parts)
+					parts = append(parts, docContext{d: it.D, nodes: make([]core.CtxNode, 0, ctx.Total()-int(r))})
+				}
+			}
+			row := r
+			if perIteration {
+				row = int32(i)
+			}
+			parts[cur].nodes = append(parts[cur].nodes, core.CtxNode{Iter: row, Pre: it.Pre})
 		}
-		if _, seen := byDoc[it.D]; !seen {
-			docs = append(docs, it.D)
-		}
-		byDoc[it.D] = append(byDoc[it.D], core.CtxNode{Iter: int32(r), Pre: it.Pre})
 	}
-	for _, d := range docs {
+	return parts
+}
+
+// standOffRows evaluates one of the four StandOff axes: run the step's join
+// strategy against the region index of each document of the context and lay
+// the (row, pre) pairs — which the join returns sorted and duplicate-free —
+// out as rows. A reject row is an iteration and only holds candidates of the
+// documents the iteration touches, mirroring that XPath steps only return
+// nodes from the documents of their context nodes; an iteration with no area
+// among its context nodes of a document it touches rejects all of that
+// document's candidates.
+func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration bool) (LLSeq, error) {
+	if ev.IndexFor == nil {
+		return LLSeq{}, errf(codeStandOffIndex, "no region index provider configured")
+	}
+	// The row count is also the iteration count the join runs over — the
+	// cost model's ctxRows: the Basic variant re-scans the candidate sequence
+	// once per iteration, empty iterations included.
+	nRows := ctx.Total()
+	if perIteration {
+		nRows = ctx.N()
+	}
+	parts := partitionByDoc(ctx, perIteration)
+	var ob *llBuilder
+	for _, part := range parts {
+		d := part.d
 		ix, err := ev.IndexFor(d)
 		if err != nil {
-			return nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
+			return LLSeq{}, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
 		}
 		cand, postFilter := ev.candidatesFor(ix, sp.SO)
 		if cand == nil {
 			continue // the test can never match an area-annotation
 		}
-		// ctxRows for the cost model is the iteration count the join runs
-		// over — the Basic variant re-scans the candidate sequence once per
-		// iteration, empty iterations included.
-		strat := ev.strategyFor(sp, ix, len(rows))
+		strat := ev.strategyFor(sp, ix, nRows)
 		t0 := statsNow(ev.Stats)
-		pairs := core.Join(ix, op, strat, byDoc[d], int32(len(rows)), cand, ev.JoinCfg)
+		pairs := core.Join(ix, sp.SO.Op, strat, part.nodes, int32(nRows), cand, ev.JoinCfg)
 		ev.countJoin(strat)
-		ev.Stats.RecordJoin(sp, int64(cand.Len()), strat, int64(len(rows)), statsSince(ev.Stats, t0))
+		ev.Stats.RecordJoin(sp, int64(cand.Len()), strat, int64(nRows), statsSince(ev.Stats, t0))
 		var test xpath.Compiled
 		if postFilter {
 			test = sp.CompiledTest(d)
 		}
+		pb := ev.scrBuilderCap(nRows, len(pairs))
+		touched := part.nodes // reject: the rows at or after the current pair's that touch d
 		for _, pr := range pairs {
+			if perIteration {
+				for len(touched) > 0 && touched[0].Iter < pr.Iter {
+					touched = touched[1:]
+				}
+				if len(touched) == 0 || touched[0].Iter != pr.Iter {
+					continue // iteration has no context node in this document
+				}
+			}
 			if postFilter && !test.Matches(d, pr.Pre) {
 				continue
 			}
-			results[pr.Iter] = append(results[pr.Iter], NodeItem(d, pr.Pre))
+			for len(pb.seq.Off) <= int(pr.Iter) {
+				pb.endGroup()
+			}
+			pb.appendItem(NodeItem(d, pr.Pre))
+		}
+		for len(pb.seq.Off) <= nRows {
+			pb.endGroup()
+		}
+		if ob == nil {
+			ob = pb
+		} else {
+			ob = ev.concatRows(ob, pb)
 		}
 	}
-	return results, nil
+	if ob == nil { // no document of the context can match: nRows empty rows
+		ob = ev.scrBuilderCap(nRows, 0)
+		for len(ob.seq.Off) <= nRows {
+			ob.endGroup()
+		}
+	}
+	return ob.seq, nil
 }
 
-// standOffRejectStep evaluates reject-narrow/reject-wide at iteration
-// granularity: one anti-join per iteration over all its context nodes.
-func (ev *Evaluator) standOffRejectStep(sp *xqplan.StepPlan, ctx LLSeq) ([][]Item, error) {
-	if ev.IndexFor == nil {
-		return nil, errf(codeStandOffIndex, "no region index provider configured")
+// concatRows appends b's rows to a's, row by row.
+func (ev *Evaluator) concatRows(a, b *llBuilder) *llBuilder {
+	out := ev.scrBuilderCap(a.seq.N(), a.seq.Total()+b.seq.Total())
+	for r := 0; r < a.seq.N(); r++ {
+		out.add2(a.seq.Group(r), b.seq.Group(r))
 	}
-	op := sp.SO.Op
-	results := make([][]Item, ctx.N())
-
-	// Partition context nodes by document; the anti-join runs per document
-	// fragment against that document's candidates (section 4.4). An
-	// iteration with no context node in some document still rejects "all
-	// candidates" of documents it touches; candidates of untouched
-	// documents are out of scope, mirroring that XPath steps only return
-	// nodes from the documents of their context nodes.
-	byDoc := map[*tree.Doc][]core.CtxNode{}
-	iterTouches := map[*tree.Doc][]bool{}
-	var docs []*tree.Doc
-	for i := 0; i < ctx.N(); i++ {
-		for _, it := range ctx.Group(i) {
-			if it.Kind != KNode {
-				continue
-			}
-			if _, seen := byDoc[it.D]; !seen {
-				docs = append(docs, it.D)
-				iterTouches[it.D] = make([]bool, ctx.N())
-			}
-			byDoc[it.D] = append(byDoc[it.D], core.CtxNode{Iter: int32(i), Pre: it.Pre})
-			iterTouches[it.D][i] = true
-		}
-	}
-	for _, d := range docs {
-		ix, err := ev.IndexFor(d)
-		if err != nil {
-			return nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
-		}
-		cand, postFilter := ev.candidatesFor(ix, sp.SO)
-		if cand == nil {
-			continue
-		}
-		strat := ev.strategyFor(sp, ix, ctx.N())
-		t0 := statsNow(ev.Stats)
-		pairs := core.Join(ix, op, strat, byDoc[d], int32(ctx.N()), cand, ev.JoinCfg)
-		ev.countJoin(strat)
-		ev.Stats.RecordJoin(sp, int64(cand.Len()), strat, int64(ctx.N()), statsSince(ev.Stats, t0))
-		var test xpath.Compiled
-		if postFilter {
-			test = sp.CompiledTest(d)
-		}
-		for _, pr := range pairs {
-			if !iterTouches[d][pr.Iter] {
-				continue // iteration has no context node in this document
-			}
-			if postFilter && !test.Matches(d, pr.Pre) {
-				continue
-			}
-			results[pr.Iter] = append(results[pr.Iter], NodeItem(d, pr.Pre))
-		}
-	}
-	return results, nil
+	return out
 }
 
 // candidatesFor materialises the candidate sequence for a StandOff step
@@ -474,60 +430,132 @@ func (ev *Evaluator) candidatesFor(ix *core.RegionIndex, so xqplan.SOStep) (*cor
 	}
 }
 
-// applyStepPredicate filters step results with one predicate. Each result
-// node is an inner iteration whose context item is the node, position() its
-// 1-based index within its context-node group (reversed for reverse axes),
-// and last() the group size.
-func (ev *Evaluator) applyStepPredicate(results [][]Item, rows []stepRow, pred xqast.Expr, f *frame, reverse bool) ([][]Item, error) {
-	total := 0
-	for _, g := range results {
-		total += len(g)
+// filterRows filters the rows of a step result with one predicate, in place.
+// Within its row a node has position() its 1-based index (counted backwards
+// for reverse axes) and last() the row length. The classified shapes (see
+// xqplan.PredClass) never leave this function; a generic predicate is
+// evaluated with every result node as an inner iteration whose context item
+// is the node.
+func (ev *Evaluator) filterRows(rows LLSeq, pp xqplan.PredPlan, pred xqast.Expr, ctx LLSeq, perIteration bool, f *frame, reverse bool) (LLSeq, error) {
+	if ev.genericPredicates {
+		pp = xqplan.PredPlan{}
 	}
-	rowIters := make([]int32, 0, total) // inner iteration -> frame iteration
-	ctxSeq := LLSeq{Off: make([]int32, 1, total+1)}
-	pos := make([]int64, 0, total)
-	last := make([]int64, 0, total)
-	for r, g := range results {
-		for k, it := range g {
-			rowIters = append(rowIters, rows[r].iter)
-			ctxSeq.Items = append(ctxSeq.Items, it)
-			ctxSeq.Off = append(ctxSeq.Off, int32(len(ctxSeq.Items)))
-			p := int64(k + 1)
+	items := rows.Items
+	var keep func(j, k, n int) (bool, error) // item j is the k-th (0-based) of its row of n
+	switch pp.Class {
+	case xqplan.PredPosition:
+		keep = func(_, k, n int) (bool, error) {
 			if reverse {
-				p = int64(len(g) - k)
+				k = n - 1 - k
 			}
-			pos = append(pos, p)
-			last = append(last, int64(len(g)))
+			return int64(k+1) == pp.Pos, nil
 		}
+	case xqplan.PredAttrCompare:
+		var d *tree.Doc
+		var nameID int32
+		var known bool
+		keep = func(j, _, _ int) (bool, error) {
+			it := items[j]
+			if it.Kind != KNode { // an attribute has no attributes
+				return false, nil
+			}
+			if it.D != d {
+				d = it.D
+				nameID, known = d.Dict().Lookup(pp.Attr)
+			}
+			if !known {
+				return false, nil
+			}
+			a := d.Attr(it.Pre, nameID)
+			return a >= 0 && attrMatches(d.AttrValueBytes(a), pp), nil
+		}
+	default:
+		// Lift the outer frame into the inner iterations so the predicate can
+		// use enclosing variables. The context sequence is the row buffer
+		// itself under the one-item-per-iteration offsets.
+		total := len(items)
+		rowIters := make([]int32, total) // inner iteration -> frame iteration
+		pos := make([]int64, total)
+		last := make([]int64, total)
+		iter := 0
+		for r := 0; r < rows.N(); r++ {
+			if perIteration {
+				iter = r
+			} else {
+				for int(ctx.Off[iter+1]) <= r {
+					iter++
+				}
+			}
+			lo, hi := int(rows.Off[r]), int(rows.Off[r+1])
+			for j := lo; j < hi; j++ {
+				rowIters[j] = int32(iter)
+				pos[j] = int64(j - lo + 1)
+				if reverse {
+					pos[j] = int64(hi - j)
+				}
+				last[j] = int64(hi - lo)
+			}
+		}
+		nf := f.expand(rowIters)
+		nf.ctx = newBinding(LLSeq{Off: ascOff(total), Items: items})
+		nf.pos = pos
+		nf.last = last
+		verdicts, err := ev.eval(pred, nf)
+		if err != nil {
+			return LLSeq{}, err
+		}
+		// A verdict group may alias the row buffer ([.] materialises the
+		// context binding as is), but group j then sits at index j, which the
+		// compaction below has not overwritten when it reads it.
+		keep = func(j, _, _ int) (bool, error) { return predicateKeep(verdicts.Group(j), pos[j]) }
 	}
-	// Lift the outer frame into the inner iterations so predicates can use
-	// enclosing variables.
-	frameMap := make([]int32, total)
-	copy(frameMap, rowIters)
-	nf := f.expand(frameMap)
-	nf.ctx = newBinding(ctxSeq)
-	nf.pos = pos
-	nf.last = last
-
-	verdicts, err := ev.eval(pred, nf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Item, len(results))
-	j := 0
-	for r, g := range results {
-		for _, it := range g {
-			keep, err := predicateKeep(verdicts.Group(j), pos[j])
+	w, lo := 0, 0
+	for r := 0; r < rows.N(); r++ {
+		hi := int(rows.Off[r+1])
+		for j := lo; j < hi; j++ {
+			ok, err := keep(j, j-lo, hi-lo)
 			if err != nil {
-				return nil, err
+				return LLSeq{}, err
 			}
-			if keep {
-				out[r] = append(out[r], it)
+			if ok {
+				items[w] = items[j]
+				w++
 			}
-			j++
+		}
+		rows.Off[r+1] = int32(w)
+		lo = hi
+	}
+	rows.Items = items[:w]
+	return rows, nil
+}
+
+// attrMatches compares an attribute value with the literal of a
+// PredAttrCompare predicate by the general-comparison rules for an
+// untypedAtomic operand (comparePair): against a string as strings, against
+// a number as numbers, an unparsable value comparing false under every
+// operator.
+func attrMatches(val []byte, pp xqplan.PredPlan) bool {
+	if !pp.Numeric {
+		c := 1 // string(val) in a comparison does not allocate
+		if string(val) == pp.Str {
+			c = 0
+		} else if string(val) < pp.Str {
+			c = -1
+		}
+		return cmpResult(pp.Op, c)
+	}
+	x, ok := parseNumericBytes(val)
+	if !ok {
+		// parseNumericBytes trims XML whitespace only, an untypedAtomic what
+		// strings.TrimSpace trims: more only when other than printable ASCII.
+		if bytes.IndexFunc(val, func(r rune) bool { return r >= 0x80 || r == '\v' || r == '\f' }) < 0 {
+			return false
+		}
+		if x, ok = Untyped(string(val)).NumericValue(); !ok {
+			return false
 		}
 	}
-	return out, nil
+	return numCompare(pp.Op, x, pp.Num)
 }
 
 // applyPredicate filters a plain filter expression E[pred] per iteration.

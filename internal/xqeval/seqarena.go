@@ -152,24 +152,26 @@ func (a *seqArena) reclaim(s *SeqScope) {
 }
 
 // release prepares the arena for pool residence: leftover scopes (error or
-// early-close paths) are reclaimed, and every retained buffer is cleared so
-// the pool never pins a document through stale Item fields.
+// early-close paths) are reclaimed. The free item buffers are already zero
+// (putItems), so the pool never pins a document through stale Item fields.
 func (a *seqArena) release() {
 	for len(a.scopes) > 0 {
 		top := a.scopes[len(a.scopes)-1]
 		a.scopes = a.scopes[:len(a.scopes)-1]
 		a.reclaim(top)
 	}
-	for _, buf := range a.freeItems {
-		clear(buf[:cap(buf)])
-	}
 	seqArenaPool.Put(a)
 }
 
+// putItems retains buf, a loan's final slice header, for reuse, zeroing the
+// items the loan wrote: its length, still in cache. Every free buffer is
+// therefore zero over its whole capacity, and what a run pays to clear follows
+// what it wrote, not how much the arena it drew from the pool retains.
 func (a *seqArena) putItems(buf []Item) {
 	if buf == nil || cap(buf) > seqMaxItemCap || len(a.freeItems) >= seqMaxFree {
 		return
 	}
+	clear(buf)
 	a.freeItems = append(a.freeItems, buf[:0])
 }
 
@@ -225,17 +227,33 @@ func (ev *Evaluator) scrBuilderCap(nHint, itemsHint int) *llBuilder {
 		return newLLBuilderCap(nHint, itemsHint)
 	}
 	a := ev.seqs
-	var b *llBuilder
-	if n := len(a.freeBuilders); n > 0 {
-		b = a.freeBuilders[n-1]
-		a.freeBuilders = a.freeBuilders[:n-1]
-	} else {
-		b = &llBuilder{}
-	}
+	b := a.popBuilder()
 	off := a.popOffs(nHint + 1)
 	b.seq = LLSeq{Off: append(off, 0), Items: a.popItems(itemsHint)}
 	s.builders = append(s.builders, b)
 	return b
+}
+
+func (a *seqArena) popBuilder() *llBuilder {
+	if n := len(a.freeBuilders); n > 0 {
+		b := a.freeBuilders[n-1]
+		a.freeBuilders = a.freeBuilders[:n-1]
+		return b
+	}
+	return &llBuilder{}
+}
+
+// scrOffs hands out an empty offsets buffer with the leading 0 in place and
+// room for n entries: a builder loan that carries no item buffer.
+func (ev *Evaluator) scrOffs(n int) []int32 {
+	s := ev.active()
+	if s == nil {
+		return make([]int32, 1, n)
+	}
+	b := ev.seqs.popBuilder()
+	b.seq = LLSeq{Off: append(ev.seqs.popOffs(n), 0)}
+	s.builders = append(s.builders, b)
+	return b.seq.Off
 }
 
 // scrFrame hands out a zeroed frame whose vars slice keeps its old capacity.

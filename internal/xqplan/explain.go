@@ -65,6 +65,9 @@ type StepExplain struct {
 	Test       string
 	Fused      bool // produced by the compile-time // fusion
 	Predicates int
+	// PredClasses is the compile-time class of each predicate, in order:
+	// "pos", "attr" or "generic" (see PredClass).
+	PredClasses []string
 
 	// StandOff step description; zero values for tree axes.
 	StandOff     bool
@@ -143,6 +146,9 @@ func stepExplain(sp *StepPlan) StepExplain {
 		Fused:      sp.Fused,
 		Predicates: len(sp.Predicates),
 		StandOff:   sp.StandOff,
+	}
+	for _, pp := range sp.Preds {
+		se.PredClasses = append(se.PredClasses, pp.Class.String())
 	}
 	if sp.StandOff {
 		se.Op = sp.SO.Op.String()
@@ -331,9 +337,10 @@ func (b *treeBuilder) pathNode(v *xqast.Path) *Node {
 	return n
 }
 
-// stepNode renders one compiled step: axis::test, inline compact predicates,
-// the fusion marker, the standoff{...} block with the resolved strategy, the
-// est{...} cost-model record, and the observed (...) counters.
+// stepNode renders one compiled step: axis::test, inline compact predicates
+// and their pred{...} classes, the fusion marker, the standoff{...} block
+// with the resolved strategy, the est{...} cost-model record, and the
+// observed (...) counters.
 func (b *treeBuilder) stepNode(sp *StepPlan) *Node {
 	se := stepExplain(sp)
 	n := &Node{Kind: "step", Step: &se}
@@ -348,6 +355,9 @@ func (b *treeBuilder) stepNode(sp *StepPlan) *Node {
 		} else {
 			n.Children = append(n.Children, b.labeled("predicate", "predicate", pred))
 		}
+	}
+	if len(se.PredClasses) > 0 {
+		sb.WriteString(" pred{" + strings.Join(se.PredClasses, ",") + "}")
 	}
 	if se.Fused {
 		sb.WriteString(" (fused //)")

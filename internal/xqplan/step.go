@@ -31,6 +31,8 @@ type StepPlan struct {
 	Axis       xpath.Axis
 	Test       xpath.Test
 	Predicates []xqast.Expr
+	// Preds classifies Predicates, index for index (see PredClass).
+	Preds []PredPlan
 	// Fused marks a descendant step produced by merging the
 	// descendant-or-self::node()/child::T pair (the // abbreviation) at
 	// compile time.
@@ -177,6 +179,9 @@ func (pr Program) NumStandOff() int {
 // so:select-narrow(...) function form).
 func CompileStep(step *xqast.Step) *StepPlan {
 	sp := &StepPlan{Axis: step.Axis, Test: step.Test, Predicates: step.Predicates}
+	for _, pred := range step.Predicates {
+		sp.Preds = append(sp.Preds, classifyPredicate(pred))
+	}
 	if step.Axis.StandOff() {
 		sp.StandOff = true
 		sp.SO = Decide(step)

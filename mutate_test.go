@@ -430,7 +430,7 @@ plan:
     for $s in
       path doc("d.xml")
         step descendant-or-self::node()
-        step child::music[@artist = "U2"]
+        step child::music[@artist = "U2"] pred{attr}
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto(basic)} est{cand=4 ctx=1 out=4 basic=5 ll=37} merge{+ins=2 -del=1}
     return string($s/@id)
 stream:

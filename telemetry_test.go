@@ -177,7 +177,7 @@ mode: exec
       for $s in
         path doc("d.xml") in=0 out=1
           step descendant-or-self::node() in=1 out=13
-          step child::music[@artist = "U2"] in=13 out=1
+          step child::music[@artist = "U2"] pred{attr} in=13 out=1
           step select-narrow::shot in=1 out=1 cand=3 joins=basic:1 chunks=1
       return string($s/@id)
 `
