@@ -168,15 +168,15 @@ var fig6Variants = []struct {
 }{
 	{"udf", Config{Mode: ModeUDF}},
 	{"basic", Config{Mode: ModeBasic}},
-	{"looplifted", Config{Mode: ModeLoopLifted}},
-	{"auto", Config{}}, // what the ledger's fig6-xmark workload times
+	{"looplifted", Config{Mode: ModeLoopLifted}}, // what the zero Config runs
 }
 
 // benchFig6 prepares each query once and measures Exec only, so the figure
 // compares join strategies rather than parser and compiler throughput (one
-// compiled plan serves all four modes; Mode is an Exec-time knob). The
-// auto/scale=0.05 cells of Q1, Q2 and Q7 are baselined in BENCH_stream.json:
-// Q2's allocs/op is the guard on the constructors' fragment slab.
+// compiled plan serves all three modes; Mode is an Exec-time knob). The
+// looplifted/scale=0.05 cells of Q1, Q2 and Q7 are baselined in
+// BENCH_stream.json: Q2's allocs/op is the guard on the constructors'
+// fragment slab.
 func benchFig6(b *testing.B, query int) {
 	for _, scale := range benchScales {
 		data := dataFor(b, scale)

@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -50,9 +49,7 @@ func main() {
 	prepare := flag.Bool("prepare", false,
 		"prepare each query before timing so cells measure pure execution (excludes parse+compile)")
 	analyze := flag.Bool("analyze", false,
-		"print per-step estimated vs observed cardinalities (EXPLAIN ANALYZE, auto mode) instead of the timing grid")
-	calibrate := flag.Bool("calibrate", false,
-		"measure the Basic vs Loop-Lifted crossover on synthetic layers and report the implied cost-model overhead")
+		"print per-step observed cardinalities and join algorithms (EXPLAIN ANALYZE, default mode) instead of the timing grid")
 	streamChunk := flag.Int("stream-chunk", 0,
 		"tuples (and StandOff context areas) per pipeline chunk for the stream variant (0 = default 1024)")
 	cpuProfile := flag.String("cpuprofile", "",
@@ -72,10 +69,6 @@ func main() {
 
 	if *cellDoc != "" {
 		runCell(*cellDoc, *cellQuery, *cellVariant, *prepare, *streamChunk, *mutateN, *cpuProfile, *memProfile, *metrics)
-		return
-	}
-	if *calibrate {
-		runCalibrate()
 		return
 	}
 
@@ -161,7 +154,7 @@ func variantLabel(v string) string {
 	case "looplifted":
 		return "Loop-Lifted StandOff MergeJoin"
 	case "auto":
-		return "Per-Step Cost Model (auto)"
+		return "Default Mode (auto = loop-lifted)"
 	case "stream":
 		return "Streamed Cursor Pipeline"
 	case "parallel":
@@ -301,11 +294,11 @@ func runCell(soPath string, q int, variant string, prepare bool, streamChunk, mu
 	case "looplifted":
 		cfg.Mode = soxq.ModeLoopLifted
 	case "stream":
-		// Drain the query through the cursor pipeline: same auto-mode
+		// Drain the query through the cursor pipeline: same loop-lifted
 		// joins, bounded-memory execution.
 		streamed = true
 	case "parallel":
-		// Auto-mode joins with large FLWOR loops partitioned across all
+		// Loop-lifted joins with large FLWOR loops partitioned across all
 		// cores (order-preserving merge).
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	default:
@@ -411,10 +404,8 @@ func runCell(soPath string, q int, variant string, prepare bool, streamChunk, mu
 }
 
 // runAnalyze prints the EXPLAIN ANALYZE cardinality table: one row per
-// StandOff step of each query, with the cost model's candidate estimate and
-// the chosen strategy next to the observed candidates, context rows and
-// output rows of an auto-mode run — the estimated-vs-observed comparison
-// that keeps the cost model honest.
+// StandOff step of each query, with the join algorithms that ran and the
+// observed candidates, context rows and output rows of a default-mode run.
 func runAnalyze(dir string, scales []float64, queries []int, seed uint64) {
 	for _, scale := range scales {
 		soPath, err := ensureData(dir, scale, seed)
@@ -429,8 +420,8 @@ func runAnalyze(dir string, scales []float64, queries []int, seed uint64) {
 			fatal("%v", err)
 		}
 		fmt.Printf("\nEXPLAIN ANALYZE cardinalities, scale %g (%s)\n", scale, sizeName(scale))
-		fmt.Printf("%-6s %-34s %-12s %10s %10s %10s %10s\n",
-			"query", "step", "strategy", "est.cand", "obs.cand", "ctx.rows", "rows.out")
+		fmt.Printf("%-6s %-34s %-16s %10s %10s %10s\n",
+			"query", "step", "joins", "obs.cand", "ctx.rows", "rows.out")
 		for _, q := range queries {
 			prep, err := eng.Prepare(xmark.StandOffQuery(q, "doc.xml"))
 			if err != nil {
@@ -441,19 +432,18 @@ func runAnalyze(dir string, scales []float64, queries []int, seed uint64) {
 				fatal("Q%d: %v", q, err)
 			}
 			for _, row := range standOffRows(pe.Plan) {
-				fmt.Printf("%-6s %-34s %-12s %10d %10d %10d %10d\n",
-					fmt.Sprintf("Q%d", q), row.step, row.strategy,
-					row.estCand, row.obsCand, row.ctxRows, row.rowsOut)
+				fmt.Printf("%-6s %-34s %-16s %10d %10d %10d\n",
+					fmt.Sprintf("Q%d", q), row.step, row.joins,
+					row.obsCand, row.ctxRows, row.rowsOut)
 			}
 		}
 	}
 }
 
-// analyzeRow is one StandOff step's estimated-vs-observed summary.
+// analyzeRow is one StandOff step's observed summary.
 type analyzeRow struct {
-	step, strategy   string
-	estCand, ctxRows int
-	obsCand, rowsOut int64
+	step, joins               string
+	obsCand, ctxRows, rowsOut int64
 }
 
 // standOffRows walks an analyzed plan tree and collects its StandOff steps.
@@ -461,17 +451,11 @@ func standOffRows(nodes []*soxq.OpNode) []analyzeRow {
 	var out []analyzeRow
 	for _, n := range nodes {
 		if n.Step != nil && n.Step.StandOff {
-			row := analyzeRow{
-				step:     n.Step.Axis + "::" + n.Step.Test,
-				strategy: n.Step.Strategy,
-			}
-			if n.Est != nil {
-				row.estCand = n.Est.Candidates
-				row.ctxRows = n.Est.CtxRows
-				row.strategy = n.Est.Strategy
-			}
+			row := analyzeRow{step: n.Step.Axis + "::" + n.Step.Test}
 			if n.Obs != nil {
+				row.joins = n.Obs.Joins
 				row.obsCand = n.Obs.Candidates
+				row.ctxRows = n.Obs.RowsIn
 				row.rowsOut = n.Obs.RowsOut
 			}
 			out = append(out, row)
@@ -479,69 +463,6 @@ func standOffRows(nodes []*soxq.OpNode) []analyzeRow {
 		out = append(out, standOffRows(n.Children)...)
 	}
 	return out
-}
-
-// runCalibrate measures the real Basic vs Loop-Lifted crossover the cost
-// model approximates: for a grid of candidate-layer sizes, it doubles the
-// context cardinality until the forced Loop-Lifted run beats the forced
-// Basic run, and reports (ctx-1)·cand at that point — the observed value of
-// the model's llSetupRows overhead term (internal/xqplan/cost.go). Run it
-// after changing the join inner loops and update the constant if the
-// reported range moves materially.
-func runCalibrate() {
-	fmt.Println("cost-model calibration: smallest context cardinality where forced Loop-Lifted beats forced Basic")
-	fmt.Printf("%10s %10s %14s %14s %16s\n", "candidates", "ctx.rows", "basic", "looplifted", "(ctx-1)*cand")
-	for _, cand := range []int{16, 64, 256, 1024} {
-		for ctx := 2; ctx <= 4096; ctx *= 2 {
-			tb := timeCalibrationCell(ctx, cand, soxq.ModeBasic)
-			tl := timeCalibrationCell(ctx, cand, soxq.ModeLoopLifted)
-			if tl < tb || ctx == 4096 {
-				fmt.Printf("%10d %10d %14s %14s %16d\n",
-					cand, ctx, tb.Round(time.Microsecond), tl.Round(time.Microsecond), (ctx-1)*cand)
-				break
-			}
-		}
-	}
-}
-
-// timeCalibrationCell times one forced-mode run of a select-wide join over a
-// synthetic document with ctx context areas and cand candidate areas
-// (median of five runs, index prebuilt, query prepared).
-func timeCalibrationCell(ctx, cand int, mode soxq.Mode) time.Duration {
-	var sb strings.Builder
-	sb.WriteString("<doc>")
-	for i := 0; i < ctx; i++ {
-		fmt.Fprintf(&sb, `<c start="%d" end="%d"/>`, i*97, i*97+96)
-	}
-	for i := 0; i < cand; i++ {
-		fmt.Fprintf(&sb, `<w start="%d" end="%d"/>`, i*13, i*13+12)
-	}
-	sb.WriteString("</doc>")
-	eng := soxq.New()
-	if err := eng.LoadXML("d.xml", []byte(sb.String())); err != nil {
-		fatal("%v", err)
-	}
-	if err := eng.BuildIndex("d.xml"); err != nil {
-		fatal("%v", err)
-	}
-	prep, err := eng.Prepare(`doc("d.xml")//c/select-wide::w`)
-	if err != nil {
-		fatal("%v", err)
-	}
-	cfg := soxq.Config{Mode: mode}
-	if _, err := prep.Exec(cfg); err != nil { // warm the strategy memo and caches
-		fatal("%v", err)
-	}
-	times := make([]time.Duration, 5)
-	for i := range times {
-		start := time.Now()
-		if _, err := prep.Exec(cfg); err != nil {
-			fatal("%v", err)
-		}
-		times[i] = time.Since(start)
-	}
-	slices.Sort(times)
-	return times[len(times)/2]
 }
 
 func splitFloats(s string) []float64 {

@@ -9,17 +9,15 @@
 //	     -f query.xq -mode basic
 //
 // Documents are registered under the name given before '='; queries address
-// them with fn:doc. -mode selects the execution strategy: auto (the default;
-// the planner picks Basic vs Loop-Lifted per step from the region index
-// statistics) or one of the paper's forced variants (looplifted, basic,
-// udf). -explain executes the query and prints the compiled plan — the
-// operator tree (FLWOR, filter and path structure) with per-step candidate
-// policies, cost estimates and the join strategy the cost model actually
-// chose, plus which pipeline operators stream — instead of the query
-// results. -analyze is EXPLAIN ANALYZE: the same tree annotated with the
-// observed per-operator counters of the run (rows in/out, candidates
-// scanned, join algorithm, FLWOR tuples and chunks). See docs/EXPLAIN.md
-// for the output reference.
+// them with fn:doc. -mode selects the join algorithm: auto (the default,
+// Loop-Lifted), looplifted, or one of the paper's baselines (basic, udf).
+// -explain executes the query and prints the compiled plan — the operator
+// tree (FLWOR, filter and path structure) with per-step candidate policies,
+// plus which pipeline operators stream — instead of the query results.
+// -analyze is EXPLAIN ANALYZE: the same tree annotated with the observed
+// per-operator counters of the run (rows in/out, candidates scanned, join
+// algorithm, FLWOR tuples and chunks). See docs/EXPLAIN.md for the output
+// reference.
 //
 // -stream serialises results through the cursor pipeline as they are
 // produced instead of materialising the full sequence first (constant
@@ -42,7 +40,7 @@
 // insert write a multi-region area (requires standoff-region).
 //
 // -trace executes the query with lifecycle tracing and prints the recorded
-// span tree — parse, compile, strategy resolution, and the executed operator
+// span tree — parse, compile, and the executed operator
 // tree with per-operator row/chunk counts that line up with -analyze output —
 // instead of the results; -trace-durations adds the measured wall-clock
 // numbers. -ops ADDR serves the engine's ops HTTP surface (/metrics in
@@ -82,12 +80,12 @@ func main() {
 	noPushdown := flag.Bool("no-pushdown", false, "disable candidate-sequence pushdown")
 	heap := flag.Bool("heap", false, "use the heap-based active set (paper section 5)")
 	timing := flag.Bool("time", false, "print load and evaluation timing to stderr")
-	explain := flag.Bool("explain", false, "print the compiled plan (with resolved join strategies) instead of results")
+	explain := flag.Bool("explain", false, "print the compiled plan instead of results")
 	analyze := flag.Bool("analyze", false, "run the query and print the plan annotated with observed per-operator counters (EXPLAIN ANALYZE)")
 	stream := flag.Bool("stream", false, "stream results through the cursor pipeline instead of materialising them")
 	streamChunk := flag.Int("stream-chunk", 0, "tuples (and StandOff context areas) per pipeline chunk for -stream/-analyze (0 = default 1024)")
 	parallel := flag.Int("parallel", 0, "partition large FLWOR loops across N workers (0 = single-threaded)")
-	trace := flag.Bool("trace", false, "run the query with lifecycle tracing and print the span tree (parse/compile/strategy/execute with per-operator counts) after the results")
+	trace := flag.Bool("trace", false, "run the query with lifecycle tracing and print the span tree (parse/compile/execute with per-operator counts) after the results")
 	traceDurations := flag.Bool("trace-durations", false, "include measured durations and timestamps in the -trace rendering (non-deterministic output)")
 	ops := flag.String("ops", "", "serve the ops HTTP surface (/metrics, /debug/vars, /debug/queries) on this address, e.g. :6060, and wait for interrupt after the query")
 	mutate := flag.String("mutate", "", "apply a scripted annotation mutation file (insert/delete/compact lines) before running the query")
@@ -167,7 +165,7 @@ func main() {
 	evalStart := time.Now()
 	if *analyze {
 		// EXPLAIN ANALYZE: execute, then print the plan annotated with the
-		// run's observed per-operator counters next to the estimates.
+		// run's observed per-operator counters.
 		_, pe, err := prep.Analyze(cfg)
 		fatalIf(err)
 		if *timing {
@@ -220,8 +218,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "eval: %v\n", time.Since(evalStart))
 	}
 	if *explain {
-		// The query ran above, so the plan's strategy memos hold the
-		// choices the cost model actually made.
 		fmt.Print(prep.Explain().String())
 		return
 	}

@@ -19,10 +19,10 @@ import (
 //
 // over a corpus named "news" runs once per member with doc("news") bound to
 // each member in turn, exactly as if the member's own name had been written.
-// Per-shard strategy memos, plan caching and the bounded-memory cursor
-// pipeline all apply unchanged; what the corpus layer adds is the fan-out,
-// the document-order merge (internal/xqexec.MergeShards) and a result cache
-// keyed by the catalog generation.
+// Plan caching and the bounded-memory cursor pipeline apply unchanged; what
+// the corpus layer adds is the fan-out, the document-order merge
+// (internal/xqexec.MergeShards) and a result cache keyed by the catalog
+// generation.
 
 // CreateCorpus defines (or redefines) a corpus: an ordered list of loaded
 // documents queried as one collection. Members must be loaded, distinct, and

@@ -107,13 +107,8 @@ func ExamplePrepared_Explain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Execute first: the cost model resolves per (index, context
-	// cardinality) at execution time, so the explain taken afterwards shows
-	// the strategy actually chosen and the estimate behind it. For observed
-	// row counts as well, use Analyze instead.
-	if _, err := prep.Exec(soxq.Config{}); err != nil {
-		log.Fatal(err)
-	}
+	// Explain shows what compilation knows; for observed row counts and
+	// the join algorithm that ran, use Analyze instead.
 	fmt.Print(prep.Explain().String())
 	// Output:
 	// options: type=xs:integer start=@start end=@end
@@ -121,7 +116,7 @@ func ExamplePrepared_Explain() {
 	// plan:
 	//   path doc("d.xml")
 	//     step descendant::music (fused //)
-	//     step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto(basic)} est{cand=3 ctx=2 out=3 basic=8 ll=37}
+	//     step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter}
 	// stream:
 	//   path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
 }

@@ -18,11 +18,12 @@ import (
 //
 // Two modes produce it:
 //
-//   - Prepared.Explain: EXPLAIN — compile-time structure plus whatever cost
-//     estimates and strategy choices previous executions have resolved.
+//   - Prepared.Explain: EXPLAIN — what compilation knows: operator
+//     structure, step programs and candidate policies.
 //   - Prepared.Analyze: EXPLAIN ANALYZE — the same tree annotated with the
 //     observed per-operator counters of the run Analyze performed (rows in
-//     and out, candidates scanned, join algorithms, FLWOR tuples/chunks).
+//     and out, candidates scanned, join algorithms, delta merges, FLWOR
+//     tuples/chunks).
 type PlanExplain struct {
 	// Options renders the effective stand-off options the plan was
 	// compiled under.
@@ -46,8 +47,8 @@ type PlanExplain struct {
 }
 
 // OpNode is one operator of the plan tree. Label is the fully rendered line
-// (standoff{...}, est{...} and observed (...) annotations included); the
-// structured fields expose the same data programmatically.
+// (standoff{...} and observed (...) annotations included); the structured
+// fields expose the same data programmatically.
 type OpNode struct {
 	// Kind classifies the operator: "flwor", "for", "let", "where",
 	// "order by", "return", "path", "step", "predicate", "filter", "if",
@@ -58,31 +59,11 @@ type OpNode struct {
 	Label string
 	// Step is set for Kind "step": the compiled step description.
 	Step *StepExplain
-	// Est is set for StandOff steps once the cost model has resolved: the
-	// estimated candidate cardinality, the observed context cardinality
-	// the decision used, the modelled costs and the chosen strategy.
-	Est *CostExplain
 	// Obs is set when Analyzed and the operator executed: the observed
 	// counters.
 	Obs *ObsExplain
 	// Children are the operator's structural inputs in evaluation order.
 	Children []*OpNode
-}
-
-// CostExplain is one cost-model (v2) decision record.
-type CostExplain struct {
-	// Candidates is the estimated candidate-area cardinality from the
-	// region index statistics.
-	Candidates int
-	// CtxRows is the observed context cardinality (iterations × context
-	// nodes) the decision was made for.
-	CtxRows int
-	// Basic and LoopLifted are the modelled costs in scanned-row
-	// equivalents.
-	Basic      float64
-	LoopLifted float64
-	// Strategy is the chosen algorithm ("basic" or "looplifted").
-	Strategy string
 }
 
 // ObsExplain carries one operator's observed counters from an Analyze run.
@@ -154,22 +135,12 @@ type StepExplain struct {
 	// "by-name", "impossible").
 	PushPolicy   string
 	NoPushPolicy string
-	// Strategy reports the join-strategy choice: "auto" before the step
-	// has executed against an index, and "auto(basic)" /
-	// "auto(looplifted)" afterwards, listing every distinct choice the
-	// cost model made (one per region index and context-cardinality band
-	// the plan has executed in). An execution that forces a mode
-	// (ModeBasic, ...) bypasses the cost model and leaves this
-	// unresolved.
-	Strategy string
 }
 
 // Explain returns the EXPLAIN description of the compiled plan: operator
 // structure, compiled step programs, candidate policies and the pipeline
-// shape. Call it after an Exec in auto mode to see the join strategies and
-// cost estimates the cost model actually resolved; before any execution the
-// strategy of each StandOff step reads "auto" and no estimates are shown
-// (estimates need the region index statistics, which bind at execution).
+// shape. It shows only what compilation knows, so it reads the same before
+// and after any execution; Analyze adds the observed counters.
 func (p *Prepared) Explain() *PlanExplain {
 	return p.explainWith(nil)
 }
@@ -203,7 +174,6 @@ func publicStep(se xqplan.StepExplain) StepExplain {
 		Op:           se.Op,
 		PushPolicy:   xqplan.PolicyString(se.PushPolicy, se.Name),
 		NoPushPolicy: xqplan.PolicyString(se.NoPushPolicy, se.Name),
-		Strategy:     se.Strategy(),
 	}
 }
 
@@ -212,15 +182,6 @@ func publicNode(n *xqplan.Node) *OpNode {
 	if n.Step != nil {
 		s := publicStep(*n.Step)
 		out.Step = &s
-	}
-	if n.Est != nil {
-		out.Est = &CostExplain{
-			Candidates: n.Est.Candidates,
-			CtxRows:    n.Est.CtxRows,
-			Basic:      n.Est.Basic,
-			LoopLifted: n.Est.LoopLifted,
-			Strategy:   n.Est.Strategy.String(),
-		}
 	}
 	switch {
 	case n.StepObs != nil:
@@ -247,9 +208,9 @@ func publicNode(n *xqplan.Node) *OpNode {
 }
 
 // String renders the plan description: the options and fold count, the
-// operator tree (one line per operator, annotated with standoff decisions,
-// cost estimates and — after Analyze — observed counters), and the
-// streaming pipeline shape:
+// operator tree (one line per operator, annotated with standoff decisions
+// and — after Analyze — observed counters), and the streaming pipeline
+// shape:
 //
 //	options: type=xs:integer start=@start end=@end
 //	folds: 0
@@ -260,8 +221,7 @@ func publicNode(n *xqplan.Node) *OpNode {
 //	        step descendant-or-self::node() (in=1 out=1)
 //	        step child::music[@artist = "U2"] (in=1 out=1)
 //	        step select-narrow::shot standoff{op=select-narrow push=by-name(shot)
-//	          nopush=all+filter strategy=auto(basic)} est{cand=3 ctx=1 basic=4 ll=260}
-//	          (in=1 out=1 cand=3 joins=basic:1)
+//	          nopush=all+filter} (in=1 out=1 cand=3 joins=looplifted:1)
 //	    return string($s/@id)
 //	stream:
 //	  flwor [pipelined] for $s tuples stream in chunks; ...

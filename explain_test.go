@@ -47,10 +47,8 @@ func figure2Engine(t *testing.T) *Engine {
 }
 
 // TestExplainGoldenAxisQuery pins the rendered plan of the Figure 2 example
-// in its axis form, before and after execution: the stand-off step reads
-// strategy=auto with no estimate until an auto-mode Exec resolves it against
-// the document's region index (one context row — nothing to loop-lift, so
-// Basic — with the cost-model record rendered beside the decision).
+// in its axis form. EXPLAIN shows only what compilation knows, so an
+// execution leaves it unchanged.
 func TestExplainGoldenAxisQuery(t *testing.T) {
 	eng := figure2Engine(t)
 	prep, err := eng.Prepare(`for $s in doc("d.xml")//music[@artist = "U2"]/select-narrow::shot
@@ -66,7 +64,7 @@ plan:
       path doc("d.xml")
         step descendant-or-self::node()
         step child::music[@artist = "U2"] pred{attr}
-        step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto}
+        step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter}
     return string($s/@id)
 stream:
   flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
@@ -82,16 +80,14 @@ stream:
 	if got := res.String(); got != "Intro" {
 		t.Fatalf("result = %q, want Intro", got)
 	}
-	wantAfter := strings.Replace(wantBefore, "strategy=auto}",
-		"strategy=auto(basic)} est{cand=3 ctx=1 out=3 basic=4 ll=36}", 1)
-	if got := prep.Explain().String(); got != wantAfter {
-		t.Fatalf("explain after exec:\n%s\nwant:\n%s", got, wantAfter)
+	if got := prep.Explain().String(); got != wantBefore {
+		t.Fatalf("explain after exec:\n%s\nwant:\n%s", got, wantBefore)
 	}
 }
 
 // TestExplainAnalyzeGolden pins the EXPLAIN ANALYZE rendering: the same tree
 // annotated with the observed per-operator counters of the run Analyze
-// performed — estimated and observed cardinalities side by side.
+// performed.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	eng := figure2Engine(t)
 	prep, err := eng.Prepare(`for $s in doc("d.xml")//music[@artist = "U2"]/select-narrow::shot
@@ -117,7 +113,7 @@ plan:
       path doc("d.xml") (out=1)
         step descendant-or-self::node() (in=1 out=13)
         step child::music[@artist = "U2"] pred{attr} (in=13 out=1)
-        step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto(basic)} est{cand=3 ctx=1 out=3 basic=4 ll=36} (in=1 out=1 cand=3 joins=basic:1 stream{chunks=1 chunk=1..1})
+        step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter} (in=1 out=1 cand=3 joins=looplifted:1 stream{chunks=1 chunk=1..1})
     return string($s/@id)
 stream:
   flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
@@ -318,7 +314,7 @@ stream:
 
 // TestExplainGlobalVariableDeclaration: a StandOff step inside a global
 // variable initializer stays visible in the plan tree (declarations render
-// before the body), with its strategy resolved after execution.
+// before the body).
 func TestExplainGlobalVariableDeclaration(t *testing.T) {
 	eng := figure2Engine(t)
 	prep, err := eng.Prepare(
@@ -326,16 +322,12 @@ func TestExplainGlobalVariableDeclaration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Exec(Config{}); err != nil {
-		t.Fatal(err)
-	}
 	got := prep.Explain().String()
 	if !strings.Contains(got, "declare variable $shots :=") {
 		t.Fatalf("explain lacks the variable declaration:\n%s", got)
 	}
-	if !strings.Contains(got, "select-narrow::shot standoff{") ||
-		!strings.Contains(got, "strategy=auto(basic)") {
-		t.Fatalf("explain lacks the initializer's resolved StandOff step:\n%s", got)
+	if !strings.Contains(got, "select-narrow::shot standoff{") {
+		t.Fatalf("explain lacks the initializer's StandOff step:\n%s", got)
 	}
 }
 
@@ -365,8 +357,8 @@ func TestExplainFoldCount(t *testing.T) {
 	}
 }
 
-// bigStandoffEngine loads a document whose dense layer exceeds the cost
-// model's crossover while the sparse layer stays below it.
+// bigStandoffEngine loads a document with a dense word layer and a sparse
+// chapter layer.
 func bigStandoffEngine(t *testing.T, dense, sparse int) *Engine {
 	t.Helper()
 	var sb strings.Builder
@@ -385,119 +377,78 @@ func bigStandoffEngine(t *testing.T, dense, sparse int) *Engine {
 	return eng
 }
 
-// soStrategies collects the strategy strings of the plan's stand-off steps
-// in discovery order.
-func soStrategies(prep *Prepared) []string {
-	var out []string
-	for _, p := range prep.Explain().Paths {
-		for _, s := range p.Steps {
-			if s.StandOff {
-				out = append(out, s.Strategy)
+// soStep returns the single analyzed stand-off step of a plan.
+func soStep(t *testing.T, pe *PlanExplain) *OpNode {
+	t.Helper()
+	var step *OpNode
+	var walk func(ns []*OpNode)
+	walk = func(ns []*OpNode) {
+		for _, n := range ns {
+			if n.Step != nil && n.Step.StandOff {
+				if step != nil {
+					t.Fatalf("plan has more than one stand-off step:\n%s", pe.String())
+				}
+				step = n
 			}
+			walk(n.Children)
 		}
 	}
-	return out
-}
-
-// soStrategy extracts the strategy string of the single stand-off step.
-func soStrategy(t *testing.T, prep *Prepared) string {
-	t.Helper()
-	ss := soStrategies(prep)
-	if len(ss) != 1 {
-		t.Fatalf("plan has %d stand-off steps, want 1", len(ss))
+	walk(pe.Plan)
+	if step == nil || step.Obs == nil {
+		t.Fatalf("no analyzed stand-off step in plan:\n%s", pe.String())
 	}
-	return ss[0]
+	return step
 }
 
-// TestStrategyFlipsPerLayer: the same query shape resolves to different
-// join strategies depending on which annotation layer it targets — the
-// per-step decision a single per-query knob cannot make. The sparse case
-// pins the context side of cost model v2: one context row means there is no
-// loop to lift, so the huge candidate layer still runs Basic.
-func TestStrategyFlipsPerLayer(t *testing.T) {
-	eng := bigStandoffEngine(t, 500, 5)
-	dense, err := eng.Prepare(`doc("d.xml")//chapter/select-narrow::word`)
+// TestDefaultModeRunsLoopLifted: the zero Config runs the Loop-Lifted join
+// even on the Figure 2 query's single context row, where there is no loop
+// to lift.
+func TestDefaultModeRunsLoopLifted(t *testing.T) {
+	eng := figure2Engine(t)
+	prep, err := eng.Prepare(`for $s in doc("d.xml")//music[@artist = "U2"]/select-narrow::shot
+	         return string($s/@id)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := eng.Prepare(`doc("d.xml")//chapter[1]/select-narrow::word`)
+	_, pe, err := prep.Analyze(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dense.Exec(Config{}); err != nil {
-		t.Fatal(err)
+	step := soStep(t, pe)
+	if step.Obs.RowsIn != 1 || step.Obs.Joins != "looplifted:1" {
+		t.Fatalf("observed in=%d joins=%q, want in=1 joins=looplifted:1", step.Obs.RowsIn, step.Obs.Joins)
 	}
-	if _, err := single.Exec(Config{}); err != nil {
-		t.Fatal(err)
-	}
-	// Five chapters feed the dense-layer join: 5 iterations × 500
-	// candidates amortise the loop-lifted machinery.
-	if got := soStrategy(t, dense); got != "auto(looplifted)" {
-		t.Fatalf("dense-layer step strategy = %q, want auto(looplifted)", got)
-	}
-	// One chapter feeds the same join: a single-iteration Basic merge beats
-	// the loop-lifted bookkeeping no matter how many candidates there are
-	// (the v1 fixed-64 threshold would have picked Loop-Lifted here).
-	if got := soStrategy(t, single); got != "auto(basic)" {
-		t.Fatalf("single-context step strategy = %q, want auto(basic)", got)
+	if !strings.Contains(step.Label, "joins=looplifted:1") {
+		t.Fatalf("label lacks joins=looplifted:1: %s", step.Label)
 	}
 }
 
-// TestStrategyFlipsWithContextCardinality is the cost-model-v2 acceptance
-// case end to end: two queries against the SAME five-candidate layer — so
-// the v1 threshold (5 <= 64: Basic) would answer Basic for both — flip
-// between Basic and Loop-Lifted purely on observed context cardinality.
-func TestStrategyFlipsWithContextCardinality(t *testing.T) {
-	eng := bigStandoffEngine(t, 500, 5)
-	small, err := eng.Prepare(`doc("d.xml")//word[1]/select-wide::chapter`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := eng.Prepare(`doc("d.xml")//word/select-wide::chapter`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := small.Exec(Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := big.Exec(Config{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := soStrategy(t, small); got != "auto(basic)" {
-		t.Fatalf("1 context row: strategy = %q, want auto(basic)", got)
-	}
-	if got := soStrategy(t, big); got != "auto(looplifted)" {
-		t.Fatalf("500 context rows: strategy = %q, want auto(looplifted)", got)
-	}
-}
-
-// TestModeOverrideWins: a forced mode bypasses the cost model — the step
-// stays unresolved after a forced Exec and only resolves under ModeAuto.
+// TestModeOverrideWins: every mode runs exactly its algorithm — ModeAuto
+// and ModeLoopLifted the Loop-Lifted join, the forced modes their baseline.
 func TestModeOverrideWins(t *testing.T) {
 	eng := bigStandoffEngine(t, 500, 5)
 	prep, err := eng.Prepare(`doc("d.xml")//chapter/select-narrow::word`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{ModeLoopLifted, ModeBasic, ModeUDF} {
-		if _, err := prep.Exec(Config{Mode: mode}); err != nil {
+	for mode, want := range map[Mode]string{
+		ModeAuto:       "looplifted:1",
+		ModeLoopLifted: "looplifted:1",
+		ModeBasic:      "basic:1",
+		ModeUDF:        "naive:1",
+	} {
+		_, pe, err := prep.Analyze(Config{Mode: mode})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := soStrategy(t, prep); got != "auto" {
-			t.Fatalf("after forced %v run: strategy = %q, want auto (unresolved)", mode, got)
+		if got := soStep(t, pe).Obs.Joins; got != want {
+			t.Fatalf("mode %v: observed joins = %q, want %q", mode, got, want)
 		}
-	}
-	if _, err := prep.Exec(Config{Mode: ModeAuto}); err != nil {
-		t.Fatal(err)
-	}
-	if got := soStrategy(t, prep); got != "auto(looplifted)" {
-		t.Fatalf("after auto run: strategy = %q", got)
 	}
 }
 
 // TestAnalyzeReportsForcedJoins: Analyze under a forced mode records the
-// algorithm that actually ran, even though the memoized auto choice stays
-// untouched — observed truth versus planned estimate.
+// algorithm that actually ran.
 func TestAnalyzeReportsForcedJoins(t *testing.T) {
 	eng := bigStandoffEngine(t, 100, 4)
 	prep, err := eng.Prepare(`doc("d.xml")//chapter/select-narrow::word`)
@@ -508,30 +459,13 @@ func TestAnalyzeReportsForcedJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var step *OpNode
-	var walk func(ns []*OpNode)
-	walk = func(ns []*OpNode) {
-		for _, n := range ns {
-			if n.Step != nil && n.Step.StandOff {
-				step = n
-			}
-			walk(n.Children)
-		}
-	}
-	walk(pe.Plan)
-	if step == nil || step.Obs == nil {
-		t.Fatalf("no analyzed stand-off step in plan:\n%s", pe.String())
-	}
-	if step.Obs.Joins != "basic:1" {
-		t.Fatalf("observed joins = %q, want basic:1", step.Obs.Joins)
-	}
-	if step.Step.Strategy != "auto" {
-		t.Fatalf("memoized strategy = %q, want auto (forced run must not resolve it)", step.Step.Strategy)
+	if got := soStep(t, pe).Obs.Joins; got != "basic:1" {
+		t.Fatalf("observed joins = %q, want basic:1", got)
 	}
 }
 
-// TestAutoMatchesForcedModes: whatever the cost model picks, the answer is
-// identical to every forced mode.
+// TestAutoMatchesForcedModes: the default mode's answer is identical to
+// every forced mode.
 func TestAutoMatchesForcedModes(t *testing.T) {
 	eng := bigStandoffEngine(t, 100, 4)
 	q := `for $c in doc("d.xml")//chapter return count($c/select-narrow::word)`
@@ -547,52 +481,5 @@ func TestAutoMatchesForcedModes(t *testing.T) {
 		if res.String() != ref.String() {
 			t.Fatalf("mode %v: %q != auto %q", mode, res.String(), ref.String())
 		}
-	}
-}
-
-// TestCostModelDivergesFromFixedThreshold runs a StandOff XMark benchmark
-// query and pins that cost model v2 chooses a different strategy than the
-// old fixed 64-candidate threshold would: Q6's per-site select-narrow::item
-// step scans hundreds of item candidates (v1: Loop-Lifted) from a single
-// regions context row (v2: Basic — there is no loop to lift).
-func TestCostModelDivergesFromFixedThreshold(t *testing.T) {
-	eng := xmarkEngine(t, 0.004)
-	prep, err := eng.Prepare(xmarkStandOffQuery(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pe, err := prep.Analyze(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var itemStep *OpNode
-	var walk func(ns []*OpNode)
-	walk = func(ns []*OpNode) {
-		for _, n := range ns {
-			if n.Step != nil && n.Step.StandOff && n.Step.Test == "item" {
-				itemStep = n
-			}
-			walk(n.Children)
-		}
-	}
-	walk(pe.Plan)
-	if itemStep == nil {
-		t.Fatalf("no select-narrow::item step in plan:\n%s", pe.String())
-	}
-	if itemStep.Est == nil {
-		t.Fatalf("item step has no cost estimate:\n%s", itemStep.Label)
-	}
-	// The divergence needs candidates past the old threshold; the 0.004
-	// scale generates a few hundred items.
-	if itemStep.Est.Candidates <= 64 {
-		t.Fatalf("item candidates = %d, want > 64 (old threshold) for the divergence case",
-			itemStep.Est.Candidates)
-	}
-	if itemStep.Est.Strategy != "basic" {
-		t.Fatalf("item step strategy = %q, want basic (ctx=%d, old threshold would say looplifted)",
-			itemStep.Est.Strategy, itemStep.Est.CtxRows)
-	}
-	if itemStep.Obs == nil || itemStep.Obs.Joins != "basic:1" {
-		t.Fatalf("observed joins = %+v, want basic:1", itemStep.Obs)
 	}
 }

@@ -186,9 +186,8 @@ func runFuzzCase(t *testing.T, seed uint64) {
 		if refErr != nil {
 			continue
 		}
-		// Feed the feedback loop and re-run: an analyzed execution may
-		// invalidate strategy memos (observed-selectivity drift) and feed
-		// the engine-wide calibration, but results must never move.
+		// Analyze and re-run: an analyzed execution collects counters over
+		// the same shared plan, but results must never move.
 		if res, _, err := prep.Analyze(Config{}); err != nil {
 			t.Fatalf("seed %d query %q: analyze errored: %v", seed, q, err)
 		} else if got := res.String(); got != want {

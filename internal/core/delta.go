@@ -263,9 +263,8 @@ func (ix *RegionIndex) nameTouched(nameID int32) bool {
 // Compact folds the delta layers into a fresh base index over the current
 // document snapshot. The result is identical — orderings, per-area geometry,
 // multi-region flag — to BuildIndex over the same snapshot, and carries the
-// same generation token (same document, same options), so strategy memos and
-// calibration stay warm across compaction. Returns ix unchanged when there is
-// nothing to fold.
+// same generation token (same document, same options). Returns ix unchanged
+// when there is nothing to fold.
 func (ix *RegionIndex) Compact() *RegionIndex {
 	if ix.base == nil {
 		return ix

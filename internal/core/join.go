@@ -54,11 +54,6 @@ const (
 	// (section 4.5): a single pass over context and candidates computes
 	// the join for all iterations at once.
 	StrategyLoopLifted
-	// StrategyAuto is not an algorithm: it asks the evaluator to resolve
-	// the Basic vs Loop-Lifted choice per step from the region index
-	// statistics (the planner's cost model). Join treats it as
-	// StrategyLoopLifted should it ever reach the join layer unresolved.
-	StrategyAuto
 )
 
 func (s Strategy) String() string {
@@ -69,8 +64,6 @@ func (s Strategy) String() string {
 		return "basic"
 	case StrategyLoopLifted:
 		return "looplifted"
-	case StrategyAuto:
-		return "auto"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}

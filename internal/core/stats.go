@@ -1,12 +1,8 @@
 package core
 
-// Stats summarises a region index for the planner's per-step cost model: the
-// area and region counts of the annotation layer, whether any area is
-// non-contiguous, the document size, and the per-tag element cardinalities
-// taken from the tree dictionary. The planner uses these to choose between
-// the Basic and Loop-Lifted StandOff MergeJoin per step (layered-annotation
-// workloads mix tiny and huge annotation layers in one query, which is where
-// a static per-query strategy loses).
+// Stats summarises a region index: the area and region counts of the
+// annotation layer, whether any area is non-contiguous, the document size,
+// and the per-tag element cardinalities taken from the tree dictionary.
 //
 // Stats is computed once per index and shared; callers must treat
 // ElementCard as read-only.
@@ -32,15 +28,11 @@ func (s Stats) Card(name string) int { return s.ElementCard[name] }
 // identifying the (document, options) pair the index was built from. Two
 // indexes built over the same document under the same options carry equal
 // tokens — and, the index being a pure function of both, identical
-// statistics. The planner keys its per-step strategy memos on this token
-// rather than on index identity, so a warm statistics-based choice survives
-// an index rebuild for the same document (an engine evicting and rebuilding
-// indexes does not re-cool every plan), and the memo holds no pointer that
-// would pin a dead document or index.
-// Annotation writes derive new document snapshots sharing the ancestor's
-// order key but bumping a mutation sequence number; seq folds that in, so a
-// write invalidates every memo keyed on the generation while compaction
-// (same snapshot, same options) keeps them warm.
+// statistics; the token holds no pointer that would pin a dead document or
+// index. Annotation writes derive new document snapshots sharing the
+// ancestor's order key but bumping a mutation sequence number; seq folds that
+// in, so a write changes the generation while compaction (same snapshot, same
+// options) keeps it.
 type IndexGen struct {
 	doc  int64  // tree.Doc.OrderKey: unique per document construction
 	seq  uint64 // tree.Doc.MutSeq: bumped by every snapshot derivation

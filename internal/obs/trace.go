@@ -8,7 +8,7 @@ import (
 )
 
 // Attr is one key=value annotation on a trace span (row counts, chunk
-// counts, strategy names — never durations; durations live in Span.Nanos so
+// counts, join algorithms — never durations; durations live in Span.Nanos so
 // renderings can include or omit them as one decision).
 type Attr struct {
 	Key string

@@ -225,10 +225,9 @@ func ErrRangeTooLarge(lo, hi int64) error {
 
 // StandOffStream is the chunked execution handle of a pipelined StandOff
 // step: the per-document residue — region index, candidate sequence,
-// pushdown post-filter, join strategy — resolved once. For the two select
-// operators the executor runs one loop-lifted join per chunk of context
-// nodes (JoinChunkPres) and gates emission on the candidate-interval
-// watermark. For the two reject operators — anti-joins over the whole
+// pushdown post-filter — resolved once. For the two select operators the
+// executor runs one loop-lifted join per chunk of context nodes
+// (JoinChunkPres) and gates emission on the candidate-interval watermark. For the two reject operators — anti-joins over the whole
 // context, where a union of per-chunk complements would be wrong — each
 // chunk's select-side join marks matched candidates in a bitset (MarkChunk)
 // and the executor complements once at the end, emitting the unmatched
@@ -242,7 +241,6 @@ type StandOffStream struct {
 	postFilter bool
 	test       xpath.Compiled
 	wide       bool
-	strat      core.Strategy
 
 	// Per-stream scratch, recycled across chunks: the context-node rows
 	// handed to the join and the pre buffer handed back to the cursor.
@@ -255,12 +253,10 @@ type StandOffStream struct {
 func (s *StandOffStream) Doc() *tree.Doc { return s.d }
 
 // NewStandOffStream resolves one StandOff select step against a single
-// document for chunked execution. ctxRows is the step's full context
-// cardinality — the cost model prices the whole loop, so chunking must not
-// change the Basic/Loop-Lifted decision. A nil stream with a nil error means
-// the step is statically or dynamically empty for this document (the node
-// test can never match an area-annotation).
-func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc, ctxRows int) (*StandOffStream, error) {
+// document for chunked execution. A nil stream with a nil error means the
+// step is statically or dynamically empty for this document (the node test
+// can never match an area-annotation).
+func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc) (*StandOffStream, error) {
 	if ev.IndexFor == nil {
 		return nil, errf(codeStandOffIndex, "no region index provider configured")
 	}
@@ -274,8 +270,7 @@ func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc, ctxRows
 	}
 	s := &StandOffStream{
 		ev: ev, sp: sp, d: d, ix: ix, cand: cand, postFilter: postFilter,
-		wide:  sp.SO.Op == core.SelectWide || sp.SO.Op == core.RejectWide,
-		strat: ev.strategyFor(sp, ix, ctxRows),
+		wide: sp.SO.Op == core.SelectWide || sp.SO.Op == core.RejectWide,
 	}
 	if postFilter {
 		s.test = sp.CompiledTest(d)
@@ -318,10 +313,9 @@ func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
 	for i, pre := range chunk {
 		ctx[i] = core.CtxNode{Iter: 0, Pre: pre}
 	}
-	t0 := statsNow(s.ev.Stats)
-	pairs := core.Join(s.ix, s.sp.SO.Op, s.strat, ctx, 1, s.cand, s.ev.JoinCfg)
-	s.ev.countJoin(s.strat)
-	s.ev.Stats.RecordJoin(s.sp, int64(s.cand.Len()), s.strat, int64(len(chunk)), statsSince(s.ev.Stats, t0))
+	pairs := core.Join(s.ix, s.sp.SO.Op, s.ev.Strategy, ctx, 1, s.cand, s.ev.JoinCfg)
+	s.ev.countJoin(s.ev.Strategy)
+	s.ev.Stats.RecordJoin(s.sp, s.ix, int64(s.cand.Len()), s.ev.Strategy)
 	out := s.outPres[:0]
 	if cap(out) < len(pairs) {
 		out = make([]int32, 0, len(pairs))
@@ -365,10 +359,9 @@ func (s *StandOffStream) MarkChunk(chunk []int32, bits *core.MatchBits) int {
 	if s.wide {
 		op = core.SelectWide
 	}
-	t0 := statsNow(s.ev.Stats)
-	pairs := core.Join(s.ix, op, s.strat, ctx, 1, s.cand, s.ev.JoinCfg)
-	s.ev.countJoin(s.strat)
-	s.ev.Stats.RecordJoin(s.sp, int64(s.cand.Len()), s.strat, int64(len(chunk)), statsSince(s.ev.Stats, t0))
+	pairs := core.Join(s.ix, op, s.ev.Strategy, ctx, 1, s.cand, s.ev.JoinCfg)
+	s.ev.countJoin(s.ev.Strategy)
+	s.ev.Stats.RecordJoin(s.sp, s.ix, int64(s.cand.Len()), s.ev.Strategy)
 	return core.MarkMatched(bits, s.cand.AreaPres(), pairs)
 }
 

@@ -31,11 +31,9 @@ type Evaluator struct {
 	// BlobFor returns the BLOB a document's regions refer into (may return
 	// nil); used by the so:blob-text extension function.
 	BlobFor func(d *tree.Doc) blob.Store
-	// Strategy picks the StandOff join algorithm (section 4.6 variants).
-	// core.StrategyAuto defers the Basic vs Loop-Lifted choice to the
-	// plan's per-step cost model, resolved against each region index's
-	// statistics at first use; any other value forces that algorithm for
-	// every step.
+	// Strategy is the StandOff join algorithm every step runs (section 4.6
+	// variants): core.StrategyLoopLifted in production, Basic and Naive as
+	// the paper's baselines.
 	Strategy core.Strategy
 	// JoinCfg tunes the join (active-set structure, tracing).
 	JoinCfg core.JoinConfig
@@ -47,10 +45,6 @@ type Evaluator struct {
 	// algorithm run, FLWOR tuples). Nil disables collection; every record
 	// call is nil-safe, so the hot paths pay one pointer check.
 	Stats *xqplan.ExecStats
-	// Cal is the engine-wide setup-cost calibration the strategy choices
-	// price with; nil prices with the static default. Analyzed executions
-	// feed it through Stats (ExecStats.Cal is the same pointer).
-	Cal *xqplan.Calibration
 	// Met is the engine-wide set of always-on metric counters (joins per
 	// algorithm, work-steals, chunk adaptations). Unlike Stats it is live
 	// on every execution, so recording must stay one nil check plus one

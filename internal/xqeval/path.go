@@ -3,7 +3,6 @@ package xqeval
 import (
 	"bytes"
 	"slices"
-	"time"
 
 	"soxq/internal/core"
 	"soxq/internal/tree"
@@ -166,34 +165,6 @@ func (ev *Evaluator) mergeRows(rows, ctx LLSeq) LLSeq {
 	return LLSeq{Off: off, Items: rows.Items[:w]}
 }
 
-// strategyFor resolves the join strategy of one StandOff step against one
-// region index and the context cardinality this execution observed
-// (iterations × context nodes — the second input of cost model v2): a
-// forced engine strategy (the benchmarking modes) always wins; StrategyAuto
-// defers to the step's memoized cost-model choice.
-func (ev *Evaluator) strategyFor(sp *xqplan.StepPlan, ix *core.RegionIndex, ctxRows int) core.Strategy {
-	if ev.Strategy != core.StrategyAuto {
-		return ev.Strategy
-	}
-	return sp.StrategyFor(ix, ev.Pushdown, ctxRows, ev.Cal)
-}
-
-// statsNow and statsSince time a join only when an ANALYZE collector is
-// attached — the plain execution paths pay a nil check, not a clock read.
-func statsNow(st *xqplan.ExecStats) time.Time {
-	if st == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func statsSince(st *xqplan.ExecStats, t0 time.Time) int64 {
-	if st == nil {
-		return 0
-	}
-	return time.Since(t0).Nanoseconds()
-}
-
 // countJoin feeds the always-on per-algorithm join counter. Called at every
 // core.Join call site (bulk and chunked, select and reject side), so the
 // counters reflect join invocations actually run — one atomic add each.
@@ -333,9 +304,9 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 	if ev.IndexFor == nil {
 		return LLSeq{}, errf(codeStandOffIndex, "no region index provider configured")
 	}
-	// The row count is also the iteration count the join runs over — the
-	// cost model's ctxRows: the Basic variant re-scans the candidate sequence
-	// once per iteration, empty iterations included.
+	// The row count is also the iteration count the join runs over: the
+	// Basic variant re-scans the candidate sequence once per iteration, empty
+	// iterations included.
 	nRows := ctx.Total()
 	if perIteration {
 		nRows = ctx.N()
@@ -352,11 +323,9 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 		if cand == nil {
 			continue // the test can never match an area-annotation
 		}
-		strat := ev.strategyFor(sp, ix, nRows)
-		t0 := statsNow(ev.Stats)
-		pairs := core.Join(ix, sp.SO.Op, strat, part.nodes, int32(nRows), cand, ev.JoinCfg)
-		ev.countJoin(strat)
-		ev.Stats.RecordJoin(sp, int64(cand.Len()), strat, int64(nRows), statsSince(ev.Stats, t0))
+		pairs := core.Join(ix, sp.SO.Op, ev.Strategy, part.nodes, int32(nRows), cand, ev.JoinCfg)
+		ev.countJoin(ev.Strategy)
+		ev.Stats.RecordJoin(sp, ix, int64(cand.Len()), ev.Strategy)
 		var test xpath.Compiled
 		if postFilter {
 			test = sp.CompiledTest(d)

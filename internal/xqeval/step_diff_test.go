@@ -130,7 +130,7 @@ func TestEvalStepAgainstReference(t *testing.T) {
 				iters = ctx.N()
 			}
 			f := newFrame(iters).bind("v", newBinding(constLL(iters, Str("n3"))))
-			strat := []core.Strategy{core.StrategyLoopLifted, core.StrategyBasic, core.StrategyAuto}[rng.Intn(3)]
+			strat := []core.Strategy{core.StrategyLoopLifted, core.StrategyBasic, core.StrategyNaive}[rng.Intn(3)]
 
 			ev := h.newEvaluator(plan, strat)
 			want, wantErr := ev.evalStepRef(sp, ctx, f)

@@ -239,11 +239,10 @@ func (ev *Evaluator) standOffStepRef(sp *xqplan.StepPlan, rows []stepRowRef) ([]
 		// ctxRows for the cost model is the iteration count the join runs
 		// over — the Basic variant re-scans the candidate sequence once per
 		// iteration, empty iterations included.
-		strat := ev.strategyFor(sp, ix, len(rows))
-		t0 := statsNow(ev.Stats)
+		strat := ev.Strategy
 		pairs := core.Join(ix, op, strat, byDoc[d], int32(len(rows)), cand, ev.JoinCfg)
 		ev.countJoin(strat)
-		ev.Stats.RecordJoin(sp, int64(cand.Len()), strat, int64(len(rows)), statsSince(ev.Stats, t0))
+		ev.Stats.RecordJoin(sp, ix, int64(cand.Len()), strat)
 		var test xpath.Compiled
 		if postFilter {
 			test = sp.CompiledTest(d)
@@ -298,11 +297,10 @@ func (ev *Evaluator) standOffRejectStepRef(sp *xqplan.StepPlan, ctx LLSeq) ([][]
 		if cand == nil {
 			continue
 		}
-		strat := ev.strategyFor(sp, ix, ctx.N())
-		t0 := statsNow(ev.Stats)
+		strat := ev.Strategy
 		pairs := core.Join(ix, op, strat, byDoc[d], int32(ctx.N()), cand, ev.JoinCfg)
 		ev.countJoin(strat)
-		ev.Stats.RecordJoin(sp, int64(cand.Len()), strat, int64(ctx.N()), statsSince(ev.Stats, t0))
+		ev.Stats.RecordJoin(sp, ix, int64(cand.Len()), strat)
 		var test xpath.Compiled
 		if postFilter {
 			test = sp.CompiledTest(d)

@@ -182,7 +182,7 @@ func (env *testEnv) evaluator(t testing.TB, q string) *xqeval.Evaluator {
 		Plan:     plan,
 		Resolver: env.resolve,
 		IndexFor: env.indexFor,
-		Strategy: core.StrategyAuto,
+		Strategy: core.StrategyLoopLifted,
 		Pushdown: true,
 	}
 }

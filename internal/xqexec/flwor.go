@@ -27,7 +27,7 @@ import (
 // stays proportional to ChunkSize at every nesting depth. Bindings that
 // contain StandOff joins stay on the expanded path deliberately — a join in
 // the inner binding wants the chunk-level loop-lifting, not a per-parent-
-// tuple re-run (the Basic cost model the paper's loop-lifting avoids).
+// tuple re-run (the per-iteration cost the paper's loop-lifting avoids).
 //
 // Order-correctness needs no merge: tuples expand in order and where keeps
 // order, so the chunk (and child-cursor) results concatenate into exactly
@@ -40,11 +40,15 @@ const (
 	// across workers.
 	parallelChunkSize = 128
 	// parallelMinTuples gates the worker pool: a binding stream that ends
-	// before this many tuples runs single-threaded. It plays the same role
-	// for parallelism that the PR 2 statistics cutoff plays for the
-	// Basic-vs-Loop-Lifted choice — the observed cardinality has to
-	// amortise the machinery.
+	// before this many tuples runs single-threaded — the observed
+	// cardinality has to amortise the machinery.
 	parallelMinTuples = 2 * parallelChunkSize
+	// inlineRows is the per-chunk dispatch gate: dispatching a chunk costs a
+	// queue round trip and a forked evaluation, so a trailing partial chunk
+	// below this many tuples is cheaper to evaluate inline at the merge. Full
+	// chunks are never gated, so the gate cannot serialise a configuration
+	// whose ChunkSize is small.
+	inlineRows = 32
 )
 
 // flworCursor is the chunked FLWOR pipeline for one for-clause level. The
@@ -657,13 +661,6 @@ func (p *parallelFLWOR) produce(c *flworCursor, bind Cursor, prefix []xqeval.Ite
 		p.cond.Broadcast()
 	}()
 	defer bind.Close()
-	// The per-chunk cost gate: dispatching a chunk costs a queue round trip
-	// and a forked evaluation — the same order of machinery the cost model
-	// prices as the loop-lifted setup cost. A trailing partial chunk below
-	// that many tuples is cheaper to evaluate inline at the merge. Full
-	// chunks are never gated, so the gate cannot serialise a configuration
-	// whose ChunkSize is small.
-	inlineRows := xqplan.SetupRows()
 	var seq, basePos int64
 	emit := func(tuples []xqeval.Item) bool {
 		if !p.acquireSlot() {

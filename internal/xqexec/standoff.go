@@ -124,7 +124,7 @@ func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*stan
 		// (and still reports its ANALYZE row counts).
 		return c, nil
 	}
-	so, err := x.ev.NewStandOffStream(sp, d, len(g))
+	so, err := x.ev.NewStandOffStream(sp, d)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pr
 	if d == nil || len(pres) == 0 {
 		return c, nil
 	}
-	so, err := x.ev.NewStandOffStream(sp, d, len(pres))
+	so, err := x.ev.NewStandOffStream(sp, d)
 	if err != nil {
 		return nil, err
 	}
@@ -443,9 +443,7 @@ func newRejectCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*reject
 	if d == nil {
 		return c, nil // no element context: no document touched, empty result
 	}
-	// ctxRows 1 mirrors the bulk anti-join's cost input: it prices the merge
-	// per iteration, and the pipeline is a single root iteration.
-	so, err := x.ev.NewStandOffStream(sp, d, 1)
+	so, err := x.ev.NewStandOffStream(sp, d)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +469,7 @@ func newRejectCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres
 	if d == nil || len(pres) == 0 {
 		return c, nil // empty upstream: the document is not touched
 	}
-	so, err := x.ev.NewStandOffStream(sp, d, 1)
+	so, err := x.ev.NewStandOffStream(sp, d)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 // options, the fold count, the flat per-path step list (kept for
 // programmatic consumers), and the operator tree of the whole query —
 // FLWOR/filter/conditional structure included, not just paths. Built by
-// Plan.Explain (estimates only) or Plan.ExplainWith (estimates plus the
+// Plan.Explain (compile-time structure only) or Plan.ExplainWith (plus the
 // observed counters of one execution: EXPLAIN ANALYZE).
 type Explain struct {
 	Options core.Options
@@ -29,7 +29,7 @@ type Explain struct {
 }
 
 // Node is one operator of the rendered plan tree. Label is the fully
-// rendered line (including the standoff{...}, est{...} and observed (...)
+// rendered line (including the standoff{...} and observed (...)
 // annotations); the structured fields carry the same information for
 // programmatic use.
 type Node struct {
@@ -42,10 +42,6 @@ type Node struct {
 	Label string
 	// Step is set for Kind "step": the compiled step description.
 	Step *StepExplain
-	// Est is set for StandOff steps once the cost model has resolved: the
-	// most recent estimate (candidates, observed context rows, modelled
-	// costs, chosen strategy).
-	Est *CostEstimate
 	// StepObs / OpObs carry the observed counters when the Explain was
 	// built with an ExecStats collector and the operator executed.
 	StepObs *StepObs
@@ -75,37 +71,10 @@ type StepExplain struct {
 	PushPolicy   string // candidate policy with pushdown enabled
 	NoPushPolicy string // candidate policy with pushdown disabled
 	Name         string // element name for the by-name policy
-	// Resolved lists the strategies the cost model has actually chosen so
-	// far, one entry per distinct choice across the region indexes this
-	// plan has executed against in auto mode (empty before the first auto
-	// execution, and for executions that forced a strategy).
-	Resolved []string
-}
-
-// Strategy renders the step's strategy: "auto" while unresolved, with the
-// cost model's choices appended once executions resolved them, e.g.
-// "auto(looplifted)".
-func (s StepExplain) Strategy() string {
-	if !s.StandOff {
-		return ""
-	}
-	if len(s.Resolved) == 0 {
-		return "auto"
-	}
-	out := "auto("
-	for i, r := range s.Resolved {
-		if i > 0 {
-			out += ","
-		}
-		out += r
-	}
-	return out + ")"
 }
 
 // Explain returns the structured description of the plan's compiled form
-// with cost estimates only (EXPLAIN). The strategy and estimate fields
-// reflect the cost-model choices memoized so far, so an Explain taken after
-// an execution reports the strategies actually used.
+// (EXPLAIN): only what compilation knows.
 func (p *Plan) Explain() *Explain { return p.ExplainWith(nil) }
 
 // ExplainWith builds the plan description and, when st is non-nil, attaches
@@ -155,9 +124,6 @@ func stepExplain(sp *StepPlan) StepExplain {
 		se.PushPolicy = sp.SO.Push.String()
 		se.NoPushPolicy = sp.SO.NoPush.String()
 		se.Name = sp.SO.Name
-		for _, st := range sp.ResolvedStrategies() {
-			se.Resolved = append(se.Resolved, st.String())
-		}
 	}
 	return se
 }
@@ -338,9 +304,8 @@ func (b *treeBuilder) pathNode(v *xqast.Path) *Node {
 }
 
 // stepNode renders one compiled step: axis::test, inline compact predicates
-// and their pred{...} classes, the fusion marker, the standoff{...} block
-// with the resolved strategy, the est{...} cost-model record, and the
-// observed (...) counters.
+// and their pred{...} classes, the fusion marker, the standoff{...} block,
+// and the observed (...) counters.
 func (b *treeBuilder) stepNode(sp *StepPlan) *Node {
 	se := stepExplain(sp)
 	n := &Node{Kind: "step", Step: &se}
@@ -363,43 +328,15 @@ func (b *treeBuilder) stepNode(sp *StepPlan) *Node {
 		sb.WriteString(" (fused //)")
 	}
 	if se.StandOff {
-		fmt.Fprintf(&sb, " standoff{op=%s push=%s nopush=%s strategy=%s}",
-			se.Op, PolicyString(se.PushPolicy, se.Name), PolicyString(se.NoPushPolicy, se.Name), se.Strategy())
-		if ce := sp.LastCost(); ce != nil {
-			n.Est = ce
-			fmt.Fprintf(&sb, " est{cand=%d ctx=%d out=%d basic=%s ll=%s}",
-				ce.Candidates, ce.CtxRows, ce.EstOut, renderCost(ce.Basic), renderCost(ce.LoopLifted))
-			if ce.DeltaIns > 0 || ce.DeltaDead > 0 {
-				fmt.Fprintf(&sb, " merge{+ins=%d -del=%d}", ce.DeltaIns, ce.DeltaDead)
-			}
-		}
+		fmt.Fprintf(&sb, " standoff{op=%s push=%s nopush=%s}",
+			se.Op, PolicyString(se.PushPolicy, se.Name), PolicyString(se.NoPushPolicy, se.Name))
 	}
 	if o, ok := b.st.StepObs(sp); ok {
 		n.StepObs = &o
 		sb.WriteString(" " + renderStepObs(&o, se.StandOff))
-		if se.StandOff {
-			sb.WriteString(renderDrift(sp.LastCost(), &o))
-		}
 	}
 	n.Label = sb.String()
 	return n
-}
-
-// renderDrift flags a step whose observed output selectivity strayed at
-// least selDriftFactor from the cost model's prediction — the same test that
-// invalidates the strategy memo, so EXPLAIN ANALYZE shows exactly the
-// feedback the planner acted on. Everything here is row counts, never
-// timings, so analyzed plans stay deterministic.
-func renderDrift(ce *CostEstimate, o *StepObs) string {
-	if ce == nil || ce.EstOut <= 0 || ce.CtxRows <= 0 || o.RowsIn < selMinRows {
-		return ""
-	}
-	est := float64(ce.EstOut) / float64(ce.CtxRows)
-	obs := float64(o.RowsOut) / float64(o.RowsIn)
-	if obs > est*selDriftFactor || obs < est/selDriftFactor {
-		return fmt.Sprintf(" drift{est=%s obs=%s}", renderCost(est), renderCost(obs))
-	}
-	return ""
 }
 
 // PolicyString renders a candidate policy with its element name attached
@@ -411,8 +348,6 @@ func PolicyString(policy, name string) string {
 	}
 	return policy
 }
-
-func renderCost(c float64) string { return strconv.FormatFloat(c, 'g', -1, 64) }
 
 func renderFLWORObs(o *OpObs) string {
 	s := fmt.Sprintf("(tuples=%d out=%d", o.RowsIn, o.RowsOut)
@@ -428,6 +363,9 @@ func renderStepObs(o *StepObs, standoff bool) string {
 		s += fmt.Sprintf(" cand=%d", o.Candidates)
 		if joins := o.JoinsString(); joins != "" {
 			s += " joins=" + joins
+		}
+		if o.DeltaIns > 0 || o.DeltaDead > 0 {
+			s += fmt.Sprintf(" merge{+ins=%d -del=%d}", o.DeltaIns, o.DeltaDead)
 		}
 		if o.StreamChunks > 0 {
 			s += fmt.Sprintf(" stream{chunks=%d chunk=%d..%d}", o.StreamChunks, o.ChunkMin, o.ChunkMax)
@@ -448,7 +386,7 @@ func flattenSeqExpr(v *xqast.Binary) []xqast.Expr {
 // variables, trivial paths ($s/@id), and operators/calls over compact
 // operands. Structural forms — FLWORs, filters, conditionals, constructors,
 // and any path with a non-trivial step — report ok=false and get tree nodes
-// instead, so their operators stay annotatable with estimates and counters.
+// instead, so their operators stay annotatable with counters.
 func renderExpr(e xqast.Expr) (string, bool) {
 	switch v := e.(type) {
 	case *xqast.StringLit:

@@ -4,27 +4,20 @@
 // function table built and arity-checked once, global variables ordered,
 // constant subexpressions folded, and every path expression compiled into a
 // step program — per step, the axis with the // fusion applied, the node
-// test, the stand-off classification with the section 3.3 candidate-pushdown
-// decision, and the join-strategy selection hook (resolved against region
-// index statistics at first execution, since documents bind after Prepare).
+// test, and the stand-off classification with the section 3.3
+// candidate-pushdown decision. Every StandOff step runs the Loop-Lifted join
+// unless the execution forces a baseline (Basic or the naive UDF join).
 //
-// A Plan carries no mutable state besides per-step memo tables of resolved
-// (document, index) residue and no references to documents or indexes, so
-// one Plan can back any number of concurrent executions and can be cached
-// across queries (the engine keys its plan cache on query text + effective
-// options).
+// A Plan carries no mutable state besides per-step memo tables of compiled
+// node tests and no references to documents or indexes, so one Plan can back
+// any number of concurrent executions and can be cached across queries (the
+// engine keys its plan cache on query text + effective options).
 //
-// The package also owns the two observability pieces that close the loop
-// between planning and execution. Cost model v2 (cost.go) prices the Basic
-// vs Loop-Lifted StandOff join per step from the index statistics AND the
-// context cardinality the executing evaluator observes, memoized per (index
-// generation, pushdown, cardinality band) on the step (step.go); the cutoff
-// is calibrated by `sobench -calibrate`, not hard-coded. ExecStats
-// (stats.go) collects one execution's per-operator counters — rows in/out,
-// candidates scanned, join algorithm run, FLWOR tuples and chunks — and
-// Plan.Explain / Plan.ExplainWith (explain.go) render the operator tree
-// with the estimates and, given an ExecStats, the observed counts: the
-// EXPLAIN and EXPLAIN ANALYZE surfaces (docs/EXPLAIN.md).
+// ExecStats (stats.go) collects one execution's per-operator counters — rows
+// in/out, candidates scanned, join algorithm run, delta layers merged, FLWOR
+// tuples and chunks — and Plan.Explain / Plan.ExplainWith (explain.go)
+// render the operator tree with, given an ExecStats, the observed counts:
+// the EXPLAIN and EXPLAIN ANALYZE surfaces (docs/EXPLAIN.md).
 package xqplan
 
 import (

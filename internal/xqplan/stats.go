@@ -25,11 +25,6 @@ type ExecStats struct {
 	mu    sync.Mutex
 	steps map[*StepPlan]*StepObs
 	ops   map[xqast.Expr]*OpObs
-
-	// Cal, when set, receives every timed join observation this collector
-	// records — the engine hangs its engine-wide Calibration here, so
-	// analyzed executions feed the cost model's setup-cost feedback loop.
-	Cal *Calibration
 }
 
 // NewExecStats returns an empty collector for one execution.
@@ -44,7 +39,7 @@ type StepObs struct {
 	// Invocations is how many times the step executed.
 	Invocations int64
 	// RowsIn is the total context rows fed to the step (iterations ×
-	// context nodes, the cost model's ctxRows).
+	// context nodes).
 	RowsIn int64
 	// RowsOut is the total result rows the step produced, after
 	// predicates and per-iteration dedup.
@@ -53,15 +48,14 @@ type StepObs struct {
 	// StandOff joins consumed (one candidate-sequence length per join
 	// invocation; zero for tree-axis steps).
 	Candidates int64
-	// Joins counts StandOff join invocations per algorithm actually run —
-	// the observed counterpart of the plan's chosen strategy (a forced
-	// mode shows up here even though the memoized choice stays untouched).
+	// Joins counts StandOff join invocations per algorithm actually run.
 	Joins map[core.Strategy]int64
-	// JoinRows and JoinNanos total the context rows and the wall time of
-	// the step's StandOff joins (joins are timed only under ANALYZE); they
-	// are what the setup-cost calibration consumes.
-	JoinRows  int64
-	JoinNanos int64
+	// DeltaIns and DeltaDead are the annotation write-path delta sizes of
+	// the region indexes the step's joins ran on (the largest seen; both
+	// zero for a compacted or fresh index): the candidates streamed through
+	// the LSM-style delta merge rather than a plain base scan.
+	DeltaIns  int
+	DeltaDead int
 	// StreamChunks, ChunkMin and ChunkMax describe a chunk-streamed run of
 	// the step: how many chunk refills executed and the smallest/largest
 	// chunk size the adaptive sizing used (zero when the step ran in bulk).
@@ -85,8 +79,7 @@ type OpObs struct {
 	Chunks int64
 }
 
-// RecordStep accumulates one step invocation's row counts and feeds the
-// observed output selectivity back into the plan's feedback loop.
+// RecordStep accumulates one step invocation's row counts.
 func (s *ExecStats) RecordStep(sp *StepPlan, rowsIn, rowsOut int64) {
 	if s == nil {
 		return
@@ -101,17 +94,16 @@ func (s *ExecStats) RecordStep(sp *StepPlan, rowsIn, rowsOut int64) {
 	o.RowsIn += rowsIn
 	o.RowsOut += rowsOut
 	s.mu.Unlock()
-	sp.observeOutput(rowsIn, rowsOut)
 }
 
-// RecordJoin accumulates one StandOff join invocation — the candidate
-// cardinality it scanned, the algorithm that actually ran, the context rows
-// it joined, and its wall time — and forwards the timing to the engine's
-// setup-cost calibration when one is attached.
-func (s *ExecStats) RecordJoin(sp *StepPlan, candidates int64, strat core.Strategy, ctxRows, nanos int64) {
+// RecordJoin accumulates one StandOff join invocation: the candidate
+// cardinality it scanned, the algorithm that actually ran, and the delta
+// sizes of the region index it ran on.
+func (s *ExecStats) RecordJoin(sp *StepPlan, ix *core.RegionIndex, candidates int64, strat core.Strategy) {
 	if s == nil {
 		return
 	}
+	ins, del := ix.DeltaStats()
 	s.mu.Lock()
 	o := s.steps[sp]
 	if o == nil {
@@ -123,10 +115,9 @@ func (s *ExecStats) RecordJoin(sp *StepPlan, candidates int64, strat core.Strate
 		o.Joins = map[core.Strategy]int64{}
 	}
 	o.Joins[strat]++
-	o.JoinRows += ctxRows
-	o.JoinNanos += nanos
+	o.DeltaIns = max(o.DeltaIns, ins)
+	o.DeltaDead = max(o.DeltaDead, del)
 	s.mu.Unlock()
-	s.Cal.ObserveJoin(strat, int(ctxRows), int(candidates), nanos)
 }
 
 // RecordStepStream accumulates the chunk counters of one chunk-streamed run

@@ -2,7 +2,6 @@ package xqplan
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"soxq/internal/core"
@@ -64,179 +63,7 @@ func TestStandOffStepCompiled(t *testing.T) {
 	}
 }
 
-// indexWith builds a region index over a generated document holding `dense`
-// areas named dense and `rare` areas named rare.
-func indexWith(t *testing.T, dense, rare int) *core.RegionIndex {
-	t.Helper()
-	var sb strings.Builder
-	sb.WriteString("<doc>")
-	for i := 0; i < dense; i++ {
-		fmt.Fprintf(&sb, `<dense start="%d" end="%d"/>`, i*10, i*10+9)
-	}
-	for i := 0; i < rare; i++ {
-		fmt.Fprintf(&sb, `<rare start="%d" end="%d"/>`, i*100, i*100+50)
-	}
-	sb.WriteString("</doc>")
-	d, err := xmlparse.Parse("d.xml", []byte(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := core.BuildIndex(d, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix
-}
-
-// TestStrategySelection pins cost model v2: the Basic vs Loop-Lifted choice
-// moves with BOTH the candidate estimate from the index statistics and the
-// context cardinality observed at execution. Basic wins exactly while
-// (ctxRows-1)·candidates <= llSetupRows.
-func TestStrategySelection(t *testing.T) {
-	step := func(name string) *StepPlan {
-		test := xpath.Test{Kind: xpath.TestAnyNode}
-		if name != "" {
-			test = xpath.NameTest(name)
-		}
-		return CompileStep(&xqast.Step{Axis: xpath.AxisSelectNarrow, Test: test})
-	}
-	for _, tc := range []struct {
-		name        string
-		dense, rare int
-		test        string // element name test; "" = node()
-		pushdown    bool
-		ctxRows     int
-		want        core.Strategy
-	}{
-		// One context row: no loop to lift, Basic regardless of candidates
-		// (v1's fixed threshold would have forced Loop-Lifted here).
-		{"single iteration, huge layer", 500, 0, "", true, 1, core.StrategyBasic},
-		{"tiny layer, tiny loop", 10, 0, "", true, 3, core.StrategyBasic},
-		{"tiny layer, big loop", 10, 0, "", true, 100, core.StrategyLoopLifted},
-		{"huge layer, small loop", 500, 0, "", true, 5, core.StrategyLoopLifted},
-		// Exact crossover: (ctx-1)·cand == llSetupRows chooses Basic, one
-		// more candidate tips over.
-		{"crossover boundary", llSetupRows, 0, "", true, 2, core.StrategyBasic},
-		{"just past crossover", llSetupRows + 1, 0, "", true, 2, core.StrategyLoopLifted},
-		{"rare tag in huge layer, pushdown", 500, 3, "rare", true, 10, core.StrategyBasic},
-		{"dense tag in huge layer, pushdown", 500, 3, "dense", true, 10, core.StrategyLoopLifted},
-		// Without pushdown the name test is post-filtered, so the
-		// candidate set is the whole layer: the same rare-tag step flips
-		// back to Loop-Lifted.
-		{"rare tag, no pushdown", 500, 3, "rare", false, 10, core.StrategyLoopLifted},
-		{"absent tag, pushdown", 500, 0, "ghost", true, 10, core.StrategyBasic},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ix := indexWith(t, tc.dense, tc.rare)
-			sp := step(tc.test)
-			if got := sp.StrategyFor(ix, tc.pushdown, tc.ctxRows, nil); got != tc.want {
-				t.Fatalf("StrategyFor = %v, want %v (areas=%d ctx=%d)", got, tc.want, ix.Stats().Areas, tc.ctxRows)
-			}
-			// Memoized: the second call answers from the step's cache.
-			if got := sp.StrategyFor(ix, tc.pushdown, tc.ctxRows, nil); got != tc.want {
-				t.Fatalf("memoized StrategyFor = %v, want %v", got, tc.want)
-			}
-			// The decision record is retained for EXPLAIN.
-			ce := sp.LastCost()
-			if ce == nil || ce.Strategy != tc.want || ce.CtxRows != tc.ctxRows {
-				t.Fatalf("LastCost = %+v, want strategy %v ctx %d", ce, tc.want, tc.ctxRows)
-			}
-		})
-	}
-}
-
-// TestStrategyFlipsWithContextCardinality is the headline cost-model-v2
-// case: identical step, identical index — identical candidate estimate —
-// yet the strategy flips from Basic to Loop-Lifted purely because the
-// observed context cardinality grows. The v1 fixed-64 threshold (candidates
-// here are far below 64) would have answered Basic for both.
-func TestStrategyFlipsWithContextCardinality(t *testing.T) {
-	ix := indexWith(t, 5, 0) // five candidate areas: v1 says Basic, always
-	sp := CompileStep(&xqast.Step{Axis: xpath.AxisSelectWide, Test: xpath.Test{Kind: xpath.TestAnyNode}})
-	if got := sp.StrategyFor(ix, true, 2, nil); got != core.StrategyBasic {
-		t.Fatalf("2 context rows: %v, want basic", got)
-	}
-	if got := sp.StrategyFor(ix, true, 1000, nil); got != core.StrategyLoopLifted {
-		t.Fatalf("1000 context rows: %v, want looplifted", got)
-	}
-	// Distinct cardinality bands hold distinct memo entries.
-	n := 0
-	sp.strategies.Range(func(_, _ any) bool { n++; return true })
-	if n != 2 {
-		t.Fatalf("memo entries = %d, want 2 (one per cardinality band)", n)
-	}
-}
-
-// TestStrategyPerIndex pins that one step resolves independently per region
-// index: the same plan bound to a tiny and a huge layer uses Basic for one
-// and Loop-Lifted for the other.
-func TestStrategyPerIndex(t *testing.T) {
-	sp := CompileStep(&xqast.Step{Axis: xpath.AxisSelectWide, Test: xpath.Test{Kind: xpath.TestAnyNode}})
-	tiny := indexWith(t, 3, 0)
-	huge := indexWith(t, 300, 0)
-	if got := sp.StrategyFor(tiny, true, 4, nil); got != core.StrategyBasic {
-		t.Fatalf("tiny index: %v", got)
-	}
-	if got := sp.StrategyFor(huge, true, 4, nil); got != core.StrategyLoopLifted {
-		t.Fatalf("huge index: %v", got)
-	}
-	resolved := sp.ResolvedStrategies()
-	if len(resolved) != 2 || resolved[0] != core.StrategyBasic || resolved[1] != core.StrategyLoopLifted {
-		t.Fatalf("ResolvedStrategies = %v", resolved)
-	}
-}
-
-// TestStrategyMemoSurvivesIndexRebuild pins the generation-token keying: a
-// fresh index built over the same document under the same options must hit
-// the warm memo (one entry, not two), while an index over a different
-// document of identical shape resolves its own entry.
-func TestStrategyMemoSurvivesIndexRebuild(t *testing.T) {
-	sp := CompileStep(&xqast.Step{Axis: xpath.AxisSelectNarrow, Test: xpath.Test{Kind: xpath.TestAnyNode}})
-	memoLen := func() int {
-		n := 0
-		sp.strategies.Range(func(_, _ any) bool { n++; return true })
-		return n
-	}
-	d, err := xmlparse.Parse("d.xml", []byte(`<doc><a start="0" end="5"/><a start="6" end="9"/></doc>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix1, err := core.BuildIndex(d, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := core.BuildIndex(d, core.DefaultOptions()) // rebuild, same doc+opts
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1, s2 := sp.StrategyFor(ix1, true, 4, nil), sp.StrategyFor(ix2, true, 4, nil); s1 != s2 {
-		t.Fatalf("rebuilt index resolved differently: %v vs %v", s1, s2)
-	}
-	if n := memoLen(); n != 1 {
-		t.Fatalf("memo entries after rebuild = %d, want 1 (warm hit)", n)
-	}
-	d2, err := xmlparse.Parse("d2.xml", []byte(`<doc><a start="0" end="5"/><a start="6" end="9"/></doc>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix3, err := core.BuildIndex(d2, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.StrategyFor(ix3, true, 4, nil)
-	if n := memoLen(); n != 2 {
-		t.Fatalf("memo entries after distinct document = %d, want 2", n)
-	}
-}
-
-func TestResolvedStrategiesEmptyBeforeUse(t *testing.T) {
-	sp := CompileStep(&xqast.Step{Axis: xpath.AxisSelectNarrow, Test: xpath.Test{Kind: xpath.TestAnyNode}})
-	if got := sp.ResolvedStrategies(); len(got) != 0 {
-		t.Fatalf("ResolvedStrategies = %v, want empty", got)
-	}
-}
-
-// TestStepMemoBounded: the per-step memo tables reset past stepMemoLimit so
+// TestStepMemoBounded: the per-step test memo resets past stepMemoLimit so
 // a long-lived plan cannot pin every document it ever bound to.
 func TestStepMemoBounded(t *testing.T) {
 	sp := CompileStep(&xqast.Step{Axis: xpath.AxisChild, Test: xpath.NameTest("a")})

@@ -182,8 +182,8 @@ func (e *Engine) DeleteAnnotation(docName, elem string, start, end int64) (int, 
 
 // CompactAnnotations folds all pending annotation deltas of document name
 // into fresh base indexes, identical to a full rebuild over the current
-// snapshot. Compaction does not bump the index generation: strategy memos,
-// cached plans and calibration stay warm.
+// snapshot. Compaction changes no result, so it does not bump the catalog
+// generation: cached plans and corpus results stay warm.
 func (e *Engine) CompactAnnotations(name string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

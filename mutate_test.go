@@ -16,7 +16,7 @@ import (
 // Engine-level tests of the annotation write path: InsertAnnotation /
 // DeleteAnnotation / CompactAnnotations land delta layers on the cached
 // region indexes instead of rebuilding them, and every read path — Exec,
-// Stream, the plan cache, the strategy memo — must serve the post-write
+// Stream, the plan cache — must serve the post-write
 // state while in-flight cursors keep their pre-write snapshot.
 
 const mutateDoc = `<doc>
@@ -343,25 +343,26 @@ func TestMutationKeepsPlanCacheFresh(t *testing.T) {
 	}
 }
 
-// TestMutationInvalidatesStrategyMemo is the strategy-memo layer: the memo
-// keys on the index generation, a mutation bumps it, so the next auto run
-// re-prices against the delta-aware statistics instead of serving the
-// pre-write estimate.
-func TestMutationInvalidatesStrategyMemo(t *testing.T) {
+// TestAnalyzeReportsDeltaMerge: an analyzed StandOff step reports the delta
+// layers of the index its join ran on — merge{+ins= -del=} beside the
+// observed candidate count — and nothing once compaction folds them.
+func TestAnalyzeReportsDeltaMerge(t *testing.T) {
 	eng := mutateEngine(t)
 	prep, err := eng.Prepare(`doc("m.xml")//scene/select-narrow::hit`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Exec(Config{}); err != nil {
-		t.Fatal(err)
+	analyze := func() string {
+		t.Helper()
+		_, pe, err := prep.Analyze(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pe.String()
 	}
-	before := prep.Explain().String()
-	if !strings.Contains(before, "est{cand=2") {
-		t.Fatalf("pre-write explain lacks the resolved estimate:\n%s", before)
-	}
-	if strings.Contains(before, "merge{") {
-		t.Fatalf("pre-write explain already renders a delta merge:\n%s", before)
+	before := analyze()
+	if !strings.Contains(before, "cand=2 ") || strings.Contains(before, "merge{") {
+		t.Fatalf("pre-write analyze: want cand=2 and no delta merge:\n%s", before)
 	}
 
 	for _, r := range []Region{{Start: 30, End: 40}, {Start: 50, End: 60}} {
@@ -372,36 +373,23 @@ func TestMutationInvalidatesStrategyMemo(t *testing.T) {
 	if n, err := eng.DeleteAnnotation("m.xml", "hit", 10, 20); err != nil || n != 1 {
 		t.Fatalf("delete = %d, %v", n, err)
 	}
-	if _, err := prep.Exec(Config{}); err != nil {
-		t.Fatal(err)
-	}
-	after := prep.Explain().String()
-	if !strings.Contains(after, "est{cand=3") {
-		t.Fatalf("post-write explain kept the stale estimate (memo not invalidated):\n%s", after)
-	}
-	if !strings.Contains(after, " merge{+ins=2 -del=1}") {
-		t.Fatalf("post-write explain lacks the delta merge operator:\n%s", after)
+	after := analyze()
+	if !strings.Contains(after, "cand=3 ") || !strings.Contains(after, " merge{+ins=2 -del=1}") {
+		t.Fatalf("post-write analyze: want cand=3 and merge{+ins=2 -del=1}:\n%s", after)
 	}
 
-	// Compaction folds the delta: the merge disappears, the estimate stays.
 	if err := eng.CompactAnnotations("m.xml"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Exec(Config{}); err != nil {
-		t.Fatal(err)
-	}
-	compacted := prep.Explain().String()
-	if strings.Contains(compacted, "merge{") {
-		t.Fatalf("post-compaction explain still renders a merge:\n%s", compacted)
-	}
-	if !strings.Contains(compacted, "est{cand=3") {
-		t.Fatalf("post-compaction explain lost the estimate:\n%s", compacted)
+	compacted := analyze()
+	if !strings.Contains(compacted, "cand=3 ") || strings.Contains(compacted, "merge{") {
+		t.Fatalf("post-compaction analyze: want cand=3 and no delta merge:\n%s", compacted)
 	}
 }
 
-// TestExplainGoldenDeltaMerge pins the full EXPLAIN rendering of a
-// delta-heavy plan: the stand-off step carries the LSM merge operator
-// between its cost estimate and the stream section.
+// TestExplainGoldenDeltaMerge pins the full EXPLAIN ANALYZE rendering of a
+// delta-heavy plan: the stand-off step's observed counters carry the LSM
+// merge operator, and a compaction removes it.
 func TestExplainGoldenDeltaMerge(t *testing.T) {
 	eng := figure2Engine(t)
 	if err := eng.BuildIndex("d.xml"); err != nil {
@@ -420,25 +408,35 @@ func TestExplainGoldenDeltaMerge(t *testing.T) {
 	if n, err := eng.DeleteAnnotation("d.xml", "shot", 8, 64); err != nil || n != 1 {
 		t.Fatalf("delete = %d, %v", n, err)
 	}
-	if _, err := prep.Exec(Config{}); err != nil {
+	_, pe, err := prep.Analyze(Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := `options: type=xs:integer start=@start end=@end
 folds: 0
 plan:
-  flwor
+  flwor (tuples=2 out=2 chunks=1)
     for $s in
-      path doc("d.xml")
-        step descendant-or-self::node()
-        step child::music[@artist = "U2"] pred{attr}
-        step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter strategy=auto(basic)} est{cand=4 ctx=1 out=4 basic=5 ll=37} merge{+ins=2 -del=1}
+      path doc("d.xml") (out=2)
+        step descendant-or-self::node() (in=1 out=14)
+        step child::music[@artist = "U2"] pred{attr} (in=14 out=1)
+        step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter} (in=1 out=2 cand=4 joins=looplifted:1 merge{+ins=2 -del=1} stream{chunks=1 chunk=1..1})
     return string($s/@id)
 stream:
   flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
     path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
 `
-	if got := prep.Explain().String(); got != want {
-		t.Fatalf("delta explain:\n%s\nwant:\n%s", got, want)
+	if got := pe.String(); got != want {
+		t.Fatalf("delta analyze:\n%s\nwant:\n%s", got, want)
+	}
+	if err := eng.CompactAnnotations("d.xml"); err != nil {
+		t.Fatal(err)
+	}
+	if _, pe, err = prep.Analyze(Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pe.String(); strings.Contains(got, "merge{") {
+		t.Fatalf("post-compaction analyze still renders a merge:\n%s", got)
 	}
 }
 

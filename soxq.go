@@ -21,15 +21,12 @@
 // an immutable cacheable Plan) → execute (internal/xqeval driven through the
 // internal/xqexec cursor pipeline). Prepare/Exec expose the compiled form;
 // Stream pulls results through bounded-memory cursors; Query/QueryWith ride
-// an LRU plan cache. Per StandOff step, a cost model picks the Basic or
-// Loop-Lifted join from the region index statistics and the context
-// cardinality observed at execution (docs/ARCHITECTURE.md describes the
-// stages and the cost-model lifecycle).
+// an LRU plan cache (docs/ARCHITECTURE.md describes the stages).
 //
 // Every plan is observable: Prepared.Explain renders the operator tree with
-// candidate policies, cost estimates and chosen join strategies, and
-// Prepared.Analyze executes while counting per-operator rows, candidates
-// and chunks — EXPLAIN and EXPLAIN ANALYZE, documented in docs/EXPLAIN.md.
+// candidate policies, and Prepared.Analyze executes while counting
+// per-operator rows, candidates, join algorithms and chunks — EXPLAIN and
+// EXPLAIN ANALYZE, documented in docs/EXPLAIN.md.
 //
 // Quick start:
 //
@@ -62,17 +59,14 @@ import (
 	"soxq/internal/xqplan"
 )
 
-// Mode selects how StandOff steps are executed. The default, ModeAuto, lets
-// the planner's cost model choose Basic vs Loop-Lifted per step from the
-// region index statistics; the three named modes force one algorithm for
-// every step, mirroring the variants of the paper's section 4.6 experiment.
+// Mode selects how StandOff steps are executed. The default, ModeAuto, runs
+// the Loop-Lifted StandOff MergeJoin; ModeBasic and ModeUDF force the
+// baselines of the paper's section 4.6 experiment on every step.
 type Mode int
 
 const (
-	// ModeAuto (the default) resolves the join algorithm per step: the
-	// cost model compares the step's estimated candidate cardinality
-	// against the index statistics, so a query mixing tiny and huge
-	// annotation layers gets the right variant for each.
+	// ModeAuto (the zero value) runs the Loop-Lifted StandOff MergeJoin,
+	// exactly like ModeLoopLifted.
 	ModeAuto Mode = iota
 	// ModeLoopLifted forces the Loop-Lifted StandOff MergeJoin (the
 	// paper's contribution) on every step.
@@ -100,20 +94,19 @@ func (m Mode) String() string {
 
 func (m Mode) strategy() core.Strategy {
 	switch m {
-	case ModeLoopLifted:
-		return core.StrategyLoopLifted
 	case ModeBasic:
 		return core.StrategyBasic
 	case ModeUDF:
 		return core.StrategyNaive
 	default:
-		return core.StrategyAuto
+		return core.StrategyLoopLifted
 	}
 }
 
 // Config tunes query execution.
 type Config struct {
-	// Mode picks the StandOff join algorithm (default ModeLoopLifted).
+	// Mode picks the StandOff join algorithm. The zero value runs
+	// Loop-Lifted; ModeBasic and ModeUDF force the paper's baselines.
 	Mode Mode
 	// NoPushdown disables candidate-sequence pushdown of name tests into
 	// StandOff steps; the step then scans all annotations and filters
@@ -135,8 +128,8 @@ type Config struct {
 	// materialises per operator anyway.
 	StreamChunk int
 	// Trace records a query-lifecycle trace of this execution: a span tree
-	// of parse/compile timings, resolved join strategies and per-operator
-	// row, candidate and chunk counts, retained in the engine's bounded
+	// of parse/compile timings and per-operator row, candidate, join and
+	// chunk counts, retained in the engine's bounded
 	// trace ring and returned by Prepared.TraceLast. Tracing rides the same
 	// per-operator collector as EXPLAIN ANALYZE, so it costs one
 	// mutex-protected update per operator evaluation — leave it off on hot
@@ -176,13 +169,6 @@ type Engine struct {
 	// annotations) at which a mutation auto-compacts a document's region
 	// index; 0 disables auto-compaction (see mutate.go).
 	compactEvery int
-
-	// cal is the engine-wide join-cost calibration: EXPLAIN ANALYZE runs
-	// feed timed join observations into it, and every strategy decision
-	// prices loop-lifted setup with the calibrated value instead of the
-	// static default once enough samples accumulate. Internally atomic —
-	// shared freely across concurrent queries.
-	cal xqplan.Calibration
 
 	// tel is the engine's telemetry: metrics registry, trace ring and
 	// slow-query log (see telemetry.go and docs/OBSERVABILITY.md). Always
@@ -446,16 +432,13 @@ func (p *Prepared) Exec(cfg Config) (*Result, error) {
 // Analyze executes the compiled query like Exec while collecting the
 // per-operator runtime counters, and returns the result together with the
 // EXPLAIN ANALYZE plan: the operator tree annotated with observed rows in
-// and out, candidates scanned and join algorithms per StandOff step, and
-// FLWOR tuple/chunk counts — next to the cost model's estimates, so
-// estimated and observed cardinalities compare line by line. Counter
-// collection costs one mutex-protected map update per operator evaluation
-// (not per row), so Analyze timing is representative; Exec and Stream pay
-// only a nil check. With cfg.StreamChunk > 0 the run is chunked like Stream,
+// and out, candidates scanned, join algorithms and delta merges per
+// StandOff step, and FLWOR tuple/chunk counts. Counter collection costs one
+// mutex-protected map update per operator evaluation (not per row), so
+// Analyze timing is representative; Exec and Stream pay only a nil check. With cfg.StreamChunk > 0 the run is chunked like Stream,
 // so the chunk counters reflect streamed execution.
 func (p *Prepared) Analyze(cfg Config) (*Result, *PlanExplain, error) {
 	st := xqplan.NewExecStats()
-	st.Cal = &p.eng.cal
 	ro := p.beginAnalyze(cfg, st)
 	ev := p.evaluator(cfg)
 	ev.Stats = st
@@ -495,7 +478,6 @@ func (p *Prepared) evaluatorWith(cfg Config, rv *runView) *xqeval.Evaluator {
 		Strategy: cfg.Mode.strategy(),
 		JoinCfg:  core.JoinConfig{UseHeap: cfg.HeapActiveList},
 		Pushdown: !cfg.NoPushdown,
-		Cal:      &e.cal,
 		Met:      e.met(),
 	}
 }

@@ -48,7 +48,7 @@ const (
 
 // newEngineObs builds the registry, resolves every owned handle, and wires
 // the scrape-time callbacks into the engine's existing counters (plan cache,
-// calibration, arena pool). Scrape callbacks run only at render time, so
+// arena pool, delta merges). Scrape callbacks run only at render time, so
 // their locking cost is a scrape concern, never a query-path one.
 func newEngineObs(e *Engine) *engineObs {
 	r := obs.NewRegistry()
@@ -114,17 +114,6 @@ func newEngineObs(e *Engine) *engineObs {
 		func() int64 { l, _ := core.IndexMergeStats(); return int64(l) })
 	r.CounterFunc(`soxq_index_merges_total{scope="full"}`, "",
 		func() int64 { _, f := core.IndexMergeStats(); return int64(f) })
-
-	// Cost-model feedback loops: llSetupRows calibration and strategy-memo
-	// drift invalidations.
-	r.CounterFunc("soxq_calibration_updates_total", "llSetupRows calibration samples folded in",
-		func() int64 { return int64(e.cal.Samples()) })
-	r.GaugeFunc("soxq_calibration_setup_rows", "calibrated Loop-Lifted setup cost, scanned-row equivalents",
-		func() int64 { return int64(e.cal.SetupRows()) })
-	r.GaugeFunc("soxq_calibration_gen", "calibration generation (band changes re-keying the strategy memo)",
-		func() int64 { return int64(e.cal.Gen()) })
-	r.CounterFunc("soxq_strategy_drift_invalidations_total", "strategy-memo drops from est-vs-obs selectivity drift (process-wide)",
-		func() int64 { return int64(xqplan.DriftInvalidations()) })
 
 	r.GaugeFunc("soxq_documents_loaded", "documents currently loaded",
 		func() int64 { return int64(len(e.Documents())) })
@@ -240,7 +229,7 @@ type runObs struct {
 
 // beginRun starts the telemetry of one execution. The trace collector is
 // created only under cfg.Trace — tracing rides the same ExecStats machinery
-// as EXPLAIN ANALYZE, so a traced run also feeds the calibration loop.
+// as EXPLAIN ANALYZE.
 func (p *Prepared) beginRun(cfg Config, api string) runObs {
 	if p.eng.tel == nil {
 		return runObs{}
@@ -248,7 +237,6 @@ func (p *Prepared) beginRun(cfg Config, api string) runObs {
 	ro := runObs{p: p, mode: runMode(cfg, api), start: time.Now()}
 	if cfg.Trace {
 		ro.st = xqplan.NewExecStats()
-		ro.st.Cal = &p.eng.cal
 	}
 	return ro
 }

@@ -96,10 +96,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 	atLeast(`soxq_query_nanos_count{mode="stream"}`, 1)
 	atLeast(`soxq_query_nanos_count{mode="parallel"}`, 1)
 	atLeast(`soxq_query_nanos_count{mode="analyze"}`, 1)
-	// Every run drives the one StandOff step through the Basic join (one
-	// context row resolves to Basic); 5 joins from exec+stream+parallel+
-	// analyze+2 cached queries would over-specify, so just demand several.
-	atLeast(`soxq_joins_total{algorithm="basic"}`, 4)
+	// Every run drives the one StandOff step through the Loop-Lifted join;
+	// 5 joins from exec+stream+parallel+analyze+2 cached queries would
+	// over-specify, so just demand several.
+	atLeast(`soxq_joins_total{algorithm="looplifted"}`, 4)
 	atLeast(`soxq_parse_nanos_count`, 1)
 	atLeast(`soxq_compile_nanos_count`, 1)
 	atLeast(`soxq_documents_loaded`, 1)
@@ -109,7 +109,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`soxq_plan_cache_evictions_total{reason="lru"}`,
 		`soxq_plan_cache_evictions_total{reason="invalidation"}`,
 		`soxq_plan_cache_coalesced_total`,
-		`soxq_joins_total{algorithm="looplifted"}`,
+		`soxq_joins_total{algorithm="basic"}`,
 		`soxq_joins_total{algorithm="naive"}`,
 		`soxq_arena_pool_hits_total`,
 		`soxq_arena_pool_misses_total`,
@@ -119,10 +119,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`soxq_worksteal_inflight_waits_total`,
 		`soxq_chunk_adapt_total{dir="grow"}`,
 		`soxq_chunk_adapt_total{dir="shrink"}`,
-		`soxq_calibration_updates_total`,
-		`soxq_calibration_setup_rows`,
-		`soxq_calibration_gen`,
-		`soxq_strategy_drift_invalidations_total`,
 		`soxq_traces_total`,
 		`soxq_slow_queries_total`,
 	} {
@@ -170,15 +166,13 @@ func TestTraceGolden(t *testing.T) {
 mode: exec
   parse
   compile folds=0
-  strategy
-    step select-narrow::shot op=select-narrow strategy=auto(basic)
   execute
     flwor in=1 out=1 chunks=1
       for $s in
         path doc("d.xml") in=0 out=1
           step descendant-or-self::node() in=1 out=13
           step child::music[@artist = "U2"] pred{attr} in=13 out=1
-          step select-narrow::shot in=1 out=1 cand=3 joins=basic:1 chunks=1
+          step select-narrow::shot in=1 out=1 cand=3 joins=looplifted:1 chunks=1
       return string($s/@id)
 `
 	if got := tr.String(); got != want {
@@ -216,8 +210,9 @@ mode: exec
 }
 
 // TestTraceMatchesAnalyze checks the acceptance criterion on a real XMark
-// query: every operator counter the trace renders agrees with the EXPLAIN
-// ANALYZE counters of an independent run of the same plan.
+// query: every operator counter the trace renders — StandOff candidates and
+// join algorithms included — agrees with the EXPLAIN ANALYZE counters of an
+// independent run of the same plan.
 func TestTraceMatchesAnalyze(t *testing.T) {
 	eng := xmarkEngine(t, 0.002)
 	for _, q := range []int{1, 2, 7} {
@@ -241,6 +236,9 @@ func TestTraceMatchesAnalyze(t *testing.T) {
 		walk = func(n *OpNode) {
 			if n.Obs != nil {
 				line := spanName(n.Label) + fmt.Sprintf(" in=%d out=%d", n.Obs.RowsIn, n.Obs.RowsOut)
+				if n.Step != nil && n.Step.StandOff {
+					line += fmt.Sprintf(" cand=%d joins=%s", n.Obs.Candidates, n.Obs.Joins)
+				}
 				if !strings.Contains(trace, line) {
 					t.Errorf("Q%d: trace disagrees with analyze on %q\ntrace:\n%s", q, line, trace)
 				}

@@ -10,8 +10,8 @@ import (
 
 // QueryTrace is the recorded lifecycle of one traced execution
 // (Config.Trace): a span tree of the pipeline phases — parse, compile,
-// strategy resolution, execution — with per-operator row, candidate and
-// chunk counts taken from the same collector EXPLAIN ANALYZE uses.
+// execution — with per-operator row, candidate, join and chunk counts taken
+// from the same collector EXPLAIN ANALYZE uses.
 //
 // Two renderings exist: String() is fully deterministic (span structure and
 // counts only — what golden tests pin), Render(true) appends the measured
@@ -78,22 +78,6 @@ func (p *Prepared) buildTrace(mode string, start time.Time, nanos int64, st *xqp
 	}
 	compile.AttrInt("folds", int64(pe.Folds))
 
-	// Strategy resolution: one span per StandOff step, with the join
-	// strategy the cost model has resolved for it (strategies resolve
-	// lazily at execution; this reads the post-run state, which is what the
-	// run actually used).
-	strat := root.Child("strategy")
-	for _, path := range pe.Paths {
-		for _, se := range path.Steps {
-			if !se.StandOff {
-				continue
-			}
-			s := strat.Child("step " + se.Axis + "::" + se.Test)
-			s.Attr("op", se.Op)
-			s.Attr("strategy", se.Strategy)
-		}
-	}
-
 	exec := root.Child("execute")
 	exec.Nanos = nanos - p.compileNanos
 	for _, n := range pe.Plan {
@@ -105,7 +89,7 @@ func (p *Prepared) buildTrace(mode string, start time.Time, nanos int64, st *xqp
 
 // spanFromOp converts one explain operator node into a trace span under
 // parent: the span name is the operator label with its volatile annotations
-// (est{}, standoff{}, observed counters) stripped, and the observed counters
+// (standoff{}, observed counters) stripped, and the observed counters
 // re-attach as explicit span attributes.
 func spanFromOp(parent *obs.Span, n *OpNode) {
 	s := parent.Child(spanName(n.Label))
@@ -134,11 +118,11 @@ func spanFromOp(parent *obs.Span, n *OpNode) {
 }
 
 // spanAnnotations are the label substrings that start the volatile
-// annotation tail of an explain operator line (cost estimates, resolved
-// strategies, observed counters) — everything before the earliest one is
+// annotation tail of an explain operator line (standoff decisions, observed
+// counters) — everything before the earliest one is
 // the operator's structural identity, which is what a trace span is named
 // after.
-var spanAnnotations = []string{" standoff{", " est{", " drift{", " stream{", " (in=", " (out=", " (tuples="}
+var spanAnnotations = []string{" standoff{", " stream{", " (in=", " (out=", " (tuples="}
 
 func spanName(label string) string {
 	cut := len(label)
