@@ -351,3 +351,55 @@ func TestFuncKeyArityBeyondNine(t *testing.T) {
 		t.Fatalf("wide call = %q", res.String())
 	}
 }
+
+// TestAttrOrderConcurrentFirstUse: goroutines that run the same pushed
+// predicate on a fresh index race to build its value ordering; the one
+// published ordering serves them all, and every run returns the same answer.
+// Must stay clean under `go test -race`.
+func TestAttrOrderConcurrentFirstUse(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString(`<doc><scene id="s" start="0" end="100000"/>`)
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&doc, `<hit id="h%d" start="%d" end="%d"/>`, i, i*37%99000, i*37%99000+50)
+	}
+	doc.WriteString(`</doc>`)
+	eng := New()
+	if err := eng.LoadXML("d.xml", []byte(doc.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.BuildIndex("d.xml"); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(`doc("d.xml")//scene/select-narrow::hit[@start < 50000][@id >= "h1"]/@id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	got := make([]string, goroutines)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			res, err := prep.Exec(Config{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[g] = res.String()
+		}()
+	}
+	start.Done()
+	done.Wait()
+	ref, err := prep.Exec(Config{NoPushdown: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, s := range got {
+		if s != ref.String() || s == "" {
+			t.Fatalf("goroutine %d: %.80q, post-filtered %.80q", g, s, ref.String())
+		}
+	}
+}

@@ -124,6 +124,36 @@ stream:
 	}
 }
 
+// TestAttrPushdownExplain: a leading attribute predicate of a by-name
+// StandOff step renders as pushed (attr→cand), and ANALYZE's cand= counts the
+// candidates it left — the name's areas only under NoPushdown's post-filter.
+func TestAttrPushdownExplain(t *testing.T) {
+	eng := figure2Engine(t)
+	prep, err := eng.Prepare(`doc("d.xml")//music/select-narrow::shot[@id >= "O"][1]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const step = `step select-narrow::shot[@id >= "O"][1] pred{attr→cand,pos} standoff{op=select-narrow push=by-name(shot) nopush=all+filter}`
+	if got := prep.Explain().String(); !strings.Contains(got, step+"\n") {
+		t.Fatalf("explain:\n%s\nwant the line\n%s", got, step)
+	}
+	for cfg, obs := range map[Config]string{
+		{}:                 " (in=2 out=1 cand=1 joins=looplifted:1)",
+		{NoPushdown: true}: " (in=2 out=1 cand=5 joins=looplifted:1)",
+	} {
+		res, pe, err := prep.Analyze(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.String(); got != `<shot id="Outro" start="64" end="94"/>` {
+			t.Fatalf("%+v: result %s", cfg, got)
+		}
+		if got := pe.String(); !strings.Contains(got, step+obs+"\n") {
+			t.Fatalf("%+v: analyze:\n%s\nwant the line\n%s", cfg, got, step+obs)
+		}
+	}
+}
+
 // TestAnalyzeChunkedCountsChunks: an Analyze run with a stream chunk size
 // reports the chunked execution (the streaming path's counters), and the
 // observed totals match the unchunked run.

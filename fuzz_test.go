@@ -109,6 +109,12 @@ func fuzzQueries(r *rand.Rand) []string {
 		fmt.Sprintf(`doc("f.xml")//%s/%s::%s[@id = "%s%d"]`, layer(), axis(), first, first[:1], 1+r.Intn(20)),
 		fmt.Sprintf(`for $a in doc("f.xml")//%s return <r n="{$a/@id}">{ $a/%s::%s[1]/%s::%s }</r>`,
 			layer(), axis(), layer(), axis(), layer()))
+	// Range predicates the step pushes into candidate selection (value
+	// orderings of @start/@end), under inserts, deletes and compaction too.
+	sel := []string{"select-narrow", "select-wide"}
+	qs = append(qs,
+		fmt.Sprintf(`doc("f.xml")//%s/%s::%s[@start < %d]`, layer(), sel[r.Intn(2)], layer(), r.Intn(1000)),
+		fmt.Sprintf(`doc("f.xml")//%s/%s::%s[@end >= %d][1]`, layer(), sel[r.Intn(2)], layer(), r.Intn(1000)))
 	return qs
 }
 

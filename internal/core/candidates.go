@@ -1,6 +1,13 @@
 package core
 
-import "sort"
+import (
+	"bytes"
+	"cmp"
+	"math"
+	"slices"
+	"sort"
+	"sync/atomic"
+)
 
 // Candidates is the candidate sequence of a StandOff join (sections 3.2 and
 // 4.3): the set of area-annotations that may appear in the result. Without a
@@ -125,6 +132,106 @@ func (ix *RegionIndex) FilterByName(nameID int32) *Candidates {
 	c.endSuffixMin()
 	actual, _ := ix.nameCands.LoadOrStore(nameID, c)
 	return actual.(*Candidates)
+}
+
+// CandidatesOf returns the candidate sequence of the given areas named
+// nameID: areas of ix, or of its base on a delta index, where a tombstoned
+// one is dropped; duplicate-free, in any order. When they are all of the
+// name's areas and FilterByName has cached those, the cached sequence is
+// returned as is; otherwise the sequence is built from point lookups and a
+// sort of the k areas' rows, not by a scan of the index. The result keeps
+// pres.
+func (ix *RegionIndex) CandidatesOf(nameID int32, pres []int32) *Candidates {
+	live, named := pres, ix
+	if ix.base != nil {
+		live = pres[:0]
+		for _, p := range pres {
+			if !ix.tombstoned(p) {
+				live = append(live, p)
+			}
+		}
+		if !ix.nameTouched(nameID) {
+			named = ix.base
+		}
+	}
+	if v, ok := named.nameCands.Load(nameID); ok && v.(*Candidates).Len() == len(live) {
+		return v.(*Candidates)
+	}
+	slices.Sort(live)
+	rows := make([]row, 0, len(live))
+	for _, p := range live {
+		for _, r := range ix.RegionsOf(p) {
+			rows = append(rows, row{r.Start, r.End, p})
+		}
+	}
+	c := &Candidates{ix: ix, areas: live}
+	c.rStart, c.rEnd, c.rID = sortedCols(rows)
+	if !ix.multiRegion {
+		c.bStart, c.bEnd, c.bID = c.rStart, c.rEnd, c.rID
+		return c
+	}
+	rows = rows[:0]
+	for _, p := range live {
+		regs := ix.RegionsOf(p)
+		rows = append(rows, row{regs[0].Start, regs[len(regs)-1].End, p})
+	}
+	c.bStart, c.bEnd, c.bID = sortedCols(rows)
+	return c
+}
+
+// AttrOrder is the value ordering of one attribute over the areas of one
+// element name that carry it: once by the value's bytes, once by its numeric
+// value (values that do not parse, and NaN, left out), ties by pre in both.
+// It holds no comparison rule; callers binary-search it by their own. The
+// columns must not be modified.
+type AttrOrder struct {
+	Str []ValuePre[[]byte]
+	Num []ValuePre[float64]
+}
+
+// ValuePre is one entry of an AttrOrder column.
+type ValuePre[V any] struct {
+	Val V
+	Pre int32
+}
+
+type attrKey struct{ name, attr int32 }
+
+// attrOrderBuilds counts AttrOrder builds, process-wide (see AttrOrderBuilds).
+var attrOrderBuilds atomic.Uint64
+
+// AttrOrderBuilds returns how many value orderings were built, process-wide.
+func AttrOrderBuilds() uint64 { return attrOrderBuilds.Load() }
+
+// AttrOrder returns the value ordering of attribute attrID over the base
+// areas named nameID, built on first use and cached like FilterByName. num
+// parses a value as a number; the cache is keyed on the two names alone, so
+// every caller must pass the same rule. A delta index serves its base's
+// ordering and builds none: its caller drops tombstoned pres (CandidatesOf
+// does) and tests the name's live inserts (InsertedAreas) itself.
+func (ix *RegionIndex) AttrOrder(nameID, attrID int32, num func([]byte) (float64, bool)) *AttrOrder {
+	if ix.base != nil {
+		return ix.base.AttrOrder(nameID, attrID, num)
+	}
+	key := attrKey{nameID, attrID}
+	if v, ok := ix.attrOrders.Load(key); ok {
+		return v.(*AttrOrder)
+	}
+	attrOrderBuilds.Add(1)
+	o, d := &AttrOrder{}, ix.doc
+	for _, pre := range ix.FilterByName(nameID).areas {
+		if a := d.Attr(pre, attrID); a >= 0 {
+			v := d.AttrValueBytes(a)
+			o.Str = append(o.Str, ValuePre[[]byte]{v, pre})
+			if x, ok := num(v); ok && !math.IsNaN(x) {
+				o.Num = append(o.Num, ValuePre[float64]{x, pre})
+			}
+		}
+	}
+	slices.SortFunc(o.Str, func(a, b ValuePre[[]byte]) int { return cmp.Or(bytes.Compare(a.Val, b.Val), cmp.Compare(a.Pre, b.Pre)) })
+	slices.SortFunc(o.Num, func(a, b ValuePre[float64]) int { return cmp.Or(cmp.Compare(a.Val, b.Val), cmp.Compare(a.Pre, b.Pre)) })
+	actual, _ := ix.attrOrders.LoadOrStore(key, o)
+	return actual.(*AttrOrder)
 }
 
 // AreaPres returns the candidate area-annotation pres in document order.

@@ -22,7 +22,9 @@ import (
 // base's cache as is. Point lookups (IsArea/RegionsOf) and the live counts
 // binary-search the delta columns and otherwise defer to the base. Only what
 // needs every row — All, Areas, Filter, Compact — merges the whole index, once
-// per wrapper, by the same run-copy merge over the base's columns.
+// per wrapper, by the same run-copy merge over the base's columns. Value
+// orderings (AttrOrder) are never merged: a wrapper serves the base's, and
+// its reader drops tombstones and tests the live inserts itself.
 //
 // Derivation must be linear: always derive from the newest index, under the
 // engine's write lock (insert columns extend the parent's columns in place,
@@ -31,8 +33,8 @@ import (
 // delete). Readers of any layer are lock-free.
 //
 // Compact folds the deltas into a new base identical to a fresh
-// BuildIndex over the current document snapshot, resetting delta sizes to
-// zero without changing the index generation.
+// BuildIndex over the current document snapshot, with empty per-name and
+// value-ordering caches.
 
 // Process-wide merge counts by scope (see IndexMergeStats).
 var layerMerges, fullMerges atomic.Uint64
@@ -254,6 +256,18 @@ func (ix *RegionIndex) AreasIn(lo, hi int32) []int32 {
 	return out
 }
 
+// InsertedAreas returns the live delta inserts named nameID, ascending (none
+// on a base index).
+func (ix *RegionIndex) InsertedAreas(nameID int32) []int32 {
+	var out []int32
+	for i, pre := range ix.insPre {
+		if ix.insName[i] == nameID && !ix.tombstoned(pre) {
+			out = append(out, pre)
+		}
+	}
+	return out
+}
+
 // nameTouched reports whether any delta insert or delete concerns an
 // annotation with the given element name.
 func (ix *RegionIndex) nameTouched(nameID int32) bool {
@@ -262,9 +276,8 @@ func (ix *RegionIndex) nameTouched(nameID int32) bool {
 
 // Compact folds the delta layers into a fresh base index over the current
 // document snapshot. The result is identical — orderings, per-area geometry,
-// multi-region flag — to BuildIndex over the same snapshot, and carries the
-// same generation token (same document, same options). Returns ix unchanged
-// when there is nothing to fold.
+// multi-region flag — to BuildIndex over the same snapshot, and starts with
+// empty caches. Returns ix unchanged when there is nothing to fold.
 func (ix *RegionIndex) Compact() *RegionIndex {
 	if ix.base == nil {
 		return ix

@@ -79,10 +79,8 @@ type RegionIndex struct {
 	bSuffixMin []int32 // suffix-min of bID over the bounds rows (start order)
 	eSuffixMin []int32 // suffix-min of rID over the end-ordered region rows
 
-	statsOnce sync.Once
-	stats     Stats // planner statistics, built lazily (see stats.go)
-
-	nameCands sync.Map // element name id -> *Candidates (FilterByName cache)
+	nameCands  sync.Map // element name id -> *Candidates (FilterByName cache)
+	attrOrders sync.Map // attrKey -> *AttrOrder (AttrOrder cache, base only)
 }
 
 // BuildIndex scans doc for area-annotations according to opts and builds the

@@ -171,8 +171,9 @@ func assertCandidatesEqual(t *testing.T, what string, got, want *Candidates) {
 	eq32("endSuffixMin", got.endSuffixMin(), want.endSuffixMin())
 }
 
-// assertLayersMatchRebuild checks everything a named read, a point lookup, a
-// delete and the planner take from a delta index against a fresh build.
+// assertLayersMatchRebuild checks everything a named read, a point lookup and
+// a delete take from a delta index, and its live counts, against a fresh
+// build.
 func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionIndex, opts Options) {
 	t.Helper()
 	fresh, err := BuildIndex(d, opts)
@@ -182,10 +183,27 @@ func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionInd
 	for id := int32(0); id < int32(d.Dict().Len()); id++ {
 		what := fmt.Sprintf("step %d, name %s", step, d.Dict().Name(id))
 		assertCandidatesEqual(t, what, ix.FilterByName(id), fresh.FilterByName(id))
+		// CandidatesOf: every other named area, reversed, plus the name's
+		// tombstoned areas, which it drops.
+		named := fresh.FilterByName(id).AreaPres()
+		var some []int32
+		for i := len(named) - 1; i >= 0; i -= 2 {
+			some = append(some, named[i])
+		}
+		want := fresh.Filter(slices.Sorted(slices.Values(some)))
+		for i, p := range ix.delPre {
+			if ix.delName[i] == id {
+				some = append(some, p)
+			}
+		}
+		assertCandidatesEqual(t, what+" CandidatesOf", ix.CandidatesOf(id, some), want)
+		if all := ix.CandidatesOf(id, slices.Clone(named)); all != ix.FilterByName(id) {
+			t.Fatalf("%s: CandidatesOf(every named area) is not the cached FilterByName sequence", what)
+		}
 	}
-	if g, w := ix.Stats(), fresh.Stats(); g.Areas != w.Areas || g.Regions != w.Regions ||
-		g.MultiRegion != w.MultiRegion || g.DocNodes != w.DocNodes || fmt.Sprint(g.ElementCard) != fmt.Sprint(w.ElementCard) {
-		t.Fatalf("step %d: Stats = %+v, rebuild has %+v", step, g, w)
+	if ix.NumAreas() != fresh.NumAreas() || ix.NumRegions() != fresh.NumRegions() || ix.MultiRegion() != fresh.MultiRegion() {
+		t.Fatalf("step %d: areas=%d regions=%d multi=%v, rebuild has %d/%d/%v", step,
+			ix.NumAreas(), ix.NumRegions(), ix.MultiRegion(), fresh.NumAreas(), fresh.NumRegions(), fresh.MultiRegion())
 	}
 	all := fresh.Areas()
 	if got := ix.AreasIn(0, math.MaxInt32); !slices.Equal(got, all) {
@@ -220,7 +238,7 @@ func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionInd
 // TestLayerViewMatchesRebuild is the per-name view property: across random
 // insert / delete / compact histories — multi-region areas, nested layers,
 // insert-then-delete inside one delta window — every name's candidate
-// sequence, the point lookups, the bounds lookup and the statistics of the
+// sequence, the point lookups, the bounds lookup and the live counts of the
 // delta index equal a fresh BuildIndex over the same snapshot, and none of it
 // runs the whole-index merge.
 func TestLayerViewMatchesRebuild(t *testing.T) {
@@ -287,7 +305,7 @@ func TestLayerMergeCounts(t *testing.T) {
 	delta.FilterByName(hitID)
 	delta.FilterByName(hitID)
 	delta.FilterByName(sceneID)
-	delta.Stats()
+	delta.NumAreas()
 	delta.RegionsOf(delta.AreasIn(0, math.MaxInt32)[0])
 	if layer, full := IndexMergeStats(); layer != layer0+1 || full != full0 {
 		t.Fatalf("named reads: %d layer / %d full merges, want 1 / 0", layer-layer0, full-full0)
@@ -318,4 +336,53 @@ func TestApplyDeleteIgnoresDeadAreas(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIndexEqual(t, delta, fresh)
+}
+
+// TestAttrOrderServedByBase: a value ordering is built once on the base,
+// sorted by bytes and by number with ties by pre; delta layers serve the
+// base's ordering and never cache one of their own, and a compaction starts
+// with an empty cache.
+func TestAttrOrderServedByBase(t *testing.T) {
+	d, ix := buildDelta(t)
+	hitID, _ := d.Dict().Lookup("hit")
+	endID, _ := d.Dict().Lookup("end")
+	num := func(b []byte) (float64, bool) { v, err := strconv.ParseFloat(string(b), 64); return v, err == nil }
+	built := AttrOrderBuilds()
+	o := ix.AttrOrder(hitID, endID, num)
+	if ix.AttrOrder(hitID, endID, num) != o || AttrOrderBuilds() != built+1 {
+		t.Fatal("a second lookup rebuilt the ordering")
+	}
+	// hit ends 20, 130, 160: byte order puts "130" < "160" < "20".
+	var strs, nums []string
+	for _, e := range o.Str {
+		strs = append(strs, string(e.Val))
+	}
+	for _, e := range o.Num {
+		nums = append(nums, fmt.Sprint(e.Val))
+	}
+	if fmt.Sprint(strs) != "[130 160 20]" || fmt.Sprint(nums) != "[20 130 160]" {
+		t.Fatalf("orderings %v / %v", strs, nums)
+	}
+	d, delta := applyInsert(t, d, ix, "hit", 30, 160)
+	_, delta = applyDelete(t, d, delta, o.Str[0].Pre)
+	if delta.AttrOrder(hitID, endID, num) != o || AttrOrderBuilds() != built+1 {
+		t.Fatal("a delta layer built its own ordering")
+	}
+	for _, x := range []*RegionIndex{delta, delta.Compact()} {
+		n := 0
+		x.attrOrders.Range(func(any, any) bool { n++; return true })
+		if n != 0 {
+			t.Fatalf("%d orderings cached off the base", n)
+		}
+	}
+	// Ties by pre: the inserted hit's end equals a base hit's.
+	fresh, err := BuildIndex(delta.Doc(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o2 := fresh.AttrOrder(hitID, endID, num)
+	if ins := delta.InsertedAreas(hitID); len(o2.Num) != 3 || o2.Num[1].Val != 160 || o2.Num[2].Val != 160 ||
+		o2.Num[1].Pre >= o2.Num[2].Pre || o2.Num[2].Pre != ins[0] {
+		t.Fatalf("rebuilt ordering %+v", o2.Num)
+	}
 }

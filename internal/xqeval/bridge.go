@@ -264,7 +264,7 @@ func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc) (*Stand
 	if err != nil {
 		return nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
 	}
-	cand, postFilter := ev.candidatesFor(ix, sp.SO)
+	cand, postFilter := ev.candidatesFor(ix, sp.SO, nil)
 	if cand == nil {
 		return nil, nil
 	}

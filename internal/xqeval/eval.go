@@ -37,8 +37,10 @@ type Evaluator struct {
 	Strategy core.Strategy
 	// JoinCfg tunes the join (active-set structure, tracing).
 	JoinCfg core.JoinConfig
-	// Pushdown enables candidate-sequence pushdown of element name tests
-	// into StandOff steps (section 3.3 (iii)); disabled it post-filters.
+	// Pushdown enables candidate-sequence pushdown of element name tests,
+	// and of the leading attribute predicates of a by-name step
+	// (StepPlan.Pushed), into StandOff steps (section 3.3 (iii)); disabled
+	// it post-filters.
 	Pushdown bool
 	// Stats, when non-nil, collects the per-operator runtime counters
 	// behind EXPLAIN ANALYZE (rows in/out, candidates scanned, join
@@ -60,8 +62,9 @@ type Evaluator struct {
 	// steps (single-goroutine, like the evaluator itself).
 	stepPres []int32
 
-	// genericPredicates makes every step predicate run as xqplan.PredGeneric;
-	// tests set it to check the classified predicates against the evaluator.
+	// genericPredicates makes every step predicate run as xqplan.PredGeneric,
+	// after the join; tests set it to check the classified and pushed
+	// predicates against the evaluator.
 	genericPredicates bool
 
 	// seqs is the scoped scratch arena of the streaming pipeline (see

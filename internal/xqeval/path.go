@@ -2,7 +2,10 @@ package xqeval
 
 import (
 	"bytes"
+	"cmp"
+	"math"
 	"slices"
+	"sort"
 
 	"soxq/internal/core"
 	"soxq/internal/tree"
@@ -104,16 +107,20 @@ func (ev *Evaluator) evalStep(sp *xqplan.StepPlan, ctx LLSeq, f *frame) (LLSeq, 
 	perIteration := sp.Axis == xpath.AxisRejectNarrow || sp.Axis == xpath.AxisRejectWide
 	var rows LLSeq
 	var err error
+	pushed := 0 // leading predicates applied to the candidates, before the join
 	if sp.StandOff {
-		rows, err = ev.standOffRows(sp, ctx, perIteration)
+		if ev.Pushdown && !ev.genericPredicates {
+			pushed = sp.Pushed
+		}
+		rows, err = ev.standOffRows(sp, ctx, perIteration, sp.Preds[:pushed])
 	} else {
 		rows = ev.treeRows(sp, ctx)
 	}
 	if err != nil {
 		return LLSeq{}, err
 	}
-	for i, pred := range sp.Predicates {
-		if rows, err = ev.filterRows(rows, sp.Preds[i], pred, ctx, perIteration, f, sp.Axis.Reverse()); err != nil {
+	for i := pushed; i < len(sp.Predicates); i++ {
+		if rows, err = ev.filterRows(rows, sp.Preds[i], sp.Predicates[i], ctx, perIteration, f, sp.Axis.Reverse()); err != nil {
 			return LLSeq{}, err
 		}
 	}
@@ -299,8 +306,9 @@ func partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
 // documents the iteration touches, mirroring that XPath steps only return
 // nodes from the documents of their context nodes; an iteration with no area
 // among its context nodes of a document it touches rejects all of that
-// document's candidates.
-func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration bool) (LLSeq, error) {
+// document's candidates. The pushed predicates narrow the candidates before
+// the join.
+func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration bool, pushed []xqplan.PredPlan) (LLSeq, error) {
 	if ev.IndexFor == nil {
 		return LLSeq{}, errf(codeStandOffIndex, "no region index provider configured")
 	}
@@ -319,7 +327,7 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 		if err != nil {
 			return LLSeq{}, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
 		}
-		cand, postFilter := ev.candidatesFor(ix, sp.SO)
+		cand, postFilter := ev.candidatesFor(ix, sp.SO, pushed)
 		if cand == nil {
 			continue // the test can never match an area-annotation
 		}
@@ -381,8 +389,9 @@ func (ev *Evaluator) concatRows(a, b *llBuilder) *llBuilder {
 // Only the element-name to name-id resolution happens here, because it is
 // per-document. A nil result means the step is statically or dynamically
 // empty (the test can never match, or the name does not occur in this
-// document).
-func (ev *Evaluator) candidatesFor(ix *core.RegionIndex, so xqplan.SOStep) (*core.Candidates, bool) {
+// document). pushed are the step's leading attribute predicates that
+// candidate selection applies (by-name policy only).
+func (ev *Evaluator) candidatesFor(ix *core.RegionIndex, so xqplan.SOStep, pushed []xqplan.PredPlan) (*core.Candidates, bool) {
 	switch so.Policy(ev.Pushdown) {
 	case xqplan.CandAll:
 		return ix.All(), false
@@ -393,9 +402,77 @@ func (ev *Evaluator) candidatesFor(ix *core.RegionIndex, so xqplan.SOStep) (*cor
 		if !ok {
 			return nil, false
 		}
+		if len(pushed) > 0 {
+			return pushedCandidates(ix, id, pushed), false
+		}
 		return ix.FilterByName(id), false
 	default: // CandImpossible: text()/comment()/... never match elements
 		return nil, false
+	}
+}
+
+// pushedCandidates is the candidate sequence of the areas named nameID that
+// satisfy every pushed predicate: the first predicate's range of the
+// (element, attribute) value ordering, binary-searched; the others, and all
+// of them on a delta layer's live inserts, tested value by value. nil when an
+// attribute occurs nowhere in the document, so nothing can match.
+func pushedCandidates(ix *core.RegionIndex, nameID int32, pushed []xqplan.PredPlan) *core.Candidates {
+	d := ix.Doc()
+	attrs := make([]int32, len(pushed))
+	for i, pp := range pushed {
+		id, ok := d.Dict().Lookup(pp.Attr)
+		if !ok {
+			return nil
+		}
+		attrs[i] = id
+	}
+	var pres []int32
+	keep := func(pre int32, from int) {
+		for i := from; i < len(pushed); i++ {
+			if a := d.Attr(pre, attrs[i]); a < 0 || !attrMatches(d.AttrValueBytes(a), pushed[i]) {
+				return
+			}
+		}
+		pres = append(pres, pre)
+	}
+	o, pp := ix.AttrOrder(nameID, attrs[0], untypedNumber), pushed[0]
+	if !pp.Numeric {
+		lit := []byte(pp.Str)
+		r := valueRange(o.Str, pp.Op, func(v []byte) int { return bytes.Compare(v, lit) })
+		pres = make([]int32, 0, len(r))
+		for _, e := range r {
+			keep(e.Pre, 1)
+		}
+	} else if !math.IsNaN(pp.Num) { // NaN compares false under every pushed operator
+		r := valueRange(o.Num, pp.Op, func(v float64) int { return cmp.Compare(v, pp.Num) })
+		pres = make([]int32, 0, len(r))
+		for _, e := range r {
+			keep(e.Pre, 1)
+		}
+	}
+	for _, pre := range ix.InsertedAreas(nameID) {
+		keep(pre, 0)
+	}
+	return ix.CandidatesOf(nameID, pres)
+}
+
+// valueRange returns the entries of a value-ordered column whose value v
+// satisfies `v op literal` for a pushed operator, c(v) being the sign of v
+// against the literal under the order the column is sorted by.
+func valueRange[V any](col []core.ValuePre[V], op string, c func(V) int) []core.ValuePre[V] {
+	ge := sort.Search(len(col), func(i int) bool { return c(col[i].Val) >= 0 })
+	gt := sort.Search(len(col), func(i int) bool { return c(col[i].Val) > 0 })
+	switch op {
+	case "=":
+		return col[ge:gt]
+	case "<":
+		return col[:ge]
+	case "<=":
+		return col[:gt]
+	case ">":
+		return col[gt:]
+	default: // ">="
+		return col[ge:]
 	}
 }
 
@@ -513,18 +590,22 @@ func attrMatches(val []byte, pp xqplan.PredPlan) bool {
 		}
 		return cmpResult(pp.Op, c)
 	}
-	x, ok := parseNumericBytes(val)
-	if !ok {
-		// parseNumericBytes trims XML whitespace only, an untypedAtomic what
-		// strings.TrimSpace trims: more only when other than printable ASCII.
-		if bytes.IndexFunc(val, func(r rune) bool { return r >= 0x80 || r == '\v' || r == '\f' }) < 0 {
-			return false
-		}
-		if x, ok = Untyped(string(val)).NumericValue(); !ok {
-			return false
-		}
+	x, ok := untypedNumber(val)
+	return ok && numCompare(pp.Op, x, pp.Num)
+}
+
+// untypedNumber is an attribute value cast to a number the way an
+// untypedAtomic compared with a number is.
+func untypedNumber(val []byte) (float64, bool) {
+	if x, ok := parseNumericBytes(val); ok {
+		return x, true
 	}
-	return numCompare(pp.Op, x, pp.Num)
+	// parseNumericBytes trims XML whitespace only, an untypedAtomic what
+	// strings.TrimSpace trims: more only when other than printable ASCII.
+	if bytes.IndexFunc(val, func(r rune) bool { return r >= 0x80 || r == '\v' || r == '\f' }) < 0 {
+		return 0, false
+	}
+	return Untyped(string(val)).NumericValue()
 }
 
 // applyPredicate filters a plain filter expression E[pred] per iteration.

@@ -12,8 +12,9 @@ import (
 // predDoc holds attribute values on every side of the comparison rules:
 // strings, integers, decimals, a padded and a sign-prefixed number, an
 // exponent, empty, unparsable, NBSP-padded (trimmed by an untypedAtomic's
-// cast, not by the byte parser) and a missing attribute.
-const predDoc = `<r start="0" end="100">
+// cast, not by the byte parser), NaN, INF, negative zero, a hex spelling, a
+// value two areas share, invalid UTF-8 and a missing attribute.
+const predDoc = `<r start="0" end="200">
   <p id="person0" v="7" start="1" end="9"><q start="2" end="3"/><q start="4" end="5"/><q start="6" end="7"/></p>
   <p id="person1" v="07" start="10" end="19"><q start="11" end="12"/></p>
   <p id="person2" v="7.5" start="20" end="29"/>
@@ -24,33 +25,74 @@ const predDoc = `<r start="0" end="100">
   <p id="person7" v="+7" start="70" end="79"/>
   <p id="person8" v="&#160;7&#160;" start="80" end="89"/>
   <p id="person9" start="90" end="99"/>
+  <p id="person10" v="NaN" start="100" end="109"/>
+  <p id="person11" v="INF" start="110" end="119"/>
+  <p id="person12" v="-0" start="120" end="129"/>
+  <p id="person13" v="0x10" start="130" end="139"/>
+  <p id="person14" v="7" start="140" end="149"/>
+  <p id="person15" v="` + "\xff7" + `" start="150" end="159"/>
+</r>`
+
+// predDoc2 is a second document for contexts that span two: its own
+// dictionary (q, v and id interned in another order) and values.
+const predDoc2 = `<r start="0" end="100">
+  <q v="5" start="1" end="2"/>
+  <p v="5" id="person0" start="0" end="10"/>
+  <p v="abc" id="x1" start="20" end="30"><q v="7" start="21" end="22"/></p>
+  <p v="7" id="x2" start="40" end="50"/>
+</r>`
+
+// predRegionDoc has multi-region areas (region-element mode).
+const predRegionDoc = `<r><region><start>0</start><end>200</end></region>
+  <p id="m0" v="7"><region><start>1</start><end>5</end></region><region><start>20</start><end>30</end></region></p>
+  <p id="m1" v="5"><region><start>10</start><end>15</end></region></p>
+  <p id="m2" v="abc"><region><start>2</start><end>3</end></region><region><start>40</start><end>50</end></region></p>
+  <p id="m3" v="7"><region><start>60</start><end>70</end></region></p>
+  <q v="3"><region><start>2</start><end>3</end></region></q>
+  <q v="9"><region><start>21</start><end>25</end></region><region><start>61</start><end>62</end></region></q>
+  <s><region><start>0</start><end>16</end></region></s>
 </r>`
 
 // TestPredicateClassDifferential: every predicate the plan classifies as
 // position or attribute comparison selects exactly what the generic
-// evaluation of the same predicate selects.
+// evaluation of the same predicate selects, and a StandOff step selects the
+// same whether its leading attribute predicates narrow the candidates before
+// the join (the default) or filter the join's output (NoPushdown).
 func TestPredicateClassDifferential(t *testing.T) {
 	h := newHarness()
 	h.addDoc(t, "p.xml", predDoc)
+	h.addDoc(t, "p2.xml", predDoc2)
+	h.addDoc(t, "m.xml", predRegionDoc)
 	var preds []string
 	for _, k := range []string{"0", "-1", "1", "2", "3", "4", "99"} {
 		preds = append(preds, "["+k+"]")
 	}
 	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
-		for _, lit := range []string{`"7"`, `"abc"`, `""`, `"person3"`, "7", "5", "10", "7.5", "7.25", "-1"} {
+		for _, lit := range []string{`"7"`, `"abc"`, `""`, `"person3"`, "7", "5", "10", "7.5", "7.25", "-1",
+			`"NaN"`, `"-0"`, `"0x10"`, "0.0", "16", `number("x")`, `number("INF")`, `number("-INF")`} {
 			preds = append(preds,
 				fmt.Sprintf("[@v %s %s]", op, lit), fmt.Sprintf("[%s %s @v]", lit, op),
 				fmt.Sprintf("[@id %s %s]", op, lit), fmt.Sprintf("[@missing %s %s]", op, lit))
 		}
 	}
+	preds = append(preds, `[@v < 5][1]`, `[1][@v < 5]`, `[@v >= 5][@id != "person0"]`, `[@v > 0][@start < 50][2]`,
+		`[@id > "person1"][@v <= 7]`, `[@v = "7"][@v = 7]`, `[@missing = 1][@v < 5]`)
 	steps := []string{
 		`doc("p.xml")/r/p`, `doc("p.xml")//p/q`, `doc("p.xml")//q/parent::p`,
 		`doc("p.xml")//q/ancestor::*`, `doc("p.xml")//q/preceding-sibling::q`, `doc("p.xml")//q/following-sibling::q`,
 		`doc("p.xml")//q/preceding::q`, `doc("p.xml")/r/select-narrow::p`, `doc("p.xml")//p/select-narrow::q`,
 		`doc("p.xml")//q/select-wide::*`, `doc("p.xml")//p/reject-narrow::q`, `doc("p.xml")//p/@v/..`,
+		`doc("p.xml")//q/reject-wide::p`, `doc("p.xml")//q/select-wide::p`,
 		`for $p in doc("p.xml")//p return $p/q`, `for $p in doc("p.xml")//p return $p/select-narrow::q`,
+		`(doc("p.xml"), doc("p2.xml"))/r/select-narrow::p`, `(doc("p2.xml"), doc("p.xml"))//q/reject-wide::p`,
+		`declare option standoff-region "region"; doc("m.xml")/r/select-narrow::p`,
+		`declare option standoff-region "region"; doc("m.xml")//q/select-wide::p`,
+		`declare option standoff-region "region"; doc("m.xml")//s/select-narrow::p`,
+		`declare option standoff-region "region"; doc("m.xml")//q/reject-wide::p`,
+		`declare option standoff-region "region"; for $q in doc("m.xml")//q return $q/reject-narrow::p`,
 	}
 	classes := map[xqplan.PredClass]int{}
+	pushedSteps := 0
 	for _, step := range steps {
 		for i, pred := range preds {
 			query := step + pred
@@ -68,26 +110,56 @@ func TestPredicateClassDifferential(t *testing.T) {
 						classes[pp.Class]++
 						classified = classified || pp.Class != xqplan.PredGeneric
 					}
+					if sp.Pushed > 0 {
+						pushedSteps++
+					}
 				}
 			}
 			if !classified {
 				t.Fatalf("%s: no predicate was classified", query)
 			}
-			ev := h.newEvaluator(plan, core.StrategyLoopLifted)
-			got, gotErr := ev.Run()
-			ev = h.newEvaluator(plan, core.StrategyLoopLifted)
-			ev.genericPredicates = true
-			want, wantErr := ev.Run()
-			if gotErr != nil || wantErr != nil {
-				t.Fatalf("%s: errors %v / %v", query, gotErr, wantErr)
+			run := func(generic, pushdown bool) string {
+				ev := h.newEvaluator(plan, core.StrategyLoopLifted)
+				ev.genericPredicates, ev.Pushdown = generic, pushdown
+				items, err := ev.Run()
+				if err != nil {
+					t.Fatalf("%s (generic=%v pushdown=%v): %v", query, generic, pushdown, err)
+				}
+				return serialize(items)
 			}
-			if serialize(got) != serialize(want) {
-				t.Errorf("%s:\nclassified %s\n  generic %s", query, serialize(got), serialize(want))
+			want := run(true, true)
+			if got := run(false, true); got != want {
+				t.Errorf("%s:\nclassified %s\n   generic %s", query, got, want)
+			}
+			if got := run(false, false); got != want {
+				t.Errorf("%s:\nno pushdown %s\n    generic %s", query, got, want)
 			}
 		}
 	}
-	if classes[xqplan.PredPosition] == 0 || classes[xqplan.PredAttrCompare] == 0 || classes[xqplan.PredGeneric] != 0 {
-		t.Errorf("classes seen: %v", classes)
+	if classes[xqplan.PredPosition] == 0 || classes[xqplan.PredAttrCompare] == 0 || classes[xqplan.PredGeneric] != 0 || pushedSteps == 0 {
+		t.Errorf("classes seen: %v, steps with pushed predicates: %d", classes, pushedSteps)
+	}
+}
+
+// TestAttrPushdownShapes pins which leading predicates a StandOff step
+// pushes into candidate selection: attribute comparisons other than != up to
+// the first other predicate, on a by-name step only.
+func TestAttrPushdownShapes(t *testing.T) {
+	h := newHarness()
+	for step, want := range map[string]int{
+		`select-narrow::p[@v < 5][1]`:              1,
+		`select-narrow::p[1][@v < 5]`:              0,
+		`reject-wide::p[@v = "a"][5 > @w][@x = 1]`: 3,
+		`select-wide::p[@v != 5][@w = 1]`:          0,
+		`select-wide::p[@w = 1][@v != 5][@x = 1]`:  1,
+		`select-narrow::p[@v = $v]`:                0,
+		`select-narrow::*[@v = 1]`:                 0,
+		`select-narrow::text()[@v = 1]`:            0,
+		`child::p[@v = 1]`:                         0,
+	} {
+		if _, sp := stepOf(t, h, step); sp.Pushed != want {
+			t.Errorf("%s: %d predicates pushed, want %d", step, sp.Pushed, want)
+		}
 	}
 }
 

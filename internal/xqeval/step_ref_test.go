@@ -232,7 +232,7 @@ func (ev *Evaluator) standOffStepRef(sp *xqplan.StepPlan, rows []stepRowRef) ([]
 		if err != nil {
 			return nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
 		}
-		cand, postFilter := ev.candidatesFor(ix, sp.SO)
+		cand, postFilter := ev.candidatesFor(ix, sp.SO, nil)
 		if cand == nil {
 			continue // the test can never match an area-annotation
 		}
@@ -293,7 +293,7 @@ func (ev *Evaluator) standOffRejectStepRef(sp *xqplan.StepPlan, ctx LLSeq) ([][]
 		if err != nil {
 			return nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
 		}
-		cand, postFilter := ev.candidatesFor(ix, sp.SO)
+		cand, postFilter := ev.candidatesFor(ix, sp.SO, nil)
 		if cand == nil {
 			continue
 		}

@@ -62,7 +62,8 @@ type StepExplain struct {
 	Fused      bool // produced by the compile-time // fusion
 	Predicates int
 	// PredClasses is the compile-time class of each predicate, in order:
-	// "pos", "attr" or "generic" (see PredClass).
+	// "pos", "attr" or "generic" (see PredClass), "attr→cand" for one a
+	// StandOff step pushes into candidate selection (StepPlan.Pushed).
 	PredClasses []string
 
 	// StandOff step description; zero values for tree axes.
@@ -116,8 +117,12 @@ func stepExplain(sp *StepPlan) StepExplain {
 		Predicates: len(sp.Predicates),
 		StandOff:   sp.StandOff,
 	}
-	for _, pp := range sp.Preds {
-		se.PredClasses = append(se.PredClasses, pp.Class.String())
+	for i, pp := range sp.Preds {
+		c := pp.Class.String()
+		if i < sp.Pushed {
+			c += "→cand"
+		}
+		se.PredClasses = append(se.PredClasses, c)
 	}
 	if sp.StandOff {
 		se.Op = sp.SO.Op.String()

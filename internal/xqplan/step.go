@@ -29,6 +29,10 @@ type StepPlan struct {
 	Predicates []xqast.Expr
 	// Preds classifies Predicates, index for index (see PredClass).
 	Preds []PredPlan
+	// Pushed is the length of the leading run of Preds that a by-name
+	// StandOff step applies to its candidates before the join when pushdown
+	// is on (section 4.3): attribute comparisons other than !=.
+	Pushed int
 	// Fused marks a descendant step produced by merging the
 	// descendant-or-self::node()/child::T pair (the // abbreviation) at
 	// compile time.
@@ -138,6 +142,10 @@ func CompileStep(step *xqast.Step) *StepPlan {
 	if step.Axis.StandOff() {
 		sp.StandOff = true
 		sp.SO = Decide(step)
+		for sp.SO.Push == CandByName && sp.Pushed < len(sp.Preds) &&
+			sp.Preds[sp.Pushed].Class == PredAttrCompare && sp.Preds[sp.Pushed].Op != "!=" {
+			sp.Pushed++
+		}
 	}
 	return sp
 }

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"soxq/internal/core"
 )
 
 // Engine-level tests of the annotation write path: InsertAnnotation /
@@ -552,6 +554,90 @@ func TestMutationTelemetry(t *testing.T) {
 	} {
 		if got := m[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestAttrPushdownUnderDeltas: a StandOff step whose attribute predicates
+// narrow its candidates reads a delta index right — the base's value
+// ordering minus the tombstones, plus the live inserts tested one by one —
+// matching a fresh engine over the serialised snapshot and the compacted
+// index, across the execution matrix. Writes and delta reads build no value
+// ordering; a compaction starts with none.
+func TestAttrPushdownUnderDeltas(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString(`<doc><scene id="s1" start="0" end="1000"/><scene id="s2" start="300" end="700"/>`)
+	for i := 0; i < 40; i++ {
+		s := i * 23 % 900
+		fmt.Fprintf(&doc, `<mark id="k%d" start="%d" end="%d"/>`, i, s, s+5+i%40)
+	}
+	doc.WriteString(`</doc>`)
+	eng := New()
+	if err := eng.LoadXML("m.xml", []byte(doc.String())); err != nil {
+		t.Fatal(err)
+	}
+	var queries []string
+	for _, n := range []int{0, 150, 400, 460, 905, 2000} {
+		queries = append(queries,
+			fmt.Sprintf(`doc("m.xml")//scene/select-narrow::mark[@start < %d]`, n),
+			fmt.Sprintf(`doc("m.xml")//scene/select-wide::mark[@end >= %d]`, n),
+			fmt.Sprintf(`for $s in doc("m.xml")//scene return $s/select-narrow::mark[@start >= %d][@end < %d][1]`, n, n+300),
+			fmt.Sprintf(`doc("m.xml")//scene[@id = "s2"]/reject-wide::mark[@end >= %d]`, n))
+	}
+	results := func(e *Engine) []string {
+		t.Helper()
+		var out []string
+		for _, q := range queries {
+			prep, err := e.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range []Config{{}, {NoPushdown: true}, {Mode: ModeBasic}, {StreamChunk: 2}} {
+				res, err := prep.Exec(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
+				}
+				out = append(out, q+" => "+res.String())
+			}
+		}
+		return out
+	}
+	results(eng) // the base builds the (mark, start) and (mark, end) orderings
+	built := core.AttrOrderBuilds()
+	for i := 0; i < 12; i++ {
+		if err := eng.InsertAnnotation("m.xml", "mark", Region{Start: int64(i * 71 % 950), End: int64(i*71%950 + 20)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range [][2]int64{{23, 29}, {115, 125}, {71, 91}, {710, 730}} { // base and inserted marks
+		if n, err := eng.DeleteAnnotation("m.xml", "mark", r[0], r[1]); err != nil || n == 0 {
+			t.Fatalf("delete %v = %d, %v", r, n, err)
+		}
+	}
+	got := results(eng)
+	if b := core.AttrOrderBuilds(); b != built {
+		t.Fatalf("writes and delta reads built %d value orderings, want none", b-built)
+	}
+	snap, err := eng.Query(`doc("m.xml")/*`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New()
+	if err := fresh.LoadXML("m.xml", []byte(snap.String())); err != nil {
+		t.Fatal(err)
+	}
+	want := results(fresh)
+	if err := eng.CompactAnnotations("m.xml"); err != nil {
+		t.Fatal(err)
+	}
+	built = core.AttrOrderBuilds()
+	compacted := results(eng)
+	if b := core.AttrOrderBuilds(); b != built+2 {
+		t.Fatalf("reads after compaction built %d value orderings, want 2", b-built)
+	}
+	for i := range want {
+		if got[i] != want[i] || compacted[i] != want[i] {
+			t.Fatalf("delta    %s\ncompacted %s\nfresh    %s", got[i], compacted[i], want[i])
 		}
 	}
 }

@@ -108,9 +108,10 @@ type Config struct {
 	// Mode picks the StandOff join algorithm. The zero value runs
 	// Loop-Lifted; ModeBasic and ModeUDF force the paper's baselines.
 	Mode Mode
-	// NoPushdown disables candidate-sequence pushdown of name tests into
-	// StandOff steps; the step then scans all annotations and filters
-	// afterwards (section 3.3's optimizer discussion).
+	// NoPushdown disables candidate-sequence pushdown of name tests and
+	// [@attr op literal] predicates into StandOff steps; the step then scans
+	// all annotations and filters afterwards (section 3.3's optimizer
+	// discussion).
 	NoPushdown bool
 	// HeapActiveList replaces the paper's sorted active list with the
 	// max-heap suggested in its section 5 (future work).

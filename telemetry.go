@@ -114,6 +114,8 @@ func newEngineObs(e *Engine) *engineObs {
 		func() int64 { l, _ := core.IndexMergeStats(); return int64(l) })
 	r.CounterFunc(`soxq_index_merges_total{scope="full"}`, "",
 		func() int64 { _, f := core.IndexMergeStats(); return int64(f) })
+	r.CounterFunc("soxq_attr_orders_built_total", "attribute value orderings built for pushed predicates (process-wide)",
+		func() int64 { return int64(core.AttrOrderBuilds()) })
 
 	r.GaugeFunc("soxq_documents_loaded", "documents currently loaded",
 		func() int64 { return int64(len(e.Documents())) })

@@ -115,6 +115,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`soxq_arena_pool_misses_total`,
 		`soxq_index_merges_total{scope="layer"}`,
 		`soxq_index_merges_total{scope="full"}`,
+		`soxq_attr_orders_built_total`,
 		`soxq_worksteal_steals_total`,
 		`soxq_worksteal_inflight_waits_total`,
 		`soxq_chunk_adapt_total{dir="grow"}`,
