@@ -111,8 +111,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "soxqd: serving %d documents, %d corpora on %s (interrupt to stop)\n",
 		len(eng.Documents()), len(eng.Corpora()), *addr)
 	// WriteTimeout stays 0: query streams legitimately run as long as the
-	// client keeps reading; abandonment is detected per-row via the request
-	// context instead of a wall clock.
+	// client keeps reading; abandonment is detected via the request context,
+	// checked every flushCheckRows rows and before each write, instead of a
+	// wall clock.
 	fatalIf(httpserve.ListenAndServe(ctx, *addr, srv.handler(), httpserve.Options{
 		ShutdownGrace: *drain,
 	}))

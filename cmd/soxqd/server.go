@@ -407,9 +407,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // threshold — flushMin at first, doubling per flush up to flushMax, so the
 // first rows leave early and a long reply settles on few, large writes — or
 // when flushInterval has passed since the last flush, so a slowly produced
-// stream still arrives incrementally; the clock is read once per
-// flushCheckRows rows. A reply that never reaches flushMin is written once
-// when the query ends, with no explicit flush.
+// stream still arrives incrementally; the clock and the request context are
+// read once per flushCheckRows rows. A reply that never reaches flushMin is
+// written once when the query ends, with no explicit flush.
 const (
 	flushMin       = 4 << 10
 	flushMax       = 32 << 10
@@ -443,8 +443,9 @@ func (r *resultRows) Err() error        { return nil }
 // element on failure. Each row's XML is appended into a reused scratch and
 // from there, JSON-escaped, into the reused output buffer — no per-row
 // string, encoder call or write. Client disconnects are detected through the
-// request context and write failures; either way the drain stops and the
-// caller's deferred Close and release tear the query down.
+// request context, checked every flushCheckRows rows and before each write,
+// and through write failures; either way the drain stops and the caller's
+// deferred Close and release tear the query down.
 func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSource) {
 	ctx := r.Context()
 	flusher, _ := w.(http.Flusher)
@@ -460,9 +461,6 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 	}
 	rows, limit, last := 0, flushMin, time.Now()
 	for src.Next() {
-		if ctx.Err() != nil {
-			return
-		}
 		if xmlOut {
 			out = append(src.Value().AppendXML(out), '\n')
 		} else {
@@ -472,7 +470,13 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 			out = append(out, "}\n"...)
 		}
 		rows++
-		if len(out) < limit && (rows%flushCheckRows != 0 || time.Since(last) < flushInterval) {
+		if len(out) < limit && rows%flushCheckRows != 0 {
+			continue
+		}
+		if ctx.Err() != nil {
+			return
+		}
+		if len(out) < limit && time.Since(last) < flushInterval {
 			continue
 		}
 		if _, err := w.Write(out); err != nil {
@@ -511,55 +515,68 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 // for the two line separators, and \ufffd for each invalid UTF-8 byte.
 func appendJSONString(dst, s []byte) []byte {
 	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0 // s[start:i] is pending output that needs no escaping
+	// Grow once by the worst case, every input byte written as a six-byte
+	// \u escape, and write by index into the spare capacity.
+	n := len(dst)
+	out := slices.Grow(dst, 6*len(s)+2)[:n+6*len(s)+2]
+	out[n] = '"'
+	n++
 	for i := 0; i < len(s); {
 		b := s[i]
-		if jsonPlain[b] {
+		e := jsonEscapes[b]
+		if e == 0 {
+			out[n] = b
+			n++
 			i++
 			continue
 		}
-		if b >= utf8.RuneSelf {
-			r, n := utf8.DecodeRune(s[i:])
+		if e == jsonDecode {
+			r, size := utf8.DecodeRune(s[i:])
 			switch {
-			case r == utf8.RuneError && n == 1:
-				dst = append(append(dst, s[start:i]...), `\ufffd`...)
-				start = i + n
+			case r == utf8.RuneError && size == 1:
+				n += copy(out[n:], `\ufffd`)
 			case r == '\u2028' || r == '\u2029':
-				dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
-				start = i + n
+				n += copy(out[n:], `\u202`)
+				out[n] = hex[r&0xF]
+				n++
+			default:
+				n += copy(out[n:], s[i:i+size])
 			}
-			i += n
+			i += size
 			continue
 		}
-		dst = append(dst, s[start:i]...)
-		switch b {
-		case '"', '\\':
-			dst = append(dst, '\\', b)
-		case '\b':
-			dst = append(dst, '\\', 'b')
-		case '\f':
-			dst = append(dst, '\\', 'f')
-		case '\n':
-			dst = append(dst, '\\', 'n')
-		case '\r':
-			dst = append(dst, '\\', 'r')
-		case '\t':
-			dst = append(dst, '\\', 't')
-		default:
-			dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+		if e == 'u' {
+			o := out[n : n+6]
+			o[0], o[1], o[2], o[3], o[4], o[5] = '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF]
+			n += 6
+		} else {
+			o := out[n : n+2]
+			o[0], o[1] = '\\', e
+			n += 2
 		}
 		i++
-		start = i
 	}
-	return append(append(dst, s[start:]...), '"')
+	out[n] = '"'
+	return out[:n+1]
 }
 
-// jsonPlain marks the bytes appendJSONString copies through: printable ASCII
-// other than the two JSON and three HTML-unsafe characters.
-var jsonPlain = func() (t [256]bool) {
-	for b := ' '; b < utf8.RuneSelf; b++ {
-		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+// jsonEscapes maps each byte to how appendJSONString writes it: 0 for the
+// byte itself, 'u' for a \u00XX escape (control characters and the three
+// HTML-unsafe characters), jsonDecode for a byte >= 0x80 (decoded as UTF-8
+// from there), and otherwise the letter of its two-byte escape.
+var jsonEscapes = func() (t [256]byte) {
+	for b := range t {
+		switch {
+		case b < ' ':
+			t[b] = 'u'
+		case b >= utf8.RuneSelf:
+			t[b] = jsonDecode
+		}
 	}
+	t['<'], t['>'], t['&'] = 'u', 'u', 'u'
+	t['"'], t['\\'] = '"', '\\'
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = 'b', 'f', 'n', 'r', 't'
 	return t
 }()
+
+const jsonDecode = 1

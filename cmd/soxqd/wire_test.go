@@ -67,6 +67,17 @@ func FuzzAppendJSONString(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s []byte) { checkJSONString(t, s) })
 }
 
+// BenchmarkAppendJSONString escapes one row of the corpus query's shape into
+// a reused buffer, as writeRows does per row: no allocation once warm.
+func BenchmarkAppendJSONString(b *testing.B) {
+	row := []byte(`<hit start="123410" end="123415"/>`)
+	dst := appendJSONString(nil, row)
+	b.ReportAllocs()
+	for b.Loop() {
+		dst = appendJSONString(dst[:0], row)
+	}
+}
+
 // sinkResponse is a ResponseWriter that discards the body, counting what it
 // is handed; onWrite, when set, runs before each Write is counted.
 type sinkResponse struct {

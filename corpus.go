@@ -178,7 +178,7 @@ func (p *Prepared) StreamCorpus(corpus string, cfg Config) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{cur: cur, ro: ro}, nil
+	return &Cursor{rows: xqexec.NewReader(cur), ro: ro}, nil
 }
 
 // ExecCorpus is the materialising form of StreamCorpus: the merged corpus

@@ -69,8 +69,12 @@ func (d *Doc) XMLString(pre int32) string {
 // byte in it becomes U+FFFD (xmlparse does not validate UTF-8) — a quirk
 // serialised output has always had and keeps byte for byte.
 func appendEscaped(dst, s []byte, attr bool) []byte {
+	escapes := &textEscapes
+	if attr {
+		escapes = &attrEscapes
+	}
 	first := 0
-	for first < len(s) && xmlEscape(s[first], attr) == "" {
+	for first < len(s) && escapes[s[first]] == "" {
 		first++
 	}
 	if first == len(s) {
@@ -78,7 +82,7 @@ func appendEscaped(dst, s []byte, attr bool) []byte {
 	}
 	last := 0
 	for i := 0; i < len(s); {
-		esc, n := xmlEscape(s[i], attr), 1
+		esc, n := escapes[s[i]], 1
 		if s[i] >= utf8.RuneSelf {
 			var r rune
 			if r, n = utf8.DecodeRune(s[i:]); r == utf8.RuneError && n == 1 {
@@ -95,29 +99,11 @@ func appendEscaped(dst, s []byte, attr bool) []byte {
 	return append(dst, s[last:]...)
 }
 
-// xmlEscape returns the replacement for byte b in element content (& < > and
-// CR) or, with attr, in a double-quoted attribute value (also " TAB LF); ""
-// means b stands for itself.
-func xmlEscape(b byte, attr bool) string {
-	switch b {
-	case '&':
-		return "&amp;"
-	case '<':
-		return "&lt;"
-	case '>':
-		return "&gt;"
-	case '\r':
-		return "&#13;"
-	}
-	if attr {
-		switch b {
-		case '"':
-			return "&quot;"
-		case '\t':
-			return "&#9;"
-		case '\n':
-			return "&#10;"
-		}
-	}
-	return ""
-}
+// textEscapes and attrEscapes hold the replacement of each byte in element
+// content (& < > and CR) and in a double-quoted attribute value (also " TAB
+// LF); "" means the byte stands for itself, as every byte >= 0x80 does.
+var (
+	textEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;"}
+	attrEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;",
+		'"': "&quot;", '\t': "&#9;", '\n': "&#10;"}
+)

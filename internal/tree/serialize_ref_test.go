@@ -1,7 +1,8 @@
 package tree
 
-// The token-at-a-time serialiser Doc.AppendXML replaced, kept verbatim as
-// the reference the property test below compares against.
+// The token-at-a-time serialiser Doc.AppendXML replaced, and the switch-based
+// value escaper the escape tables replaced, kept verbatim as the references
+// the property tests below compare against.
 
 import (
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // SerializeNode writes node pre (and its subtree) as XML text. For the
@@ -282,6 +284,97 @@ func TestAppendXMLMatchesReference(t *testing.T) {
 		if !kinds[k] {
 			t.Errorf("generator never produced a %v node", k)
 		}
+	}
+}
+
+// refAppendEscaped is the switch-driven value escaper appendEscaped's
+// tables replaced, kept verbatim as the reference.
+func refAppendEscaped(dst, s []byte, attr bool) []byte {
+	first := 0
+	for first < len(s) && xmlEscape(s[first], attr) == "" {
+		first++
+	}
+	if first == len(s) {
+		return append(dst, s...)
+	}
+	last := 0
+	for i := 0; i < len(s); {
+		esc, n := xmlEscape(s[i], attr), 1
+		if s[i] >= utf8.RuneSelf {
+			var r rune
+			if r, n = utf8.DecodeRune(s[i:]); r == utf8.RuneError && n == 1 {
+				esc = "\uFFFD"
+			}
+		}
+		if esc != "" {
+			dst = append(dst, s[last:i]...)
+			dst = append(dst, esc...)
+			last = i + n
+		}
+		i += n
+	}
+	return append(dst, s[last:]...)
+}
+
+// xmlEscape returns the replacement for byte b in element content (& < > and
+// CR) or, with attr, in a double-quoted attribute value (also " TAB LF); ""
+// means b stands for itself.
+func xmlEscape(b byte, attr bool) string {
+	switch b {
+	case '&':
+		return "&amp;"
+	case '<':
+		return "&lt;"
+	case '>':
+		return "&gt;"
+	case '\r':
+		return "&#13;"
+	}
+	if attr {
+		switch b {
+		case '"':
+			return "&quot;"
+		case '\t':
+			return "&#9;"
+		case '\n':
+			return "&#10;"
+		}
+	}
+	return ""
+}
+
+// TestAppendEscapedAgainstReference: the table-driven escaper writes exactly
+// the reference's bytes, in text and attribute mode, for every single byte,
+// every byte between two plain ones and after an escapable one, and random
+// byte strings drawn heavily from escapable, multi-byte and invalid UTF-8
+// bytes — onto a non-empty dst.
+func TestAppendEscapedAgainstReference(t *testing.T) {
+	check := func(s []byte) {
+		t.Helper()
+		for _, attr := range []bool{false, true} {
+			want := refAppendEscaped([]byte("p"), s, attr)
+			if got := appendEscaped([]byte("p"), s, attr); string(got) != string(want) {
+				t.Fatalf("appendEscaped(%q, attr=%v) = %q, reference %q", s, attr, got, want)
+			}
+		}
+	}
+	for b := 0; b < 256; b++ {
+		check([]byte{byte(b)})
+		check([]byte{'a', byte(b), 'z'})
+		check([]byte{'&', byte(b)})
+	}
+	r := rand.New(rand.NewSource(1))
+	alphabet := []byte("&<>\"\t\n\r 'az\x7f\x80\xbf\xc3\xa9\xe2\x82\xac\xed\xa0\xf0\x9f\xff")
+	for iter := 0; iter < 20000; iter++ {
+		s := make([]byte, r.Intn(24))
+		for i := range s {
+			if r.Intn(4) == 0 {
+				s[i] = byte(r.Intn(256))
+			} else {
+				s[i] = alphabet[r.Intn(len(alphabet))]
+			}
+		}
+		check(s)
 	}
 }
 

@@ -53,35 +53,32 @@ type shardSeq struct {
 	sources []ShardSource
 	i       int
 	cur     Cursor
-	item    xqeval.Item
 	err     error
 }
 
-func (c *shardSeq) Next() bool {
+func (c *shardSeq) NextBatch() Batch {
 	for c.err == nil {
 		if c.cur == nil {
 			if c.i >= len(c.sources) {
-				return false
+				break
 			}
 			c.cur, c.err = c.sources[c.i]()
 			c.i++
 			if c.err != nil {
-				return false
+				break
 			}
 		}
-		if c.cur.Next() {
-			c.item = c.cur.Item()
-			return true
+		if b := c.cur.NextBatch(); b.Len() > 0 {
+			return b
 		}
 		c.err = c.cur.Err()
 		c.cur.Close()
 		c.cur = nil
 	}
-	return false
+	return Batch{}
 }
 
-func (c *shardSeq) Item() xqeval.Item { return c.item }
-func (c *shardSeq) Err() error        { return c.err }
+func (c *shardSeq) Err() error { return c.err }
 func (c *shardSeq) Close() {
 	if c.cur != nil {
 		c.cur.Close()
@@ -114,9 +111,6 @@ type shardPar struct {
 
 	// Consumer state (single goroutine, never shared).
 	si     int
-	out    []xqeval.Item
-	oi     int
-	item   xqeval.Item
 	err    error
 	done   bool
 	closed bool
@@ -188,20 +182,17 @@ func (p *shardPar) runShard(i int, src ShardSource, chunk int) bool {
 		return p.send(i, shardChunk{err: err})
 	}
 	defer cur.Close()
+	rows := NewReader(cur)
 	buf := make([]xqeval.Item, 0, min(chunk, 64))
-	for cur.Next() {
-		buf = append(buf, cur.Item())
-		if len(buf) >= chunk {
-			if !p.send(i, shardChunk{items: buf}) {
-				return false
-			}
-			buf = make([]xqeval.Item, 0, chunk)
-		}
-	}
-	if len(buf) > 0 {
-		if !p.send(i, shardChunk{items: buf}) {
+	for {
+		// Fill stops short of chunk only at the end of the shard's stream.
+		if buf = rows.Fill(buf, chunk); len(buf) > 0 && !p.send(i, shardChunk{items: buf}) {
 			return false
 		}
+		if len(buf) < chunk {
+			break
+		}
+		buf = make([]xqeval.Item, 0, chunk) // the consumer owns the one sent
 	}
 	if err := cur.Err(); err != nil {
 		return p.send(i, shardChunk{err: err})
@@ -218,19 +209,16 @@ func (p *shardPar) send(i int, c shardChunk) bool {
 	}
 }
 
-func (p *shardPar) Next() bool {
+// NextBatch returns the next received chunk of the current shard as one
+// batch.
+func (p *shardPar) NextBatch() Batch {
 	if p.err != nil || p.done {
-		return false
+		return Batch{}
 	}
 	for {
-		if p.oi < len(p.out) {
-			p.item = p.out[p.oi]
-			p.oi++
-			return true
-		}
 		if p.si >= len(p.chans) {
 			p.done = true
-			return false
+			return Batch{}
 		}
 		c, ok := <-p.chans[p.si]
 		if !ok {
@@ -243,14 +231,13 @@ func (p *shardPar) Next() bool {
 		}
 		if c.err != nil {
 			p.err = c.err
-			return false
+			return Batch{}
 		}
-		p.out, p.oi = c.items, 0
+		return Batch{Items: c.items}
 	}
 }
 
-func (p *shardPar) Item() xqeval.Item { return p.item }
-func (p *shardPar) Err() error        { return p.err }
+func (p *shardPar) Err() error { return p.err }
 
 // Close shuts the pool down: workers blocked on a send or a token acquire
 // exit via donech, a worker mid-chunk finishes that chunk and exits on its
@@ -265,5 +252,4 @@ func (p *shardPar) Close() {
 	p.done = true
 	close(p.donech)
 	p.wg.Wait()
-	p.out, p.oi = nil, 0
 }

@@ -11,8 +11,9 @@ import (
 	"soxq/internal/xqeval"
 )
 
-// fakeShard is a ShardSource-backed cursor over a fixed item sequence, with
-// an optional error injected after the items and close tracking for the
+// fakeShard is a ShardSource-backed cursor over a fixed item sequence,
+// handed out in batches of at most fakeBatch items that alias the sequence,
+// with an optional error injected after the items and close tracking for the
 // teardown assertions.
 type fakeShard struct {
 	items  []xqeval.Item
@@ -21,15 +22,16 @@ type fakeShard struct {
 	closed atomic.Bool
 }
 
-func (f *fakeShard) Next() bool {
-	if f.i >= len(f.items) {
-		return false
-	}
-	f.i++
-	return true
+// fakeBatch is below and above the chunk sizes the merge tests use, so
+// batches are both split and gathered into chunks.
+const fakeBatch = 2
+
+func (f *fakeShard) NextBatch() Batch {
+	n := min(fakeBatch, len(f.items)-f.i)
+	f.i += n
+	return Batch{Items: f.items[f.i-n : f.i]}
 }
 
-func (f *fakeShard) Item() xqeval.Item { return f.items[f.i-1] }
 func (f *fakeShard) Err() error {
 	if f.i >= len(f.items) {
 		return f.err
@@ -56,19 +58,67 @@ func sourcesFor(shards []*fakeShard) []ShardSource {
 	return out
 }
 
+// drainInts drains c batch by batch, reading each batch before the next call.
 func drainInts(t *testing.T, c Cursor) ([]int64, error) {
 	t.Helper()
 	var got []int64
-	for c.Next() {
-		n, ok, err := xqeval.SingletonInt([]xqeval.Item{c.Item()})
-		if err != nil || !ok {
-			t.Fatalf("non-int item: %v %v", ok, err)
+	for b := c.NextBatch(); b.Len() > 0; b = c.NextBatch() {
+		for i := range b.Len() {
+			n, ok, err := xqeval.SingletonInt([]xqeval.Item{b.Item(i)})
+			if err != nil || !ok {
+				t.Fatalf("non-int item: %v %v", ok, err)
+			}
+			got = append(got, n)
 		}
-		got = append(got, n)
 	}
 	err := c.Err()
 	c.Close()
 	return got, err
+}
+
+// TestReaderAcrossBatches pins the Reader over a cursor whose batches do not
+// line up with what is asked: Fill and Next interleave across batch
+// boundaries without losing or repeating a row, Fill stops short of its
+// limit only at the end, and the error surfaces after the last row.
+func TestReaderAcrossBatches(t *testing.T) {
+	boom := errors.New("boom")
+	f := intShard(0, 7)
+	f.err = boom
+	rows := NewReader(f)
+	var got []int64
+	collect := func(items []xqeval.Item) {
+		for _, it := range items {
+			got = append(got, it.I)
+		}
+	}
+	if !rows.Next() {
+		t.Fatal("empty stream")
+	}
+	collect([]xqeval.Item{rows.Item()})
+	chunk := rows.Fill(nil, 3)
+	if len(chunk) != 3 {
+		t.Fatalf("Fill(3) mid-stream returned %d rows", len(chunk))
+	}
+	collect(chunk)
+	if !rows.Next() {
+		t.Fatal("stream ended early")
+	}
+	collect([]xqeval.Item{rows.Item()})
+	chunk = rows.Fill(chunk[:0], 5)
+	collect(chunk)
+	if rows.Next() || rows.Fill(nil, 1) != nil {
+		t.Fatal("rows after the end of the stream")
+	}
+	if want := []int64{0, 1, 2, 3, 4, 5, 6}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rows %v, want %v", got, want)
+	}
+	if err := rows.Err(); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	rows.Close()
+	if !f.closed.Load() {
+		t.Fatal("Reader.Close did not close the cursor")
+	}
 }
 
 // TestMergeShardsOrder pins the document-order merge: whatever the worker
@@ -170,8 +220,9 @@ func TestMergeShardsEarlyCloseNoLeak(t *testing.T) {
 			shards[s] = intShard(s, 500)
 		}
 		c := MergeShards(sourcesFor(shards), 4, 8, nil)
+		rows := NewReader(c)
 		for i := 0; i < 1+round*7; i++ {
-			if !c.Next() {
+			if !rows.Next() {
 				t.Fatal("stream ended early")
 			}
 		}
@@ -195,7 +246,7 @@ func TestMergeShardsEarlyCloseNoLeak(t *testing.T) {
 }
 
 // TestMergeShardsLazySequential pins that the sequential form builds shard
-// sources lazily: closing after the first shard's items must not have
+// sources lazily: closing after the first shard's batches must not have
 // invoked the later sources at all.
 func TestMergeShardsLazySequential(t *testing.T) {
 	var built [3]atomic.Bool
@@ -205,8 +256,8 @@ func TestMergeShardsLazySequential(t *testing.T) {
 		srcs[i] = func() (Cursor, error) { built[i].Store(true); return shards[i], nil }
 	}
 	c := MergeShards(srcs, 1, 0, nil)
-	for i := 0; i < 3; i++ {
-		if !c.Next() {
+	for i := 0; i < 4/fakeBatch; i++ {
+		if c.NextBatch().Len() == 0 {
 			t.Fatal("stream ended early")
 		}
 	}

@@ -9,18 +9,21 @@
 // StandOff-free binding drives a child cursor per parent tuple (see
 // flwor.go), and a StandOff select final path step streams per context
 // chunk through a watermark-gated ordered dedup merge (see standoff.go).
-// Expression forms that cannot stream (order by, aggregates, reject
-// anti-joins, ...) fall back to a cursor wrapping the materialising
-// evaluator, so every query works under either execution style and both
-// return identical sequences.
+// Expression forms that cannot stream (order by, aggregates, ...) fall back
+// to a cursor wrapping the materialising evaluator, so every query works
+// under either execution style and both return identical sequences.
+//
+// Cursors hand their output over a batch at a time (see Batch): a node-only
+// run leaves a StandOff step as the step's own (doc, []pre) buffer, so the
+// bulk representation survives up to the consumer, which boxes an item only
+// when it reads one (Reader).
 //
 // On top of the chunked pipeline, the FLWOR cursor can partition large loops
 // across a worker pool (Config.Parallelism): chunks of tuples are evaluated
 // concurrently over the shared immutable plan and merged back in order.
 // Small loops — below the cardinality cutoff the gate observes on the
-// binding stream — stay single-threaded, for the same reason the cost
-// model keeps single-iteration joins on the Basic merge: parallel machinery
-// only pays off once the work amortises it.
+// binding stream — stay single-threaded: parallel machinery only pays off
+// once the work amortises it.
 //
 // The pipeline participates in EXPLAIN twice over. Describe reports the
 // shape Build would construct — which operators pipeline and which
@@ -32,27 +35,122 @@
 package xqexec
 
 import (
+	"soxq/internal/tree"
 	"soxq/internal/xqast"
 	"soxq/internal/xqeval"
 )
 
-// Cursor is a pull-based result stream. The usage contract mirrors
-// database/sql.Rows: call Next until it returns false, read the current item
-// with Item, then check Err; Close releases pipeline resources (worker
-// goroutines) and is idempotent. A Cursor is single-consumer — it must not
-// be shared between goroutines — but any number of cursors over the same
-// plan may run concurrently.
+// Cursor is a pull-based result stream, drained a batch at a time: call
+// NextBatch until it returns an empty batch, then check Err; Close releases
+// pipeline resources (worker goroutines) and is idempotent. A Cursor is
+// single-consumer — it must not be shared between goroutines — but any
+// number of cursors over the same plan may run concurrently. Row-at-a-time
+// consumers wrap it in a Reader.
 type Cursor interface {
-	// Next advances to the next item, returning false at the end of the
-	// stream or on error (check Err).
-	Next() bool
-	// Item returns the current item; valid after a true Next.
-	Item() xqeval.Item
+	// NextBatch returns the next run of the stream: whatever the cursor's
+	// last refill proved final, never held back to fill a larger batch. The
+	// batch aliases the cursor's buffers and is valid until the next
+	// NextBatch or Close on the same cursor. An empty batch ends the stream
+	// (or reports an error: check Err).
+	NextBatch() Batch
 	// Err returns the first error the pipeline hit, or nil.
 	Err() error
 	// Close tears the pipeline down. Safe to call more than once, and
 	// safe to call before the stream is drained.
 	Close()
+}
+
+// Batch is one run of a cursor's output: either node rows of one document,
+// D with their pre ranks in Pres (D is non-nil exactly then), or Items.
+type Batch struct {
+	D     *tree.Doc
+	Pres  []int32
+	Items []xqeval.Item
+}
+
+// Len returns the number of rows in the batch.
+func (b Batch) Len() int { return len(b.Pres) + len(b.Items) }
+
+// Item returns row i as an item.
+func (b Batch) Item(i int) xqeval.Item {
+	if b.D != nil {
+		return xqeval.NodeItem(b.D, b.Pres[i])
+	}
+	return b.Items[i]
+}
+
+// appendRows appends rows [i, j) to dst as items.
+func (b Batch) appendRows(dst []xqeval.Item, i, j int) []xqeval.Item {
+	if b.D == nil {
+		return append(dst, b.Items[i:j]...)
+	}
+	for _, pre := range b.Pres[i:j] {
+		dst = append(dst, xqeval.NodeItem(b.D, pre))
+	}
+	return dst
+}
+
+// Reader reads a cursor row by row, or up to a limit of rows at a time,
+// across its batches. It holds the current batch, so the batch-lifetime rule
+// carries over: an Item is a copy and outlives the batch, the batch itself
+// is only read up to the next refill.
+type Reader struct {
+	c Cursor
+	b Batch
+	n int // b.Len(), kept so Next stays inlinable
+	i int // rows of b consumed; the current row is i-1
+}
+
+// NewReader returns a reader positioned before the first row of c.
+func NewReader(c Cursor) Reader { return Reader{c: c} }
+
+// Next advances to the next row, returning false at the end of the stream
+// or on error (check Err).
+func (r *Reader) Next() bool {
+	if r.i >= r.n && !r.refill() {
+		return false
+	}
+	r.i++
+	return true
+}
+
+// refill replaces the consumed batch with the cursor's next one, reporting
+// whether it holds any rows.
+func (r *Reader) refill() bool {
+	r.b = r.c.NextBatch()
+	r.n, r.i = r.b.Len(), 0
+	return r.n > 0
+}
+
+// Item returns the current row; valid after a true Next.
+func (r *Reader) Item() xqeval.Item { return r.b.Item(r.i - 1) }
+
+// Fill appends the next rows to dst until it holds limit items or the
+// stream ends, and returns it.
+func (r *Reader) Fill(dst []xqeval.Item, limit int) []xqeval.Item {
+	for len(dst) < limit && (r.i < r.n || r.refill()) {
+		k := min(limit-len(dst), r.n-r.i)
+		dst = r.b.appendRows(dst, r.i, r.i+k)
+		r.i += k
+	}
+	return dst
+}
+
+// Err returns the underlying cursor's error.
+func (r *Reader) Err() error { return r.c.Err() }
+
+// Close drops the current batch and closes the underlying cursor.
+func (r *Reader) Close() {
+	r.b, r.n, r.i = Batch{}, 0, 0
+	r.c.Close()
+}
+
+// appendAll drains c's remaining batches onto dst.
+func appendAll(dst []xqeval.Item, c Cursor) []xqeval.Item {
+	for b := c.NextBatch(); b.Len() > 0; b = c.NextBatch() {
+		dst = b.appendRows(dst, 0, b.Len())
+	}
+	return dst
 }
 
 // Config tunes the pipeline.
@@ -118,10 +216,7 @@ func (c *pipelineCursor) takeAll() ([]xqeval.Item, error) {
 	if t, ok := c.Cursor.(interface{ takeAll() ([]xqeval.Item, error) }); ok {
 		return t.takeAll()
 	}
-	var out []xqeval.Item
-	for c.Cursor.Next() {
-		out = append(out, c.Cursor.Item())
-	}
+	out := appendAll(nil, c.Cursor)
 	if err := c.Cursor.Err(); err != nil {
 		return nil, err
 	}
@@ -144,7 +239,7 @@ func (x *executor) chunkSize() int {
 
 // build constructs the cursor for one expression under a root-shaped frame
 // (one iteration). It never evaluates anything: evaluation happens lazily on
-// the first Next, except for globals which Build resolved already.
+// the first NextBatch, except for globals which Build resolved already.
 func (x *executor) build(e xqast.Expr, f *xqeval.Frame) Cursor {
 	switch v := e.(type) {
 	case *xqast.FLWOR:
@@ -224,10 +319,7 @@ func DrainAll(c Cursor) ([]xqeval.Item, error) {
 	if t, ok := c.(interface{ takeAll() ([]xqeval.Item, error) }); ok {
 		return t.takeAll()
 	}
-	var out []xqeval.Item
-	for c.Next() {
-		out = append(out, c.Item())
-	}
+	out := appendAll(nil, c)
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
@@ -235,17 +327,16 @@ func DrainAll(c Cursor) ([]xqeval.Item, error) {
 }
 
 // materialCursor is the fallback operator: it evaluates the whole expression
-// with the materialising evaluator on first Next and streams the result. It
-// is also what keeps the two execution styles semantically identical — any
-// form the pipeline does not understand runs exactly as Exec always has.
+// with the materialising evaluator on the first NextBatch and hands the
+// result over as one batch. It is also what keeps the two execution styles
+// semantically identical — any form the pipeline does not understand runs
+// exactly as Exec always has.
 type materialCursor struct {
 	ev      *xqeval.Evaluator
 	e       xqast.Expr
 	f       *xqeval.Frame
 	started bool
 	items   []xqeval.Item
-	i       int
-	cur     xqeval.Item
 	err     error
 }
 
@@ -259,33 +350,24 @@ func (c *materialCursor) run() {
 	c.items = seq.Group(0)
 }
 
-func (c *materialCursor) Next() bool {
-	if !c.started {
-		c.run()
-	}
-	if c.err != nil || c.i >= len(c.items) {
-		return false
-	}
-	c.cur = c.items[c.i]
-	c.i++
-	return true
+func (c *materialCursor) NextBatch() Batch {
+	items, _ := c.takeAll()
+	return Batch{Items: items}
 }
 
-func (c *materialCursor) Item() xqeval.Item { return c.cur }
-func (c *materialCursor) Err() error        { return c.err }
-func (c *materialCursor) Close()            { c.started, c.items, c.i = true, nil, 0 }
+func (c *materialCursor) Err() error { return c.err }
+func (c *materialCursor) Close()     { c.started, c.items = true, nil }
 
-// takeAll lets DrainAll skip the item-by-item copy: the evaluated group is
-// handed over directly, making Exec-through-the-pipeline identical in cost
-// to the pre-streaming Exec for non-pipelined plans.
+// takeAll lets DrainAll skip the batch copy: the evaluated group is handed
+// over directly, making Exec-through-the-pipeline identical in cost to the
+// pre-streaming Exec for non-pipelined plans.
 func (c *materialCursor) takeAll() ([]xqeval.Item, error) {
 	if !c.started {
 		c.run()
 	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return c.items[c.i:], nil
+	items := c.items
+	c.items = nil
+	return items, c.err
 }
 
 // seqCursor streams a `,` sequence: each operand's cursor is built only when
@@ -297,32 +379,29 @@ type seqCursor struct {
 	exprs []xqast.Expr
 	i     int
 	cur   Cursor
-	item  xqeval.Item
 	err   error
 }
 
-func (c *seqCursor) Next() bool {
+func (c *seqCursor) NextBatch() Batch {
 	for c.err == nil {
 		if c.cur == nil {
 			if c.i >= len(c.exprs) {
-				return false
+				return Batch{}
 			}
 			c.cur = c.x.build(c.exprs[c.i], c.f)
 			c.i++
 		}
-		if c.cur.Next() {
-			c.item = c.cur.Item()
-			return true
+		if b := c.cur.NextBatch(); b.Len() > 0 {
+			return b
 		}
 		c.err = c.cur.Err()
 		c.cur.Close()
 		c.cur = nil
 	}
-	return false
+	return Batch{}
 }
 
-func (c *seqCursor) Item() xqeval.Item { return c.item }
-func (c *seqCursor) Err() error        { return c.err }
+func (c *seqCursor) Err() error { return c.err }
 func (c *seqCursor) Close() {
 	if c.cur != nil {
 		c.cur.Close()
@@ -331,11 +410,16 @@ func (c *seqCursor) Close() {
 	c.i = len(c.exprs)
 }
 
+// rangeBatch bounds a range cursor's reused batch buffer: enough rows to
+// amortise the call, few enough that a nested loop's per-level buffer stays
+// a few KiB.
+const rangeBatch = 64
+
 // rangeCursor streams `lo to hi` without materialising the range — the
 // canonical unbounded generator (a for-clause over a range binds tuples
 // straight out of this cursor, so a million-iteration loop never holds a
-// million binding items). Bounds are evaluated once on the first Next; the
-// materialising evaluator's range-size limit applies identically.
+// million binding items). Bounds are evaluated once on the first NextBatch;
+// the materialising evaluator's range-size limit applies identically.
 type rangeCursor struct {
 	x       *executor
 	v       *xqast.Binary
@@ -344,7 +428,7 @@ type rangeCursor struct {
 	done    bool
 	next    int64
 	hi      int64
-	cur     xqeval.Item
+	buf     []xqeval.Item // reused batch buffer
 	// lit caches bounds recognised as integer literals at build time, so a
 	// reset-reused cursor (`for $x in 1 to N` under a nested loop) re-arms
 	// without re-evaluating — and thus without allocating — anything.
@@ -414,22 +498,29 @@ func (c *rangeCursor) init() {
 	c.next, c.hi = lo, hi
 }
 
-func (c *rangeCursor) Next() bool {
+func (c *rangeCursor) NextBatch() Batch {
 	if !c.started {
 		c.init()
 	}
 	if c.err != nil || c.done {
-		return false
+		return Batch{}
 	}
-	c.cur = xqeval.Int(c.next)
-	if c.next == c.hi {
+	n := int(min(c.hi-c.next, rangeBatch-1)) + 1
+	if cap(c.buf) < n {
+		c.buf = make([]xqeval.Item, n)
+	}
+	c.buf = c.buf[:n]
+	for i := range c.buf {
+		c.buf[i] = xqeval.Int(c.next + int64(i))
+	}
+	// Advance without stepping past hi, which may be the largest int64.
+	if last := c.next + int64(n-1); last == c.hi {
 		c.done = true
 	} else {
-		c.next++
+		c.next = last + 1
 	}
-	return true
+	return Batch{Items: c.buf}
 }
 
-func (c *rangeCursor) Item() xqeval.Item { return c.cur }
-func (c *rangeCursor) Err() error        { return c.err }
-func (c *rangeCursor) Close()            { c.done = true }
+func (c *rangeCursor) Err() error { return c.err }
+func (c *rangeCursor) Close()     { c.done = true }

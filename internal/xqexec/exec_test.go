@@ -219,16 +219,29 @@ func equivalenceMatrix() []Config {
 // TestPipelineEquivalence is the central property test of the subsystem:
 // for every corpus query and every cell of the chunk x parallelism matrix,
 // the cursor pipeline drains to exactly the sequence the materialising
-// evaluator produces, or fails with exactly the same error.
+// evaluator produces, or fails with exactly the same error — whether it is
+// drained whole (DrainAll), row by row (Reader) or batch by batch.
 func TestPipelineEquivalence(t *testing.T) {
 	env := newTestEnv(t)
 	cfgs := equivalenceMatrix()
+	drains := []struct {
+		name  string
+		drain func(Cursor) ([]xqeval.Item, error)
+	}{{"all", DrainAll}, {"rows", drainRows}, {"batches", drainBatches}}
 	for _, q := range corpus {
 		want := render(env.evaluator(t, q).Run())
 		for _, cfg := range cfgs {
-			got := render(runPipeline(env.evaluator(t, q), cfg))
-			if got != want {
-				t.Errorf("query %q cfg %+v:\n got %q\nwant %q", q, cfg, got, want)
+			for _, d := range drains {
+				cur, err := Build(env.evaluator(t, q), cfg)
+				var got string
+				if err != nil {
+					got = render(nil, err)
+				} else {
+					got = render(d.drain(cur))
+				}
+				if got != want {
+					t.Errorf("query %q cfg %+v drain %s:\n got %q\nwant %q", q, cfg, d.name, got, want)
+				}
 			}
 		}
 	}
@@ -240,6 +253,34 @@ func runPipeline(ev *xqeval.Evaluator, cfg Config) ([]xqeval.Item, error) {
 		return nil, err
 	}
 	return DrainAll(cur)
+}
+
+// drainRows drains c one row at a time through a Reader.
+func drainRows(c Cursor) ([]xqeval.Item, error) {
+	rows := NewReader(c)
+	defer rows.Close()
+	var out []xqeval.Item
+	for rows.Next() {
+		out = append(out, rows.Item())
+	}
+	return out, rows.Err()
+}
+
+// drainBatches drains c by NextBatch, copying each batch out before the
+// next call (the end of its validity) and checking that it holds exactly
+// one of the two row forms.
+func drainBatches(c Cursor) ([]xqeval.Item, error) {
+	defer c.Close()
+	var out []xqeval.Item
+	for b := c.NextBatch(); b.Len() > 0; b = c.NextBatch() {
+		if (b.D != nil) != (len(b.Pres) > 0) || (b.D != nil) == (len(b.Items) > 0) {
+			return nil, fmt.Errorf("malformed batch: D=%v, %d pres, %d items", b.D != nil, len(b.Pres), len(b.Items))
+		}
+		for i := range b.Len() {
+			out = append(out, b.Item(i))
+		}
+	}
+	return out, c.Err()
 }
 
 // TestParallelGateEngages pins that a loop beyond the cardinality gate
@@ -256,15 +297,16 @@ func TestParallelGateEngages(t *testing.T) {
 	if !ok {
 		t.Fatalf("expected flworCursor, got %T", cur)
 	}
-	if !fl.Next() {
+	rows := NewReader(fl)
+	if !rows.Next() {
 		t.Fatal("empty stream")
 	}
 	if fl.par == nil {
 		t.Fatal("parallel pool did not engage above the gate")
 	}
-	items := []xqeval.Item{fl.Item()}
-	for fl.Next() {
-		items = append(items, fl.Item())
+	items := []xqeval.Item{rows.Item()}
+	for rows.Next() {
+		items = append(items, rows.Item())
 	}
 	if err := fl.Err(); err != nil {
 		t.Fatal(err)
@@ -281,7 +323,7 @@ func TestParallelGateEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl = unwrapRoot(cur).(*flworCursor)
-	for fl.Next() {
+	for fl.NextBatch().Len() > 0 {
 	}
 	if fl.par != nil {
 		t.Fatal("parallel pool engaged below the gate")
@@ -327,14 +369,15 @@ func TestEarlyClose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rows := NewReader(cur)
 			for i := 0; i < 5; i++ {
-				if !cur.Next() {
+				if !rows.Next() {
 					t.Fatalf("%q cfg %+v: stream ended after %d items", q, cfg, i)
 				}
 			}
 			cur.Close()
 			cur.Close() // idempotent
-			if cur.Next() {
+			if cur.NextBatch().Len() > 0 {
 				t.Fatalf("%q cfg %+v: Next after Close", q, cfg)
 			}
 			waitGoroutines(t, baseline, fmt.Sprintf("%q cfg %+v", q, cfg))
@@ -362,8 +405,8 @@ func TestCloseBeforeNext(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur.Close()
-		if cur.Next() {
-			t.Errorf("%q cfg %+v: Next after pre-drain Close returned true", tc.q, tc.cfg)
+		if cur.NextBatch().Len() > 0 {
+			t.Errorf("%q cfg %+v: NextBatch after pre-drain Close returned rows", tc.q, tc.cfg)
 		}
 		if cur.Err() != nil {
 			t.Errorf("%q: Err after Close = %v", tc.q, cur.Err())
@@ -388,7 +431,7 @@ func TestGatePathRespectsChunkSize(t *testing.T) {
 	}
 	fl := unwrapRoot(cur).(*flworCursor)
 	n := 0
-	for fl.Next() {
+	for rows := NewReader(fl); rows.Next(); {
 		n++
 		if len(fl.chunk) > 8 {
 			t.Fatalf("gate path evaluated a %d-tuple chunk, ChunkSize 8", len(fl.chunk))
@@ -469,15 +512,7 @@ func TestParallelStealOversubscribed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var items []xqeval.Item
-	for cur.Next() {
-		items = append(items, cur.Item())
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	cur.Close()
-	if got := render(items, nil); got != want {
+	if got := render(drainRows(cur)); got != want {
 		t.Fatalf("oversubscribed pool diverges:\n got %q\nwant %q", got, want)
 	}
 	waitGoroutines(t, baseline, "oversubscribed pool")
@@ -496,15 +531,7 @@ func TestParallelGateInlineTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var items []xqeval.Item
-	for cur.Next() {
-		items = append(items, cur.Item())
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	cur.Close()
-	if got := render(items, nil); got != want {
+	if got := render(drainRows(cur)); got != want {
 		t.Fatalf("inline-tail stream diverges:\n got %q\nwant %q", got, want)
 	}
 	waitGoroutines(t, baseline, "inline tail")
@@ -523,8 +550,9 @@ func TestEarlyCloseStealingPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rows := NewReader(cur)
 		for i := 0; i < drain; i++ {
-			if !cur.Next() {
+			if !rows.Next() {
 				t.Fatalf("drain %d: stream ended after %d items", drain, i)
 			}
 		}
@@ -552,7 +580,7 @@ func TestPathStreamingModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := unwrapRoot(cur).(*pathCursor)
-	if !pc.Next() {
+	if pc.NextBatch().Len() == 0 {
 		t.Fatal("no results")
 	}
 	if pc.last == nil {
@@ -620,22 +648,27 @@ func TestStandoffCursorStreams(t *testing.T) {
 		return pc
 	}
 
+	// The chunked cursor's batches are pre runs of the one document, in
+	// document order across batches.
 	pc := build(`doc("p.xml")//span/select-wide::word`, 2)
-	if !pc.Next() {
+	b := pc.NextBatch()
+	if b.Len() == 0 {
 		t.Fatal("empty stream")
 	}
 	if pc.soc == nil {
 		t.Fatal("select final step over one document did not take the chunked cursor")
 	}
 	var last int32 = -1
-	n := 1
-	for ok := true; ok; ok = pc.Next() {
-		it := pc.Item()
-		if it.Pre <= last && n > 1 {
-			t.Fatalf("stream out of document order: pre %d after %d", it.Pre, last)
+	for ; b.Len() > 0; b = pc.NextBatch() {
+		if b.D == nil {
+			t.Fatalf("chunked cursor batch is not a pre run: %d items", len(b.Items))
 		}
-		last = it.Pre
-		n++
+		for _, pre := range b.Pres {
+			if pre <= last {
+				t.Fatalf("stream out of document order: pre %d after %d", pre, last)
+			}
+			last = pre
+		}
 	}
 	pc.Close()
 
@@ -643,8 +676,8 @@ func TestStandoffCursorStreams(t *testing.T) {
 	// node, deduplicated across chunks.
 	pc = build(`doc("p.xml")//block/select-narrow::word`, 1)
 	seen := map[int32]bool{}
-	for pc.Next() {
-		it := pc.Item()
+	for rows := NewReader(pc); rows.Next(); {
+		it := rows.Item()
 		if seen[it.Pre] {
 			t.Fatalf("duplicate node pre=%d in chunked stream", it.Pre)
 		}
@@ -655,7 +688,7 @@ func TestStandoffCursorStreams(t *testing.T) {
 	// Multi-document context: the chunked cursor refuses and the bulk step
 	// answers (soc stays nil, result still correct via materialised items).
 	pc = build(`(doc("t.xml")//scene, doc("p.xml")//block)/select-narrow::hit`, 2)
-	for pc.Next() {
+	for pc.NextBatch().Len() > 0 {
 	}
 	if pc.soc != nil {
 		t.Fatal("multi-document context must fall back to the bulk step")
@@ -679,7 +712,7 @@ func TestNestedCursorEngages(t *testing.T) {
 		if !ok {
 			t.Fatalf("expected flworCursor, got %T", cur)
 		}
-		for fl.Next() {
+		for fl.NextBatch().Len() > 0 {
 		}
 		if err := fl.Err(); err != nil {
 			t.Fatal(err)

@@ -68,7 +68,7 @@ type flworCursor struct {
 	f     *xqeval.Frame // this level's frame, leading lets bound at init
 	first *xqast.ForClause
 	rest  []xqast.Clause
-	bind  Cursor // stream of the first for clause's binding sequence
+	bind  Reader // stream of the first for clause's binding sequence
 	// pending holds binding tuples the parallel gate buffered before
 	// deciding to stay sequential; nextChunk consumes it ahead of bind,
 	// in ChunkSize slices like any other input.
@@ -104,9 +104,7 @@ type flworCursor struct {
 	chunk   []xqeval.Item // reused binding scratch (sequential mode only)
 	seed    []xqeval.Item // reused 1-tuple buffer driving child cursors
 	basePos int64
-	out     []xqeval.Item
-	i       int
-	cur     xqeval.Item
+	out     []xqeval.Item // the current chunk's result, handed out as one batch
 	err     error
 }
 
@@ -133,8 +131,8 @@ type nestedDecision struct {
 
 	// chunkBuf recycles the binding-tuple chunk buffer across the level's
 	// sibling cursors (one per parent tuple, strictly one live at a time —
-	// and a closed sibling has been fully drained, so every item that could
-	// alias the buffer was copied out before the next sibling overwrites it).
+	// and a closed sibling has been fully drained, so every batch that could
+	// alias the buffer was consumed before the next sibling overwrites it).
 	chunkBuf []xqeval.Item
 }
 
@@ -162,7 +160,7 @@ func (c *flworCursor) init() {
 			c.f = f
 			c.first = cl
 			c.rest = c.clauses[i+1:]
-			c.bind = c.x.buildReuse(cl.Seq, f, c.bindFree)
+			c.bind = NewReader(c.x.buildReuse(cl.Seq, f, c.bindFree))
 			c.bindFree = nil
 			if c.root && c.x.cfg.Parallelism > 1 {
 				c.par = startParallel(c)
@@ -223,14 +221,14 @@ func streamableBinding(e xqast.Expr) bool {
 
 // nextChunk pulls up to one chunk of binding tuples. In expanded mode it
 // evaluates the FLWOR tail over them at once; in nested mode it only stages
-// the tuples — Next drives a child cursor per tuple.
+// the tuples — NextBatch drives a child cursor per tuple.
 func (c *flworCursor) nextChunk() {
 	if c.scope != nil {
 		// Reclaim the previous chunk's scratch before pulling new tuples:
-		// the chunk was fully drained (Next only refills then), and closing
-		// first keeps scope turnover LIFO against the binding cursor's own
-		// scope turnover during the pull below.
-		c.out, c.i = nil, 0
+		// the chunk's batch was consumed (NextBatch only refills on the
+		// next call), and closing first keeps scope turnover LIFO against
+		// the binding cursor's own scope turnover during the pull below.
+		c.out = nil
 		c.x.ev.CloseScope(c.scope)
 		c.scope = nil
 	}
@@ -247,9 +245,7 @@ func (c *flworCursor) nextChunk() {
 		c.chunk = append(c.chunk, c.pending[:n]...)
 		c.pending = c.pending[n:]
 	}
-	for len(c.chunk) < limit && c.bind.Next() {
-		c.chunk = append(c.chunk, c.bind.Item())
-	}
+	c.chunk = c.bind.Fill(c.chunk, limit)
 	if err := c.bind.Err(); err != nil {
 		c.err = err
 		return
@@ -269,7 +265,7 @@ func (c *flworCursor) nextChunk() {
 		return
 	}
 	c.basePos += int64(len(c.chunk))
-	c.out, c.i = out, 0
+	c.out = out
 }
 
 // evalFLWORChunk runs the FLWOR tail over one chunk of binding tuples
@@ -296,8 +292,8 @@ func (c *flworCursor) startChild() {
 	c.ti++
 	c.childScope = c.x.ev.OpenScope()
 	// The 1-tuple buffer is reused across children: BindChunk aliases it, but
-	// the previous child was retired (hence drained — everything it produced
-	// was copied out as Item values) before this overwrite.
+	// the previous child was retired (hence drained — its last batch was
+	// consumed before the call that found it empty) before this overwrite.
 	if cap(c.seed) == 0 {
 		c.seed = make([]xqeval.Item, 1)
 	}
@@ -335,15 +331,15 @@ func (c *flworCursor) shelve() {
 		c.retireChild()
 	}
 	if c.scope != nil {
-		c.out, c.i = nil, 0
+		c.out = nil
 		c.x.ev.CloseScope(c.scope)
 		c.scope = nil
 	}
-	if c.bind != nil {
+	if c.bind.c != nil {
 		c.bind.Close()
-		c.bindFree, c.bind = c.bind, nil
+		c.bindFree, c.bind = c.bind.c, Reader{}
 	}
-	c.out, c.i = nil, 0
+	c.out = nil
 	c.pending = nil
 }
 
@@ -358,10 +354,12 @@ func (c *flworCursor) reset(f *xqeval.Frame) {
 	c.inner, c.innerRest = nil, nil
 	c.ti = 0
 	c.basePos = 0
-	c.out, c.i = nil, 0
+	c.out = nil
 }
 
-func (c *flworCursor) Next() bool {
+// NextBatch forwards the current child's batches in nested mode, and hands
+// out each evaluated chunk's result whole in expanded mode.
+func (c *flworCursor) NextBatch() Batch {
 	if !c.started {
 		c.init()
 	}
@@ -370,9 +368,8 @@ func (c *flworCursor) Next() bool {
 	}
 	for c.err == nil {
 		if c.child != nil {
-			if c.child.Next() {
-				c.cur = c.child.Item()
-				return true
+			if b := c.child.NextBatch(); b.Len() > 0 {
+				return b
 			}
 			c.err = c.child.Err()
 			c.retireChild()
@@ -382,27 +379,23 @@ func (c *flworCursor) Next() bool {
 			c.startChild()
 			continue
 		}
-		if c.i < len(c.out) {
-			c.cur = c.out[c.i]
-			c.i++
-			return true
-		}
 		if c.done {
-			return false
+			break
 		}
-		c.nextChunk()
+		if c.nextChunk(); len(c.out) > 0 {
+			return Batch{Items: c.out}
+		}
 	}
-	return false
+	return Batch{}
 }
 
-func (c *flworCursor) Item() xqeval.Item { return c.cur }
-func (c *flworCursor) Err() error        { return c.err }
+func (c *flworCursor) Err() error { return c.err }
 
 func (c *flworCursor) Close() {
-	// Mark the cursor started as well as done: a Next after an early
+	// Mark the cursor started as well as done: a NextBatch after an early
 	// Close must not resurrect the pipeline by running init.
 	c.started, c.done = true, true
-	c.out, c.i, c.pending = nil, 0, nil
+	c.out, c.pending = nil, nil
 	if c.memo != nil && c.chunk != nil && c.memo.chunkBuf == nil {
 		c.memo.chunkBuf = c.chunk // recycle for the next sibling cursor
 	}
@@ -427,12 +420,12 @@ func (c *flworCursor) Close() {
 		// The producer goroutine owns (and closes) the binding cursor.
 		c.par.close()
 		c.par = nil
-		c.bind = nil
+		c.bind = Reader{}
 		return
 	}
-	if c.bind != nil {
+	if c.bind.c != nil {
 		c.bind.Close()
-		c.bind = nil
+		c.bind = Reader{}
 	}
 }
 
@@ -474,8 +467,6 @@ type parallelFLWOR struct {
 	heap    resultHeap
 	nextSeq int64
 	iev     *xqeval.Evaluator // evaluates cost-gated inline chunks at the merge
-	out     []xqeval.Item
-	i       int
 }
 
 // chunkTask is one sequence-numbered slice of the binding stream, ready for
@@ -605,10 +596,7 @@ func startParallel(c *flworCursor) *parallelFLWOR {
 		pchunk = s
 	}
 	// Gate on the observed cardinality of the binding stream.
-	prefix := make([]xqeval.Item, 0, parallelMinTuples+1)
-	for len(prefix) <= parallelMinTuples && c.bind.Next() {
-		prefix = append(prefix, c.bind.Item())
-	}
+	prefix := c.bind.Fill(make([]xqeval.Item, 0, parallelMinTuples+1), parallelMinTuples+1)
 	if err := c.bind.Err(); err != nil {
 		c.err = err
 		return nil
@@ -637,6 +625,8 @@ func startParallel(c *flworCursor) *parallelFLWOR {
 	for w := 0; w < workers; w++ {
 		go p.worker(c, w)
 	}
+	// The producer takes the reader over, with the rows it holds past the
+	// prefix; c.bind is not read again while the pool runs.
 	go p.produce(c, c.bind, prefix, pchunk)
 	// The closer shuts the result channel once the producer and every
 	// worker has exited — the merge reads end-of-stream from the close.
@@ -652,7 +642,7 @@ func startParallel(c *flworCursor) *parallelFLWOR {
 // exclusively — no other goroutine touches it once the pool starts. Each
 // chunk first acquires an in-flight token (released by the merge when the
 // chunk is emitted), which is what bounds the deques and the result heap.
-func (p *parallelFLWOR) produce(c *flworCursor, bind Cursor, prefix []xqeval.Item, pchunk int) {
+func (p *parallelFLWOR) produce(c *flworCursor, bind Reader, prefix []xqeval.Item, pchunk int) {
 	defer p.wg.Done()
 	defer func() {
 		p.mu.Lock()
@@ -692,10 +682,7 @@ func (p *parallelFLWOR) produce(c *flworCursor, bind Cursor, prefix []xqeval.Ite
 		prefix = prefix[n:]
 	}
 	for {
-		tuples := make([]xqeval.Item, 0, pchunk)
-		for len(tuples) < pchunk && bind.Next() {
-			tuples = append(tuples, bind.Item())
-		}
+		tuples := bind.Fill(make([]xqeval.Item, 0, pchunk), pchunk)
 		if err := bind.Err(); err != nil {
 			// The error occupies the next sequence slot, so the merge
 			// surfaces it only after every preceding chunk — exactly where
@@ -806,58 +793,47 @@ func (p *parallelFLWOR) claim() {
 // next is the order-preserving merge: results arrive in completion order and
 // are re-sequenced through the min-heap, so chunks are emitted strictly in
 // the order the producer numbered them and the parallel stream is
-// item-for-item the sequential stream.
-func (p *parallelFLWOR) next(c *flworCursor) bool {
+// item-for-item the sequential stream. Each chunk's result is one batch.
+func (p *parallelFLWOR) next(c *flworCursor) Batch {
 	for c.err == nil {
-		if p.i < len(p.out) {
-			c.cur = p.out[p.i]
-			p.i++
-			return true
-		}
+		var r chunkResult
 		if p.heap.len() > 0 && p.heap.rs[0].seq == p.nextSeq {
-			if !p.take(c, p.heap.pop()) {
-				return false
+			r = p.heap.pop()
+		} else {
+			var ok bool
+			if r, ok = <-p.resch; !ok {
+				// Producer and workers are done and every result was taken:
+				// sequence numbers are contiguous, so the heap is empty too.
+				break
 			}
-			continue
+			if r.seq != p.nextSeq {
+				p.heap.push(r)
+				continue
+			}
 		}
-		r, ok := <-p.resch
-		if !ok {
-			// Producer and workers are done and every result was taken:
-			// sequence numbers are contiguous, so the heap is empty too.
-			return false
-		}
-		if r.seq != p.nextSeq {
-			p.heap.push(r)
-			continue
-		}
-		if !p.take(c, r) {
-			return false
+		if items := p.take(c, r); len(items) > 0 {
+			return Batch{Items: items}
 		}
 	}
-	return false
+	return Batch{}
 }
 
 // take emits one in-sequence chunk result: releases its in-flight token (the
 // producer may now deal the next chunk), surfaces its error, evaluates it
-// here if the producer's cost gate kept it inline, and stages its items.
-func (p *parallelFLWOR) take(c *flworCursor, r chunkResult) bool {
+// here if the producer's cost gate kept it inline, and returns its items.
+func (p *parallelFLWOR) take(c *flworCursor, r chunkResult) []xqeval.Item {
 	p.nextSeq++
 	<-p.slots
 	if r.err != nil {
 		c.err = r.err
-		return false
+		return nil
 	}
 	if r.inline != nil {
 		items, err := evalFLWORChunk(p.iev, c, r.inline, r.basePos)
-		if err != nil {
-			c.err = err
-			return false
-		}
-		p.out, p.i = items, 0
-		return true
+		c.err = err
+		return items
 	}
-	p.out, p.i = r.items, 0
-	return true
+	return r.items
 }
 
 func (p *parallelFLWOR) close() {

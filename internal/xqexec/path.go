@@ -45,18 +45,17 @@ type pathCursor struct {
 	started bool
 	err     error
 
-	// Tree streaming mode: remaining context nodes and the current node's
-	// matches.
+	// Tree streaming mode: remaining context nodes, one batch per node.
 	last *xqplan.StepPlan
 	ctx  []xqeval.Item
-	buf  []xqeval.Item
 
 	// StandOff chunked mode: the final chunked stage — a select
 	// chunk-join-merge cursor or a reject bitset cursor, possibly fed by a
-	// chain of upstream chunked stages it already drained at init.
+	// chain of upstream chunked stages it already drained at init. Its
+	// batches are forwarded as they are.
 	soc soStage
 
-	// Fallback mode: the fully evaluated result.
+	// Fallback mode: the fully evaluated result, handed over as one batch.
 	items []xqeval.Item
 
 	// produced counts emitted items for the ANALYZE path counter,
@@ -65,8 +64,6 @@ type pathCursor struct {
 	// the counter accumulates here instead of in the evaluator.
 	produced int64
 	recorded bool
-
-	cur xqeval.Item
 }
 
 func (c *pathCursor) init() {
@@ -190,12 +187,8 @@ func newStage(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (soStage, error
 // have had, minus the items.
 func newStageFromUpstream(x *executor, sp *xqplan.StepPlan, up soStage) (soStage, error) {
 	var pres []int32
-	for {
-		p, ok := up.nextPre()
-		if !ok {
-			break
-		}
-		pres = append(pres, p)
+	for b := up.NextBatch(); b.Len() > 0; b = up.NextBatch() {
+		pres = append(pres, b.Pres...)
 	}
 	d := up.streamDoc()
 	up.Close()
@@ -208,15 +201,7 @@ func newStageFromUpstream(x *executor, sp *xqplan.StepPlan, up soStage) (soStage
 // drainStageItems materialises a chain stage's remaining output as items,
 // for final steps that need the full context sequence anyway.
 func drainStageItems(st soStage) []xqeval.Item {
-	var out []xqeval.Item
-	d := st.streamDoc()
-	for {
-		p, ok := st.nextPre()
-		if !ok {
-			break
-		}
-		out = append(out, xqeval.NodeItem(d, p))
-	}
+	out := appendAll(nil, st)
 	st.Close()
 	return out
 }
@@ -244,51 +229,33 @@ func disjointContext(ctx []xqeval.Item) bool {
 	return true
 }
 
-func (c *pathCursor) Next() bool {
+func (c *pathCursor) NextBatch() Batch {
 	if !c.started {
 		c.init()
 	}
-	if c.err != nil {
-		return false
-	}
-	if c.soc != nil { // chunked StandOff final step
-		if c.soc.Next() {
-			c.cur = c.soc.Item()
-			c.produced++
-			return true
+	var b Batch
+	switch {
+	case c.err != nil:
+		return b
+	case c.soc != nil: // chunked StandOff final step
+		b = c.soc.NextBatch()
+	case c.last == nil: // fallback: the materialised result
+		b.Items, c.items = c.items, nil
+	default: // tree streaming: the next context node with a match
+		for b.Len() == 0 && len(c.ctx) > 0 {
+			var err error
+			if b.Items, err = c.x.ev.TreeStepItems(c.last, c.ctx[0]); err != nil {
+				c.err = err
+				return Batch{}
+			}
+			c.ctx = c.ctx[1:]
 		}
+	}
+	if b.Len() == 0 {
 		c.record()
-		return false
 	}
-	if c.last == nil { // fallback: iterate the materialised result
-		if len(c.items) == 0 {
-			c.record()
-			return false
-		}
-		c.cur = c.items[0]
-		c.items = c.items[1:]
-		c.produced++
-		return true
-	}
-	for {
-		if len(c.buf) > 0 {
-			c.cur = c.buf[0]
-			c.buf = c.buf[1:]
-			c.produced++
-			return true
-		}
-		if len(c.ctx) == 0 {
-			c.record()
-			return false
-		}
-		buf, err := c.x.ev.TreeStepItems(c.last, c.ctx[0])
-		if err != nil {
-			c.err = err
-			return false
-		}
-		c.ctx = c.ctx[1:]
-		c.buf = buf
-	}
+	c.produced += int64(b.Len())
+	return b
 }
 
 // record reports the path's emitted item count to the ANALYZE collector,
@@ -301,10 +268,9 @@ func (c *pathCursor) record() {
 	c.x.ev.Stats.RecordOp(c.p, 0, c.produced)
 }
 
-func (c *pathCursor) Item() xqeval.Item { return c.cur }
-func (c *pathCursor) Err() error        { return c.err }
+func (c *pathCursor) Err() error { return c.err }
 
-// Close terminates the cursor: started is set so a later Next cannot
+// Close terminates the cursor: started is set so a later NextBatch cannot
 // re-evaluate the path, and last is cleared so the drained fallback branch
 // (empty items) answers it.
 func (c *pathCursor) Close() {
@@ -313,7 +279,7 @@ func (c *pathCursor) Close() {
 	}
 	c.started = true
 	c.last = nil
-	c.ctx, c.buf, c.items = nil, nil, nil
+	c.ctx, c.items = nil, nil
 	if c.soc != nil {
 		c.soc.Close()
 		c.soc = nil

@@ -11,15 +11,13 @@ import (
 )
 
 // soStage is one chunked StandOff pipeline stage: a document-order stream of
-// candidate pre ranks over a single document. Both the select cursor and the
-// reject cursor implement it; the path cursor composes consecutive
-// chunk-streamable steps by draining each stage's pres into the next one's
-// context — 12 bytes per intermediate row, never a materialised item
-// sequence.
+// candidate pre ranks over a single document, every batch a Pres run. Both
+// the select cursor and the reject cursor implement it; the path cursor
+// composes consecutive chunk-streamable steps by draining each stage's pres
+// into the next one's context — 12 bytes per intermediate row, never a
+// materialised item sequence.
 type soStage interface {
 	Cursor
-	// nextPre advances the pre-rank stream (the item-free form of Next).
-	nextPre() (int32, bool)
 	// streamDoc returns the stage's single document; nil when the stage is
 	// statically empty.
 	streamDoc() *tree.Doc
@@ -52,9 +50,10 @@ type soStage interface {
 //
 // The whole pipeline runs on pre ranks, not items: context areas, the
 // pending heap, and the final output buffer are all int32 pres (a sixteenth
-// of an Item), and the one-document Item materialises only at emission in
-// Item(). Together with the stream's recycled join buffers this makes the
-// per-chunk steady state allocation-free.
+// of an Item), and the output buffer leaves as a Pres batch, so an Item is
+// only built by a consumer that reads one. Together with the stream's
+// recycled join buffers this makes the per-chunk steady state
+// allocation-free.
 //
 // For annotation corpora whose document order roughly follows region order —
 // the common case the paper's conversion produces — the watermark advances
@@ -81,8 +80,7 @@ type standoffCursor struct {
 	chunks   int64
 
 	heap preHeap
-	out  []int32 // pres proven final, in document order
-	oi   int
+	out  []int32 // pres proven final, in document order; the batch buffer
 
 	rowsIn   int64 // full context row count, for the step's ANALYZE record
 	produced int64
@@ -91,7 +89,6 @@ type standoffCursor struct {
 	recorded bool
 
 	done bool
-	cur  xqeval.Item
 }
 
 // soCtx is one context area pre with its sort key (minimum region start).
@@ -255,11 +252,10 @@ func (c *standoffCursor) refill() {
 			}
 		}
 		c.adaptChunk(c.heap.len())
-		if c.oi < len(c.out) {
-			// The cursor drains c.out completely before the next refill, so
-			// returning here is what makes reusing the stream's joined
-			// buffer safe: by the next JoinChunkPres every emitted pre has
-			// been copied out or consumed.
+		if len(c.out) > 0 {
+			// Emitted pres were copied out of the stream's joined buffer
+			// into c.out, so the next JoinChunkPres may reuse it while the
+			// consumer still reads this batch.
 			return
 		}
 	}
@@ -335,31 +331,18 @@ func (c *standoffCursor) emit(pre int32) {
 	c.produced++
 }
 
-func (c *standoffCursor) Next() bool {
-	pre, ok := c.nextPre()
-	if !ok {
-		return false
-	}
-	c.cur = xqeval.NodeItem(c.d, pre)
-	return true
-}
-
-// nextPre advances the stream one pre rank without materialising an item —
-// the form downstream chain stages drain.
-func (c *standoffCursor) nextPre() (int32, bool) {
-	for {
-		if c.oi < len(c.out) {
-			pre := c.out[c.oi]
-			c.oi++
-			return pre, true
-		}
-		if c.done {
-			c.record()
-			return 0, false
-		}
-		c.out, c.oi = c.out[:0], 0
+// NextBatch hands out the pres the last refill proved final as one run; the
+// buffer is overwritten by the next refill.
+func (c *standoffCursor) NextBatch() Batch {
+	c.out = c.out[:0]
+	for len(c.out) == 0 && !c.done {
 		c.refill()
 	}
+	if len(c.out) == 0 {
+		c.record()
+		return Batch{}
+	}
+	return Batch{D: c.d, Pres: c.out}
 }
 
 func (c *standoffCursor) streamDoc() *tree.Doc { return c.d }
@@ -375,14 +358,13 @@ func (c *standoffCursor) record() {
 	c.x.ev.Stats.RecordStepStream(c.sp, c.chunks, c.chunkMin, c.chunkMax)
 }
 
-func (c *standoffCursor) Item() xqeval.Item { return c.cur }
-func (c *standoffCursor) Err() error        { return nil }
+func (c *standoffCursor) Err() error { return nil }
 
 func (c *standoffCursor) Close() {
 	c.record()
 	c.done = true
 	c.ctx, c.out, c.heap.pres, c.scratch = nil, nil, nil, nil
-	c.i, c.oi = 0, 0
+	c.i = 0
 }
 
 // rejectCursor pipelines a StandOff reject step per context chunk. Reject is
@@ -416,12 +398,12 @@ type rejectCursor struct {
 	areas  []int32 // candidate pres in document order; the complement universe
 	ai     int     // next complement position
 	chunks int64   // marking chunks executed, for the step's ANALYZE stream counters
+	out    []int32 // reused complement batch, at most chunk pres
 
 	started  bool
 	rowsIn   int64
 	produced int64
 	recorded bool
-	cur      xqeval.Item
 }
 
 // newRejectCursor builds the chunked reject cursor over the evaluated
@@ -506,34 +488,26 @@ func (c *rejectCursor) run() {
 	}
 }
 
-func (c *rejectCursor) Next() bool {
-	pre, ok := c.nextPre()
-	if !ok {
-		return false
-	}
-	c.cur = xqeval.NodeItem(c.d, pre)
-	return true
-}
-
-func (c *rejectCursor) nextPre() (int32, bool) {
+// NextBatch runs the blocking marking phase on the first call, then hands
+// out the complement pass a chunk of unmatched candidates at a time.
+func (c *rejectCursor) NextBatch() Batch {
 	if !c.started {
 		c.run()
 	}
-	for c.ai < len(c.areas) {
+	c.out = c.out[:0]
+	for c.ai < len(c.areas) && len(c.out) < c.chunk {
 		i := c.ai
 		c.ai++
-		if c.bits.Get(i) {
-			continue
+		if pre := c.areas[i]; !c.bits.Get(i) && c.so.Keep(pre) {
+			c.out = append(c.out, pre)
 		}
-		pre := c.areas[i]
-		if !c.so.Keep(pre) {
-			continue
-		}
-		c.produced++
-		return pre, true
 	}
-	c.record()
-	return 0, false
+	if len(c.out) == 0 {
+		c.record()
+		return Batch{}
+	}
+	c.produced += int64(len(c.out))
+	return Batch{D: c.d, Pres: c.out}
 }
 
 func (c *rejectCursor) record() {
@@ -546,7 +520,6 @@ func (c *rejectCursor) record() {
 }
 
 func (c *rejectCursor) streamDoc() *tree.Doc { return c.d }
-func (c *rejectCursor) Item() xqeval.Item    { return c.cur }
 func (c *rejectCursor) Err() error           { return nil }
 
 func (c *rejectCursor) Close() {
@@ -557,7 +530,7 @@ func (c *rejectCursor) Close() {
 		c.x.ev.ReleaseMatchBits(c.bits)
 		c.bits = nil
 	}
-	c.ctx, c.scratch, c.areas = nil, nil, nil
+	c.ctx, c.scratch, c.areas, c.out = nil, nil, nil, nil
 }
 
 // preHeap is a binary min-heap of pre ranks — the document-order heap of the

@@ -23,14 +23,14 @@ import (
 // A Cursor is single-consumer; open one cursor per goroutine. Any number of
 // cursors over the same Prepared may run concurrently.
 type Cursor struct {
-	cur xqexec.Cursor
-	ro  runObs
+	rows xqexec.Reader
+	ro   runObs
 }
 
 // Next advances to the next result item, returning false at the end of the
 // stream or on error (check Err afterwards).
 func (c *Cursor) Next() bool {
-	if c.cur.Next() {
+	if c.rows.Next() {
 		return true
 	}
 	// End of stream (or error): the drain is complete, so this — not the
@@ -41,19 +41,19 @@ func (c *Cursor) Next() bool {
 
 // Value returns the current item; it is valid after a Next that returned
 // true.
-func (c *Cursor) Value() Value { return Value{it: c.cur.Item()} }
+func (c *Cursor) Value() Value { return Value{it: c.rows.Item()} }
 
 // Err returns the first error the pipeline encountered, or nil.
-func (c *Cursor) Err() error { return c.cur.Err() }
+func (c *Cursor) Err() error { return c.rows.Err() }
 
 // Close releases the pipeline's resources (chunk buffers, parallel workers).
 // It is idempotent and safe to call before the stream is drained; it returns
 // the pipeline error, if any, so `defer cur.Close()` plus an Err check at
 // the end covers every exit path.
 func (c *Cursor) Close() error {
-	c.cur.Close()
+	c.rows.Close()
 	c.ro.finish()
-	return c.cur.Err()
+	return c.rows.Err()
 }
 
 // WriteXML serialises the remaining items of the stream to w — nodes as XML
@@ -101,7 +101,7 @@ func (p *Prepared) Stream(cfg Config) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{cur: cur, ro: ro}, nil
+	return &Cursor{rows: xqexec.NewReader(cur), ro: ro}, nil
 }
 
 // StreamQuery is Stream through the plan cache: the query text is compiled
