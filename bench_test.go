@@ -15,7 +15,6 @@ package soxq
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -676,85 +675,6 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 				}
 				if res.String() != fmt.Sprint(want) {
 					b.Fatalf("count = %s, want %d", res.String(), want)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelExec measures the FLWOR partitioner on a loop whose
-// per-tuple work is independent (subtree string values plus node
-// construction — work that cannot be amortised across iterations, unlike
-// the loop-lifted joins, which is exactly when partitioning pays).
-func BenchmarkParallelExec(b *testing.B) {
-	data := dataFor(b, 0.05)
-	if err := data.eng.LoadXML("plain.xml", mustSerialize(b, data.plain)); err != nil {
-		b.Fatal(err)
-	}
-	prep, err := data.eng.Prepare(
-		`for $a in doc("plain.xml")//open_auction
-		 return <r id="{$a/@id}">{string($a/annotation)}</r>`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ps := []int{1, runtime.GOMAXPROCS(0)}
-	if ps[1] == 1 {
-		ps = ps[:1] // single-core runner: the p=N cell would measure nothing
-	}
-	for _, p := range ps {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			cfg := Config{Parallelism: p}
-			for i := 0; i < b.N; i++ {
-				res, err := prep.Exec(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelSteal measures the work-stealing pool on a *skewed*
-// loop: the inner range grows with the outer position, so chunks late in
-// the binding stream carry far more work than early ones. A static
-// partition would finish its light chunks and idle behind the heavy tail;
-// stealing re-balances at chunk granularity, so the speedup over p=1 is
-// the scheduler's, not the partitioner's.
-func BenchmarkParallelSteal(b *testing.B) {
-	if runtime.NumCPU() == 1 {
-		b.Skip("work stealing measures nothing on a single-core runner")
-	}
-	data := dataFor(b, 0.05)
-	if err := data.eng.LoadXML("plain.xml", mustSerialize(b, data.plain)); err != nil {
-		b.Fatal(err)
-	}
-	prep, err := data.eng.Prepare(
-		`for $a at $p in doc("plain.xml")//open_auction
-		 for $i in 1 to ($p mod 40) * 5
-		 return string($a/@id)`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			cfg := Config{StreamChunk: 64, Parallelism: p}
-			for i := 0; i < b.N; i++ {
-				cur, err := prep.Stream(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for cur.Next() {
-					n++
-				}
-				if err := cur.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("empty stream")
 				}
 			}
 		})

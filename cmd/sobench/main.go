@@ -41,7 +41,7 @@ var paperScaleNames = map[string]string{
 func main() {
 	scales := flag.String("scales", "0.1,0.5,1", "comma-separated XMark scale factors")
 	queries := flag.String("queries", "1,2,6,7", "comma-separated XMark query numbers")
-	variants := flag.String("variants", "udf,basic,looplifted", "comma-separated variants (udf,udf-nocand,basic,looplifted,auto,stream,parallel)")
+	variants := flag.String("variants", "udf,basic,looplifted", "comma-separated variants (udf,udf-nocand,basic,looplifted,auto,stream)")
 	timeout := flag.Duration("timeout", 5*time.Minute, "per-cell budget before declaring DNF (paper: 1h)")
 	dir := flag.String("dir", "soxq-bench-data", "directory for generated data files")
 	seed := flag.Uint64("seed", 42, "generator seed")
@@ -157,8 +157,6 @@ func variantLabel(v string) string {
 		return "Default Mode (auto = loop-lifted)"
 	case "stream":
 		return "Streamed Cursor Pipeline"
-	case "parallel":
-		return "Parallel Partitioned FLWOR"
 	}
 	return v
 }
@@ -297,10 +295,6 @@ func runCell(soPath string, q int, variant string, prepare bool, streamChunk, mu
 		// Drain the query through the cursor pipeline: same loop-lifted
 		// joins, bounded-memory execution.
 		streamed = true
-	case "parallel":
-		// Loop-lifted joins with large FLWOR loops partitioned across all
-		// cores (order-preserving merge).
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	default:
 		fatal("unknown variant %q", variant)
 	}

@@ -24,8 +24,7 @@
 // memory for arbitrarily large results); -stream-chunk N sets the tuples
 // evaluated per pipeline chunk (the memory/amortisation trade-off: StandOff
 // final steps join per chunk of context areas and nested for clauses bind
-// child cursors, so the bound compounds through nested loops); -parallel N
-// partitions large FLWOR loops across N workers.
+// child cursors, so the bound compounds through nested loops).
 //
 // -mutate FILE applies a scripted sequence of annotation writes after the
 // documents are loaded and before the query runs. The script holds one
@@ -84,7 +83,6 @@ func main() {
 	analyze := flag.Bool("analyze", false, "run the query and print the plan annotated with observed per-operator counters (EXPLAIN ANALYZE)")
 	stream := flag.Bool("stream", false, "stream results through the cursor pipeline instead of materialising them")
 	streamChunk := flag.Int("stream-chunk", 0, "tuples (and StandOff context areas) per pipeline chunk for -stream/-analyze (0 = default 1024)")
-	parallel := flag.Int("parallel", 0, "partition large FLWOR loops across N workers (0 = single-threaded)")
 	trace := flag.Bool("trace", false, "run the query with lifecycle tracing and print the span tree (parse/compile/execute with per-operator counts) after the results")
 	traceDurations := flag.Bool("trace-durations", false, "include measured durations and timestamps in the -trace rendering (non-deterministic output)")
 	ops := flag.String("ops", "", "serve the ops HTTP surface (/metrics, /debug/vars, /debug/queries) on this address, e.g. :6060, and wait for interrupt after the query")
@@ -101,8 +99,7 @@ func main() {
 		q = string(data)
 	}
 	cfg := soxq.Config{NoPushdown: *noPushdown, HeapActiveList: *heap,
-		Parallelism: *parallel, StreamChunk: *streamChunk,
-		Trace: *trace || *traceDurations}
+		StreamChunk: *streamChunk, Trace: *trace || *traceDurations}
 	switch *mode {
 	case "auto":
 		cfg.Mode = soxq.ModeAuto

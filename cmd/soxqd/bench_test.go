@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -62,10 +61,8 @@ func benchEngine(tb testing.TB) *soxq.Engine {
 
 // BenchmarkServerThroughput measures one full HTTP query round trip over the
 // 122k-region corpus: request in, 120k NDJSON rows streamed out, connection
-// reused across iterations. The sequential cell (shards drained one after
-// another) is the memory-guarded baseline cell in BENCH_stream.json; the
-// parallel cell fans the eight shards across four workers and self-skips on
-// a single-core runner, where there is no parallelism to measure.
+// reused across iterations. The shards drain one after another; the
+// sequential cell is the memory-guarded baseline cell in BENCH_stream.json.
 func BenchmarkServerThroughput(b *testing.B) {
 	eng := benchEngine(b)
 	s := newServer(eng, serverConfig{})
@@ -74,11 +71,11 @@ func BenchmarkServerThroughput(b *testing.B) {
 	q := url.QueryEscape(benchQuery)
 	wantRows := benchDocs * benchRowsPerMember
 
-	run := func(b *testing.B, parallel int) {
+	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		client := &http.Client{}
 		defer client.CloseIdleConnections()
-		url := fmt.Sprintf("%s/query?corpus=bench&parallel=%d&q=%s", ts.URL, parallel, q)
+		url := fmt.Sprintf("%s/query?corpus=bench&q=%s", ts.URL, q)
 		for i := 0; i < b.N; i++ {
 			resp, err := client.Get(url)
 			if err != nil {
@@ -102,13 +99,5 @@ func BenchmarkServerThroughput(b *testing.B) {
 				b.Fatalf("%d rows, want %d", rows, wantRows)
 			}
 		}
-	}
-
-	b.Run("sequential", func(b *testing.B) { run(b, 0) })
-	b.Run("parallel", func(b *testing.B) {
-		if runtime.GOMAXPROCS(0) < 2 {
-			b.Skip("single-core runner: shard-parallel fan-out has nothing to run on")
-		}
-		run(b, 4)
 	})
 }

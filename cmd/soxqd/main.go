@@ -21,11 +21,11 @@
 // Queries stream: results are written as NDJSON rows (or a chunked XML
 // document with format=xml) while the cursor pipeline produces them, so a
 // result of millions of items never materialises server-side. A corpus
-// query fans out one shard per member document — in parallel when the
-// request (or -parallel) asks for it — and merges shard streams back in
-// corpus order. Admission control bounds concurrent queries at -max-queries
-// with a -queue-timeout wait; the per-query stream chunk (the memory
-// budget) is clamped to -chunk.
+// query fans out one shard per member document and merges shard streams
+// back in corpus order; each query runs on its request's goroutine.
+// Admission control bounds concurrent queries at -max-queries with a
+// -queue-timeout wait; the per-query stream chunk (the memory budget) is
+// clamped to -chunk.
 //
 // Shutdown is graceful: SIGINT/SIGTERM stops the listener immediately and
 // gives in-flight streams -drain to finish before force-closing them.
@@ -61,8 +61,6 @@ func main() {
 	maxQueries := flag.Int("max-queries", 16, "queries allowed to run concurrently; more wait, then get 503")
 	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "how long an over-limit query waits for a slot before 503")
 	maxChunk := flag.Int("chunk", 4096, "ceiling for a query's stream chunk size (the per-query memory budget)")
-	maxParallel := flag.Int("max-parallel", 64, "ceiling for a query's parallel worker count")
-	parallel := flag.Int("parallel", 0, "default shard/loop parallelism for queries that do not pass parallel=")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown grace for in-flight streams")
 	flag.Parse()
 
@@ -100,11 +98,9 @@ func main() {
 	}
 
 	srv := newServer(eng, serverConfig{
-		MaxQueries:      *maxQueries,
-		QueueTimeout:    *queueTimeout,
-		MaxChunk:        *maxChunk,
-		MaxParallel:     *maxParallel,
-		DefaultParallel: *parallel,
+		MaxQueries:   *maxQueries,
+		QueueTimeout: *queueTimeout,
+		MaxChunk:     *maxChunk,
 	})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

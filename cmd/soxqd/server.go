@@ -26,14 +26,9 @@ type serverConfig struct {
 	// QueueTimeout is how long an over-limit query waits for a slot.
 	QueueTimeout time.Duration
 	// MaxChunk caps the per-query stream chunk (Config.StreamChunk): the
-	// server's memory budget per query is proportional to chunk x parallel
-	// workers, so requests asking for a larger chunk are clamped here.
+	// server's memory budget per query is proportional to the chunk, so
+	// requests asking for a larger chunk are clamped here.
 	MaxChunk int
-	// MaxParallel caps the per-query worker count a request may ask for.
-	MaxParallel int
-	// DefaultParallel is the shard/loop parallelism used when a request
-	// does not pass an explicit parallel parameter.
-	DefaultParallel int
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -45,9 +40,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	}
 	if c.MaxChunk <= 0 {
 		c.MaxChunk = 4096
-	}
-	if c.MaxParallel <= 0 {
-		c.MaxParallel = 64
 	}
 	return c
 }
@@ -324,7 +316,6 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 //	q         the query text (or the POST body)
 //	corpus    fan the query out across this corpus (optional)
 //	format    ndjson (default) or xml
-//	parallel  shard/loop workers for this query (clamped to -max-parallel)
 //	chunk     stream chunk size — the per-query memory budget knob,
 //	          clamped to the server's -chunk ceiling
 //	cache     cache=1 serves a corpus query from the engine's result cache
@@ -349,12 +340,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown format %q (want ndjson or xml)", format)
 		return
 	}
-	parallel, err := intParam(r, "parallel", s.cfg.DefaultParallel)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	parallel = min(parallel, s.cfg.MaxParallel)
 	chunk, err := intParam(r, "chunk", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -378,7 +363,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	cfg := soxq.Config{Parallelism: parallel, StreamChunk: chunk}
+	cfg := soxq.Config{StreamChunk: chunk}
 	if useCache {
 		res, err := s.eng.QueryCorpus(q, corpus, cfg)
 		if err != nil {

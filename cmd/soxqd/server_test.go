@@ -279,7 +279,7 @@ func TestServerQueryErrors(t *testing.T) {
 		{"unknown corpus", "/query?corpus=nope&q=" + queryParam(testQuery), 400},
 		{"cache without corpus", "/query?cache=1&q=" + queryParam(testQuery), 400},
 		{"bad format", "/query?format=yaml&q=" + queryParam(testQuery), 400},
-		{"bad parallel", "/query?parallel=many&q=" + queryParam(testQuery), 400},
+		{"bad chunk", "/query?chunk=many&q=" + queryParam(testQuery), 400},
 	}
 	for _, c := range cases {
 		var e struct {
@@ -445,7 +445,7 @@ func TestServerDisconnectNoLeak(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			ts.URL+"/query?corpus=news&parallel=4&chunk=1&q="+queryParam(testQuery), nil)
+			ts.URL+"/query?corpus=news&chunk=1&q="+queryParam(testQuery), nil)
 		if err != nil {
 			cancel()
 			t.Fatal(err)
@@ -491,8 +491,8 @@ func TestServerConcurrentExercise(t *testing.T) {
 	stop := make(chan struct{})
 	var readers, churn sync.WaitGroup
 
-	// Readers: stream the corpus query with varying parallelism and chunk
-	// sizes, disconnecting mid-stream every third iteration.
+	// Readers: stream the corpus query with varying chunk sizes,
+	// disconnecting mid-stream every third iteration.
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func(r int) {
@@ -502,8 +502,8 @@ func TestServerConcurrentExercise(t *testing.T) {
 			defer client.CloseIdleConnections()
 			for i := 0; i < 25; i++ {
 				ctx, cancel := context.WithCancel(context.Background())
-				url := fmt.Sprintf("%s/query?corpus=news&parallel=%d&chunk=%d&q=%s",
-					ts.URL, rnd.Intn(4), 1+rnd.Intn(8), queryParam(testQuery))
+				url := fmt.Sprintf("%s/query?corpus=news&chunk=%d&q=%s",
+					ts.URL, 1+rnd.Intn(8), queryParam(testQuery))
 				req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 				resp, err := client.Do(req)
 				if err != nil {

@@ -11,8 +11,8 @@ import (
 
 // Corpus layer: a corpus is a named, ordered set of loaded documents, and a
 // corpus query is the same compiled plan fanned out across the per-document
-// region indexes — one shard per member document, executed in parallel when
-// configured, merged back in corpus (document) order. Inside a shard the
+// region indexes — one shard per member document, executed one after
+// another and merged back in corpus (document) order. Inside a shard the
 // corpus URI resolves to that shard's member, so a query written as
 //
 //	doc("news")//scene/select-narrow::hit
@@ -129,22 +129,12 @@ func (e *Engine) corpusShards(corpus string) ([]shard, uint64, error) {
 
 // corpusMerge builds the fan-out/merge cursor of one corpus run: one lazily
 // built shard pipeline per member, drained through the cross-document merge.
-// cfg.Parallelism governs the shard pool (one worker drains one shard's
-// pipeline at a time); shard-internal FLWOR partitioning stays off under the
-// pool so a run's goroutine count is bounded by the shard workers, while a
-// sequential run (Parallelism <= 1) keeps the single-document behaviour and
-// hands cfg.Parallelism to each shard pipeline instead.
 func (p *Prepared) corpusMerge(corpus string, cfg Config, chunk int, ro runObs) (xqexec.Cursor, error) {
 	shards, _, err := p.eng.corpusShards(corpus)
 	if err != nil {
 		return nil, err
 	}
 	p.eng.tel.corpusRun(len(shards))
-	shardWorkers := cfg.Parallelism
-	innerParallel := 0
-	if shardWorkers <= 1 {
-		innerParallel = cfg.Parallelism
-	}
 	sources := make([]xqexec.ShardSource, len(shards))
 	for i, sh := range shards {
 		sources[i] = func() (xqexec.Cursor, error) {
@@ -155,19 +145,19 @@ func (p *Prepared) corpusMerge(corpus string, cfg Config, chunk int, ro runObs) 
 				docs: map[string]*tree.Doc{corpus: sh.doc, sh.name: sh.doc}}
 			ev := p.evaluatorWith(cfg, rv)
 			ev.Stats = ro.st
-			return xqexec.Build(ev, xqexec.Config{ChunkSize: chunk, Parallelism: innerParallel})
+			return xqexec.Build(ev, xqexec.Config{ChunkSize: chunk})
 		}
 	}
-	return xqexec.MergeShards(sources, shardWorkers, chunk, p.eng.met()), nil
+	return xqexec.MergeShards(sources), nil
 }
 
 // StreamCorpus executes the compiled query once per member document of the
 // named corpus and returns one cursor over the merged result: shard streams
 // concatenate in corpus order, item-for-item identical to running the query
-// against each member in turn. With cfg.Parallelism > 1 the shards execute
-// on a bounded worker pool; memory stays proportional to Parallelism x chunk,
-// never to the corpus size, and Close mid-stream tears the pool down without
-// leaking a goroutine.
+// against each member in turn. The shards run lazily one after another on
+// the caller's goroutine, so memory stays proportional to the chunk size,
+// never to the corpus size, and Close mid-stream never builds the remaining
+// shards.
 func (p *Prepared) StreamCorpus(corpus string, cfg Config) (*Cursor, error) {
 	chunk := cfg.StreamChunk
 	if chunk <= 0 {
@@ -201,7 +191,7 @@ func (p *Prepared) ExecCorpus(corpus string, cfg Config) (*Result, error) {
 // part of the key, so a load/unload/mutation — which bumps the generation —
 // orphans every older entry instead of requiring an explicit purge; orphans
 // age out of the bounded LRU. Options are included because they change what
-// a query means; execution tunables (mode, parallelism, chunking) are not,
+// a query means; execution tunables (mode, chunking) are not,
 // because every execution style returns the identical sequence (pinned by
 // the differential fuzz harness).
 type resultKey struct {

@@ -2,11 +2,11 @@ package soxq
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"soxq/internal/spawncheck"
 )
 
 // corpusEngine loads n scene/hit documents (docNN.xml, each with distinct
@@ -141,7 +141,7 @@ func TestCorpusCatalog(t *testing.T) {
 
 // TestCorpusMatchesPerDocument pins the fan-out semantics: the corpus result
 // equals the per-member results concatenated in corpus order, for the
-// materialising and streaming forms, sequential and sharded-parallel.
+// materialising and streaming forms, at several chunk sizes.
 func TestCorpusMatchesPerDocument(t *testing.T) {
 	eng, members := corpusEngine(t, 7)
 	want := corpusWant(t, eng, members)
@@ -155,13 +155,13 @@ func TestCorpusMatchesPerDocument(t *testing.T) {
 			t.Fatalf("%s:\n got %v\nwant %v", what, got, want)
 		}
 	}
-	for _, par := range []int{0, 1, 2, 4, 16} {
-		cfg := Config{Parallelism: par, StreamChunk: 2}
+	for _, chunk := range []int{1, 2, 0} {
+		cfg := Config{StreamChunk: chunk}
 		res, err := prep.ExecCorpus("news", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("ExecCorpus par=%d", par), res.Strings())
+		check(fmt.Sprintf("ExecCorpus chunk=%d", chunk), res.Strings())
 
 		cur, err := prep.StreamCorpus("news", cfg)
 		if err != nil {
@@ -174,48 +174,42 @@ func TestCorpusMatchesPerDocument(t *testing.T) {
 		if err := cur.Close(); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("StreamCorpus par=%d", par), got)
+		check(fmt.Sprintf("StreamCorpus chunk=%d", chunk), got)
 	}
-	res, err := eng.QueryCorpus(corpusQuery, "news", Config{Parallelism: 2})
+	res, err := eng.QueryCorpus(corpusQuery, "news", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("QueryCorpus", res.Strings())
 }
 
-// TestCorpusStreamEarlyCloseNoLeak closes sharded-parallel corpus streams
-// mid-drain and asserts the pool goroutines unwind — the engine-level form
-// of the xqexec merge leak test, through real pipelines.
+// TestCorpusStreamEarlyCloseNoLeak closes corpus streams mid-drain, at a
+// different shard each round, and asserts no goroutine outlives them.
 func TestCorpusStreamEarlyCloseNoLeak(t *testing.T) {
 	eng, _ := corpusEngine(t, 8)
 	prep, err := eng.Prepare(corpusQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := runtime.NumGoroutine()
-	for round := 0; round < 10; round++ {
-		cur, err := prep.StreamCorpus("news", Config{Parallelism: 4, StreamChunk: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i <= round; i++ {
-			if !cur.Next() {
-				t.Fatal("stream ended early")
+	spawncheck.Run(func(started func() int) {
+		for round := 0; round < 10; round++ {
+			cur, err := prep.StreamCorpus("news", Config{StreamChunk: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= round; i++ {
+				if !cur.Next() {
+					t.Fatal("stream ended early")
+				}
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := started(); n != 0 {
+				t.Fatalf("round %d: %d goroutines started by the stream alive after Close", round, n)
 			}
 		}
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines leaked after early closes",
-				runtime.NumGoroutine()-baseline)
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
+	})
 }
 
 // TestCorpusGenerationAndResultCache pins the acceptance contract: a hit
@@ -304,7 +298,7 @@ func TestCorpusResultCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := eng.QueryCorpus(corpusQuery, "news", Config{Parallelism: 2}); err != nil {
+			if _, err := eng.QueryCorpus(corpusQuery, "news", Config{}); err != nil {
 				errs <- err
 			}
 		}()
@@ -367,10 +361,10 @@ func TestCorpusConcurrentWithWriters(t *testing.T) {
 	var readers sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		readers.Add(1)
-		go func(par int) {
+		go func(chunk int) {
 			defer readers.Done()
 			for i := 0; i < 25; i++ {
-				cur, err := prep.StreamCorpus("news", Config{Parallelism: par, StreamChunk: 2})
+				cur, err := prep.StreamCorpus("news", Config{StreamChunk: chunk})
 				if err != nil {
 					t.Error(err)
 					return
@@ -390,7 +384,7 @@ func TestCorpusConcurrentWithWriters(t *testing.T) {
 					return
 				}
 			}
-		}(g % 3)
+		}(1 + g%3)
 	}
 	readers.Wait()
 	close(stop)

@@ -74,8 +74,7 @@ func ExamplePrepared_Stream() {
 		log.Fatal(err)
 	}
 	// Stream pulls results through a bounded-memory cursor pipeline; the
-	// full sequence is never materialised. Parallelism would partition a
-	// large loop across workers without changing the item order.
+	// full sequence is never materialised.
 	cur, err := prep.Stream(soxq.Config{})
 	if err != nil {
 		log.Fatal(err)

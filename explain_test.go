@@ -67,7 +67,7 @@ plan:
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter}
     return string($s/@id)
 stream:
-  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk
     path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
 `
 	if got := prep.Explain().String(); got != wantBefore {
@@ -116,7 +116,7 @@ plan:
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter} (in=1 out=1 cand=3 joins=looplifted:1 stream{chunks=1 chunk=1..1})
     return string($s/@id)
 stream:
-  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk
     path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
 `
 	if got := pe.String(); got != want {
@@ -194,12 +194,11 @@ func TestAnalyzeNestedFLWORCounts(t *testing.T) {
 	const q = `for $i in 1 to 4 for $j in 1 to 3 return $j * $i`
 	for _, tc := range []struct {
 		cfg    Config
-		chunks int64 // 0 = don't pin (parallel partitioning varies)
+		chunks int64
 	}{
-		{Config{}, 1},                               // Exec-style drain: one chunk
-		{Config{StreamChunk: 2}, 8},                 // 2 outer chunks x (2+1) inner... 4 children x 2 chunks
-		{Config{StreamChunk: 2, Parallelism: 4}, 8}, // below the gate: same sequential path
-		{Config{StreamChunk: 100}, 4},               // one outer chunk, 4 child cursors x 1 chunk
+		{Config{}, 1},                 // Exec-style drain: one chunk
+		{Config{StreamChunk: 2}, 8},   // 2 outer chunks x (2+1) inner... 4 children x 2 chunks
+		{Config{StreamChunk: 100}, 4}, // one outer chunk, 4 child cursors x 1 chunk
 	} {
 		prep, err := eng.Prepare(q)
 		if err != nil {
@@ -223,7 +222,7 @@ func TestAnalyzeNestedFLWORCounts(t *testing.T) {
 			t.Errorf("cfg %+v: tuples=%d out=%d, want 12/12 (post-expansion count in every mode)",
 				tc.cfg, fl.Obs.RowsIn, fl.Obs.RowsOut)
 		}
-		if tc.chunks != 0 && fl.Obs.Chunks != tc.chunks {
+		if fl.Obs.Chunks != tc.chunks {
 			t.Errorf("cfg %+v: chunks = %d, want %d", tc.cfg, fl.Obs.Chunks, tc.chunks)
 		}
 	}
@@ -270,7 +269,7 @@ func TestExplainGoldenNestedStream(t *testing.T) {
 	}
 	got := prep.Explain().String()
 	wantStream := `stream:
-  flwor [pipelined] for $m tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $m tuples stream in chunks; loop body loop-lifted per chunk
     path [pipelined] final step descendant::music streams per context node when context subtrees are disjoint
     flwor-nested [pipelined] inner for $i binds a child cursor per parent tuple under bounded chunks; inner tuples stream in chunks of their own
       range [pipelined] integers generated on demand
@@ -334,7 +333,7 @@ plan:
         step self::shot
     return string($s/@id)
 stream:
-  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible
+  flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk
     path [pipelined] final step self::shot streams per context node when context subtrees are disjoint
 `
 	if got := prep.Explain().String(); got != want {

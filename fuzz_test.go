@@ -10,8 +10,8 @@ import (
 // This file is the differential fuzz harness of the streaming engine: a
 // seeded generator of stand-off documents and small XQuery programs, with
 // every generated query executed under the full execution matrix —
-// materialising Exec, the Stream pipeline across chunk sizes and
-// parallelism, and the forced Basic / Loop-Lifted join strategies — and
+// materialising Exec, the Stream pipeline across chunk sizes, and the
+// forced Basic / Loop-Lifted join strategies — and
 // every outcome compared byte-for-byte against the default Exec (errors
 // must match exactly too). One uint64 seed determines the whole case, so
 // the go-fuzz corpus is a list of seeds:
@@ -129,15 +129,12 @@ func fuzzConfigs() []Config {
 		{StreamChunk: 1},
 		{StreamChunk: 3},
 		{StreamChunk: 16},
-		{StreamChunk: 3, Parallelism: 2},
-		// Oversubscribed work stealing: more workers than chunks in flight,
-		// so thieves drain each other's deques and the seq-heap re-orders.
-		{StreamChunk: 2, Parallelism: 8},
+		{StreamChunk: 2},
 		// Forced modes through the chunked stream: adaptive chunk sizing and
 		// per-chunk joins under a pinned algorithm.
 		{Mode: ModeBasic, StreamChunk: 3},
-		{Mode: ModeLoopLifted, StreamChunk: 5, Parallelism: 2},
-		{NoPushdown: true, StreamChunk: 3, Parallelism: 2},
+		{Mode: ModeLoopLifted, StreamChunk: 5},
+		{NoPushdown: true, StreamChunk: 3},
 	}
 }
 

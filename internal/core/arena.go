@@ -10,8 +10,8 @@ import (
 // arrays of sortDedupPairs, the iter|start|end context rows, and the active
 // sets. One arena belongs to exactly one execution run (one Exec/Stream
 // drain); the evaluator threads it through JoinConfig and releases it when
-// the run's cursor closes. Arenas are not goroutine-safe — parallel FLWOR
-// workers each acquire their own.
+// the run's cursor closes. Arenas are not goroutine-safe, and need not be: a
+// run executes on the one goroutine that drains it.
 //
 // Ownership contract: the []Pair returned by Join is on loan from the arena
 // and stays valid only until the next Join call with the same arena (which

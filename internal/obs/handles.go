@@ -2,10 +2,8 @@ package obs
 
 // ExecMetrics is the pre-resolved set of counter handles the engine threads
 // through every evaluator (and, via the evaluator, through the cursor
-// pipeline and its worker forks — the struct is carried by pointer, so
-// Fork-ed evaluators feed the same counters). Resolving the handles once at
-// engine construction keeps the hot paths free of name lookups: recording an
-// event is a single atomic add.
+// pipeline). Resolving the handles once at engine construction keeps the hot
+// paths free of name lookups: recording an event is a single atomic add.
 //
 // A nil *ExecMetrics disables all of them; every field is individually
 // nil-safe too.
@@ -16,28 +14,9 @@ type ExecMetrics struct {
 	JoinLoopLifted *Counter
 	JoinNaive      *Counter
 
-	// Work-stealing pool: tasks taken from a sibling's deque, and producer
-	// stalls on the in-flight token budget.
-	WorkSteals    *Counter
-	InflightWaits *Counter
-
 	// Chunk-size adaptation events of the streamed StandOff merge.
 	ChunkGrow   *Counter
 	ChunkShrink *Counter
-}
-
-// Steal records one stolen chunk task.
-func (m *ExecMetrics) Steal() {
-	if m != nil {
-		m.WorkSteals.Inc()
-	}
-}
-
-// InflightWait records one producer stall on the in-flight token budget.
-func (m *ExecMetrics) InflightWait() {
-	if m != nil {
-		m.InflightWaits.Inc()
-	}
 }
 
 // AdaptGrow records one chunk-size doubling.

@@ -237,8 +237,6 @@ func TestSlowLog(t *testing.T) {
 
 func TestExecMetricsNilSafe(t *testing.T) {
 	var m *ExecMetrics
-	m.Steal()
-	m.InflightWait()
 	m.AdaptGrow()
 	m.AdaptShrink()
 }

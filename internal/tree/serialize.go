@@ -64,10 +64,11 @@ func (d *Doc) XMLString(pre int32) string {
 }
 
 // appendEscaped appends s escaped for element content, or with attr for a
-// double-quoted attribute value. A value holding no escapable character is
-// copied verbatim; one that does is decoded rune by rune, so an invalid UTF-8
-// byte in it becomes U+FFFD (xmlparse does not validate UTF-8) — a quirk
-// serialised output has always had and keeps byte for byte.
+// double-quoted attribute value. Every invalid UTF-8 byte becomes U+FFFD
+// (xmlparse does not validate UTF-8), as in encoding/xml.EscapeText, so the
+// output is always well-formed. A plain ASCII value is copied verbatim after
+// one table lookup per byte; from the first escapable or non-ASCII byte on,
+// the value is decoded rune by rune.
 func appendEscaped(dst, s []byte, attr bool) []byte {
 	escapes := &textEscapes
 	if attr {
@@ -81,12 +82,11 @@ func appendEscaped(dst, s []byte, attr bool) []byte {
 		return append(dst, s...)
 	}
 	last := 0
-	for i := 0; i < len(s); {
+	for i := first; i < len(s); {
 		esc, n := escapes[s[i]], 1
 		if s[i] >= utf8.RuneSelf {
-			var r rune
-			if r, n = utf8.DecodeRune(s[i:]); r == utf8.RuneError && n == 1 {
-				esc = "\uFFFD"
+			if _, size := utf8.DecodeRune(s[i:]); size > 1 {
+				esc, n = "", size // a valid sequence stands for itself
 			}
 		}
 		if esc != "" {
@@ -101,9 +101,16 @@ func appendEscaped(dst, s []byte, attr bool) []byte {
 
 // textEscapes and attrEscapes hold the replacement of each byte in element
 // content (& < > and CR) and in a double-quoted attribute value (also " TAB
-// LF); "" means the byte stands for itself, as every byte >= 0x80 does.
+// LF); "" means the byte stands for itself. Every byte >= 0x80 maps to U+FFFD,
+// its replacement when it does not start a valid UTF-8 sequence.
 var (
 	textEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;"}
 	attrEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;",
 		'"': "&quot;", '\t': "&#9;", '\n': "&#10;"}
 )
+
+func init() {
+	for b := utf8.RuneSelf; b < 256; b++ {
+		textEscapes[b], attrEscapes[b] = "\uFFFD", "\uFFFD"
+	}
+}

@@ -1,8 +1,9 @@
 package tree
 
 // The token-at-a-time serialiser Doc.AppendXML replaced, and the switch-based
-// value escaper the escape tables replaced, kept verbatim as the references
-// the property tests below compare against.
+// value escaper the escape tables replaced, kept as the references the
+// property tests below compare against. Both write U+FFFD for every invalid
+// UTF-8 byte, whatever else the value holds.
 
 import (
 	"fmt"
@@ -91,7 +92,7 @@ func (s *serializer) node(pre int32) {
 
 // EscapeText escapes character data for element content.
 func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>\r") {
+	if !strings.ContainsAny(s, "&<>\r") && utf8.ValidString(s) {
 		return s
 	}
 	var sb strings.Builder
@@ -115,7 +116,7 @@ func EscapeText(s string) string {
 
 // EscapeAttr escapes an attribute value for a double-quoted attribute.
 func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, "&<>\"\t\n\r") {
+	if !strings.ContainsAny(s, "&<>\"\t\n\r") && utf8.ValidString(s) {
 		return s
 	}
 	var sb strings.Builder
@@ -146,10 +147,8 @@ func EscapeAttr(s string) string {
 // serialPieces is what the property test's generator assembles values from:
 // every character either escaper rewrites, plain ASCII, valid multi-byte
 // UTF-8 (an encoded U+FFFD among it) and invalid UTF-8 — a bare continuation
-// byte, 0xff, a truncated two-byte sequence. A value drawn without any
-// escapable character keeps its invalid bytes verbatim; one drawn with an
-// escapable character has them replaced by U+FFFD (the quirk AppendXML
-// preserves), so both cases occur many times per run.
+// byte, 0xff, a truncated two-byte sequence. Invalid bytes are drawn into
+// values with and without an escapable character, many times per run.
 var serialPieces = []string{
 	"&", "<", ">", "\"", "\t", "\n", "\r", "'", " ", "a", "xyz", "é", "\uFFFD", "€",
 	"\x80", "\xff", "\xc3", "plain ascii run",
@@ -288,15 +287,9 @@ func TestAppendXMLMatchesReference(t *testing.T) {
 }
 
 // refAppendEscaped is the switch-driven value escaper appendEscaped's
-// tables replaced, kept verbatim as the reference.
+// tables replaced, without its fast path: every byte goes through the
+// switch, and every non-ASCII byte is decoded.
 func refAppendEscaped(dst, s []byte, attr bool) []byte {
-	first := 0
-	for first < len(s) && xmlEscape(s[first], attr) == "" {
-		first++
-	}
-	if first == len(s) {
-		return append(dst, s...)
-	}
 	last := 0
 	for i := 0; i < len(s); {
 		esc, n := xmlEscape(s[i], attr), 1
@@ -378,14 +371,16 @@ func TestAppendEscapedAgainstReference(t *testing.T) {
 	}
 }
 
-// TestAppendXMLInvalidUTF8Quirk pins the two halves of the escapers' UTF-8
-// behaviour on fixed inputs: verbatim without an escapable character, U+FFFD
-// per invalid byte with one.
-func TestAppendXMLInvalidUTF8Quirk(t *testing.T) {
-	b := NewBuilder("quirk.xml")
+// TestAppendXMLInvalidUTF8 pins the one rule for invalid UTF-8 on fixed
+// inputs: each invalid byte becomes U+FFFD in text and attribute values alike,
+// with or without an escapable character beside it, while valid multi-byte
+// characters (an encoded U+FFFD among them) pass through unchanged.
+func TestAppendXMLInvalidUTF8(t *testing.T) {
+	b := NewBuilder("utf8.xml")
 	b.StartElement("r")
 	b.Attr("plain", "a\xffb")
 	b.Attr("esc", "a\xffb\"\xc3")
+	b.Attr("valid", "\u00e9\uFFFD\u20ac")
 	b.Text("x\x80y")
 	b.StartElement("e")
 	b.EndElement()
@@ -395,9 +390,14 @@ func TestAppendXMLInvalidUTF8Quirk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "<r plain=\"a\xffb\" esc=\"a\uFFFDb&quot;\uFFFD\">x\x80y<e/>\uFFFD&lt;\uFFFD\uFFFD</r>"
-	if got := d.XMLString(0); got != want {
+	const want = "<r plain=\"a\uFFFDb\" esc=\"a\uFFFDb&quot;\uFFFD\" valid=\"\u00e9\uFFFD\u20ac\">" +
+		"x\uFFFDy<e/>\uFFFD&lt;\uFFFD\uFFFD</r>"
+	got := d.XMLString(0)
+	if got != want {
 		t.Fatalf("XMLString = %q, want %q", got, want)
+	}
+	if !utf8.ValidString(got) {
+		t.Fatalf("XMLString = %q is not valid UTF-8", got)
 	}
 	if ref := refXMLString(d, 0); ref != want {
 		t.Fatalf("reference = %q, want %q", ref, want)

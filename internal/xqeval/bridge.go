@@ -388,20 +388,6 @@ func (s *StandOffStream) Watermark(frontier int64) (int32, bool) {
 	return s.cand.MinPreStartFrom(frontier)
 }
 
-// Fork returns a copy of the evaluator for use by a worker goroutine: all
-// configuration and the shared immutable plan carry over, the per-run
-// recursion depth starts fresh and the join arena is dropped — arenas are
-// single-goroutine; a worker that wants one attaches its own. The parallel
-// FLWOR partitioner forks one evaluator per worker.
-func (ev *Evaluator) Fork() *Evaluator {
-	nev := *ev
-	nev.depth = 0
-	nev.JoinCfg.Arena = nil
-	nev.stepPres = nil // scratch is single-goroutine too
-	nev.seqs = nil     // and so is the seq arena
-	return &nev
-}
-
 // AttachArena equips the evaluator with a pooled join arena for one
 // execution run; a no-op when one is already attached. The owner of the run
 // must call DetachArena when the run's cursor closes.

@@ -48,10 +48,9 @@ type Evaluator struct {
 	// call is nil-safe, so the hot paths pay one pointer check.
 	Stats *xqplan.ExecStats
 	// Met is the engine-wide set of always-on metric counters (joins per
-	// algorithm, work-steals, chunk adaptations). Unlike Stats it is live
-	// on every execution, so recording must stay one nil check plus one
-	// atomic add; nil disables it. Fork carries it over — worker forks feed
-	// the same counters.
+	// algorithm, chunk adaptations). Unlike Stats it is live on every
+	// execution, so recording must stay one nil check plus one atomic add;
+	// nil disables it.
 	Met *obs.ExecMetrics
 	// MaxRecursion bounds user-defined function recursion.
 	MaxRecursion int

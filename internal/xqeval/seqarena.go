@@ -21,9 +21,8 @@ import "sync"
 // copies, so nothing the user observes aliases a reclaimed buffer.
 //
 // When no scope is open — the materialising Run path, evaluation during
-// cursor init whose results must outlive any one chunk, parallel workers
-// (whose forked evaluators carry no seq arena) — every helper falls back to
-// plain allocation, byte-for-byte the pre-arena behaviour.
+// cursor init whose results must outlive any one chunk — every helper falls
+// back to plain allocation, byte-for-byte the pre-arena behaviour.
 
 // SeqScope is one open allocation scope: the loans handed out since the
 // scope opened. The executor treats it as an opaque handle.

@@ -3,10 +3,9 @@ package xqexec
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"soxq/internal/xqeval"
 )
@@ -22,8 +21,8 @@ type fakeShard struct {
 	closed atomic.Bool
 }
 
-// fakeBatch is below and above the chunk sizes the merge tests use, so
-// batches are both split and gathered into chunks.
+// fakeBatch is smaller than most shards, so a shard spans several batches
+// and the Reader test reads across batch boundaries.
 const fakeBatch = 2
 
 func (f *fakeShard) NextBatch() Batch {
@@ -121,10 +120,46 @@ func TestReaderAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestMergeShardsOrder pins the document-order merge: whatever the worker
-// count and chunk size, the merged stream is the in-order concatenation of
-// the shard streams — including empty shards and shard counts that do not
-// divide evenly across workers.
+// fillInts drains c through a Reader, chunk rows per Fill, as a consumer
+// with a fixed read size does.
+func fillInts(c Cursor, chunk int) ([]int64, error) {
+	rows := NewReader(c)
+	defer rows.Close()
+	var got []int64
+	var buf []xqeval.Item
+	for buf = rows.Fill(buf[:0], chunk); len(buf) > 0; buf = rows.Fill(buf[:0], chunk) {
+		for _, it := range buf {
+			got = append(got, it.I)
+		}
+	}
+	return got, rows.Err()
+}
+
+// onWorkers runs f once on the calling goroutine when workers is 0, else once
+// on each of workers goroutines at a time, and joins their errors.
+func onWorkers(workers int, f func() error) error {
+	if workers == 0 {
+		return f()
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = f()
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// TestMergeShardsOrder pins the document-order merge: the merged stream is
+// the in-order concatenation of the shard streams, including empty shards,
+// and every shard cursor the merge built is closed once drained. It holds
+// whatever rows the consumer reads at a time (chunk) and with several
+// merges, each over its own shards, draining at once (workers) — as when
+// several corpus queries run concurrently.
 func TestMergeShardsOrder(t *testing.T) {
 	sizes := []int{3, 0, 7, 1, 0, 5, 2}
 	var want []int64
@@ -136,53 +171,58 @@ func TestMergeShardsOrder(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 16} {
 		for _, chunk := range []int{1, 2, 1024} {
 			t.Run(fmt.Sprintf("workers=%d/chunk=%d", workers, chunk), func(t *testing.T) {
-				shards := make([]*fakeShard, len(sizes))
-				for s, n := range sizes {
-					shards[s] = intShard(s, n)
-				}
-				got, err := drainInts(t, MergeShards(sourcesFor(shards), workers, chunk, nil))
+				err := onWorkers(workers, func() error {
+					shards := make([]*fakeShard, len(sizes))
+					for s, n := range sizes {
+						shards[s] = intShard(s, n)
+					}
+					got, err := fillInts(MergeShards(sourcesFor(shards)), chunk)
+					if err != nil {
+						return err
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						return fmt.Errorf("got %v, want %v", got, want)
+					}
+					for s, f := range shards {
+						if !f.closed.Load() {
+							return fmt.Errorf("shard %d cursor not closed", s)
+						}
+					}
+					return nil
+				})
 				if err != nil {
 					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("got %d items, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("item %d = %d, want %d", i, got[i], want[i])
-					}
-				}
-				for s, f := range shards {
-					if f.i > 0 && !f.closed.Load() {
-						t.Errorf("shard %d cursor not closed", s)
-					}
 				}
 			})
 		}
 	}
 }
 
-// TestMergeShardsErrorPosition pins the sequential error contract for both
-// forms: a failing shard surfaces its error after every item of the shards
-// before it and after its own pre-error items.
+// TestMergeShardsErrorPosition pins the error contract: a failing shard
+// surfaces its error after every item of the shards before it and after its
+// own pre-error items, and the shards after it are never built — for one
+// merge and for several draining at once.
 func TestMergeShardsErrorPosition(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			shards := []*fakeShard{intShard(0, 2), intShard(1, 2), intShard(2, 3)}
-			shards[1].err = boom
-			got, err := drainInts(t, MergeShards(sourcesFor(shards), workers, 1, nil))
-			if !errors.Is(err, boom) {
-				t.Fatalf("err = %v, want boom", err)
-			}
-			want := []int64{0, 1, 1000, 1001}
-			if len(got) != len(want) {
-				t.Fatalf("got %v, want %v", got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("got %v, want %v", got, want)
+			err := onWorkers(workers, func() error {
+				shards := []*fakeShard{intShard(0, 2), intShard(1, 2), intShard(2, 3)}
+				shards[1].err = boom
+				got, err := fillInts(MergeShards(sourcesFor(shards)), 1)
+				if !errors.Is(err, boom) {
+					return fmt.Errorf("err = %v, want boom", err)
 				}
+				if want := []int64{0, 1, 1000, 1001}; fmt.Sprint(got) != fmt.Sprint(want) {
+					return fmt.Errorf("got %v, want %v", got, want)
+				}
+				if shards[2].i > 0 {
+					return errors.New("shard after the failing one was drained")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -192,61 +232,22 @@ func TestMergeShardsErrorPosition(t *testing.T) {
 // not even be built): its error takes the shard's position in the stream.
 func TestMergeShardsSourceError(t *testing.T) {
 	boom := errors.New("no such document")
-	for _, workers := range []int{1, 2} {
-		first := intShard(0, 2)
-		srcs := []ShardSource{
-			func() (Cursor, error) { return first, nil },
-			func() (Cursor, error) { return nil, boom },
-			func() (Cursor, error) { return intShard(2, 2), nil },
-		}
-		got, err := drainInts(t, MergeShards(srcs, workers, 4, nil))
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want source error", workers, err)
-		}
-		if len(got) != 2 {
-			t.Fatalf("workers=%d: got %v, want shard 0 only", workers, got)
-		}
+	srcs := []ShardSource{
+		func() (Cursor, error) { return intShard(0, 2), nil },
+		func() (Cursor, error) { return nil, boom },
+		func() (Cursor, error) { return intShard(2, 2), nil },
+	}
+	got, err := drainInts(t, MergeShards(srcs))
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want source error", err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("got %v, want shard 0 only", got)
 	}
 }
 
-// TestMergeShardsEarlyCloseNoLeak closes the parallel merge mid-stream and
-// asserts the pool unwinds: every started shard cursor is closed and no
-// worker goroutine survives.
-func TestMergeShardsEarlyCloseNoLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	for round := 0; round < 20; round++ {
-		shards := make([]*fakeShard, 12)
-		for s := range shards {
-			shards[s] = intShard(s, 500)
-		}
-		c := MergeShards(sourcesFor(shards), 4, 8, nil)
-		rows := NewReader(c)
-		for i := 0; i < 1+round*7; i++ {
-			if !rows.Next() {
-				t.Fatal("stream ended early")
-			}
-		}
-		c.Close()
-		c.Close() // idempotent
-		for _, f := range shards {
-			if f.i > 0 && !f.closed.Load() {
-				t.Fatal("started shard cursor left open after Close")
-			}
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines leaked after early closes",
-				runtime.NumGoroutine()-baseline)
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestMergeShardsLazySequential pins that the sequential form builds shard
-// sources lazily: closing after the first shard's batches must not have
+// TestMergeShardsLazySequential pins that the merge builds shard sources
+// lazily: closing after the first shard's batches must not have
 // invoked the later sources at all.
 func TestMergeShardsLazySequential(t *testing.T) {
 	var built [3]atomic.Bool
@@ -255,7 +256,7 @@ func TestMergeShardsLazySequential(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = func() (Cursor, error) { built[i].Store(true); return shards[i], nil }
 	}
-	c := MergeShards(srcs, 1, 0, nil)
+	c := MergeShards(srcs)
 	for i := 0; i < 4/fakeBatch; i++ {
 		if c.NextBatch().Len() == 0 {
 			t.Fatal("stream ended early")

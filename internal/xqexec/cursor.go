@@ -18,12 +18,9 @@
 // bulk representation survives up to the consumer, which boxes an item only
 // when it reads one (Reader).
 //
-// On top of the chunked pipeline, the FLWOR cursor can partition large loops
-// across a worker pool (Config.Parallelism): chunks of tuples are evaluated
-// concurrently over the shared immutable plan and merged back in order.
-// Small loops — below the cardinality cutoff the gate observes on the
-// binding stream — stay single-threaded: parallel machinery only pays off
-// once the work amortises it.
+// A pipeline runs entirely on the goroutine that drains it and starts none
+// of its own: the speed comes from loop-lifting, one join per chunk of
+// iterations, and concurrency from running many queries at once.
 //
 // The pipeline participates in EXPLAIN twice over. Describe reports the
 // shape Build would construct — which operators pipeline and which
@@ -42,7 +39,7 @@ import (
 
 // Cursor is a pull-based result stream, drained a batch at a time: call
 // NextBatch until it returns an empty batch, then check Err; Close releases
-// pipeline resources (worker goroutines) and is idempotent. A Cursor is
+// pipeline resources (arenas, chunk buffers) and is idempotent. A Cursor is
 // single-consumer — it must not be shared between goroutines — but any
 // number of cursors over the same plan may run concurrently. Row-at-a-time
 // consumers wrap it in a Reader.
@@ -160,9 +157,6 @@ type Config struct {
 	// bound memory tighter. <= 0 means unbounded: each operator
 	// materialises fully, which is what Exec (a drain) wants.
 	ChunkSize int
-	// Parallelism is the number of worker goroutines large FLWOR loops are
-	// partitioned across. <= 1 runs single-threaded.
-	Parallelism int
 }
 
 // DefaultChunkSize is the chunk size Stream uses when the caller does not
@@ -176,11 +170,9 @@ const DefaultChunkSize = 1024
 func Build(ev *xqeval.Evaluator, cfg Config) (Cursor, error) {
 	// The pipeline owns a pooled join arena for its whole run (globals,
 	// every chunk join); the wrapping cursor hands it back on Close.
-	// Forked parallel workers attach their own — see parallelFLWOR.
 	ev.AttachArena()
 	// The seq arena recycles frames, bindings, and sequence buffers across
-	// the pipeline's chunk scopes; workers fork without one and allocate
-	// plainly, since their results outlive any scope the worker could close.
+	// the pipeline's chunk scopes.
 	ev.AttachSeqArena()
 	root, err := ev.NewRootFrame()
 	if err != nil {
@@ -251,7 +243,10 @@ func (x *executor) build(e xqast.Expr, f *xqeval.Frame) Cursor {
 	case *xqast.Binary:
 		switch v.Op {
 		case ",":
-			return &seqCursor{x: x, f: f, exprs: flattenSeq(v)}
+			exprs := flattenSeq(v)
+			return &concatCursor{n: len(exprs), part: func(i int) (Cursor, error) {
+				return x.build(exprs[i], f), nil
+			}}
 		case "to":
 			return newRangeCursor(x, v, f)
 		}
@@ -370,26 +365,29 @@ func (c *materialCursor) takeAll() ([]xqeval.Item, error) {
 	return items, c.err
 }
 
-// seqCursor streams a `,` sequence: each operand's cursor is built only when
-// the previous operand is exhausted, so `(big-a, big-b)` holds one operand's
-// pipeline at a time.
-type seqCursor struct {
-	x     *executor
-	f     *xqeval.Frame
-	exprs []xqast.Expr
-	i     int
-	cur   Cursor
-	err   error
+// concatCursor streams the concatenation of n parts, building part i only
+// when part i-1 is exhausted: a `,` sequence holds one operand's pipeline at
+// a time, and a corpus query one shard's. A part that fails to build ends
+// the stream with its error at its own position, after every earlier row.
+type concatCursor struct {
+	n    int
+	part func(i int) (Cursor, error)
+	i    int
+	cur  Cursor
+	err  error
 }
 
-func (c *seqCursor) NextBatch() Batch {
+func (c *concatCursor) NextBatch() Batch {
 	for c.err == nil {
 		if c.cur == nil {
-			if c.i >= len(c.exprs) {
-				return Batch{}
+			if c.i >= c.n {
+				break
 			}
-			c.cur = c.x.build(c.exprs[c.i], c.f)
+			c.cur, c.err = c.part(c.i)
 			c.i++
+			if c.err != nil {
+				break
+			}
 		}
 		if b := c.cur.NextBatch(); b.Len() > 0 {
 			return b
@@ -401,13 +399,13 @@ func (c *seqCursor) NextBatch() Batch {
 	return Batch{}
 }
 
-func (c *seqCursor) Err() error { return c.err }
-func (c *seqCursor) Close() {
+func (c *concatCursor) Err() error { return c.err }
+func (c *concatCursor) Close() {
 	if c.cur != nil {
 		c.cur.Close()
 		c.cur = nil
 	}
-	c.i = len(c.exprs)
+	c.i = c.n
 }
 
 // rangeBatch bounds a range cursor's reused batch buffer: enough rows to

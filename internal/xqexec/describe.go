@@ -53,9 +53,8 @@ func describeExpr(plan *xqplan.Plan, e xqast.Expr) *OpExplain {
 		op := &OpExplain{
 			Kind:      "flwor",
 			Pipelined: true,
-			Detail: fmt.Sprintf("for $%s tuples stream in chunks; loop body loop-lifted per chunk; work-stealing parallel eligible",
-				first.Var),
-			Children: []*OpExplain{describeExpr(plan, first.Seq)},
+			Detail:    fmt.Sprintf("for $%s tuples stream in chunks; loop body loop-lifted per chunk", first.Var),
+			Children:  []*OpExplain{describeExpr(plan, first.Seq)},
 		}
 		// Nested cursor-valued bindings: each immediately following for
 		// clause over a streamable StandOff-free binding drives a child

@@ -2,13 +2,12 @@ package xqexec
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"soxq/internal/core"
+	"soxq/internal/spawncheck"
 	"soxq/internal/tree"
 	"soxq/internal/xmlparse"
 	"soxq/internal/xqeval"
@@ -202,22 +201,19 @@ func render(items []xqeval.Item, err error) string {
 }
 
 // equivalenceMatrix is the configuration grid every equivalence test runs:
-// chunk sizes from degenerate (1) to unbounded (0), crossed with
-// single-threaded and partitioned execution. One grid, shared by the
+// chunk sizes from degenerate (1) to unbounded (0). One grid, shared by the
 // internal and public matrix tests, replaces the ad-hoc per-test config
 // lists that used to drift apart.
 func equivalenceMatrix() []Config {
 	var cfgs []Config
 	for _, chunk := range []int{1, 2, 7, 64, 0} {
-		for _, par := range []int{1, 4} {
-			cfgs = append(cfgs, Config{ChunkSize: chunk, Parallelism: par})
-		}
+		cfgs = append(cfgs, Config{ChunkSize: chunk})
 	}
 	return cfgs
 }
 
 // TestPipelineEquivalence is the central property test of the subsystem:
-// for every corpus query and every cell of the chunk x parallelism matrix,
+// for every corpus query and every chunk size of the matrix,
 // the cursor pipeline drains to exactly the sequence the materialising
 // evaluator produces, or fails with exactly the same error — whether it is
 // drained whole (DrainAll), row by row (Reader) or batch by batch.
@@ -283,88 +279,20 @@ func drainBatches(c Cursor) ([]xqeval.Item, error) {
 	return out, c.Err()
 }
 
-// TestParallelGateEngages pins that a loop beyond the cardinality gate
-// actually takes the worker-pool path (and still agrees with the reference).
-func TestParallelGateEngages(t *testing.T) {
-	env := newTestEnv(t)
-	q := fmt.Sprintf(`for $i in 1 to %d return $i mod 97`, 4*parallelMinTuples)
-	want := render(env.evaluator(t, q).Run())
-	cur, err := Build(env.evaluator(t, q), Config{ChunkSize: 64, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl, ok := unwrapRoot(cur).(*flworCursor)
-	if !ok {
-		t.Fatalf("expected flworCursor, got %T", cur)
-	}
-	rows := NewReader(fl)
-	if !rows.Next() {
-		t.Fatal("empty stream")
-	}
-	if fl.par == nil {
-		t.Fatal("parallel pool did not engage above the gate")
-	}
-	items := []xqeval.Item{rows.Item()}
-	for rows.Next() {
-		items = append(items, rows.Item())
-	}
-	if err := fl.Err(); err != nil {
-		t.Fatal(err)
-	}
-	fl.Close()
-	if got := render(items, nil); got != want {
-		t.Fatalf("parallel result diverges:\n got %q\nwant %q", got, want)
-	}
-
-	// Below the gate the pool must stay off.
-	small := `for $i in 1 to 10 return $i`
-	cur, err = Build(env.evaluator(t, small), Config{ChunkSize: 64, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl = unwrapRoot(cur).(*flworCursor)
-	for fl.NextBatch().Len() > 0 {
-	}
-	if fl.par != nil {
-		t.Fatal("parallel pool engaged below the gate")
-	}
-	fl.Close()
-}
-
-// waitGoroutines polls until the goroutine count drops back to the baseline
-// (worker teardown after Close is asynchronous: the producer and workers
-// exit when they observe donech, not inside Close itself).
-func waitGoroutines(t *testing.T, baseline int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines leaked (baseline %d, now %d)",
-				what, runtime.NumGoroutine()-baseline, baseline, runtime.NumGoroutine())
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestEarlyClose verifies that abandoning a stream mid-way — sequential and
-// parallel — releases the pipeline without deadlock, terminates every worker
-// goroutine, and that Close is idempotent.
+// TestEarlyClose verifies that abandoning a stream mid-way releases the
+// pipeline, starts no goroutine, and that Close is idempotent.
 func TestEarlyClose(t *testing.T) {
 	env := newTestEnv(t)
 	queries := []string{
-		fmt.Sprintf(`for $i in 1 to %d return $i`, 8*parallelMinTuples),
+		`for $i in 1 to 2048 return $i`,
 		// Nested loops: the child cursor chain must tear down too.
-		fmt.Sprintf(`for $i in 1 to %d for $j in 1 to 100 return $j`, 8*parallelMinTuples),
+		`for $i in 1 to 2048 for $j in 1 to 100 return $j`,
 		// Chunked StandOff final step mid-merge.
 		`doc("p.xml")//span/select-wide::word`,
 	}
+	cfg := Config{ChunkSize: 16}
 	for _, q := range queries {
-		for _, cfg := range []Config{{ChunkSize: 16}, {ChunkSize: 16, Parallelism: 4}} {
-			baseline := runtime.NumGoroutine()
+		spawncheck.Run(func(started func() int) {
 			cur, err := Build(env.evaluator(t, q), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -372,193 +300,78 @@ func TestEarlyClose(t *testing.T) {
 			rows := NewReader(cur)
 			for i := 0; i < 5; i++ {
 				if !rows.Next() {
-					t.Fatalf("%q cfg %+v: stream ended after %d items", q, cfg, i)
+					t.Fatalf("%q: stream ended after %d items", q, i)
 				}
 			}
 			cur.Close()
 			cur.Close() // idempotent
 			if cur.NextBatch().Len() > 0 {
-				t.Fatalf("%q cfg %+v: Next after Close", q, cfg)
+				t.Fatalf("%q: Next after Close", q)
 			}
-			waitGoroutines(t, baseline, fmt.Sprintf("%q cfg %+v", q, cfg))
-		}
+			if n := started(); n != 0 {
+				t.Fatalf("%q: %d goroutines started by the run alive after Close", q, n)
+			}
+		})
 	}
 }
 
 // TestCloseBeforeNext: Close on a never-started cursor must terminate it —
-// a later Next must not run init, spawn the worker pool, or re-evaluate a
-// path (the database/sql.Rows contract).
+// a later Next must not run init or re-evaluate a path (the database/sql.Rows
+// contract).
 func TestCloseBeforeNext(t *testing.T) {
 	env := newTestEnv(t)
 	for _, tc := range []struct {
 		q   string
 		cfg Config
 	}{
-		{`for $i in 1 to 100000 return $i`, Config{ChunkSize: 16, Parallelism: 4}},
 		{`for $i in 1 to 100000 return $i`, Config{ChunkSize: 16}},
 		{`doc("t.xml")//speech`, Config{ChunkSize: 16}},
 		{`count(doc("t.xml")//hit)`, Config{}},
 	} {
-		before := runtime.NumGoroutine()
-		cur, err := Build(env.evaluator(t, tc.q), tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur.Close()
-		if cur.NextBatch().Len() > 0 {
-			t.Errorf("%q cfg %+v: NextBatch after pre-drain Close returned rows", tc.q, tc.cfg)
-		}
-		if cur.Err() != nil {
-			t.Errorf("%q: Err after Close = %v", tc.q, cur.Err())
-		}
-		// Give any wrongly spawned goroutines a moment, then compare.
-		time.Sleep(10 * time.Millisecond)
-		if after := runtime.NumGoroutine(); after > before {
-			t.Errorf("%q cfg %+v: %d goroutines leaked by Next-after-Close", tc.q, tc.cfg, after-before)
-		}
+		spawncheck.Run(func(started func() int) {
+			cur, err := Build(env.evaluator(t, tc.q), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur.Close()
+			if cur.NextBatch().Len() > 0 {
+				t.Errorf("%q cfg %+v: NextBatch after pre-drain Close returned rows", tc.q, tc.cfg)
+			}
+			if cur.Err() != nil {
+				t.Errorf("%q: Err after Close = %v", tc.q, cur.Err())
+			}
+			if n := started(); n != 0 {
+				t.Errorf("%q cfg %+v: %d goroutines leaked by Next-after-Close", tc.q, tc.cfg, n)
+			}
+		})
 	}
 }
 
-// TestGatePathRespectsChunkSize: a loop below the parallel gate must still
-// evaluate in ChunkSize slices — the memory bound is not conditional on the
-// pool engaging.
+// TestGatePathRespectsChunkSize: a loop evaluates in ChunkSize slices — the
+// memory bound holds for every chunk, including the partial last one.
 func TestGatePathRespectsChunkSize(t *testing.T) {
 	env := newTestEnv(t)
-	q := fmt.Sprintf(`for $i in 1 to %d return $i`, parallelMinTuples-10)
-	cur, err := Build(env.evaluator(t, q), Config{ChunkSize: 8, Parallelism: 2})
+	const n = 246
+	q := fmt.Sprintf(`for $i in 1 to %d return $i`, n)
+	cur, err := Build(env.evaluator(t, q), Config{ChunkSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := unwrapRoot(cur).(*flworCursor)
-	n := 0
+	got := 0
 	for rows := NewReader(fl); rows.Next(); {
-		n++
+		got++
 		if len(fl.chunk) > 8 {
-			t.Fatalf("gate path evaluated a %d-tuple chunk, ChunkSize 8", len(fl.chunk))
+			t.Fatalf("evaluated a %d-tuple chunk, ChunkSize 8", len(fl.chunk))
 		}
 	}
 	if err := fl.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if fl.par != nil {
-		t.Fatal("pool engaged below the gate")
-	}
-	if n != parallelMinTuples-10 {
-		t.Fatalf("drained %d items, want %d", n, parallelMinTuples-10)
+	if got != n {
+		t.Fatalf("drained %d items, want %d", got, n)
 	}
 	fl.Close()
-}
-
-// TestWorkDeque pins the deque discipline the stealing pool relies on: the
-// owner pops newest-first, thieves steal oldest-first, and the two ends
-// interleave without losing or duplicating tasks.
-func TestWorkDeque(t *testing.T) {
-	var d workDeque
-	for i := 0; i < 6; i++ {
-		d.push(chunkTask{seq: int64(i)})
-	}
-	if tk, ok := d.steal(); !ok || tk.seq != 0 {
-		t.Fatalf("steal = (%d,%v), want oldest task 0", tk.seq, ok)
-	}
-	if tk, ok := d.pop(); !ok || tk.seq != 5 {
-		t.Fatalf("pop = (%d,%v), want newest task 5", tk.seq, ok)
-	}
-	for _, w := range []int64{1, 2} {
-		if tk, ok := d.steal(); !ok || tk.seq != w {
-			t.Fatalf("steal = (%d,%v), want %d", tk.seq, ok, w)
-		}
-	}
-	d.push(chunkTask{seq: 6})
-	for _, w := range []int64{6, 4, 3} {
-		if tk, ok := d.pop(); !ok || tk.seq != w {
-			t.Fatalf("pop = (%d,%v), want %d", tk.seq, ok, w)
-		}
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("pop on an empty deque succeeded")
-	}
-	if _, ok := d.steal(); ok {
-		t.Fatal("steal on an empty deque succeeded")
-	}
-}
-
-// TestResultHeapOrders: results pushed in completion order pop in producer
-// sequence order — the property the order-preserving merge rests on.
-func TestResultHeapOrders(t *testing.T) {
-	var h resultHeap
-	for _, s := range []int64{5, 1, 4, 0, 3, 2} {
-		h.push(chunkResult{seq: s})
-	}
-	for want := int64(0); want < 6; want++ {
-		if got := h.pop().seq; got != want {
-			t.Fatalf("pop sequence: got %d, want %d", got, want)
-		}
-	}
-	if h.len() != 0 {
-		t.Fatalf("heap not empty after draining: %d", h.len())
-	}
-}
-
-// TestParallelStealOversubscribed drives the pool with far more workers than
-// the loop has chunks, so most deques start empty and those workers must
-// steal or sleep on the pool condition — the waking and stealing edge cases
-// — while the merged stream stays item-for-item the sequential one.
-func TestParallelStealOversubscribed(t *testing.T) {
-	env := newTestEnv(t)
-	q := fmt.Sprintf(`for $i in 1 to %d return $i mod 31`, 2*parallelMinTuples+70)
-	want := render(env.evaluator(t, q).Run())
-	baseline := runtime.NumGoroutine()
-	cur, err := Build(env.evaluator(t, q), Config{Parallelism: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := render(drainRows(cur)); got != want {
-		t.Fatalf("oversubscribed pool diverges:\n got %q\nwant %q", got, want)
-	}
-	waitGoroutines(t, baseline, "oversubscribed pool")
-}
-
-// TestParallelGateInlineTail: a loop whose trailing partial chunk falls
-// below the per-chunk dispatch gate takes the inline merge path — the tail
-// is evaluated by the consumer, not a worker — without changing the stream.
-func TestParallelGateInlineTail(t *testing.T) {
-	env := newTestEnv(t)
-	// 4 full 128-tuple chunks plus a 5-tuple tail, well under the gate.
-	q := fmt.Sprintf(`for $i in 1 to %d return $i mod 13`, 4*parallelMinTuples+5)
-	want := render(env.evaluator(t, q).Run())
-	baseline := runtime.NumGoroutine()
-	cur, err := Build(env.evaluator(t, q), Config{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := render(drainRows(cur)); got != want {
-		t.Fatalf("inline-tail stream diverges:\n got %q\nwant %q", got, want)
-	}
-	waitGoroutines(t, baseline, "inline tail")
-}
-
-// TestEarlyCloseStealingPool abandons an oversubscribed stealing pool at
-// several drain depths — before the first chunk boundary, mid-chunk, and
-// deep enough that the re-order heap and token budget are in steady state —
-// and verifies the producer, every worker, and the closer all exit.
-func TestEarlyCloseStealingPool(t *testing.T) {
-	env := newTestEnv(t)
-	q := fmt.Sprintf(`for $i in 1 to %d return $i`, 32*parallelMinTuples)
-	for _, drain := range []int{1, 7, 1000} {
-		baseline := runtime.NumGoroutine()
-		cur, err := Build(env.evaluator(t, q), Config{Parallelism: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := NewReader(cur)
-		for i := 0; i < drain; i++ {
-			if !rows.Next() {
-				t.Fatalf("drain %d: stream ended after %d items", drain, i)
-			}
-		}
-		cur.Close()
-		waitGoroutines(t, baseline, fmt.Sprintf("stealing pool, drain %d", drain))
-	}
 }
 
 // TestPathStreamingModes pins which final steps stream: a disjoint-context

@@ -1,9 +1,6 @@
 package xqexec
 
 import (
-	"sync"
-
-	"soxq/internal/obs"
 	"soxq/internal/xqast"
 	"soxq/internal/xqeval"
 	"soxq/internal/xqplan"
@@ -33,29 +30,10 @@ import (
 // order, so the chunk (and child-cursor) results concatenate into exactly
 // the sequence the materialising path produces.
 
-const (
-	// parallelChunkSize is the partition granularity of the worker pool.
-	// The chunk must be large enough that a loop-lifted join over it
-	// amortises, small enough that a few hundred tuples still split
-	// across workers.
-	parallelChunkSize = 128
-	// parallelMinTuples gates the worker pool: a binding stream that ends
-	// before this many tuples runs single-threaded — the observed
-	// cardinality has to amortise the machinery.
-	parallelMinTuples = 2 * parallelChunkSize
-	// inlineRows is the per-chunk dispatch gate: dispatching a chunk costs a
-	// queue round trip and a forked evaluation, so a trailing partial chunk
-	// below this many tuples is cheaper to evaluate inline at the merge. Full
-	// chunks are never gated, so the gate cannot serialise a configuration
-	// whose ChunkSize is small.
-	inlineRows = 32
-)
-
 // flworCursor is the chunked FLWOR pipeline for one for-clause level. The
 // root cursor owns the whole FLWOR (and is the only one that records the
-// operator's ANALYZE invocation and may engage the worker pool); child
-// cursors own the clause suffix from one nested for clause on, bound under a
-// single parent tuple.
+// operator's ANALYZE invocation); child cursors own the clause suffix from
+// one nested for clause on, bound under a single parent tuple.
 type flworCursor struct {
 	x *executor
 	v *xqast.FLWOR
@@ -69,17 +47,13 @@ type flworCursor struct {
 	first *xqast.ForClause
 	rest  []xqast.Clause
 	bind  Reader // stream of the first for clause's binding sequence
-	// pending holds binding tuples the parallel gate buffered before
-	// deciding to stay sequential; nextChunk consumes it ahead of bind,
-	// in ChunkSize slices like any other input.
-	pending []xqeval.Item
 
 	// Nested cursor-valued binding: when rest starts with a streamable for
-	// clause (and the pool did not engage), each tuple of the chunk drives
-	// a child cursor over inner/innerRest instead of expanding into the
-	// chunk frame. memo caches the decision per level: every sibling child
-	// cursor shares its parent's clause suffix, so the classification walk
-	// runs once per nesting level, not once per parent tuple.
+	// clause, each tuple of the chunk drives a child cursor over
+	// inner/innerRest instead of expanding into the chunk frame. memo caches
+	// the decision per level: every sibling child cursor shares its parent's
+	// clause suffix, so the classification walk runs once per nesting level,
+	// not once per parent tuple.
 	memo      *nestedDecision
 	inner     *xqast.ForClause
 	innerRest []xqast.Clause
@@ -97,11 +71,9 @@ type flworCursor struct {
 	scope      *xqeval.SeqScope
 	childScope *xqeval.SeqScope
 
-	par *parallelFLWOR // non-nil once the worker pool engages
-
 	started bool
 	done    bool
-	chunk   []xqeval.Item // reused binding scratch (sequential mode only)
+	chunk   []xqeval.Item // reused binding scratch
 	seed    []xqeval.Item // reused 1-tuple buffer driving child cursors
 	basePos int64
 	out     []xqeval.Item // the current chunk's result, handed out as one batch
@@ -162,12 +134,7 @@ func (c *flworCursor) init() {
 			c.rest = c.clauses[i+1:]
 			c.bind = NewReader(c.x.buildReuse(cl.Seq, f, c.bindFree))
 			c.bindFree = nil
-			if c.root && c.x.cfg.Parallelism > 1 {
-				c.par = startParallel(c)
-			}
-			if c.par == nil && c.err == nil {
-				c.initNested()
-			}
+			c.initNested()
 			return
 		}
 	}
@@ -241,10 +208,6 @@ func (c *flworCursor) nextChunk() {
 	}
 	c.chunk = c.chunk[:0]
 	c.ti = 0
-	if n := min(limit, len(c.pending)); n > 0 {
-		c.chunk = append(c.chunk, c.pending[:n]...)
-		c.pending = c.pending[n:]
-	}
 	c.chunk = c.bind.Fill(c.chunk, limit)
 	if err := c.bind.Err(); err != nil {
 		c.err = err
@@ -258,26 +221,17 @@ func (c *flworCursor) nextChunk() {
 		c.basePos += int64(len(c.chunk))
 		return
 	}
+	// Expanded mode: the remaining clauses unroll loop-lifted into the chunk
+	// frame; FLWORTail records the chunk's tuple counters.
 	c.scope = c.x.ev.OpenScope()
-	out, err := evalFLWORChunk(c.x.ev, c, c.chunk, c.basePos)
+	nf := c.x.ev.BindChunk(c.f, c.first.Var, c.first.Pos, c.chunk, c.basePos)
+	ret, err := c.x.ev.FLWORTail(c.v, c.rest, nf)
 	if err != nil {
 		c.err = err
 		return
 	}
 	c.basePos += int64(len(c.chunk))
-	c.out = out
-}
-
-// evalFLWORChunk runs the FLWOR tail over one chunk of binding tuples
-// (expanded mode: remaining clauses unroll loop-lifted into the chunk
-// frame). FLWORTail records the chunk's tuple counters.
-func evalFLWORChunk(ev *xqeval.Evaluator, c *flworCursor, tuples []xqeval.Item, basePos int64) ([]xqeval.Item, error) {
-	nf := ev.BindChunk(c.f, c.first.Var, c.first.Pos, tuples, basePos)
-	ret, err := ev.FLWORTail(c.v, c.rest, nf)
-	if err != nil {
-		return nil, err
-	}
-	return ret.Items, nil
+	c.out = ret.Items
 }
 
 // startChild binds the next staged tuple into a one-iteration frame and
@@ -340,7 +294,6 @@ func (c *flworCursor) shelve() {
 		c.bindFree, c.bind = c.bind.c, Reader{}
 	}
 	c.out = nil
-	c.pending = nil
 }
 
 // reset re-arms a shelved child under a fresh parent-tuple frame; clause
@@ -362,9 +315,6 @@ func (c *flworCursor) reset(f *xqeval.Frame) {
 func (c *flworCursor) NextBatch() Batch {
 	if !c.started {
 		c.init()
-	}
-	if c.par != nil {
-		return c.par.next(c)
 	}
 	for c.err == nil {
 		if c.child != nil {
@@ -395,7 +345,7 @@ func (c *flworCursor) Close() {
 	// Mark the cursor started as well as done: a NextBatch after an early
 	// Close must not resurrect the pipeline by running init.
 	c.started, c.done = true, true
-	c.out, c.pending = nil, nil
+	c.out = nil
 	if c.memo != nil && c.chunk != nil && c.memo.chunkBuf == nil {
 		c.memo.chunkBuf = c.chunk // recycle for the next sibling cursor
 	}
@@ -416,443 +366,8 @@ func (c *flworCursor) Close() {
 		c.scope = nil
 	}
 	c.bindFree = nil // already closed when parked by shelve
-	if c.par != nil {
-		// The producer goroutine owns (and closes) the binding cursor.
-		c.par.close()
-		c.par = nil
-		c.bind = Reader{}
-		return
-	}
 	if c.bind.c != nil {
 		c.bind.Close()
 		c.bind = Reader{}
 	}
-}
-
-// parallelFLWOR distributes the binding stream across a work-stealing worker
-// pool with an order-preserving merge. The producer deals sequence-numbered
-// chunk tasks round-robin into one deque per worker; each worker drains its
-// own deque and steals from its siblings when that runs dry, so a skewed
-// chunk (one tuple whose loop body dominates) never idles the other workers
-// the way a static partition would. Workers evaluate the FLWOR tail per
-// chunk over forked evaluators (the plan is immutable and race-safe to
-// share) and send results to a shared channel; the consumer re-orders them
-// through a sequence-keyed min-heap (the same hand-rolled heap as the
-// StandOff merge's preHeap), so the parallel stream is item-for-item the
-// sequential one.
-//
-// The deques are bounded globally rather than per-queue: the producer
-// acquires an in-flight token per chunk and the consumer releases it only
-// when the chunk is emitted, so tasks queued + results waiting in the
-// channel or the heap never exceed the token budget and memory stays
-// proportional to Parallelism x chunk result, not to the loop size. Only
-// the root cursor parallelises — nested levels inside a distributed loop
-// evaluate on the expanded path within their worker's chunk.
-type parallelFLWOR struct {
-	deqs   []workDeque
-	resch  chan chunkResult
-	slots  chan struct{} // in-flight tokens: producer acquires, merge releases
-	donech chan struct{}
-	wg     sync.WaitGroup // producer + workers; a closer joins them and closes resch
-	met    *obs.ExecMetrics
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queued   int  // tasks dealt to deques and not yet claimed
-	prodDone bool // producer exhausted the binding stream
-	stopped  bool // close() called; workers must not start new tasks
-
-	// Consumer-side merge state (single goroutine, never shared).
-	closed  bool
-	heap    resultHeap
-	nextSeq int64
-	iev     *xqeval.Evaluator // evaluates cost-gated inline chunks at the merge
-}
-
-// chunkTask is one sequence-numbered slice of the binding stream, ready for
-// a worker (or a thief) to evaluate.
-type chunkTask struct {
-	seq     int64
-	tuples  []xqeval.Item
-	basePos int64
-}
-
-// chunkResult carries one chunk's outcome back to the merge. An inline
-// result carries the unevaluated tuples instead: the producer decided the
-// chunk was too small to amortise a dispatch (the per-chunk cost gate) and
-// the consumer evaluates it itself when its sequence number comes up.
-type chunkResult struct {
-	seq     int64
-	items   []xqeval.Item
-	err     error
-	inline  []xqeval.Item
-	basePos int64
-}
-
-// workDeque is one worker's chunk-task queue. The owner pops newest-first
-// (its cache is warm with the producer's latest tuples), thieves steal
-// oldest-first — the classic work-stealing discipline. A plain mutex guards
-// each deque: at chunk granularity the lock is all but uncontended, and the
-// pool's in-flight token budget bounds every deque's length.
-type workDeque struct {
-	mu    sync.Mutex
-	tasks []chunkTask
-	head  int
-}
-
-func (d *workDeque) push(t chunkTask) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, t)
-	d.mu.Unlock()
-}
-
-// pop removes the newest task (owner side).
-func (d *workDeque) pop() (chunkTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.tasks) {
-		return chunkTask{}, false
-	}
-	n := len(d.tasks) - 1
-	t := d.tasks[n]
-	d.tasks[n] = chunkTask{} // release the tuple slice
-	d.tasks = d.tasks[:n]
-	if d.head >= len(d.tasks) {
-		d.tasks, d.head = d.tasks[:0], 0
-	}
-	return t, true
-}
-
-// steal removes the oldest task (thief side).
-func (d *workDeque) steal() (chunkTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.tasks) {
-		return chunkTask{}, false
-	}
-	t := d.tasks[d.head]
-	d.tasks[d.head] = chunkTask{}
-	d.head++
-	if d.head >= len(d.tasks) {
-		d.tasks, d.head = d.tasks[:0], 0
-	}
-	return t, true
-}
-
-// resultHeap orders out-of-sequence chunk results by producer sequence
-// number — the same hand-rolled binary min-heap as the StandOff merge's
-// preHeap, keyed on seq instead of pre rank.
-type resultHeap struct {
-	rs []chunkResult
-}
-
-func (h *resultHeap) len() int { return len(h.rs) }
-
-func (h *resultHeap) push(r chunkResult) {
-	h.rs = append(h.rs, r)
-	i := len(h.rs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.rs[p].seq <= h.rs[i].seq {
-			break
-		}
-		h.rs[p], h.rs[i] = h.rs[i], h.rs[p]
-		i = p
-	}
-}
-
-func (h *resultHeap) pop() chunkResult {
-	r := h.rs[0]
-	n := len(h.rs) - 1
-	h.rs[0] = h.rs[n]
-	h.rs[n] = chunkResult{}
-	h.rs = h.rs[:n]
-	i := 0
-	for {
-		l, rt := 2*i+1, 2*i+2
-		s := i
-		if l < n && h.rs[l].seq < h.rs[s].seq {
-			s = l
-		}
-		if rt < n && h.rs[rt].seq < h.rs[s].seq {
-			s = rt
-		}
-		if s == i {
-			break
-		}
-		h.rs[i], h.rs[s] = h.rs[s], h.rs[i]
-		i = s
-	}
-	return r
-}
-
-// startParallel decides the partition size, applies the small-loop gate, and
-// spins up the producer and workers. It returns nil when the binding stream
-// ends below the gate — the caller then runs the buffered tuples through the
-// ordinary sequential chunk path.
-func startParallel(c *flworCursor) *parallelFLWOR {
-	pchunk := parallelChunkSize
-	if s := c.x.cfg.ChunkSize; s > 0 && s < pchunk {
-		pchunk = s
-	}
-	// Gate on the observed cardinality of the binding stream.
-	prefix := c.bind.Fill(make([]xqeval.Item, 0, parallelMinTuples+1), parallelMinTuples+1)
-	if err := c.bind.Err(); err != nil {
-		c.err = err
-		return nil
-	}
-	if len(prefix) <= parallelMinTuples {
-		// Small loop: hand the buffered tuples to the ordinary sequential
-		// chunk path, which evaluates them in ChunkSize slices — the
-		// memory bound holds whether or not the pool engages.
-		c.pending = prefix
-		return nil
-	}
-
-	workers := c.x.cfg.Parallelism
-	inflight := 2 * workers
-	p := &parallelFLWOR{
-		deqs:   make([]workDeque, workers),
-		resch:  make(chan chunkResult, inflight),
-		slots:  make(chan struct{}, inflight),
-		donech: make(chan struct{}),
-		met:    c.x.ev.Met,
-		iev:    c.x.ev.Fork(),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	p.iev.AttachArena()
-	p.wg.Add(workers + 1)
-	for w := 0; w < workers; w++ {
-		go p.worker(c, w)
-	}
-	// The producer takes the reader over, with the rows it holds past the
-	// prefix; c.bind is not read again while the pool runs.
-	go p.produce(c, c.bind, prefix, pchunk)
-	// The closer shuts the result channel once the producer and every
-	// worker has exited — the merge reads end-of-stream from the close.
-	go func() {
-		p.wg.Wait()
-		close(p.resch)
-	}()
-	return p
-}
-
-// produce slices the binding stream into sequence-numbered chunk tasks and
-// deals them round-robin into the worker deques. It owns the binding cursor
-// exclusively — no other goroutine touches it once the pool starts. Each
-// chunk first acquires an in-flight token (released by the merge when the
-// chunk is emitted), which is what bounds the deques and the result heap.
-func (p *parallelFLWOR) produce(c *flworCursor, bind Reader, prefix []xqeval.Item, pchunk int) {
-	defer p.wg.Done()
-	defer func() {
-		p.mu.Lock()
-		p.prodDone = true
-		p.mu.Unlock()
-		p.cond.Broadcast()
-	}()
-	defer bind.Close()
-	var seq, basePos int64
-	emit := func(tuples []xqeval.Item) bool {
-		if !p.acquireSlot() {
-			return false
-		}
-		t := chunkTask{seq: seq, tuples: tuples, basePos: basePos}
-		seq++
-		basePos += int64(len(tuples))
-		if len(tuples) < pchunk && len(tuples) < inlineRows {
-			select {
-			case p.resch <- chunkResult{seq: t.seq, inline: t.tuples, basePos: t.basePos}:
-				return true
-			case <-p.donech:
-				return false
-			}
-		}
-		p.deqs[int(t.seq)%len(p.deqs)].push(t)
-		p.mu.Lock()
-		p.queued++
-		p.mu.Unlock()
-		p.cond.Signal()
-		return true
-	}
-	for len(prefix) > 0 {
-		n := min(pchunk, len(prefix))
-		if !emit(prefix[:n:n]) {
-			return
-		}
-		prefix = prefix[n:]
-	}
-	for {
-		tuples := bind.Fill(make([]xqeval.Item, 0, pchunk), pchunk)
-		if err := bind.Err(); err != nil {
-			// The error occupies the next sequence slot, so the merge
-			// surfaces it only after every preceding chunk — exactly where
-			// the sequential stream would have failed.
-			if !p.acquireSlot() {
-				return
-			}
-			select {
-			case p.resch <- chunkResult{seq: seq, err: err}:
-			case <-p.donech:
-			}
-			return
-		}
-		if len(tuples) == 0 {
-			return
-		}
-		if !emit(tuples) {
-			return
-		}
-	}
-}
-
-// acquireSlot takes one in-flight token for the producer, counting a stall
-// when the budget is exhausted and the producer genuinely has to wait for
-// the merge to release one — the saturation signal of the pool. Returns
-// false when the pool shut down instead.
-func (p *parallelFLWOR) acquireSlot() bool {
-	select {
-	case p.slots <- struct{}{}:
-		return true
-	default:
-	}
-	p.met.InflightWait()
-	select {
-	case p.slots <- struct{}{}:
-		return true
-	case <-p.donech:
-		return false
-	}
-}
-
-func (p *parallelFLWOR) worker(c *flworCursor, w int) {
-	defer p.wg.Done()
-	// One fork per worker goroutine, with its own join arena (arenas are
-	// single-goroutine; Fork drops the parent's). The fork's per-chunk
-	// state (recursion depth) resets itself because evalFLWORChunk always
-	// starts from depth 0.
-	ev := c.x.ev.Fork()
-	ev.AttachArena()
-	defer ev.DetachArena()
-	for {
-		t, ok := p.takeTask(w)
-		if !ok {
-			return
-		}
-		items, err := evalFLWORChunk(ev, c, t.tuples, t.basePos)
-		select {
-		case p.resch <- chunkResult{seq: t.seq, items: items, err: err}:
-		case <-p.donech:
-			return
-		}
-	}
-}
-
-// takeTask is the work-stealing loop for worker w: drain the own deque
-// (newest first), then sweep the siblings' deques (oldest first), then sleep
-// on the pool condition until the producer deals more work or the pool shuts
-// down. Returns false when no task will ever arrive again.
-func (p *parallelFLWOR) takeTask(w int) (chunkTask, bool) {
-	for {
-		select {
-		case <-p.donech:
-			return chunkTask{}, false
-		default:
-		}
-		if t, ok := p.deqs[w].pop(); ok {
-			p.claim()
-			return t, true
-		}
-		for d := 1; d < len(p.deqs); d++ {
-			if t, ok := p.deqs[(w+d)%len(p.deqs)].steal(); ok {
-				p.met.Steal()
-				p.claim()
-				return t, true
-			}
-		}
-		p.mu.Lock()
-		if p.queued == 0 {
-			if p.prodDone || p.stopped {
-				p.mu.Unlock()
-				return chunkTask{}, false
-			}
-			p.cond.Wait()
-		}
-		p.mu.Unlock()
-	}
-}
-
-// claim accounts one task leaving the deques. queued is incremented only
-// after the task is pushed, so a sleeping worker woken by the signal always
-// finds the task it was woken for (or sleeps again after a failed sweep).
-func (p *parallelFLWOR) claim() {
-	p.mu.Lock()
-	p.queued--
-	p.mu.Unlock()
-}
-
-// next is the order-preserving merge: results arrive in completion order and
-// are re-sequenced through the min-heap, so chunks are emitted strictly in
-// the order the producer numbered them and the parallel stream is
-// item-for-item the sequential stream. Each chunk's result is one batch.
-func (p *parallelFLWOR) next(c *flworCursor) Batch {
-	for c.err == nil {
-		var r chunkResult
-		if p.heap.len() > 0 && p.heap.rs[0].seq == p.nextSeq {
-			r = p.heap.pop()
-		} else {
-			var ok bool
-			if r, ok = <-p.resch; !ok {
-				// Producer and workers are done and every result was taken:
-				// sequence numbers are contiguous, so the heap is empty too.
-				break
-			}
-			if r.seq != p.nextSeq {
-				p.heap.push(r)
-				continue
-			}
-		}
-		if items := p.take(c, r); len(items) > 0 {
-			return Batch{Items: items}
-		}
-	}
-	return Batch{}
-}
-
-// take emits one in-sequence chunk result: releases its in-flight token (the
-// producer may now deal the next chunk), surfaces its error, evaluates it
-// here if the producer's cost gate kept it inline, and returns its items.
-func (p *parallelFLWOR) take(c *flworCursor, r chunkResult) []xqeval.Item {
-	p.nextSeq++
-	<-p.slots
-	if r.err != nil {
-		c.err = r.err
-		return nil
-	}
-	if r.inline != nil {
-		items, err := evalFLWORChunk(p.iev, c, r.inline, r.basePos)
-		c.err = err
-		return items
-	}
-	return r.items
-}
-
-func (p *parallelFLWOR) close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	close(p.donech)
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	// Drain the result channel until the closer shuts it: that happens only
-	// after the producer and every worker has exited, and the caller
-	// releases the parent evaluator's join arena right after Close, so no
-	// goroutine that reads the evaluator (Fork) or evaluates over it (the
-	// producer's binding cursor) may outlive this loop.
-	for range p.resch {
-	}
-	p.iev.DetachArena()
-	p.heap.rs = nil
 }

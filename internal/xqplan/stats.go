@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"soxq/internal/core"
 	"soxq/internal/xqast"
@@ -19,10 +18,9 @@ import (
 // immutable and shareable.
 //
 // All record methods are safe on a nil receiver (a no-op), so the hot paths
-// carry a single nil check per operator, and safe for concurrent use — the
-// parallel FLWOR workers of one execution share the collector.
+// carry a single nil check per operator. Like the execution it describes, a
+// collector is used from one goroutine at a time.
 type ExecStats struct {
-	mu    sync.Mutex
 	steps map[*StepPlan]*StepObs
 	ops   map[xqast.Expr]*OpObs
 }
@@ -84,7 +82,6 @@ func (s *ExecStats) RecordStep(sp *StepPlan, rowsIn, rowsOut int64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	o := s.steps[sp]
 	if o == nil {
 		o = &StepObs{}
@@ -93,7 +90,6 @@ func (s *ExecStats) RecordStep(sp *StepPlan, rowsIn, rowsOut int64) {
 	o.Invocations++
 	o.RowsIn += rowsIn
 	o.RowsOut += rowsOut
-	s.mu.Unlock()
 }
 
 // RecordJoin accumulates one StandOff join invocation: the candidate
@@ -104,7 +100,6 @@ func (s *ExecStats) RecordJoin(sp *StepPlan, ix *core.RegionIndex, candidates in
 		return
 	}
 	ins, del := ix.DeltaStats()
-	s.mu.Lock()
 	o := s.steps[sp]
 	if o == nil {
 		o = &StepObs{}
@@ -117,7 +112,6 @@ func (s *ExecStats) RecordJoin(sp *StepPlan, ix *core.RegionIndex, candidates in
 	o.Joins[strat]++
 	o.DeltaIns = max(o.DeltaIns, ins)
 	o.DeltaDead = max(o.DeltaDead, del)
-	s.mu.Unlock()
 }
 
 // RecordStepStream accumulates the chunk counters of one chunk-streamed run
@@ -126,7 +120,6 @@ func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunk
 	if s == nil || chunks == 0 {
 		return
 	}
-	s.mu.Lock()
 	o := s.steps[sp]
 	if o == nil {
 		o = &StepObs{}
@@ -139,7 +132,6 @@ func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunk
 	if chunkMax > o.ChunkMax {
 		o.ChunkMax = chunkMax
 	}
-	s.mu.Unlock()
 }
 
 // RecordOp accumulates one evaluation of a structural operator.
@@ -147,12 +139,10 @@ func (s *ExecStats) RecordOp(e xqast.Expr, rowsIn, rowsOut int64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	o := s.op(e)
 	o.Invocations++
 	o.RowsIn += rowsIn
 	o.RowsOut += rowsOut
-	s.mu.Unlock()
 }
 
 // RecordChunk accumulates one streamed FLWOR chunk: the tuples it bound and
@@ -162,15 +152,13 @@ func (s *ExecStats) RecordChunk(e xqast.Expr, tuples, rowsOut int64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	o := s.op(e)
 	o.Chunks++
 	o.RowsIn += tuples
 	o.RowsOut += rowsOut
-	s.mu.Unlock()
 }
 
-// op returns (creating if needed) the operator entry. Callers hold mu.
+// op returns (creating if needed) the operator entry.
 func (s *ExecStats) op(e xqast.Expr) *OpObs {
 	o := s.ops[e]
 	if o == nil {
@@ -186,8 +174,6 @@ func (s *ExecStats) StepObs(sp *StepPlan) (StepObs, bool) {
 	if s == nil {
 		return StepObs{}, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o := s.steps[sp]
 	if o == nil {
 		return StepObs{}, false
@@ -227,8 +213,6 @@ func (s *ExecStats) OpObs(e xqast.Expr) (OpObs, bool) {
 	if s == nil {
 		return OpObs{}, false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	o := s.ops[e]
 	if o == nil {
 		return OpObs{}, false

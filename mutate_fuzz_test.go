@@ -12,7 +12,7 @@ import (
 // interleaved with queries, compactions and in-flight cursors — against the
 // incremental engine AND a plain Go model of the annotation set. After every
 // round the incremental engine must agree, across the full execution matrix
-// (Exec and Stream over the fuzzConfigs chunk × parallelism grid), with a
+// (Exec and Stream over the fuzzConfigs chunk and mode grid), with a
 // fresh engine built from the model's regenerated document: the
 // delta-layered LSM indexes versus a full rebuild.
 //

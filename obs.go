@@ -45,7 +45,7 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 type SlowQuery struct {
 	// Query is the query source text.
 	Query string
-	// Mode is the execution mode ("exec", "stream", "parallel", "analyze").
+	// Mode is the execution mode ("exec", "stream", "analyze").
 	Mode string
 	// Start is when the execution began.
 	Start time.Time

@@ -116,11 +116,10 @@ type Config struct {
 	// HeapActiveList replaces the paper's sorted active list with the
 	// max-heap suggested in its section 5 (future work).
 	HeapActiveList bool
-	// Parallelism is the number of worker goroutines large FLWOR loops are
-	// partitioned across, with an order-preserving merge; 0 or 1 runs
-	// single-threaded. Loops below the executor's cardinality gate stay
-	// single-threaded regardless, so small queries never pay for the
-	// pool. Applies to both Exec and Stream.
+	// Parallelism is ignored: every run executes on its caller's goroutine.
+	// Concurrency comes from running several queries at once.
+	//
+	// Deprecated: ignored; the field goes at the next API change.
 	Parallelism int
 	// StreamChunk is the number of loop tuples a Stream pipeline evaluates
 	// per chunk (0 means the default, 1024). Larger chunks amortise the
@@ -132,9 +131,8 @@ type Config struct {
 	// of parse/compile timings and per-operator row, candidate, join and
 	// chunk counts, retained in the engine's bounded
 	// trace ring and returned by Prepared.TraceLast. Tracing rides the same
-	// per-operator collector as EXPLAIN ANALYZE, so it costs one
-	// mutex-protected update per operator evaluation — leave it off on hot
-	// paths and sample instead.
+	// per-operator collector as EXPLAIN ANALYZE, so it costs one map update
+	// per operator evaluation — leave it off on hot paths and sample instead.
 	Trace bool
 }
 
@@ -435,9 +433,10 @@ func (p *Prepared) Exec(cfg Config) (*Result, error) {
 // EXPLAIN ANALYZE plan: the operator tree annotated with observed rows in
 // and out, candidates scanned, join algorithms and delta merges per
 // StandOff step, and FLWOR tuple/chunk counts. Counter collection costs one
-// mutex-protected map update per operator evaluation (not per row), so
-// Analyze timing is representative; Exec and Stream pay only a nil check. With cfg.StreamChunk > 0 the run is chunked like Stream,
-// so the chunk counters reflect streamed execution.
+// map update per operator evaluation (not per row), so Analyze timing is
+// representative; Exec and Stream pay only a nil check. With
+// cfg.StreamChunk > 0 the run is chunked like Stream, so the chunk counters
+// reflect streamed execution.
 func (p *Prepared) Analyze(cfg Config) (*Result, *PlanExplain, error) {
 	st := xqplan.NewExecStats()
 	ro := p.beginAnalyze(cfg, st)
@@ -447,7 +446,7 @@ func (p *Prepared) Analyze(cfg Config) (*Result, *PlanExplain, error) {
 	if cfg.StreamChunk > 0 {
 		chunk = cfg.StreamChunk
 	}
-	cur, err := xqexec.Build(ev, xqexec.Config{ChunkSize: chunk, Parallelism: cfg.Parallelism})
+	cur, err := xqexec.Build(ev, xqexec.Config{ChunkSize: chunk})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -46,7 +46,7 @@ func (c *Cursor) Value() Value { return Value{it: c.rows.Item()} }
 // Err returns the first error the pipeline encountered, or nil.
 func (c *Cursor) Err() error { return c.rows.Err() }
 
-// Close releases the pipeline's resources (chunk buffers, parallel workers).
+// Close releases the pipeline's resources (arenas, chunk buffers).
 // It is idempotent and safe to call before the stream is drained; it returns
 // the pipeline error, if any, so `defer cur.Close()` plus an Err check at
 // the end covers every exit path.
@@ -84,13 +84,13 @@ func (c *Cursor) WriteXML(w io.Writer) error {
 }
 
 // Stream executes the compiled query as a pull-based cursor pipeline:
-// FLWOR tuples are evaluated in bounded chunks (Config.StreamChunk), large
-// loops optionally partition across Config.Parallelism workers, and
+// FLWOR tuples are evaluated in bounded chunks (Config.StreamChunk), and
 // expression forms that cannot stream fall back to materialised evaluation
-// behind the same interface. The drained stream is always item-for-item
-// identical to Exec's result. Like Exec, Stream is safe to call from any
-// number of goroutines: each call builds an independent pipeline over the
-// shared immutable plan.
+// behind the same interface. The pipeline runs on the goroutine that drains
+// the cursor and starts none of its own. The drained stream is always
+// item-for-item identical to Exec's result. Like Exec, Stream is safe to call
+// from any number of goroutines: each call builds an independent pipeline
+// over the shared immutable plan.
 func (p *Prepared) Stream(cfg Config) (*Cursor, error) {
 	chunk := cfg.StreamChunk
 	if chunk <= 0 {
@@ -123,8 +123,5 @@ func (e *Engine) StreamQuery(q string, cfg Config) (*Cursor, error) {
 func (p *Prepared) pipeline(cfg Config, chunk int, st *xqplan.ExecStats) (xqexec.Cursor, error) {
 	ev := p.evaluator(cfg)
 	ev.Stats = st
-	return xqexec.Build(ev, xqexec.Config{
-		ChunkSize:   chunk,
-		Parallelism: cfg.Parallelism,
-	})
+	return xqexec.Build(ev, xqexec.Config{ChunkSize: chunk})
 }

@@ -2,12 +2,11 @@ package soxq
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"soxq/internal/spawncheck"
 	"soxq/internal/xmark"
 )
 
@@ -40,14 +39,12 @@ var streamCorpus = []string{
 }
 
 // streamMatrix is the public equivalence grid: StreamChunk from degenerate
-// (1) to unbounded (0, the Stream default) crossed with single-threaded and
-// partitioned execution — the same cells as the internal pipeline matrix.
+// (1) to unbounded (0, the Stream default) — the same cells as the internal
+// pipeline matrix.
 func streamMatrix() []Config {
 	var cfgs []Config
 	for _, chunk := range []int{1, 2, 7, 64, 0} {
-		for _, par := range []int{1, 4} {
-			cfgs = append(cfgs, Config{StreamChunk: chunk, Parallelism: par})
-		}
+		cfgs = append(cfgs, Config{StreamChunk: chunk})
 	}
 	return cfgs
 }
@@ -80,7 +77,7 @@ func drainStream(cur *Cursor) (string, error) {
 }
 
 // TestStreamExecEquivalence is the public equivalence property: for every
-// corpus query and every cell of the chunk x parallelism matrix — plus the
+// corpus query and every chunk size of the matrix — plus the
 // forced-mode and no-pushdown rows — Stream drains to byte-identical output
 // as Exec's materialised Result (or fails with the identical error).
 func TestStreamExecEquivalence(t *testing.T) {
@@ -117,11 +114,10 @@ func TestStreamExecEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamLargeLoopParallel pins the equivalence on a loop big enough to
-// engage the parallel partitioner, streaming and draining from several
-// goroutines at once over one shared Prepared — the -race test of the
-// concurrency contract.
-func TestStreamLargeLoopParallel(t *testing.T) {
+// TestStreamLargeLoopConcurrent pins the equivalence on a loop of many
+// chunks, streaming and draining from several goroutines at once over one
+// shared Prepared — the -race test of the concurrency contract.
+func TestStreamLargeLoopConcurrent(t *testing.T) {
 	eng := streamEngine(t)
 	const q = `for $i in 1 to 2000 return $i * ($i mod 7)`
 	prep, err := eng.Prepare(q)
@@ -137,7 +133,7 @@ func TestStreamLargeLoopParallel(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
-		cfg := Config{StreamChunk: 64, Parallelism: 1 + g%4}
+		cfg := Config{StreamChunk: 8 << (g % 4)}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -183,7 +179,7 @@ func TestStreamNestedConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
-		cfg := Config{StreamChunk: 1 + g*3, Parallelism: g % 3}
+		cfg := Config{StreamChunk: 1 + g*3}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -210,8 +206,8 @@ func TestStreamNestedConcurrent(t *testing.T) {
 }
 
 // TestStreamEarlyClose: abandoning a stream after a few items — including a
-// partitioned one and a nested-loop one — must not deadlock, must terminate
-// every worker goroutine, and Err stays nil.
+// nested-loop one — must release the pipeline, leave no goroutine behind, and
+// keep Err nil.
 func TestStreamEarlyClose(t *testing.T) {
 	eng := streamEngine(t)
 	for _, q := range []string{
@@ -222,30 +218,92 @@ func TestStreamEarlyClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []Config{{StreamChunk: 16}, {StreamChunk: 16, Parallelism: 4}} {
-			baseline := runtime.NumGoroutine()
-			cur, err := prep.Stream(cfg)
+		spawncheck.Run(func(started func() int) {
+			cur, err := prep.Stream(Config{StreamChunk: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10 && cur.Next(); i++ {
 			}
 			if err := cur.Close(); err != nil {
-				t.Fatalf("cfg %+v: Close = %v", cfg, err)
+				t.Fatalf("%q: Close = %v", q, err)
 			}
 			if cur.Next() {
-				t.Fatalf("cfg %+v: Next after Close", cfg)
+				t.Fatalf("%q: Next after Close", q)
 			}
-			// Worker teardown is asynchronous; poll until the count drops
-			// back to the baseline.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					t.Fatalf("%q cfg %+v: %d goroutines leaked after Close",
-						q, cfg, runtime.NumGoroutine()-baseline)
+			if n := started(); n != 0 {
+				t.Fatalf("%q: %d goroutines started by the run alive after Close", q, n)
+			}
+		})
+	}
+}
+
+// TestRunStartsNoGoroutine pins that a query runs on its caller's goroutine:
+// every execution API, at every chunk size and with the ignored Parallelism
+// set, has started no goroutine that is alive mid-drain or after Close. The
+// count is read once per point, without waiting: there is nothing
+// asynchronous to wait for. spawncheck counts only goroutines the run
+// started, so goroutines of earlier tests still exiting cannot move it.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	const loop = `for $i in 1 to 2000 return $i * 2`
+	for _, chunk := range []int{1, 7, 0} {
+		for _, par := range []int{0, 4} {
+			cfg := Config{StreamChunk: chunk, Parallelism: par}
+			// A fresh engine per config, so QueryCorpus misses its result
+			// cache and executes.
+			eng, _ := corpusEngine(t, 8)
+			prep, err := eng.Prepare(loop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corp, err := eng.Prepare(corpusQuery)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spawncheck.Run(func(started func() int) {
+				check := func(what string) {
+					t.Helper()
+					if n := started(); n != 0 {
+						t.Fatalf("cfg %+v, %s: %d goroutines started by the run", cfg, what, n)
+					}
 				}
-				time.Sleep(time.Millisecond)
-			}
+				check("before the run")
+				if _, err := prep.Exec(cfg); err != nil {
+					t.Fatal(err)
+				}
+				check("after Exec")
+				if _, err := corp.ExecCorpus("news", cfg); err != nil {
+					t.Fatal(err)
+				}
+				check("after ExecCorpus")
+				if _, err := eng.QueryCorpus(corpusQuery, "news", cfg); err != nil {
+					t.Fatal(err)
+				}
+				check("after QueryCorpus")
+				for _, s := range []struct {
+					api  string
+					open func() (*Cursor, error)
+					rows int
+				}{
+					{"Stream", func() (*Cursor, error) { return prep.Stream(cfg) }, 2000},
+					{"StreamCorpus", func() (*Cursor, error) { return corp.StreamCorpus("news", cfg) }, 8 * 6},
+				} {
+					cur, err := s.open()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < s.rows/2; i++ {
+						if !cur.Next() {
+							t.Fatalf("%s: stream ended after %d rows", s.api, i)
+						}
+					}
+					check(s.api + " half drained")
+					if err := cur.Close(); err != nil {
+						t.Fatal(err)
+					}
+					check(s.api + " after Close")
+				}
+			})
 		}
 	}
 }

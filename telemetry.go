@@ -23,7 +23,6 @@ type engineObs struct {
 	compileNanos *obs.Histogram
 	execNanos    *obs.Histogram
 	streamNanos  *obs.Histogram
-	parallelNs   *obs.Histogram
 	analyzeNanos *obs.Histogram
 
 	tracesTotal *obs.Counter
@@ -61,7 +60,6 @@ func newEngineObs(e *Engine) *engineObs {
 		compileNanos: r.Histogram("soxq_compile_nanos", "query compile latency (parse included), nanoseconds"),
 		execNanos:    r.Histogram(metricQueryNanos+`{mode="exec"}`, "end-to-end query latency by execution mode, nanoseconds"),
 		streamNanos:  r.Histogram(metricQueryNanos+`{mode="stream"}`, ""),
-		parallelNs:   r.Histogram(metricQueryNanos+`{mode="parallel"}`, ""),
 		analyzeNanos: r.Histogram(metricQueryNanos+`{mode="analyze"}`, ""),
 
 		tracesTotal: r.Counter("soxq_traces_total", "query traces recorded"),
@@ -79,8 +77,6 @@ func newEngineObs(e *Engine) *engineObs {
 		JoinBasic:      r.Counter(metricJoinsTotal+`{algorithm="basic"}`, "StandOff join invocations by algorithm"),
 		JoinLoopLifted: r.Counter(metricJoinsTotal+`{algorithm="looplifted"}`, ""),
 		JoinNaive:      r.Counter(metricJoinsTotal+`{algorithm="naive"}`, ""),
-		WorkSteals:     r.Counter("soxq_worksteal_steals_total", "parallel FLWOR chunk tasks taken from a sibling worker's deque"),
-		InflightWaits:  r.Counter("soxq_worksteal_inflight_waits_total", "producer stalls on the parallel pool's in-flight token budget"),
 		ChunkGrow:      r.Counter(`soxq_chunk_adapt_total{dir="grow"}`, "streamed StandOff chunk-size adaptations"),
 		ChunkShrink:    r.Counter(`soxq_chunk_adapt_total{dir="shrink"}`, ""),
 	}
@@ -199,21 +195,9 @@ func (t *engineObs) latencyHist(mode string) *obs.Histogram {
 		return t.execNanos
 	case "stream":
 		return t.streamNanos
-	case "parallel":
-		return t.parallelNs
 	default:
 		return t.analyzeNanos
 	}
-}
-
-// runMode names the latency bucket of one execution: parallel runs are their
-// own mode whichever API started them (the split the paper's scaling
-// argument cares about), otherwise the API names the mode.
-func runMode(cfg Config, api string) string {
-	if cfg.Parallelism > 1 {
-		return "parallel"
-	}
-	return api
 }
 
 // runObs tracks one execution's telemetry from pipeline construction to
@@ -229,14 +213,14 @@ type runObs struct {
 	done  bool
 }
 
-// beginRun starts the telemetry of one execution. The trace collector is
-// created only under cfg.Trace — tracing rides the same ExecStats machinery
-// as EXPLAIN ANALYZE.
+// beginRun starts the telemetry of one execution; the API names its latency
+// mode. The trace collector is created only under cfg.Trace — tracing rides
+// the same ExecStats machinery as EXPLAIN ANALYZE.
 func (p *Prepared) beginRun(cfg Config, api string) runObs {
 	if p.eng.tel == nil {
 		return runObs{}
 	}
-	ro := runObs{p: p, mode: runMode(cfg, api), start: time.Now()}
+	ro := runObs{p: p, mode: api, start: time.Now()}
 	if cfg.Trace {
 		ro.st = xqplan.NewExecStats()
 	}

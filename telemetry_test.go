@@ -42,7 +42,7 @@ func scrapeMetrics(t *testing.T, eng *Engine) map[string]int64 {
 }
 
 // TestMetricsEndToEnd runs a scripted workload — prepared Exec, a drained
-// Stream, a parallel-configured run, an Analyze, and cached Query calls that
+// Stream, an Analyze, and cached Query calls that
 // hit and miss the plan cache — then scrapes the ops handler and checks the
 // acceptance-list metrics are exposed with values the workload explains.
 func TestMetricsEndToEnd(t *testing.T) {
@@ -63,9 +63,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	for cur.Next() {
 	}
 	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prep.Exec(Config{Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := prep.Analyze(Config{}); err != nil {
@@ -94,10 +91,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	atLeast(`soxq_plan_cache_entries`, 1)
 	atLeast(`soxq_query_nanos_count{mode="exec"}`, 1)
 	atLeast(`soxq_query_nanos_count{mode="stream"}`, 1)
-	atLeast(`soxq_query_nanos_count{mode="parallel"}`, 1)
 	atLeast(`soxq_query_nanos_count{mode="analyze"}`, 1)
 	// Every run drives the one StandOff step through the Loop-Lifted join;
-	// 5 joins from exec+stream+parallel+analyze+2 cached queries would
+	// 5 joins from exec+stream+analyze+2 cached queries would
 	// over-specify, so just demand several.
 	atLeast(`soxq_joins_total{algorithm="looplifted"}`, 4)
 	atLeast(`soxq_parse_nanos_count`, 1)
@@ -116,8 +112,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`soxq_index_merges_total{scope="layer"}`,
 		`soxq_index_merges_total{scope="full"}`,
 		`soxq_attr_orders_built_total`,
-		`soxq_worksteal_steals_total`,
-		`soxq_worksteal_inflight_waits_total`,
 		`soxq_chunk_adapt_total{dir="grow"}`,
 		`soxq_chunk_adapt_total{dir="shrink"}`,
 		`soxq_traces_total`,
@@ -368,7 +362,7 @@ func TestStreamCloseWithoutDrainFinishes(t *testing.T) {
 }
 
 // TestConcurrentStreamTelemetry extends the concurrent-drain contract to the
-// telemetry layer: many goroutines drain parallel Stream cursors with tracing
+// telemetry layer: many goroutines drain Stream cursors with tracing
 // on while others scrape the ops handler, read TraceLast/RecentTraces, and
 // flip the slow-query threshold. Must stay clean under `go test -race`.
 func TestConcurrentStreamTelemetry(t *testing.T) {
@@ -428,7 +422,7 @@ func TestConcurrentStreamTelemetry(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cfg := Config{StreamChunk: g + 1, Parallelism: 2, Trace: true}
+			cfg := Config{StreamChunk: g + 1, Trace: true}
 			for i := 0; i < drains; i++ {
 				cur, err := prep.Stream(cfg)
 				if err != nil {
@@ -460,9 +454,9 @@ func TestConcurrentStreamTelemetry(t *testing.T) {
 
 	m := scrapeMetrics(t, eng)
 	wantRuns := int64(goroutines * drains)
-	if got := m[`soxq_query_nanos_count{mode="parallel"}`]; got != wantRuns+0 {
-		// +0: the reference Exec ran without Parallelism, under mode=exec.
-		t.Errorf("parallel run count = %d, want %d", got, wantRuns)
+	if got := m[`soxq_query_nanos_count{mode="stream"}`]; got != wantRuns {
+		// The reference Exec counts under mode=exec.
+		t.Errorf("stream run count = %d, want %d", got, wantRuns)
 	}
 	if got := m[`soxq_traces_total`]; got != wantRuns {
 		t.Errorf("traces recorded = %d, want %d", got, wantRuns)

@@ -33,7 +33,7 @@ func (t *QueryTrace) Render(live bool) string {
 }
 
 // Mode returns the execution mode of the traced run ("exec", "stream",
-// "parallel", "analyze").
+// "analyze").
 func (t *QueryTrace) Mode() string {
 	if t == nil || t.tr == nil {
 		return ""
