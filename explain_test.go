@@ -133,7 +133,7 @@ func TestAttrPushdownExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const step = `step select-narrow::shot[@id >= "O"][1] pred{attr→cand,pos} standoff{op=select-narrow push=by-name(shot) nopush=all+filter}`
+	const step = `step select-narrow::shot[@id >= "O"][1] pred{attr→cand,pos→join} standoff{op=select-narrow push=by-name(shot) nopush=all+filter}`
 	if got := prep.Explain().String(); !strings.Contains(got, step+"\n") {
 		t.Fatalf("explain:\n%s\nwant the line\n%s", got, step)
 	}
@@ -150,6 +150,77 @@ func TestAttrPushdownExplain(t *testing.T) {
 		}
 		if got := pe.String(); !strings.Contains(got, step+obs+"\n") {
 			t.Fatalf("%+v: analyze:\n%s\nwant the line\n%s", cfg, got, step+obs)
+		}
+	}
+}
+
+// TestExplainGoldenXMarkReduced pins EXPLAIN ANALYZE of the stand-off XMark
+// queries whose joins reduce their matches: Q2's [1] is applied by the join
+// (pred{pos→join}), Q6's and Q7's count arguments are counted by it
+// (out{count}). The observed counters are those of the unreduced evaluation:
+// a reduced step's out is the rows after [1], or the sum of the counts.
+func TestExplainGoldenXMarkReduced(t *testing.T) {
+	eng := xmarkEngine(t, 0.002)
+	const so = `standoff{op=select-narrow push=by-name(%[1]s) nopush=all+filter}`
+	step := func(name string) string { return fmt.Sprintf("select-narrow::%[1]s "+so, name) }
+	head := "options: type=xs:integer start=@start end=@end\nfolds: 0\nplan:\n"
+	site := `      path doc("xmark-so.xml") (out=%d)
+        step descendant::site (fused //) (in=1 out=1)
+`
+	for q, want := range map[int]string{
+		2: head + `  flwor (tuples=24 out=24 chunks=1)
+    for $b in
+` + fmt.Sprintf(site, 24) + `        step ` + step("open_auctions") + ` (in=1 out=1 cand=1 joins=looplifted:1 stream{chunks=1 chunk=1..1})
+        step ` + step("open_auction") + ` (in=1 out=24 cand=24 joins=looplifted:1 stream{chunks=1 chunk=1..1})
+    return
+      element <increase>
+        path $b (out=23)
+          step select-narrow::bidder[1] pred{pos→join} ` + fmt.Sprintf(so, "bidder") + ` (in=24 out=23 cand=116 joins=looplifted:1)
+          step ` + step("increase") + ` (in=23 out=23 cand=116 joins=looplifted:1)
+stream:
+  flwor [pipelined] for $b tuples stream in chunks; loop body loop-lifted per chunk
+    path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document; 1 StandOff prefix step(s) stream through composed pres-based stages
+`,
+		6: head + `  flwor (tuples=1 out=1 chunks=1)
+    for $b in
+` + fmt.Sprintf(site, 1) + `        step ` + step("regions") + ` (in=1 out=1 cand=1 joins=looplifted:1 stream{chunks=1 chunk=1..1})
+    return
+      function count#1
+        path $b (out=43)
+          step select-narrow::item out{count} ` + fmt.Sprintf(so, "item") + ` (in=1 out=43 cand=43 joins=looplifted:1)
+stream:
+  flwor [pipelined] for $b tuples stream in chunks; loop body loop-lifted per chunk
+    path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
+`,
+		7: head + `  flwor (tuples=1 out=1 chunks=1)
+    for $p in
+` + fmt.Sprintf(site, 1) + `    return
+      op "+"
+        op "+"
+          function count#1
+            path $p (out=88)
+              step select-narrow::description out{count} ` + fmt.Sprintf(so, "description") + ` (in=1 out=88 cand=88 joins=looplifted:1)
+          function count#1
+            path $p (out=43)
+              step select-narrow::annotation out{count} ` + fmt.Sprintf(so, "annotation") + ` (in=1 out=43 cand=43 joins=looplifted:1)
+        function count#1
+          path $p (out=51)
+            step select-narrow::emailaddress out{count} ` + fmt.Sprintf(so, "emailaddress") + ` (in=1 out=51 cand=51 joins=looplifted:1)
+stream:
+  flwor [pipelined] for $p tuples stream in chunks; loop body loop-lifted per chunk
+    path [pipelined] final step descendant::site streams per context node when context subtrees are disjoint
+`,
+	} {
+		prep, err := eng.Prepare(xmarkStandOffQuery(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, pe, err := prep.Analyze(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pe.String(); got != want {
+			t.Errorf("Q%d analyze:\n%s\nwant:\n%s", q, got, want)
 		}
 	}
 }

@@ -144,11 +144,19 @@ func runFuzzCase(t *testing.T, seed uint64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(int64(seed)))
 	doc := fuzzDoc(r)
+	runDiffCase(t, seed, doc, fuzzQueries(r), fuzzConfigs())
+}
+
+// runDiffCase loads doc as f.xml and checks every query under every config,
+// Exec and Stream alike, against the default Exec: results byte for byte,
+// errors exactly.
+func runDiffCase(t *testing.T, seed uint64, doc string, queries []string, cfgs []Config) {
+	t.Helper()
 	eng := New()
 	if err := eng.LoadXML("f.xml", []byte(doc)); err != nil {
 		t.Fatalf("seed %d: generated document does not parse: %v\n%s", seed, err, doc)
 	}
-	for _, q := range fuzzQueries(r) {
+	for _, q := range queries {
 		prep, err := eng.Prepare(q)
 		if err != nil {
 			t.Fatalf("seed %d: generated query does not compile: %v\n%s", seed, err, q)
@@ -158,7 +166,7 @@ func runFuzzCase(t *testing.T, seed uint64) {
 		if refErr == nil {
 			want = res.String()
 		}
-		for _, cfg := range fuzzConfigs() {
+		for _, cfg := range cfgs {
 			// Every config runs both execution styles.
 			var gotExec string
 			res, execErr := prep.Exec(cfg)
@@ -222,5 +230,90 @@ func FuzzStreamEquivalence(f *testing.F) {
 func TestStreamEquivalenceQuick(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		runFuzzCase(t, seed)
+	}
+}
+
+// fuzzRegionDoc generates a stand-off document in the region-element
+// encoding (declare option standoff-region "region"): every annotation is an
+// area of one to three regions, two in three of them discontinuous, so
+// context areas take the joins' exact multi-region path and candidate areas
+// are contained only when all their regions are. Element order is shuffled
+// against region order, as in fuzzDoc.
+func fuzzRegionDoc(r *rand.Rand) string {
+	span := int64(100 + r.Intn(400))
+	var elems []string
+	for _, layer := range fuzzLayers {
+		for i, n := 0, 1+r.Intn(8); i < n; i++ {
+			var sb strings.Builder
+			fmt.Fprintf(&sb, `<%s id="%s%d">`, layer, layer[:1], len(elems)+1)
+			pos := r.Int63n(span)
+			for k, nr := 0, 1+r.Intn(3); k < nr; k++ {
+				end := pos + r.Int63n(span/6+1)
+				fmt.Fprintf(&sb, "<region><start>%d</start><end>%d</end></region>", pos, end)
+				pos = end + 2 + r.Int63n(span/6+1) // regions of one area neither overlap nor touch
+			}
+			elems = append(elems, sb.String()+"</"+layer+">")
+		}
+	}
+	elems = append(elems, `<note id="n0"/>`) // no region: never an area
+	r.Shuffle(len(elems), func(i, j int) { elems[i], elems[j] = elems[j], elems[i] })
+	return "<corpus>" + strings.Join(elems, "") + "</corpus>"
+}
+
+// fuzzRegionQueries generates queries over a fuzzRegionDoc whose joins the
+// engine reduces — count, exists and empty over a StandOff step, a step's
+// leading [1], both behind pushed attribute predicates too — over all four
+// axes, so the reject ones check the unreduced path beside them.
+func fuzzRegionQueries(r *rand.Rand) []string {
+	axes := []string{"select-narrow", "select-wide", "reject-narrow", "reject-wide"}
+	layer := func() string { return fuzzLayers[r.Intn(len(fuzzLayers))] }
+	axis := func() string { return axes[r.Intn(len(axes))] }
+	id := func() string { l := layer(); return fmt.Sprintf("%s%d", l[:1], 1+r.Intn(24)) }
+	qs := []string{
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return count($a/%s::%s)`, layer(), axis(), layer()),
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return (exists($a/%s::%s), empty($a/%s::*))`, layer(), axis(), layer(), axis()),
+		fmt.Sprintf(`count(doc("f.xml")//%s/%s::%s)`, layer(), axis(), layer()),
+		fmt.Sprintf(`for $a in doc("f.xml")//%s where exists($a/%s::%s) return $a/@id`, layer(), axis(), layer()),
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return count(($a, $a/%s::%s)/%s::%s[@id >= "%s"])`,
+			layer(), axis(), layer(), axis(), layer(), id()),
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return $a/%s::%s[1]/@id`, layer(), axis(), layer()),
+		fmt.Sprintf(`doc("f.xml")//%s/%s::%s[1]`, layer(), axis(), layer()),
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return $a/%s::%s[@id < "%s"][1][@id != "%s"]/@id`,
+			layer(), axis(), layer(), id(), id()),
+		fmt.Sprintf(`for $a in doc("f.xml")//%s return <r>{ $a/%s::*[1]/%s::%s[1] }</r>`, layer(), axis(), axis(), layer()),
+	}
+	for i, q := range qs {
+		qs[i] = `declare option standoff-region "region"; ` + q
+	}
+	return qs
+}
+
+// runRegionFuzzCase executes one seed of the multi-region harness: the
+// default Exec against the Basic baseline (which never reduces), no
+// pushdown, and the chunked Stream.
+func runRegionFuzzCase(t *testing.T, seed uint64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(int64(seed)))
+	doc := fuzzRegionDoc(r)
+	runDiffCase(t, seed, doc, fuzzRegionQueries(r), []Config{
+		{Mode: ModeBasic}, {NoPushdown: true}, {StreamChunk: 1}, {StreamChunk: 3}, {StreamChunk: 16},
+	})
+}
+
+// FuzzMultiRegionEquivalence is the open-ended multi-region harness.
+func FuzzMultiRegionEquivalence(f *testing.F) {
+	for _, seed := range []uint64{0, 1, 7, 42, 1234} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		runRegionFuzzCase(t, seed)
+	})
+}
+
+// TestMultiRegionEquivalenceQuick is the multi-region harness's tier-1
+// slice: 200 fixed seeds.
+func TestMultiRegionEquivalenceQuick(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		runRegionFuzzCase(t, seed)
 	}
 }

@@ -284,9 +284,16 @@ func matchNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfi
 	if ctxHasMultiRegion(ix, ctx) {
 		return matchNarrowExact(ix, ctx, cand, cfg, fullScan)
 	}
-	// Fast path: every context area is a single region, so containment of a
-	// candidate area reduces to containment of its bounding region, and one
-	// dominant context region per iteration is exact.
+	emit := emitState{out: cfg.Arena.getPairs()}
+	mergeNarrow(ix, ctx, cand, cfg, fullScan, &emit)
+	return emit.out
+}
+
+// mergeNarrow is matchNarrow's fast path, for contexts whose areas are all
+// single regions: containment of a candidate area reduces to containment of
+// its bounding region, and one dominant context region per key is exact, so
+// every (key, candidate) match reaches emit exactly once.
+func mergeNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool, emit *emitState) {
 	rows, _, _ := buildCtxRows(ix, ctx, false, cfg.Arena)
 	nKeys := int32(0)
 	for _, r := range rows {
@@ -296,7 +303,6 @@ func matchNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfi
 	}
 	as := newActiveSet(nKeys, cfg)
 	tr := cfg.Trace
-	emit := emitState{out: cfg.Arena.getPairs()}
 	i := 0
 	bStart, bEnd, bID := cand.boundsCols()
 	for k := 0; k < len(bID); k++ {
@@ -347,24 +353,63 @@ func matchNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfi
 			break // no remaining candidate can be contained (section 4.5, lines 37-38)
 		}
 	}
-	return emit.out
 }
 
 // emitState collects join output through a single reusable closure so the
-// merge loops do not allocate one closure per candidate row.
+// merge loops do not allocate one closure per candidate row. With red set,
+// a match of candidate pre for key is reduced on the spot instead of
+// becoming a Pair: counted in red[key], or, with first set, kept in red[key]
+// when it is the key's smallest pre so far (a negative red[key] is none).
 type emitState struct {
-	out []Pair
-	pre int32
-	cb  func(key int32)
+	out   []Pair
+	red   []int32
+	first bool
+	pre   int32
+	cb    func(key int32)
 }
 
 func (e *emitState) callback() func(key int32) {
 	if e.cb == nil {
-		e.cb = func(key int32) {
-			e.out = append(e.out, Pair{Iter: key, Pre: e.pre})
+		switch {
+		case e.red == nil:
+			e.cb = func(key int32) { e.out = append(e.out, Pair{Iter: key, Pre: e.pre}) }
+		case e.first:
+			e.cb = func(key int32) {
+				if r := e.red[key]; r < 0 || e.pre < r {
+					e.red[key] = e.pre
+				}
+			}
+		default:
+			e.cb = func(key int32) { e.red[key]++ }
 		}
 	}
 	return e.cb
+}
+
+// JoinReduce runs the Loop-Lifted select join op (SelectNarrow or
+// SelectWide) for a consumer that reads one number per key instead of the
+// pairs: with first unset it adds to out[key] how many candidates key
+// matches; with first set it lowers out[key] to the smallest pre key matches,
+// a negative out[key] standing for none. keep, when non-nil, drops the
+// candidates it rejects first. Every ctx.Iter must be < len(out); out
+// accumulates, so one out can gather the joins of several documents.
+//
+// The result equals reducing Join's pairs. For single-region contexts of
+// select-narrow the merge reduces each match as it emits it, with no pair
+// buffer and no sort; every other shape reduces Join's sorted pairs.
+func JoinReduce(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, keep func(pre int32) bool, first bool, out []int32, cfg JoinConfig) {
+	emit := &emitState{red: out, first: first}
+	if op == SelectNarrow && keep == nil && cfg.Trace == nil && !ctxHasMultiRegion(ix, ctx) {
+		mergeNarrow(ix, ctx, cand, cfg, false, emit)
+		return
+	}
+	cb := emit.callback()
+	for _, p := range Join(ix, op, StrategyLoopLifted, ctx, int32(len(out)), cand, cfg) {
+		if keep == nil || keep(p.Pre) {
+			emit.pre = p.Pre
+			cb(p.Iter)
+		}
+	}
 }
 
 // matchNarrowExact handles multi-region context areas: each context area

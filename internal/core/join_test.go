@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -407,4 +408,99 @@ func TestHeapActiveLazyStaleness(t *testing.T) {
 	if strings.Join(got, ",") != "0" {
 		t.Fatalf("forEach(25) = %v", got)
 	}
+}
+
+// TestJoinReduceAgainstJoin: JoinReduce's per-key counts and first matches
+// equal reducing the naive join's pairs and Join's, for both select
+// operators and both active sets, with and without a keep filter and a
+// recycling arena, over single- and multi-region areas, with several nested
+// or overlapping context nodes per key. out accumulates onto what it held.
+func TestJoinReduceAgainstJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	regionOpts := DefaultOptions()
+	regionOpts.Region, regionOpts.UseRegionElements = "region", true
+	arena := AcquireJoinArena()
+	defer arena.Release()
+	keepOdd := func(pre int32) bool { return pre%2 == 1 }
+	for round := 0; round < 80; round++ {
+		var ix *RegionIndex
+		if round%2 == 0 {
+			ix = randomSingleRegionIndex(t, rng, 1+rng.Intn(40), 200)
+		} else {
+			var sb strings.Builder
+			sb.WriteString("<doc>")
+			for i, n := 0, 1+rng.Intn(30); i < n; i++ {
+				sb.WriteString("<a>")
+				pos := rng.Int63n(100)
+				for r, nr := 0, 1+rng.Intn(3); r < nr; r++ {
+					length := rng.Int63n(40)
+					fmt.Fprintf(&sb, "<region><start>%d</start><end>%d</end></region>", pos, pos+length)
+					pos += length + 2 + rng.Int63n(30)
+				}
+				sb.WriteString("</a>")
+			}
+			sb.WriteString("</doc>")
+			ix = buildIx(t, sb.String(), regionOpts)
+		}
+		areas := ix.Areas()
+		nKeys := 1 + rng.Intn(6)
+		var ctx []CtxNode
+		for i := rng.Intn(16); i > 0; i-- {
+			ctx = append(ctx, CtxNode{Iter: rng.Int31n(int32(nKeys)), Pre: areas[rng.Intn(len(areas))]})
+		}
+		cand := ix.All()
+		if rng.Intn(2) == 0 {
+			var sub []int32
+			for _, a := range areas {
+				if rng.Intn(2) == 0 {
+					sub = append(sub, a)
+				}
+			}
+			cand = ix.Filter(sub)
+		}
+		for _, op := range []Op{SelectNarrow, SelectWide} {
+			naive := Join(ix, op, StrategyNaive, ctx, int32(nKeys), cand, JoinConfig{})
+			ll := slices.Clone(Join(ix, op, StrategyLoopLifted, ctx, int32(nKeys), cand, JoinConfig{}))
+			for _, keep := range []func(int32) bool{nil, keepOdd} {
+				for _, first := range []bool{false, true} {
+					init := make([]int32, nKeys)
+					for i := range init {
+						if first {
+							init[i] = []int32{-1, areas[rng.Intn(len(areas))]}[rng.Intn(2)]
+						} else {
+							init[i] = rng.Int31n(3)
+						}
+					}
+					want := reducePairs(naive, keep, first, init)
+					if got := reducePairs(ll, keep, first, init); !slices.Equal(got, want) {
+						t.Fatalf("round %d %v first=%v: reduced Join %v, reduced naive %v", round, op, first, got, want)
+					}
+					for _, cfg := range []JoinConfig{{}, {UseHeap: true}, {Arena: arena}, {UseHeap: true, Arena: arena}} {
+						got := slices.Clone(init)
+						JoinReduce(ix, op, ctx, cand, keep, first, got, cfg)
+						if !slices.Equal(got, want) {
+							t.Fatalf("round %d %v first=%v keep=%v heap=%v: JoinReduce %v, want %v\nctx %v",
+								round, op, first, keep != nil, cfg.UseHeap, got, want, ctx)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// reducePairs is JoinReduce by definition: init, plus per key the count of
+// the pairs keep admits, or the smallest of their pres.
+func reducePairs(pairs []Pair, keep func(int32) bool, first bool, init []int32) []int32 {
+	out := slices.Clone(init)
+	for _, p := range pairs {
+		switch {
+		case keep != nil && !keep(p.Pre):
+		case !first:
+			out[p.Iter]++
+		case out[p.Iter] < 0 || p.Pre < out[p.Iter]:
+			out[p.Iter] = p.Pre
+		}
+	}
+	return out
 }

@@ -23,6 +23,24 @@ func (ev *Evaluator) evalCall(v *xqast.FuncCall, f *frame) (LLSeq, error) {
 	if fd, ok := ev.Plan.Function(v.Name, len(v.Args)); ok {
 		return ev.callUDF(fd, v.Args, f)
 	}
+	if (local == "count" || local == "exists" || local == "empty") && len(v.Args) == 1 {
+		if counts, ok, err := ev.pathCounts(v.Args[0], f); err != nil {
+			return LLSeq{}, err
+		} else if ok {
+			b := ev.scrBuilderCap(f.n, f.n)
+			for _, n := range counts {
+				switch local {
+				case "count":
+					b.add(Int(int64(n)))
+				case "exists":
+					b.add(Bool(n > 0))
+				default:
+					b.add(Bool(n == 0))
+				}
+			}
+			return b.done(), nil
+		}
+	}
 	// StandOff built-ins (so:select-narrow etc., with or without candidate
 	// sequence).
 	if op, isSO := standOffFuncs[local]; isSO && (len(v.Args) == 1 || len(v.Args) == 2) {

@@ -99,46 +99,69 @@ func (ev *Evaluator) evalFilter(v *xqast.Filter, f *frame) (LLSeq, error) {
 // in ANY area-annotation in S1"), so there the row is the iteration itself —
 // a union of per-node complements would be wrong.
 func (ev *Evaluator) evalStep(sp *xqplan.StepPlan, ctx LLSeq, f *frame) (LLSeq, error) {
-	for _, it := range ctx.Items {
-		if !it.IsNode() {
-			return LLSeq{}, errf(codeType, "axis step applied to an atomic value")
-		}
+	if err := nodeContext(ctx); err != nil {
+		return LLSeq{}, err
 	}
 	perIteration := sp.Axis == xpath.AxisRejectNarrow || sp.Axis == xpath.AxisRejectWide
 	var rows LLSeq
 	var err error
-	pushed := 0 // leading predicates applied to the candidates, before the join
-	if sp.StandOff {
-		if ev.Pushdown && !ev.genericPredicates {
-			pushed = sp.Pushed
-		}
-		rows, err = ev.standOffRows(sp, ctx, perIteration, sp.Preds[:pushed])
-	} else {
+	applied := 0 // leading predicates the candidates or the join applied
+	switch {
+	case sp.FirstByJoin && ev.reduces(sp):
+		rows, err = ev.firstRows(sp, ctx)
+		applied = sp.Pushed + 1
+	case sp.StandOff:
+		applied = ev.pushedPreds(sp)
+		rows, err = ev.standOffRows(sp, ctx, perIteration, sp.Preds[:applied])
+	default:
 		rows = ev.treeRows(sp, ctx)
 	}
 	if err != nil {
 		return LLSeq{}, err
 	}
-	for i := pushed; i < len(sp.Predicates); i++ {
+	for i := applied; i < len(sp.Predicates); i++ {
 		if rows, err = ev.filterRows(rows, sp.Preds[i], sp.Predicates[i], ctx, perIteration, f, sp.Axis.Reverse()); err != nil {
 			return LLSeq{}, err
 		}
 	}
 	// A row is in document order and duplicate-free (the axes and the join
-	// return it so), which makes the rows the answer when each iteration has
-	// exactly one — the $b/axis::x shape. The exception is a reject row with
-	// candidates of several documents, which come in the order the context
-	// first touches the documents.
+	// return it so, a reject row over several documents included), which
+	// makes the rows the answer when each iteration has exactly one — the
+	// $b/axis::x shape, and every reject row.
 	out := rows
-	if perIteration {
-		for r := 0; r < rows.N(); r++ {
-			sortDedupNodes(rows.Group(r)) // sorts in place; nothing to dedup across documents
-		}
-	} else if !oneItemPerGroup(ctx) {
+	if !perIteration && !oneItemPerGroup(ctx) {
 		out = ev.mergeRows(rows, ctx)
 	}
 	ev.Stats.RecordStep(sp, int64(ctx.Total()), int64(out.Total()))
 	return out, nil
+}
+
+// nodeContext is the error of an axis step whose context holds an atomic
+// value, or nil.
+func nodeContext(ctx LLSeq) error {
+	for _, it := range ctx.Items {
+		if !it.IsNode() {
+			return errf(codeType, "axis step applied to an atomic value")
+		}
+	}
+	return nil
+}
+
+// pushedPreds is how many of a StandOff step's leading predicates this run
+// applies to its candidates, before the join.
+func (ev *Evaluator) pushedPreds(sp *xqplan.StepPlan) int {
+	if ev.Pushdown && !ev.genericPredicates {
+		return sp.Pushed
+	}
+	return 0
+}
+
+// reduces reports whether this run may have the join reduce a step the plan
+// marked (StepPlan.FirstByJoin, StepPlan.CountOnly): under Loop-Lifted, with
+// the step's pushed predicates pushed. The Basic and naive baselines stay
+// unreduced.
+func (ev *Evaluator) reduces(sp *xqplan.StepPlan) bool {
+	return ev.Strategy == core.StrategyLoopLifted && !ev.genericPredicates && ev.pushedPreds(sp) == sp.Pushed
 }
 
 // oneItemPerGroup reports whether every iteration of s holds exactly one item.
@@ -271,8 +294,9 @@ type docContext struct {
 }
 
 // partitionByDoc splits the context per document fragment (section 4.4), in
-// the order the context first touches the documents. Attribute context items
-// are dropped: attributes are never area-annotations.
+// document order, so rows laid out part after part are in document order.
+// Attribute context items are dropped: attributes are never
+// area-annotations.
 func partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
 	var parts []docContext
 	cur := -1 // index of the part the previous node went to
@@ -296,6 +320,7 @@ func partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
 			parts[cur].nodes = append(parts[cur].nodes, core.CtxNode{Iter: row, Pre: it.Pre})
 		}
 	}
+	slices.SortStableFunc(parts, func(a, b docContext) int { return cmp.Compare(a.d.OrderKey(), b.d.OrderKey()) })
 	return parts
 }
 
@@ -323,21 +348,14 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 	var ob *llBuilder
 	for _, part := range parts {
 		d := part.d
-		ix, err := ev.IndexFor(d)
+		ix, cand, keep, err := ev.joinInputs(sp, d, pushed)
 		if err != nil {
-			return LLSeq{}, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
+			return LLSeq{}, err
 		}
-		cand, postFilter := ev.candidatesFor(ix, sp.SO, pushed)
 		if cand == nil {
 			continue // the test can never match an area-annotation
 		}
 		pairs := core.Join(ix, sp.SO.Op, ev.Strategy, part.nodes, int32(nRows), cand, ev.JoinCfg)
-		ev.countJoin(ev.Strategy)
-		ev.Stats.RecordJoin(sp, ix, int64(cand.Len()), ev.Strategy)
-		var test xpath.Compiled
-		if postFilter {
-			test = sp.CompiledTest(d)
-		}
 		pb := ev.scrBuilderCap(nRows, len(pairs))
 		touched := part.nodes // reject: the rows at or after the current pair's that touch d
 		for _, pr := range pairs {
@@ -349,7 +367,7 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 					continue // iteration has no context node in this document
 				}
 			}
-			if postFilter && !test.Matches(d, pr.Pre) {
+			if keep != nil && !keep(pr.Pre) {
 				continue
 			}
 			for len(pb.seq.Off) <= int(pr.Iter) {
@@ -373,6 +391,105 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 		}
 	}
 	return ob.seq, nil
+}
+
+// joinInputs resolves what one StandOff join of sp over document d runs
+// against — the region index and the candidate sequence, narrowed by the
+// pushed predicates — and counts the join as run. keep is the node test
+// applied to the join's output when the candidates do not apply it (nil when
+// they do). A nil cand means the test can never match in d, and no join
+// runs.
+func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, d *tree.Doc, pushed []xqplan.PredPlan) (ix *core.RegionIndex, cand *core.Candidates, keep func(int32) bool, err error) {
+	ix, err = ev.IndexFor(d)
+	if err != nil {
+		return nil, nil, nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
+	}
+	cand, postFilter := ev.candidatesFor(ix, sp.SO, pushed)
+	if cand == nil {
+		return ix, nil, nil, nil
+	}
+	ev.countJoin(ev.Strategy)
+	ev.Stats.RecordJoin(sp, ix, int64(cand.Len()), ev.Strategy)
+	if postFilter {
+		test := sp.CompiledTest(d)
+		keep = func(pre int32) bool { return test.Matches(d, pre) }
+	}
+	return ix, cand, keep, nil
+}
+
+// standOffReduce runs a StandOff select step whose join reduces its matches
+// (core.JoinReduce), all its pushed predicates applied by the candidates.
+// With first unset the result is the size of each iteration's step result,
+// counts adding across the documents an iteration touches; with first set it
+// is each context row's first match, -1 for none.
+func (ev *Evaluator) standOffReduce(sp *xqplan.StepPlan, ctx LLSeq, first bool) ([]int32, error) {
+	if err := nodeContext(ctx); err != nil {
+		return nil, err
+	}
+	if ev.IndexFor == nil {
+		return nil, errf(codeStandOffIndex, "no region index provider configured")
+	}
+	var out []int32
+	if first {
+		out = slices.Repeat([]int32{-1}, ctx.Total())
+	} else {
+		out = make([]int32, ctx.N())
+	}
+	for _, part := range partitionByDoc(ctx, !first) {
+		ix, cand, keep, err := ev.joinInputs(sp, part.d, sp.Preds[:sp.Pushed])
+		if err != nil {
+			return nil, err
+		}
+		if cand != nil {
+			core.JoinReduce(ix, sp.SO.Op, part.nodes, cand, keep, first, out, ev.JoinCfg)
+		}
+	}
+	return out, nil
+}
+
+// firstRows is the rows of a FirstByJoin step after its [1]: each context
+// row's first match, in the row's document.
+func (ev *Evaluator) firstRows(sp *xqplan.StepPlan, ctx LLSeq) (LLSeq, error) {
+	first, err := ev.standOffReduce(sp, ctx, true)
+	if err != nil {
+		return LLSeq{}, err
+	}
+	ob := ev.scrBuilderCap(len(first), len(first))
+	for r, pre := range first {
+		if pre >= 0 {
+			ob.appendItem(NodeItem(ctx.Items[r].D, pre))
+		}
+		ob.endGroup()
+	}
+	return ob.seq, nil
+}
+
+// pathCounts evaluates the argument of count, exists or empty to the size of
+// each iteration's result when it is a path whose final step is CountOnly
+// and this run may reduce it. ok is false, and nothing is evaluated,
+// otherwise. The step and the path record the counts' sum as their output.
+func (ev *Evaluator) pathCounts(arg xqast.Expr, f *frame) (counts []int32, ok bool, err error) {
+	p, isPath := arg.(*xqast.Path)
+	if !isPath {
+		return nil, false, nil
+	}
+	if prog := ev.Plan.Program(p); len(prog) == 0 || !prog[len(prog)-1].CountOnly || !ev.reduces(prog[len(prog)-1]) {
+		return nil, false, nil
+	}
+	ctx, last, err := ev.PathPrefix(p, f)
+	if err == nil {
+		counts, err = ev.standOffReduce(last, ctx, false)
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	total := int64(0)
+	for _, n := range counts {
+		total += int64(n)
+	}
+	ev.Stats.RecordStep(last, int64(ctx.Total()), total)
+	ev.Stats.RecordOp(p, 0, total)
+	return counts, true, nil
 }
 
 // concatRows appends b's rows to a's, row by row.

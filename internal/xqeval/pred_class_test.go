@@ -55,7 +55,8 @@ const predRegionDoc = `<r><region><start>0</start><end>200</end></region>
 
 // TestPredicateClassDifferential: every predicate the plan classifies as
 // position or attribute comparison selects exactly what the generic
-// evaluation of the same predicate selects, and a StandOff step selects the
+// evaluation of the same predicate selects, a [1] the join of a select step
+// applies (StepPlan.FirstByJoin) included, and a StandOff step selects the
 // same whether its leading attribute predicates narrow the candidates before
 // the join (the default) or filter the join's output (NoPushdown).
 func TestPredicateClassDifferential(t *testing.T) {
@@ -90,9 +91,11 @@ func TestPredicateClassDifferential(t *testing.T) {
 		`declare option standoff-region "region"; doc("m.xml")//s/select-narrow::p`,
 		`declare option standoff-region "region"; doc("m.xml")//q/reject-wide::p`,
 		`declare option standoff-region "region"; for $q in doc("m.xml")//q return $q/reject-narrow::p`,
+		`(doc("p2.xml"), doc("p.xml"))//q/select-wide::p`,
+		`declare option standoff-region "region"; (doc("m.xml")//s, doc("m.xml")//q)/select-narrow::*`,
 	}
 	classes := map[xqplan.PredClass]int{}
-	pushedSteps := 0
+	pushedSteps, joinFirstSteps := 0, 0
 	for _, step := range steps {
 		for i, pred := range preds {
 			query := step + pred
@@ -112,6 +115,9 @@ func TestPredicateClassDifferential(t *testing.T) {
 					}
 					if sp.Pushed > 0 {
 						pushedSteps++
+					}
+					if sp.FirstByJoin {
+						joinFirstSteps++
 					}
 				}
 			}
@@ -136,8 +142,10 @@ func TestPredicateClassDifferential(t *testing.T) {
 			}
 		}
 	}
-	if classes[xqplan.PredPosition] == 0 || classes[xqplan.PredAttrCompare] == 0 || classes[xqplan.PredGeneric] != 0 || pushedSteps == 0 {
-		t.Errorf("classes seen: %v, steps with pushed predicates: %d", classes, pushedSteps)
+	if classes[xqplan.PredPosition] == 0 || classes[xqplan.PredAttrCompare] == 0 || classes[xqplan.PredGeneric] != 0 ||
+		pushedSteps == 0 || joinFirstSteps == 0 {
+		t.Errorf("classes seen: %v, steps with pushed predicates: %d, with [1] applied by the join: %d",
+			classes, pushedSteps, joinFirstSteps)
 	}
 }
 

@@ -362,3 +362,29 @@ func TestRejectEmptyContextIteration(t *testing.T) {
 		t.Fatalf("empty-context reject = %q, want 0 0", got)
 	}
 }
+
+// TestRejectRanksAcrossDocumentsInDocOrder: a reject row holds the candidates
+// of every document its iteration touches, and its positional predicates
+// rank them in document order — a.xml's before b.xml's, as a.xml was loaded
+// first — whatever order the context lists the documents in.
+func TestRejectRanksAcrossDocumentsInDocOrder(t *testing.T) {
+	h := newHarness()
+	h.addDoc(t, "a.xml", `<d><s start="0" end="9"/><w n="a1" start="20" end="29"/><w n="a2" start="30" end="39"/></d>`)
+	h.addDoc(t, "b.xml", `<d><s start="0" end="9"/><w n="b1" start="20" end="29"/></d>`)
+	for q, want := range map[string]string{
+		`(doc("b.xml")//s, doc("a.xml")//s)/reject-narrow::w[1]/@n`:    `n="a1"`,
+		`(doc("b.xml")//s, doc("a.xml")//s)/reject-wide::w[last()]/@n`: `n="b1"`,
+		`(doc("b.xml")//s, doc("a.xml")//s)/reject-narrow::w/@n`:       `n="a1" n="a2" n="b1"`,
+		`(doc("b.xml")//s, doc("a.xml")//s)/reject-wide::w[2]/@n`:      `n="a2"`,
+	} {
+		for _, strat := range []core.Strategy{core.StrategyNaive, core.StrategyBasic, core.StrategyLoopLifted} {
+			items, err := h.run(t, q, strat)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", strat, q, err)
+			}
+			if got := serialize(items); got != want {
+				t.Errorf("%v: %s = %q, want %q", strat, q, got, want)
+			}
+		}
+	}
+}

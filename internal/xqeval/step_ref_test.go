@@ -3,9 +3,12 @@ package xqeval
 // The step evaluation this package shipped before the flat step results, kept
 // verbatim (names suffixed Ref) as the oracle of TestEvalStepAgainstReference:
 // one []Item per context row grown by append, a separate predicate-free tree
-// path, and predicates evaluated through an inner frame per result node.
+// path, and predicates evaluated through an inner frame per result node. One
+// change since: a reject row over several documents ranks its candidates in
+// document order, not in the order the context first touches the documents.
 
 import (
+	"cmp"
 	"slices"
 
 	"soxq/internal/core"
@@ -288,6 +291,9 @@ func (ev *Evaluator) standOffRejectStepRef(sp *xqplan.StepPlan, ctx LLSeq) ([][]
 			iterTouches[it.D][i] = true
 		}
 	}
+	// An iteration's candidates, and so the positions its predicates see,
+	// come in document order across documents too.
+	slices.SortStableFunc(docs, func(a, b *tree.Doc) int { return cmp.Compare(a.OrderKey(), b.OrderKey()) })
 	for _, d := range docs {
 		ix, err := ev.IndexFor(d)
 		if err != nil {

@@ -63,8 +63,12 @@ type StepExplain struct {
 	Predicates int
 	// PredClasses is the compile-time class of each predicate, in order:
 	// "pos", "attr" or "generic" (see PredClass), "attr→cand" for one a
-	// StandOff step pushes into candidate selection (StepPlan.Pushed).
+	// StandOff step pushes into candidate selection (StepPlan.Pushed),
+	// "pos→join" for the [1] its join applies (StepPlan.FirstByJoin).
 	PredClasses []string
+	// CountOnly: the join hands count/exists/empty per-iteration counts
+	// (StepPlan.CountOnly).
+	CountOnly bool
 
 	// StandOff step description; zero values for tree axes.
 	StandOff     bool
@@ -116,11 +120,14 @@ func stepExplain(sp *StepPlan) StepExplain {
 		Fused:      sp.Fused,
 		Predicates: len(sp.Predicates),
 		StandOff:   sp.StandOff,
+		CountOnly:  sp.CountOnly,
 	}
 	for i, pp := range sp.Preds {
 		c := pp.Class.String()
 		if i < sp.Pushed {
 			c += "→cand"
+		} else if i == sp.Pushed && sp.FirstByJoin {
+			c += "→join"
 		}
 		se.PredClasses = append(se.PredClasses, c)
 	}
@@ -331,6 +338,9 @@ func (b *treeBuilder) stepNode(sp *StepPlan) *Node {
 	}
 	if se.Fused {
 		sb.WriteString(" (fused //)")
+	}
+	if se.CountOnly {
+		sb.WriteString(" out{count}")
 	}
 	if se.StandOff {
 		fmt.Fprintf(&sb, " standoff{op=%s push=%s nopush=%s}",

@@ -252,11 +252,31 @@ func (p *Plan) pass(e xqast.Expr) xqast.Expr {
 			p.folds++
 			return folded
 		}
+		p.markCountOnly(v)
 	case *xqast.Path:
 		p.paths = append(p.paths, v)
 		p.programs[v] = compileProgram(v)
 	}
 	return e
+}
+
+// markCountOnly marks the final step of the path argument of the built-in
+// count, exists or empty (not a user function of the same name) as
+// StepPlan.CountOnly when the join can count its result: a StandOff select
+// step whose predicates are all applied by its candidates.
+func (p *Plan) markCountOnly(v *xqast.FuncCall) {
+	switch localName(v.Name) {
+	case "count", "exists", "empty":
+		if len(v.Args) != 1 || p.shadowed(v.Name, 1) {
+			return
+		}
+		path, _ := v.Args[0].(*xqast.Path)
+		if prog := p.programs[path]; len(prog) > 0 {
+			if last := prog[len(prog)-1]; last.selects() && last.Pushed == len(last.Preds) {
+				last.CountOnly = true
+			}
+		}
+	}
 }
 
 // prune unregisters the step programs of a subtree a fold rule discarded

@@ -33,6 +33,15 @@ type StepPlan struct {
 	// StandOff step applies to its candidates before the join when pushdown
 	// is on (section 4.3): attribute comparisons other than !=.
 	Pushed int
+	// FirstByJoin marks a StandOff select step whose first predicate after
+	// the pushed ones is [1]: a Loop-Lifted run has the join keep each context
+	// row's first match instead of its pairs (EXPLAIN pred{pos→join}).
+	FirstByJoin bool
+	// CountOnly marks the final step of a path that is the argument of the
+	// built-in count, exists or empty, when it is a StandOff select step all
+	// of whose predicates are pushed: a Loop-Lifted run hands the call the
+	// join's per-iteration match counts instead of nodes (EXPLAIN out{count}).
+	CountOnly bool
 	// Fused marks a descendant step produced by merging the
 	// descendant-or-self::node()/child::T pair (the // abbreviation) at
 	// compile time.
@@ -102,7 +111,7 @@ func (sp *StepPlan) Streamability() Streamability {
 		return StreamNone
 	}
 	if sp.StandOff {
-		if sp.Axis == xpath.AxisSelectNarrow || sp.Axis == xpath.AxisSelectWide {
+		if sp.selects() {
 			return StreamChunked
 		}
 		return StreamChunkedReject
@@ -146,8 +155,17 @@ func CompileStep(step *xqast.Step) *StepPlan {
 			sp.Preds[sp.Pushed].Class == PredAttrCompare && sp.Preds[sp.Pushed].Op != "!=" {
 			sp.Pushed++
 		}
+		sp.FirstByJoin = sp.selects() && sp.Pushed < len(sp.Preds) &&
+			sp.Preds[sp.Pushed].Class == PredPosition && sp.Preds[sp.Pushed].Pos == 1
 	}
 	return sp
+}
+
+// selects reports whether the step is one of the two StandOff select axes,
+// whose result per context row or iteration is a semi-join the join can
+// reduce (a reject is an anti-join over the whole context).
+func (sp *StepPlan) selects() bool {
+	return sp.Axis == xpath.AxisSelectNarrow || sp.Axis == xpath.AxisSelectWide
 }
 
 // compileProgram compiles a path's step list, fusing each

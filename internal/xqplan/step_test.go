@@ -97,3 +97,39 @@ func TestCompiledTestMemoized(t *testing.T) {
 		t.Fatal("compiled test matches wrong nodes")
 	}
 }
+
+// TestReduceMarks pins which steps the join reduces: the final StandOff
+// select step of count/exists/empty's path argument when every predicate is
+// pushed (CountOnly), and a StandOff select step whose first unpushed
+// predicate is [1] (FirstByJoin). A user function named like the built-in
+// keeps its argument unmarked.
+func TestReduceMarks(t *testing.T) {
+	for q, want := range map[string][2]bool{ // CountOnly, FirstByJoin of the last compiled step
+		`count($c/select-narrow::p)`:           {true, false},
+		`fn:exists($c/select-wide::p[@v = 1])`: {true, false},
+		`empty($c/select-narrow::*)`:           {true, false},
+		`count($c/select-narrow::*[@v = 1])`:   {false, false},
+		`count($c/select-narrow::p[@v != 1])`:  {false, false},
+		`count($c/reject-narrow::p)`:           {false, false},
+		`count($c/child::p)`:                   {false, false},
+		`count(($c/select-narrow::p))`:         {true, false},
+		`sum($c/select-narrow::p)`:             {false, false},
+		`$c/select-narrow::p`:                  {false, false},
+		`$c/select-narrow::p[1]`:               {false, true},
+		`$c/select-wide::p[@v < 5][1][@w = 2]`: {false, true},
+		`$c/select-narrow::p[@v != 5][1]`:      {false, false},
+		`$c/select-narrow::p[2]`:               {false, false},
+		`$c/select-narrow::p[last()]`:          {false, false},
+		`$c/reject-wide::p[1]`:                 {false, false},
+		`$c/child::p[1]`:                       {false, false},
+		`count($c/select-narrow::p[1])`:        {false, true},
+		`declare function local:count($x) { 1 }; local:count($c/select-narrow::p)`: {false, false},
+	} {
+		p := compile(t, q)
+		prog := program(t, p, len(p.paths)-1)
+		last := prog[len(prog)-1]
+		if got := [2]bool{last.CountOnly, last.FirstByJoin}; got != want {
+			t.Errorf("%s: CountOnly, FirstByJoin = %v, want %v", q, got, want)
+		}
+	}
+}
