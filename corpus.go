@@ -172,10 +172,11 @@ func (p *Prepared) StreamCorpus(corpus string, cfg Config) (*Cursor, error) {
 }
 
 // ExecCorpus is the materialising form of StreamCorpus: the merged corpus
-// stream drained into a Result.
+// stream drained into a Result, each shard with unbounded chunks as Exec
+// drains a single document.
 func (p *Prepared) ExecCorpus(corpus string, cfg Config) (*Result, error) {
 	ro := p.beginRun(cfg, "exec")
-	cur, err := p.corpusMerge(corpus, cfg, xqexec.DefaultChunkSize, ro)
+	cur, err := p.corpusMerge(corpus, cfg, 0, ro)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package soxq
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -181,6 +182,80 @@ func TestCorpusMatchesPerDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("QueryCorpus", res.Strings())
+}
+
+// TestQueryCorpusEqualsMembers pins the fan-out semantics on the differential
+// fuzz harness's documents and queries — rejects, tree-axis final steps and
+// nested for loops included: QueryCorpus, ExecCorpus and StreamCorpus (chunks
+// 1, 3 and the default) all equal the concatenation of each member's Exec.
+func TestQueryCorpusEqualsMembers(t *testing.T) {
+	render := func(res *Result) string {
+		var sb strings.Builder
+		for i := 0; res != nil && i < res.Len(); i++ {
+			sb.WriteString(res.Value(i).XML())
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	for seed := int64(0); seed < 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		eng := New()
+		members := make([]string, 3)
+		for i := range members {
+			members[i] = fmt.Sprintf("m%d.xml", i)
+			if err := eng.LoadXML(members[i], []byte(fuzzDoc(r))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.CreateCorpus("c", members...); err != nil {
+			t.Fatal(err)
+		}
+		queries := append(fuzzQueries(r),
+			`doc("f.xml")//span/reject-wide::word`,
+			`doc("f.xml")//block/reject-narrow::word/select-wide::span`,
+			`doc("f.xml")//block/select-narrow::word/@id`,
+			`for $a in doc("f.xml")//block for $i in 1 to 3 return ($i, $a/@id)`)
+		for _, q := range queries {
+			var want string
+			for _, m := range members {
+				res, err := eng.Query(strings.ReplaceAll(q, `doc("f.xml")`, fmt.Sprintf("doc(%q)", m)))
+				if err != nil {
+					t.Fatalf("seed %d %q on %s: %v", seed, q, m, err)
+				}
+				want += render(res)
+			}
+			cq := strings.ReplaceAll(q, `doc("f.xml")`, `doc("c")`)
+			check := func(what, got string, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("seed %d %q %s: %v", seed, q, what, err)
+				}
+				if got != want {
+					t.Fatalf("seed %d %q %s:\n got %q\nwant %q", seed, q, what, got, want)
+				}
+			}
+			res, err := eng.QueryCorpus(cq, "c", Config{})
+			check("QueryCorpus", render(res), err)
+			prep, err := eng.Prepare(cq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err = prep.ExecCorpus("c", Config{})
+			check("ExecCorpus", render(res), err)
+			for _, chunk := range []int{1, 3, 0} {
+				cur, err := prep.StreamCorpus("c", Config{StreamChunk: chunk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				for cur.Next() {
+					sb.WriteString(cur.Value().XML())
+					sb.WriteByte('\n')
+				}
+				check(fmt.Sprintf("StreamCorpus chunk=%d", chunk), sb.String(), cur.Close())
+			}
+		}
+	}
 }
 
 // TestCorpusStreamEarlyCloseNoLeak closes corpus streams mid-drain, at a

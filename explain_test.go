@@ -2,6 +2,7 @@ package soxq
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -208,7 +209,7 @@ stream:
             step select-narrow::emailaddress out{count} ` + fmt.Sprintf(so, "emailaddress") + ` (in=1 out=51 cand=51 joins=looplifted:1)
 stream:
   flwor [pipelined] for $p tuples stream in chunks; loop body loop-lifted per chunk
-    path [pipelined] final step descendant::site streams per context node when context subtrees are disjoint
+    path [materialised] final step descendant::site runs in bulk
 `,
 	} {
 		prep, err := eng.Prepare(xmarkStandOffQuery(q))
@@ -250,6 +251,90 @@ func TestAnalyzeChunkedCountsChunks(t *testing.T) {
 	}
 	if flwor.Obs.RowsIn != 100 || flwor.Obs.RowsOut != 100 {
 		t.Fatalf("tuples=%d out=%d, want 100/100", flwor.Obs.RowsIn, flwor.Obs.RowsOut)
+	}
+}
+
+// scenesDoc has five scenes, each containing one hit, and two hits no scene
+// contains (h6 crosses s1/s2, h7 lies past the last scene).
+const scenesDoc = `<doc>
+  <scene id="s1" start="0" end="9"/>
+  <scene id="s2" start="10" end="19"/>
+  <scene id="s3" start="20" end="29"/>
+  <scene id="s4" start="30" end="39"/>
+  <scene id="s5" start="40" end="49"/>
+  <hit id="h1" start="2" end="3"/>
+  <hit id="h2" start="12" end="13"/>
+  <hit id="h3" start="22" end="23"/>
+  <hit id="h4" start="32" end="33"/>
+  <hit id="h5" start="42" end="43"/>
+  <hit id="h6" start="8" end="12"/>
+  <hit id="h7" start="60" end="70"/>
+</doc>`
+
+// analyzeScenes runs q over scenesDoc under Analyze and returns the result's
+// ids and the rendered explain.
+func analyzeScenes(t *testing.T, q string, cfg Config) (string, string) {
+	t.Helper()
+	eng := New()
+	if err := eng.LoadXML("r.xml", []byte(scenesDoc)); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, pe, err := prep.Analyze(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, m := range regexp.MustCompile(`id="([^"]*)"`).FindAllStringSubmatch(res.String(), -1) {
+		ids = append(ids, m[1])
+	}
+	return strings.Join(ids, " "), pe.String()
+}
+
+// TestAnalyzeChunkSchedule pins the chunk schedule of a chunked select step:
+// five context areas in chunks of two join as 2+2+1, and ANALYZE reports the
+// smallest and largest chunk actually joined.
+func TestAnalyzeChunkSchedule(t *testing.T) {
+	ids, got := analyzeScenes(t, `doc("r.xml")//scene/select-narrow::hit`, Config{StreamChunk: 2})
+	if ids != "h1 h2 h3 h4 h5" {
+		t.Fatalf("result ids = %q", ids)
+	}
+	want := `options: type=xs:integer start=@start end=@end
+folds: 0
+plan:
+  path doc("r.xml") (out=5)
+    step descendant::scene (fused //) (in=1 out=5)
+    step select-narrow::hit standoff{op=select-narrow push=by-name(hit) nopush=all+filter} (in=5 out=5 cand=21 joins=looplifted:3 stream{chunks=3 chunk=1..2})
+stream:
+  path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
+`
+	if got != want {
+		t.Fatalf("analyze:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestAnalyzeRejectRunsInBulk pins ANALYZE of a final reject step: it runs in
+// bulk, one join over the whole context, so its line carries no stream{}
+// group (it once printed the unbounded chunk size as its chunk range).
+func TestAnalyzeRejectRunsInBulk(t *testing.T) {
+	ids, got := analyzeScenes(t, `doc("r.xml")//scene/reject-narrow::hit`, Config{})
+	if ids != "h6 h7" {
+		t.Fatalf("result ids = %q", ids)
+	}
+	want := `options: type=xs:integer start=@start end=@end
+folds: 0
+plan:
+  path doc("r.xml") (out=2)
+    step descendant::scene (fused //) (in=1 out=5)
+    step reject-narrow::hit standoff{op=reject-narrow push=by-name(hit) nopush=all+filter} (in=5 out=2 cand=7 joins=looplifted:1)
+stream:
+  path [materialised] final StandOff step reject-narrow is an anti-join over the whole context and runs in bulk
+`
+	if got != want {
+		t.Fatalf("analyze:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -341,7 +426,7 @@ func TestExplainGoldenNestedStream(t *testing.T) {
 	got := prep.Explain().String()
 	wantStream := `stream:
   flwor [pipelined] for $m tuples stream in chunks; loop body loop-lifted per chunk
-    path [pipelined] final step descendant::music streams per context node when context subtrees are disjoint
+    path [materialised] final step descendant::music runs in bulk
     flwor-nested [pipelined] inner for $i binds a child cursor per parent tuple under bounded chunks; inner tuples stream in chunks of their own
       range [pipelined] integers generated on demand
 `
@@ -405,7 +490,7 @@ plan:
     return string($s/@id)
 stream:
   flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk
-    path [pipelined] final step self::shot streams per context node when context subtrees are disjoint
+    path [materialised] final step self::shot runs in bulk
 `
 	if got := prep.Explain().String(); got != want {
 		t.Fatalf("explain:\n%s\nwant:\n%s", got, want)

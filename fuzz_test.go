@@ -130,8 +130,8 @@ func fuzzConfigs() []Config {
 		{StreamChunk: 3},
 		{StreamChunk: 16},
 		{StreamChunk: 2},
-		// Forced modes through the chunked stream: adaptive chunk sizing and
-		// per-chunk joins under a pinned algorithm.
+		// Forced modes through the chunked stream: per-chunk joins under a
+		// pinned algorithm.
 		{Mode: ModeBasic, StreamChunk: 3},
 		{Mode: ModeLoopLifted, StreamChunk: 5},
 		{NoPushdown: true, StreamChunk: 3},

@@ -28,7 +28,6 @@ type JoinArena struct {
 	ctxNodes []CtxNode // joinBasic per-iteration context remap
 	csOff    []int32   // counting-sort bucket offsets
 	csFill   []int32   // counting-sort fill positions
-	bitWords []uint64  // parked MatchBits storage (chunked rejects)
 
 	list listActive
 	heap heapActive

@@ -8,27 +8,9 @@ package obs
 // A nil *ExecMetrics disables all of them; every field is individually
 // nil-safe too.
 type ExecMetrics struct {
-	// Joins per algorithm actually run (all four StandOff join call
-	// sites: bulk select, bulk reject, chunked select, chunked reject).
+	// Joins per algorithm actually run (all three StandOff join call
+	// sites: bulk select, bulk reject, chunked select).
 	JoinBasic      *Counter
 	JoinLoopLifted *Counter
 	JoinNaive      *Counter
-
-	// Chunk-size adaptation events of the streamed StandOff merge.
-	ChunkGrow   *Counter
-	ChunkShrink *Counter
-}
-
-// AdaptGrow records one chunk-size doubling.
-func (m *ExecMetrics) AdaptGrow() {
-	if m != nil {
-		m.ChunkGrow.Inc()
-	}
-}
-
-// AdaptShrink records one chunk-size halving.
-func (m *ExecMetrics) AdaptShrink() {
-	if m != nil {
-		m.ChunkShrink.Inc()
-	}
 }

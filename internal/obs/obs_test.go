@@ -235,12 +235,6 @@ func TestSlowLog(t *testing.T) {
 	}
 }
 
-func TestExecMetricsNilSafe(t *testing.T) {
-	var m *ExecMetrics
-	m.AdaptGrow()
-	m.AdaptShrink()
-}
-
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("c_total", "a counter").Add(9)

@@ -142,10 +142,10 @@ func (ev *Evaluator) PathPrefix(p *xqast.Path, f *Frame) (LLSeq, *xqplan.StepPla
 // PathPrefixStream evaluates a path's start and the steps before its longest
 // chunk-streamable suffix, returning the context sequence plus the remaining
 // compiled steps. The suffix always includes the final step (whatever its
-// class); earlier steps join it only while they classify StreamChunked or
-// StreamChunkedReject — the executor runs those through composed pres-based
-// cursors instead of the bulk evaluator. An empty step slice means the
-// program is empty and the returned sequence is already the path's result.
+// class); earlier steps join it only while they are Chunked — the executor
+// runs those through composed pres-based cursors instead of the bulk
+// evaluator. An empty step slice means the program is empty and the returned
+// sequence is already the path's result.
 func (ev *Evaluator) PathPrefixStream(p *xqast.Path, f *Frame) (LLSeq, []*xqplan.StepPlan, error) {
 	cur, err := ev.pathStart(p, f)
 	if err != nil {
@@ -156,11 +156,7 @@ func (ev *Evaluator) PathPrefixStream(p *xqast.Path, f *Frame) (LLSeq, []*xqplan
 		return cur, nil, nil
 	}
 	cut := len(prog) - 1
-	for cut > 0 {
-		s := prog[cut-1].Streamability()
-		if s != xqplan.StreamChunked && s != xqplan.StreamChunkedReject {
-			break
-		}
+	for cut > 0 && prog[cut-1].Chunked() {
 		cut--
 	}
 	for _, sp := range prog[:cut] {
@@ -179,28 +175,14 @@ func GroupSeq(items []Item) LLSeq {
 }
 
 // EvalStepBulk applies one compiled step to a context sequence with the
-// materialising machinery (the executor's fallback when a final step is not
-// order-safe to stream).
+// materialising machinery (every step a pipelined path does not chunk).
 func (ev *Evaluator) EvalStepBulk(sp *xqplan.StepPlan, ctx LLSeq, f *Frame) (LLSeq, error) {
 	return ev.evalStep(sp, ctx, f)
 }
 
-// TreeStepItems applies a tree-axis step to a single context node, returning
-// the step's matches for that node in document order. Used by the pipelined
-// final-step cursor, which has already established that per-node streaming
-// is order-safe (disjoint context subtrees, forward axis, no predicates).
-func (ev *Evaluator) TreeStepItems(sp *xqplan.StepPlan, it Item) ([]Item, error) {
-	if !it.IsNode() {
-		return nil, errf(codeType, "axis step applied to an atomic value")
-	}
-	res := ev.appendTreeStep(nil, sp, it)
-	ev.Stats.RecordStep(sp, 1, int64(len(res)))
-	return res, nil
-}
-
 // EvalStepTypeError is the error the bulk step raises for an atomic context
-// item. The pipelined final-step cursors raise the identical error before
-// any streaming starts, so both execution styles fail the same way.
+// item. The pipelined path cursor raises the identical error before any
+// chunked step starts, so both execution styles fail the same way.
 func (ev *Evaluator) EvalStepTypeError() error {
 	return errf(codeType, "axis step applied to an atomic value")
 }
@@ -224,14 +206,10 @@ func ErrRangeTooLarge(lo, hi int64) error {
 }
 
 // StandOffStream is the chunked execution handle of a pipelined StandOff
-// step: the per-document residue — region index, candidate sequence,
-// pushdown post-filter — resolved once. For the two select operators the
-// executor runs one loop-lifted join per chunk of context nodes
-// (JoinChunkPres) and gates emission on the candidate-interval watermark. For the two reject operators — anti-joins over the whole
-// context, where a union of per-chunk complements would be wrong — each
-// chunk's select-side join marks matched candidates in a bitset (MarkChunk)
-// and the executor complements once at the end, emitting the unmatched
-// candidates (Areas, Keep) in document order.
+// select step: the per-document residue — region index, candidate sequence,
+// pushdown post-filter — resolved once. The executor runs one loop-lifted
+// join per chunk of context nodes (JoinChunkPres) and gates emission on the
+// candidate-interval watermark.
 type StandOffStream struct {
 	ev         *Evaluator
 	sp         *xqplan.StepPlan
@@ -270,7 +248,7 @@ func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc) (*Stand
 	}
 	s := &StandOffStream{
 		ev: ev, sp: sp, d: d, ix: ix, cand: cand, postFilter: postFilter,
-		wide: sp.SO.Op == core.SelectWide || sp.SO.Op == core.RejectWide,
+		wide: sp.SO.Op == core.SelectWide,
 	}
 	if postFilter {
 		s.test = sp.CompiledTest(d)
@@ -328,52 +306,6 @@ func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
 	}
 	s.outPres = out
 	return out
-}
-
-// Areas returns the candidate area pres in document order — the universe a
-// reject stream complements over.
-func (s *StandOffStream) Areas() []int32 { return s.cand.AreaPres() }
-
-// Keep applies the step's node test to a candidate pre when the test was not
-// pushed down into the candidate sequence. The bulk reject applies the same
-// post-filter after its complement, so the chunked complement must too.
-func (s *StandOffStream) Keep(pre int32) bool {
-	return !s.postFilter || s.test.Matches(s.d, pre)
-}
-
-// MarkChunk runs the step's select-side join over one chunk of context node
-// pres and marks the matched candidate positions in bits, returning how many
-// were newly marked. The select-side matches of a context union are the
-// union of per-chunk matches (semi-joins distribute over the context), so
-// after the last chunk the unmarked candidates are exactly the bulk
-// anti-join's complement. One ANALYZE join invocation is recorded per chunk.
-func (s *StandOffStream) MarkChunk(chunk []int32, bits *core.MatchBits) int {
-	if cap(s.ctxBuf) < len(chunk) {
-		s.ctxBuf = make([]core.CtxNode, len(chunk))
-	}
-	ctx := s.ctxBuf[:len(chunk)]
-	for i, pre := range chunk {
-		ctx[i] = core.CtxNode{Iter: 0, Pre: pre}
-	}
-	op := core.SelectNarrow
-	if s.wide {
-		op = core.SelectWide
-	}
-	pairs := core.Join(s.ix, op, s.ev.Strategy, ctx, 1, s.cand, s.ev.JoinCfg)
-	s.ev.countJoin(s.ev.Strategy)
-	s.ev.Stats.RecordJoin(s.sp, s.ix, int64(s.cand.Len()), s.ev.Strategy)
-	return core.MarkMatched(bits, s.cand.AreaPres(), pairs)
-}
-
-// MatchBits borrows a zeroed candidate bitmap from the evaluator's join
-// arena (plain allocation without one); hand it back with ReleaseMatchBits.
-func (ev *Evaluator) MatchBits(n int) *core.MatchBits {
-	return ev.JoinCfg.Arena.GetMatchBits(n)
-}
-
-// ReleaseMatchBits parks a bitmap's storage back in the join arena.
-func (ev *Evaluator) ReleaseMatchBits(b *core.MatchBits) {
-	ev.JoinCfg.Arena.PutMatchBits(b)
 }
 
 // Watermark returns the exclusive emission bound once every unprocessed

@@ -7,11 +7,13 @@
 // chunk of tuples and one chunk of results is live at a time. The bound
 // compounds through nesting: an inner for clause over a streamable
 // StandOff-free binding drives a child cursor per parent tuple (see
-// flwor.go), and a StandOff select final path step streams per context
-// chunk through a watermark-gated ordered dedup merge (see standoff.go).
-// Expression forms that cannot stream (order by, aggregates, ...) fall back
-// to a cursor wrapping the materialising evaluator, so every query works
-// under either execution style and both return identical sequences.
+// flwor.go). A path runs its steps in bulk, except that its trailing
+// predicate-free StandOff select steps stream per context chunk through a
+// watermark-gated ordered dedup merge, chained pres to pres (see path.go and
+// standoff.go). Expression forms that cannot stream (order by, aggregates,
+// ...) fall back to a cursor wrapping the materialising evaluator, so every
+// query works under either execution style and both return identical
+// sequences.
 //
 // Cursors hand their output over a batch at a time (see Batch): a node-only
 // run leaves a StandOff step as the step's own (doc, []pre) buffer, so the
@@ -27,8 +29,8 @@
 // materialise, and why — without executing anything. And when the driving
 // evaluator carries an xqplan.ExecStats collector (Prepared.Analyze), the
 // cursors record the streaming-path counters the materialising evaluator
-// cannot see: chunks and tuples per FLWOR, and the per-context-node rows of
-// a pipelined final path step.
+// cannot see: chunks and tuples per FLWOR, and the rows and chunks of a
+// chunked StandOff step.
 package xqexec
 
 import (
@@ -152,10 +154,11 @@ func appendAll(dst []xqeval.Item, c Cursor) []xqeval.Item {
 
 // Config tunes the pipeline.
 type Config struct {
-	// ChunkSize is the number of loop tuples evaluated per pipeline chunk.
-	// Larger chunks amortise the loop-lifted joins better; smaller chunks
-	// bound memory tighter. <= 0 means unbounded: each operator
-	// materialises fully, which is what Exec (a drain) wants.
+	// ChunkSize is the number of loop tuples evaluated per pipeline chunk,
+	// and of context areas a chunked StandOff step joins per chunk; it is
+	// fixed for the run. Larger chunks amortise the loop-lifted joins
+	// better; smaller chunks bound memory tighter. <= 0 means unbounded:
+	// each operator materialises fully, which is what Exec (a drain) wants.
 	ChunkSize int
 }
 

@@ -10,7 +10,7 @@ import (
 // OpExplain describes one operator of the pipeline a plan would stream
 // through: whether it is pipelined or materialised, and why. It mirrors the
 // decisions build makes, without executing anything — the one decision only
-// the run time can make (is the final path context disjoint?) is reported as
+// the run time can make (is the path context single-document?) is reported as
 // the condition it is.
 type OpExplain struct {
 	// Kind names the operator: "flwor", "flwor-nested", "path", "seq",
@@ -101,40 +101,28 @@ func describePath(plan *xqplan.Plan, p *xqast.Path) *OpExplain {
 		return &OpExplain{Kind: "path", Detail: "no steps"}
 	}
 	last := prog[len(prog)-1]
-	// Consecutive chunk-streamable StandOff steps before the final step
-	// compose into chained pres-based stages.
+	// Consecutive Chunked StandOff steps before the final step compose into
+	// chained pres-based stages.
 	chain := 0
-	for i := len(prog) - 2; i >= 0; i-- {
-		s := prog[i].Streamability()
-		if s != xqplan.StreamChunked && s != xqplan.StreamChunkedReject {
-			break
-		}
+	for i := len(prog) - 2; i >= 0 && prog[i].Chunked(); i-- {
 		chain++
 	}
 	suffix := ""
 	if chain > 0 {
 		suffix = fmt.Sprintf("; %d StandOff prefix step(s) stream through composed pres-based stages", chain)
 	}
-	switch last.Streamability() {
-	case xqplan.StreamTree:
-		return &OpExplain{Kind: "path", Pipelined: true,
-			Detail: fmt.Sprintf("final step %s::%s streams per context node when context subtrees are disjoint%s",
-				last.Axis, last.Test, suffix)}
-	case xqplan.StreamChunked:
+	var reason string
+	switch {
+	case last.Chunked():
 		return &OpExplain{Kind: "path", Pipelined: true,
 			Detail: fmt.Sprintf("final StandOff step %s streams per context chunk through an ordered dedup merge when the context is single-document%s",
 				last.SO.Op, suffix)}
-	case xqplan.StreamChunkedReject:
-		return &OpExplain{Kind: "path", Pipelined: true,
-			Detail: fmt.Sprintf("final StandOff step %s streams per context chunk through a matched-candidate bitset and one complement when the context is single-document%s",
-				last.SO.Op, suffix)}
-	}
-	reason := "final step materialises"
-	switch {
 	case len(last.Predicates) > 0:
 		reason = "predicates on the final step re-rank positions per context group"
+	case last.StandOff:
+		reason = fmt.Sprintf("final StandOff step %s is an anti-join over the whole context and runs in bulk", last.SO.Op)
 	default:
-		reason = fmt.Sprintf("final axis %s is not order-safe to stream", last.Axis)
+		reason = fmt.Sprintf("final step %s::%s runs in bulk", last.Axis, last.Test)
 	}
 	return &OpExplain{Kind: "path", Detail: reason + suffix}
 }

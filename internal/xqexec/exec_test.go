@@ -99,6 +99,14 @@ var corpus = []string{
 	`doc("p.xml")//word/select-wide::span`,
 	`(doc("t.xml")//scene, doc("p.xml")//block)/select-narrow::hit`,
 	`for $b in doc("p.xml")//block return count($b/select-wide::span)`,
+	// Rejects beside chained select stages: a bulk reject in the prefix
+	// restarts the chain after it, and a reject after select stages runs in
+	// bulk over their drained output.
+	`doc("p.xml")//span/reject-narrow::word`,
+	`doc("p.xml")//span/reject-narrow::word/select-wide::block`,
+	`doc("p.xml")//block/select-wide::span/reject-wide::word`,
+	`doc("p.xml")//word/reject-wide::span/select-narrow::word/select-wide::span`,
+	`doc("p.xml")//block/select-narrow::word/reject-narrow::span/select-wide::word`,
 	// Nested FLWOR loops over streamable bindings (cursor-valued bindings).
 	`for $s in doc("t.xml")//scene for $w in $s/speech where $w/@who = "a" return string($w)`,
 	`for $i in 1 to 9 for $j in 1 to $i for $k in $j to $i return $i * 100 + $j * 10 + $k`,
@@ -374,30 +382,30 @@ func TestGatePathRespectsChunkSize(t *testing.T) {
 	fl.Close()
 }
 
-// TestPathStreamingModes pins which final steps stream: a disjoint-context
-// forward step streams, a nested context falls back, and both agree with the
-// reference.
+// TestPathStreamingModes pins how tree-axis final steps run: in bulk, over
+// disjoint and nested contexts alike, agreeing with the reference and
+// handing the whole result over as one batch.
 func TestPathStreamingModes(t *testing.T) {
 	env := newTestEnv(t)
-	stream := `doc("t.xml")//scene/speech` // disjoint scene subtrees
+	disjoint := `doc("t.xml")//scene/speech`
 	nested := `doc("t.xml")//scene/descendant-or-self::node()/self::node()`
-	for _, q := range []string{stream, nested} {
+	for _, q := range []string{disjoint, nested} {
 		want := render(env.evaluator(t, q).Run())
 		got := render(runPipeline(env.evaluator(t, q), Config{ChunkSize: 4}))
 		if got != want {
 			t.Errorf("query %q:\n got %q\nwant %q", q, got, want)
 		}
 	}
-	cur, err := Build(env.evaluator(t, stream), Config{ChunkSize: 4})
+	cur, err := Build(env.evaluator(t, disjoint), Config{ChunkSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pc := unwrapRoot(cur).(*pathCursor)
-	if pc.NextBatch().Len() == 0 {
-		t.Fatal("no results")
+	if n := pc.NextBatch().Len(); n != 3 {
+		t.Fatalf("first batch holds %d speeches, want all 3", n)
 	}
-	if pc.last == nil {
-		t.Fatal("disjoint forward final step did not stream")
+	if pc.soc != nil || pc.NextBatch().Len() != 0 {
+		t.Fatal("tree-axis final step did not run in bulk")
 	}
 	pc.Close()
 }
@@ -410,22 +418,30 @@ func TestDescribeShapes(t *testing.T) {
 		q         string
 		kind      string
 		pipelined bool
+		detail    string // the whole Detail line, when pinned
 	}{
-		{`for $s in doc("t.xml")//scene return $s`, "flwor", true},
-		{`for $s in doc("t.xml")//scene order by $s/@id return $s`, "flwor", false},
-		{`doc("t.xml")//speech`, "path", true},
-		{`doc("t.xml")//scene/select-narrow::hit`, "path", true},
-		{`doc("t.xml")//scene/reject-narrow::hit`, "path", true},
-		{`(1, 2)`, "seq", true},
-		{`1 to 9`, "range", true},
-		{`count(doc("t.xml")//hit)`, "materialise", false},
+		{`for $s in doc("t.xml")//scene return $s`, "flwor", true, ""},
+		{`for $s in doc("t.xml")//scene order by $s/@id return $s`, "flwor", false, ""},
+		{`doc("t.xml")//speech`, "path", false, "final step descendant::speech runs in bulk"},
+		{`doc("t.xml")//scene/select-narrow::hit`, "path", true, ""},
+		{`doc("t.xml")//scene/reject-narrow::hit`, "path", false,
+			"final StandOff step reject-narrow is an anti-join over the whole context and runs in bulk"},
+		{`doc("t.xml")//scene/select-wide::hit/@id`, "path", false,
+			"final step attribute::id runs in bulk; 1 StandOff prefix step(s) stream through composed pres-based stages"},
+		// The chain restarts after a bulk reject: only the steps after it
+		// stream, and here that is just the final select step.
+		{`doc("t.xml")//scene/reject-narrow::hit/select-wide::scene`, "path", true,
+			"final StandOff step select-wide streams per context chunk through an ordered dedup merge when the context is single-document"},
+		{`(1, 2)`, "seq", true, ""},
+		{`1 to 9`, "range", true, ""},
+		{`count(doc("t.xml")//hit)`, "materialise", false, ""},
 	}
 	for _, c := range cases {
 		ev := env.evaluator(t, c.q)
 		op := Describe(ev.Plan)
-		if op.Kind != c.kind || op.Pipelined != c.pipelined {
-			t.Errorf("Describe(%q) = %s/pipelined=%v, want %s/pipelined=%v (%s)",
-				c.q, op.Kind, op.Pipelined, c.kind, c.pipelined, op.Detail)
+		if op.Kind != c.kind || op.Pipelined != c.pipelined || (c.detail != "" && op.Detail != c.detail) {
+			t.Errorf("Describe(%q) = %s/pipelined=%v (%s), want %s/pipelined=%v (%s)",
+				c.q, op.Kind, op.Pipelined, op.Detail, c.kind, c.pipelined, c.detail)
 		}
 	}
 
@@ -468,8 +484,12 @@ func TestStandoffCursorStreams(t *testing.T) {
 	if b.Len() == 0 {
 		t.Fatal("empty stream")
 	}
-	if pc.soc == nil {
+	soc := pc.soc
+	if soc == nil {
 		t.Fatal("select final step over one document did not take the chunked cursor")
+	}
+	if soc.chunk != 2 {
+		t.Fatalf("chunked cursor joins chunks of %d context areas, want the configured 2", soc.chunk)
 	}
 	var last int32 = -1
 	for ; b.Len() > 0; b = pc.NextBatch() {

@@ -4,26 +4,12 @@ import (
 	"slices"
 	"sort"
 
-	"soxq/internal/core"
 	"soxq/internal/tree"
 	"soxq/internal/xqeval"
 	"soxq/internal/xqplan"
 )
 
-// soStage is one chunked StandOff pipeline stage: a document-order stream of
-// candidate pre ranks over a single document, every batch a Pres run. Both
-// the select cursor and the reject cursor implement it; the path cursor
-// composes consecutive chunk-streamable steps by draining each stage's pres
-// into the next one's context — 12 bytes per intermediate row, never a
-// materialised item sequence.
-type soStage interface {
-	Cursor
-	// streamDoc returns the stage's single document; nil when the stage is
-	// statically empty.
-	streamDoc() *tree.Doc
-}
-
-// standoffCursor pipelines a StandOff select final step per context-node
+// standoffCursor pipelines a StandOff select step per context-node
 // chunk. The bulk step runs one loop-lifted join over the whole context and
 // materialises the whole output; this cursor instead sorts the context areas
 // by region start, runs the same join one chunk of context nodes at a time,
@@ -60,6 +46,10 @@ type soStage interface {
 // with the frontier and the heap stays near the chunk size. A fully permuted
 // layer degrades gracefully: the heap grows toward the output size, never
 // past it, and the result is still byte-identical to the bulk step.
+//
+// Consecutive select steps of a path compose: the path cursor drains one
+// cursor's pres into the next one's context (newStageFromUpstream) — 12 bytes
+// per intermediate row, never a materialised item sequence.
 type standoffCursor struct {
 	x  *executor
 	sp *xqplan.StepPlan
@@ -70,10 +60,8 @@ type standoffCursor struct {
 	i       int     // next unprocessed context index
 	scratch []int32 // reused per-chunk context pre buffer
 
-	// chunk is the adaptive per-refill context chunk size, re-sized between
-	// chunks from the merge heap's occupancy (see adaptChunk) within
-	// [configured/4, configured*4]. chunkMin/chunkMax/chunks feed the step's
-	// ANALYZE record.
+	// chunk is the configured context chunk size. chunkMin/chunkMax/chunks
+	// record the chunks actually joined, for the step's ANALYZE record.
 	chunk    int
 	chunkMin int
 	chunkMax int
@@ -251,7 +239,6 @@ func (c *standoffCursor) refill() {
 				c.emit(c.heap.pop())
 			}
 		}
-		c.adaptChunk(c.heap.len())
 		if len(c.out) > 0 {
 			// Emitted pres were copied out of the stream's joined buffer
 			// into c.out, so the next JoinChunkPres may reuse it while the
@@ -269,34 +256,6 @@ func (c *standoffCursor) noteChunk(n int) {
 	}
 	if n > c.chunkMax {
 		c.chunkMax = n
-	}
-}
-
-// adaptChunk re-sizes the next chunk from the merge heap's occupancy after
-// this one. A heap well below the chunk size means region order is tracking
-// document order (the watermark releases chunk outputs as they come), so
-// larger chunks amortise the per-chunk join setup over more context rows; a
-// heap outgrowing the chunk means the two orders diverge and smaller chunks
-// keep the pending set — the stream's memory bound — tight. Bounded to
-// [configured/4, configured*4] so a transient spike cannot run the size away
-// from what the user asked for; an unbounded (Exec) run never adapts, it
-// already joins everything in one chunk.
-func (c *standoffCursor) adaptChunk(heapLen int) {
-	cfg := c.x.cfg.ChunkSize
-	if cfg <= 0 {
-		return
-	}
-	switch {
-	case heapLen > 2*c.chunk:
-		if nc := max(c.chunk/2, max(cfg/4, 1)); nc != c.chunk {
-			c.chunk = nc
-			c.x.ev.Met.AdaptShrink()
-		}
-	case heapLen < c.chunk/4:
-		if nc := min(c.chunk*2, cfg*4); nc != c.chunk {
-			c.chunk = nc
-			c.x.ev.Met.AdaptGrow()
-		}
 	}
 }
 
@@ -345,8 +304,6 @@ func (c *standoffCursor) NextBatch() Batch {
 	return Batch{D: c.d, Pres: c.out}
 }
 
-func (c *standoffCursor) streamDoc() *tree.Doc { return c.d }
-
 // record reports the step's ANALYZE row counts, once — a cursor closed
 // before it is drained reports what it produced.
 func (c *standoffCursor) record() {
@@ -365,172 +322,6 @@ func (c *standoffCursor) Close() {
 	c.done = true
 	c.ctx, c.out, c.heap.pres, c.scratch = nil, nil, nil, nil
 	c.i = 0
-}
-
-// rejectCursor pipelines a StandOff reject step per context chunk. Reject is
-// an anti-join over the whole context (section 3.1: not contained in /
-// overlapping ANY context area), so per-chunk complements cannot union;
-// instead each chunk's select-side join marks the candidates it matches in
-// an arena-recycled bitset, and after the last chunk one complement pass
-// emits the unmarked candidates in document order. The stream is therefore
-// blocking — first emission after the last chunk — but memory-bounded: one
-// bit per candidate plus a single chunk's join state, against the bulk
-// step's full pair materialisation. Chunks stop early once every candidate
-// is marked (the result is fixed empty).
-//
-// Semantics mirror the bulk standOffRejectStep exactly: only element nodes
-// of the stream's document make the iteration "touch" it (attributes never
-// do), an untouched document contributes nothing, a touched document with an
-// unmatched candidate set emits the full (post-filtered) candidate list, and
-// a node test that cannot match any area yields an empty result.
-type rejectCursor struct {
-	x  *executor
-	sp *xqplan.StepPlan
-	so *xqeval.StandOffStream
-	d  *tree.Doc // nil when the step is statically empty
-
-	ctx     []soCtx // area context nodes, ascending by region start
-	i       int
-	chunk   int
-	scratch []int32
-
-	bits   *core.MatchBits
-	areas  []int32 // candidate pres in document order; the complement universe
-	ai     int     // next complement position
-	chunks int64   // marking chunks executed, for the step's ANALYZE stream counters
-	out    []int32 // reused complement batch, at most chunk pres
-
-	started  bool
-	rowsIn   int64
-	produced int64
-	recorded bool
-}
-
-// newRejectCursor builds the chunked reject cursor over the evaluated
-// context g. Returns (nil, nil) when the context spans documents — the bulk
-// anti-join partitions per document; the caller falls back.
-func newRejectCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*rejectCursor, error) {
-	var d *tree.Doc
-	for _, it := range g {
-		if it.Kind != xqeval.KNode {
-			continue // attributes and atomics never touch a document
-		}
-		if d == nil {
-			d = it.D
-		} else if it.D != d {
-			return nil, nil
-		}
-	}
-	c := &rejectCursor{x: x, sp: sp, rowsIn: int64(len(g)), chunk: x.chunkSize()}
-	if d == nil {
-		return c, nil // no element context: no document touched, empty result
-	}
-	so, err := x.ev.NewStandOffStream(sp, d)
-	if err != nil {
-		return nil, err
-	}
-	if so == nil {
-		return c, nil // no candidate exists: complement universe is empty
-	}
-	c.so = so
-	c.d = so.Doc()
-	c.ctx = make([]soCtx, 0, len(g))
-	for _, it := range g {
-		if s, ok := so.CtxStart(it); ok {
-			c.ctx = append(c.ctx, soCtx{start: s, pre: it.Pre})
-		}
-	}
-	sortCtxByStart(c.ctx)
-	return c, nil
-}
-
-// newRejectCursorFromPres builds the chunked reject cursor over an upstream
-// chain stage's drained pres (single document, document order).
-func newRejectCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32) (*rejectCursor, error) {
-	c := &rejectCursor{x: x, sp: sp, rowsIn: int64(len(pres)), chunk: x.chunkSize()}
-	if d == nil || len(pres) == 0 {
-		return c, nil // empty upstream: the document is not touched
-	}
-	so, err := x.ev.NewStandOffStream(sp, d)
-	if err != nil {
-		return nil, err
-	}
-	if so == nil {
-		return c, nil
-	}
-	c.so = so
-	c.d = so.Doc()
-	c.ctx = ctxFromPres(so, pres)
-	return c, nil
-}
-
-// run executes the blocking phase: every context chunk's select-side join
-// marks matched candidates, stopping early once all candidates are marked.
-func (c *rejectCursor) run() {
-	c.started = true
-	if c.so == nil {
-		return
-	}
-	c.areas = c.so.Areas()
-	c.bits = c.x.ev.MatchBits(len(c.areas))
-	for c.i < len(c.ctx) && c.bits.Marked() < len(c.areas) {
-		n := min(c.chunk, len(c.ctx)-c.i)
-		if cap(c.scratch) < n {
-			c.scratch = make([]int32, 0, n)
-		}
-		c.scratch = c.scratch[:0]
-		for j := 0; j < n; j++ {
-			c.scratch = append(c.scratch, c.ctx[c.i+j].pre)
-		}
-		c.i += n
-		c.chunks++
-		c.so.MarkChunk(c.scratch, c.bits)
-	}
-}
-
-// NextBatch runs the blocking marking phase on the first call, then hands
-// out the complement pass a chunk of unmatched candidates at a time.
-func (c *rejectCursor) NextBatch() Batch {
-	if !c.started {
-		c.run()
-	}
-	c.out = c.out[:0]
-	for c.ai < len(c.areas) && len(c.out) < c.chunk {
-		i := c.ai
-		c.ai++
-		if pre := c.areas[i]; !c.bits.Get(i) && c.so.Keep(pre) {
-			c.out = append(c.out, pre)
-		}
-	}
-	if len(c.out) == 0 {
-		c.record()
-		return Batch{}
-	}
-	c.produced += int64(len(c.out))
-	return Batch{D: c.d, Pres: c.out}
-}
-
-func (c *rejectCursor) record() {
-	if c.recorded {
-		return
-	}
-	c.recorded = true
-	c.x.ev.Stats.RecordStep(c.sp, c.rowsIn, c.produced)
-	c.x.ev.Stats.RecordStepStream(c.sp, c.chunks, c.chunk, c.chunk)
-}
-
-func (c *rejectCursor) streamDoc() *tree.Doc { return c.d }
-func (c *rejectCursor) Err() error           { return nil }
-
-func (c *rejectCursor) Close() {
-	c.record()
-	c.started = true
-	c.ai = len(c.areas)
-	if c.bits != nil {
-		c.x.ev.ReleaseMatchBits(c.bits)
-		c.bits = nil
-	}
-	c.ctx, c.scratch, c.areas, c.out = nil, nil, nil, nil
 }
 
 // preHeap is a binary min-heap of pre ranks — the document-order heap of the

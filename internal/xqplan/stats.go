@@ -55,8 +55,8 @@ type StepObs struct {
 	DeltaIns  int
 	DeltaDead int
 	// StreamChunks, ChunkMin and ChunkMax describe a chunk-streamed run of
-	// the step: how many chunk refills executed and the smallest/largest
-	// chunk size the adaptive sizing used (zero when the step ran in bulk).
+	// the step: how many chunk joins executed and the smallest/largest chunk
+	// actually joined (zero when the step ran in bulk).
 	StreamChunks int64
 	ChunkMin     int
 	ChunkMax     int
@@ -115,7 +115,7 @@ func (s *ExecStats) RecordJoin(sp *StepPlan, ix *core.RegionIndex, candidates in
 }
 
 // RecordStepStream accumulates the chunk counters of one chunk-streamed run
-// of a step: refills executed and the adaptive chunk-size extremes.
+// of a step: chunk joins executed and the smallest/largest chunk joined.
 func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunkMax int) {
 	if s == nil || chunks == 0 {
 		return

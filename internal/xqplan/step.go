@@ -61,68 +61,16 @@ type StepPlan struct {
 // reachable.
 const stepMemoLimit = 128
 
-// Streamability classifies how a step may execute as the final operator of a
-// pipelined path: not at all, per context node (forward tree axes), or per
-// context chunk through the StandOff join plus ordered dedup merge. The
-// classification is static — the run time still has to check the conditions
-// only it can see (disjoint context subtrees for StreamTree, a
-// single-document node context for StreamChunked) and falls back to the bulk
-// step when they fail.
-type Streamability int
-
-const (
-	// StreamNone: the step materialises (predicates re-rank positions per
-	// context group; reject steps are anti-joins over the whole context).
-	StreamNone Streamability = iota
-	// StreamTree: a forward tree axis whose per-node results stay inside
-	// the context node's subtree — streams one context node at a time when
-	// the context subtrees are disjoint.
-	StreamTree
-	// StreamChunked: a StandOff select step — the loop-lifted join runs per
-	// chunk of context nodes and the chunk outputs merge through a
-	// document-order heap with cross-chunk dedup, emission gated by the
-	// candidate-interval watermark.
-	StreamChunked
-	// StreamChunkedReject: a StandOff reject step — an anti-join over the
-	// whole context, so per-chunk results cannot merge directly; instead the
-	// select-side join of each chunk marks matched candidates in a bitset
-	// and one complement at the end emits the unmatched candidates in
-	// document order. Blocking (first emission after the last chunk) but
-	// memory-bounded: one bit per candidate plus one chunk's join state.
-	StreamChunkedReject
-)
-
-func (s Streamability) String() string {
-	switch s {
-	case StreamTree:
-		return "per-node"
-	case StreamChunked:
-		return "chunked"
-	case StreamChunkedReject:
-		return "chunked-reject"
-	default:
-		return "none"
-	}
-}
-
-// Streamability returns the step's static streaming classification.
-func (sp *StepPlan) Streamability() Streamability {
-	if len(sp.Predicates) > 0 {
-		return StreamNone
-	}
-	if sp.StandOff {
-		if sp.selects() {
-			return StreamChunked
-		}
-		return StreamChunkedReject
-	}
-	switch sp.Axis {
-	case xpath.AxisChild, xpath.AxisDescendant, xpath.AxisDescendantOrSelf,
-		xpath.AxisSelf, xpath.AxisAttribute:
-		return StreamTree
-	default:
-		return StreamNone
-	}
+// Chunked reports whether a pipelined path may run the step one chunk of
+// context areas at a time: a predicate-free StandOff select step, whose
+// per-chunk joins merge through a document-order heap with cross-chunk
+// dedup, emission gated by the candidate-interval watermark. Every other step
+// runs in bulk — a reject is an anti-join over the whole context, and
+// predicates re-rank positions per context group. The run time still checks
+// the one condition only it can see (a single-document context) and runs the
+// bulk step when it fails.
+func (sp *StepPlan) Chunked() bool {
+	return sp.selects() && len(sp.Predicates) == 0
 }
 
 // Program is the compiled step sequence of one path expression, with the //

@@ -122,10 +122,11 @@ type Config struct {
 	// Deprecated: ignored; the field goes at the next API change.
 	Parallelism int
 	// StreamChunk is the number of loop tuples a Stream pipeline evaluates
-	// per chunk (0 means the default, 1024). Larger chunks amortise the
-	// loop-lifted StandOff joins over more iterations; smaller chunks
-	// bound peak memory tighter. Exec ignores it: a full drain
-	// materialises per operator anyway.
+	// per chunk, and the number of context areas a streamed StandOff select
+	// step joins per chunk (0 means the default, 1024). The size is fixed
+	// for the whole run. Larger chunks amortise the loop-lifted StandOff
+	// joins over more iterations; smaller chunks bound peak memory tighter.
+	// Exec and ExecCorpus ignore it: a full drain runs unbounded chunks.
 	StreamChunk int
 	// Trace records a query-lifecycle trace of this execution: a span tree
 	// of parse/compile timings and per-operator row, candidate, join and

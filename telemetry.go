@@ -77,8 +77,6 @@ func newEngineObs(e *Engine) *engineObs {
 		JoinBasic:      r.Counter(metricJoinsTotal+`{algorithm="basic"}`, "StandOff join invocations by algorithm"),
 		JoinLoopLifted: r.Counter(metricJoinsTotal+`{algorithm="looplifted"}`, ""),
 		JoinNaive:      r.Counter(metricJoinsTotal+`{algorithm="naive"}`, ""),
-		ChunkGrow:      r.Counter(`soxq_chunk_adapt_total{dir="grow"}`, "streamed StandOff chunk-size adaptations"),
-		ChunkShrink:    r.Counter(`soxq_chunk_adapt_total{dir="shrink"}`, ""),
 	}
 
 	// Plan cache: hits/misses/size, the LRU-vs-invalidation eviction split,

@@ -112,8 +112,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`soxq_index_merges_total{scope="layer"}`,
 		`soxq_index_merges_total{scope="full"}`,
 		`soxq_attr_orders_built_total`,
-		`soxq_chunk_adapt_total{dir="grow"}`,
-		`soxq_chunk_adapt_total{dir="shrink"}`,
 		`soxq_traces_total`,
 		`soxq_slow_queries_total`,
 	} {
