@@ -136,6 +136,9 @@ func execAllocsPerRun(t *testing.T, prep *Prepared, cfg Config) float64 {
 // memory for per-chunk bookkeeping — if that bookkeeping ever allocates per
 // chunk or per tuple, this inversion flips and the test fails.
 func TestStreamAllocsBelowExec(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool.Put drops a random quarter of its items, so counts of pooled allocations vary run to run")
+	}
 	eng := allocsEngine(t)
 	prep, err := eng.Prepare(
 		`for $m in doc("sample.xml")//music for $i in 1 to 200 return $i mod 7`)

@@ -1,12 +1,12 @@
 package soxq
 
-// Benchmarks regenerating the paper's tables and figures (see EXPERIMENTS.md
-// for the mapping and recorded results):
+// Benchmarks regenerating the paper's tables and figures:
 //
 //	BenchmarkTable31_StandOffJoins   section 3.1 example table
 //	BenchmarkFigure4_LoopLiftedJoin  Figure 4 / Listing 1 algorithm
 //	BenchmarkFig6_Q1/Q2/Q6/Q7        Figure 6 (variants x scaled-down sizes;
-//	                                 cmd/sobench runs the paper-size sweep)
+//	                                 the bench/ ledger's fig6-xmark workload
+//	                                 runs XMark 0.5, the paper's 55 MB cell)
 //	BenchmarkUDFNoCandidate          the all-DNF baseline of section 4.6
 //	BenchmarkStaircaseVsStandOff     "select-narrow is <20% slower than
 //	                                 loop-lifted descendant Staircase Join"
@@ -15,8 +15,10 @@ package soxq
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"soxq/internal/core"
 	"soxq/internal/tree"
@@ -158,7 +160,7 @@ func BenchmarkFigure4_LoopLiftedJoin(b *testing.B) {
 // ---- E5: Figure 6 -----------------------------------------------------
 
 // benchScales are deliberately small so `go test -bench` stays interactive;
-// cmd/sobench runs the paper's 11 MB – 1100 MB series with DNF budgets.
+// `bash bench/run.sh --workload fig6-xmark` measures the paper's 55 MB cell.
 var benchScales = []float64{0.01, 0.05}
 
 var fig6Variants = []struct {
@@ -173,9 +175,8 @@ var fig6Variants = []struct {
 // benchFig6 prepares each query once and measures Exec only, so the figure
 // compares join strategies rather than parser and compiler throughput (one
 // compiled plan serves all three modes; Mode is an Exec-time knob). The
-// looplifted/scale=0.05 cells of Q1, Q2 and Q7 are baselined in
-// BENCH_stream.json: Q2's allocs/op is the guard on the constructors'
-// fragment slab.
+// looplifted/scale=0.05 cells are baselined in BENCH_stream.json: Q2's
+// allocs/op is the guard on the constructors' fragment slab.
 func benchFig6(b *testing.B, query int) {
 	for _, scale := range benchScales {
 		data := dataFor(b, scale)
@@ -186,7 +187,13 @@ func benchFig6(b *testing.B, query int) {
 		}
 		for _, variant := range fig6Variants {
 			b.Run(fmt.Sprintf("%s/scale=%g", variant.name, scale), func(b *testing.B) {
+				// One untimed run refills the pooled join arenas the GC may
+				// have emptied, so B/op and allocs/op read the warm state.
+				if _, err := prep.Exec(variant.cfg); err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := prep.Exec(variant.cfg); err != nil {
 						b.Fatal(err)
@@ -541,37 +548,46 @@ func BenchmarkStreamExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(tc.name+"/exec", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := prep.Exec(Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() == 0 {
-					b.Fatal("empty result")
-				}
+		exec := func(b *testing.B) {
+			res, err := prep.Exec(Config{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(tc.name+"/stream", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cur, err := prep.Stream(Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for cur.Next() {
-					n++
-				}
-				if err := cur.Close(); err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("empty stream")
-				}
+			if res.Len() == 0 {
+				b.Fatal("empty result")
 			}
-		})
+		}
+		stream := func(b *testing.B) {
+			cur, err := prep.Stream(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := 0
+			for cur.Next() {
+				n++
+			}
+			if err := cur.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if n == 0 {
+				b.Fatal("empty stream")
+			}
+		}
+		for _, arm := range []struct {
+			name string
+			run  func(*testing.B)
+		}{{"exec", exec}, {"stream", stream}} {
+			b.Run(tc.name+"/"+arm.name, func(b *testing.B) {
+				// One untimed run refills the pooled arenas the GC may have
+				// emptied, so B/op and allocs/op read the warm state.
+				arm.run(b)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					arm.run(b)
+				}
+			})
+		}
 	}
 }
 
@@ -721,13 +737,19 @@ func BenchmarkStandOffConversion(b *testing.B) {
 // telemetry subsystem adds to the prepared hot path, against the same plan
 // and corpus as BenchmarkPreparedExec:
 //
-//	off      telemetry disabled entirely (the no-instrumentation baseline)
 //	metrics  the default engine: always-on counters and latency histograms
 //	trace    Config.Trace on top — the per-operator ExecStats collector
 //
-// CI's overhead guard (scripts/benchguard) compares off vs metrics and fails
-// when the delta exceeds the <5% acceptance budget; trace is reported for
-// visibility (tracing is opt-in per run, not a hot-path cost).
+// Each iteration runs the plan once on the measured arm and once on an engine
+// with telemetry disabled, alternating which goes first, so both see the same
+// machine state. ns/op is the measured arm's mean time; overhead-% is the
+// median of the per-iteration differences over the median time of the
+// disabled engine. On a shared 2-vCPU host, the two arms timed as separate
+// benchmarks read up to 30% apart run to run, and the ratio of their summed
+// times scatters by ±5%; the median of the paired differences stays within
+// ±1%. CI's benchcheck run fails when the median overhead-% of metrics over
+// the -count repetitions exceeds the budget in BENCH_stream.json; trace is
+// not gated (tracing is opt-in per run, not a hot-path cost).
 func BenchmarkPreparedExecTelemetry(b *testing.B) {
 	raw, err := xmark.GenerateBytes(xmark.Config{Scale: pipelineBenchScale, Seed: 42})
 	if err != nil {
@@ -743,36 +765,59 @@ func BenchmarkPreparedExecTelemetry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	variants := []struct {
-		name  string
-		setup func(*Engine)
-		cfg   Config
-	}{
-		{"off", func(e *Engine) { e.disableTelemetry() }, Config{}},
-		{"metrics", func(e *Engine) {}, Config{}},
-		{"trace", func(e *Engine) {}, Config{Trace: true}},
+	prepare := func(eng *Engine) *Prepared {
+		if err := eng.LoadXML("so.xml", res.XML); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.BuildIndex("so.xml"); err != nil {
+			b.Fatal(err)
+		}
+		prep, err := eng.Prepare(pipelineBenchQuery())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return prep
 	}
-	for _, v := range variants {
+	// One pair of engines serves every repetition: a pair built per
+	// repetition carries its load's garbage and heap layout into the timed
+	// loop and scatters overhead-% by ±20%.
+	off := New()
+	off.disableTelemetry()
+	offPrep, onPrep := prepare(off), prepare(New())
+	for _, v := range []struct {
+		name string
+		cfg  Config
+	}{{"metrics", Config{}}, {"trace", Config{Trace: true}}} {
 		b.Run(v.name, func(b *testing.B) {
-			eng := New()
-			v.setup(eng)
-			if err := eng.LoadXML("so.xml", res.XML); err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.BuildIndex("so.xml"); err != nil {
-				b.Fatal(err)
-			}
-			prep, err := eng.Prepare(pipelineBenchQuery())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := prep.Exec(v.cfg); err != nil {
+			run := func(prep *Prepared, cfg Config) time.Duration {
+				start := time.Now()
+				if _, err := prep.Exec(cfg); err != nil {
 					b.Fatal(err)
 				}
+				return time.Since(start)
 			}
+			// One untimed run of each builds the index's lazy columns and
+			// fills the arena pools, which would otherwise weigh on a short
+			// run.
+			run(offPrep, Config{})
+			run(onPrep, v.cfg)
+			diffs, offs := make([]time.Duration, b.N), make([]time.Duration, b.N)
+			var total time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var tOff, tOn time.Duration
+				if i%2 == 0 {
+					tOff, tOn = run(offPrep, Config{}), run(onPrep, v.cfg)
+				} else {
+					tOn, tOff = run(onPrep, v.cfg), run(offPrep, Config{})
+				}
+				total += tOn
+				diffs[i], offs[i] = tOn-tOff, tOff
+			}
+			slices.Sort(diffs)
+			slices.Sort(offs)
+			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/op")
+			b.ReportMetric(100*float64(diffs[b.N/2])/float64(offs[b.N/2]), "overhead-%")
 		})
 	}
 }

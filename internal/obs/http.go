@@ -18,7 +18,7 @@ import (
 // ?live=0 switches to the deterministic counts-only rendering golden tests
 // pin. The handler is stateless — it spawns no goroutines and holds no
 // connection state beyond the request — so it can be mounted in any server
-// mux (soxq -ops, sobench, the future soxqd).
+// mux (soxq -ops, soxqd).
 func Handler(reg *Registry, ring *TraceRing, slow *SlowLog) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

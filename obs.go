@@ -29,7 +29,7 @@ func (e *Engine) OpsHandler() http.Handler {
 
 // WriteMetrics writes the engine's metrics registry to w in Prometheus text
 // exposition format — what OpsHandler serves at /metrics, available without
-// an HTTP listener (sobench -metrics uses it).
+// an HTTP listener.
 func (e *Engine) WriteMetrics(w io.Writer) error {
 	t := e.tel
 	if t == nil {

@@ -1,16 +1,22 @@
-// Command benchcheck compares the B/op and allocs/op columns of
-// `go test -bench -benchmem` output on stdin against the checked-in baseline
-// (BENCH_stream.json) and exits non-zero when any baselined benchmark
-// regresses by more than the configured tolerance — the memory-bound guard
-// of the streaming pipeline's CI job. Benchmarks missing from the input
-// (e.g. skipped on a single-core runner) fail the check too, so a
-// silently-vanished cell cannot hide a regression. With -update, the
-// baseline file is rewritten from the input instead — both columns at once,
-// so the bytes and allocation guards never drift apart.
+// Command benchcheck checks `go test -bench` output on stdin against the
+// baseline in BENCH_stream.json and exits non-zero when a rule fails:
 //
-// When $GITHUB_STEP_SUMMARY is set (or -summary names a file), a check run
-// additionally appends a markdown delta table there, so the per-cell
-// comparison lands on the CI job summary page instead of only in the log.
+//   - every baselined cell's B/op and allocs/op must be at most
+//     tolerance_pct above its baseline. A baselined cell missing from the
+//     input fails, and so does a measured cell with no baseline, so neither
+//     a silently skipped benchmark nor a new unguarded one passes;
+//   - the overhead rule's cell must report an overhead-% of at most max_pct:
+//     the engine's always-on metrics against telemetry off, which the
+//     benchmark times pairwise within one run. This cell needs no baseline.
+//
+// Every column is the median over the -count repetitions of a cell, which
+// absorbs the noise a single short run would turn into a failure. The input
+// passes through to stdout; the result table goes to stderr and, when
+// $GITHUB_STEP_SUMMARY is set, to the CI job summary.
+//
+// With -update the baseline's B/op and allocs/op are rewritten from the
+// input instead: measured cells are refreshed or added, cells absent from
+// the input keep their values, and the overhead cell is never written.
 //
 // Usage:
 //
@@ -23,6 +29,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -30,41 +38,50 @@ import (
 	"strings"
 )
 
+const (
+	baselineFile = "BENCH_stream.json"
+	overheadUnit = "overhead-%"
+)
+
 type baseline struct {
 	Comment      string           `json:"_comment"`
 	TolerancePct float64          `json:"tolerance_pct"`
+	Overhead     overhead         `json:"overhead"`
 	BytesPerOp   map[string]int64 `json:"bytes_per_op"`
 	AllocsPerOp  map[string]int64 `json:"allocs_per_op"`
 }
 
-type sample struct {
-	bytes  int64
-	allocs int64
+// overhead bounds the median overhead-% column of Cell to at most MaxPct.
+type overhead struct {
+	Cell   string  `json:"cell"`
+	MaxPct float64 `json:"max_pct"`
 }
 
-// row is one rendered line of the job-summary delta table.
+// samples holds one benchmark's columns by unit ("ns/op", "B/op", ...), one
+// value per -count repetition.
+type samples map[string][]float64
+
+// row is one comparison of the result table. A row with an empty metric
+// reports a cell that is missing from the input or from the baseline.
 type row struct {
-	name   string
-	cells  []string // B/op and allocs/op delta cells
-	status string
+	cell, metric string
+	got, want    float64
+	status       string
+	ok           bool
 }
 
-// benchLine matches one benchmark result line with B/op and allocs/op
-// columns, e.g. "BenchmarkStreamExec/range-loop/exec-4  3  144670543 ns/op
-// 222983376 B/op  122 allocs/op"; a benchmark that calls SetBytes prints an
-// MB/s column between the two.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+\S+ ns/op(?:\s+\S+ MB/s)?\s+(\d+) B/op\s+(\d+) allocs/op`)
+// benchLine matches one result line: the name, with a -N GOMAXPROCS suffix
+// unless N is 1, the iteration count, then value-unit pairs. Those are ns/op,
+// MB/s when the benchmark calls SetBytes, its ReportMetric columns, and B/op
+// and allocs/op when it reports allocations, e.g.
+// "BenchmarkLoad-4  3  29012345 ns/op  262.40 MB/s  22355914 B/op  168 allocs/op".
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+((?:\s+-?\d+(?:\.\d+)? \S+)+)\s*$`)
 
 func main() {
-	file := flag.String("baseline", "BENCH_stream.json", "baseline file")
-	update := flag.Bool("update", false, "rewrite the baseline from the measured values instead of checking")
-	summary := flag.String("summary", os.Getenv("GITHUB_STEP_SUMMARY"),
-		"append a markdown delta table to this file after a check run (defaults to $GITHUB_STEP_SUMMARY)")
-	instrumented := flag.String("instrumented", "",
-		"note for the summary heading saying what engine instrumentation was active during the run (e.g. \"metrics on, trace off\")")
+	update := flag.Bool("update", false, "rewrite the baseline's B/op and allocs/op from the input instead of checking")
 	flag.Parse()
 
-	data, err := os.ReadFile(*file)
+	data, err := os.ReadFile(baselineFile)
 	if err != nil {
 		fatal("reading baseline: %v", err)
 	}
@@ -72,140 +89,176 @@ func main() {
 	if err := json.Unmarshal(data, &base); err != nil {
 		fatal("parsing baseline: %v", err)
 	}
-	if base.TolerancePct <= 0 {
-		base.TolerancePct = 20
-	}
-	if base.AllocsPerOp == nil {
-		base.AllocsPerOp = map[string]int64{}
-	}
-
-	measured := map[string]sample{}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line) // pass the raw output through for the CI log
-		if m := benchLine.FindStringSubmatch(line); m != nil {
-			b, _ := strconv.ParseInt(m[2], 10, 64)
-			a, _ := strconv.ParseInt(m[3], 10, 64)
-			measured[m[1]] = sample{bytes: b, allocs: a}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	measured, err := parse(io.TeeReader(os.Stdin, os.Stdout))
+	if err != nil {
 		fatal("reading bench output: %v", err)
 	}
 
 	if *update {
-		// Merge the measured cells in: a newly added benchmark enters the
-		// baseline here, while cells missing from this run (e.g. a partial
-		// -bench filter) keep their old values rather than silently losing
-		// their guard.
-		updated, added := 0, 0
-		for name, got := range measured {
-			if _, ok := base.BytesPerOp[name]; ok {
-				updated++
-			} else {
-				added++
-			}
-			base.BytesPerOp[name] = got.bytes
-			base.AllocsPerOp[name] = got.allocs
-		}
+		n := updateBaseline(&base, measured)
 		out, err := json.MarshalIndent(&base, "", "  ")
 		if err != nil {
 			fatal("%v", err)
 		}
-		if err := os.WriteFile(*file, append(out, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(baselineFile, append(out, '\n'), 0o644); err != nil {
 			fatal("%v", err)
 		}
-		fmt.Fprintf(os.Stderr, "benchcheck: baseline %s updated (%d cells refreshed, %d added, %d kept)\n",
-			*file, updated, added, len(base.BytesPerOp)-updated-added)
+		fmt.Fprintf(os.Stderr, "benchcheck: %d cells written to %s\n", n, baselineFile)
 		return
 	}
 
-	failed := false
-	var rows []row
-	for name := range measured {
-		if _, ok := base.BytesPerOp[name]; !ok {
-			fmt.Fprintf(os.Stderr, "benchcheck: FAIL %s: measured but not in the baseline — re-baseline with -update so the new cell gets a regression guard\n", name)
-			rows = append(rows, row{name: name, cells: []string{"—", "—"}, status: "❌ not baselined"})
-			failed = true
+	rows, ok := check(measured, base)
+	table := render(rows, base)
+	fmt.Fprint(os.Stderr, table)
+	if path := os.Getenv("GITHUB_STEP_SUMMARY"); path != "" {
+		if err := appendFile(path, table); err != nil {
+			fmt.Fprintf(os.Stderr, "benchcheck: writing the job summary: %v\n", err)
 		}
 	}
-	check := func(metric, name string, got, want int64) (cell string, ok bool) {
-		deltaPct := 100 * (float64(got) - float64(want)) / float64(want)
-		cell = fmt.Sprintf("%d vs %d (%+.1f%%)", got, want, deltaPct)
-		switch {
-		case deltaPct > base.TolerancePct:
-			fmt.Fprintf(os.Stderr, "benchcheck: FAIL %s: %d %s, baseline %d (+%.1f%% > %.0f%% tolerance)\n",
-				name, got, metric, want, deltaPct, base.TolerancePct)
-			return cell, false
-		case deltaPct < -base.TolerancePct:
-			fmt.Fprintf(os.Stderr, "benchcheck: note %s improved to %d %s (baseline %d, %.1f%%) — consider re-baselining with -update\n",
-				name, got, metric, want, deltaPct)
-		default:
-			fmt.Fprintf(os.Stderr, "benchcheck: ok %s: %d %s (baseline %d, %+.1f%%)\n", name, got, metric, want, deltaPct)
-		}
-		return cell, true
-	}
-	for name, want := range base.BytesPerOp {
-		got, ok := measured[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchcheck: FAIL %s: missing from bench output\n", name)
-			rows = append(rows, row{name: name, cells: []string{"missing", "missing"}, status: "❌ missing"})
-			failed = true
-			continue
-		}
-		r := row{name: name, status: "✅"}
-		bCell, bOK := check("B/op", name, got.bytes, want)
-		r.cells = append(r.cells, bCell)
-		aOK := true
-		// Cells baselined before the allocs column existed have no
-		// allocation guard until the next -update.
-		if wantAllocs, ok := base.AllocsPerOp[name]; ok && wantAllocs > 0 {
-			var aCell string
-			aCell, aOK = check("allocs/op", name, got.allocs, wantAllocs)
-			r.cells = append(r.cells, aCell)
-		} else {
-			r.cells = append(r.cells, "unguarded")
-		}
-		if !bOK || !aOK {
-			r.status = "❌ regressed"
-			failed = true
-		}
-		rows = append(rows, r)
-	}
-	if *summary != "" {
-		if err := writeSummary(*summary, rows, base.TolerancePct, *instrumented); err != nil {
-			fmt.Fprintf(os.Stderr, "benchcheck: writing summary: %v\n", err)
-		}
-	}
-	if failed {
+	if !ok {
 		os.Exit(1)
 	}
 }
 
-// writeSummary appends the delta table as GitHub-flavored markdown to the
-// job-summary file.
-func writeSummary(path string, rows []row, tolerance float64, instrumented string) error {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "### benchcheck: streaming memory guard (±%.0f%%)\n\n", tolerance)
-	if instrumented != "" {
-		fmt.Fprintf(&sb, "Instrumentation during this run: %s.\n\n", instrumented)
+// parse collects the result lines of bench output by benchmark name.
+func parse(r io.Reader) (map[string]samples, error) {
+	measured := map[string]samples{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		s := measured[m[1]]
+		if s == nil {
+			s = samples{}
+			measured[m[1]] = s
+		}
+		f := strings.Fields(m[2])
+		for i := 0; i < len(f); i += 2 {
+			v, _ := strconv.ParseFloat(f[i], 64) // benchLine admits only numbers here
+			s[f[i+1]] = append(s[f[i+1]], v)
+		}
 	}
-	sb.WriteString("| Benchmark | B/op vs baseline | allocs/op vs baseline | Status |\n")
-	sb.WriteString("|---|---|---|---|\n")
+	return measured, sc.Err()
+}
+
+// check applies the baseline's rules to the measured cells and reports
+// whether all of them hold, with one row per comparison, sorted.
+func check(measured map[string]samples, base baseline) ([]row, bool) {
+	o := base.Overhead
+	var rows []row
+	for name := range measured {
+		if _, ok := base.BytesPerOp[name]; !ok && name != o.Cell {
+			rows = append(rows, row{cell: name, status: "FAIL: not baselined, add it with -update"})
+		}
+	}
+	for name, want := range base.BytesPerOp {
+		s := measured[name]
+		if len(s["B/op"]) == 0 {
+			rows = append(rows, row{cell: name, status: "FAIL: no B/op for it in the input"})
+			continue
+		}
+		rows = append(rows,
+			compare(name, "B/op", median(s["B/op"]), float64(want), base.TolerancePct),
+			compare(name, "allocs/op", median(s["allocs/op"]), float64(base.AllocsPerOp[name]), base.TolerancePct))
+	}
+	if o.Cell != "" {
+		if got := measured[o.Cell][overheadUnit]; len(got) == 0 {
+			rows = append(rows, row{cell: o.Cell, status: "FAIL: no " + overheadUnit + " for it in the input"})
+		} else {
+			r := row{cell: o.Cell, metric: overheadUnit, got: median(got), want: o.MaxPct, status: "ok", ok: true}
+			if r.got > o.MaxPct {
+				r.status, r.ok = "FAIL: over the budget", false
+			}
+			rows = append(rows, r)
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].cell != rows[j].cell {
+			return rows[i].cell < rows[j].cell
+		}
+		return rows[i].metric < rows[j].metric
+	})
+	ok := true
 	for _, r := range rows {
-		name := strings.TrimPrefix(r.name, "Benchmark")
-		fmt.Fprintf(&sb, "| `%s` | %s | %s | %s |\n", name, r.cells[0], r.cells[1], r.status)
+		ok = ok && r.ok
+	}
+	return rows, ok
+}
+
+// compare fails got when it exceeds want by more than tolPct percent; a
+// baseline of 0 therefore fails on any amount.
+func compare(cell, metric string, got, want, tolPct float64) row {
+	r := row{cell: cell, metric: metric, got: got, want: want, status: "ok", ok: true}
+	switch {
+	case got > want*(1+tolPct/100):
+		r.status, r.ok = fmt.Sprintf("FAIL: more than %g%% above", tolPct), false
+	case got < want*(1-tolPct/100):
+		r.status = "improved: re-baseline with -update"
+	}
+	return r
+}
+
+// updateBaseline writes every measured cell's median B/op and allocs/op into
+// base, except the overhead rule's cell, whose memory is not guarded. It
+// returns the number of cells written.
+func updateBaseline(base *baseline, measured map[string]samples) int {
+	n := 0
+	for name, s := range measured {
+		if name == base.Overhead.Cell || len(s["B/op"]) == 0 {
+			continue
+		}
+		base.BytesPerOp[name] = int64(math.Round(median(s["B/op"])))
+		base.AllocsPerOp[name] = int64(math.Round(median(s["allocs/op"])))
+		n++
+	}
+	return n
+}
+
+// render formats the rows as a GitHub-flavoured markdown table.
+func render(rows []row, base baseline) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "### benchcheck: memory within %g%% of %s", base.TolerancePct, baselineFile)
+	if o := base.Overhead; o.Cell != "" {
+		fmt.Fprintf(&sb, ", `%s` %s at most %g", o.Cell, overheadUnit, o.MaxPct)
+	}
+	sb.WriteString("\n\n| Benchmark | Metric | Measured | Baseline | Δ | Status |\n|---|---|---|---|---|---|\n")
+	for _, r := range rows {
+		got, want, delta := "—", "—", "—"
+		if r.metric != "" {
+			got, want = strconv.FormatFloat(r.got, 'f', -1, 64), strconv.FormatFloat(r.want, 'f', -1, 64)
+			if r.want != 0 && r.metric != overheadUnit {
+				delta = fmt.Sprintf("%+.1f%%", 100*(r.got-r.want)/r.want)
+			}
+		}
+		fmt.Fprintf(&sb, "| `%s` | %s | %s | %s | %s | %s |\n",
+			strings.TrimPrefix(r.cell, "Benchmark"), r.metric, got, want, delta, r.status)
 	}
 	sb.WriteString("\n")
+	return sb.String()
+}
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+func appendFile(path, text string) error {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	_, err = f.WriteString(sb.String())
-	return err
+	if _, err := f.WriteString(text); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(format string, args ...any) {
