@@ -599,11 +599,11 @@ func mutateBenchMark(j int) (start int64, contained bool) {
 	return start, start%100 <= 97
 }
 
-// mutateBenchInserts appends n "mark" annotations at deterministic
-// positions and returns how many land narrow-contained in a scene.
-func mutateBenchInserts(tb testing.TB, eng *Engine, n int) int {
+// mutateBenchInserts appends marks from .. from+n-1 and returns how many
+// land narrow-contained in a scene.
+func mutateBenchInserts(tb testing.TB, eng *Engine, from, n int) int {
 	contained := 0
-	for j := 0; j < n; j++ {
+	for j := from; j < from+n; j++ {
 		s, in := mutateBenchMark(j)
 		if err := eng.InsertAnnotation("big.xml", "mark", Region{Start: s, End: s + 2}); err != nil {
 			tb.Fatal(err)
@@ -615,11 +615,11 @@ func mutateBenchInserts(tb testing.TB, eng *Engine, n int) int {
 	return contained
 }
 
-// mutateBenchDeletes removes every step-th of the first n marks again and
-// returns how many of the removed ones were contained.
-func mutateBenchDeletes(tb testing.TB, eng *Engine, n, step int) int {
+// mutateBenchDeletes removes every step-th of marks from .. from+n-1 again
+// and returns how many of the removed ones were contained.
+func mutateBenchDeletes(tb testing.TB, eng *Engine, from, n, step int) int {
 	contained := 0
-	for j := 0; j < n; j += step {
+	for j := from; j < from+n; j += step {
 		s, in := mutateBenchMark(j)
 		if removed, err := eng.DeleteAnnotation("big.xml", "mark", s, s+2); err != nil || removed != 1 {
 			tb.Fatalf("delete mark %d: removed %d, err %v", j, removed, err)
@@ -629,6 +629,45 @@ func mutateBenchDeletes(tb testing.TB, eng *Engine, n, step int) int {
 		}
 	}
 	return contained
+}
+
+// mutateBenchCycles times the read-after-write loop across one delta
+// window: bursts of 64 inserts and 8 deletes (of marks four bursts old),
+// each followed by a Stream drain of the mark layer. The first read after a
+// burst costs the layer plus the burst's writes, so its memory per op stays
+// flat; rebuilding the layer from every pending write per read grows it with
+// the window.
+func mutateBenchCycles(b *testing.B, eng *Engine) {
+	const burst, deletes, lag = 64, 8, 4
+	prep, err := eng.Prepare(`doc("big.xml")//scene/select-narrow::mark`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	drain := func() (n int) {
+		cur, err := prep.Stream(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for cur.Next() {
+			n++
+		}
+		if err := cur.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return n
+	}
+	drain()
+	b.StartTimer()
+	live := 0
+	for c := 0; c < DefaultCompactThreshold/(burst+deletes); c++ {
+		live += mutateBenchInserts(b, eng, c*burst, burst)
+		if c >= lag {
+			live -= mutateBenchDeletes(b, eng, (c-lag)*burst, deletes, 1)
+		}
+		if n := drain(); n != live {
+			b.Fatalf("cycle %d: %d marks read, %d live", c, n, live)
+		}
+	}
 }
 
 // rebuildIndexes discards document name's cached region indexes and rebuilds
@@ -658,12 +697,13 @@ func rebuildIndexes(tb testing.TB, eng *Engine, name string) {
 // snapshot before the same query — the only write model available before
 // the delta layer existed. The mixed arm is the incremental one with deletes
 // in it — every eighth mark is removed again before the re-query — because a
-// write path is not only inserts. The timed section covers inserts +
-// (deletes | rebuild) + query; corpus loading and the warm-up query are
-// excluded.
+// write path is not only inserts. The cycles arm is the read-after-write
+// loop (mutateBenchCycles). The timed section covers inserts +
+// (deletes | rebuild) + query, or the cycles; corpus loading and the warm-up
+// query are excluded.
 func BenchmarkMutateThenQuery(b *testing.B) {
 	const inserts = 1000
-	for _, arm := range []string{"incremental", "mixed", "rebuild"} {
+	for _, arm := range []string{"incremental", "mixed", "rebuild", "cycles"} {
 		b.Run(arm, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -677,11 +717,15 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 				if _, err := prep.Exec(Config{}); err != nil {
 					b.Fatal(err)
 				}
+				if arm == "cycles" {
+					mutateBenchCycles(b, eng)
+					continue
+				}
 				b.StartTimer()
-				want := mutateBenchInserts(b, eng, inserts)
+				want := mutateBenchInserts(b, eng, 0, inserts)
 				switch arm {
 				case "mixed":
-					want -= mutateBenchDeletes(b, eng, inserts, 8)
+					want -= mutateBenchDeletes(b, eng, 0, inserts, 8)
 				case "rebuild":
 					rebuildIndexes(b, eng, "big.xml")
 				}

@@ -108,8 +108,9 @@ func main() {
 		len(eng.Documents()), len(eng.Corpora()), *addr)
 	// WriteTimeout stays 0: query streams legitimately run as long as the
 	// client keeps reading; abandonment is detected via the request context,
-	// checked every flushCheckRows rows and before each write, instead of a
-	// wall clock.
+	// checked every flushCheckRows rows and before each write, and a stalled
+	// reader by writeRows' per-flush deadline, instead of a wall clock for
+	// the whole response.
 	fatalIf(httpserve.ListenAndServe(ctx, *addr, srv.handler(), httpserve.Options{
 		ShutdownGrace: *drain,
 	}))

@@ -394,12 +394,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // when flushInterval has passed since the last flush, so a slowly produced
 // stream still arrives incrementally; the clock and the request context are
 // read once per flushCheckRows rows. A reply that never reaches flushMin is
-// written once when the query ends, with no explicit flush.
+// written once when the query ends, with no explicit flush. Every write
+// carries a deadline writeStall ahead, so a client that stops reading (takes
+// longer than that to accept at most flushMax bytes) costs its query slot
+// for at most that long.
 const (
 	flushMin       = 4 << 10
 	flushMax       = 32 << 10
 	flushInterval  = 5 * time.Millisecond
 	flushCheckRows = 64
+	writeStall     = 10 * time.Second
 )
 
 // rowSource is what writeRows drains: a streamed *soxq.Cursor, or a
@@ -429,11 +433,13 @@ func (r *resultRows) Err() error        { return nil }
 // from there, JSON-escaped, into the reused output buffer — no per-row
 // string, encoder call or write. Client disconnects are detected through the
 // request context, checked every flushCheckRows rows and before each write,
-// and through write failures; either way the drain stops and the caller's
-// deferred Close and release tear the query down.
+// and through write failures — a write that misses its deadline fails too;
+// either way the drain stops and the caller's deferred Close and release
+// tear the query down.
 func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSource) {
 	ctx := r.Context()
 	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	xmlOut := format == "xml"
 	var scratch [256]byte // rows this short never touch the heap
 	row := scratch[:0]
@@ -464,8 +470,9 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 		if len(out) < limit && time.Since(last) < flushInterval {
 			continue
 		}
+		_ = rc.SetWriteDeadline(time.Now().Add(writeStall)) // fails only off a connection: nothing to stall
 		if _, err := w.Write(out); err != nil {
-			return // client gone; nothing sensible left to write
+			return // client gone or stalled; nothing sensible left to write
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -490,6 +497,7 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 		out = strconv.AppendInt(out, int64(rows), 10)
 		out = append(out, "}\n"...)
 	}
+	_ = rc.SetWriteDeadline(time.Now().Add(writeStall)) // also bounds the server's final flush
 	w.Write(out)
 }
 

@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -19,6 +21,7 @@ import (
 	"time"
 
 	"soxq"
+	"soxq/internal/spawncheck"
 )
 
 // testDoc builds member i's document: 3 scenes with 2 contained hits each,
@@ -473,6 +476,85 @@ func TestServerDisconnectNoLeak(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// smallSendBuffers shrinks the send buffer of every accepted connection, so
+// a client that stops reading blocks the server's writes after kilobytes,
+// not megabytes.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// TestServerStalledReaderReleasesSlot pins the per-flush write deadline: a
+// client that reads one row and then neither reads nor hangs up gets its
+// connection closed once a flush stalls past writeStall, the query's only
+// slot comes back for the next query, and no goroutine the server started
+// outlives it.
+func TestServerStalledReaderReleasesSlot(t *testing.T) {
+	spawncheck.Run(func(started func() int) {
+		s := newServer(soxq.New(), serverConfig{MaxQueries: 1, QueueTimeout: 50 * time.Millisecond})
+		ts := httptest.NewUnstartedServer(s.handler())
+		ts.Listener = smallSendBuffers{ts.Listener}
+		ts.Start()
+
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := queryParam(`for $i in 1 to 10000000 return "a row long enough to fill the socket buffers quickly"`)
+		fmt.Fprintf(conn, "GET /query?q=%s HTTP/1.1\r\nHost: soxqd\r\n\r\n", q)
+		br := bufio.NewReader(conn)
+		for line := ""; !strings.HasPrefix(line, `{"xml":`); {
+			if line, err = br.ReadString('\n'); err != nil {
+				t.Fatalf("no first row: %v", err)
+			}
+			line = strings.TrimLeft(line, "0123456789abcdef\r\n") // chunk size lines
+		}
+
+		// The client stalls, connection open: the slot must come back.
+		deadline := time.Now().Add(writeStall + 10*time.Second)
+		for s.inflight.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("a stalled reader still holds the query slot")
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		resp, err := http.Get(ts.URL + "/query?q=" + queryParam("1 to 3"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("next query = %d, want 200: the slot did not come back", resp.StatusCode)
+		}
+
+		// The stalled connection was closed: draining it ends, before the
+		// reply's end, in EOF or a reset rather than a read timeout.
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		rest, err := io.ReadAll(br)
+		if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+			t.Fatal("the server kept the stalled connection open")
+		}
+		if bytes.Contains(rest, []byte(`"done":true`)) {
+			t.Fatal("a stalled reader got the whole reply")
+		}
+		conn.Close()
+		http.DefaultClient.CloseIdleConnections()
+		ts.Close()
+		for n := started(); n != 0; n = started() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines started by the server outlive it", n)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
 
 // TestServerConcurrentExercise is the issue's concurrent server test: N

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"soxq"
 )
@@ -79,7 +80,8 @@ func BenchmarkAppendJSONString(b *testing.B) {
 }
 
 // sinkResponse is a ResponseWriter that discards the body, counting what it
-// is handed; onWrite, when set, runs before each Write is counted.
+// is handed; onWrite, when set, runs before each Write is counted. Like a
+// server connection's response it takes write deadlines (and ignores them).
 type sinkResponse struct {
 	header   http.Header
 	writes   int
@@ -94,6 +96,8 @@ func newSinkResponse() *sinkResponse { return &sinkResponse{header: http.Header{
 func (s *sinkResponse) Header() http.Header { return s.header }
 func (s *sinkResponse) WriteHeader(int)     {}
 func (s *sinkResponse) Flush()              { s.flushes++ }
+
+func (s *sinkResponse) SetWriteDeadline(time.Time) error { return nil }
 func (s *sinkResponse) Write(p []byte) (int, error) {
 	if s.onWrite != nil {
 		s.onWrite()

@@ -271,12 +271,29 @@ const scenesDoc = `<doc>
   <hit id="h7" start="60" end="70"/>
 </doc>`
 
-// analyzeScenes runs q over scenesDoc under Analyze and returns the result's
-// ids and the rendered explain.
-func analyzeScenes(t *testing.T, q string, cfg Config) (string, string) {
+// reversedScenesDoc is scenesDoc with its hits in reverse region order: a
+// permuted layer, whose chunk outputs the stream's merge must hold back.
+const reversedScenesDoc = `<doc>
+  <scene id="s1" start="0" end="9"/>
+  <scene id="s2" start="10" end="19"/>
+  <scene id="s3" start="20" end="29"/>
+  <scene id="s4" start="30" end="39"/>
+  <scene id="s5" start="40" end="49"/>
+  <hit id="h7" start="60" end="70"/>
+  <hit id="h5" start="42" end="43"/>
+  <hit id="h4" start="32" end="33"/>
+  <hit id="h3" start="22" end="23"/>
+  <hit id="h2" start="12" end="13"/>
+  <hit id="h6" start="8" end="12"/>
+  <hit id="h1" start="2" end="3"/>
+</doc>`
+
+// analyzeScenes runs q over doc under Analyze and returns the result's ids
+// and the rendered explain.
+func analyzeScenes(t *testing.T, doc, q string, cfg Config) (string, string) {
 	t.Helper()
 	eng := New()
-	if err := eng.LoadXML("r.xml", []byte(scenesDoc)); err != nil {
+	if err := eng.LoadXML("r.xml", []byte(doc)); err != nil {
 		t.Fatal(err)
 	}
 	prep, err := eng.Prepare(q)
@@ -296,23 +313,30 @@ func analyzeScenes(t *testing.T, q string, cfg Config) (string, string) {
 
 // TestAnalyzeChunkSchedule pins the chunk schedule of a chunked select step:
 // five context areas in chunks of two join as 2+2+1, and ANALYZE reports the
-// smallest and largest chunk actually joined.
+// smallest and largest chunk actually joined. Where document order follows
+// region order every chunk's output is final on arrival; over the reversed
+// layer the merge holds back every row, one run per chunk, and says so.
 func TestAnalyzeChunkSchedule(t *testing.T) {
-	ids, got := analyzeScenes(t, `doc("r.xml")//scene/select-narrow::hit`, Config{StreamChunk: 2})
-	if ids != "h1 h2 h3 h4 h5" {
-		t.Fatalf("result ids = %q", ids)
-	}
-	want := `options: type=xs:integer start=@start end=@end
+	for _, tc := range []struct{ doc, ids, stream string }{
+		{scenesDoc, "h1 h2 h3 h4 h5", "stream{chunks=3 chunk=1..2}"},
+		{reversedScenesDoc, "h5 h4 h3 h2 h1", "stream{chunks=3 chunk=1..2 pending≤5 runs≤3}"},
+	} {
+		ids, got := analyzeScenes(t, tc.doc, `doc("r.xml")//scene/select-narrow::hit`, Config{StreamChunk: 2})
+		if ids != tc.ids {
+			t.Fatalf("result ids = %q", ids)
+		}
+		want := `options: type=xs:integer start=@start end=@end
 folds: 0
 plan:
   path doc("r.xml") (out=5)
     step descendant::scene (fused //) (in=1 out=5)
-    step select-narrow::hit standoff{op=select-narrow push=by-name(hit) nopush=all+filter} (in=5 out=5 cand=21 joins=looplifted:3 stream{chunks=3 chunk=1..2})
+    step select-narrow::hit standoff{op=select-narrow push=by-name(hit) nopush=all+filter} (in=5 out=5 cand=21 joins=looplifted:3 ` + tc.stream + `)
 stream:
   path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
 `
-	if got != want {
-		t.Fatalf("analyze:\n%s\nwant:\n%s", got, want)
+		if got != want {
+			t.Fatalf("analyze:\n%s\nwant:\n%s", got, want)
+		}
 	}
 }
 
@@ -320,7 +344,7 @@ stream:
 // bulk, one join over the whole context, so its line carries no stream{}
 // group (it once printed the unbounded chunk size as its chunk range).
 func TestAnalyzeRejectRunsInBulk(t *testing.T) {
-	ids, got := analyzeScenes(t, `doc("r.xml")//scene/reject-narrow::hit`, Config{})
+	ids, got := analyzeScenes(t, scenesDoc, `doc("r.xml")//scene/reject-narrow::hit`, Config{})
 	if ids != "h6 h7" {
 		t.Fatalf("result ids = %q", ids)
 	}

@@ -21,7 +21,7 @@ import (
 // memory instead of chasing per-row indirections. The unrestricted view
 // aliases the index's own columns; filtered views materialise their own.
 type Candidates struct {
-	ix  *RegionIndex
+	ix  *RegionIndex // read by the unrestricted view only
 	all bool
 
 	areas []int32 // candidate area pres, document order
@@ -113,8 +113,8 @@ func (ix *RegionIndex) FilterByName(nameID int32) *Candidates {
 	// On a delta index, a name no insert or delete ever touched has exactly
 	// the base's candidate set (inserted areas carry touched names; deletes
 	// record every killed area's name) and is served by the base's per-name
-	// cache; a touched name merges that cached sequence with its own delta
-	// rows. Neither looks at another layer's rows.
+	// cache; a touched name applies its writes since the lineage's newest
+	// layer of it (delta.go). Neither looks at another layer's rows.
 	var c *Candidates
 	switch {
 	case ix.base == nil:
@@ -131,6 +131,9 @@ func (ix *RegionIndex) FilterByName(nameID int32) *Candidates {
 	c.startSuffixMin()
 	c.endSuffixMin()
 	actual, _ := ix.nameCands.LoadOrStore(nameID, c)
+	if ix.base != nil {
+		ix.carry(nameID, actual.(*Candidates))
+	}
 	return actual.(*Candidates)
 }
 

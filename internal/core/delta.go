@@ -14,27 +14,35 @@ import (
 // A freshly built RegionIndex is the *base* layer. Annotation inserts and
 // deletes do not rebuild it: ApplyInsert/ApplyDelete derive a cheap wrapper
 // index that records the mutation in per-layer delta columns (inserts in
-// ascending pre order, tombstones kept sorted) and keeps a pointer to the
-// base. Reads are layer-local: FilterByName(n) on a wrapper run-merges the
-// base's cached candidate sequence for n with that name's live delta rows
-// minus that name's tombstones, O(layer n + delta), end-ordered columns and
-// watermark suffix-mins included; a name no mutation touched is served by the
-// base's cache as is. Point lookups (IsArea/RegionsOf) and the live counts
-// binary-search the delta columns and otherwise defer to the base. Only what
-// needs every row — All, Areas, Filter, Compact — merges the whole index, once
-// per wrapper, by the same run-copy merge over the base's columns. Value
-// orderings (AttrOrder) are never merged: a wrapper serves the base's, and
-// its reader drops tombstones and tests the live inserts itself.
+// ascending pre order, tombstones kept sorted and, with their names, in an
+// append-only delete log) and keeps a pointer to the base. Reads are
+// layer-local: FilterByName(n) on a wrapper builds n's candidates from the
+// newest materialised layer of n in the lineage that the wrapper's writes
+// cover, by applying only the writes since — O(layer n + new writes),
+// end-ordered columns and watermark suffix-mins included; a name no mutation
+// touched is served by the base's cache as is. The lineage keeps that memo on
+// its base, one layer per touched name, published by compare-and-swap; index
+// versions never point at each other, so a retained old version pins nothing
+// newer. With no usable memo the start is the base's candidates, coverage
+// (0, 0): there is one layer builder. Point lookups (IsArea/RegionsOf) and
+// the live counts binary-search the delta columns and otherwise defer to the
+// base. Only what needs every row — All, Areas, Filter, Compact — merges the
+// whole index, once per wrapper, by the same delta rows from coverage (0, 0)
+// over the base's columns. Value orderings (AttrOrder) are never merged: a
+// wrapper serves the base's, and its reader drops tombstones and tests the
+// live inserts itself.
 //
 // Derivation must be linear: always derive from the newest index, under the
-// engine's write lock (insert columns extend the parent's columns in place,
-// beyond the parent's slice lengths — the same append-beyond-len snapshot
-// discipline as tree.Appender; the sorted tombstone columns are copied per
-// delete). Readers of any layer are lock-free.
+// engine's write lock (insert columns and the delete log extend the parent's
+// in place, beyond the parent's slice lengths — the same append-beyond-len
+// snapshot discipline as tree.Appender; the sorted tombstone column is
+// copied per delete). Two versions of one lineage then differ only by a
+// suffix of the logs, so a pair of log lengths identifies a version's
+// contents. Readers of any layer are lock-free.
 //
 // Compact folds the deltas into a new base identical to a fresh
-// BuildIndex over the current document snapshot, with empty per-name and
-// value-ordering caches.
+// BuildIndex over the current document snapshot, with empty per-name,
+// value-ordering and memo caches: a new lineage.
 
 // Process-wide merge counts by scope (see IndexMergeStats).
 var layerMerges, fullMerges atomic.Uint64
@@ -68,9 +76,7 @@ func (ix *RegionIndex) ApplyInsert(doc *tree.Doc, pre, nameID int32, regs []inte
 func (ix *RegionIndex) ApplyDelete(doc *tree.Doc, pres, names []int32) *RegionIndex {
 	n := ix.derive(doc)
 	n.delPre = make([]int32, len(ix.delPre), len(ix.delPre)+len(pres))
-	n.delName = make([]int32, len(ix.delName), len(ix.delName)+len(pres))
 	copy(n.delPre, ix.delPre)
-	copy(n.delName, ix.delName)
 	for i, p := range pres {
 		regs := n.RegionsOf(p)
 		if regs == nil {
@@ -78,18 +84,21 @@ func (ix *RegionIndex) ApplyDelete(doc *tree.Doc, pres, names []int32) *RegionIn
 		}
 		k, _ := slices.BinarySearch(n.delPre, p)
 		n.delPre = slices.Insert(n.delPre, k, p)
-		n.delName = slices.Insert(n.delName, k, names[i])
+		n.delLog = append(n.delLog, tomb{p, names[i]})
 		n.count(regs, -1)
 	}
 	return n
 }
+
+// tomb is one delete-log entry: a tombstoned area and its element name.
+type tomb struct{ pre, name int32 }
 
 // derive starts a new delta layer on top of ix's lineage.
 func (ix *RegionIndex) derive(doc *tree.Doc) *RegionIndex {
 	n := &RegionIndex{
 		doc: doc, opts: ix.opts, base: ix.base,
 		insPre: ix.insPre, insName: ix.insName, insOff: ix.insOff, insRegs: ix.insRegs,
-		delPre: ix.delPre, delName: ix.delName,
+		delPre: ix.delPre, delLog: ix.delLog,
 		nAreas: ix.nAreas, nRegions: ix.nRegions, nMulti: ix.nMulti, multiRegion: ix.multiRegion,
 	}
 	if ix.base == nil {
@@ -115,13 +124,25 @@ func (ix *RegionIndex) DeltaStats() (inserted, deleted int) {
 	if ix.base == nil {
 		return 0, 0
 	}
-	return len(ix.insPre), len(ix.delPre)
+	return len(ix.insPre), len(ix.delLog)
 }
 
 // tombstoned reports whether area pre is deleted in the delta layers.
 func (ix *RegionIndex) tombstoned(pre int32) bool {
-	_, dead := slices.BinarySearch(ix.delPre, pre)
-	return dead
+	return inSorted(ix.delPre, pre) >= 0
+}
+
+// inSorted returns the position of pre in the ascending col, or -1. A pre
+// below the column's first, as every base area is below the first insert,
+// skips the search.
+func inSorted(col []int32, pre int32) int {
+	if len(col) == 0 || pre < col[0] {
+		return -1
+	}
+	if i, ok := slices.BinarySearch(col, pre); ok {
+		return i
+	}
+	return -1
 }
 
 // insRegions returns the regions of the i-th delta insert.
@@ -129,46 +150,68 @@ func (ix *RegionIndex) insRegions(i int) []interval.Region {
 	return ix.insRegs[ix.insOff[i]:ix.insOff[i+1]]
 }
 
-// deltaRows is the delta's effect on one candidate set, as sorted row sets:
-// the live inserts to add and the tombstoned base areas to drop.
+// deltaRows is the effect of a run of writes on one candidate set, as sorted
+// row sets: the live inserts to add and the dropped areas to remove.
 type deltaRows struct {
-	areas, dead []int32    // inserted / dropped area pres, ascending
-	ins, del    regionRows // region rows, (start, end, id)-sorted
-	insB, delB  regionRows // bounds rows (one per area); only when multi-region
+	areas, dead []int32 // inserted / dropped area pres, ascending
+	ins, del    []row   // region rows, (start, end, id)-sorted
+	insB, delB  []row   // bounds rows (one per area); only when multi-region
 }
 
 // deltaOf collects the delta rows of one name's layer, or of the whole index
-// when all is set. An annotation inserted and later deleted within the same
-// delta window contributes nothing.
-func (ix *RegionIndex) deltaOf(nameID int32, all bool) *deltaRows {
+// when all is set, over the writes after coverage (ins, del): the inserts
+// past the first ins of insPre and the deletes past the first del of the
+// delete log. A candidate set of coverage (ins, del) plus these rows is the
+// set of ix. An annotation inserted and deleted after the coverage
+// contributes nothing; one deleted after it is dropped whether it is a base
+// area or an insert the coverage already holds.
+func (ix *RegionIndex) deltaOf(nameID int32, all bool, ins, del int) *deltaRows {
 	dr := &deltaRows{}
-	add := func(pre int32, regs []interval.Region, r, b *regionRows) {
+	add := func(pre int32, regs []interval.Region, r, b *[]row) {
 		for _, g := range regs {
-			r.push(g.Start, g.End, pre)
+			*r = append(*r, row{g.Start, g.End, pre})
 		}
 		if ix.multiRegion {
-			b.push(regs[0].Start, regs[len(regs)-1].End, pre)
+			*b = append(*b, row{regs[0].Start, regs[len(regs)-1].End, pre})
 		}
 	}
-	for i, pre := range ix.insPre {
-		if (all || ix.insName[i] == nameID) && !ix.tombstoned(pre) {
+	for i := ins; i < len(ix.insPre); i++ {
+		if pre := ix.insPre[i]; (all || ix.insName[i] == nameID) && !ix.tombstoned(pre) {
 			dr.areas = append(dr.areas, pre) // insert pres ascend: appended nodes
 			add(pre, ix.insRegions(i), &dr.ins, &dr.insB)
 		}
 	}
-	for i, pre := range ix.delPre {
-		if !all && ix.delName[i] != nameID {
+	for _, t := range ix.delLog[del:] {
+		if !all && t.name != nameID {
 			continue
 		}
-		if regs := ix.base.RegionsOf(pre); regs != nil { // nil: a delta insert, skipped above
-			dr.dead = append(dr.dead, pre)
-			add(pre, regs, &dr.del, &dr.delB)
+		regs := ix.base.RegionsOf(t.pre)
+		if i := inSorted(ix.insPre, t.pre); i >= ins {
+			continue // inserted after the coverage: skipped above
+		} else if i >= 0 {
+			regs = ix.insRegions(i)
 		}
+		dr.dead = append(dr.dead, t.pre)
+		add(t.pre, regs, &dr.del, &dr.delB)
 	}
-	for _, r := range []*regionRows{&dr.ins, &dr.del, &dr.insB, &dr.delB} {
-		sort.Sort(r)
+	slices.Sort(dr.dead)
+	for _, r := range [][]row{dr.ins, dr.del, dr.insB, dr.delB} {
+		slices.SortFunc(r, cmpRows)
 	}
 	return dr
+}
+
+// apply returns the candidate set src with the delta applied: areas, region
+// rows and bounds rows; the bounds alias the region rows unless multi.
+func (dr *deltaRows) apply(src *Candidates, multi bool) *Candidates {
+	c := &Candidates{areas: mergeAreas(src.areas, dr.dead, dr.areas)}
+	c.rStart, c.rEnd, c.rID = mergeRows(src.rStart, src.rEnd, src.rID, dr.del, dr.ins)
+	if !multi {
+		c.bStart, c.bEnd, c.bID = c.rStart, c.rEnd, c.rID
+	} else {
+		c.bStart, c.bEnd, c.bID = mergeRows(src.bStart, src.bEnd, src.bID, dr.delB, dr.insB)
+	}
+	return c
 }
 
 // materialize merges the delta layers into the base orderings, once, for the
@@ -181,33 +224,57 @@ func (ix *RegionIndex) materialize() {
 
 func (ix *RegionIndex) merge() {
 	fullMerges.Add(1)
-	b, dr := ix.base, ix.deltaOf(0, true)
-	ix.delta = dr
-	ix.areas = mergeAreas(b.areas, dr.dead, dr.areas)
-	ix.rStart, ix.rEnd, ix.rID = mergeRows(b.rStart, b.rEnd, b.rID, &dr.del, &dr.ins)
-	if !ix.multiRegion {
-		ix.bStart, ix.bEnd, ix.bID = ix.rStart, ix.rEnd, ix.rID
-	} else {
-		ix.bStart, ix.bEnd, ix.bID = mergeRows(b.bStart, b.bEnd, b.bID, &dr.delB, &dr.insB)
-	}
+	ix.delta = ix.deltaOf(0, true, 0, 0)
+	c := ix.delta.apply(ix.base.All(), ix.multiRegion)
+	ix.areas = c.areas
+	ix.rStart, ix.rEnd, ix.rID = c.rStart, c.rEnd, c.rID
+	ix.bStart, ix.bEnd, ix.bID = c.bStart, c.bEnd, c.bID
 }
 
-// layer builds the candidate sequence of one touched name: the base's cached
-// candidates for the name, minus the name's tombstones, plus its live
-// inserts, in every order the joins consume.
+// carriedLayer is a lineage's newest materialised layer of one name: its
+// candidates and the write-log coverage (inserts, deletes) they include.
+type carriedLayer struct {
+	c        *Candidates
+	ins, del int
+}
+
+// layer returns the candidate sequence of one touched name, in every order
+// the joins consume. It starts from the lineage's memo when the memo's
+// coverage is within ix's — an index version older than the memo rebuilds
+// from the base's cached candidates, coverage (0, 0) — and applies the
+// name's writes since.
 func (ix *RegionIndex) layer(nameID int32) *Candidates {
-	layerMerges.Add(1)
-	bc, dr := ix.base.FilterByName(nameID), ix.deltaOf(nameID, false)
-	c := &Candidates{ix: ix, areas: mergeAreas(bc.areas, dr.dead, dr.areas)}
-	c.rStart, c.rEnd, c.rID = mergeRows(bc.rStart, bc.rEnd, bc.rID, &dr.del, &dr.ins)
-	if !ix.multiRegion {
-		c.bStart, c.bEnd, c.bID = c.rStart, c.rEnd, c.rID
-	} else {
-		c.bStart, c.bEnd, c.bID = mergeRows(bc.bStart, bc.bEnd, bc.bID, &dr.delB, &dr.insB)
+	from := &carriedLayer{c: ix.base.FilterByName(nameID)}
+	if v, ok := ix.base.carried.Load(nameID); ok {
+		if m := v.(*carriedLayer); m.ins <= len(ix.insPre) && m.del <= len(ix.delLog) {
+			from = m
+		}
 	}
-	es, ee, eid := bc.endCols()
+	if from.ins == len(ix.insPre) && from.del == len(ix.delLog) {
+		return from.c
+	}
+	layerMerges.Add(1)
+	dr := ix.deltaOf(nameID, false, from.ins, from.del)
+	c := dr.apply(from.c, ix.multiRegion)
+	es, ee, eid := from.c.endCols()
 	c.eStart, c.eEnd, c.eID = mergeByEnd(es, ee, eid, dr)
 	return c
+}
+
+// carry publishes c, the fully built layer of nameID at ix's coverage, as
+// the lineage's memo unless the memo already covers as much.
+func (ix *RegionIndex) carry(nameID int32, c *Candidates) {
+	m := &carriedLayer{c: c, ins: len(ix.insPre), del: len(ix.delLog)}
+	for {
+		v, loaded := ix.base.carried.LoadOrStore(nameID, m)
+		if !loaded {
+			return
+		}
+		if old := v.(*carriedLayer); old.ins >= m.ins && old.del >= m.del ||
+			ix.base.carried.CompareAndSwap(nameID, old, m) {
+			return
+		}
+	}
 }
 
 // AreasWithBounds returns the live area-annotations named nameID whose
@@ -271,7 +338,8 @@ func (ix *RegionIndex) InsertedAreas(nameID int32) []int32 {
 // nameTouched reports whether any delta insert or delete concerns an
 // annotation with the given element name.
 func (ix *RegionIndex) nameTouched(nameID int32) bool {
-	return slices.Contains(ix.insName, nameID) || slices.Contains(ix.delName, nameID)
+	return slices.Contains(ix.insName, nameID) ||
+		slices.ContainsFunc(ix.delLog, func(t tomb) bool { return t.name == nameID })
 }
 
 // Compact folds the delta layers into a fresh base index over the current
@@ -308,93 +376,62 @@ func (ix *RegionIndex) Compact() *RegionIndex {
 	return n
 }
 
-// regionRows is a sortable (start, end, id) column triple.
-type regionRows struct {
-	start, end []int64
-	id         []int32
-}
-
-func (r *regionRows) push(s, e int64, id int32) {
-	r.start = append(r.start, s)
-	r.end = append(r.end, e)
-	r.id = append(r.id, id)
-}
-
-func (r *regionRows) Len() int { return len(r.id) }
-
-func (r *regionRows) Less(i, j int) bool {
-	return rowLess(r.start[i], r.end[i], r.id[i], r.start[j], r.end[j], r.id[j])
-}
-
-func (r *regionRows) Swap(i, j int) {
-	r.start[i], r.start[j] = r.start[j], r.start[i]
-	r.end[i], r.end[j] = r.end[j], r.end[i]
-	r.id[i], r.id[j] = r.id[j], r.id[i]
-}
-
-// byEnd returns r's rows keyed and sorted on (end, start, id): the start and
-// end columns trade places, so the (start, end, id) machinery applies as is.
-func (r *regionRows) byEnd() *regionRows {
-	e := &regionRows{start: slices.Clone(r.end), end: slices.Clone(r.start), id: slices.Clone(r.id)}
-	sort.Sort(e)
-	return e
-}
-
-func rowLess(s1, e1 int64, id1 int32, s2, e2 int64, id2 int32) bool {
-	if s1 != s2 {
-		return s1 < s2
-	}
-	if e1 != e2 {
-		return e1 < e2
-	}
-	return id1 < id2
-}
-
-// mergeRows applies a sorted delta to (start, end, id)-ordered base columns:
+// mergeRows applies sorted delta rows to (k1, k2, id)-ordered base columns:
 // the rows of del, each of which the base holds, are dropped and the rows of
 // ins are added. Instead of a per-row walk, each delta row's slot is found by
 // binary search and the base run before it is bulk-copied:
 // O(d log n) searches + O(n) memmove.
-func mergeRows(bs, be []int64, bid []int32, del, ins *regionRows) (start, end []int64, id []int32) {
-	n := len(bid) - del.Len() + ins.Len()
-	start = make([]int64, 0, n)
-	end = make([]int64, 0, n)
+func mergeRows(bs, be []int64, bid []int32, del, ins []row) (k1, k2 []int64, id []int32) {
+	n := len(bid) - len(del) + len(ins)
+	k1 = make([]int64, 0, n)
+	k2 = make([]int64, 0, n)
 	id = make([]int32, 0, n)
 	i, a, b := 0, 0, 0
 	copyTo := func(k int) {
-		start = append(start, bs[i:k]...)
-		end = append(end, be[i:k]...)
+		k1 = append(k1, bs[i:k]...)
+		k2 = append(k2, be[i:k]...)
 		id = append(id, bid[i:k]...)
 		i = k
 	}
-	for a < del.Len() || b < ins.Len() {
-		ev, j := ins, b
-		drop := b == ins.Len() || a < del.Len() &&
-			rowLess(del.start[a], del.end[a], del.id[a], ins.start[b], ins.end[b], ins.id[b])
+	for a < len(del) || b < len(ins) {
+		drop := b == len(ins) || a < len(del) && cmpRows(del[a], ins[b]) < 0
+		var r row
 		if drop {
-			ev, j = del, a
+			r = del[a]
+		} else {
+			r = ins[b]
 		}
 		copyTo(i + sort.Search(len(bid)-i, func(m int) bool {
-			return !rowLess(bs[i+m], be[i+m], bid[i+m], ev.start[j], ev.end[j], ev.id[j])
+			return cmpRows(row{bs[i+m], be[i+m], bid[i+m]}, r) >= 0
 		}))
 		if drop {
 			i++
 			a++
 		} else {
-			start = append(start, ins.start[b])
-			end = append(end, ins.end[b])
-			id = append(id, ins.id[b])
+			k1 = append(k1, r.k1)
+			k2 = append(k2, r.k2)
+			id = append(id, r.id)
 			b++
 		}
 	}
 	copyTo(len(bid))
-	return start, end, id
+	return k1, k2, id
 }
 
 // mergeByEnd is mergeRows over (end, start, id)-ordered base columns.
 func mergeByEnd(es, ee []int64, eid []int32, dr *deltaRows) (start, end []int64, id []int32) {
-	end, start, id = mergeRows(ee, es, eid, dr.del.byEnd(), dr.ins.byEnd())
+	end, start, id = mergeRows(ee, es, eid, endKeyed(dr.del), endKeyed(dr.ins))
 	return start, end, id
+}
+
+// endKeyed returns region rows keyed and sorted on (end, start, id).
+func endKeyed(rows []row) []row {
+	out := make([]row, len(rows))
+	for i, r := range rows {
+		out[i] = row{r.k2, r.k1, r.id}
+	}
+	slices.SortFunc(out, cmpRows)
+	return out
 }
 
 // mergeAreas drops the dead pres from the ascending base list (which holds

@@ -30,16 +30,22 @@ type RegionIndex struct {
 
 	// Delta layers (nil/empty on a base index; see delta.go). insPre ascends
 	// and insPre[i] owns insRegs[insOff[i]:insOff[i+1]]; delPre lists every
-	// tombstoned area, ascending. The insert columns extend the parent
-	// layer's columns in place, so derivation must be linear and serialized
-	// (engine write lock).
+	// tombstoned area, ascending, and delLog the same deletes in derivation
+	// order with their names. The insert columns and the delete log extend
+	// the parent layer's in place, so derivation must be linear and
+	// serialized (engine write lock).
 	base            *RegionIndex
 	insPre, insName []int32
 	insOff          []int32
 	insRegs         []interval.Region
-	delPre, delName []int32
+	delPre          []int32
+	delLog          []tomb
 	mergeOnce       sync.Once
 	delta           *deltaRows // whole-index delta rows, set by the full merge
+
+	// carried is the lineage's layer memo, on its base index only: element
+	// name id -> *carriedLayer, the newest materialised layer of that name.
+	carried sync.Map
 
 	// Live area, region-row and multi-region-area counts: set at build,
 	// carried and adjusted by every delta derivation.
@@ -389,7 +395,7 @@ func (ix *RegionIndex) RegionsOf(pre int32) []interval.Region {
 		if ix.tombstoned(pre) {
 			return nil
 		}
-		if i, ok := slices.BinarySearch(ix.insPre, pre); ok {
+		if i := inSorted(ix.insPre, pre); i >= 0 {
 			return ix.insRegions(i)
 		}
 		return ix.base.RegionsOf(pre)

@@ -191,9 +191,9 @@ func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionInd
 			some = append(some, named[i])
 		}
 		want := fresh.Filter(slices.Sorted(slices.Values(some)))
-		for i, p := range ix.delPre {
-			if ix.delName[i] == id {
-				some = append(some, p)
+		for _, t := range ix.delLog {
+			if t.name == id {
+				some = append(some, t.pre)
 			}
 		}
 		assertCandidatesEqual(t, what+" CandidatesOf", ix.CandidatesOf(id, some), want)

@@ -1,6 +1,8 @@
 package xqexec
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -20,22 +22,25 @@ import (
 // in document order, but outputs of different chunks may interleave
 // arbitrarily (region order and document order are unrelated in a permuted
 // stand-off document), so the cursor cannot simply concatenate them. It
-// keeps pending items in a document-order heap keyed by node identity (all
-// items are nodes of one document, so the pre rank is the identity) and
-// emits an item only when the candidate-interval watermark proves no
-// remaining chunk can produce a smaller one: once every unprocessed context
-// area starts at or after position S, a contained candidate must start at or
-// after S (select-narrow) and an overlapping candidate must end at or after
-// S (select-wide), and the suffix-min arrays over the candidate sequence's
+// keeps each chunk's pending output as a sorted run (all items are nodes of
+// one document, so the pre rank is the identity) and emits an item only
+// when the candidate-interval watermark proves no remaining chunk can
+// produce a smaller one: once every unprocessed context area starts at or
+// after position S, a contained candidate must start at or after S
+// (select-narrow) and an overlapping candidate must end at or after S
+// (select-wide), and the suffix-min arrays over the candidate sequence's
 // start- and end-ordered rows (internal/core) translate that interval bound
-// into the smallest still-reachable pre. Everything below it is final.
-// Cross-chunk duplicates — one candidate matched by context nodes of
-// different chunks — are still pending together when the second copy
-// arrives (the watermark that let the first copy out would have ruled the
-// second one impossible), so dedup at heap pop is exact.
+// into the smallest still-reachable pre. Everything below it is final and
+// leaves by a k-way merge of the pending runs: a min-heap over the runs'
+// heads, k = pending runs, so O(n log k) over contiguous memory, with one
+// heap fix per switch of run rather than per row. Cross-chunk duplicates —
+// one candidate matched by context nodes of different chunks — are still
+// pending together when the second copy arrives (the watermark that let the
+// first copy out would have ruled the second one impossible), so the merge
+// yields them adjacently and dedup at emission is exact.
 //
 // The whole pipeline runs on pre ranks, not items: context areas, the
-// pending heap, and the final output buffer are all int32 pres (a sixteenth
+// pending runs, and the final output buffer are all int32 pres (a sixteenth
 // of an Item), and the output buffer leaves as a Pres batch, so an Item is
 // only built by a consumer that reads one. Together with the stream's
 // recycled join buffers this makes the per-chunk steady state
@@ -43,9 +48,11 @@ import (
 //
 // For annotation corpora whose document order roughly follows region order —
 // the common case the paper's conversion produces — the watermark advances
-// with the frontier and the heap stays near the chunk size. A fully permuted
-// layer degrades gracefully: the heap grows toward the output size, never
-// past it, and the result is still byte-identical to the bulk step.
+// with the frontier and a run's output is mostly final on arrival, so little
+// is ever pending. A fully permuted layer degrades gracefully: the pending
+// runs grow toward the output size, never past it, and the result is still
+// byte-identical to the bulk step. ANALYZE reports the peak pending rows and
+// runs (stream{... pending≤P runs≤R}).
 //
 // Consecutive select steps of a path compose: the path cursor drains one
 // cursor's pres into the next one's context (newStageFromUpstream) — 12 bytes
@@ -67,7 +74,7 @@ type standoffCursor struct {
 	chunkMax int
 	chunks   int64
 
-	heap preHeap
+	runs runMerge
 	out  []int32 // pres proven final, in document order; the batch buffer
 
 	rowsIn   int64 // full context row count, for the step's ANALYZE record
@@ -164,24 +171,15 @@ func ctxFromPres(so *xqeval.StandOffStream, pres []int32) []soCtx {
 }
 
 func sortCtxByStart(ctx []soCtx) {
-	slices.SortFunc(ctx, func(a, b soCtx) int {
-		switch {
-		case a.start < b.start:
-			return -1
-		case a.start > b.start:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(ctx, func(a, b soCtx) int { return cmp.Compare(a.start, b.start) })
 }
 
 // refill processes context chunks until at least one pending item is proven
 // final (or the context is exhausted). A chunk's join output is itself a
 // sorted run, so when nothing is pending the run's prefix below the
 // watermark is emitted wholesale — an in-order corpus never pays for the
-// heap at all; the heap only engages for runs that genuinely interleave
-// across chunks.
+// merge at all; it only engages for runs that genuinely interleave across
+// chunks.
 func (c *standoffCursor) refill() {
 	for {
 		if c.i >= len(c.ctx) {
@@ -199,45 +197,29 @@ func (c *standoffCursor) refill() {
 		}
 		c.i += n
 		joined := c.so.JoinChunkPres(c.scratch)
-		final := c.i >= len(c.ctx)
-		var wm int32
-		if !final {
-			w, ok := c.so.Watermark(c.ctx[c.i].start)
-			if !ok {
+		wm := int64(math.MaxInt64) // past the last chunk, every pre is final
+		if c.i < len(c.ctx) {
+			if w, ok := c.so.Watermark(c.ctx[c.i].start); ok {
+				wm = int64(w)
+			} else {
 				// No remaining candidate can match any remaining context
 				// area: the joins of the remaining chunks would all come
 				// back empty, so skip them (the chunked analogue of the
 				// merge join's early break) and finish.
 				c.i = len(c.ctx)
-				final = true
-			} else {
-				wm = w
 			}
 		}
-		switch {
-		case final:
-			if c.heap.len() == 0 {
-				c.emitRun(joined)
-			} else {
-				for _, pre := range joined {
-					c.heap.push(pre)
-				}
-			}
+		if len(c.runs.heads) == 0 {
+			k := sort.Search(len(joined), func(i int) bool { return int64(joined[i]) >= wm })
+			c.emitRun(joined[:k])
+			c.runs.push(joined[k:])
+		} else {
+			c.runs.push(joined)
+			c.emitBelow(wm)
+		}
+		if c.i >= len(c.ctx) {
 			c.flush()
 			return
-		case c.heap.len() == 0:
-			k := sort.Search(len(joined), func(i int) bool { return joined[i] >= wm })
-			c.emitRun(joined[:k])
-			for _, pre := range joined[k:] {
-				c.heap.push(pre)
-			}
-		default:
-			for _, pre := range joined {
-				c.heap.push(pre)
-			}
-			for c.heap.len() > 0 && c.heap.top() < wm {
-				c.emit(c.heap.pop())
-			}
 		}
 		if len(c.out) > 0 {
 			// Emitted pres were copied out of the stream's joined buffer
@@ -254,17 +236,42 @@ func (c *standoffCursor) noteChunk(n int) {
 	if c.chunkMin == 0 || n < c.chunkMin {
 		c.chunkMin = n
 	}
-	if n > c.chunkMax {
-		c.chunkMax = n
-	}
+	c.chunkMax = max(c.chunkMax, n)
 }
 
-// flush drains the heap (every pending item is final) and ends the stream.
+// flush emits every pending item (all are final) and ends the stream.
 func (c *standoffCursor) flush() {
-	for c.heap.len() > 0 {
-		c.emit(c.heap.pop())
-	}
+	c.emitBelow(math.MaxInt64)
 	c.done = true
+}
+
+// emitBelow emits the pending pres below wm in document order: the k-way
+// merge of the pending runs. The run at the heap's top emits while its rows
+// stay at or below every other run's head, then the heap is fixed once.
+func (c *standoffCursor) emitBelow(wm int64) {
+	m := &c.runs
+	for len(m.heads) > 0 && int64(m.buf[m.heads[0].lo]) < wm {
+		top := &m.heads[0]
+		next := int32(math.MaxInt32)
+		if len(m.heads) > 1 {
+			next = m.head(1)
+		}
+		if len(m.heads) > 2 {
+			next = min(next, m.head(2))
+		}
+		lo := top.lo
+		for ; lo < top.hi && int64(m.buf[lo]) < wm && m.buf[lo] <= next; lo++ {
+			c.emit(m.buf[lo])
+		}
+		m.live -= lo - top.lo
+		top.lo = lo
+		if lo == top.hi {
+			last := len(m.heads) - 1
+			m.heads[0] = m.heads[last]
+			m.heads = m.heads[:last]
+		}
+		m.down()
+	}
 }
 
 // emitRun appends a sorted duplicate-free run of final pres to the output
@@ -279,8 +286,8 @@ func (c *standoffCursor) emitRun(pres []int32) {
 	c.produced += int64(len(pres))
 }
 
-// emit appends a popped pre to the output buffer, dropping cross-chunk
-// duplicates (the heap pops equal pres adjacently).
+// emit appends a merged pre to the output buffer, dropping cross-chunk
+// duplicates (the merge yields equal pres adjacently).
 func (c *standoffCursor) emit(pre int32) {
 	if c.emitted && pre == c.lastPre {
 		return
@@ -312,7 +319,7 @@ func (c *standoffCursor) record() {
 	}
 	c.recorded = true
 	c.x.ev.Stats.RecordStep(c.sp, c.rowsIn, c.produced)
-	c.x.ev.Stats.RecordStepStream(c.sp, c.chunks, c.chunkMin, c.chunkMax)
+	c.x.ev.Stats.RecordStepStream(c.sp, c.chunks, c.chunkMin, c.chunkMax, c.runs.maxRows, c.runs.maxRuns)
 }
 
 func (c *standoffCursor) Err() error { return nil }
@@ -320,53 +327,86 @@ func (c *standoffCursor) Err() error { return nil }
 func (c *standoffCursor) Close() {
 	c.record()
 	c.done = true
-	c.ctx, c.out, c.heap.pres, c.scratch = nil, nil, nil, nil
+	c.ctx, c.out, c.scratch = nil, nil, nil
+	c.runs.buf, c.runs.heads, c.runs.order = nil, nil, nil
 	c.i = 0
 }
 
-// preHeap is a binary min-heap of pre ranks — the document-order heap of the
-// streaming merge (all items share one document, so pre order is document
-// order and equal pres are the same node).
-type preHeap struct {
-	pres []int32
+// runMerge holds the pending sorted runs of the streaming merge: their rows
+// back to back in buf, and a min-heap of the live runs' spans keyed by their
+// head pre. All pres share one document, so pre order is document order and
+// equal pres are the same node.
+type runMerge struct {
+	buf   []int32
+	heads []runSpan
+	live  int   // pending rows: the heads' span lengths summed
+	order []int // compact's scratch
+
+	maxRows, maxRuns int // peak pending rows and runs, for ANALYZE
 }
 
-func (h *preHeap) len() int   { return len(h.pres) }
-func (h *preHeap) top() int32 { return h.pres[0] }
+// runSpan is one pending run, buf[lo:hi], non-empty.
+type runSpan struct{ lo, hi int }
 
-func (h *preHeap) push(pre int32) {
-	h.pres = append(h.pres, pre)
-	i := len(h.pres) - 1
-	for i > 0 {
+// push adds a sorted run (copied: the join's buffer is recycled). buf is
+// reset when nothing is pending and compacted when its consumed rows
+// outnumber the pending ones, so it stays within twice the pending rows.
+func (m *runMerge) push(run []int32) {
+	if len(run) == 0 {
+		return
+	}
+	if len(m.heads) == 0 {
+		m.buf = m.buf[:0]
+	} else if len(m.buf)-m.live > m.live {
+		m.compact()
+	}
+	m.heads = append(m.heads, runSpan{len(m.buf), len(m.buf) + len(run)})
+	m.buf = append(m.buf, run...)
+	m.live += len(run)
+	m.maxRows, m.maxRuns = max(m.maxRows, m.live), max(m.maxRuns, len(m.heads))
+	for i := len(m.heads) - 1; i > 0; {
 		p := (i - 1) / 2
-		if h.pres[p] <= h.pres[i] {
+		if m.head(p) <= m.head(i) {
 			break
 		}
-		h.pres[p], h.pres[i] = h.pres[i], h.pres[p]
+		m.heads[p], m.heads[i] = m.heads[i], m.heads[p]
 		i = p
 	}
 }
 
-func (h *preHeap) pop() int32 {
-	top := h.pres[0]
-	last := len(h.pres) - 1
-	h.pres[0] = h.pres[last]
-	h.pres = h.pres[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.pres) && h.pres[l] < h.pres[small] {
+func (m *runMerge) head(i int) int32 { return m.buf[m.heads[i].lo] }
+
+// down restores the heap order after the top run's head advanced.
+func (m *runMerge) down() {
+	for i := 0; ; {
+		l, r, small := 2*i+1, 2*i+2, i
+		if l < len(m.heads) && m.head(l) < m.head(small) {
 			small = l
 		}
-		if r < len(h.pres) && h.pres[r] < h.pres[small] {
+		if r < len(m.heads) && m.head(r) < m.head(small) {
 			small = r
 		}
 		if small == i {
-			break
+			return
 		}
-		h.pres[i], h.pres[small] = h.pres[small], h.pres[i]
+		m.heads[i], m.heads[small] = m.heads[small], m.heads[i]
 		i = small
 	}
-	return top
+}
+
+// compact moves the pending rows to the front of buf, run by run in buf
+// order; moving a span changes no head, so the heap order holds.
+func (m *runMerge) compact() {
+	m.order = m.order[:0]
+	for i := range m.heads {
+		m.order = append(m.order, i)
+	}
+	slices.SortFunc(m.order, func(a, b int) int { return m.heads[a].lo - m.heads[b].lo })
+	n := 0
+	for _, i := range m.order {
+		s := &m.heads[i]
+		k := copy(m.buf[n:], m.buf[s.lo:s.hi])
+		s.lo, s.hi, n = n, n+k, n+k
+	}
+	m.buf = m.buf[:n]
 }

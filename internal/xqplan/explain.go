@@ -383,7 +383,11 @@ func renderStepObs(o *StepObs, standoff bool) string {
 			s += fmt.Sprintf(" merge{+ins=%d -del=%d}", o.DeltaIns, o.DeltaDead)
 		}
 		if o.StreamChunks > 0 {
-			s += fmt.Sprintf(" stream{chunks=%d chunk=%d..%d}", o.StreamChunks, o.ChunkMin, o.ChunkMax)
+			s += fmt.Sprintf(" stream{chunks=%d chunk=%d..%d", o.StreamChunks, o.ChunkMin, o.ChunkMax)
+			if o.PendingMax > 0 {
+				s += fmt.Sprintf(" pending≤%d runs≤%d", o.PendingMax, o.RunsMax)
+			}
+			s += "}"
 		}
 	}
 	return s + ")"

@@ -60,6 +60,11 @@ type StepObs struct {
 	StreamChunks int64
 	ChunkMin     int
 	ChunkMax     int
+	// PendingMax and RunsMax are the peak rows and sorted runs the stream's
+	// merge held back, waiting for the watermark (zero when every chunk's
+	// output was final on arrival).
+	PendingMax int
+	RunsMax    int
 }
 
 // OpObs aggregates the observed counters of one structural operator (FLWOR,
@@ -115,8 +120,9 @@ func (s *ExecStats) RecordJoin(sp *StepPlan, ix *core.RegionIndex, candidates in
 }
 
 // RecordStepStream accumulates the chunk counters of one chunk-streamed run
-// of a step: chunk joins executed and the smallest/largest chunk joined.
-func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunkMax int) {
+// of a step: chunk joins executed, the smallest/largest chunk joined, and
+// the peak rows and runs its merge held pending.
+func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunkMax, pending, runs int) {
 	if s == nil || chunks == 0 {
 		return
 	}
@@ -129,9 +135,9 @@ func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunk
 	if o.ChunkMin == 0 || (chunkMin > 0 && chunkMin < o.ChunkMin) {
 		o.ChunkMin = chunkMin
 	}
-	if chunkMax > o.ChunkMax {
-		o.ChunkMax = chunkMax
-	}
+	o.ChunkMax = max(o.ChunkMax, chunkMax)
+	o.PendingMax = max(o.PendingMax, pending)
+	o.RunsMax = max(o.RunsMax, runs)
 }
 
 // RecordOp accumulates one evaluation of a structural operator.

@@ -844,7 +844,7 @@ func TestIncrementalMutationFasterThanRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			begin := time.Now()
-			want := mutateBenchInserts(t, eng, 1000)
+			want := mutateBenchInserts(t, eng, 0, 1000)
 			if rebuild {
 				rebuildIndexes(t, eng, "big.xml")
 			}
