@@ -194,9 +194,10 @@ func main() {
 		cur, err := prep.Stream(cfg)
 		fatalIf(err)
 		w := bufio.NewWriter(os.Stdout)
+		var row []byte
 		for cur.Next() {
-			w.WriteString(cur.Value().XML())
-			w.WriteByte('\n')
+			row = append(cur.AppendXML(row[:0]), '\n')
+			w.Write(row) // a write error sticks; Flush reports it
 		}
 		fatalIf(cur.Close())
 		fatalIf(w.Flush())

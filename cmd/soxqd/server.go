@@ -12,9 +12,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"soxq"
+	"soxq/internal/tree"
 )
 
 // serverConfig tunes the corpus server's admission control and per-query
@@ -407,10 +407,12 @@ const (
 )
 
 // rowSource is what writeRows drains: a streamed *soxq.Cursor, or a
-// materialised result behind resultRows.
+// materialised result behind resultRows. AppendXML and AppendJSON append the
+// current row's XML, or that XML as a JSON string literal, in one pass.
 type rowSource interface {
 	Next() bool
-	Value() soxq.Value
+	AppendXML(dst []byte) []byte
+	AppendJSON(dst []byte) []byte
 	Err() error
 }
 
@@ -420,29 +422,28 @@ type resultRows struct {
 	n   int // rows handed out so far
 }
 
-func (r *resultRows) Next() bool        { r.n++; return r.n <= r.res.Len() }
-func (r *resultRows) Value() soxq.Value { return r.res.Value(r.n - 1) }
-func (r *resultRows) Err() error        { return nil }
+func (r *resultRows) Next() bool                   { r.n++; return r.n <= r.res.Len() }
+func (r *resultRows) AppendXML(dst []byte) []byte  { return r.res.Value(r.n - 1).AppendXML(dst) }
+func (r *resultRows) AppendJSON(dst []byte) []byte { return r.res.Value(r.n - 1).AppendJSON(dst) }
+func (r *resultRows) Err() error                   { return nil }
 
 // writeRows drains src into the response; it is the one row loop behind the
 // streamed and the cache=1 path, so clients need not care which served them.
 // NDJSON emits one {"xml":...} object per item and a trailing
 // {"done":true,"rows":N} (or {"rows":N,"error":...}) record; XML wraps the
 // items, one per line, in a <results> element that ends in an <error>
-// element on failure. Each row's XML is appended into a reused scratch and
-// from there, JSON-escaped, into the reused output buffer — no per-row
-// string, encoder call or write. Client disconnects are detected through the
-// request context, checked every flushCheckRows rows and before each write,
-// and through write failures — a write that misses its deadline fails too;
-// either way the drain stops and the caller's deferred Close and release
-// tear the query down.
+// element on failure. Each row is appended straight into the reused output
+// buffer, an NDJSON row's XML written as a JSON string in the same pass — no
+// per-row string, scratch, encoder call or write. Client disconnects are
+// detected through the request context, checked every flushCheckRows rows
+// and before each write, and through write failures — a write that misses
+// its deadline fails too; either way the drain stops and the caller's
+// deferred Close and release tear the query down.
 func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSource) {
 	ctx := r.Context()
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	xmlOut := format == "xml"
-	var scratch [256]byte // rows this short never touch the heap
-	row := scratch[:0]
 	out := make([]byte, 0, 512) // a small reply costs one allocation, a large one grows it
 	if xmlOut {
 		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
@@ -453,12 +454,9 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 	rows, limit, last := 0, flushMin, time.Now()
 	for src.Next() {
 		if xmlOut {
-			out = append(src.Value().AppendXML(out), '\n')
+			out = append(src.AppendXML(out), '\n')
 		} else {
-			row = src.Value().AppendXML(row[:0])
-			out = append(out, `{"xml":`...)
-			out = appendJSONString(out, row)
-			out = append(out, "}\n"...)
+			out = append(src.AppendJSON(append(out, `{"xml":`...)), "}\n"...)
 		}
 		rows++
 		if len(out) < limit && rows%flushCheckRows != 0 {
@@ -490,7 +488,7 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 		out = append(out, `{"rows":`...)
 		out = strconv.AppendInt(out, int64(rows), 10)
 		out = append(out, `,"error":`...)
-		out = appendJSONString(out, []byte(err.Error()))
+		out = tree.AppendJSONString(out, err.Error())
 		out = append(out, "}\n"...)
 	default:
 		out = append(out, `{"done":true,"rows":`...)
@@ -500,76 +498,3 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 	_ = rc.SetWriteDeadline(time.Now().Add(writeStall)) // also bounds the server's final flush
 	w.Write(out)
 }
-
-// appendJSONString appends s to dst as a JSON string literal, byte for byte
-// what encoding/json writes for a string with HTML escaping on (json.Encoder's
-// default, which the NDJSON rows have always carried): \" \\ \b \f \n \r \t,
-// \u00XX for the other control characters and for < > &, \u2028 and \u2029
-// for the two line separators, and \ufffd for each invalid UTF-8 byte.
-func appendJSONString(dst, s []byte) []byte {
-	const hex = "0123456789abcdef"
-	// Grow once by the worst case, every input byte written as a six-byte
-	// \u escape, and write by index into the spare capacity.
-	n := len(dst)
-	out := slices.Grow(dst, 6*len(s)+2)[:n+6*len(s)+2]
-	out[n] = '"'
-	n++
-	for i := 0; i < len(s); {
-		b := s[i]
-		e := jsonEscapes[b]
-		if e == 0 {
-			out[n] = b
-			n++
-			i++
-			continue
-		}
-		if e == jsonDecode {
-			r, size := utf8.DecodeRune(s[i:])
-			switch {
-			case r == utf8.RuneError && size == 1:
-				n += copy(out[n:], `\ufffd`)
-			case r == '\u2028' || r == '\u2029':
-				n += copy(out[n:], `\u202`)
-				out[n] = hex[r&0xF]
-				n++
-			default:
-				n += copy(out[n:], s[i:i+size])
-			}
-			i += size
-			continue
-		}
-		if e == 'u' {
-			o := out[n : n+6]
-			o[0], o[1], o[2], o[3], o[4], o[5] = '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF]
-			n += 6
-		} else {
-			o := out[n : n+2]
-			o[0], o[1] = '\\', e
-			n += 2
-		}
-		i++
-	}
-	out[n] = '"'
-	return out[:n+1]
-}
-
-// jsonEscapes maps each byte to how appendJSONString writes it: 0 for the
-// byte itself, 'u' for a \u00XX escape (control characters and the three
-// HTML-unsafe characters), jsonDecode for a byte >= 0x80 (decoded as UTF-8
-// from there), and otherwise the letter of its two-byte escape.
-var jsonEscapes = func() (t [256]byte) {
-	for b := range t {
-		switch {
-		case b < ' ':
-			t[b] = 'u'
-		case b >= utf8.RuneSelf:
-			t[b] = jsonDecode
-		}
-	}
-	t['<'], t['>'], t['&'] = 'u', 'u', 'u'
-	t['"'], t['\\'] = '"', '\\'
-	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = 'b', 'f', 'n', 'r', 't'
-	return t
-}()
-
-const jsonDecode = 1

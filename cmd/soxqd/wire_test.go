@@ -1,8 +1,8 @@
 package main
 
-// Tests of the row writer below the HTTP layer: the NDJSON string escaper
-// against encoding/json, and the writer's allocation behaviour over a
-// discarding ResponseWriter.
+// Tests of the row writer below the HTTP layer: the JSON string escaper the
+// NDJSON error trailer uses, against encoding/json, and the writer's
+// allocation behaviour over a discarding ResponseWriter.
 
 import (
 	"bytes"
@@ -15,10 +15,12 @@ import (
 	"time"
 
 	"soxq"
+	"soxq/internal/tree"
 )
 
 // jsonStringTable is every class of input encoding/json treats specially,
-// plus runs it copies through; it also seeds FuzzAppendJSONString.
+// plus runs it copies through; it also seeds FuzzAppendJSONString and
+// FuzzWireRows.
 func jsonStringTable() []string {
 	table := []string{
 		"", "plain", `"`, `\`, `\\"`, "<", ">", "&", "<a href=\"x\">&amp;</a>",
@@ -33,7 +35,7 @@ func jsonStringTable() []string {
 	return table
 }
 
-// checkJSONString fails unless appendJSONString(s) is what json.Marshal
+// checkJSONString fails unless tree.AppendJSONString(s) is what json.Marshal
 // (HTML escaping on, as json.NewEncoder defaults) produces for string(s), and
 // a dst prefix survives.
 func checkJSONString(t *testing.T, s []byte) {
@@ -42,11 +44,11 @@ func checkJSONString(t *testing.T, s []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-		t.Errorf("appendJSONString(%q) = %s, encoding/json writes %s", s, got, want)
+	if got := tree.AppendJSONString(nil, string(s)); !bytes.Equal(got, want) {
+		t.Errorf("AppendJSONString(%q) = %s, encoding/json writes %s", s, got, want)
 	}
-	if got := appendJSONString([]byte(`{"xml":`), s); string(got) != `{"xml":`+string(want) {
-		t.Errorf("appendJSONString(%q) onto a prefix = %s", s, got)
+	if got := tree.AppendJSONString([]byte(`{"xml":`), string(s)); string(got) != `{"xml":`+string(want) {
+		t.Errorf("AppendJSONString(%q) onto a prefix = %s", s, got)
 	}
 }
 
@@ -55,7 +57,7 @@ func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
 		checkJSONString(t, []byte(s))
 	}
 	// The forms this toolchain's encoding/json writes, spelled out.
-	got := appendJSONString(nil, []byte("\b\f\n\r\t\x00\x1f<>&\xff\u2028\"\\"))
+	got := tree.AppendJSONString(nil, "\b\f\n\r\t\x00\x1f<>&\xff\u2028\"\\")
 	if want := `"\b\f\n\r\t\u0000\u001f\u003c\u003e\u0026\ufffd\u2028\"\\"`; string(got) != want {
 		t.Errorf("escapes = %s, want %s", got, want)
 	}
@@ -68,14 +70,87 @@ func FuzzAppendJSONString(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s []byte) { checkJSONString(t, s) })
 }
 
-// BenchmarkAppendJSONString escapes one row of the corpus query's shape into
-// a reused buffer, as writeRows does per row: no allocation once warm.
-func BenchmarkAppendJSONString(b *testing.B) {
-	row := []byte(`<hit start="123410" end="123415"/>`)
-	dst := appendJSONString(nil, row)
-	b.ReportAllocs()
-	for b.Loop() {
-		dst = appendJSONString(dst[:0], row)
+// FuzzWireRows serves a fuzzed document's //node() and //@* rows in both
+// formats, streamed and with cache=1. Every NDJSON line but the last decodes
+// to its row's Value.XML (as encoding/json carries it) and holds nothing
+// else, the last is the one trailer and counts them, and both bodies are
+// byte for byte what the per-row encoder wrote (legacyBody). Input LoadXML
+// rejects is skipped.
+func FuzzWireRows(f *testing.F) {
+	escape := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+	for _, s := range jsonStringTable() {
+		f.Add([]byte(`<d a="` + escape.Replace(s) + `">` + escape.Replace(s) + `<!--` + s + `--></d>`))
+	}
+	for _, d := range wireDocs {
+		f.Add([]byte(d))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		eng := soxq.New()
+		if err := eng.LoadXML("f.xml", doc); err != nil {
+			t.Skip()
+		}
+		if err := eng.CreateCorpus("f", "f.xml"); err != nil {
+			t.Fatal(err)
+		}
+		h := newServer(eng, serverConfig{}).handler()
+		for _, q := range []string{`doc("f")//node()`, `doc("f")//@*`} {
+			res, err := eng.QueryCorpus(q, "f", soxq.Config{})
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			rows := res.Values()
+			for _, format := range []string{"ndjson", "xml"} {
+				want := legacyBody(format, rows, nil)
+				for _, cache := range []string{"", "&cache=1"} {
+					target := "/query?corpus=f&format=" + format + cache + "&q=" + queryParam(q)
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+					body := rec.Body.String()
+					if format == "ndjson" {
+						checkNDJSONRows(t, target, body, rows)
+					}
+					if rec.Code != 200 || body != want {
+						t.Fatalf("%s: status %d, body\n%s\nwant\n%s", target, rec.Code, body, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkNDJSONRows fails unless body is one {"xml":...} line per row, decoding
+// to the row's XML, and then exactly one {"done":true,"rows":N} trailer.
+func checkNDJSONRows(t *testing.T, what, body string, rows []soxq.Value) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+	if len(lines) != len(rows)+1 {
+		t.Fatalf("%s: %d lines for %d rows", what, len(lines), len(rows))
+	}
+	strict := func(line string, v any) error {
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v)
+	}
+	for i, v := range rows {
+		var row struct {
+			XML *string `json:"xml"`
+		}
+		// JSON carries an invalid UTF-8 byte (raw in comments and PIs) as
+		// U+FFFD: compare with the row's XML after that same round trip.
+		var want string
+		if b, err := json.Marshal(v.XML()); err != nil || json.Unmarshal(b, &want) != nil {
+			t.Fatalf("%s: row %q does not round-trip through encoding/json", what, v.XML())
+		}
+		if err := strict(lines[i], &row); err != nil || row.XML == nil || *row.XML != want {
+			t.Fatalf("%s: line %d %s (%v), want the row %q", what, i, lines[i], err, v.XML())
+		}
+	}
+	var trailer struct {
+		Done bool `json:"done"`
+		Rows int  `json:"rows"`
+	}
+	if err := strict(lines[len(rows)], &trailer); err != nil || !trailer.Done || trailer.Rows != len(rows) {
+		t.Fatalf("%s: trailer %s (%v), want done with %d rows", what, lines[len(rows)], err, len(rows))
 	}
 }
 

@@ -280,14 +280,6 @@ func (c *Candidates) regionRowByEnd(k int) (start, end int64, id int32) {
 	return es[k], ee[k], eid[k]
 }
 
-func (c *Candidates) boundsLen() int { return len(c.bID) }
-
-// boundsRow returns the k-th candidate bounds row (one per area) in start
-// order.
-func (c *Candidates) boundsRow(k int) (start, end int64, id int32) {
-	return c.bStart[k], c.bEnd[k], c.bID[k]
-}
-
 // MinPreStartFrom returns the smallest candidate area pre whose bounding
 // region starts at or after s (ok=false when no candidate starts there).
 // This is the containment-join watermark of the chunked StandOff stream: a

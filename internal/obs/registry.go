@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -270,34 +269,4 @@ func upperBound(exp int) int64 {
 		return int64(^uint64(0) >> 1)
 	}
 	return int64(1) << exp
-}
-
-// Families returns the registered family names in registration order,
-// deduplicated — handy for coverage assertions in tests.
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range r.snapshotMetrics() {
-		if !seen[m.family] {
-			seen[m.family] = true
-			out = append(out, m.family)
-		}
-	}
-	return out
-}
-
-// SortedNames returns every full metric name sorted (test helper surface).
-func (r *Registry) SortedNames() []string {
-	if r == nil {
-		return nil
-	}
-	var out []string
-	for _, m := range r.snapshotMetrics() {
-		out = append(out, m.name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -66,14 +66,6 @@ func (l *SlowLog) SetThreshold(d time.Duration) {
 	}
 }
 
-// Threshold returns the current threshold (0 = disabled).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return time.Duration(l.threshold.Load())
-}
-
 // SetLogger installs the callback each logged entry is forwarded to
 // synchronously (keep it fast or hand off to a channel). nil removes it;
 // the ring keeps retaining either way.

@@ -10,6 +10,9 @@ package tree
 type Dict struct {
 	byName map[string]int32
 	names  []string
+	// jsonEscapes records that some name needs a JSON escape, so the JSON
+	// serialiser form escapes names only in a dictionary that holds one.
+	jsonEscapes bool
 }
 
 // NewDict returns an empty dictionary.
@@ -30,6 +33,10 @@ func intern[S chars](d *Dict, name S) int32 {
 	s := string(name)
 	d.names = append(d.names, s)
 	d.byName[s] = id
+	// Every JSON escape is longer than what it replaces; a name that fits
+	// buf is checked without allocating.
+	var buf [64]byte
+	d.jsonEscapes = d.jsonEscapes || len(appendEscaped(buf[:0], s, &jsonEsc)) != len(s)
 	return id
 }
 
@@ -45,8 +52,9 @@ func (d *Dict) Lookup(name string) (int32, bool) {
 // map write.
 func (d *Dict) clone() *Dict {
 	c := &Dict{
-		byName: make(map[string]int32, len(d.byName)),
-		names:  append([]string(nil), d.names...),
+		byName:      make(map[string]int32, len(d.byName)),
+		names:       append([]string(nil), d.names...),
+		jsonEscapes: d.jsonEscapes,
 	}
 	for name, id := range d.byName {
 		c.byName[name] = id

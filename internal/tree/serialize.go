@@ -1,60 +1,37 @@
 package tree
 
-import "unicode/utf8"
+import (
+	"cmp"
+	"unicode/utf8"
+)
+
+// The serialiser is one walk over the node columns (appendNode) with two
+// output forms: XML text, and in the same pass the JSON string literal of
+// exactly those bytes as encoding/json writes it with HTML escaping on. The
+// JSON form's markup comes pre-escaped (< as \u003c, > as \u003e, " as \"),
+// its values go through tables composed at init as JSON(XML-escape(b)), and
+// its comments and PI data through the JSON table. Names are copied verbatim
+// unless the dictionary flags one that needs an escape (Dict.jsonEscapes).
 
 // AppendXML appends node pre (and its subtree) as XML text to dst and returns
-// the extended slice; it is the package's one serialiser. For the document
-// node all children are written in order; attributes are emitted in stored
-// order. Text content and attribute values are escaped so that the output
-// re-parses to an identical tree.
-func (d *Doc) AppendXML(dst []byte, pre int32) []byte {
-	switch d.kind[pre] {
-	case DocumentNode:
-		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-			dst = d.AppendXML(dst, c)
-		}
-	case ElementNode:
-		name := d.NodeName(pre)
-		dst = append(dst, '<')
-		dst = append(dst, name...)
-		for i, hi := d.Attrs(pre); i < hi; i++ {
-			dst = d.AppendAttrXML(append(dst, ' '), i)
-		}
-		if d.Size(pre) == 0 {
-			return append(dst, "/>"...)
-		}
-		dst = append(dst, '>')
-		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
-			dst = d.AppendXML(dst, c)
-		}
-		dst = append(dst, "</"...)
-		dst = append(dst, name...)
-		dst = append(dst, '>')
-	case TextNode:
-		dst = appendEscaped(dst, d.ValueBytes(pre), false)
-	case CommentNode:
-		dst = append(dst, "<!--"...)
-		dst = append(dst, d.ValueBytes(pre)...)
-		dst = append(dst, "-->"...)
-	case PINode:
-		dst = append(dst, "<?"...)
-		dst = append(dst, d.NodeName(pre)...)
-		if v := d.ValueBytes(pre); len(v) > 0 {
-			dst = append(dst, ' ')
-			dst = append(dst, v...)
-		}
-		dst = append(dst, "?>"...)
-	}
-	return dst
+// the extended slice. For the document node all children are written in
+// order; attributes are emitted in stored order. Text content and attribute
+// values are escaped so that the output re-parses to an identical tree.
+func (d *Doc) AppendXML(dst []byte, pre int32) []byte { return d.appendNode(dst, pre, &xmlForm) }
+
+// AppendXMLJSON appends, in one pass, the JSON string literal encoding/json
+// writes (HTML escaping on) for what AppendXML writes for node pre.
+func (d *Doc) AppendXMLJSON(dst []byte, pre int32) []byte {
+	return append(d.appendNode(append(dst, '"'), pre, &jsonForm), '"')
 }
 
 // AppendAttrXML appends attribute row i as name="value", the value escaped
 // for a double-quoted attribute.
-func (d *Doc) AppendAttrXML(dst []byte, i int32) []byte {
-	dst = append(dst, d.AttrName(i)...)
-	dst = append(dst, '=', '"')
-	dst = appendEscaped(dst, d.AttrValueBytes(i), true)
-	return append(dst, '"')
+func (d *Doc) AppendAttrXML(dst []byte, i int32) []byte { return d.appendAttr(dst, i, &xmlForm) }
+
+// AppendAttrXMLJSON is AppendXMLJSON for what AppendAttrXML writes.
+func (d *Doc) AppendAttrXMLJSON(dst []byte, i int32) []byte {
+	return append(d.appendAttr(append(dst, '"'), i, &jsonForm), '"')
 }
 
 // XMLString renders node pre (and its subtree) as a string.
@@ -63,35 +40,109 @@ func (d *Doc) XMLString(pre int32) string {
 	return string(d.AppendXML(buf[:0], pre))
 }
 
-// appendEscaped appends s escaped for element content, or with attr for a
-// double-quoted attribute value. Every invalid UTF-8 byte becomes U+FFFD
-// (xmlparse does not validate UTF-8), as in encoding/xml.EscapeText, so the
-// output is always well-formed. A plain ASCII value is copied verbatim after
-// one table lookup per byte; from the first escapable or non-ASCII byte on,
-// the value is decoded rune by rune.
-func appendEscaped(dst, s []byte, attr bool) []byte {
-	escapes := &textEscapes
-	if attr {
-		escapes = &attrEscapes
+// AppendJSONString appends s as a JSON string literal, byte for byte what
+// encoding/json writes for it with HTML escaping on: \" \\ \b \f \n \r \t,
+// \u00XX for the other control characters and for < > &, \u2028 and \u2029,
+// and \ufffd for each invalid UTF-8 byte.
+func AppendJSONString(dst []byte, s string) []byte {
+	return append(appendEscaped(append(dst, '"'), s, &jsonEsc), '"')
+}
+
+// appendNode is the serialiser's one walk, writing node pre in form f.
+func (d *Doc) appendNode(dst []byte, pre int32, f *form) []byte {
+	switch d.kind[pre] {
+	case DocumentNode:
+		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
+			dst = d.appendNode(dst, c, f)
+		}
+	case ElementNode:
+		name := d.NodeName(pre)
+		dst = d.appendName(append(dst, f.open...), name, f)
+		for i, hi := d.Attrs(pre); i < hi; i++ {
+			dst = d.appendAttr(append(dst, ' '), i, f)
+		}
+		if d.Size(pre) == 0 {
+			return append(dst, f.empty...)
+		}
+		dst = append(dst, f.end...)
+		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
+			dst = d.appendNode(dst, c, f)
+		}
+		dst = d.appendName(append(dst, f.close...), name, f)
+		dst = append(dst, f.end...)
+	case TextNode:
+		dst = appendEscaped(dst, d.ValueBytes(pre), f.text)
+	case CommentNode:
+		dst = appendEscaped(append(dst, f.comment...), d.ValueBytes(pre), f.raw)
+		dst = append(dst, f.commentEnd...)
+	case PINode:
+		dst = d.appendName(append(dst, f.pi...), d.NodeName(pre), f)
+		if v := d.ValueBytes(pre); len(v) > 0 {
+			dst = appendEscaped(append(dst, ' '), v, f.raw)
+		}
+		dst = append(dst, f.piEnd...)
 	}
-	first := 0
-	for first < len(s) && escapes[s[first]] == "" {
-		first++
+	return dst
+}
+
+func (d *Doc) appendAttr(dst []byte, i int32, f *form) []byte {
+	dst = d.appendName(dst, d.AttrName(i), f)
+	dst = appendEscaped(append(dst, f.value...), d.AttrValueBytes(i), f.attr)
+	return append(dst, f.quote...)
+}
+
+func (d *Doc) appendName(dst []byte, name string, f *form) []byte {
+	if d.dict.jsonEscapes {
+		return appendEscaped(dst, name, f.raw)
 	}
-	if first == len(s) {
-		return append(dst, s...)
-	}
+	return append(dst, name...)
+}
+
+// form is one output form of the walk: what it writes for each piece of
+// markup, and its escapers of text values, attribute values and raw text
+// (names, comments, PI data).
+type form struct {
+	open, close, end, empty, value, quote, comment, commentEnd, pi, piEnd string
+	text, attr, raw                                                       *escaper
+}
+
+// newForm spells the markup with the given <, > and ".
+func newForm(lt, gt, quot string, text, attr, raw *escaper) form {
+	return form{lt, lt + "/", gt, "/" + gt, "=" + quot, quot, lt + "!--", "--" + gt, lt + "?", "?" + gt, text, attr, raw}
+}
+
+// escaper is one escaping of a string: esc[b] is what byte b is written as,
+// "" when it stands for itself. A byte >= 0x80 that starts a valid UTF-8
+// sequence stands for itself with the sequence (lineSep escapes U+2028 and
+// U+2029, as JSON writers do); esc[b] replaces it when it starts none.
+type escaper struct {
+	esc     [256]string
+	lineSep bool
+}
+
+// appendEscaped appends s as e writes it. A run of bytes that stand for
+// themselves costs one table lookup per byte and is copied in one append.
+func appendEscaped[S chars](dst []byte, s S, e *escaper) []byte {
 	last := 0
-	for i := first; i < len(s); {
-		esc, n := escapes[s[i]], 1
+	for i := 0; i < len(s); {
+		esc, n := e.esc[s[i]], 1
+		if esc == "" {
+			i++
+			continue
+		}
 		if s[i] >= utf8.RuneSelf {
-			if _, size := utf8.DecodeRune(s[i:]); size > 1 {
-				esc, n = "", size // a valid sequence stands for itself
+			switch r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))])); {
+			case size == 1: // invalid: esc replaces the byte
+			case e.lineSep && r == 0x2028:
+				esc, n = `\u2028`, size
+			case e.lineSep && r == 0x2029:
+				esc, n = `\u2029`, size
+			default:
+				esc, n = "", size
 			}
 		}
 		if esc != "" {
-			dst = append(dst, s[last:i]...)
-			dst = append(dst, esc...)
+			dst = append(append(dst, s[last:i]...), esc...)
 			last = i + n
 		}
 		i += n
@@ -99,18 +150,44 @@ func appendEscaped(dst, s []byte, attr bool) []byte {
 	return append(dst, s[last:]...)
 }
 
-// textEscapes and attrEscapes hold the replacement of each byte in element
-// content (& < > and CR) and in a double-quoted attribute value (also " TAB
-// LF); "" means the byte stands for itself. Every byte >= 0x80 maps to U+FFFD,
-// its replacement when it does not start a valid UTF-8 sequence.
+// The escapers. textEsc and attrEsc escape element content (& < > and CR)
+// and a double-quoted attribute value (also " TAB LF) for XML, writing U+FFFD
+// for each invalid UTF-8 byte (xmlparse does not validate UTF-8), as
+// encoding/xml.EscapeText does, so the output is always well-formed. jsonEsc
+// is the one JSON string escaper; textJSON and attrJSON are composed from
+// them at init. The XML form writes raw text verbatim (rawXML).
 var (
-	textEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;"}
-	attrEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;",
-		'"': "&quot;", '\t': "&#9;", '\n': "&#10;"}
+	textEsc = escaper{esc: [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;"}}
+	attrEsc = escaper{esc: [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '\r': "&#13;",
+		'"': "&quot;", '\t': "&#9;", '\n': "&#10;"}}
+	jsonEsc = escaper{lineSep: true, esc: [256]string{'"': `\"`, '\\': `\\`,
+		'\b': `\b`, '\f': `\f`, '\n': `\n`, '\r': `\r`, '\t': `\t`, '<': `\u003c`, '>': `\u003e`, '&': `\u0026`}}
+	textJSON = escaper{lineSep: true}
+	attrJSON = escaper{lineSep: true}
+	rawXML   escaper
+
+	xmlForm  = newForm("<", ">", `"`, &textEsc, &attrEsc, &rawXML)
+	jsonForm = newForm(`\u003c`, `\u003e`, `\"`, &textJSON, &attrJSON, &jsonEsc)
 )
 
 func init() {
-	for b := utf8.RuneSelf; b < 256; b++ {
-		textEscapes[b], attrEscapes[b] = "\uFFFD", "\uFFFD"
+	const hex = "0123456789abcdef"
+	for b := range 256 {
+		switch {
+		case b >= utf8.RuneSelf:
+			textEsc.esc[b], attrEsc.esc[b], jsonEsc.esc[b] = "\uFFFD", "\uFFFD", `\ufffd`
+		case b < ' ' && jsonEsc.esc[b] == "":
+			jsonEsc.esc[b] = `\u00` + hex[b>>4:b>>4+1] + hex[b&0xF:b&0xF+1]
+		}
+	}
+	// Byte b as JSON(XML-escape(b)); an invalid byte's U+FFFD is valid UTF-8,
+	// which JSON passes through.
+	for b := range 256 {
+		self := string([]byte{byte(b)})
+		for x, c := range map[*escaper]*escaper{&textEsc: &textJSON, &attrEsc: &attrJSON} {
+			if j := string(appendEscaped(nil, cmp.Or(x.esc[b], self), &jsonEsc)); j != self {
+				c.esc[b] = j
+			}
+		}
 	}
 }

@@ -1,0 +1,222 @@
+package tree
+
+import (
+	"encoding/json"
+	"testing"
+)
+
+// Names, values and raw text the one-pass JSON form must write exactly as
+// the XML form followed by encoding/json would. lsep and psep are U+2028 and
+// U+2029, which JSON escapes and XML does not; invalid UTF-8 becomes U+FFFD in
+// XML-escaped values but a \ufffd escape in names, comments and PI data.
+const (
+	lsep = "\xe2\x80\xa8"
+	psep = "\xe2\x80\xa9"
+)
+
+var jsonNames = []string{
+	"plain", `q"uote`, `back\slash`, "lt<gt>", "amp&", "tab\tnl\n", "ctl\x01\x1f",
+	"caf\xc3\xa9", "\xe5\x90\x8d\xe5\x89\x8d", "bad\xffname", "cut\xe2\x82", "line" + lsep + "sep" + psep,
+}
+
+var jsonValues = []string{
+	"", "plain", "x & y < z > \"q\" 'a' \\ /", "\r\t\n", "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\xef\xbf\xbd",
+	"a\xffb\xc3", "\xe2\x82", "\xed\xa0\x80", lsep + "mid" + psep, "&" + lsep + "\xff<",
+}
+
+// allASCII holds every byte below 0x80, so each XML-escapable byte, CR, TAB
+// and LF among them, meets the composed tables in text and in attributes.
+func allASCII() string {
+	b := make([]byte, 0x80)
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return string(b)
+}
+
+// jsonTable builds the documents TestAppendXMLJSONMatchesTwoPasses checks.
+// The Builder takes names the parser would reject, so names with quotes,
+// controls, invalid UTF-8 and line separators can be interned.
+func jsonTable(t *testing.T) map[string]*Doc {
+	t.Helper()
+	docs := map[string]*Doc{}
+	done := func(key string, b *Builder) *Doc {
+		d, err := b.Done()
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		docs[key] = d
+		return d
+	}
+
+	// Clean names: the dictionary bit stays clear, names are copied.
+	b := NewBuilder("clean.xml")
+	b.StartElement("doc")
+	for i, v := range append(jsonValues, allASCII()) {
+		b.StartElement("hit")
+		b.Attr("start", "123410")
+		b.Attr("v", v)
+		b.Text(v)
+		b.EndElement()
+		b.Comment(v)
+		b.PI("pi", v)
+		if i%2 == 0 {
+			b.Text(v)
+		}
+	}
+	b.EndElement()
+	if d := done("clean", b); d.Dict().jsonEscapes {
+		t.Fatal("clean: dictionary flags a name that needs no JSON escape")
+	}
+
+	// Names needing escapes in elements, attributes and PI targets.
+	b = NewBuilder("names.xml")
+	b.StartElement("doc")
+	for i, n := range jsonNames {
+		b.StartElement(n)
+		b.Attr(n, jsonValues[i%len(jsonValues)])
+		b.Attr("a", n)
+		b.Text(n)
+		b.StartElement(n)
+		b.EndElement()
+		b.EndElement()
+		b.PI(n, n)
+		b.Comment(n)
+	}
+	b.EndElement()
+	names := done("names", b)
+	if !names.Dict().jsonEscapes {
+		t.Fatal("names: dictionary does not flag its escaped names")
+	}
+	// A clean name new to it clones the flagged dictionary: the bit goes too.
+	a, err := NewAppender(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.StartElement("fresh")
+	a.EndElement()
+	if docs["names+fresh"], err = a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A comment and a PI beside the root element, under the document node.
+	b = NewBuilder("top.xml")
+	b.Comment("top" + lsep)
+	b.PI("top", "\xff")
+	b.StartElement("r")
+	b.EndElement()
+	done("top", b)
+
+	// Fragments of one slab share a dictionary; one of them interns an
+	// escaped name, which flags it for every fragment.
+	slab := NewFragmentSlab(3, 16, 8, 256)
+	for i, n := range []string{"f", `f"`, "f\xff"} {
+		fb := slab.NewFragment()
+		fb.StartElement(n)
+		fb.Attr("v", jsonValues[i+2])
+		fb.Text(jsonValues[i+5])
+		fb.EndElement()
+		done("fragment"+string(rune('0'+i)), fb)
+	}
+
+	// A mutation snapshot: an Appender interns an escaped name into its
+	// copy-on-write dictionary, then the element between two text nodes is
+	// tombstoned, leaving them adjacent.
+	b = NewBuilder("mut.xml")
+	b.StartElement("root")
+	b.StartElement("p")
+	b.Text("before & ")
+	b.StartElement("x")
+	b.Text("gone")
+	b.EndElement()
+	b.Text(" after" + lsep)
+	b.EndElement()
+	b.EndElement()
+	base := done("base", b)
+	a, err = NewAppender(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.StartElement(`new"<name>` + psep)
+	a.Attr(`at"tr`, "v\xff")
+	a.Text("t")
+	a.EndElement()
+	grown, err := a.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Dict().jsonEscapes || !grown.Dict().jsonEscapes {
+		t.Fatalf("dictionary bit: base %v, appended %v; want false, true",
+			base.Dict().jsonEscapes, grown.Dict().jsonEscapes)
+	}
+	x := int32(-1)
+	for pre := int32(0); pre < int32(grown.NumNodes()); pre++ {
+		if grown.Kind(pre) == ElementNode && grown.NodeName(pre) == "x" {
+			x = pre
+		}
+	}
+	dead, err := grown.WithTombstones([]int32{x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs["appended"], docs["tombstoned"] = grown, dead
+	return docs
+}
+
+// TestAppendXMLJSONMatchesTwoPasses: for every live node and every attribute
+// of the table, the one-pass JSON form is json.Marshal of the XML form (HTML
+// escaping on), onto an empty and onto a non-empty dst; a whole document
+// written into a buffer with room allocates nothing, whatever it escapes.
+func TestAppendXMLJSONMatchesTwoPasses(t *testing.T) {
+	check := func(what string, xml, oneNil, onePrefix []byte) {
+		t.Helper()
+		want, err := json.Marshal(string(xml))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(oneNil) != string(want) {
+			t.Fatalf("%s: one pass %s, two passes %s (XML %q)", what, oneNil, want, xml)
+		}
+		if string(onePrefix) != "p"+string(want) {
+			t.Fatalf("%s: onto a prefix %s, want p%s", what, onePrefix, want)
+		}
+	}
+	for key, d := range jsonTable(t) {
+		for pre := int32(0); pre < int32(d.NumNodes()); pre++ {
+			if !d.Alive(pre) {
+				continue
+			}
+			what := key + " node " + d.Kind(pre).String()
+			check(what, d.AppendXML(nil, pre), d.AppendXMLJSON(nil, pre), d.AppendXMLJSON([]byte("p"), pre))
+		}
+		for i := int32(0); i < int32(d.NumAttrs()); i++ {
+			check(key+" attribute", d.AppendAttrXML(nil, i), d.AppendAttrXMLJSON(nil, i), d.AppendAttrXMLJSON([]byte("p"), i))
+		}
+		buf := d.AppendXMLJSON(nil, 0)
+		if n := testing.AllocsPerRun(10, func() { buf = d.AppendXMLJSON(buf[:0], 0) }); n != 0 {
+			t.Errorf("%s: %.0f allocations per document", key, n)
+		}
+	}
+}
+
+// BenchmarkAppendXMLJSON writes one row of the corpus query's shape as its
+// NDJSON string into a reused buffer, as the server does per row: no
+// allocation.
+func BenchmarkAppendXMLJSON(b *testing.B) {
+	bd := NewBuilder("row.xml")
+	bd.StartElement("doc")
+	bd.StartElement("hit")
+	bd.Attr("start", "123410")
+	bd.Attr("end", "123415")
+	bd.EndElement()
+	bd.EndElement()
+	d, err := bd.Done()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := d.AppendXMLJSON(nil, 2)
+	b.ReportAllocs()
+	for b.Loop() {
+		dst = d.AppendXMLJSON(dst[:0], 2)
+	}
+}

@@ -344,10 +344,10 @@ func xmlEscape(b byte, attr bool) string {
 func TestAppendEscapedAgainstReference(t *testing.T) {
 	check := func(s []byte) {
 		t.Helper()
-		for _, attr := range []bool{false, true} {
-			want := refAppendEscaped([]byte("p"), s, attr)
-			if got := appendEscaped([]byte("p"), s, attr); string(got) != string(want) {
-				t.Fatalf("appendEscaped(%q, attr=%v) = %q, reference %q", s, attr, got, want)
+		for attr, e := range []*escaper{&textEsc, &attrEsc} {
+			want := refAppendEscaped([]byte("p"), s, attr == 1)
+			if got := appendEscaped([]byte("p"), s, e); string(got) != string(want) {
+				t.Fatalf("appendEscaped(%q, attr=%v) = %q, reference %q", s, attr == 1, got, want)
 			}
 		}
 	}

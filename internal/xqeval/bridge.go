@@ -46,9 +46,6 @@ func (ev *Evaluator) EvalExpr(e xqast.Expr, f *Frame) (LLSeq, error) {
 	return ev.eval(e, f)
 }
 
-// Iterations returns the frame's iteration count.
-func (f *Frame) Iterations() int { return f.n }
-
 // BindSeq returns a copy of f with name bound to seq (which must have one
 // group per frame iteration).
 func (f *Frame) BindSeq(name string, seq LLSeq) *Frame {

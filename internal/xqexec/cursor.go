@@ -124,6 +124,15 @@ func (r *Reader) refill() bool {
 // Item returns the current row; valid after a true Next.
 func (r *Reader) Item() xqeval.Item { return r.b.Item(r.i - 1) }
 
+// Node returns the current row's document and pre rank when the batch is a
+// (D, []pre) run, so it can be serialised unboxed; else a nil document.
+func (r *Reader) Node() (*tree.Doc, int32) {
+	if r.b.D == nil {
+		return nil, 0
+	}
+	return r.b.D, r.b.Pres[r.i-1]
+}
+
 // Fill appends the next rows to dst until it holds limit items or the
 // stream ends, and returns it.
 func (r *Reader) Fill(dst []xqeval.Item, limit int) []xqeval.Item {
@@ -201,9 +210,6 @@ func (c *pipelineCursor) Close() {
 	c.ev.DetachArena()
 	c.ev.DetachSeqArena()
 }
-
-// Unwrap exposes the wrapped root cursor (tests inspect its concrete type).
-func (c *pipelineCursor) Unwrap() Cursor { return c.Cursor }
 
 // takeAll forwards the materialising fast path through the wrapper so a
 // non-streamable pipeline still hands its backing slice to DrainAll.

@@ -666,3 +666,17 @@ func (v Value) AppendXML(dst []byte) []byte {
 		return append(dst, v.it.StringValue()...)
 	}
 }
+
+// AppendJSON appends the JSON string literal of what XML returns to dst,
+// byte for byte what encoding/json writes for v.XML() with HTML escaping on,
+// in one pass.
+func (v Value) AppendJSON(dst []byte) []byte {
+	switch v.it.Kind {
+	case xqeval.KNode:
+		return v.it.D.AppendXMLJSON(dst, v.it.Pre)
+	case xqeval.KAttr:
+		return v.it.D.AppendAttrXMLJSON(dst, v.it.Att)
+	default:
+		return tree.AppendJSONString(dst, v.it.StringValue())
+	}
+}

@@ -43,6 +43,25 @@ func (c *Cursor) Next() bool {
 // true.
 func (c *Cursor) Value() Value { return Value{it: c.rows.Item()} }
 
+// AppendXML appends what Value().AppendXML would for the current item. A
+// node row of a (doc, pre) batch is serialised straight from it, with no
+// Value in between.
+func (c *Cursor) AppendXML(dst []byte) []byte {
+	if d, pre := c.rows.Node(); d != nil {
+		return d.AppendXML(dst, pre)
+	}
+	return c.Value().AppendXML(dst)
+}
+
+// AppendJSON appends what Value().AppendJSON would for the current item,
+// reading a node row straight from its batch as AppendXML does.
+func (c *Cursor) AppendJSON(dst []byte) []byte {
+	if d, pre := c.rows.Node(); d != nil {
+		return d.AppendXMLJSON(dst, pre)
+	}
+	return c.Value().AppendJSON(dst)
+}
+
 // Err returns the first error the pipeline encountered, or nil.
 func (c *Cursor) Err() error { return c.rows.Err() }
 
@@ -69,7 +88,7 @@ func (c *Cursor) WriteXML(w io.Writer) error {
 			buf = append(buf, ' ')
 		}
 		first = false
-		if buf = c.Value().AppendXML(buf); len(buf) >= 4096 {
+		if buf = c.AppendXML(buf); len(buf) >= 4096 {
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
