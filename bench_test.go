@@ -741,6 +741,34 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkCompact times the fold of one full delta window into a new base:
+// CompactAnnotations over the 122k-region corpus with auto-compaction off and
+// DefaultCompactThreshold pending writes, an eighth of them deletes (every
+// seventh mark removed again, as annotate-burst deletes its own marks).
+// Loading and the writes are untimed. The fold merges the delta rows into the
+// base's sorted columns; gathering every row and sorting it again would
+// allocate a row per region on top, which the B/op cell catches.
+func BenchmarkCompact(b *testing.B) {
+	const deletes = DefaultCompactThreshold / 8
+	const inserts = DefaultCompactThreshold - deletes
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng := New()
+		eng.SetAutoCompactThreshold(0)
+		loadBigCorpus(b, eng)
+		mutateBenchInserts(b, eng, 0, inserts)
+		mutateBenchDeletes(b, eng, 0, inserts, inserts/deletes)
+		if ins, del := deltaStatsFor(b, eng, "big.xml"); ins != inserts || del != deletes {
+			b.Fatalf("pending writes %d/%d, want %d/%d", ins, del, inserts, deletes)
+		}
+		b.StartTimer()
+		if err := eng.CompactAnnotations("big.xml"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- supporting benchmarks ---------------------------------------------
 
 // BenchmarkLoad measures the load path a user waits for before the first

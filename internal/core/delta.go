@@ -346,33 +346,44 @@ func (ix *RegionIndex) nameTouched(nameID int32) bool {
 // document snapshot. The result is identical — orderings, per-area geometry,
 // multi-region flag — to BuildIndex over the same snapshot, and starts with
 // empty caches. Returns ix unchanged when there is nothing to fold.
+//
+// Nothing is sorted: the new base adopts the wrapper's full merge (areas,
+// region and bounds rows) and the base's end order merged the same way when
+// the base had built it, and rebuilds only the per-area geometry and rank.
 func (ix *RegionIndex) Compact() *RegionIndex {
 	if ix.base == nil {
 		return ix
 	}
+	ix.materialize()
 	b := ix.base
-	n := &RegionIndex{doc: ix.doc, opts: ix.opts}
-	n.reserve(ix.nAreas, ix.nRegions)
-	// Base areas, then inserts, both ascending like the tombstones: one
-	// forward walk, no merge and no lookups.
-	dead := ix.delPre
-	live := func(pre int32) bool {
-		for len(dead) > 0 && dead[0] < pre {
-			dead = dead[1:]
-		}
-		return len(dead) == 0 || dead[0] != pre
+	n := &RegionIndex{
+		doc: ix.doc, opts: ix.opts, areas: ix.areas,
+		nAreas: ix.nAreas, nRegions: ix.nRegions, nMulti: ix.nMulti, multiRegion: ix.multiRegion,
+		rStart: ix.rStart, rEnd: ix.rEnd, rID: ix.rID,
+		bStart: ix.bStart, bEnd: ix.bEnd, bID: ix.bID,
+		areaOff:  make([]int32, 0, ix.nAreas+1),
+		areaRegs: make([]interval.Region, 0, ix.nRegions),
 	}
-	for rank, pre := range b.areas {
-		if live(pre) {
-			n.addArea(pre, b.areaRegs[b.areaOff[rank]:b.areaOff[rank+1]])
+	// The live base areas, then the live inserts, both ascending: one
+	// forward walk over the insert column.
+	i := 0
+	for _, pre := range n.areas {
+		regs := b.RegionsOf(pre)
+		if regs == nil {
+			for ix.insPre[i] != pre {
+				i++
+			}
+			regs = ix.insRegions(i)
 		}
+		n.areaOff = append(n.areaOff, int32(len(n.areaRegs)))
+		n.areaRegs = append(n.areaRegs, regs...)
 	}
-	for i, pre := range ix.insPre {
-		if live(pre) {
-			n.addArea(pre, ix.insRegions(i))
-		}
+	n.sealAreas()
+	if b.eDone.Load() || ix.eDone.Load() {
+		es, ee, eid := ix.endCols() // mergeByEnd over the base's, or already built
+		n.endPermOnce.Do(func() { n.eStart, n.eEnd, n.eID = es, ee, eid })
+		n.eDone.Store(true)
 	}
-	n.sortRows()
 	return n
 }
 

@@ -248,10 +248,9 @@ func (ix *RegionIndex) addArea(pre int32, regions []interval.Region) {
 	ix.count(regions, 1)
 }
 
-// sortRows seals a build: the dense rank column over the areas added, the
-// region rows in (start, end, id) order and, when some area has several
-// regions, one covering bounds row per area in the same order.
-func (ix *RegionIndex) sortRows() {
+// sealAreas terminates the per-area geometry and builds the dense rank column
+// over the areas.
+func (ix *RegionIndex) sealAreas() {
 	ix.areaOff = append(ix.areaOff, int32(len(ix.areaRegs)))
 	if nA := len(ix.areas); nA > 0 {
 		ix.rank = make([]int32, ix.areas[nA-1]+1)
@@ -262,6 +261,13 @@ func (ix *RegionIndex) sortRows() {
 			ix.rank[pre] = int32(i)
 		}
 	}
+}
+
+// sortRows seals a build: the per-area geometry and rank, the region rows in
+// (start, end, id) order and, when some area has several regions, one
+// covering bounds row per area in the same order.
+func (ix *RegionIndex) sortRows() {
+	ix.sealAreas()
 	ix.rStart, ix.rEnd, ix.rID = sortedCols(ix.rows)
 	ix.rows = nil
 	if !ix.multiRegion {

@@ -108,17 +108,21 @@ func (d *Doc) WithTombstones(pres []int32) (*Doc, error) {
 	}
 	c.dead = nd
 	// Element lists of the names that lost a node: the parent's live list
-	// minus the newly dead, O(that name's layer). Nothing else is rescanned.
+	// with each killed subtree's pre range cut out by binary search over the
+	// sorted roots, O(k log L) plus one O(L) copy. A root inside an earlier
+	// one's range (a duplicate or a descendant) finds nothing left to cut.
+	// Nothing else is rescanned.
+	roots := slices.Sorted(slices.Values(pres))
 	c.elems = slices.Clone(d.elems)
 	for id := range hit {
 		l := c.ownElems(id)
-		live := make([]int32, 0, len(*l))
-		for _, p := range *l {
-			if c.Alive(p) {
-				live = append(live, p)
-			}
+		live, rest := make([]int32, 0, len(*l)), *l
+		for _, r := range roots {
+			lo, _ := slices.BinarySearch(rest, r)
+			hi, _ := slices.BinarySearch(rest, r+d.Size(r)+1)
+			live, rest = append(live, rest[:lo]...), rest[hi:]
 		}
-		*l = live
+		*l = append(live, rest...)
 	}
 	return c, nil
 }

@@ -235,71 +235,126 @@ func scanElems(d *Doc, id int32) []int32 {
 	return out
 }
 
-// TestElementListsDeriveFromParent drives a random append/tombstone history
+// randSubtree emits one element of a random name with up to three levels of
+// nested elements of random names below it.
+func randSubtree(rng *rand.Rand, names []string, depth int, start func(string), text func(string), end func()) {
+	start(names[rng.Intn(len(names))])
+	for k := rng.Intn(3); depth > 0 && k > 0; k-- {
+		randSubtree(rng, names, depth-1, start, text, end)
+	}
+	if rng.Intn(2) == 0 {
+		text("x")
+	}
+	end()
+}
+
+// TestElementListsDeriveFromParent drives random append/tombstone histories
 // and checks, after every commit, that each name's element list equals a full
 // scan of the new snapshot — and that every older snapshot still reads
 // exactly the list it had (lists extend in place beyond an older snapshot's
-// length, never inside it).
+// length, never inside it). One tombstone call gets several pres at once:
+// base-document and appended nodes, duplicates, and ancestors with their
+// descendants, in any order.
 func TestElementListsDeriveFromParent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := buildSample(t)
 	names := []string{"a", "b", "c", "hit", "note", "mark"}
-	type pinned struct {
-		d     *Doc
-		lists map[int32][]int32
-	}
-	var history []pinned
-	check := func(d *Doc) {
-		t.Helper()
-		p := pinned{d: d, lists: map[int32][]int32{}}
-		for id := int32(0); id < int32(d.Dict().Len()); id++ {
-			got, want := d.ElementsByName(id), scanElems(d, id)
-			if !slices.Equal(got, want) {
-				t.Fatalf("seq %d: ElementsByName(%s) = %v, scan says %v", d.MutSeq(), d.Dict().Name(id), got, want)
-			}
-			p.lists[id] = slices.Clone(got)
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder("lists.xml")
+		b.StartElement("doc")
+		for i := 0; i < 30; i++ {
+			randSubtree(rng, names, 3, b.StartElement, b.Text, b.EndElement)
 		}
-		history = append(history, p)
-	}
-	check(d)
-	for step := 0; step < 120; step++ {
-		if rng.Intn(3) > 0 {
-			a, err := NewAppender(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a.StartElement(names[rng.Intn(len(names))])
-			if rng.Intn(2) == 0 { // a nested element of another name
-				a.StartElement(names[rng.Intn(len(names))])
-				a.Text("x")
-				a.EndElement()
-			}
-			a.EndElement()
-			if d, err = a.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			var live []int32
-			for pre := int32(2); pre < int32(d.NumNodes()); pre++ {
-				if d.Kind(pre) == ElementNode && d.Alive(pre) {
-					live = append(live, pre)
+		b.EndElement()
+		d, err := b.Done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseN := int32(d.NumNodes())
+		type pinned struct {
+			d     *Doc
+			lists map[int32][]int32
+		}
+		var history []pinned
+		check := func(d *Doc) {
+			t.Helper()
+			p := pinned{d: d, lists: map[int32][]int32{}}
+			for id := int32(0); id < int32(d.Dict().Len()); id++ {
+				got, want := d.ElementsByName(id), scanElems(d, id)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d seq %d: ElementsByName(%s) = %v, scan says %v",
+						seed, d.MutSeq(), d.Dict().Name(id), got, want)
 				}
+				p.lists[id] = slices.Clone(got)
 			}
-			if len(live) == 0 {
-				continue
-			}
-			var err error
-			if d, err = d.WithTombstones([]int32{live[rng.Intn(len(live))]}); err != nil {
-				t.Fatal(err)
-			}
+			history = append(history, p)
 		}
 		check(d)
-	}
-	for _, p := range history {
-		for id, want := range p.lists {
-			if got := p.d.ElementsByName(id); !slices.Equal(got, want) {
-				t.Fatalf("snapshot seq %d: list of %s changed under later writes: %v, was %v",
-					p.d.MutSeq(), p.d.Dict().Name(id), got, want)
+		for step := 0; step < 120; step++ {
+			if rng.Intn(2) > 0 {
+				a, err := NewAppender(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				randSubtree(rng, names, 3, func(n string) { a.StartElement(n) }, a.Text, a.EndElement)
+				if d, err = a.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				check(d)
+				continue
+			}
+			var base, appended []int32
+			for pre := int32(2); pre < int32(d.NumNodes()); pre++ {
+				if d.Kind(pre) == ElementNode && d.Alive(pre) {
+					if pre < baseN {
+						base = append(base, pre)
+					} else {
+						appended = append(appended, pre)
+					}
+				}
+			}
+			var pres []int32
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				pool := base
+				if len(pool) == 0 || len(appended) > 0 && rng.Intn(2) == 0 {
+					pool = appended
+				}
+				if len(pool) == 0 {
+					break
+				}
+				p := pool[rng.Intn(len(pool))]
+				pres = append(pres, p)
+				switch rng.Intn(3) {
+				case 0:
+					pres = append(pres, p)
+				case 1: // a live element below p
+					for q := p + 1; q <= p+d.Size(p); q++ {
+						if d.Kind(q) == ElementNode && d.Alive(q) && rng.Intn(2) == 0 {
+							pres = append(pres, q)
+							break
+						}
+					}
+				}
+			}
+			if len(pres) == 0 {
+				continue
+			}
+			rng.Shuffle(len(pres), func(i, j int) { pres[i], pres[j] = pres[j], pres[i] })
+			if d, err = d.WithTombstones(pres); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pres {
+				if d.Alive(p) {
+					t.Fatalf("seed %d: tombstoned pre %d still alive", seed, p)
+				}
+			}
+			check(d)
+		}
+		for _, p := range history {
+			for id, want := range p.lists {
+				if got := p.d.ElementsByName(id); !slices.Equal(got, want) {
+					t.Fatalf("seed %d snapshot seq %d: list of %s changed under later writes: %v, was %v",
+						seed, p.d.MutSeq(), p.d.Dict().Name(id), got, want)
+				}
 			}
 		}
 	}

@@ -444,7 +444,7 @@ stream:
 
 // deltaStatsFor reads the pending delta size of the engine's cached index
 // for document name (0, 0 after compaction or for a fresh base).
-func deltaStatsFor(t *testing.T, eng *Engine, name string) (ins, del int) {
+func deltaStatsFor(t testing.TB, eng *Engine, name string) (ins, del int) {
 	t.Helper()
 	eng.mu.RLock()
 	defer eng.mu.RUnlock()
@@ -518,7 +518,8 @@ func TestMutationTelemetry(t *testing.T) {
 	}
 	// Which merge a read-after-write paid: a named step merges its layer,
 	// once per snapshot; only a wildcard step merges the whole index; the
-	// delete merges nothing.
+	// delete merges nothing; a compaction folds by the full merge, once,
+	// unless a wildcard read already paid for it.
 	const layerMerges, fullMerges = `soxq_index_merges_total{scope="layer"}`, `soxq_index_merges_total{scope="full"}`
 	run := func(q string) {
 		t.Helper()
@@ -540,12 +541,16 @@ func TestMutationTelemetry(t *testing.T) {
 	if n, err := eng.DeleteAnnotation("m.xml", "hit", 30, 40); err != nil || n != 1 {
 		t.Fatalf("delete = %d, %v", n, err)
 	}
+	m3 := scrapeMetrics(t, eng)
+	if l, f := m3[layerMerges]-m2[layerMerges], m3[fullMerges]-m2[fullMerges]; l != 0 || f != 0 {
+		t.Errorf("delete: %d layer / %d full merges, want none", l, f)
+	}
 	if err := eng.CompactAnnotations("m.xml"); err != nil {
 		t.Fatal(err)
 	}
 	m = scrapeMetrics(t, eng)
-	if l, f := m[layerMerges]-m2[layerMerges], m[fullMerges]-m2[fullMerges]; l != 0 || f != 0 {
-		t.Errorf("delete + compact: %d layer / %d full merges, want none", l, f)
+	if l, f := m[layerMerges]-m3[layerMerges], m[fullMerges]-m3[fullMerges]; l != 0 || f != 1 {
+		t.Errorf("compact: %d layer / %d full merges, want 0 / 1", l, f)
 	}
 	for name, want := range map[string]int64{
 		`soxq_mutations_total{op="delete"}`: 1,
@@ -555,6 +560,18 @@ func TestMutationTelemetry(t *testing.T) {
 		if got := m[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+	if err := eng.InsertAnnotation("m.xml", "hit", Region{Start: 70, End: 80}); err != nil {
+		t.Fatal(err)
+	}
+	run(`doc("m.xml")//scene/select-narrow::*`)
+	m4 := scrapeMetrics(t, eng)
+	if err := eng.CompactAnnotations("m.xml"); err != nil {
+		t.Fatal(err)
+	}
+	m = scrapeMetrics(t, eng)
+	if l, f := m[layerMerges]-m4[layerMerges], m[fullMerges]-m4[fullMerges]; l != 0 || f != 0 {
+		t.Errorf("compact after a wildcard read: %d layer / %d full merges, want none", l, f)
 	}
 }
 

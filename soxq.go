@@ -569,10 +569,11 @@ func (e *Engine) indexFor(d *tree.Doc, opts core.Options) (*core.RegionIndex, er
 	if prev, ok := e.indexes[key]; ok {
 		return prev, nil
 	}
-	// Cache only indexes of current documents: a run pinned to a superseded
-	// snapshot builds its index privately (memoised per run by its runView),
-	// so the engine map never resurrects an old generation.
-	if d.Fragment || e.docs[d.Name] == d {
+	// Cache only indexes of current named documents: a run pinned to a
+	// superseded snapshot, or querying a constructed fragment, builds its
+	// index privately (memoised per run by its runView), so the engine map
+	// never resurrects an old generation nor grows with every run.
+	if e.docs[d.Name] == d {
 		e.indexes[key] = ix
 	}
 	return ix, nil

@@ -178,6 +178,32 @@ func TestIndexCachingAcrossQueries(t *testing.T) {
 	}
 }
 
+// TestFragmentIndexesNotCached: a StandOff step over constructed fragments
+// indexes each fragment for its run only; repeated runs leave the engine's
+// index map, which every write walks, as it was.
+func TestFragmentIndexesNotCached(t *testing.T) {
+	eng := mutateEngine(t)
+	const q = `for $i in 1 to 50 return <a start="1" end="5"><b start="2" end="3"/></a>/select-narrow::b`
+	cached := func() int {
+		eng.mu.RLock()
+		defer eng.mu.RUnlock()
+		return len(eng.indexes)
+	}
+	before := cached()
+	for run := 0; run < 3; run++ {
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 50 {
+			t.Fatalf("run %d: %d results, want 50", run, res.Len())
+		}
+		if n := cached(); n != before {
+			t.Fatalf("run %d: %d indexes cached, %d before", run, n, before)
+		}
+	}
+}
+
 func TestLoadStandOffAndBlobText(t *testing.T) {
 	eng := New()
 	err := eng.LoadStandOff("notes.xml",
