@@ -348,8 +348,8 @@ func (ix *RegionIndex) nameTouched(nameID int32) bool {
 // empty caches. Returns ix unchanged when there is nothing to fold.
 //
 // Nothing is sorted: the new base adopts the wrapper's full merge (areas,
-// region and bounds rows) and the base's end order merged the same way when
-// the base had built it, and rebuilds only the per-area geometry and rank.
+// region and bounds rows) and rebuilds only the per-area geometry and rank.
+// Its end order stays lazy, built on the first read that needs it.
 func (ix *RegionIndex) Compact() *RegionIndex {
 	if ix.base == nil {
 		return ix
@@ -379,11 +379,6 @@ func (ix *RegionIndex) Compact() *RegionIndex {
 		n.areaRegs = append(n.areaRegs, regs...)
 	}
 	n.sealAreas()
-	if b.eDone.Load() || ix.eDone.Load() {
-		es, ee, eid := ix.endCols() // mergeByEnd over the base's, or already built
-		n.endPermOnce.Do(func() { n.eStart, n.eEnd, n.eID = es, ee, eid })
-		n.eDone.Store(true)
-	}
 	return n
 }
 

@@ -561,18 +561,21 @@ func (e *Engine) indexFor(d *tree.Doc, opts core.Options) (*core.RegionIndex, er
 		return ix, nil
 	}
 	ix, err := core.BuildIndex(d, opts)
+	// Cache only indexes of current named documents: a run pinned to a
+	// superseded snapshot, or querying a constructed fragment, builds its
+	// index privately (memoised per run by its runView), so the engine map
+	// never resurrects an old generation nor grows with every run.
 	if err != nil {
 		return nil, err
+	}
+	if d.Fragment {
+		return ix, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if prev, ok := e.indexes[key]; ok {
 		return prev, nil
 	}
-	// Cache only indexes of current named documents: a run pinned to a
-	// superseded snapshot, or querying a constructed fragment, builds its
-	// index privately (memoised per run by its runView), so the engine map
-	// never resurrects an old generation nor grows with every run.
 	if e.docs[d.Name] == d {
 		e.indexes[key] = ix
 	}
