@@ -411,7 +411,7 @@ func BenchmarkAblation_ActiveList(b *testing.B) {
 // The three pipeline benchmarks quantify what the Prepare/Exec split buys:
 //
 //	BenchmarkQueryUncached   parse + compile + execute every call (the
-//	                         pre-refactor QueryWith cost model)
+//	                         cost model without a plan cache)
 //	BenchmarkQueryCached     Engine.Query with a plan-cache hit
 //	BenchmarkPreparedExec    execution of a held Prepared statement
 //
@@ -471,7 +471,8 @@ func BenchmarkPrepare(b *testing.B) {
 	q := pipelineBenchQuery()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := data.eng.Prepare(q); err != nil {
+		// Unique text misses the plan cache, as in BenchmarkQueryUncached.
+		if _, err := data.eng.Prepare(fmt.Sprintf("%s\n(: %d :)", q, i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -107,10 +107,11 @@ func main() {
 	fmt.Fprintf(os.Stderr, "soxqd: serving %d documents, %d corpora on %s (interrupt to stop)\n",
 		len(eng.Documents()), len(eng.Corpora()), *addr)
 	// WriteTimeout stays 0: query streams legitimately run as long as the
-	// client keeps reading; abandonment is detected via the request context,
-	// checked every flushCheckRows rows and before each write, and a stalled
-	// reader by writeRows' per-flush deadline, instead of a wall clock for
-	// the whole response.
+	// client keeps reading. A client that disconnects cancels its request
+	// context, which the query run reads at its chunk boundaries, so even a
+	// query that produces no rows frees its slot at the next chunk; a
+	// stalled reader is cut off by writeRows' per-flush deadline. Neither
+	// needs a wall clock for the whole response.
 	fatalIf(httpserve.ListenAndServe(ctx, *addr, srv.handler(), httpserve.Options{
 		ShutdownGrace: *drain,
 	}))

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -370,21 +372,20 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		writeRows(w, r, format, &resultRows{res: res})
+		writeRows(w, format, &resultRows{ctx: r.Context(), res: res})
 		return
 	}
+	prep, err := s.eng.Prepare(q)
 	var cur *soxq.Cursor
-	if corpus != "" {
-		cur, err = s.eng.StreamQueryCorpus(q, corpus, cfg)
-	} else {
-		cur, err = s.eng.StreamQuery(q, cfg)
+	if err == nil {
+		cur, err = prep.Run(r.Context(), corpus, cfg)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	defer cur.Close()
-	writeRows(w, r, format, cur)
+	writeRows(w, format, cur)
 }
 
 // Flush policy of writeRows. Framed rows collect in one buffer, which is
@@ -392,8 +393,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // threshold — flushMin at first, doubling per flush up to flushMax, so the
 // first rows leave early and a long reply settles on few, large writes — or
 // when flushInterval has passed since the last flush, so a slowly produced
-// stream still arrives incrementally; the clock and the request context are
-// read once per flushCheckRows rows. A reply that never reaches flushMin is
+// stream still arrives incrementally; the clock is read once per
+// flushCheckRows rows. A reply that never reaches flushMin is
 // written once when the query ends, with no explicit flush. Every write
 // carries a deadline writeStall ahead, so a client that stops reading (takes
 // longer than that to accept at most flushMax bytes) costs its query slot
@@ -416,16 +417,25 @@ type rowSource interface {
 	Err() error
 }
 
-// resultRows iterates a materialised (cached) result as a rowSource.
+// resultRows iterates a materialised (cached) result as a rowSource. No run
+// reads ctx for it, so it does, once per flushCheckRows rows.
 type resultRows struct {
+	ctx context.Context
 	res *soxq.Result
 	n   int // rows handed out so far
+	err error
 }
 
-func (r *resultRows) Next() bool                   { r.n++; return r.n <= r.res.Len() }
+func (r *resultRows) Next() bool {
+	if r.n++; r.n%flushCheckRows == 0 {
+		r.err = r.ctx.Err()
+	}
+	return r.err == nil && r.n <= r.res.Len()
+}
+
 func (r *resultRows) AppendXML(dst []byte) []byte  { return r.res.Value(r.n - 1).AppendXML(dst) }
 func (r *resultRows) AppendJSON(dst []byte) []byte { return r.res.Value(r.n - 1).AppendJSON(dst) }
-func (r *resultRows) Err() error                   { return nil }
+func (r *resultRows) Err() error                   { return r.err }
 
 // writeRows drains src into the response; it is the one row loop behind the
 // streamed and the cache=1 path, so clients need not care which served them.
@@ -434,13 +444,11 @@ func (r *resultRows) Err() error                   { return nil }
 // items, one per line, in a <results> element that ends in an <error>
 // element on failure. Each row is appended straight into the reused output
 // buffer, an NDJSON row's XML written as a JSON string in the same pass — no
-// per-row string, scratch, encoder call or write. Client disconnects are
-// detected through the request context, checked every flushCheckRows rows
-// and before each write, and through write failures — a write that misses
-// its deadline fails too; either way the drain stops and the caller's
-// deferred Close and release tear the query down.
-func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSource) {
-	ctx := r.Context()
+// per-row string, scratch, encoder call or write. A client that disconnects
+// cancels the request context, which ends the rows at the run's next chunk
+// boundary and gets no trailer; a write that fails or misses its deadline
+// stops the drain too. Either way the caller's Close and release follow.
+func writeRows(w http.ResponseWriter, format string, src rowSource) {
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	xmlOut := format == "xml"
@@ -459,13 +467,7 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 			out = append(src.AppendJSON(append(out, `{"xml":`...)), "}\n"...)
 		}
 		rows++
-		if len(out) < limit && rows%flushCheckRows != 0 {
-			continue
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		if len(out) < limit && time.Since(last) < flushInterval {
+		if len(out) < limit && (rows%flushCheckRows != 0 || time.Since(last) < flushInterval) {
 			continue
 		}
 		_ = rc.SetWriteDeadline(time.Now().Add(writeStall)) // fails only off a connection: nothing to stall
@@ -478,6 +480,8 @@ func writeRows(w http.ResponseWriter, r *http.Request, format string, src rowSou
 		out, limit, last = out[:0], min(2*limit, flushMax), time.Now()
 	}
 	switch err := src.Err(); {
+	case errors.Is(err, context.Canceled):
+		return
 	case xmlOut && err != nil:
 		b := bytes.NewBuffer(append(out, "<error>"...))
 		xml.EscapeText(b, []byte(err.Error()))

@@ -491,6 +491,42 @@ func (l smallSendBuffers) Accept() (net.Conn, error) {
 	return c, err
 }
 
+// TestQueryDisconnectFreesSlot: a client that gives up on a query that
+// produces no rows for seconds frees the server's only query slot within
+// 250 ms, because the run reads the request context at its chunk boundaries
+// — a flat loop's and a nested loop's alike.
+func TestQueryDisconnectFreesSlot(t *testing.T) {
+	s := newServer(soxq.New(), serverConfig{MaxQueries: 1})
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	for _, q := range []string{
+		`for $i in 1 to 16000000 where $i < 0 return $i`,
+		`for $i in 1 to 4000 for $j in 1 to 4000 where $i < 0 return $j`,
+	} {
+		admitted := s.admitted.Load()
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/query?q="+queryParam(q), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("%s: answered within 100 ms, so no client gave up", q)
+		}
+		cancel()
+		gaveUp := time.Now()
+		if s.admitted.Load() != admitted+1 {
+			t.Fatalf("%s: the query was not admitted", q)
+		}
+		for s.inflight.Load() != 0 {
+			if held := time.Since(gaveUp); held > 250*time.Millisecond {
+				t.Fatalf("%s: the slot is still held %v after the client gave up", q, held)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestServerStalledReaderReleasesSlot pins the per-flush write deadline: a
 // client that reads one row and then neither reads nor hangs up gets its
 // connection closed once a flush stalls past writeStall, the query's only
@@ -795,7 +831,11 @@ func TestWireGolden(t *testing.T) {
 	// Mid-stream error: the first two 1024-row chunks arrive, the third
 	// fails, and the trailer carries the row count and the error.
 	const failing = `for $i in 1 to 3000 return if ($i lt 2500) then $i else $i idiv 0`
-	cur, err := eng.StreamQuery(failing, soxq.Config{StreamChunk: 1024})
+	prep, err := eng.Prepare(failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := prep.Stream(soxq.Config{StreamChunk: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -840,7 +880,11 @@ func TestWireFlushing(t *testing.T) {
 	}
 
 	eng := benchEngine(t)
-	cur, err := eng.StreamQueryCorpus(benchQuery, "bench", soxq.Config{StreamChunk: 1024})
+	prep, err := eng.Prepare(benchQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := prep.StreamCorpus("bench", soxq.Config{StreamChunk: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -853,7 +897,7 @@ func TestWireFlushing(t *testing.T) {
 			producedAtFirstWrite = src.n
 		}
 	}
-	writeRows(sink, httptest.NewRequest(http.MethodGet, "/query", nil), "ndjson", src)
+	writeRows(sink, "ndjson", src)
 	const rows = benchDocs * benchRowsPerMember
 	if src.n != rows || producedAtFirstWrite < 1 || producedAtFirstWrite > 200 {
 		t.Errorf("first write after %d of %d rows, want within the first 4 KiB of rows", producedAtFirstWrite, src.n)

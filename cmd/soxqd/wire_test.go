@@ -193,12 +193,16 @@ func TestWireAllocs(t *testing.T) {
 	eng := benchEngine(t)
 	req := httptest.NewRequest(http.MethodGet, "/query", nil)
 	serve := func(w http.ResponseWriter) {
-		cur, err := eng.StreamQueryCorpus(benchQuery, "bench", soxq.Config{StreamChunk: 1024})
+		prep, err := eng.Prepare(benchQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := prep.StreamCorpus("bench", soxq.Config{StreamChunk: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cur.Close()
-		writeRows(w, req, "ndjson", cur)
+		writeRows(w, "ndjson", cur)
 	}
 
 	const rows = benchDocs * benchRowsPerMember
@@ -223,7 +227,7 @@ func TestWireAllocs(t *testing.T) {
 		sink := newSinkResponse()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		writeRows(sink, req, "ndjson", &resultRows{res: res})
+		writeRows(sink, "ndjson", &resultRows{ctx: req.Context(), res: res})
 		runtime.ReadMemStats(&after)
 		if sink.writes != 1 || sink.flushes != 0 || sink.bytes > 256 {
 			t.Errorf("%s: %d writes, %d flushes, %d bytes; want one small unflushed write",
@@ -238,7 +242,7 @@ func TestWireAllocs(t *testing.T) {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			legacyWrite(w, "ndjson", vals, nil)
 		})
-		got := testing.AllocsPerRun(100, func() { writeRows(newSinkResponse(), req, "ndjson", &resultRows{res: res}) })
+		got := testing.AllocsPerRun(100, func() { writeRows(newSinkResponse(), "ndjson", &resultRows{ctx: req.Context(), res: res}) })
 		if got > legacy {
 			t.Errorf("%s: a one-row reply allocates %.0f times, the per-row encoder it replaced %.0f", q, got, legacy)
 		}

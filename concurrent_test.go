@@ -225,13 +225,17 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 		t.Fatalf("stats after 5 runs = hits %d misses %d size %d, want 4/1/1", hits, misses, size)
 	}
 
-	// QueryWith shares the same cache regardless of Config: the plan is
+	// Prepare shares the same cache regardless of Config: the plan is
 	// config-independent, only execution differs.
-	if _, err := eng.QueryWith(q, Config{Mode: ModeBasic, NoPushdown: true}); err != nil {
+	prep, err := eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.Exec(Config{Mode: ModeBasic, NoPushdown: true}); err != nil {
 		t.Fatal(err)
 	}
 	if h, _, _ := eng.PlanCacheStats(); h != 5 {
-		t.Fatalf("QueryWith missed the cache: hits = %d", h)
+		t.Fatalf("Prepare missed the cache: hits = %d", h)
 	}
 
 	// Declare invalidates.
@@ -319,9 +323,9 @@ func TestPreparedMatchesQueryAcrossModes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Exec(%s, %v): %v", q, mode, err)
 			}
-			b, err := eng.QueryWith(q, cfg)
+			b, err := queryWith(eng, q, cfg)
 			if err != nil {
-				t.Fatalf("QueryWith(%s, %v): %v", q, mode, err)
+				t.Fatalf("queryWith(%s, %v): %v", q, mode, err)
 			}
 			if a.String() != b.String() {
 				t.Fatalf("%s under %v: prepared %q != query %q", q, mode, a.String(), b.String())

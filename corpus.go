@@ -1,12 +1,14 @@
 package soxq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"soxq/internal/core"
 	"soxq/internal/tree"
 	"soxq/internal/xqexec"
+	"soxq/internal/xqplan"
 )
 
 // Corpus layer: a corpus is a named, ordered set of loaded documents, and a
@@ -105,32 +107,34 @@ type shard struct {
 	doc  *tree.Doc
 }
 
-// corpusShards snapshots a corpus under one read lock: the member list, each
-// member's current document snapshot, and the catalog generation the snapshot
-// belongs to. Every shard of the run drains this one generation even while
-// writers land new ones.
-func (e *Engine) corpusShards(corpus string) ([]shard, uint64, error) {
+// corpusShards snapshots a corpus under one read lock: the member list and
+// each member's current document snapshot. Every shard of the run drains
+// this one catalog generation even while writers land new ones.
+func (e *Engine) corpusShards(corpus string) ([]shard, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	members, ok := e.corpora[corpus]
 	if !ok {
-		return nil, 0, fmt.Errorf("soxq: no corpus %q", corpus)
+		return nil, fmt.Errorf("soxq: no corpus %q", corpus)
 	}
 	shards := make([]shard, len(members))
 	for i, m := range members {
 		d, ok := e.docs[m]
 		if !ok {
-			return nil, 0, fmt.Errorf("soxq: corpus %q: member document %q is not loaded", corpus, m)
+			return nil, fmt.Errorf("soxq: corpus %q: member document %q is not loaded", corpus, m)
 		}
 		shards[i] = shard{name: m, doc: d}
 	}
-	return shards, e.gen.Load(), nil
+	return shards, nil
 }
 
 // corpusMerge builds the fan-out/merge cursor of one corpus run: one lazily
 // built shard pipeline per member, drained through the cross-document merge.
-func (p *Prepared) corpusMerge(corpus string, cfg Config, chunk int, ro runObs) (xqexec.Cursor, error) {
-	shards, _, err := p.eng.corpusShards(corpus)
+// A shard's run view is pre-seeded so both the corpus URI and the member's
+// own name resolve to the pinned member snapshot; any other document
+// reference falls through to the engine.
+func (p *Prepared) corpusMerge(ctx context.Context, corpus string, cfg Config, chunk int, st *xqplan.ExecStats) (xqexec.Cursor, error) {
+	shards, err := p.eng.corpusShards(corpus)
 	if err != nil {
 		return nil, err
 	}
@@ -138,54 +142,29 @@ func (p *Prepared) corpusMerge(corpus string, cfg Config, chunk int, ro runObs) 
 	sources := make([]xqexec.ShardSource, len(shards))
 	for i, sh := range shards {
 		sources[i] = func() (xqexec.Cursor, error) {
-			// The run view is pre-seeded so both the corpus URI and the
-			// member's own name resolve to the pinned member snapshot; any
-			// other document reference falls through to the engine.
-			rv := &runView{eng: p.eng, opts: p.plan.Options(),
-				docs: map[string]*tree.Doc{corpus: sh.doc, sh.name: sh.doc}}
-			ev := p.evaluatorWith(cfg, rv)
-			ev.Stats = ro.st
-			return xqexec.Build(ev, xqexec.Config{ChunkSize: chunk})
+			return p.build(ctx, cfg, chunk, st, &runView{eng: p.eng, opts: p.plan.Options(),
+				docs: map[string]*tree.Doc{corpus: sh.doc, sh.name: sh.doc}})
 		}
 	}
 	return xqexec.MergeShards(sources), nil
 }
 
-// StreamCorpus executes the compiled query once per member document of the
-// named corpus and returns one cursor over the merged result: shard streams
-// concatenate in corpus order, item-for-item identical to running the query
-// against each member in turn. The shards run lazily one after another on
-// the caller's goroutine, so memory stays proportional to the chunk size,
-// never to the corpus size, and Close mid-stream never builds the remaining
-// shards.
+// StreamCorpus is Run over the named corpus with no context to cancel it:
+// the compiled query executes once per member document and one cursor
+// returns the merged result, the shard streams concatenated in corpus order,
+// item-for-item identical to running the query against each member in turn.
+// The shards run lazily one after another on the caller's goroutine, so
+// memory stays proportional to the chunk size, never to the corpus size,
+// and Close mid-stream never builds the remaining shards.
 func (p *Prepared) StreamCorpus(corpus string, cfg Config) (*Cursor, error) {
-	chunk := cfg.StreamChunk
-	if chunk <= 0 {
-		chunk = xqexec.DefaultChunkSize
-	}
-	ro := p.beginRun(cfg, "stream")
-	cur, err := p.corpusMerge(corpus, cfg, chunk, ro)
-	if err != nil {
-		return nil, err
-	}
-	return &Cursor{rows: xqexec.NewReader(cur), ro: ro}, nil
+	return p.Run(context.Background(), corpus, cfg)
 }
 
 // ExecCorpus is the materialising form of StreamCorpus: the merged corpus
 // stream drained into a Result, each shard with unbounded chunks as Exec
 // drains a single document.
 func (p *Prepared) ExecCorpus(corpus string, cfg Config) (*Result, error) {
-	ro := p.beginRun(cfg, "exec")
-	cur, err := p.corpusMerge(corpus, cfg, 0, ro)
-	if err != nil {
-		return nil, err
-	}
-	items, err := xqexec.DrainAll(cur)
-	ro.finish()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{items: items}, nil
+	return drain(p.run(context.Background(), corpus, cfg, "exec", 0))
 }
 
 // resultKey identifies one cached corpus result. The catalog generation is
@@ -209,7 +188,7 @@ type resultKey struct {
 // singleflight. Results are materialised — this is the endpoint for hot,
 // repeated catalog queries; unbounded result sets should use StreamCorpus.
 func (e *Engine) QueryCorpus(q, corpus string, cfg Config) (*Result, error) {
-	p, err := e.preparedCached(q)
+	p, err := e.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
@@ -222,16 +201,6 @@ func (e *Engine) QueryCorpus(q, corpus string, cfg Config) (*Result, error) {
 	return e.results.GetOrCompute(key, func() (*Result, error) {
 		return p.ExecCorpus(corpus, cfg)
 	})
-}
-
-// StreamQueryCorpus is StreamCorpus through the plan cache — the soxqd
-// streaming path, where the query text arrives per request.
-func (e *Engine) StreamQueryCorpus(q, corpus string, cfg Config) (*Cursor, error) {
-	p, err := e.preparedCached(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.StreamCorpus(corpus, cfg)
 }
 
 // ResultCacheStats reports the corpus result cache's cumulative hit and miss

@@ -396,7 +396,7 @@ func TestCorpusMemberUnloaded(t *testing.T) {
 	if _, err := eng.QueryCorpus(corpusQuery, "news", Config{}); err == nil {
 		t.Fatal("want error for unloaded corpus member")
 	}
-	if _, err := eng.StreamQueryCorpus(corpusQuery, "news", Config{}); err == nil {
+	if _, err := streamQueryCorpus(eng, corpusQuery, "news", Config{}); err == nil {
 		t.Fatal("want stream error for unloaded corpus member")
 	}
 }

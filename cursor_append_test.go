@@ -105,7 +105,7 @@ func TestCursorAppendUnboxed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, err := eng.StreamQueryCorpus(q, "both", Config{StreamChunk: 7})
+		cur, err := streamQueryCorpus(eng, q, "both", Config{StreamChunk: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

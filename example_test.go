@@ -40,7 +40,7 @@ func Example() {
 	// Output: [Intro Interview]
 }
 
-func ExampleEngine_QueryWith() {
+func ExamplePrepared_Exec() {
 	eng := soxq.New()
 	if err := eng.Declare("standoff-type", "so:timecode"); err != nil {
 		log.Fatal(err)
@@ -48,10 +48,12 @@ func ExampleEngine_QueryWith() {
 	if err := eng.LoadXML("sample.xml", []byte(sampleXML)); err != nil {
 		log.Fatal(err)
 	}
+	prep, err := eng.Prepare(`doc("sample.xml")//music[@artist = "U2"]/reject-wide::shot/@id`)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// Run the same join with the paper's per-iteration baseline algorithm.
-	res, err := eng.QueryWith(
-		`doc("sample.xml")//music[@artist = "U2"]/reject-wide::shot/@id`,
-		soxq.Config{Mode: soxq.ModeBasic})
+	res, err := prep.Exec(soxq.Config{Mode: soxq.ModeBasic})
 	if err != nil {
 		log.Fatal(err)
 	}

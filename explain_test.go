@@ -678,12 +678,12 @@ func TestAnalyzeReportsForcedJoins(t *testing.T) {
 func TestAutoMatchesForcedModes(t *testing.T) {
 	eng := bigStandoffEngine(t, 100, 4)
 	q := `for $c in doc("d.xml")//chapter return count($c/select-narrow::word)`
-	ref, err := eng.QueryWith(q, Config{Mode: ModeAuto})
+	ref, err := queryWith(eng, q, Config{Mode: ModeAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []Mode{ModeLoopLifted, ModeBasic, ModeUDF} {
-		res, err := eng.QueryWith(q, Config{Mode: mode})
+		res, err := queryWith(eng, q, Config{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,9 @@
 //
 // A pipeline runs entirely on the goroutine that drains it and starts none
 // of its own: the speed comes from loop-lifting, one join per chunk of
-// iterations, and concurrency from running many queries at once.
+// iterations, and concurrency from running many queries at once. Its context
+// is read once per batch handed out, FLWOR chunk and StandOff join chunk,
+// never per row; once it is done the stream ends with ctx.Err().
 //
 // The pipeline participates in EXPLAIN twice over. Describe reports the
 // shape Build would construct — which operators pipeline and which
@@ -34,6 +36,9 @@
 package xqexec
 
 import (
+	"cmp"
+	"context"
+
 	"soxq/internal/tree"
 	"soxq/internal/xqast"
 	"soxq/internal/xqeval"
@@ -147,6 +152,9 @@ func (r *Reader) Fill(dst []xqeval.Item, limit int) []xqeval.Item {
 // Err returns the underlying cursor's error.
 func (r *Reader) Err() error { return r.c.Err() }
 
+// Cursor returns the cursor r reads, for a drain of the rest (DrainAll).
+func (r *Reader) Cursor() Cursor { return r.c }
+
 // Close drops the current batch and closes the underlying cursor.
 func (r *Reader) Close() {
 	r.b, r.n, r.i = Batch{}, 0, 0
@@ -179,7 +187,7 @@ const DefaultChunkSize = 1024
 // eagerly (so their errors surface here), then the top-level expression is
 // matched against the pipelined operator forms, recursively for operators
 // with streamable inputs. Anything else becomes a materialising cursor.
-func Build(ev *xqeval.Evaluator, cfg Config) (Cursor, error) {
+func Build(ctx context.Context, ev *xqeval.Evaluator, cfg Config) (Cursor, error) {
 	// The pipeline owns a pooled join arena for its whole run (globals,
 	// every chunk join); the wrapping cursor hands it back on Close.
 	ev.AttachArena()
@@ -192,23 +200,33 @@ func Build(ev *xqeval.Evaluator, cfg Config) (Cursor, error) {
 		ev.DetachArena()
 		return nil, err
 	}
-	x := &executor{ev: ev, cfg: cfg}
-	return &pipelineCursor{Cursor: x.build(ev.Plan.Body(), root), ev: ev}, nil
+	x := &executor{ctx: ctx, ev: ev, cfg: cfg}
+	return &pipelineCursor{Cursor: x.build(ev.Plan.Body(), root), x: x}, nil
 }
 
 // pipelineCursor wraps a pipeline's root cursor to scope the evaluator's
 // join arena to the run: Close (always reached — DrainAll defers it, and
 // soxq.Cursor.Close forwards) releases the arena and every buffer on loan
-// from it back to the pool.
+// from it back to the pool. It reads the run's context before each batch.
 type pipelineCursor struct {
 	Cursor
-	ev *xqeval.Evaluator
+	x   *executor
+	err error // the context's error, once it ended the stream
 }
+
+func (c *pipelineCursor) NextBatch() Batch {
+	if c.err = c.x.ctx.Err(); c.err != nil {
+		return Batch{}
+	}
+	return c.Cursor.NextBatch()
+}
+
+func (c *pipelineCursor) Err() error { return cmp.Or(c.err, c.Cursor.Err()) }
 
 func (c *pipelineCursor) Close() {
 	c.Cursor.Close()
-	c.ev.DetachArena()
-	c.ev.DetachSeqArena()
+	c.x.ev.DetachArena()
+	c.x.ev.DetachSeqArena()
 }
 
 // takeAll forwards the materialising fast path through the wrapper so a
@@ -226,6 +244,7 @@ func (c *pipelineCursor) takeAll() ([]xqeval.Item, error) {
 
 // executor carries the build context shared by all cursors of one pipeline.
 type executor struct {
+	ctx context.Context
 	ev  *xqeval.Evaluator
 	cfg Config
 }

@@ -1,6 +1,7 @@
 package xqexec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -236,7 +237,7 @@ func TestPipelineEquivalence(t *testing.T) {
 		want := render(env.evaluator(t, q).Run())
 		for _, cfg := range cfgs {
 			for _, d := range drains {
-				cur, err := Build(env.evaluator(t, q), cfg)
+				cur, err := Build(context.Background(), env.evaluator(t, q), cfg)
 				var got string
 				if err != nil {
 					got = render(nil, err)
@@ -252,7 +253,7 @@ func TestPipelineEquivalence(t *testing.T) {
 }
 
 func runPipeline(ev *xqeval.Evaluator, cfg Config) ([]xqeval.Item, error) {
-	cur, err := Build(ev, cfg)
+	cur, err := Build(context.Background(), ev, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +302,7 @@ func TestEarlyClose(t *testing.T) {
 	cfg := Config{ChunkSize: 16}
 	for _, q := range queries {
 		spawncheck.Run(func(started func() int) {
-			cur, err := Build(env.evaluator(t, q), cfg)
+			cur, err := Build(context.Background(), env.evaluator(t, q), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +338,7 @@ func TestCloseBeforeNext(t *testing.T) {
 		{`count(doc("t.xml")//hit)`, Config{}},
 	} {
 		spawncheck.Run(func(started func() int) {
-			cur, err := Build(env.evaluator(t, tc.q), tc.cfg)
+			cur, err := Build(context.Background(), env.evaluator(t, tc.q), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +362,7 @@ func TestGatePathRespectsChunkSize(t *testing.T) {
 	env := newTestEnv(t)
 	const n = 246
 	q := fmt.Sprintf(`for $i in 1 to %d return $i`, n)
-	cur, err := Build(env.evaluator(t, q), Config{ChunkSize: 8})
+	cur, err := Build(context.Background(), env.evaluator(t, q), Config{ChunkSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestPathStreamingModes(t *testing.T) {
 			t.Errorf("query %q:\n got %q\nwant %q", q, got, want)
 		}
 	}
-	cur, err := Build(env.evaluator(t, disjoint), Config{ChunkSize: 4})
+	cur, err := Build(context.Background(), env.evaluator(t, disjoint), Config{ChunkSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestDescribeShapes(t *testing.T) {
 func TestStandoffCursorStreams(t *testing.T) {
 	env := newTestEnv(t)
 	build := func(q string, chunk int) *pathCursor {
-		cur, err := Build(env.evaluator(t, q), Config{ChunkSize: chunk})
+		cur, err := Build(context.Background(), env.evaluator(t, q), Config{ChunkSize: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,7 +538,7 @@ func TestNestedCursorEngages(t *testing.T) {
 	env := newTestEnv(t)
 	pin := func(q string, chunk int, wantNested bool) {
 		t.Helper()
-		cur, err := Build(env.evaluator(t, q), Config{ChunkSize: chunk})
+		cur, err := Build(context.Background(), env.evaluator(t, q), Config{ChunkSize: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -188,7 +188,8 @@ func streamableBinding(e xqast.Expr) bool {
 
 // nextChunk pulls up to one chunk of binding tuples. In expanded mode it
 // evaluates the FLWOR tail over them at once; in nested mode it only stages
-// the tuples — NextBatch drives a child cursor per tuple.
+// the tuples — NextBatch drives a child cursor per tuple. A done run context
+// ends the loop here, at the chunk boundary.
 func (c *flworCursor) nextChunk() {
 	if c.scope != nil {
 		// Reclaim the previous chunk's scratch before pulling new tuples:
@@ -198,6 +199,9 @@ func (c *flworCursor) nextChunk() {
 		c.out = nil
 		c.x.ev.CloseScope(c.scope)
 		c.scope = nil
+	}
+	if c.err = c.x.ctx.Err(); c.err != nil {
+		return
 	}
 	limit := c.x.chunkSize()
 	if c.chunk == nil && c.memo != nil {

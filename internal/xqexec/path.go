@@ -83,6 +83,9 @@ func (c *pathCursor) init() {
 			// prefix would have built.
 			g = appendAll(nil, up)
 			up.Close()
+			if c.err = up.Err(); c.err != nil {
+				return
+			}
 			up, ctxSeq = nil, xqeval.GroupSeq(g)
 		}
 		if ctxSeq, err = c.x.ev.EvalStepBulk(sp, ctxSeq, c.f); err != nil {
@@ -110,6 +113,9 @@ func newStageFromUpstream(x *executor, sp *xqplan.StepPlan, up *standoffCursor) 
 	}
 	d := up.d
 	up.Close()
+	if err := up.Err(); err != nil {
+		return nil, err
+	}
 	return newStandoffCursorFromPres(x, sp, d, pres)
 }
 
@@ -122,7 +128,9 @@ func (c *pathCursor) NextBatch() Batch {
 	case c.err != nil:
 		return b
 	case c.soc != nil: // chunked StandOff final step
-		b = c.soc.NextBatch()
+		if b = c.soc.NextBatch(); b.Len() == 0 {
+			c.err = c.soc.Err()
+		}
 	default: // bulk final step: the materialised result
 		b.Items, c.items = c.items, nil
 	}

@@ -84,6 +84,7 @@ type standoffCursor struct {
 	recorded bool
 
 	done bool
+	err  error // the run context's error, once it ended the stream
 }
 
 // soCtx is one context area pre with its sort key (minimum region start).
@@ -175,15 +176,19 @@ func sortCtxByStart(ctx []soCtx) {
 }
 
 // refill processes context chunks until at least one pending item is proven
-// final (or the context is exhausted). A chunk's join output is itself a
-// sorted run, so when nothing is pending the run's prefix below the
-// watermark is emitted wholesale — an in-order corpus never pays for the
-// merge at all; it only engages for runs that genuinely interleave across
-// chunks.
+// final, the context areas run out or the run's context is done. A chunk's
+// join output is itself a sorted run, so when nothing is pending the run's
+// prefix below the watermark is emitted wholesale — an in-order corpus never
+// pays for the merge at all; it only engages for runs that genuinely
+// interleave across chunks.
 func (c *standoffCursor) refill() {
 	for {
 		if c.i >= len(c.ctx) {
 			c.flush()
+			return
+		}
+		if c.err = c.x.ctx.Err(); c.err != nil {
+			c.done = true // pending runs are dropped: the stream ends here
 			return
 		}
 		n := min(c.chunk, len(c.ctx)-c.i)
@@ -322,7 +327,7 @@ func (c *standoffCursor) record() {
 	c.x.ev.Stats.RecordStepStream(c.sp, c.chunks, c.chunkMin, c.chunkMax, c.runs.maxRows, c.runs.maxRuns)
 }
 
-func (c *standoffCursor) Err() error { return nil }
+func (c *standoffCursor) Err() error { return c.err }
 
 func (c *standoffCursor) Close() {
 	c.record()

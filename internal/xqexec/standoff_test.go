@@ -1,6 +1,7 @@
 package xqexec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -102,7 +103,7 @@ func TestRunMergeOnReversedLayer(t *testing.T) {
 			wantOut, _ := stepOuts(bulk)
 			for _, chunk := range []int{1, 2, 7, 64, 0} {
 				ev := evaluator()
-				cur, err := Build(ev, Config{ChunkSize: chunk})
+				cur, err := Build(context.Background(), ev, Config{ChunkSize: chunk})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,9 +19,10 @@
 //
 // The query pipeline is parse (internal/xqparse) → compile (internal/xqplan,
 // an immutable cacheable Plan) → execute (internal/xqeval driven through the
-// internal/xqexec cursor pipeline). Prepare/Exec expose the compiled form;
-// Stream pulls results through bounded-memory cursors; Query/QueryWith ride
-// an LRU plan cache (docs/ARCHITECTURE.md describes the stages).
+// internal/xqexec cursor pipeline). Prepare compiles through an LRU plan
+// cache; Prepared.Run executes through bounded-memory cursors under the
+// caller's context, and Exec, Stream and Analyze are its drained, streamed
+// and instrumented forms (docs/ARCHITECTURE.md describes the stages).
 //
 // Every plan is observable: Prepared.Explain renders the operator tree with
 // candidate policies, and Prepared.Analyze executes while counting
@@ -39,6 +40,7 @@
 package soxq
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -54,7 +56,6 @@ import (
 	"soxq/internal/xmark"
 	"soxq/internal/xmlparse"
 	"soxq/internal/xqeval"
-	"soxq/internal/xqexec"
 	"soxq/internal/xqparse"
 	"soxq/internal/xqplan"
 )
@@ -365,13 +366,36 @@ type Prepared struct {
 	lastTrace atomic.Pointer[obs.QueryTrace]
 }
 
-// Prepare parses and compiles a query for repeated execution.
+// Prepare parses and compiles a query for repeated execution through the
+// engine's LRU plan cache, keyed by query text + effective engine options,
+// so a repeated query costs one lookup (see BenchmarkQueryCached). The
+// options snapshot taken here keys the cache AND seeds the compile, and
+// concurrent misses on one key share one compile (singleflight).
 func (e *Engine) Prepare(q string) (*Prepared, error) {
-	plan, parseNs, compileNs, err := compileTimed(q, e.currentOptions())
+	opts := e.currentOptions()
+	var parseNs, compileNs int64
+	plan, err := e.plans.GetOrCompute(planKey{query: q, opts: opts}, func() (*xqplan.Plan, error) {
+		// Both stages are timed for the compile histograms and the trace's
+		// spans; compiles are cache-miss rare.
+		t0 := time.Now()
+		m, err := xqparse.Parse(q)
+		if err != nil {
+			return nil, err
+		}
+		parseNs = time.Since(t0).Nanoseconds()
+		plan, err := xqplan.Compile(m, opts)
+		if err != nil {
+			return nil, err
+		}
+		compileNs = time.Since(t0).Nanoseconds()
+		e.tel.observeCompile(parseNs, compileNs)
+		return plan, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	e.tel.observeCompile(parseNs, compileNs)
+	// Cache hits (and coalesced waiters) leave the timings zero: their
+	// compile happened on an earlier statement's clock.
 	return &Prepared{eng: e, plan: plan, src: q, parseNanos: parseNs, compileNanos: compileNs}, nil
 }
 
@@ -381,52 +405,13 @@ func (e *Engine) currentOptions() core.Options {
 	return e.options
 }
 
-// compile runs the parse and compile stages under the given option
-// defaults.
-func compile(q string, opts core.Options) (*xqplan.Plan, error) {
-	m, err := xqparse.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return xqplan.Compile(m, opts)
-}
-
-// compileTimed is compile with the two stages timed for the compile-latency
-// histograms and the trace's parse/compile spans. Compiles are cache-miss
-// rare, so the clock reads cost nothing in steady state.
-func compileTimed(q string, opts core.Options) (plan *xqplan.Plan, parseNs, compileNs int64, err error) {
-	t0 := time.Now()
-	m, err := xqparse.Parse(q)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	parseNs = time.Since(t0).Nanoseconds()
-	plan, err = xqplan.Compile(m, opts)
-	compileNs = time.Since(t0).Nanoseconds()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return plan, parseNs, compileNs, nil
-}
-
 // Exec runs the compiled query under the given configuration and returns the
-// materialised result. It is a thin drain of the same cursor pipeline Stream
-// exposes — built with unbounded chunks, since a full drain materialises per
-// operator anyway — so the streaming and materialising paths share one
-// engine. It is safe to call concurrently: each call builds a fresh pipeline
-// over the shared immutable plan.
+// materialised result: a drain of the pipeline Run returns, built with
+// unbounded chunks, since a full drain materialises per operator anyway. It
+// is safe to call concurrently: each call builds a fresh pipeline over the
+// shared immutable plan.
 func (p *Prepared) Exec(cfg Config) (*Result, error) {
-	ro := p.beginRun(cfg, "exec")
-	cur, err := p.pipeline(cfg, 0, ro.st)
-	if err != nil {
-		return nil, err
-	}
-	items, err := xqexec.DrainAll(cur)
-	ro.finish()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{items: items}, nil
+	return drain(p.run(context.Background(), "", cfg, "exec", 0))
 }
 
 // Analyze executes the compiled query like Exec while collecting the
@@ -439,92 +424,22 @@ func (p *Prepared) Exec(cfg Config) (*Result, error) {
 // cfg.StreamChunk > 0 the run is chunked like Stream, so the chunk counters
 // reflect streamed execution.
 func (p *Prepared) Analyze(cfg Config) (*Result, *PlanExplain, error) {
-	st := xqplan.NewExecStats()
-	ro := p.beginAnalyze(cfg, st)
-	ev := p.evaluator(cfg)
-	ev.Stats = st
-	chunk := 0
-	if cfg.StreamChunk > 0 {
-		chunk = cfg.StreamChunk
-	}
-	cur, err := xqexec.Build(ev, xqexec.Config{ChunkSize: chunk})
+	c, err := p.run(context.Background(), "", cfg, "analyze", cfg.StreamChunk)
+	res, err := drain(c, err)
 	if err != nil {
 		return nil, nil, err
 	}
-	items, err := xqexec.DrainAll(cur)
-	ro.finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Result{items: items}, p.explainWith(st), nil
-}
-
-// evaluator builds the per-run evaluator state for one execution of the
-// plan. Document and index resolution go through a fresh runView, so the run
-// drains one consistent snapshot generation even while mutations land.
-func (p *Prepared) evaluator(cfg Config) *xqeval.Evaluator {
-	return p.evaluatorWith(cfg, &runView{eng: p.eng, opts: p.plan.Options()})
-}
-
-// evaluatorWith is evaluator with the caller supplying the run view — the
-// corpus shard path seeds the view so the corpus URI resolves to one member
-// document (see corpus.go).
-func (p *Prepared) evaluatorWith(cfg Config, rv *runView) *xqeval.Evaluator {
-	e := p.eng
-	return &xqeval.Evaluator{
-		Plan:     p.plan,
-		Resolver: rv.resolve,
-		IndexFor: rv.indexFor,
-		BlobFor:  e.blobFor,
-		Strategy: cfg.Mode.strategy(),
-		JoinCfg:  core.JoinConfig{UseHeap: cfg.HeapActiveList},
-		Pushdown: !cfg.NoPushdown,
-		Met:      e.met(),
-	}
+	return res, p.explainWith(c.ro.st), nil
 }
 
 // Query runs an XQuery with the default configuration, reusing a cached
 // plan when the same query text was compiled before.
 func (e *Engine) Query(q string) (*Result, error) {
-	return e.QueryWith(q, Config{})
-}
-
-// QueryWith runs an XQuery under the given configuration. Plans are cached
-// in a bounded LRU keyed by query text + effective engine options, so a
-// repeated query costs one cache lookup plus execution — within measurement
-// noise of holding a Prepared statement (see BenchmarkQueryCached).
-func (e *Engine) QueryWith(q string, cfg Config) (*Result, error) {
-	p, err := e.preparedCached(q)
+	p, err := e.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	return p.Exec(cfg)
-}
-
-// preparedCached returns a Prepared for q, consulting the plan cache. The
-// options snapshot taken here keys the cache AND seeds the compile, so a
-// concurrent Declare can never associate a plan with the wrong key.
-// Concurrent misses on the same key are collapsed: one compile serves every
-// waiter (the cache's singleflight).
-func (e *Engine) preparedCached(q string) (*Prepared, error) {
-	opts := e.currentOptions()
-	key := planKey{query: q, opts: opts}
-	var parseNs, compileNs int64
-	plan, err := e.plans.GetOrCompute(key, func() (*xqplan.Plan, error) {
-		p, pNs, cNs, err := compileTimed(q, opts)
-		if err != nil {
-			return nil, err
-		}
-		parseNs, compileNs = pNs, cNs
-		e.tel.observeCompile(pNs, cNs)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Cache hits (and coalesced waiters) leave the timings zero: their
-	// compile happened on an earlier statement's clock.
-	return &Prepared{eng: e, plan: plan, src: q, parseNanos: parseNs, compileNanos: compileNs}, nil
+	return p.Exec(Config{})
 }
 
 // PlanCacheStats reports the plan cache's cumulative hit and miss counts
@@ -590,10 +505,7 @@ func (e *Engine) BuildIndex(name string) error {
 	if err != nil {
 		return err
 	}
-	e.mu.RLock()
-	opts := e.options
-	e.mu.RUnlock()
-	_, err = e.indexFor(d, opts)
+	_, err = e.indexFor(d, e.currentOptions())
 	return err
 }
 

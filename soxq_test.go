@@ -24,6 +24,25 @@ const figure1Doc = `<sample>
   </audio>
 </sample>`
 
+// queryWith runs q under cfg through the plan cache: Prepare, then Exec.
+func queryWith(eng *Engine, q string, cfg Config) (*Result, error) {
+	p, err := eng.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(cfg)
+}
+
+// streamQueryCorpus is queryWith's streamed corpus form: Prepare, then
+// StreamCorpus.
+func streamQueryCorpus(eng *Engine, q, corpus string, cfg Config) (*Cursor, error) {
+	p, err := eng.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.StreamCorpus(corpus, cfg)
+}
+
 func figure1Engine(t *testing.T) *Engine {
 	t.Helper()
 	eng := New()
@@ -69,7 +88,7 @@ func TestSection31TableAllModes(t *testing.T) {
 		for axis, expected := range want {
 			q := fmt.Sprintf(
 				`for $s in doc("sample.xml")//music[@artist = "U2"]/%s::shot return string($s/@id)`, axis)
-			res, err := eng.QueryWith(q, Config{Mode: mode})
+			res, err := queryWith(eng, q, Config{Mode: mode})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", mode, axis, err)
 			}
@@ -281,7 +300,7 @@ func TestXMarkStandOffEquivalence(t *testing.T) {
 			t.Fatalf("Q%d plain: %v", q, err)
 		}
 		for _, mode := range []Mode{ModeLoopLifted, ModeBasic, ModeUDF} {
-			soRes, err := eng.QueryWith(xmark.StandOffQuery(q, "xmark-so.xml"), Config{Mode: mode})
+			soRes, err := queryWith(eng, xmark.StandOffQuery(q, "xmark-so.xml"), Config{Mode: mode})
 			if err != nil {
 				t.Fatalf("Q%d %v: %v", q, mode, err)
 			}

@@ -1,8 +1,11 @@
 package soxq
 
 import (
+	"context"
 	"io"
 
+	"soxq/internal/core"
+	"soxq/internal/xqeval"
 	"soxq/internal/xqexec"
 	"soxq/internal/xqplan"
 )
@@ -25,6 +28,7 @@ import (
 type Cursor struct {
 	rows xqexec.Reader
 	ro   runObs
+	view runView // a single-document run's snapshot view
 }
 
 // Next advances to the next result item, returning false at the end of the
@@ -102,45 +106,81 @@ func (c *Cursor) WriteXML(w io.Writer) error {
 	return err
 }
 
-// Stream executes the compiled query as a pull-based cursor pipeline:
-// FLWOR tuples are evaluated in bounded chunks (Config.StreamChunk), and
-// expression forms that cannot stream fall back to materialised evaluation
-// behind the same interface. The pipeline runs on the goroutine that drains
-// the cursor and starts none of its own. The drained stream is always
-// item-for-item identical to Exec's result. Like Exec, Stream is safe to call
-// from any number of goroutines: each call builds an independent pipeline
-// over the shared immutable plan.
-func (p *Prepared) Stream(cfg Config) (*Cursor, error) {
+// Run executes the compiled query as a pull-based cursor pipeline, or with a
+// non-empty corpus once per member document (see StreamCorpus). FLWOR tuples
+// are evaluated in bounded chunks (Config.StreamChunk); forms that cannot
+// stream fall back to materialised evaluation behind the same interface. The
+// pipeline runs on the goroutine that drains the cursor and reads ctx at its
+// chunk boundaries, never per row: once ctx is done the stream ends with
+// ctx.Err() after the rows already delivered (a materialising operator such
+// as order by finishes first). Run is safe to call from any number of
+// goroutines: each call builds an independent pipeline over the shared plan.
+func (p *Prepared) Run(ctx context.Context, corpus string, cfg Config) (*Cursor, error) {
 	chunk := cfg.StreamChunk
 	if chunk <= 0 {
 		chunk = xqexec.DefaultChunkSize
 	}
-	ro := p.beginRun(cfg, "stream")
-	cur, err := p.pipeline(cfg, chunk, ro.st)
+	return p.run(ctx, corpus, cfg, "stream", chunk)
+}
+
+// Stream is Run with no corpus and no context to cancel it. The drained
+// stream is always item-for-item identical to Exec's result.
+func (p *Prepared) Stream(cfg Config) (*Cursor, error) {
+	return p.Run(context.Background(), "", cfg)
+}
+
+// run is the one run path behind every entry point: it starts the telemetry
+// of latency mode ("exec", "stream" or "analyze"), which the cursor finishes,
+// and builds one pipeline over the cursor's snapshot view, or one per corpus
+// member. chunk <= 0 runs unbounded chunks, which is what a full drain wants.
+func (p *Prepared) run(ctx context.Context, corpus string, cfg Config, mode string, chunk int) (*Cursor, error) {
+	c := &Cursor{ro: p.beginRun(cfg, mode)}
+	var root xqexec.Cursor
+	var err error
+	if corpus == "" {
+		c.view.eng, c.view.opts = p.eng, p.plan.Options()
+		root, err = p.build(ctx, cfg, chunk, c.ro.st, &c.view)
+	} else {
+		root, err = p.corpusMerge(ctx, corpus, cfg, chunk, c.ro.st)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{rows: xqexec.NewReader(cur), ro: ro}, nil
+	c.rows = xqexec.NewReader(root)
+	return c, nil
 }
 
-// StreamQuery is Stream through the plan cache: the query text is compiled
-// (or served from the cache) and executed as a cursor pipeline in one call.
-// It is the single-document streaming path of soxqd, where the query text
-// arrives per request and repeats across requests.
-func (e *Engine) StreamQuery(q string, cfg Config) (*Cursor, error) {
-	p, err := e.preparedCached(q)
+// build builds one pipeline: documents and indexes resolve through rv, so it
+// drains one snapshot generation even while mutations land. st is the run's
+// per-operator collector (nil unless the run is analyzed or traced).
+func (p *Prepared) build(ctx context.Context, cfg Config, chunk int, st *xqplan.ExecStats, rv *runView) (xqexec.Cursor, error) {
+	ev := &xqeval.Evaluator{
+		Plan:     p.plan,
+		Resolver: rv.resolve,
+		IndexFor: rv.indexFor,
+		BlobFor:  p.eng.blobFor,
+		Strategy: cfg.Mode.strategy(),
+		JoinCfg:  core.JoinConfig{UseHeap: cfg.HeapActiveList},
+		Pushdown: !cfg.NoPushdown,
+		Stats:    st,
+	}
+	if t := p.eng.tel; t != nil {
+		ev.Met = t.met // the join counters; nil with telemetry off
+	}
+	return xqexec.Build(ctx, ev, xqexec.Config{ChunkSize: chunk})
+}
+
+// drain materialises the run that run returned (c, or its error err) into a
+// Result: the one drain behind Exec, ExecCorpus and Analyze. A pipeline that
+// already holds its whole result hands it over without a copy.
+func drain(c *Cursor, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Stream(cfg)
-}
-
-// pipeline builds the cursor pipeline Exec and Stream share; chunk <= 0
-// means unbounded chunks (materialise per operator), which is what a full
-// drain wants. st attaches the per-operator collector of a traced run (nil
-// otherwise).
-func (p *Prepared) pipeline(cfg Config, chunk int, st *xqplan.ExecStats) (xqexec.Cursor, error) {
-	ev := p.evaluator(cfg)
-	ev.Stats = st
-	return xqexec.Build(ev, xqexec.Config{ChunkSize: chunk})
+	items, err := xqexec.DrainAll(c.rows.Cursor())
+	c.ro.finish()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{items: items}, nil
 }

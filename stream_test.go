@@ -1,7 +1,11 @@
 package soxq
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -305,6 +309,107 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// countdownCtx reports context.Canceled from the (n+1)-th call of Err on:
+// a run under it is cancelled at exactly its n-th context check.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestRunCancel cancels the nested-loop and standoff-prefix queries of
+// BenchmarkStreamExec, over a small scene corpus at chunk sizes 1 to 3, at
+// each of their chunk boundaries in turn. Every cancelled run must end in
+// context.Canceled after exactly the rows an uncancelled run delivers first,
+// with no goroutine left behind; then a real cancel from another goroutine
+// must end a long drain the same way.
+func TestRunCancel(t *testing.T) {
+	eng := New()
+	if err := eng.LoadXML("big.xml", sceneCorpusXML(4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`for $s in doc("big.xml")//scene for $p in 1 to 60 return $s/@start + $p`,
+		`doc("big.xml")//scene/select-wide::scene/select-narrow::hit`,
+	} {
+		prep, err := eng.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := prep.Exec(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, v := range res.Values() {
+			want = append(want, v.XML())
+		}
+		for chunk := 1; chunk <= 3; chunk++ {
+			midStream := false
+			for n := 0; ; n++ {
+				var rows []string
+				var runErr error
+				spawncheck.Run(func(started func() int) {
+					cur, err := prep.Run(&countdownCtx{Context: context.Background(), n: n}, "", Config{StreamChunk: chunk})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for cur.Next() {
+						rows = append(rows, cur.Value().XML())
+					}
+					runErr = cur.Close()
+					if k := started(); k != 0 {
+						t.Fatalf("%s, chunk %d, cancel at check %d: %d goroutines left", q, chunk, n, k)
+					}
+				})
+				if len(rows) > len(want) || !slices.Equal(rows, want[:len(rows)]) {
+					t.Fatalf("%s, chunk %d, cancel at check %d: rows %v are not a prefix of %v", q, chunk, n, rows, want)
+				}
+				if runErr == nil {
+					if len(rows) != len(want) {
+						t.Fatalf("%s, chunk %d: uncancelled run gave %d rows, want %d", q, chunk, len(rows), len(want))
+					}
+					break
+				}
+				if !errors.Is(runErr, context.Canceled) {
+					t.Fatalf("%s, chunk %d, cancel at check %d: error %v, want context.Canceled", q, chunk, n, runErr)
+				}
+				midStream = midStream || len(rows) > 0 && len(rows) < len(want)
+			}
+			if !midStream {
+				t.Fatalf("%s, chunk %d: no cancel landed mid-stream", q, chunk)
+			}
+		}
+	}
+
+	prep, err := eng.Prepare(`for $i in 1 to 16000000 return $i`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cur, err := prep.Run(ctx, "", Config{StreamChunk: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go cancel()
+	n := 0
+	for ; cur.Next(); n++ {
+		if got := cur.Value().String(); got != strconv.Itoa(n+1) {
+			t.Fatalf("row %d = %s", n, got)
+		}
+	}
+	if err := cur.Close(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("after %d rows: error %v, want context.Canceled", n, err)
 	}
 }
 

@@ -177,15 +177,6 @@ func (t *engineObs) compaction() {
 	t.compactionsTotal.Inc()
 }
 
-// met returns the evaluator-facing counter handles, nil when telemetry is
-// disabled.
-func (e *Engine) met() *obs.ExecMetrics {
-	if t := e.tel; t != nil {
-		return t.met
-	}
-	return nil
-}
-
 // latencyHist maps an execution mode to its end-to-end latency histogram.
 func (t *engineObs) latencyHist(mode string) *obs.Histogram {
 	switch mode {
@@ -199,41 +190,29 @@ func (t *engineObs) latencyHist(mode string) *obs.Histogram {
 }
 
 // runObs tracks one execution's telemetry from pipeline construction to
-// drain end: the latency clock, and — when tracing — the ExecStats collector
-// the trace is built from. The zero value (telemetry disabled) no-ops
-// everywhere. It lives inline in its owner (stack for Exec, a Cursor field
-// for Stream), so the metrics-only path allocates nothing.
+// drain end: the latency clock, and the ExecStats collector of an analyzed
+// or traced run. With telemetry disabled only Analyze's collector is set,
+// and finish no-ops. It lives inline in the run's Cursor, so the
+// metrics-only path allocates nothing of its own.
 type runObs struct {
-	p     *Prepared
-	mode  string
-	start time.Time
-	st    *xqplan.ExecStats // non-nil when this run is traced
-	done  bool
+	p      *Prepared // nil when telemetry is disabled
+	mode   string
+	start  time.Time
+	st     *xqplan.ExecStats
+	traced bool
+	done   bool
 }
 
-// beginRun starts the telemetry of one execution; the API names its latency
-// mode. The trace collector is created only under cfg.Trace — tracing rides
-// the same ExecStats machinery as EXPLAIN ANALYZE.
-func (p *Prepared) beginRun(cfg Config, api string) runObs {
-	if p.eng.tel == nil {
-		return runObs{}
-	}
-	ro := runObs{p: p, mode: api, start: time.Now()}
-	if cfg.Trace {
+// beginRun starts the telemetry of one execution in the given latency mode.
+// The collector is created for Analyze and, with telemetry on, under
+// cfg.Trace — tracing rides the same ExecStats machinery as EXPLAIN ANALYZE.
+func (p *Prepared) beginRun(cfg Config, mode string) runObs {
+	var ro runObs
+	if mode == "analyze" || cfg.Trace && p.eng.tel != nil {
 		ro.st = xqplan.NewExecStats()
 	}
-	return ro
-}
-
-// beginAnalyze is beginRun for Analyze, which always carries an ExecStats;
-// the run is additionally traced when cfg.Trace is set.
-func (p *Prepared) beginAnalyze(cfg Config, st *xqplan.ExecStats) runObs {
-	if p.eng.tel == nil {
-		return runObs{}
-	}
-	ro := runObs{p: p, mode: "analyze", start: time.Now()}
-	if cfg.Trace {
-		ro.st = st
+	if p.eng.tel != nil {
+		ro.p, ro.mode, ro.start, ro.traced = p, mode, time.Now(), cfg.Trace
 	}
 	return ro
 }
@@ -250,8 +229,10 @@ func (ro *runObs) finish() {
 	nanos := time.Since(ro.start).Nanoseconds()
 	t.latencyHist(ro.mode).Observe(nanos)
 	var tr *obs.QueryTrace
-	if ro.st != nil {
-		tr = ro.p.buildTrace(ro.mode, ro.start, nanos, ro.st)
+	var st *xqplan.ExecStats // the slow log's plan carries a traced run's counters
+	if ro.traced {
+		st = ro.st
+		tr = ro.p.buildTrace(ro.mode, ro.start, nanos, st)
 		ro.p.lastTrace.Store(tr)
 		t.ring.Add(tr)
 		t.tracesTotal.Inc()
@@ -263,7 +244,7 @@ func (ro *runObs) finish() {
 			Mode:  ro.mode,
 			Start: ro.start,
 			Nanos: nanos,
-			Plan:  ro.p.explainWith(ro.st).String(),
+			Plan:  ro.p.explainWith(st).String(),
 		}
 		if tr != nil {
 			entry.Trace = tr.Render(false)
