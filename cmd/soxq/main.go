@@ -82,7 +82,7 @@ func main() {
 	explain := flag.Bool("explain", false, "print the compiled plan instead of results")
 	analyze := flag.Bool("analyze", false, "run the query and print the plan annotated with observed per-operator counters (EXPLAIN ANALYZE)")
 	stream := flag.Bool("stream", false, "stream results through the cursor pipeline instead of materialising them")
-	streamChunk := flag.Int("stream-chunk", 0, "tuples (and StandOff context areas) per pipeline chunk for -stream/-analyze (0 = default 1024)")
+	streamChunk := flag.Int("stream-chunk", 0, "tuples (and StandOff context areas) per pipeline chunk (0 = default 1024)")
 	trace := flag.Bool("trace", false, "run the query with lifecycle tracing and print the span tree (parse/compile/execute with per-operator counts) after the results")
 	traceDurations := flag.Bool("trace-durations", false, "include measured durations and timestamps in the -trace rendering (non-deterministic output)")
 	ops := flag.String("ops", "", "serve the ops HTTP surface (/metrics, /debug/vars, /debug/queries) on this address, e.g. :6060, and wait for interrupt after the query")

@@ -17,6 +17,7 @@ import (
 
 	"soxq"
 	"soxq/internal/tree"
+	"soxq/internal/xqexec"
 )
 
 // serverConfig tunes the corpus server's admission control and per-query
@@ -29,7 +30,8 @@ type serverConfig struct {
 	QueueTimeout time.Duration
 	// MaxChunk caps the per-query stream chunk (Config.StreamChunk): the
 	// server's memory budget per query is proportional to the chunk, so
-	// requests asking for a larger chunk are clamped here.
+	// requests asking for a larger chunk are clamped here. It bounds a
+	// cache=1 run's working memory too; the cached result itself is whole.
 	MaxChunk int
 }
 
@@ -348,7 +350,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if chunk <= 0 {
-		chunk = 1024
+		chunk = xqexec.DefaultChunkSize // resolved here so the ceiling clamps it too
 	}
 	chunk = min(chunk, s.cfg.MaxChunk)
 	useCache := r.FormValue("cache") == "1"

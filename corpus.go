@@ -133,7 +133,7 @@ func (e *Engine) corpusShards(corpus string) ([]shard, error) {
 // A shard's run view is pre-seeded so both the corpus URI and the member's
 // own name resolve to the pinned member snapshot; any other document
 // reference falls through to the engine.
-func (p *Prepared) corpusMerge(ctx context.Context, corpus string, cfg Config, chunk int, st *xqplan.ExecStats) (xqexec.Cursor, error) {
+func (p *Prepared) corpusMerge(ctx context.Context, corpus string, cfg Config, st *xqplan.ExecStats) (xqexec.Cursor, error) {
 	shards, err := p.eng.corpusShards(corpus)
 	if err != nil {
 		return nil, err
@@ -142,7 +142,7 @@ func (p *Prepared) corpusMerge(ctx context.Context, corpus string, cfg Config, c
 	sources := make([]xqexec.ShardSource, len(shards))
 	for i, sh := range shards {
 		sources[i] = func() (xqexec.Cursor, error) {
-			return p.build(ctx, cfg, chunk, st, &runView{eng: p.eng, opts: p.plan.Options(),
+			return p.build(ctx, cfg, st, &runView{eng: p.eng, opts: p.plan.Options(),
 				docs: map[string]*tree.Doc{corpus: sh.doc, sh.name: sh.doc}})
 		}
 	}
@@ -161,10 +161,10 @@ func (p *Prepared) StreamCorpus(corpus string, cfg Config) (*Cursor, error) {
 }
 
 // ExecCorpus is the materialising form of StreamCorpus: the merged corpus
-// stream drained into a Result, each shard with unbounded chunks as Exec
-// drains a single document.
+// stream, chunked by cfg.StreamChunk exactly as StreamCorpus runs it,
+// drained into a Result.
 func (p *Prepared) ExecCorpus(corpus string, cfg Config) (*Result, error) {
-	return drain(p.run(context.Background(), corpus, cfg, "exec", 0))
+	return drain(p.run(context.Background(), corpus, cfg, "exec"))
 }
 
 // resultKey identifies one cached corpus result. The catalog generation is

@@ -258,6 +258,36 @@ func TestQueryCorpusEqualsMembers(t *testing.T) {
 	}
 }
 
+// TestExecCorpusHonoursStreamChunk pins that a materialising corpus run (the
+// path of soxqd's cache=1) is chunked by StreamChunk like a streamed one: a
+// 10-iteration loop over each of two members runs 5 chunks of 2 per shard.
+func TestExecCorpusHonoursStreamChunk(t *testing.T) {
+	eng := New()
+	for _, m := range []string{"a.xml", "b.xml"} {
+		if err := eng.LoadXML(m, []byte(`<doc/>`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.CreateCorpus("c", "a.xml", "b.xml"); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(`for $i in 1 to 10 return $i`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.ExecCorpus("c", Config{StreamChunk: 2, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 20 {
+		t.Fatalf("result len = %d, want 20", res.Len())
+	}
+	tr := prep.TraceLast().String()
+	if !strings.Contains(tr, "flwor in=20 out=20 chunks=10\n") {
+		t.Fatalf("flwor span does not read chunks=10:\n%s", tr)
+	}
+}
+
 // TestCorpusStreamEarlyCloseNoLeak closes corpus streams mid-drain, at a
 // different shard each round, and asserts no goroutine outlives them.
 func TestCorpusStreamEarlyCloseNoLeak(t *testing.T) {

@@ -376,7 +376,7 @@ func TestAnalyzeNestedFLWORCounts(t *testing.T) {
 		cfg    Config
 		chunks int64
 	}{
-		{Config{}, 1},                 // Exec-style drain: one chunk
+		{Config{}, 4},                 // default chunk: as StreamChunk 100
 		{Config{StreamChunk: 2}, 8},   // 2 outer chunks x (2+1) inner... 4 children x 2 chunks
 		{Config{StreamChunk: 100}, 4}, // one outer chunk, 4 child cursors x 1 chunk
 	} {

@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"soxq/internal/core"
+	"soxq/internal/tree"
+	"soxq/internal/xqeval"
 )
 
 // This file is the differential fuzz harness of the streaming engine: a
@@ -119,10 +123,10 @@ func fuzzQueries(r *rand.Rand) []string {
 }
 
 // fuzzConfigs is the execution matrix every generated query must agree
-// across; the zero Config (materialising Exec in auto mode) is the
-// reference.
+// across; the materialising evaluator (referenceRun) is the reference.
 func fuzzConfigs() []Config {
 	return []Config{
+		{},
 		{Mode: ModeBasic},
 		{Mode: ModeLoopLifted},
 		{NoPushdown: true},
@@ -148,8 +152,8 @@ func runFuzzCase(t *testing.T, seed uint64) {
 }
 
 // runDiffCase loads doc as f.xml and checks every query under every config,
-// Exec and Stream alike, against the default Exec: results byte for byte,
-// errors exactly.
+// Exec and Stream alike, against referenceRun: results byte for byte, errors
+// exactly.
 func runDiffCase(t *testing.T, seed uint64, doc string, queries []string, cfgs []Config) {
 	t.Helper()
 	eng := New()
@@ -161,11 +165,7 @@ func runDiffCase(t *testing.T, seed uint64, doc string, queries []string, cfgs [
 		if err != nil {
 			t.Fatalf("seed %d: generated query does not compile: %v\n%s", seed, err, q)
 		}
-		var want string
-		res, refErr := prep.Exec(Config{})
-		if refErr == nil {
-			want = res.String()
-		}
+		want, refErr := referenceRun(prep)
 		for _, cfg := range cfgs {
 			// Every config runs both execution styles.
 			var gotExec string
@@ -210,6 +210,28 @@ func runDiffCase(t *testing.T, seed uint64, doc string, queries []string, cfgs [
 			t.Fatalf("seed %d query %q: exec after analyze diverged: got=%q want=%q", seed, q, got, want)
 		}
 	}
+}
+
+// referenceRun is the differential harness's oracle: the query evaluated by
+// the materialising xqeval.Evaluator.Run, Loop-Lifted with pushdown on, over
+// the engine's documents and indexes. It shares the expression semantics with
+// the cursor pipeline every entry point drains, but not the pipeline: no
+// chunks, no cursors, no streamed StandOff stages or merges.
+func referenceRun(prep *Prepared) (string, error) {
+	eng, opts := prep.eng, prep.plan.Options()
+	ev := &xqeval.Evaluator{
+		Plan:     prep.plan,
+		Resolver: eng.resolve,
+		IndexFor: func(d *tree.Doc) (*core.RegionIndex, error) { return eng.indexFor(d, opts) },
+		BlobFor:  eng.blobFor,
+		Strategy: core.StrategyLoopLifted,
+		Pushdown: true,
+	}
+	items, err := ev.Run()
+	if err != nil {
+		return "", err
+	}
+	return (&Result{items: items}).String(), nil
 }
 
 // FuzzStreamEquivalence is the open-ended harness: `go test
@@ -289,14 +311,14 @@ func fuzzRegionQueries(r *rand.Rand) []string {
 }
 
 // runRegionFuzzCase executes one seed of the multi-region harness: the
-// default Exec against the Basic baseline (which never reduces), no
-// pushdown, and the chunked Stream.
+// reference against the default run, the Basic baseline (which never
+// reduces), no pushdown, and small chunks.
 func runRegionFuzzCase(t *testing.T, seed uint64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(int64(seed)))
 	doc := fuzzRegionDoc(r)
 	runDiffCase(t, seed, doc, fuzzRegionQueries(r), []Config{
-		{Mode: ModeBasic}, {NoPushdown: true}, {StreamChunk: 1}, {StreamChunk: 3}, {StreamChunk: 16},
+		{}, {Mode: ModeBasic}, {NoPushdown: true}, {StreamChunk: 1}, {StreamChunk: 3}, {StreamChunk: 16},
 	})
 }
 

@@ -2,7 +2,7 @@
 // compiled query plans in. The cache is safe for concurrent use: lookups
 // from many query goroutines interleave with invalidation from Declare and
 // Unload. Values are expected to be immutable (compiled plans are), so a
-// value handed out by Get stays valid after eviction or Purge.
+// value handed out by GetOrCompute stays valid after eviction or Purge.
 package plancache
 
 import (
@@ -53,44 +53,6 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 	return &Cache[K, V]{max: max, ll: list.New(), items: map[K]*list.Element{}, inflight: map[K]*flight[V]{}}
 }
 
-// Get returns the cached value for k and marks it most recently used.
-func (c *Cache[K, V]) Get(k K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		c.misses++
-		var zero V
-		return zero, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry[K, V]).val, true
-}
-
-// Put inserts (or refreshes) a value, evicting the least recently used
-// entry when the cache is full.
-func (c *Cache[K, V]) Put(k K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(k, v)
-}
-
-func (c *Cache[K, V]) putLocked(k K, v V) {
-	if el, ok := c.items[k]; ok {
-		el.Value.(*entry[K, V]).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.ll.PushFront(&entry[K, V]{key: k, val: v})
-	if c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry[K, V]).key)
-		c.evictionsLRU++
-	}
-}
-
 // GetOrCompute returns the cached value for k, or computes and caches it.
 // Concurrent misses on the same key are collapsed (singleflight): one caller
 // runs compute, the others block until it finishes and share its result.
@@ -130,7 +92,15 @@ func (c *Cache[K, V]) GetOrCompute(k K, compute func() (V, error)) (V, error) {
 		c.mu.Lock()
 		delete(c.inflight, k)
 		if f.err == nil {
-			c.putLocked(k, f.val)
+			// k is absent: only this flight inserts it. Insert it as most
+			// recently used, evicting the least recently used when full.
+			c.items[k] = c.ll.PushFront(&entry[K, V]{key: k, val: f.val})
+			if c.ll.Len() > c.max {
+				oldest := c.ll.Back()
+				c.ll.Remove(oldest)
+				delete(c.items, oldest.Value.(*entry[K, V]).key)
+				c.evictionsLRU++
+			}
 		}
 		c.mu.Unlock()
 		close(f.done)

@@ -8,41 +8,37 @@ import (
 	"testing"
 )
 
-func TestGetPut(t *testing.T) {
-	c := New[string, int](4)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("empty cache must miss")
-	}
-	c.Put("a", 1)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %v %v", v, ok)
-	}
-	c.Put("a", 2) // refresh
-	if v, _ := c.Get("a"); v != 2 {
-		t.Fatalf("refresh lost: %v", v)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats = %d/%d", hits, misses)
-	}
+var errMiss = errors.New("miss")
+
+// lookup returns k's cached value through GetOrCompute without inserting
+// one: on a miss the compute fails, and a failed compute is never cached.
+func lookup[K comparable, V any](c *Cache[K, V], k K) (V, bool) {
+	v, err := c.GetOrCompute(k, func() (V, error) {
+		var zero V
+		return zero, errMiss
+	})
+	return v, err == nil
+}
+
+// put caches v under k through GetOrCompute when k is absent; a present k
+// is a hit that only marks it most recently used.
+func put[K comparable, V any](c *Cache[K, V], k K, v V) {
+	c.GetOrCompute(k, func() (V, error) { return v, nil })
 }
 
 func TestLRUEviction(t *testing.T) {
 	c := New[int, int](3)
 	for i := 0; i < 3; i++ {
-		c.Put(i, i)
+		put(c, i, i)
 	}
-	c.Get(0) // 0 is now most recent; 1 is the LRU victim
-	c.Put(3, 3)
-	if _, ok := c.Get(1); ok {
+	lookup(c, 0) // 0 is now most recent; 1 is the LRU victim
+	put(c, 3, 3)
+	if _, ok := lookup(c, 1); ok {
 		t.Fatal("1 should have been evicted")
 	}
 	for _, k := range []int{0, 2, 3} {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("%d should survive", k)
+		if v, ok := lookup(c, k); !ok || v != k {
+			t.Fatalf("%d should survive, got %v %v", k, v, ok)
 		}
 	}
 	if c.Len() != 3 {
@@ -52,12 +48,12 @@ func TestLRUEviction(t *testing.T) {
 
 func TestPurge(t *testing.T) {
 	c := New[string, string](8)
-	c.Put("x", "y")
+	put(c, "x", "y")
 	c.Purge()
 	if c.Len() != 0 {
 		t.Fatalf("Len after purge = %d", c.Len())
 	}
-	if _, ok := c.Get("x"); ok {
+	if _, ok := lookup(c, "x"); ok {
 		t.Fatal("purged entry returned")
 	}
 }
@@ -65,7 +61,7 @@ func TestPurge(t *testing.T) {
 func TestDefaultCapacity(t *testing.T) {
 	c := New[int, int](0)
 	for i := 0; i < 300; i++ {
-		c.Put(i, i)
+		put(c, i, i)
 	}
 	if c.Len() != 256 {
 		t.Fatalf("default capacity = %d, want 256", c.Len())
@@ -76,6 +72,9 @@ func TestGetOrComputeCachesValue(t *testing.T) {
 	c := New[string, int](4)
 	calls := 0
 	compute := func() (int, error) { calls++; return 42, nil }
+	if _, ok := lookup(c, "k"); ok {
+		t.Fatal("empty cache must miss")
+	}
 	for i := 0; i < 3; i++ {
 		v, err := c.GetOrCompute("k", compute)
 		if err != nil || v != 42 {
@@ -85,9 +84,12 @@ func TestGetOrComputeCachesValue(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
 	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("stats = %d/%d, want 2/1", hits, misses)
+	if hits != 2 || misses != 2 {
+		t.Fatalf("stats = %d/%d, want 2/2", hits, misses)
 	}
 }
 
@@ -203,8 +205,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", i%32)
-				c.Put(k, i)
-				c.Get(k)
+				put(c, k, i)
+				lookup(c, k)
 				if i%100 == 0 {
 					c.Purge()
 				}
@@ -222,15 +224,15 @@ func TestEvictionAccounting(t *testing.T) {
 	if lru, inv := c.Evictions(); lru != 0 || inv != 0 {
 		t.Fatalf("fresh cache evictions = %d/%d", lru, inv)
 	}
-	c.Put(0, 0)
-	c.Put(1, 1)
-	c.Put(2, 2) // evicts 0 under capacity pressure
+	put(c, 0, 0)
+	put(c, 1, 1)
+	put(c, 2, 2) // evicts 0 under capacity pressure
 	if lru, inv := c.Evictions(); lru != 1 || inv != 0 {
 		t.Fatalf("after overflow: lru=%d inv=%d, want 1/0", lru, inv)
 	}
-	c.Put(1, 10) // refresh, not an eviction
+	put(c, 1, 10) // a hit, not an eviction
 	if lru, _ := c.Evictions(); lru != 1 {
-		t.Fatalf("refresh counted as eviction: lru=%d", lru)
+		t.Fatalf("hit counted as eviction: lru=%d", lru)
 	}
 	c.Purge() // both resident entries invalidated
 	if lru, inv := c.Evictions(); lru != 1 || inv != 2 {

@@ -58,8 +58,10 @@ type Evaluator struct {
 	depth int
 
 	// stepPres is the recycled per-context-node pre buffer of the tree
-	// steps (single-goroutine, like the evaluator itself).
+	// steps, ctxParts those of a StandOff join's per-document contexts
+	// (single-goroutine, like the evaluator itself).
 	stepPres []int32
+	ctxParts []docContext
 
 	// genericPredicates makes every step predicate run as xqplan.PredGeneric,
 	// after the join; tests set it to check the classified and pushed
@@ -72,7 +74,10 @@ type Evaluator struct {
 	seqs *seqArena
 }
 
-// Run executes the compiled plan and returns the result sequence.
+// Run executes the compiled plan and returns the result sequence, evaluated
+// whole with no chunking. The engine's entry points drain the xqexec cursor
+// pipeline instead; Run is the materialising reference the differential
+// tests hold that pipeline against.
 func (ev *Evaluator) Run() ([]Item, error) {
 	if ev.JoinCfg.Arena == nil {
 		ev.AttachArena()

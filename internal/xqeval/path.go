@@ -296,9 +296,10 @@ type docContext struct {
 // partitionByDoc splits the context per document fragment (section 4.4), in
 // document order, so rows laid out part after part are in document order.
 // Attribute context items are dropped: attributes are never
-// area-annotations.
-func partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
-	var parts []docContext
+// area-annotations. The parts and their node lists reuse ev.ctxParts, so
+// they are valid until the next call.
+func (ev *Evaluator) partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
+	parts := ev.ctxParts[:0]
 	cur := -1 // index of the part the previous node went to
 	for i := 0; i < ctx.N(); i++ {
 		for r := ctx.Off[i]; r < ctx.Off[i+1]; r++ {
@@ -309,8 +310,11 @@ func partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
 			if cur < 0 || parts[cur].d != it.D {
 				cur = slices.IndexFunc(parts, func(p docContext) bool { return p.d == it.D })
 				if cur < 0 {
-					cur = len(parts)
-					parts = append(parts, docContext{d: it.D, nodes: make([]core.CtxNode, 0, ctx.Total()-int(r))})
+					var nodes []core.CtxNode
+					if cur = len(parts); cur < cap(parts) {
+						nodes = parts[:cur+1][cur].nodes[:0] // this slot's buffer from an earlier call
+					}
+					parts = append(parts, docContext{d: it.D, nodes: slices.Grow(nodes, ctx.Total()-int(r))})
 				}
 			}
 			row := r
@@ -320,6 +324,7 @@ func partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
 			parts[cur].nodes = append(parts[cur].nodes, core.CtxNode{Iter: row, Pre: it.Pre})
 		}
 	}
+	ev.ctxParts = parts
 	slices.SortStableFunc(parts, func(a, b docContext) int { return cmp.Compare(a.d.OrderKey(), b.d.OrderKey()) })
 	return parts
 }
@@ -344,7 +349,7 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 	if perIteration {
 		nRows = ctx.N()
 	}
-	parts := partitionByDoc(ctx, perIteration)
+	parts := ev.partitionByDoc(ctx, perIteration)
 	var ob *llBuilder
 	for _, part := range parts {
 		d := part.d
@@ -435,7 +440,7 @@ func (ev *Evaluator) standOffReduce(sp *xqplan.StepPlan, ctx LLSeq, first bool) 
 	} else {
 		out = make([]int32, ctx.N())
 	}
-	for _, part := range partitionByDoc(ctx, !first) {
+	for _, part := range ev.partitionByDoc(ctx, !first) {
 		ix, cand, keep, err := ev.joinInputs(sp, part.d, sp.Preds[:sp.Pushed])
 		if err != nil {
 			return nil, err

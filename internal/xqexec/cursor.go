@@ -152,9 +152,6 @@ func (r *Reader) Fill(dst []xqeval.Item, limit int) []xqeval.Item {
 // Err returns the underlying cursor's error.
 func (r *Reader) Err() error { return r.c.Err() }
 
-// Cursor returns the cursor r reads, for a drain of the rest (DrainAll).
-func (r *Reader) Cursor() Cursor { return r.c }
-
 // Close drops the current batch and closes the underlying cursor.
 func (r *Reader) Close() {
 	r.b, r.n, r.i = Batch{}, 0, 0
@@ -174,13 +171,12 @@ type Config struct {
 	// ChunkSize is the number of loop tuples evaluated per pipeline chunk,
 	// and of context areas a chunked StandOff step joins per chunk; it is
 	// fixed for the run. Larger chunks amortise the loop-lifted joins
-	// better; smaller chunks bound memory tighter. <= 0 means unbounded:
-	// each operator materialises fully, which is what Exec (a drain) wants.
+	// better; smaller chunks bound memory tighter. <= 0 means
+	// DefaultChunkSize.
 	ChunkSize int
 }
 
-// DefaultChunkSize is the chunk size Stream uses when the caller does not
-// set one.
+// DefaultChunkSize is the chunk size of a run that does not set one.
 const DefaultChunkSize = 1024
 
 // Build compiles the plan body into a cursor pipeline: globals are evaluated
@@ -200,14 +196,17 @@ func Build(ctx context.Context, ev *xqeval.Evaluator, cfg Config) (Cursor, error
 		ev.DetachArena()
 		return nil, err
 	}
+	if cfg.ChunkSize <= 0 {
+		cfg.ChunkSize = DefaultChunkSize
+	}
 	x := &executor{ctx: ctx, ev: ev, cfg: cfg}
 	return &pipelineCursor{Cursor: x.build(ev.Plan.Body(), root), x: x}, nil
 }
 
 // pipelineCursor wraps a pipeline's root cursor to scope the evaluator's
-// join arena to the run: Close (always reached — DrainAll defers it, and
-// soxq.Cursor.Close forwards) releases the arena and every buffer on loan
-// from it back to the pool. It reads the run's context before each batch.
+// join arena to the run: Close (soxq.Cursor.Close forwards it) releases the
+// arena and every buffer on loan from it back to the pool. It reads the
+// run's context before each batch.
 type pipelineCursor struct {
 	Cursor
 	x   *executor
@@ -229,32 +228,11 @@ func (c *pipelineCursor) Close() {
 	c.x.ev.DetachSeqArena()
 }
 
-// takeAll forwards the materialising fast path through the wrapper so a
-// non-streamable pipeline still hands its backing slice to DrainAll.
-func (c *pipelineCursor) takeAll() ([]xqeval.Item, error) {
-	if t, ok := c.Cursor.(interface{ takeAll() ([]xqeval.Item, error) }); ok {
-		return t.takeAll()
-	}
-	out := appendAll(nil, c.Cursor)
-	if err := c.Cursor.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // executor carries the build context shared by all cursors of one pipeline.
 type executor struct {
 	ctx context.Context
 	ev  *xqeval.Evaluator
 	cfg Config
-}
-
-// chunkSize returns the effective tuples-per-chunk bound.
-func (x *executor) chunkSize() int {
-	if x.cfg.ChunkSize <= 0 {
-		return int(^uint(0) >> 1) // unbounded: one chunk materialises all
-	}
-	return x.cfg.ChunkSize
 }
 
 // build constructs the cursor for one expression under a root-shaped frame
@@ -334,26 +312,11 @@ func flattenSeq(v *xqast.Binary) []xqast.Expr {
 	return []xqast.Expr{v.L, v.R}
 }
 
-// DrainAll exhausts a cursor into a slice — the bridge Exec uses to stay a
-// thin drain of Stream. Cursors that already hold their full result hand the
-// backing slice over without a copy.
-func DrainAll(c Cursor) ([]xqeval.Item, error) {
-	defer c.Close()
-	if t, ok := c.(interface{ takeAll() ([]xqeval.Item, error) }); ok {
-		return t.takeAll()
-	}
-	out := appendAll(nil, c)
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // materialCursor is the fallback operator: it evaluates the whole expression
 // with the materialising evaluator on the first NextBatch and hands the
 // result over as one batch. It is also what keeps the two execution styles
 // semantically identical — any form the pipeline does not understand runs
-// exactly as Exec always has.
+// exactly as the materialising evaluator runs it.
 type materialCursor struct {
 	ev      *xqeval.Evaluator
 	e       xqast.Expr
@@ -374,24 +337,16 @@ func (c *materialCursor) run() {
 }
 
 func (c *materialCursor) NextBatch() Batch {
-	items, _ := c.takeAll()
-	return Batch{Items: items}
-}
-
-func (c *materialCursor) Err() error { return c.err }
-func (c *materialCursor) Close()     { c.started, c.items = true, nil }
-
-// takeAll lets DrainAll skip the batch copy: the evaluated group is handed
-// over directly, making Exec-through-the-pipeline identical in cost to the
-// pre-streaming Exec for non-pipelined plans.
-func (c *materialCursor) takeAll() ([]xqeval.Item, error) {
 	if !c.started {
 		c.run()
 	}
 	items := c.items
 	c.items = nil
-	return items, c.err
+	return Batch{Items: items}
 }
+
+func (c *materialCursor) Err() error { return c.err }
+func (c *materialCursor) Close()     { c.started, c.items = true, nil }
 
 // concatCursor streams the concatenation of n parts, building part i only
 // when part i-1 is exhausted: a `,` sequence holds one operand's pipeline at

@@ -210,12 +210,13 @@ func render(items []xqeval.Item, err error) string {
 }
 
 // equivalenceMatrix is the configuration grid every equivalence test runs:
-// chunk sizes from degenerate (1) to unbounded (0). One grid, shared by the
-// internal and public matrix tests, replaces the ad-hoc per-test config
-// lists that used to drift apart.
+// chunk sizes from degenerate (1) through the default (0) to one chunk that
+// holds everything (1 << 20). One grid, shared by the internal and public
+// matrix tests, replaces the ad-hoc per-test config lists that used to
+// drift apart.
 func equivalenceMatrix() []Config {
 	var cfgs []Config
-	for _, chunk := range []int{1, 2, 7, 64, 0} {
+	for _, chunk := range []int{1, 2, 7, 64, 0, 1 << 20} {
 		cfgs = append(cfgs, Config{ChunkSize: chunk})
 	}
 	return cfgs
@@ -258,6 +259,16 @@ func runPipeline(ev *xqeval.Evaluator, cfg Config) ([]xqeval.Item, error) {
 		return nil, err
 	}
 	return DrainAll(cur)
+}
+
+// DrainAll exhausts a cursor into a slice, closing it.
+func DrainAll(c Cursor) ([]xqeval.Item, error) {
+	defer c.Close()
+	out := appendAll(nil, c)
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // drainRows drains c one row at a time through a Reader.
@@ -531,9 +542,8 @@ func TestStandoffCursorStreams(t *testing.T) {
 }
 
 // TestNestedCursorEngages pins the cursor-valued-binding decision: a
-// streamable inner for clause binds a child cursor under bounded chunks,
-// stays expanded under unbounded chunks (Exec's drain wants the full
-// loop-lifting), and a StandOff inner binding always stays expanded.
+// streamable inner for clause binds a child cursor, and a StandOff inner
+// binding always stays expanded.
 func TestNestedCursorEngages(t *testing.T) {
 	env := newTestEnv(t)
 	pin := func(q string, chunk int, wantNested bool) {
@@ -558,7 +568,6 @@ func TestNestedCursorEngages(t *testing.T) {
 	}
 	pin(`for $s in doc("t.xml")//scene for $w in $s/speech return $w`, 4, true)
 	pin(`for $i in 1 to 10 for $j in 1 to $i return $j`, 4, true)
-	pin(`for $i in 1 to 10 for $j in 1 to $i return $j`, 0, false)
 	pin(`for $s in doc("t.xml")//scene for $h in $s/select-narrow::hit return $h`, 4, false)
 	pin(`for $s in doc("t.xml")//scene let $n := count($s/speech) for $w in $s/speech return $n`, 4, false)
 }

@@ -143,15 +143,10 @@ func (c *flworCursor) init() {
 	c.done = true
 }
 
-// initNested engages the cursor-valued-binding mode: under bounded chunks,
-// an immediately following for clause over a streamable binding makes each
-// parent tuple drive a child cursor. Unbounded chunks (Exec's full drain)
-// keep the expanded path — there the whole loop evaluates loop-lifted in one
-// chunk, which is exactly the amortisation the materialising engine wants.
+// initNested engages the cursor-valued-binding mode: an immediately
+// following for clause over a streamable binding makes each parent tuple
+// drive a child cursor.
 func (c *flworCursor) initNested() {
-	if c.x.cfg.ChunkSize <= 0 {
-		return
-	}
 	m := c.memo
 	if !m.decided {
 		m.decided = true
@@ -203,7 +198,6 @@ func (c *flworCursor) nextChunk() {
 	if c.err = c.x.ctx.Err(); c.err != nil {
 		return
 	}
-	limit := c.x.chunkSize()
 	if c.chunk == nil && c.memo != nil {
 		// Adopt the level's recycled chunk buffer (returned on Close). The
 		// previous sibling was drained before this cursor started, so its
@@ -212,7 +206,7 @@ func (c *flworCursor) nextChunk() {
 	}
 	c.chunk = c.chunk[:0]
 	c.ti = 0
-	c.chunk = c.bind.Fill(c.chunk, limit)
+	c.chunk = c.bind.Fill(c.chunk, c.x.cfg.ChunkSize)
 	if err := c.bind.Err(); err != nil {
 		c.err = err
 		return

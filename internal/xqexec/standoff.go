@@ -111,7 +111,7 @@ func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*stan
 			return nil, nil
 		}
 	}
-	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(g)), chunk: x.chunkSize()}
+	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(g)), chunk: x.cfg.ChunkSize}
 	if d == nil {
 		// No element context at all: the step is empty, but still streams
 		// (and still reports its ANALYZE row counts).
@@ -141,7 +141,7 @@ func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*stan
 // deduplicated and in document order. Unlike the item form this never fails
 // over to the bulk step — a single document is guaranteed by construction.
 func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32) (*standoffCursor, error) {
-	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(pres)), chunk: x.chunkSize()}
+	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(pres)), chunk: x.cfg.ChunkSize}
 	if d == nil || len(pres) == 0 {
 		return c, nil
 	}

@@ -122,12 +122,13 @@ type Config struct {
 	//
 	// Deprecated: ignored; the field goes at the next API change.
 	Parallelism int
-	// StreamChunk is the number of loop tuples a Stream pipeline evaluates
+	// StreamChunk is the number of loop tuples a run's pipeline evaluates
 	// per chunk, and the number of context areas a streamed StandOff select
 	// step joins per chunk (0 means the default, 1024). The size is fixed
 	// for the whole run. Larger chunks amortise the loop-lifted StandOff
 	// joins over more iterations; smaller chunks bound peak memory tighter.
-	// Exec and ExecCorpus ignore it: a full drain runs unbounded chunks.
+	// Every entry point honours it: Exec, ExecCorpus and Analyze drain the
+	// same chunked pipeline Stream returns.
 	StreamChunk int
 	// Trace records a query-lifecycle trace of this execution: a span tree
 	// of parse/compile timings and per-operator row, candidate, join and
@@ -406,12 +407,12 @@ func (e *Engine) currentOptions() core.Options {
 }
 
 // Exec runs the compiled query under the given configuration and returns the
-// materialised result: a drain of the pipeline Run returns, built with
-// unbounded chunks, since a full drain materialises per operator anyway. It
-// is safe to call concurrently: each call builds a fresh pipeline over the
-// shared immutable plan.
+// materialised result: a drain of the pipeline Run returns, chunked by
+// cfg.StreamChunk, so its working memory is bounded like Stream's and only
+// the result itself is whole. It is safe to call concurrently: each call
+// builds a fresh pipeline over the shared immutable plan.
 func (p *Prepared) Exec(cfg Config) (*Result, error) {
-	return drain(p.run(context.Background(), "", cfg, "exec", 0))
+	return drain(p.run(context.Background(), "", cfg, "exec"))
 }
 
 // Analyze executes the compiled query like Exec while collecting the
@@ -420,11 +421,11 @@ func (p *Prepared) Exec(cfg Config) (*Result, error) {
 // and out, candidates scanned, join algorithms and delta merges per
 // StandOff step, and FLWOR tuple/chunk counts. Counter collection costs one
 // map update per operator evaluation (not per row), so Analyze timing is
-// representative; Exec and Stream pay only a nil check. With
-// cfg.StreamChunk > 0 the run is chunked like Stream, so the chunk counters
-// reflect streamed execution.
+// representative; Exec and Stream pay only a nil check. The run is chunked
+// by cfg.StreamChunk like every other, so the chunk counters are those of
+// Exec and Stream under the same configuration.
 func (p *Prepared) Analyze(cfg Config) (*Result, *PlanExplain, error) {
-	c, err := p.run(context.Background(), "", cfg, "analyze", cfg.StreamChunk)
+	c, err := p.run(context.Background(), "", cfg, "analyze")
 	res, err := drain(c, err)
 	if err != nil {
 		return nil, nil, err

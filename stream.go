@@ -3,6 +3,7 @@ package soxq
 import (
 	"context"
 	"io"
+	"math"
 
 	"soxq/internal/core"
 	"soxq/internal/xqeval"
@@ -116,11 +117,7 @@ func (c *Cursor) WriteXML(w io.Writer) error {
 // as order by finishes first). Run is safe to call from any number of
 // goroutines: each call builds an independent pipeline over the shared plan.
 func (p *Prepared) Run(ctx context.Context, corpus string, cfg Config) (*Cursor, error) {
-	chunk := cfg.StreamChunk
-	if chunk <= 0 {
-		chunk = xqexec.DefaultChunkSize
-	}
-	return p.run(ctx, corpus, cfg, "stream", chunk)
+	return p.run(ctx, corpus, cfg, "stream")
 }
 
 // Stream is Run with no corpus and no context to cancel it. The drained
@@ -132,16 +129,16 @@ func (p *Prepared) Stream(cfg Config) (*Cursor, error) {
 // run is the one run path behind every entry point: it starts the telemetry
 // of latency mode ("exec", "stream" or "analyze"), which the cursor finishes,
 // and builds one pipeline over the cursor's snapshot view, or one per corpus
-// member. chunk <= 0 runs unbounded chunks, which is what a full drain wants.
-func (p *Prepared) run(ctx context.Context, corpus string, cfg Config, mode string, chunk int) (*Cursor, error) {
+// member, all chunked by cfg.StreamChunk.
+func (p *Prepared) run(ctx context.Context, corpus string, cfg Config, mode string) (*Cursor, error) {
 	c := &Cursor{ro: p.beginRun(cfg, mode)}
 	var root xqexec.Cursor
 	var err error
 	if corpus == "" {
 		c.view.eng, c.view.opts = p.eng, p.plan.Options()
-		root, err = p.build(ctx, cfg, chunk, c.ro.st, &c.view)
+		root, err = p.build(ctx, cfg, c.ro.st, &c.view)
 	} else {
-		root, err = p.corpusMerge(ctx, corpus, cfg, chunk, c.ro.st)
+		root, err = p.corpusMerge(ctx, corpus, cfg, c.ro.st)
 	}
 	if err != nil {
 		return nil, err
@@ -153,7 +150,7 @@ func (p *Prepared) run(ctx context.Context, corpus string, cfg Config, mode stri
 // build builds one pipeline: documents and indexes resolve through rv, so it
 // drains one snapshot generation even while mutations land. st is the run's
 // per-operator collector (nil unless the run is analyzed or traced).
-func (p *Prepared) build(ctx context.Context, cfg Config, chunk int, st *xqplan.ExecStats, rv *runView) (xqexec.Cursor, error) {
+func (p *Prepared) build(ctx context.Context, cfg Config, st *xqplan.ExecStats, rv *runView) (xqexec.Cursor, error) {
 	ev := &xqeval.Evaluator{
 		Plan:     p.plan,
 		Resolver: rv.resolve,
@@ -167,19 +164,17 @@ func (p *Prepared) build(ctx context.Context, cfg Config, chunk int, st *xqplan.
 	if t := p.eng.tel; t != nil {
 		ev.Met = t.met // the join counters; nil with telemetry off
 	}
-	return xqexec.Build(ctx, ev, xqexec.Config{ChunkSize: chunk})
+	return xqexec.Build(ctx, ev, xqexec.Config{ChunkSize: cfg.StreamChunk})
 }
 
 // drain materialises the run that run returned (c, or its error err) into a
-// Result: the one drain behind Exec, ExecCorpus and Analyze. A pipeline that
-// already holds its whole result hands it over without a copy.
+// Result: the one drain behind Exec, ExecCorpus and Analyze.
 func drain(c *Cursor, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	items, err := xqexec.DrainAll(c.rows.Cursor())
-	c.ro.finish()
-	if err != nil {
+	items := c.rows.Fill(nil, math.MaxInt)
+	if err := c.Close(); err != nil {
 		return nil, err
 	}
 	return &Result{items: items}, nil

@@ -43,11 +43,11 @@ var streamCorpus = []string{
 }
 
 // streamMatrix is the public equivalence grid: StreamChunk from degenerate
-// (1) to unbounded (0, the Stream default) — the same cells as the internal
-// pipeline matrix.
+// (1) through the default (0) to one chunk that holds everything (1 << 20)
+// — the same cells as the internal pipeline matrix.
 func streamMatrix() []Config {
 	var cfgs []Config
-	for _, chunk := range []int{1, 2, 7, 64, 0} {
+	for _, chunk := range []int{1, 2, 7, 64, 0, 1 << 20} {
 		cfgs = append(cfgs, Config{StreamChunk: chunk})
 	}
 	return cfgs
