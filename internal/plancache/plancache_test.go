@@ -26,6 +26,28 @@ func put[K comparable, V any](c *Cache[K, V], k K, v V) {
 	c.GetOrCompute(k, func() (V, error) { return v, nil })
 }
 
+func TestGetPut(t *testing.T) {
+	c := New[string, int](4)
+	if _, ok := lookup(c, "a"); ok {
+		t.Fatal("empty cache must miss")
+	}
+	put(c, "a", 1)
+	if v, ok := lookup(c, "a"); !ok || v != 1 {
+		t.Fatalf("lookup(a) = %v %v", v, ok)
+	}
+	put(c, "a", 2) // a hit: the cached value stays
+	if v, _ := lookup(c, "a"); v != 1 {
+		t.Fatalf("cached value replaced: %v", v)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d", c.Len())
+	}
+	hits, misses := c.Stats()
+	if hits != 3 || misses != 2 {
+		t.Fatalf("stats = %d/%d, want 3/2", hits, misses)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := New[int, int](3)
 	for i := 0; i < 3; i++ {
@@ -72,9 +94,6 @@ func TestGetOrComputeCachesValue(t *testing.T) {
 	c := New[string, int](4)
 	calls := 0
 	compute := func() (int, error) { calls++; return 42, nil }
-	if _, ok := lookup(c, "k"); ok {
-		t.Fatal("empty cache must miss")
-	}
 	for i := 0; i < 3; i++ {
 		v, err := c.GetOrCompute("k", compute)
 		if err != nil || v != 42 {
@@ -84,12 +103,9 @@ func TestGetOrComputeCachesValue(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
 	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("stats = %d/%d, want 2/2", hits, misses)
+	if hits != 2 || misses != 1 {
+		t.Fatalf("stats = %d/%d, want 2/1", hits, misses)
 	}
 }
 
