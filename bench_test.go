@@ -543,6 +543,9 @@ func BenchmarkStreamExec(b *testing.B) {
 		// join's output never materialises as an item sequence).
 		{"standoff-prefix", `doc("big.xml")//scene/select-wide::scene/select-narrow::hit`},
 		{"nested-loop", `for $s in doc("big.xml")//scene for $p in 1 to 60 return $s/@start + $p`},
+		// An attribute-selected context: the // step filters its pres before
+		// boxing, so the document's 122k other nodes never become items.
+		{"attr-filter", `doc("big.xml")//scene[@id = "s7"]/select-narrow::hit`},
 	}
 	for _, tc := range queries {
 		prep, err := data.eng.Prepare(tc.q)

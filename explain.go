@@ -218,8 +218,7 @@ func publicNode(n *xqplan.Node) *OpNode {
 //	  flwor (tuples=1 out=1 chunks=1)
 //	    for $s in
 //	      path doc("d.xml") (out=1)
-//	        step descendant-or-self::node() (in=1 out=1)
-//	        step child::music[@artist = "U2"] (in=1 out=1)
+//	        step descendant::music[@artist = "U2"] pred{attr} (fused //) (in=1 out=1)
 //	        step select-narrow::shot standoff{op=select-narrow push=by-name(shot)
 //	          nopush=all+filter} (in=1 out=1 cand=3 joins=looplifted:1)
 //	    return string($s/@id)

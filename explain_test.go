@@ -63,8 +63,7 @@ plan:
   flwor
     for $s in
       path doc("d.xml")
-        step descendant-or-self::node()
-        step child::music[@artist = "U2"] pred{attr}
+        step descendant::music[@artist = "U2"] pred{attr} (fused //)
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter}
     return string($s/@id)
 stream:
@@ -112,8 +111,7 @@ plan:
   flwor (tuples=1 out=1 chunks=1)
     for $s in
       path doc("d.xml") (out=1)
-        step descendant-or-self::node() (in=1 out=13)
-        step child::music[@artist = "U2"] pred{attr} (in=13 out=1)
+        step descendant::music[@artist = "U2"] pred{attr} (fused //) (in=1 out=1)
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter} (in=1 out=1 cand=3 joins=looplifted:1 stream{chunks=1 chunk=1..1})
     return string($s/@id)
 stream:

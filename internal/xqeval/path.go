@@ -114,7 +114,7 @@ func (ev *Evaluator) evalStep(sp *xqplan.StepPlan, ctx LLSeq, f *frame) (LLSeq, 
 		applied = ev.pushedPreds(sp)
 		rows, err = ev.standOffRows(sp, ctx, perIteration, sp.Preds[:applied])
 	default:
-		rows = ev.treeRows(sp, ctx)
+		rows, applied = ev.treeRows(sp, ctx)
 	}
 	if err != nil {
 		return LLSeq{}, err
@@ -214,33 +214,49 @@ func (ev *Evaluator) countJoin(strat core.Strategy) {
 }
 
 // treeRows evaluates a standard axis: one row per context node, matches
-// written straight into the row buffer.
-func (ev *Evaluator) treeRows(sp *xqplan.StepPlan, ctx LLSeq) LLSeq {
+// written straight into the row buffer. The step's leading attribute
+// comparisons filter the matches before they are boxed; applied is how many.
+func (ev *Evaluator) treeRows(sp *xqplan.StepPlan, ctx LLSeq) (rows LLSeq, applied int) {
+	var ms []attrMatcher
+	for !ev.genericPredicates && len(ms) < len(sp.Preds) && sp.Preds[len(ms)].Class == xqplan.PredAttrCompare {
+		ms = append(ms, attrMatcher{pp: sp.Preds[len(ms)]})
+	}
 	ob := ev.scrBuilderCap(ctx.Total(), ctx.Total())
 	for _, it := range ctx.Items {
-		ob.seq.Items = ev.appendTreeStep(ob.seq.Items, sp, it)
+		ob.seq.Items = ev.appendTreeStep(ob.seq.Items, sp, it, ms)
 		ob.endGroup()
 	}
-	return ob.seq
+	return ob.seq, len(ms)
 }
 
 // appendTreeStep appends the matches of a standard axis step from one context
-// node, in document order, using the step's per-document pre-compiled node
-// test. The pre scratch lives on the evaluator (nothing here re-enters eval,
-// so the buffer cannot be in use twice).
-func (ev *Evaluator) appendTreeStep(dst []Item, sp *xqplan.StepPlan, it Item) []Item {
+// node that satisfy every matcher in ms, in document order, using the step's
+// per-document pre-compiled node test. The pre scratch lives on the evaluator
+// (nothing here re-enters eval, so the buffer cannot be in use twice).
+func (ev *Evaluator) appendTreeStep(dst []Item, sp *xqplan.StepPlan, it Item, ms []attrMatcher) []Item {
+	n := len(dst)
 	switch {
 	case it.Kind == KAttr:
-		return appendAttrSourceStep(dst, sp, it)
+		dst = appendAttrSourceStep(dst, sp, it)
 	case sp.Axis == xpath.AxisAttribute:
-		return appendAttrAxis(dst, it, sp.Test)
+		dst = appendAttrAxis(dst, it, sp.Test)
+	default:
+		ev.stepPres = xpath.AppendCompiledStep(ev.stepPres[:0], it.D, sp.Axis, sp.CompiledTest(it.D), it.Pre)
+		if len(ms) == 0 {
+			dst = slices.Grow(dst, len(ev.stepPres))
+		}
+		for _, p := range ev.stepPres {
+			if matchAll(ms, it.D, p) {
+				dst = append(dst, NodeItem(it.D, p))
+			}
+		}
+		return dst
 	}
-	ev.stepPres = xpath.AppendCompiledStep(ev.stepPres[:0], it.D, sp.Axis, sp.CompiledTest(it.D), it.Pre)
-	dst = slices.Grow(dst, len(ev.stepPres))
-	for _, p := range ev.stepPres {
-		dst = append(dst, NodeItem(it.D, p))
+	if len(ms) == 0 {
+		return dst
 	}
-	return dst
+	kept := slices.DeleteFunc(dst[n:], func(x Item) bool { return x.Kind != KNode || !matchAll(ms, x.D, x.Pre) })
+	return dst[:n+len(kept)]
 }
 
 // appendAttrAxis appends the matching attribute nodes of an element to dst.
@@ -619,23 +635,10 @@ func (ev *Evaluator) filterRows(rows LLSeq, pp xqplan.PredPlan, pred xqast.Expr,
 			return int64(k+1) == pp.Pos, nil
 		}
 	case xqplan.PredAttrCompare:
-		var d *tree.Doc
-		var nameID int32
-		var known bool
+		m := attrMatcher{pp: pp}
 		keep = func(j, _, _ int) (bool, error) {
 			it := items[j]
-			if it.Kind != KNode { // an attribute has no attributes
-				return false, nil
-			}
-			if it.D != d {
-				d = it.D
-				nameID, known = d.Dict().Lookup(pp.Attr)
-			}
-			if !known {
-				return false, nil
-			}
-			a := d.Attr(it.Pre, nameID)
-			return a >= 0 && attrMatches(d.AttrValueBytes(a), pp), nil
+			return it.Kind == KNode && m.match(it.D, it.Pre), nil // an attribute has no attributes
 		}
 	default:
 		// Lift the outer frame into the inner iterations so the predicate can
@@ -695,6 +698,35 @@ func (ev *Evaluator) filterRows(rows LLSeq, pp xqplan.PredPlan, pred xqast.Expr,
 	}
 	rows.Items = items[:w]
 	return rows, nil
+}
+
+// attrMatcher tests nodes against one PredAttrCompare predicate, resolving
+// the attribute's name id once per document.
+type attrMatcher struct {
+	pp xqplan.PredPlan
+	d  *tree.Doc
+	id int32
+}
+
+func (m *attrMatcher) match(d *tree.Doc, pre int32) bool {
+	if d != m.d {
+		m.d, m.id = d, -1 // a name d never interned: no node has the attribute
+		if id, ok := d.Dict().Lookup(m.pp.Attr); ok {
+			m.id = id
+		}
+	}
+	a := d.Attr(pre, m.id)
+	return a >= 0 && attrMatches(d.AttrValueBytes(a), m.pp)
+}
+
+// matchAll reports whether node pre of d satisfies every matcher in ms.
+func matchAll(ms []attrMatcher, d *tree.Doc, pre int32) bool {
+	for i := range ms {
+		if !ms[i].match(d, pre) {
+			return false
+		}
+	}
+	return true
 }
 
 // attrMatches compares an attribute value with the literal of a

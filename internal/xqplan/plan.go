@@ -255,7 +255,7 @@ func (p *Plan) pass(e xqast.Expr) xqast.Expr {
 		p.markCountOnly(v)
 	case *xqast.Path:
 		p.paths = append(p.paths, v)
-		p.programs[v] = compileProgram(v)
+		p.programs[v] = p.compileProgram(v)
 	}
 	return e
 }
@@ -352,5 +352,5 @@ func (p *Plan) Program(path *xqast.Path) Program {
 	if prog, ok := p.programs[path]; ok {
 		return prog
 	}
-	return compileProgram(path)
+	return p.compileProgram(path)
 }

@@ -103,3 +103,42 @@ func attrOfContext(e xqast.Expr) (string, bool) {
 	}
 	return s.Test.Name, true
 }
+
+// positionFree reports whether every predicate is position-free: it reads
+// neither the context position nor the context size and is never numeric, so
+// it keeps or drops a node whatever row the node sits in. The test is
+// syntactic and conservative: no position() or last() call anywhere, and the
+// predicate is a general, value or node comparison (PredAttrCompare among
+// them), an and/or of position-free operands, a built-in not, exists, empty
+// or boolean call, or a relative path of axis steps.
+func (p *Plan) positionFree(preds ...xqast.Expr) bool {
+	for _, e := range preds {
+		shaped := false
+		switch v := e.(type) {
+		case *xqast.Binary:
+			switch v.Op {
+			case "and", "or":
+				shaped = p.positionFree(v.L, v.R)
+			case "=", "!=", "<", "<=", ">", ">=", "eq", "ne", "lt", "le", "gt", "ge", "is", "<<", ">>":
+				shaped = true
+			}
+		case *xqast.FuncCall:
+			switch localName(v.Name) {
+			case "not", "exists", "empty", "boolean":
+				shaped = len(v.Args) == 1 && !p.shadowed(v.Name, 1)
+			}
+		case *xqast.Path:
+			shaped = v.Start == nil && !v.Absolute && len(v.Steps) > 0
+		}
+		if !shaped || anyExpr(e, readsFocus) {
+			return false
+		}
+	}
+	return true
+}
+
+// readsFocus matches a position() or last() call.
+func readsFocus(e xqast.Expr) bool {
+	c, ok := e.(*xqast.FuncCall)
+	return ok && (localName(c.Name) == "position" || localName(c.Name) == "last")
+}

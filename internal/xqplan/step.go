@@ -44,7 +44,7 @@ type StepPlan struct {
 	CountOnly bool
 	// Fused marks a descendant step produced by merging the
 	// descendant-or-self::node()/child::T pair (the // abbreviation) at
-	// compile time.
+	// compile time, T's position-free predicates included.
 	Fused bool
 	// StandOff reports whether Axis is one of the four StandOff steps; SO
 	// is only meaningful when it is.
@@ -117,19 +117,21 @@ func (sp *StepPlan) selects() bool {
 }
 
 // compileProgram compiles a path's step list, fusing each
-// descendant-or-self::node()/child::T pair (both predicate-free) into a
-// single descendant::T step so the subtree is never materialised node by
-// node. This decision was previously re-made by the evaluator on every
-// evaluation of the path.
-func compileProgram(v *xqast.Path) Program {
+// descendant-or-self::node()/child::T[p1]...[pk] pair, the first step
+// predicate-free and every pi position-free, into a single
+// descendant::T[p1]...[pk] step so the subtree is never materialised node by
+// node. A position-free predicate keeps or drops a node whatever row it sits
+// in, so filtering the descendants of a context node equals filtering the
+// children of each of its descendants-or-self.
+func (p *Plan) compileProgram(v *xqast.Path) Program {
 	prog := make(Program, 0, len(v.Steps))
 	for si := 0; si < len(v.Steps); si++ {
 		step := v.Steps[si]
 		if step.Axis == xpath.AxisDescendantOrSelf && step.Test.Kind == xpath.TestAnyNode &&
 			len(step.Predicates) == 0 && si+1 < len(v.Steps) {
 			next := v.Steps[si+1]
-			if next.Axis == xpath.AxisChild && len(next.Predicates) == 0 {
-				sp := CompileStep(&xqast.Step{Axis: xpath.AxisDescendant, Test: next.Test})
+			if next.Axis == xpath.AxisChild && p.positionFree(next.Predicates...) {
+				sp := CompileStep(&xqast.Step{Axis: xpath.AxisDescendant, Test: next.Test, Predicates: next.Predicates})
 				sp.Fused = true
 				prog = append(prog, sp)
 				si++

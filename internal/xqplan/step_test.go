@@ -51,6 +51,69 @@ func TestNoFusionWithPredicates(t *testing.T) {
 	}
 }
 
+// TestPositionFree is the table of the // fusion's predicate test: a
+// position-free predicate fuses doc("d.xml")//t[p] into descendant::t[p]; any
+// other keeps the descendant-or-self::node()/child::t[p] pair.
+func TestPositionFree(t *testing.T) {
+	for pred, want := range map[string]bool{
+		`@a = "v"`:                  true,
+		`3 > @a`:                    true,
+		`@a = $v`:                   true,
+		`u = "x"`:                   true,
+		`@a eq "v"`:                 true,
+		`. is $x`:                   true,
+		`. << $x`:                   true,
+		`count(u) = 1`:              true,
+		`@a and @b`:                 true,
+		`@a or (u/w and not(@b))`:   true,
+		`not(@a)`:                   true,
+		`exists(u)`:                 true,
+		`fn:empty(u[@a])`:           true,
+		`boolean(@a)`:               true,
+		`u`:                         true,
+		`u/@a`:                      true,
+		`descendant::u[@a = 1]`:     true,
+		`u[1]`:                      true,
+		`select-narrow::u`:          true,
+		`1`:                         false,
+		`last()`:                    false,
+		`position() < 3`:            false,
+		`$n`:                        false,
+		`@a = position()`:           false,
+		`not(last() = 1)`:           false,
+		`u[position() = 1]`:         false,
+		`@a + 1`:                    false,
+		`count(u)`:                  false,
+		`.`:                         false,
+		`/u`:                        false,
+		`$x/u`:                      false,
+		`@a and $n`:                 false,
+		`if (@a) then 1 else 2`:     false,
+		`some $y in u satisfies $y`: false,
+		`local:f(.)`:                false,
+	} {
+		// The table is read through both doors: the test itself on the
+		// predicate of an unfused step, and the fusion it decides.
+		const prolog = `declare variable $v := "v"; declare variable $n := 2; declare variable $x := (); ` +
+			`declare function local:f($y) { 1 }; `
+		p := compile(t, prolog+`$x/t[`+pred+`]`)
+		step := program(t, p, len(p.paths)-1)[0]
+		if got := p.positionFree(step.Predicates...); got != want {
+			t.Errorf("[%s]: positionFree = %v, want %v", pred, got, want)
+		}
+		p = compile(t, prolog+`doc("d.xml")//t[`+pred+`]`)
+		fused := program(t, p, len(p.paths)-1)
+		if got := len(fused) == 1 && fused[0].Fused; got != want {
+			t.Errorf("doc(\"d.xml\")//t[%s]: fused = %v, want %v", pred, got, want)
+		}
+	}
+	// A user function that shadows a built-in is not the built-in.
+	p := compile(t, `declare function not($x) { 1 }; doc("d.xml")//t[not(@a)]`)
+	if prog := program(t, p, len(p.paths)-1); len(prog) != 2 {
+		t.Errorf("shadowed not(): program has %d steps, want the unfused 2", len(prog))
+	}
+}
+
 func TestStandOffStepCompiled(t *testing.T) {
 	p := compile(t, `doc("d.xml")//music/select-narrow::shot`)
 	prog := program(t, p, 0)

@@ -1,6 +1,7 @@
 package xqplan
 
 import (
+	"slices"
 	"strings"
 
 	"soxq/internal/xqast"
@@ -14,29 +15,27 @@ import (
 // walk must be strictly read-only (visitChildren, not rewriteChildren —
 // even an identity rewrite is a write under concurrent executions).
 func ContainsStandOff(e xqast.Expr) bool {
-	found := false
-	var walk func(x xqast.Expr)
-	walk = func(x xqast.Expr) {
-		if x == nil || found {
-			return
-		}
+	return anyExpr(e, func(x xqast.Expr) bool {
 		switch v := x.(type) {
 		case *xqast.Path:
-			for _, st := range v.Steps {
-				if st.Axis.StandOff() {
-					found = true
-					return
-				}
-			}
+			return slices.ContainsFunc(v.Steps, func(st *xqast.Step) bool { return st.Axis.StandOff() })
 		case *xqast.FuncCall:
-			if !strings.HasPrefix(v.Name, "fn:") && strings.Contains(v.Name, ":") {
-				found = true
-				return
-			}
+			return !strings.HasPrefix(v.Name, "fn:") && strings.Contains(v.Name, ":")
 		}
-		visitChildren(x, walk)
+		return false
+	})
+}
+
+// anyExpr reports whether f holds for e or for an expression nested in it.
+// The walk is read-only (visitChildren), so it may run over a shared plan.
+func anyExpr(e xqast.Expr, f func(xqast.Expr) bool) bool {
+	if e == nil {
+		return false
 	}
-	walk(e)
+	found := f(e)
+	if !found {
+		visitChildren(e, func(x xqast.Expr) { found = found || anyExpr(x, f) })
+	}
 	return found
 }
 

@@ -420,8 +420,7 @@ plan:
   flwor (tuples=2 out=2 chunks=1)
     for $s in
       path doc("d.xml") (out=2)
-        step descendant-or-self::node() (in=1 out=14)
-        step child::music[@artist = "U2"] pred{attr} (in=14 out=1)
+        step descendant::music[@artist = "U2"] pred{attr} (fused //) (in=1 out=1)
         step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter} (in=1 out=2 cand=4 joins=looplifted:1 merge{+ins=2 -del=1} stream{chunks=1 chunk=1..1})
     return string($s/@id)
 stream:

@@ -163,8 +163,7 @@ mode: exec
     flwor in=1 out=1 chunks=1
       for $s in
         path doc("d.xml") in=0 out=1
-          step descendant-or-self::node() in=1 out=13
-          step child::music[@artist = "U2"] pred{attr} in=13 out=1
+          step descendant::music[@artist = "U2"] pred{attr} (fused //) in=1 out=1
           step select-narrow::shot in=1 out=1 cand=3 joins=looplifted:1 chunks=1
       return string($s/@id)
 `
