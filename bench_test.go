@@ -34,6 +34,7 @@ type benchData struct {
 	eng   *Engine // holds the stand-off document under "so.xml"
 	so    *tree.Doc
 	ix    *core.RegionIndex
+	xml   []byte // the stand-off document's text
 }
 
 var benchCache sync.Map // scale -> *benchData
@@ -71,7 +72,7 @@ func dataFor(b *testing.B, scale float64) *benchData {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := &benchData{plain: plain, eng: eng, so: so, ix: ix}
+	d := &benchData{plain: plain, eng: eng, so: so, ix: ix, xml: res.XML}
 	benchCache.Store(scale, d)
 	return d
 }
@@ -784,6 +785,35 @@ func BenchmarkLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		loadBigCorpus(b, New())
+	}
+}
+
+// BenchmarkLoadXMark is the load path over the stand-off XMark document at
+// scale 0.05 — long element and attribute names around short values — plus
+// one Exec of each stand-off query, so the per-name views those queries read
+// exist: LoadXML, BuildIndex, Prepare and Exec on a fresh engine.
+func BenchmarkLoadXMark(b *testing.B) {
+	data := dataFor(b, 0.05)
+	b.SetBytes(int64(len(data.xml)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := New()
+		if err := eng.LoadXML("so.xml", data.xml); err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.BuildIndex("so.xml"); err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range xmark.QueryNumbers {
+			prep, err := eng.Prepare(xmark.StandOffQuery(q, "so.xml"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := prep.Exec(Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -20,10 +21,11 @@ import (
 // each of the orders the joins consume, so the merge loops scan contiguous
 // memory instead of chasing per-row indirections. The unrestricted view
 // aliases the index's own columns; filtered views materialise their own.
+//
+// A view may be shared (the unrestricted one and those FilterByName caches
+// are), so what it builds after creation it builds once: the suffix-mins of
+// the start order, and the end order with its suffix-mins.
 type Candidates struct {
-	ix  *RegionIndex // read by the unrestricted view only
-	all bool
-
 	areas []int32 // candidate area pres, document order
 
 	// Region columns, sorted by (start, end, id).
@@ -36,26 +38,29 @@ type Candidates struct {
 	bStart, bEnd []int64
 	bID          []int32
 
-	// Region columns sorted by (end, start, id); lazy for filtered views
-	// (see endCols), pre-built for FilterByName-cached ones.
-	eStart, eEnd []int64
-	eID          []int32
+	// Suffix-min ids of the bounds rows in start order, backing the
+	// containment watermark (MinPreStartFrom).
+	startOnce sync.Once
+	startMin  []int32
 
-	// Suffix-min id arrays over the start- and end-ordered columns, backing
-	// the streaming-merge watermarks; lazy (see MinPreStartFrom/MinPreEndFrom).
-	startMin []int32
+	// The region columns in (end, start, id) order and their suffix-min ids
+	// (the overlap joins and MinPreEndFrom), built on first use. from and dr,
+	// when set, are a view that had built its end order and the rows that
+	// make it this one: the build then merges instead of sorting.
+	endOnce  sync.Once
+	endBuilt atomic.Bool
+	from     *Candidates
+	dr       *deltaRows
+	eStart   []int64
+	eEnd     []int64
+	eID      []int32
 	endMin   []int32
 }
 
 // All returns the unrestricted candidate sequence (the whole index).
 func (ix *RegionIndex) All() *Candidates {
 	ix.materialize()
-	return &Candidates{
-		ix: ix, all: true,
-		areas:  ix.areas,
-		rStart: ix.rStart, rEnd: ix.rEnd, rID: ix.rID,
-		bStart: ix.bStart, bEnd: ix.bEnd, bID: ix.bID,
-	}
+	return ix.all
 }
 
 // Filter returns the candidate sequence restricted to the given node pres,
@@ -66,7 +71,7 @@ func (ix *RegionIndex) All() *Candidates {
 // (section 4.3).
 func (ix *RegionIndex) Filter(pres []int32) *Candidates {
 	ix.materialize()
-	c := &Candidates{ix: ix}
+	c := &Candidates{}
 	if len(pres) == 0 {
 		return c
 	}
@@ -124,12 +129,9 @@ func (ix *RegionIndex) FilterByName(nameID int32) *Candidates {
 	default:
 		return ix.base.FilterByName(nameID)
 	}
-	// Pre-build the end-ordered columns and the watermark suffix-mins, so
-	// cached candidates are immediately usable by the overlap joins and the
-	// streaming merge without a lazy write after publication.
-	c.endCols()
+	// Every chunked narrow step reads the start watermark, so its suffix-mins
+	// are built now; the end order waits for a select-wide step (endOrder).
 	c.startSuffixMin()
-	c.endSuffixMin()
 	actual, _ := ix.nameCands.LoadOrStore(nameID, c)
 	if ix.base != nil {
 		ix.carry(nameID, actual.(*Candidates))
@@ -167,7 +169,7 @@ func (ix *RegionIndex) CandidatesOf(nameID int32, pres []int32) *Candidates {
 			rows = append(rows, row{r.Start, r.End, p})
 		}
 	}
-	c := &Candidates{ix: ix, areas: live}
+	c := &Candidates{areas: live}
 	c.rStart, c.rEnd, c.rID = sortedCols(rows)
 	if !ix.multiRegion {
 		c.bStart, c.bEnd, c.bID = c.rStart, c.rEnd, c.rID
@@ -253,31 +255,25 @@ func (c *Candidates) regionCols() (start, end []int64, id []int32) {
 	return c.rStart, c.rEnd, c.rID
 }
 
-// endCols returns the region columns in (end, start, id) order. The
-// unrestricted view shares the index's lazily built columns; a filtered view
-// sorts its own once.
+// endCols returns the region columns in (end, start, id) order.
 func (c *Candidates) endCols() (start, end []int64, id []int32) {
-	if c.all {
-		return c.ix.endCols()
-	}
-	if c.eID == nil && len(c.rID) > 0 {
-		c.eStart, c.eEnd, c.eID = byEnd(c.rStart, c.rEnd, c.rID)
-	}
+	c.endOrder()
 	return c.eStart, c.eEnd, c.eID
 }
 
-// regionLen returns the number of candidate region rows.
-func (c *Candidates) regionLen() int { return len(c.rID) }
-
-// regionRow returns the k-th candidate region row in start order.
-func (c *Candidates) regionRow(k int) (start, end int64, id int32) {
-	return c.rStart[k], c.rEnd[k], c.rID[k]
-}
-
-// regionRowByEnd returns the k-th candidate region row in end order.
-func (c *Candidates) regionRowByEnd(k int) (start, end int64, id int32) {
-	es, ee, eid := c.endCols()
-	return es[k], ee[k], eid[k]
+// endOrder builds the end order and its suffix-mins, once: merged from the
+// view c was derived from when that view had built its own, sorted otherwise.
+func (c *Candidates) endOrder() {
+	c.endOnce.Do(func() {
+		if c.from != nil {
+			c.eStart, c.eEnd, c.eID = mergeByEnd(c.from.eStart, c.from.eEnd, c.from.eID, c.dr)
+			c.from, c.dr = nil, nil
+		} else {
+			c.eStart, c.eEnd, c.eID = byEnd(c.rStart, c.rEnd, c.rID)
+		}
+		c.endMin = suffixMinIDs(c.eID)
+		c.endBuilt.Store(true)
+	})
 }
 
 // MinPreStartFrom returns the smallest candidate area pre whose bounding
@@ -311,31 +307,15 @@ func (c *Candidates) MinPreEndFrom(e int64) (int32, bool) {
 }
 
 // startSuffixMin returns the suffix-min of area ids over the bounds rows in
-// start order. Unfiltered candidates share the index's array; filtered ones
-// build their own lazily (a filtered Candidates cached by FilterByName has it
-// pre-built, like the end-ordered columns, so cached candidates stay
-// read-only).
+// start order.
 func (c *Candidates) startSuffixMin() []int32 {
-	if c.all {
-		bMin, _ := c.ix.suffixMins()
-		return bMin
-	}
-	if c.startMin == nil {
-		c.startMin = suffixMinIDs(len(c.bID), func(k int) int32 { return c.bID[k] })
-	}
+	c.startOnce.Do(func() { c.startMin = suffixMinIDs(c.bID) })
 	return c.startMin
 }
 
 // endSuffixMin returns the suffix-min of region ids over the end-ordered
 // region rows.
 func (c *Candidates) endSuffixMin() []int32 {
-	if c.all {
-		_, eMin := c.ix.suffixMins()
-		return eMin
-	}
-	if c.endMin == nil {
-		_, _, eid := c.endCols()
-		c.endMin = suffixMinIDs(len(eid), func(k int) int32 { return eid[k] })
-	}
+	c.endOrder()
 	return c.endMin
 }

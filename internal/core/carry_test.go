@@ -157,8 +157,9 @@ func TestCarriedLayerSkipsOlderMemo(t *testing.T) {
 }
 
 // TestCarriedLayerConcurrentReaders: readers of many versions of one lineage
-// materialise and publish the same name's layer at once, each seeing exactly
-// its own version.
+// materialise and publish the same name's layer at once, and build its end
+// order on first use (sorted, or merged from a layer that has one), each
+// seeing exactly its own version.
 func TestCarriedLayerConcurrentReaders(t *testing.T) {
 	opts := regionOpts(t)
 	rng := rand.New(rand.NewSource(7))
@@ -192,8 +193,9 @@ func TestCarriedLayerConcurrentReaders(t *testing.T) {
 			for k := range versions {
 				if k%4 == g {
 					got[k] = versions[len(versions)-1-k].FilterByName(id)
+					got[k].MinPreEndFrom(0)
 				} else {
-					versions[k].FilterByName(id)
+					versions[k].FilterByName(id).MinPreEndFrom(0)
 				}
 			}
 		}(g)

@@ -202,9 +202,14 @@ func (ix *RegionIndex) deltaOf(nameID int32, all bool, ins, del int) *deltaRows 
 }
 
 // apply returns the candidate set src with the delta applied: areas, region
-// rows and bounds rows; the bounds alias the region rows unless multi.
+// rows and bounds rows; the bounds alias the region rows unless multi. When
+// src has its end order, c's first use merges the delta into it; otherwise c
+// sorts its own then and keeps no pointer to src.
 func (dr *deltaRows) apply(src *Candidates, multi bool) *Candidates {
 	c := &Candidates{areas: mergeAreas(src.areas, dr.dead, dr.areas)}
+	if src.endBuilt.Load() {
+		c.from, c.dr = src, dr
+	}
 	c.rStart, c.rEnd, c.rID = mergeRows(src.rStart, src.rEnd, src.rID, dr.del, dr.ins)
 	if !multi {
 		c.bStart, c.bEnd, c.bID = c.rStart, c.rEnd, c.rID
@@ -224,11 +229,12 @@ func (ix *RegionIndex) materialize() {
 
 func (ix *RegionIndex) merge() {
 	fullMerges.Add(1)
-	ix.delta = ix.deltaOf(0, true, 0, 0)
-	c := ix.delta.apply(ix.base.All(), ix.multiRegion)
+	dr := ix.deltaOf(0, true, 0, 0)
+	c := dr.apply(ix.base.All(), ix.multiRegion)
 	ix.areas = c.areas
 	ix.rStart, ix.rEnd, ix.rID = c.rStart, c.rEnd, c.rID
 	ix.bStart, ix.bEnd, ix.bID = c.bStart, c.bEnd, c.bID
+	ix.all = c
 }
 
 // carriedLayer is a lineage's newest materialised layer of one name: its
@@ -254,11 +260,7 @@ func (ix *RegionIndex) layer(nameID int32) *Candidates {
 		return from.c
 	}
 	layerMerges.Add(1)
-	dr := ix.deltaOf(nameID, false, from.ins, from.del)
-	c := dr.apply(from.c, ix.multiRegion)
-	es, ee, eid := from.c.endCols()
-	c.eStart, c.eEnd, c.eID = mergeByEnd(es, ee, eid, dr)
-	return c
+	return ix.deltaOf(nameID, false, from.ins, from.del).apply(from.c, ix.multiRegion)
 }
 
 // carry publishes c, the fully built layer of nameID at ix's coverage, as
@@ -361,7 +363,6 @@ func (ix *RegionIndex) Compact() *RegionIndex {
 		nAreas: ix.nAreas, nRegions: ix.nRegions, nMulti: ix.nMulti, multiRegion: ix.multiRegion,
 		rStart: ix.rStart, rEnd: ix.rEnd, rID: ix.rID,
 		bStart: ix.bStart, bEnd: ix.bEnd, bID: ix.bID,
-		areaOff:  make([]int32, 0, ix.nAreas+1),
 		areaRegs: make([]interval.Region, 0, ix.nRegions),
 	}
 	// The live base areas, then the live inserts, both ascending: one
@@ -375,10 +376,10 @@ func (ix *RegionIndex) Compact() *RegionIndex {
 			}
 			regs = ix.insRegions(i)
 		}
-		n.areaOff = append(n.areaOff, int32(len(n.areaRegs)))
-		n.areaRegs = append(n.areaRegs, regs...)
+		n.addRegions(regs)
 	}
 	n.sealAreas()
+	n.all = n.view()
 	return n
 }
 

@@ -351,3 +351,53 @@ func TestDeltaWatermarks(t *testing.T) {
 		}
 	}
 }
+
+// TestEndOrderBuiltOnFirstWideUse: a per-name view FilterByName caches holds
+// the start watermark's suffix-mins from the start and sorts by end only for
+// its first select-wide step, so narrow-only traffic never does. A delta
+// layer made from a view without an end order keeps no pointer to it; one
+// made from a view with one merges that on first use instead of sorting. Both
+// end up equal to a rebuild's.
+func TestEndOrderBuiltOnFirstWideUse(t *testing.T) {
+	d, ix := buildDelta(t)
+	hitID, _ := d.Dict().Lookup("hit")
+	sceneID, _ := d.Dict().Lookup("scene")
+	wide := func(ix *RegionIndex, c *Candidates) {
+		ctx := []CtxNode{{Iter: 0, Pre: ix.FilterByName(sceneID).AreaPres()[0]}}
+		Join(ix, SelectWide, StrategyLoopLifted, ctx, 1, c, JoinConfig{})
+	}
+	c := ix.FilterByName(hitID)
+	ctx := []CtxNode{{Iter: 0, Pre: ix.FilterByName(sceneID).AreaPres()[1]}}
+	if got := Join(ix, SelectNarrow, StrategyLoopLifted, ctx, 1, c, JoinConfig{}); len(got) != 2 {
+		t.Fatalf("narrow join: %v", got)
+	}
+	if c.startMin == nil || c.endBuilt.Load() || c.eID != nil {
+		t.Fatalf("cached view after a narrow join: start mins %v, end order built %v", c.startMin, c.endBuilt.Load())
+	}
+
+	d, delta := applyInsert(t, d, ix, "hit", 55, 65)
+	l1 := delta.FilterByName(hitID)
+	if l1.from != nil || l1.endBuilt.Load() {
+		t.Fatal("a layer of a view without an end order holds one to merge from")
+	}
+	wide(delta, l1)
+	fresh, err := BuildIndex(d, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertCandidatesEqual(t, "sorted layer", l1, fresh.FilterByName(hitID))
+
+	d, delta = applyInsert(t, d, delta, "hit", 5, 95)
+	l2 := delta.FilterByName(hitID)
+	if l2.from != l1 || l2.endBuilt.Load() {
+		t.Fatal("a layer of a view with an end order does not merge from it")
+	}
+	wide(delta, l2)
+	if l2.from != nil || l2.dr != nil {
+		t.Fatal("the merged layer still holds its source")
+	}
+	if fresh, err = BuildIndex(d, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	assertCandidatesEqual(t, "merged layer", l2, fresh.FilterByName(hitID))
+}

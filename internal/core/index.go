@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"soxq/internal/interval"
 	"soxq/internal/tree"
@@ -16,8 +16,8 @@ import (
 // area-annotation element. Non-contiguous areas are represented by repeating
 // the same id in several rows. In addition the index keeps, per annotated
 // node, its region list (for context fetch) and a bounds table with one row
-// per area (used by the containment fast path), plus a lazily built
-// end-ordered permutation used by the overlap joins.
+// per area (used by the containment fast path). Its unrestricted candidate
+// view (All) builds the end order the overlap joins read on first use.
 //
 // A RegionIndex is immutable after Build and safe for concurrent use.
 // Annotation writes derive new index layers instead of mutating (see
@@ -41,7 +41,6 @@ type RegionIndex struct {
 	delPre          []int32
 	delLog          []tomb
 	mergeOnce       sync.Once
-	delta           *deltaRows // whole-index delta rows, set by the full merge
 
 	// carried is the lineage's layer memo, on its base index only: element
 	// name id -> *carriedLayer, the newest materialised layer of that name.
@@ -64,7 +63,8 @@ type RegionIndex struct {
 	bID    []int32
 
 	// Per-area geometry: areas is the ascending pre list of annotated
-	// nodes; area i owns areaRegs[areaOff[i]:areaOff[i+1]].
+	// nodes; area i owns areaRegs[areaOff[i]:areaOff[i+1]], or areaRegs[i]
+	// while every area has one region and areaOff is nil (see addRegions).
 	areas    []int32
 	areaOff  []int32
 	areaRegs []interval.Region
@@ -73,17 +73,7 @@ type RegionIndex struct {
 
 	multiRegion bool
 
-	endPermOnce sync.Once
-	eDone       atomic.Bool // end-ordered columns built (guards delta-aware derivation)
-	// Flat region columns in (end, start, id) order — the overlap joins scan
-	// these contiguously instead of dereferencing a permutation per row.
-	eStart []int64
-	eEnd   []int64
-	eID    []int32
-
-	suffixOnce sync.Once
-	bSuffixMin []int32 // suffix-min of bID over the bounds rows (start order)
-	eSuffixMin []int32 // suffix-min of rID over the end-ordered region rows
+	all *Candidates // the unrestricted view; a delta index sets it at its full merge
 
 	nameCands  sync.Map // element name id -> *Candidates (FilterByName cache)
 	attrOrders sync.Map // attrKey -> *AttrOrder (AttrOrder cache, base only)
@@ -217,11 +207,11 @@ func (ix *RegionIndex) readRegionElement(pre, startID, endID int32) (interval.Re
 		return interval.Region{}, fmt.Errorf("core: <%s> region (pre %d) misses <%s> or <%s>",
 			ix.opts.Region, pre, ix.opts.Start, ix.opts.End)
 	}
-	start, err := ix.opts.ParsePosition(trimSpace(startStr))
+	start, err := ix.opts.ParsePosition(strings.Trim(startStr, " \t\n\r"))
 	if err != nil {
 		return interval.Region{}, fmt.Errorf("core: region (pre %d): %v", pre, err)
 	}
-	end, err := ix.opts.ParsePosition(trimSpace(endStr))
+	end, err := ix.opts.ParsePosition(strings.Trim(endStr, " \t\n\r"))
 	if err != nil {
 		return interval.Region{}, fmt.Errorf("core: region (pre %d): %v", pre, err)
 	}
@@ -232,7 +222,6 @@ func (ix *RegionIndex) readRegionElement(pre, startID, endID int32) (interval.Re
 // that addArea never re-grows a column.
 func (ix *RegionIndex) reserve(areas, regions int) {
 	ix.areas = make([]int32, 0, areas)
-	ix.areaOff = make([]int32, 0, areas+1)
 	ix.areaRegs = make([]interval.Region, 0, regions)
 	ix.rows = make([]row, 0, regions)
 }
@@ -240,18 +229,43 @@ func (ix *RegionIndex) reserve(areas, regions int) {
 // addArea appends one area; pres must ascend across calls.
 func (ix *RegionIndex) addArea(pre int32, regions []interval.Region) {
 	ix.areas = append(ix.areas, pre)
-	ix.areaOff = append(ix.areaOff, int32(len(ix.areaRegs)))
-	ix.areaRegs = append(ix.areaRegs, regions...)
+	ix.addRegions(regions)
 	for _, r := range regions {
 		ix.rows = append(ix.rows, row{r.Start, r.End, pre})
 	}
 	ix.count(regions, 1)
 }
 
+// addRegions appends the regions of the area just added to the per-area
+// geometry. Until an area has several regions, area i owns areaRegs[i] and
+// there are no offsets to keep; the first one that has writes those so far.
+func (ix *RegionIndex) addRegions(regions []interval.Region) {
+	if len(regions) > 1 && ix.areaOff == nil {
+		ix.areaOff = make([]int32, len(ix.areaRegs), cap(ix.areas)+1)
+		for i := range ix.areaOff {
+			ix.areaOff[i] = int32(i)
+		}
+	}
+	if ix.areaOff != nil {
+		ix.areaOff = append(ix.areaOff, int32(len(ix.areaRegs)))
+	}
+	ix.areaRegs = append(ix.areaRegs, regions...)
+}
+
+// areaRegions returns the regions of the area of the given rank.
+func (ix *RegionIndex) areaRegions(rank int32) []interval.Region {
+	if ix.areaOff == nil {
+		return ix.areaRegs[rank : rank+1]
+	}
+	return ix.areaRegs[ix.areaOff[rank]:ix.areaOff[rank+1]]
+}
+
 // sealAreas terminates the per-area geometry and builds the dense rank column
 // over the areas.
 func (ix *RegionIndex) sealAreas() {
-	ix.areaOff = append(ix.areaOff, int32(len(ix.areaRegs)))
+	if ix.areaOff != nil {
+		ix.areaOff = append(ix.areaOff, int32(len(ix.areaRegs)))
+	}
 	if nA := len(ix.areas); nA > 0 {
 		ix.rank = make([]int32, ix.areas[nA-1]+1)
 		for i := range ix.rank {
@@ -270,16 +284,21 @@ func (ix *RegionIndex) sortRows() {
 	ix.sealAreas()
 	ix.rStart, ix.rEnd, ix.rID = sortedCols(ix.rows)
 	ix.rows = nil
-	if !ix.multiRegion {
-		ix.bStart, ix.bEnd, ix.bID = ix.rStart, ix.rEnd, ix.rID
-		return
+	ix.bStart, ix.bEnd, ix.bID = ix.rStart, ix.rEnd, ix.rID
+	if ix.multiRegion {
+		bounds := make([]row, len(ix.areas))
+		for i, pre := range ix.areas {
+			regs := ix.areaRegions(int32(i))
+			bounds[i] = row{regs[0].Start, regs[len(regs)-1].End, pre}
+		}
+		ix.bStart, ix.bEnd, ix.bID = sortedCols(bounds)
 	}
-	bounds := make([]row, len(ix.areas))
-	for i, pre := range ix.areas {
-		regs := ix.areaRegs[ix.areaOff[i]:ix.areaOff[i+1]]
-		bounds[i] = row{regs[0].Start, regs[len(regs)-1].End, pre}
-	}
-	ix.bStart, ix.bEnd, ix.bID = sortedCols(bounds)
+	ix.all = ix.view()
+}
+
+// view returns a candidate view over the index's own columns.
+func (ix *RegionIndex) view() *Candidates {
+	return &Candidates{areas: ix.areas, rStart: ix.rStart, rEnd: ix.rEnd, rID: ix.rID, bStart: ix.bStart, bEnd: ix.bEnd, bID: ix.bID}
 }
 
 // row is one sort key of the build: a region or bounds row keyed
@@ -323,48 +342,12 @@ func byEnd(rStart, rEnd []int64, rID []int32) (start, end []int64, id []int32) {
 	return start, end, id
 }
 
-// endCols returns the flat region columns in (end, start, id) order.
-func (ix *RegionIndex) endCols() (start, end []int64, id []int32) {
-	ix.materialize()
-	ix.endPermOnce.Do(ix.buildEndOrder)
-	return ix.eStart, ix.eEnd, ix.eID
-}
-
-func (ix *RegionIndex) buildEndOrder() {
-	defer ix.eDone.Store(true)
-	if b := ix.base; b != nil && b.eDone.Load() {
-		// Delta-aware path: the base already paid for its end-ordering, so
-		// derive the merged one by the same run-copy merge the start ordering
-		// used, O(n + d log n) instead of a fresh O(n log n) sort.
-		ix.eStart, ix.eEnd, ix.eID = mergeByEnd(b.eStart, b.eEnd, b.eID, ix.delta)
-		return
-	}
-	ix.eStart, ix.eEnd, ix.eID = byEnd(ix.rStart, ix.rEnd, ix.rID)
-}
-
-// suffixMins returns the whole-index suffix-min id arrays backing the
-// streaming-merge watermarks (see Candidates.MinPreStartFrom/MinPreEndFrom):
-// bSuffixMin[k] is the smallest area id among bounds rows k.. in start order,
-// eSuffixMin[k] the smallest region id among end-ordered rows k.. . Built
-// once; the index is immutable so the arrays are shareable.
-func (ix *RegionIndex) suffixMins() (bMin, eMin []int32) {
-	ix.materialize()
-	ix.suffixOnce.Do(func() {
-		ix.bSuffixMin = suffixMinIDs(len(ix.bID), func(k int) int32 { return ix.bID[k] })
-		_, _, eid := ix.endCols()
-		ix.eSuffixMin = suffixMinIDs(len(eid), func(k int) int32 { return eid[k] })
-	})
-	return ix.bSuffixMin, ix.eSuffixMin
-}
-
-// suffixMinIDs builds the suffix-min array of n ids.
-func suffixMinIDs(n int, id func(int) int32) []int32 {
-	out := make([]int32, n)
+// suffixMinIDs returns the suffix-min array of ids.
+func suffixMinIDs(ids []int32) []int32 {
+	out := make([]int32, len(ids))
 	m := int32(1<<31 - 1)
-	for k := n - 1; k >= 0; k-- {
-		if v := id(k); v < m {
-			m = v
-		}
+	for k := len(ids) - 1; k >= 0; k-- {
+		m = min(m, ids[k])
 		out[k] = m
 	}
 	return out
@@ -409,8 +392,7 @@ func (ix *RegionIndex) RegionsOf(pre int32) []interval.Region {
 	if uint(pre) >= uint(len(ix.rank)) || ix.rank[pre] < 0 {
 		return nil
 	}
-	rank := ix.rank[pre]
-	return ix.areaRegs[ix.areaOff[rank]:ix.areaOff[rank+1]]
+	return ix.areaRegions(ix.rank[pre])
 }
 
 // AreaOf returns the area geometry of node pre.
@@ -466,17 +448,6 @@ func parseIntBytes(b []byte) (int64, error) {
 		return -v, nil
 	}
 	return v, nil
-}
-
-func trimSpace(s string) string {
-	i, j := 0, len(s)
-	for i < j && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r') {
-		i++
-	}
-	for j > i && (s[j-1] == ' ' || s[j-1] == '\t' || s[j-1] == '\n' || s[j-1] == '\r') {
-		j--
-	}
-	return s[i:j]
 }
 
 func pick(cond bool, a, b string) string {

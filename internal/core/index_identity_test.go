@@ -69,6 +69,27 @@ func sameCol(a, b any) bool {
 	return reflect.ValueOf(a).Len()+reflect.ValueOf(b).Len() == 0 || reflect.DeepEqual(a, b)
 }
 
+// areaOffsets returns the area offsets of ix, the identity when it keeps none
+// (every area has one region).
+func areaOffsets(ix *RegionIndex) []int32 {
+	if ix.areaOff != nil {
+		return ix.areaOff
+	}
+	off := make([]int32, len(ix.areas)+1)
+	for i := range off {
+		off[i] = int32(i)
+	}
+	return off
+}
+
+// endCols and suffixMins read the unrestricted view's orderings, built on
+// first use: the index-level forms the tests compare.
+func (ix *RegionIndex) endCols() ([]int64, []int64, []int32) { return ix.All().endCols() }
+
+func (ix *RegionIndex) suffixMins() ([]int32, []int32) {
+	return ix.All().startSuffixMin(), ix.All().endSuffixMin()
+}
+
 // assertIdentity holds every column of a base index to the reference's.
 func assertIdentity(t *testing.T, what string, ix *RegionIndex, ref *refIndex) {
 	t.Helper()
@@ -91,7 +112,7 @@ func assertIdentity(t *testing.T, what string, ix *RegionIndex, ref *refIndex) {
 	}{
 		{"rStart", ix.rStart, ref.rStart}, {"rEnd", ix.rEnd, ref.rEnd}, {"rID", ix.rID, ref.rID},
 		{"bStart", ix.bStart, ref.bStart}, {"bEnd", ix.bEnd, ref.bEnd}, {"bID", ix.bID, ref.bID},
-		{"areas", ix.areas, ref.areas}, {"areaOff", ix.areaOff, ref.areaOff}, {"areaRegs", ix.areaRegs, ref.areaRegs},
+		{"areas", ix.areas, ref.areas}, {"areaOff", areaOffsets(ix), ref.areaOff}, {"areaRegs", ix.areaRegs, ref.areaRegs},
 		{"eStart", es, ref.eStart}, {"eEnd", ee, ref.eEnd}, {"eID", eid, ref.eID},
 		{"bSuffixMin", bMin, refMin(ref.bID)}, {"eSuffixMin", eMin, refMin(ref.eID)},
 	} {
@@ -102,6 +123,9 @@ func assertIdentity(t *testing.T, what string, ix *RegionIndex, ref *refIndex) {
 	if ix.nAreas != ref.nAreas || ix.nRegions != ref.nRegions || ix.nMulti != ref.nMulti || ix.multiRegion != ref.multiRegion {
 		t.Fatalf("%s: counts %d/%d/%d/%v, reference %d/%d/%d/%v", what, ix.nAreas, ix.nRegions, ix.nMulti, ix.multiRegion,
 			ref.nAreas, ref.nRegions, ref.nMulti, ref.multiRegion)
+	}
+	if (ix.areaOff != nil) != ix.multiRegion {
+		t.Fatalf("%s: area offsets kept = %v with multiRegion = %v", what, ix.areaOff != nil, ix.multiRegion)
 	}
 	if aliased := len(ix.bID) > 0 && &ix.bID[0] == &ix.rID[0]; len(ix.bID) > 0 && aliased == ix.multiRegion {
 		t.Fatalf("%s: bounds alias the region rows = %v with multiRegion = %v", what, aliased, ix.multiRegion)

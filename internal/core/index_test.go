@@ -168,13 +168,11 @@ func TestCandidatesFilter(t *testing.T) {
 	aID, _ := d.Dict().Lookup("a")
 	as := d.ElementsByName(aID)
 	cand := ix.Filter(as)
-	if cand.Len() != 2 || cand.regionLen() != 2 {
-		t.Fatalf("filtered candidates: len=%d regions=%d", cand.Len(), cand.regionLen())
+	if cand.Len() != 2 || len(cand.rID) != 2 {
+		t.Fatalf("filtered candidates: len=%d regions=%d", cand.Len(), len(cand.rID))
 	}
 	// Start order preserved (index intersection, section 4.3).
-	s0, _, _ := cand.regionRow(0)
-	s1, _, _ := cand.regionRow(1)
-	if s0 > s1 {
+	if cand.rStart[0] > cand.rStart[1] {
 		t.Fatal("filtered rows not in start order")
 	}
 	// Filtering by a non-area keeps nothing.
@@ -193,8 +191,8 @@ func TestCandidatesFilter(t *testing.T) {
 func TestEndPermOrder(t *testing.T) {
 	ix := buildIx(t, `<doc><a start="1" end="50"/><b start="2" end="3"/><c start="4" end="10"/></doc>`, DefaultOptions())
 	var prev int64 = -1 << 62
-	for k := 0; k < ix.All().regionLen(); k++ {
-		_, e, _ := ix.All().regionRowByEnd(k)
+	_, ends, _ := ix.All().endCols()
+	for _, e := range ends {
 		if e < prev {
 			t.Fatal("end permutation not sorted by end")
 		}

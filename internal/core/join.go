@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -182,9 +183,9 @@ func buildCtxRows(ix *RegionIndex, ctx []CtxNode, pseudoKeys bool, a *JoinArena)
 func sortCtxRows(rows []ctxRow, a *JoinArena) []ctxRow {
 	cmpRows := func(x, y ctxRow) int {
 		if x.start != y.start {
-			return cmpI64(x.start, y.start)
+			return cmp.Compare(x.start, y.start)
 		}
-		return cmpI64(x.end, y.end)
+		return cmp.Compare(x.end, y.end)
 	}
 	if slices.IsSortedFunc(rows, cmpRows) {
 		return rows
@@ -533,17 +534,6 @@ func complement(matched []Pair, nIters int32, areas []int32, a *JoinArena) []Pai
 		}
 	}
 	return out
-}
-
-func cmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // sortDedupPairs sorts pairs by (Iter, Pre) and removes duplicates.

@@ -7,6 +7,7 @@ package core
 // slices.SortFunc over the context table.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -61,9 +62,9 @@ func sortDedupPairsRef(pairs *[]Pair, a *JoinArena) {
 func sortCtxRowsRef(rows []ctxRow) {
 	slices.SortFunc(rows, func(x, y ctxRow) int {
 		if x.start != y.start {
-			return cmpI64(x.start, y.start)
+			return cmp.Compare(x.start, y.start)
 		}
-		return cmpI64(x.end, y.end)
+		return cmp.Compare(x.end, y.end)
 	})
 }
 

@@ -275,7 +275,7 @@ func TestLayerViewMatchesRebuild(t *testing.T) {
 				// A wrapper's fold is its one full merge, none when a
 				// wildcard read already paid for it; a base folds nothing.
 				var want uint64
-				if ix.base != nil && ix.delta == nil {
+				if ix.base != nil && ix.all == nil {
 					want = 1
 				}
 				_, before := IndexMergeStats()

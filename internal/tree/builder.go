@@ -40,10 +40,15 @@ type Builder struct {
 // both; names are interned first (Intern) so the bodies see ids only.
 type chars interface{ string | []byte }
 
+// noAttrs is attFirst before the document node: no attribute rows yet. Its
+// one slot is its capacity, so the first push copies it out and it is never
+// written.
+var noAttrs = [1]int32{0}
+
 // NewBuilder starts a fresh document with the given name. The document node
 // (pre 0) is created implicitly.
 func NewBuilder(name string) *Builder {
-	d := &Doc{Name: name, dict: NewDict()}
+	d := &Doc{Name: name, dict: NewDict(), attFirst: noAttrs[:]}
 	b := &Builder{doc: d}
 	pre := pushNode(b, DocumentNode, NoName, "")
 	b.open = append(b.open, pre) // the document node stays open until Done
@@ -60,13 +65,13 @@ func NewFragmentBuilder() *Builder {
 
 // Reserve sizes the columns once for a document of up to nodes nodes and
 // attrs attributes holding content bytes of values, so a shredder that can
-// bound them from its input never re-grows a column. The row columns get a
+// bound them from its input never re-grows a column. Every column gets a
 // quarter on top, append's own growth step: annotation writes extend a sealed
 // document's columns in place (see Appender), and with none to spare the
 // first write after a load would copy every column.
 func (b *Builder) Reserve(nodes, attrs, content int) {
 	d := b.doc
-	nodes, attrs = nodes+nodes/4, attrs+attrs/4
+	nodes, attrs, content = nodes+nodes/4, attrs+attrs/4, content+content/4
 	d.kind = slices.Grow(d.kind, nodes)
 	d.name = slices.Grow(d.name, nodes)
 	d.size = slices.Grow(d.size, nodes)
@@ -74,7 +79,7 @@ func (b *Builder) Reserve(nodes, attrs, content int) {
 	d.parent = slices.Grow(d.parent, nodes)
 	d.valOff = slices.Grow(d.valOff, nodes)
 	d.valLen = slices.Grow(d.valLen, nodes)
-	d.attOwner = slices.Grow(d.attOwner, attrs)
+	d.attFirst = slices.Grow(d.attFirst, nodes)
 	d.attName = slices.Grow(d.attName, attrs)
 	d.attValOf = slices.Grow(d.attValOf, attrs)
 	d.attValLn = slices.Grow(d.attValLn, attrs)
@@ -109,6 +114,7 @@ func pushNode[S chars](b *Builder, k Kind, nameID int32, value S) int32 {
 	d.valOff = append(d.valOff, int64(len(d.content)))
 	d.valLen = append(d.valLen, int32(len(value)))
 	d.content = append(d.content, value...)
+	d.attFirst = append(d.attFirst, int32(len(d.attName))) // the new node's attributes end the table
 	return pre
 }
 
@@ -152,11 +158,16 @@ func attr[S chars](b *Builder, nameID int32, value S) {
 		b.fail("duplicate attribute %q on element %q", d.dict.Name(nameID), b.OpenName())
 		return
 	}
-	d.attOwner = append(d.attOwner, b.open[len(b.open)-1])
+	addAttr(d, nameID, value)
+}
+
+// addAttr appends an attribute row for the last node.
+func addAttr[S chars](d *Doc, nameID int32, value S) {
 	d.attName = append(d.attName, nameID)
 	d.attValOf = append(d.attValOf, int64(len(d.content)))
 	d.attValLn = append(d.attValLn, int32(len(value)))
 	d.content = append(d.content, value...)
+	d.attFirst[len(d.attFirst)-1]++
 }
 
 // HasAttr reports whether the most recently opened element already carries
@@ -165,15 +176,10 @@ func (b *Builder) HasAttr(nameID int32) bool {
 	return b.doc.hasAttr(b.open[len(b.open)-1], nameID)
 }
 
-// hasAttr scans owner's attribute rows while the doc is still under
-// construction (attFirst is not built yet): they end the attribute table.
+// hasAttr scans the attribute rows of owner, the last node of a document
+// under construction.
 func (d *Doc) hasAttr(owner, nameID int32) bool {
-	for i := len(d.attOwner) - 1; i >= 0 && d.attOwner[i] == owner; i-- {
-		if d.attName[i] == nameID {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(d.attName[d.attFirst[owner]:], nameID)
 }
 
 // Text appends a text node. Empty text is dropped silently (the data model
@@ -254,22 +260,8 @@ func (b *Builder) Done() (*Doc, error) {
 	d := b.doc
 	d.order = docOrderCounter.Add(1)
 	d.size[0] = int32(len(d.kind)) - 1
-	// Build attFirst: attFirst[pre] = first attribute row owned by a node
-	// with pre' >= pre. attOwner is ascending because events arrive in
-	// document order.
-	n := len(d.kind)
 	if b.slab != nil {
 		b.slab.seal(d)
-	}
-	if d.attFirst == nil {
-		d.attFirst = make([]int32, n+1)
-	}
-	row := int32(0)
-	for pre := 0; pre <= n; pre++ {
-		for row < int32(len(d.attOwner)) && int(d.attOwner[row]) < pre {
-			row++
-		}
-		d.attFirst[pre] = row
 	}
 	return d, nil
 }

@@ -3,6 +3,8 @@ package tree
 // The Builder this package shipped before the byte-slice load path, kept
 // verbatim (refBuilder) as the oracle of TestBuilderAgainstReference: one
 // hand-written body per event over string arguments, columns grown by append.
+// Only its attribute-owner column moved from the Doc, which has none now, to
+// the refBuilder.
 
 import (
 	"bytes"
@@ -27,6 +29,7 @@ import (
 // belong to.
 type refBuilder struct {
 	doc      *Doc
+	attOwner []int32 // owner pre of each attribute row
 	open     []int32 // stack of pre values of open elements
 	inTag    bool    // attributes still allowed
 	err      error
@@ -102,14 +105,14 @@ func (b *refBuilder) Attr(name, value string) {
 	d := b.doc
 	owner := b.open[len(b.open)-1]
 	nameID := d.dict.Intern(name)
-	lo := d.refAttFirstRow(owner)
-	for i := lo; i < int32(len(d.attOwner)); i++ {
+	lo := b.refAttFirstRow(owner)
+	for i := lo; i < int32(len(b.attOwner)); i++ {
 		if d.attName[i] == nameID {
 			b.fail("duplicate attribute %q on element %q", name, d.NodeName(owner))
 			return
 		}
 	}
-	d.attOwner = append(d.attOwner, owner)
+	b.attOwner = append(b.attOwner, owner)
 	d.attName = append(d.attName, nameID)
 	d.attValOf = append(d.attValOf, int64(len(d.content)))
 	d.attValLn = append(d.attValLn, int32(len(value)))
@@ -118,9 +121,9 @@ func (b *refBuilder) Attr(name, value string) {
 
 // refAttFirstRow returns the first attribute row of owner while the doc is
 // still under construction (attFirst is not built yet).
-func (d *Doc) refAttFirstRow(owner int32) int32 {
-	i := int32(len(d.attOwner))
-	for i > 0 && d.attOwner[i-1] == owner {
+func (b *refBuilder) refAttFirstRow(owner int32) int32 {
+	i := int32(len(b.attOwner))
+	for i > 0 && b.attOwner[i-1] == owner {
 		i--
 	}
 	return i
@@ -204,7 +207,7 @@ func (b *refBuilder) Done() (*Doc, error) {
 	d.attFirst = make([]int32, n+1)
 	row := int32(0)
 	for pre := 0; pre <= n; pre++ {
-		for row < int32(len(d.attOwner)) && int(d.attOwner[row]) < pre {
+		for row < int32(len(b.attOwner)) && int(b.attOwner[row]) < pre {
 			row++
 		}
 		d.attFirst[pre] = row
@@ -314,7 +317,7 @@ func TestBuilderAgainstReference(t *testing.T) {
 			}
 			for _, col := range [][2]any{
 				{got.kind, want.kind}, {got.name, want.name}, {got.size, want.size}, {got.level, want.level},
-				{got.parent, want.parent}, {got.valLen, want.valLen}, {got.attOwner, want.attOwner},
+				{got.parent, want.parent}, {got.valLen, want.valLen},
 				{got.attName, want.attName}, {got.attValOf, want.attValOf}, {got.attValLn, want.attValLn},
 				{got.attFirst, want.attFirst}, {got.content, want.content}, {got.dict.names, want.dict.names},
 			} {

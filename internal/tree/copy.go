@@ -68,12 +68,9 @@ func (b *Builder) copyRange(src *Doc, pre int32) {
 		d.parent = append(d.parent, src.parent[p]+shift)
 		d.valOff = append(d.valOff, int64(len(d.content)))
 		d.content = append(d.content, src.ValueBytes(p)...)
+		d.attFirst = append(d.attFirst, int32(len(d.attName))) // node p's attributes end the table
 		for a, ahi := src.Attrs(p); a < ahi; a++ {
-			d.attOwner = append(d.attOwner, p+shift)
-			d.attName = append(d.attName, b.remap(src, src.attName[a]))
-			d.attValOf = append(d.attValOf, int64(len(d.content)))
-			d.attValLn = append(d.attValLn, src.attValLn[a])
-			d.content = append(d.content, src.AttrValueBytes(a)...)
+			addAttr(d, b.remap(src, src.attName[a]), src.AttrValueBytes(a))
 		}
 	}
 	d.parent[base] = b.open[len(b.open)-1]

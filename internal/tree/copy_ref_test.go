@@ -59,11 +59,11 @@ func sameTree(t *testing.T, got, want *Doc) {
 		if glo != wlo || ghi != whi {
 			t.Fatalf("node %d: attribute rows [%d,%d), reference [%d,%d)", pre, glo, ghi, wlo, whi)
 		}
-	}
-	for a := int32(0); a < int32(want.NumAttrs()); a++ {
-		if got.AttrOwner(a) != want.AttrOwner(a) || got.AttrName(a) != want.AttrName(a) || got.AttrValue(a) != want.AttrValue(a) {
-			t.Fatalf("attribute %d differs: %d %s=%q, reference %d %s=%q", a,
-				got.AttrOwner(a), got.AttrName(a), got.AttrValue(a), want.AttrOwner(a), want.AttrName(a), want.AttrValue(a))
+		for a := glo; a < ghi; a++ {
+			if got.AttrName(a) != want.AttrName(a) || got.AttrValue(a) != want.AttrValue(a) {
+				t.Fatalf("node %d, attribute %d differs: %s=%q, reference %s=%q", pre, a,
+					got.AttrName(a), got.AttrValue(a), want.AttrName(a), want.AttrValue(a))
+			}
 		}
 	}
 	if g, w := string(got.AppendXML(nil, 0)), string(want.AppendXML(nil, 0)); g != w {
@@ -76,7 +76,7 @@ func sameTree(t *testing.T, got, want *Doc) {
 func clipped(d *Doc) bool {
 	return cap(d.kind) == len(d.kind) && cap(d.name) == len(d.name) && cap(d.size) == len(d.size) &&
 		cap(d.level) == len(d.level) && cap(d.parent) == len(d.parent) && cap(d.valOff) == len(d.valOff) &&
-		cap(d.valLen) == len(d.valLen) && cap(d.attOwner) == len(d.attOwner) && cap(d.attName) == len(d.attName) &&
+		cap(d.valLen) == len(d.valLen) && cap(d.attName) == len(d.attName) &&
 		cap(d.attValOf) == len(d.attValOf) && cap(d.attValLn) == len(d.attValLn) &&
 		cap(d.attFirst) == len(d.attFirst) && cap(d.content) == len(d.content)
 }

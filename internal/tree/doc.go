@@ -10,7 +10,6 @@ package tree
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -81,8 +80,7 @@ type Doc struct {
 
 	// Attribute table, clustered on owner pre (ascending). attFirst[pre]
 	// gives the first attribute row of a node; attFirst[pre+1] bounds it
-	// (attFirst has len(kind)+1 entries).
-	attOwner []int32
+	// (attFirst has len(kind)+1 entries, the last one len(attName)).
 	attName  []int32
 	attValOf []int64
 	attValLn []int32
@@ -158,7 +156,7 @@ func (d *Doc) Alive(pre int32) bool {
 func (d *Doc) NumNodes() int { return len(d.kind) }
 
 // NumAttrs returns the total attribute count.
-func (d *Doc) NumAttrs() int { return len(d.attOwner) }
+func (d *Doc) NumAttrs() int { return len(d.attName) }
 
 // Dict exposes the name dictionary (read-only).
 func (d *Doc) Dict() *Dict { return d.dict }
@@ -208,9 +206,6 @@ func (d *Doc) Value(pre int32) string { return string(d.ValueBytes(pre)) }
 func (d *Doc) Attrs(pre int32) (lo, hi int32) {
 	return d.attFirst[pre], d.attFirst[pre+1]
 }
-
-// AttrOwner returns the pre of the element owning attribute row i.
-func (d *Doc) AttrOwner(i int32) int32 { return d.attOwner[i] }
 
 // AttrNameID returns the dictionary id of attribute row i's name.
 func (d *Doc) AttrNameID(i int32) int32 { return d.attName[i] }
@@ -363,8 +358,15 @@ func (d *Doc) Validate() error {
 	if d.Size(0) != n-1 {
 		return fmt.Errorf("tree: document node size %d != %d", d.Size(0), n-1)
 	}
-	if len(d.attFirst) != int(n)+1 {
-		return fmt.Errorf("tree: attFirst length %d != nodes+1", len(d.attFirst))
+	if len(d.attFirst) != int(n)+1 || d.attFirst[0] != 0 || d.attFirst[n] != int32(len(d.attName)) {
+		return fmt.Errorf("tree: attFirst does not span the %d attribute rows of %d nodes", len(d.attName), n)
+	}
+	for pre := int32(0); pre < n; pre++ {
+		if lo, hi := d.attFirst[pre], d.attFirst[pre+1]; hi < lo {
+			return fmt.Errorf("tree: attFirst falls at node %d", pre)
+		} else if hi > lo && d.kind[pre] != ElementNode {
+			return fmt.Errorf("tree: attribute %d owned by non-element %d", lo, pre)
+		}
 	}
 	for pre := int32(1); pre < n; pre++ {
 		p := d.parent[pre]
@@ -388,14 +390,6 @@ func (d *Doc) Validate() error {
 					return fmt.Errorf("tree: live node %d inside dead subtree %d", c, pre)
 				}
 			}
-		}
-	}
-	if !sort.SliceIsSorted(d.attOwner, func(i, j int) bool { return d.attOwner[i] < d.attOwner[j] }) {
-		return fmt.Errorf("tree: attribute table not clustered on owner")
-	}
-	for i := range d.attOwner {
-		if d.kind[d.attOwner[i]] != ElementNode {
-			return fmt.Errorf("tree: attribute %d owned by non-element", i)
 		}
 	}
 	return nil

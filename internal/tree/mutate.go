@@ -50,7 +50,6 @@ func (d *Doc) cloneSnapshot() *Doc {
 		parent:   d.parent,
 		valOff:   d.valOff,
 		valLen:   d.valLen,
-		attOwner: d.attOwner,
 		attName:  d.attName,
 		attValOf: d.attValOf,
 		attValLn: d.attValLn,
@@ -225,6 +224,7 @@ func (a *Appender) pushNode(k Kind, nameID int32, value []byte) int32 {
 		d.valOff = append(d.valOff, 0)
 		d.valLen = append(d.valLen, 0)
 	}
+	d.attFirst = append(d.attFirst, int32(len(d.attName))) // beyond every older snapshot's length
 	return pre
 }
 
@@ -260,11 +260,7 @@ func (a *Appender) Attr(name, value string) {
 		a.fail("duplicate attribute %q on element %q", name, d.NodeName(owner))
 		return
 	}
-	d.attOwner = append(d.attOwner, owner)
-	d.attName = append(d.attName, nameID)
-	d.attValOf = append(d.attValOf, int64(len(d.content)))
-	d.attValLn = append(d.attValLn, int32(len(value)))
-	d.content = append(d.content, value...)
+	addAttr(d, nameID, value)
 }
 
 // Text appends a text node (empty text is dropped; adjacent texts appended in
@@ -339,17 +335,6 @@ func (a *Appender) Commit() (*Doc, error) {
 	head[0] += added
 	head[a.rootElem] += added
 	d.sizeHead = head
-
-	// Extend attFirst for the appended nodes. The previous terminator
-	// attFirst[baseN] already equals the first appended attribute row, so the
-	// shared array extends in place.
-	row := d.attFirst[a.baseN]
-	for pre := a.baseN + 1; pre <= n; pre++ {
-		for row < int32(len(d.attOwner)) && d.attOwner[row] < pre {
-			row++
-		}
-		d.attFirst = append(d.attFirst, row)
-	}
 
 	// The tombstone bitset (when present) must cover the appended pres; the
 	// extra words are zero, so the new nodes are alive everywhere.

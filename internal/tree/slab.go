@@ -29,7 +29,6 @@ type FragmentSlab struct {
 	parent   []int32
 	valOff   []int64
 	valLen   []int32
-	attOwner []int32
 	attName  []int32
 	attValOf []int64
 	attValLn []int32
@@ -52,7 +51,6 @@ func NewFragmentSlab(frags, nodes, attrs, content int) *FragmentSlab {
 		parent:   make([]int32, 0, nodes),
 		valOff:   make([]int64, 0, nodes),
 		valLen:   make([]int32, 0, nodes),
-		attOwner: make([]int32, 0, attrs),
 		attName:  make([]int32, 0, attrs),
 		attValOf: make([]int64, 0, attrs),
 		attValLn: make([]int32, 0, attrs),
@@ -75,7 +73,8 @@ func (s *FragmentSlab) NewFragment() *Builder {
 	d.Fragment, d.dict = true, s.dict
 	d.kind, d.name, d.size, d.level, d.parent = s.kind, s.name, s.size, s.level, s.parent
 	d.valOff, d.valLen, d.content = s.valOff, s.valLen, s.content
-	d.attOwner, d.attName, d.attValOf, d.attValLn = s.attOwner, s.attName, s.attValOf, s.attValLn
+	d.attName, d.attValOf, d.attValLn = s.attName, s.attValOf, s.attValLn
+	d.attFirst = append(s.attFirst, 0)
 	b := &s.b
 	b.doc, b.slab, b.open = d, s, b.open[:0]
 	b.inTag, b.err, b.finished = false, nil, false
@@ -93,14 +92,11 @@ func (s *FragmentSlab) seal(d *Doc) {
 	sealCol(&d.parent, &s.parent)
 	sealCol(&d.valOff, &s.valOff)
 	sealCol(&d.valLen, &s.valLen)
-	sealCol(&d.attOwner, &s.attOwner)
 	sealCol(&d.attName, &s.attName)
 	sealCol(&d.attValOf, &s.attValOf)
 	sealCol(&d.attValLn, &s.attValLn)
+	sealCol(&d.attFirst, &s.attFirst)
 	sealCol(&d.content, &s.content)
-	if n := len(d.kind) + 1; n <= cap(s.attFirst) {
-		d.attFirst, s.attFirst = s.attFirst[:n:n], s.attFirst[n:n]
-	}
 }
 
 // sealCol seals one column. The fragment started on the slab's free tail, so

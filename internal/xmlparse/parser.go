@@ -64,31 +64,114 @@ func ParseWithOptions(name string, data []byte, opts Options) (*tree.Doc, error)
 	return p.b.Done()
 }
 
-// reserve sizes the store's columns from one hop over the '<' bytes: a node
-// other than text begins at a '<' that opens no end tag, a text node ends at
-// a '<' that follows no '>', an attribute needs its '=', and content is what
-// the input holds beyond three bytes a tag ("<a>") and four an attribute
-// (`b=""`). Only '<' or '=' inside values make that estimate low, and then one
+// reserve sizes the store's columns from one hop over the markup, to what
+// the document holds: the store adds its write quarter (tree.Builder.Reserve)
+// and no other slack. A run of bytes before a '<' is text, and so is a CDATA
+// section, a text node for each stretch of them; every other '<' but an end
+// tag's begins a node. A start tag is read to its '>', counting its
+// attributes and the bytes of their values; a comment, PI or CDATA section is
+// found whole. Content is what the runs, values and sections hold, less what
+// the references and CRLFs of runs and values lose in decoding. Only a '<'
+// inside a CDATA section or a comment makes the estimate low, and then a
 // column grows by append. The len(data) caps are what the densest well-formed
 // input ("x<a/>") holds: garbage reserves no more than a document could.
 func (p *parser) reserve() {
-	d, lt, nodes := p.data, 0, 1
-	for i := 0; i < len(d); i++ {
-		j := bytes.IndexByte(d[i:], '<')
-		if j < 0 {
+	d := p.data
+	nodes, attrs, content, inText := 1, 0, -decodeLoss(d), false
+	for i := 0; i < len(d); {
+		j := 0
+		if d[i] != '<' {
+			if j = bytes.IndexByte(d[i:], '<'); j < 0 {
+				j = len(d) - i
+			}
+		}
+		if j > 0 && !inText {
+			nodes++
+		}
+		content += j
+		if inText = inText || j > 0; i+j+1 >= len(d) {
 			break
 		}
-		i += j
-		lt++
-		if i+1 < len(d) && d[i+1] != '/' {
+		i += j + 1
+		if c := d[i]; c == '!' || c == '?' {
+			end, cdata := []byte(">"), bytes.HasPrefix(d[i:], []byte("![CDATA["))
+			switch {
+			case c == '?':
+				end = []byte("?>")
+			case bytes.HasPrefix(d[i:], []byte("!--")):
+				end = []byte("-->")
+			case cdata:
+				end = []byte("]]>")
+			}
+			k := bytes.Index(d[i:], end)
+			if k < 0 {
+				k = len(d) - i
+			}
+			if !cdata || !inText {
+				nodes++
+			}
+			content += k + decodeLoss(d[i:i+k]) // stored raw
+			i, inText = i+k+len(end), cdata
+			continue
+		}
+		if inText = false; d[i] == '/' {
+			i++
+		} else {
 			nodes++
 		}
-		if i > 0 && d[i-1] != '>' {
-			nodes++
+		for { // the name, then name="value" pairs (an end tag has none)
+			for i < len(d) && class[d[i]]&cTag != 0 {
+				i++
+			}
+			if i < len(d) && d[i] == '\r' {
+				content++ // a CRLF in a tag is no content's
+				i++
+				continue
+			}
+			if i >= len(d) || d[i] != '=' {
+				break
+			}
+			for i++; i < len(d) && class[d[i]]&cData == 0; i++ {
+			}
+			if i >= len(d) || d[i] != '"' && d[i] != '\'' {
+				break
+			}
+			q, v := d[i], i+1
+			for i = v; i < len(d) && d[i] != q; i++ {
+			}
+			attrs++
+			content += i - v
+			i++
+		}
+		for i < len(d) && d[i] != '>' {
+			i++
+		}
+		i++
+	}
+	p.b.Reserve(min(nodes, len(d)/2+1), min(attrs, len(d)/4), min(max(content, 0), len(d)))
+}
+
+// decodeLoss returns how many bytes fewer the references and CRLFs of b
+// decode to. A '&' that opens no reference (raw, in a comment or CDATA
+// section) loses nothing.
+func decodeLoss(b []byte) int {
+	n := bytes.Count(b, []byte("\r\n"))
+	for i := 0; ; i++ {
+		k := bytes.IndexByte(b[i:], '&')
+		if k < 0 {
+			return n
+		}
+		i += k
+		semi := bytes.IndexByte(b[i:], ';')
+		if semi < 0 {
+			return n
+		}
+		if ref := b[i+1 : i+semi]; predefined[string(ref)] != 0 {
+			n += semi
+		} else if r, ok := parseCharRef(ref); ok {
+			n += semi + 1 - utf8.RuneLen(r)
 		}
 	}
-	attrs := min(bytes.Count(d, []byte("=")), len(d)/4)
-	p.b.Reserve(min(nodes, len(d)/2+1), attrs, max(len(d)-3*lt-4*attrs, 0))
 }
 
 type parser struct {
@@ -175,15 +258,19 @@ const (
 	cCR                     // '\r': end-of-line normalisation
 	cNorm                   // '\t' '\n' '\r': a space in an attribute value
 	cData                   // anything but XML whitespace
+	cName                   // a name character (isNameChar)
+	cTag                    // a name character or whitespace but '\r': a tag's bytes outside its values
 )
 
-var class, nameChar = func() (cl [256]uint8, nc [256]bool) {
+var class = func() (cl [256]uint8) {
 	for c := range cl {
-		cl[c], nc[c] = cData, isNameChar(byte(c))
+		if cl[c] = cData; isNameChar(byte(c)) {
+			cl[c] |= cName | cTag
+		}
 	}
-	cl[' '], cl['\t'], cl['\n'], cl['\r'] = 0, cNorm, cNorm, cNorm|cCR
+	cl[' '], cl['\t'], cl['\n'], cl['\r'] = cTag, cNorm|cTag, cNorm|cTag, cNorm|cCR
 	cl['<'], cl['>'], cl['&'] = cLT|cData, cGT|cData, cAmp|cData
-	return cl, nc
+	return cl
 }()
 
 // readName reads the name at p.pos, or returns nil and stays put.
@@ -192,7 +279,7 @@ func (p *parser) readName() []byte {
 	if i >= len(d) || !isNameStart(d[i]) {
 		return nil
 	}
-	for i++; i < len(d) && nameChar[d[i]]; i++ {
+	for i++; i < len(d) && class[d[i]]&cName != 0; i++ {
 	}
 	name := d[p.pos:i]
 	p.pos = i
@@ -519,11 +606,7 @@ func (p *parser) decodeEntities(s []byte, inAttr bool) ([]byte, error) {
 		if c, ok := predefined[string(ent)]; ok {
 			out = append(out, c)
 		} else if ent[0] == '#' {
-			digits, base := ent[1:], int64(10)
-			if len(digits) > 0 && (digits[0] == 'x' || digits[0] == 'X') {
-				digits, base = digits[1:], 16
-			}
-			r, ok := parseCharRef(digits, base)
+			r, ok := parseCharRef(ent)
 			if !ok {
 				return nil, p.errf("bad character reference &%s;", ent)
 			}
@@ -537,9 +620,17 @@ func (p *parser) decodeEntities(s []byte, inAttr bool) ([]byte, error) {
 	return out, nil
 }
 
-// parseCharRef reads the digits of a character reference; ok is false for no
-// digits, a bad digit, and a code point XML does not allow.
-func parseCharRef(digits []byte, base int64) (r rune, ok bool) {
+// parseCharRef reads a character reference's name ("#65" or "#x41"); ok is
+// false for anything else: no '#', no digits, a bad digit, and a code point
+// XML does not allow.
+func parseCharRef(ent []byte) (r rune, ok bool) {
+	if len(ent) == 0 || ent[0] != '#' {
+		return 0, false
+	}
+	digits, base := ent[1:], int64(10)
+	if len(digits) > 0 && (digits[0] == 'x' || digits[0] == 'X') {
+		digits, base = digits[1:], 16
+	}
 	var v int64
 	for _, c := range digits {
 		var d int64

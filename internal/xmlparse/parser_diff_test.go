@@ -70,13 +70,15 @@ func treeDiff(a, b *tree.Doc) string {
 		if blo, bhi := b.Attrs(pre); alo != blo || ahi != bhi {
 			return fmt.Sprintf("node %d: attribute rows [%d,%d) vs [%d,%d)", pre, alo, ahi, blo, bhi)
 		}
-	}
-	for i := int32(0); i < int32(a.NumAttrs()); i++ {
-		if a.AttrOwner(i) != b.AttrOwner(i) || a.AttrNameID(i) != b.AttrNameID(i) ||
-			!bytes.Equal(a.AttrValueBytes(i), b.AttrValueBytes(i)) {
-			return fmt.Sprintf("attribute %d: %d %s=%q vs %d %s=%q", i,
-				a.AttrOwner(i), a.AttrName(i), a.AttrValueBytes(i), b.AttrOwner(i), b.AttrName(i), b.AttrValueBytes(i))
+		for i := alo; i < ahi; i++ {
+			if a.AttrNameID(i) != b.AttrNameID(i) || !bytes.Equal(a.AttrValueBytes(i), b.AttrValueBytes(i)) {
+				return fmt.Sprintf("node %d, attribute %d: %s=%q vs %s=%q", pre, i,
+					a.AttrName(i), a.AttrValueBytes(i), b.AttrName(i), b.AttrValueBytes(i))
+			}
 		}
+	}
+	if a.NumAttrs() != b.NumAttrs() {
+		return fmt.Sprintf("%d attributes vs %d", a.NumAttrs(), b.NumAttrs())
 	}
 	if !bytes.Equal(a.AppendXML(nil, 0), b.AppendXML(nil, 0)) {
 		return "AppendXML bytes differ"
