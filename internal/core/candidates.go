@@ -45,8 +45,9 @@ type Candidates struct {
 
 	// The region columns in (end, start, id) order and their suffix-min ids
 	// (the overlap joins and MinPreEndFrom), built on first use. from and dr,
-	// when set, are a view that had built its end order and the rows that
-	// make it this one: the build then merges instead of sorting.
+	// when set, are the view this one was derived from and the rows that make
+	// it this one: when from has built its end order, the build merges
+	// instead of sorting.
 	endOnce  sync.Once
 	endBuilt atomic.Bool
 	from     *Candidates
@@ -262,15 +263,15 @@ func (c *Candidates) endCols() (start, end []int64, id []int32) {
 }
 
 // endOrder builds the end order and its suffix-mins, once: merged from the
-// view c was derived from when that view had built its own, sorted otherwise.
+// view c was derived from when that view has built its own, sorted otherwise.
 func (c *Candidates) endOrder() {
 	c.endOnce.Do(func() {
-		if c.from != nil {
+		if c.from != nil && c.from.endBuilt.Load() {
 			c.eStart, c.eEnd, c.eID = mergeByEnd(c.from.eStart, c.from.eEnd, c.from.eID, c.dr)
-			c.from, c.dr = nil, nil
 		} else {
 			c.eStart, c.eEnd, c.eID = byEnd(c.rStart, c.rEnd, c.rID)
 		}
+		c.from, c.dr = nil, nil
 		c.endMin = suffixMinIDs(c.eID)
 		c.endBuilt.Store(true)
 	})

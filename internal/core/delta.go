@@ -203,8 +203,8 @@ func (ix *RegionIndex) deltaOf(nameID int32, all bool, ins, del int) *deltaRows 
 
 // apply returns the candidate set src with the delta applied: areas, region
 // rows and bounds rows; the bounds alias the region rows unless multi. When
-// src has its end order, c's first use merges the delta into it; otherwise c
-// sorts its own then and keeps no pointer to src.
+// src has its end order, c keeps src to merge the delta into it on first
+// use; otherwise c sorts its own then and keeps no pointer to src.
 func (dr *deltaRows) apply(src *Candidates, multi bool) *Candidates {
 	c := &Candidates{areas: mergeAreas(src.areas, dr.dead, dr.areas)}
 	if src.endBuilt.Load() {
@@ -229,8 +229,9 @@ func (ix *RegionIndex) materialize() {
 
 func (ix *RegionIndex) merge() {
 	fullMerges.Add(1)
-	dr := ix.deltaOf(0, true, 0, 0)
-	c := dr.apply(ix.base.All(), ix.multiRegion)
+	dr, src := ix.deltaOf(0, true, 0, 0), ix.base.All()
+	c := dr.apply(src, ix.multiRegion)
+	c.from, c.dr = src, dr // src lives with the base: merge its end order if a base query builds it first
 	ix.areas = c.areas
 	ix.rStart, ix.rEnd, ix.rID = c.rStart, c.rEnd, c.rID
 	ix.bStart, ix.bEnd, ix.bID = c.bStart, c.bEnd, c.bID

@@ -356,8 +356,9 @@ func TestDeltaWatermarks(t *testing.T) {
 // the start watermark's suffix-mins from the start and sorts by end only for
 // its first select-wide step, so narrow-only traffic never does. A delta
 // layer made from a view without an end order keeps no pointer to it; one
-// made from a view with one merges that on first use instead of sorting. Both
-// end up equal to a rebuild's.
+// made from a view with one merges that on first use instead of sorting, and
+// so does the full merge when the base's view has one by then. All end up
+// equal to a rebuild's.
 func TestEndOrderBuiltOnFirstWideUse(t *testing.T) {
 	d, ix := buildDelta(t)
 	hitID, _ := d.Dict().Lookup("hit")
@@ -400,4 +401,18 @@ func TestEndOrderBuiltOnFirstWideUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertCandidatesEqual(t, "merged layer", l2, fresh.FilterByName(hitID))
+
+	// The full merge keeps the base's unrestricted view whatever its state,
+	// so a base query that builds that view's end order after the merge but
+	// before the delta's first wide step still saves the delta its sort.
+	all := delta.All()
+	if base := delta.base.All(); all.from != base || base.endBuilt.Load() {
+		t.Fatalf("full merge: source kept %v, base end order built %v", all.from == base, base.endBuilt.Load())
+	}
+	wide(delta.base, delta.base.All())
+	wide(delta, all)
+	if all.from != nil || all.dr != nil {
+		t.Fatal("the merged full view still holds its source")
+	}
+	assertCandidatesEqual(t, "merged full view", all, fresh.All())
 }

@@ -25,6 +25,7 @@ type Builder struct {
 	inTag    bool    // attributes still allowed
 	err      error
 	finished bool
+	reserved bool // the columns were sized by Reserve
 
 	slab *FragmentSlab // the slab the document is cut from, or nil
 
@@ -40,15 +41,10 @@ type Builder struct {
 // both; names are interned first (Intern) so the bodies see ids only.
 type chars interface{ string | []byte }
 
-// noAttrs is attFirst before the document node: no attribute rows yet. Its
-// one slot is its capacity, so the first push copies it out and it is never
-// written.
-var noAttrs = [1]int32{0}
-
 // NewBuilder starts a fresh document with the given name. The document node
 // (pre 0) is created implicitly.
 func NewBuilder(name string) *Builder {
-	d := &Doc{Name: name, dict: NewDict(), attFirst: noAttrs[:]}
+	d := &Doc{Name: name, dict: NewDict(), attFirst: make([]int32, 1, 2)}
 	b := &Builder{doc: d}
 	pre := pushNode(b, DocumentNode, NoName, "")
 	b.open = append(b.open, pre) // the document node stays open until Done
@@ -68,9 +64,12 @@ func NewFragmentBuilder() *Builder {
 // bound them from its input never re-grows a column. Every column gets a
 // quarter on top, append's own growth step: annotation writes extend a sealed
 // document's columns in place (see Appender), and with none to spare the
-// first write after a load would copy every column.
+// first write after a load would copy every column. content may count raw
+// bytes: when references and line ends decode to much fewer, Done copies the
+// column down to what it holds and the quarter.
 func (b *Builder) Reserve(nodes, attrs, content int) {
 	d := b.doc
+	b.reserved = true
 	nodes, attrs, content = nodes+nodes/4, attrs+attrs/4, content+content/4
 	d.kind = slices.Grow(d.kind, nodes)
 	d.name = slices.Grow(d.name, nodes)
@@ -260,6 +259,9 @@ func (b *Builder) Done() (*Doc, error) {
 	d := b.doc
 	d.order = docOrderCounter.Add(1)
 	d.size[0] = int32(len(d.kind)) - 1
+	if n := len(d.content) + len(d.content)/4; b.reserved && cap(d.content) > n+8<<10 { // beyond an allocation's rounding
+		d.content = append(make([]byte, 0, n), d.content...)
+	}
 	if b.slab != nil {
 		b.slab.seal(d)
 	}

@@ -57,27 +57,26 @@ func ParseFile(path string) (*tree.Doc, error) {
 // once, from counts over the input, before the first event.
 func ParseWithOptions(name string, data []byte, opts Options) (*tree.Doc, error) {
 	p := &parser{name: name, data: data, b: tree.NewBuilder(name), opts: opts}
-	p.reserve()
+	p.b.Reserve(reserve(data))
 	if err := p.run(); err != nil {
 		return nil, err
 	}
 	return p.b.Done()
 }
 
-// reserve sizes the store's columns from one hop over the markup, to what
-// the document holds: the store adds its write quarter (tree.Builder.Reserve)
-// and no other slack. A run of bytes before a '<' is text, and so is a CDATA
-// section, a text node for each stretch of them; every other '<' but an end
-// tag's begins a node. A start tag is read to its '>', counting its
-// attributes and the bytes of their values; a comment, PI or CDATA section is
-// found whole. Content is what the runs, values and sections hold, less what
-// the references and CRLFs of runs and values lose in decoding. Only a '<'
-// inside a CDATA section or a comment makes the estimate low, and then a
-// column grows by append. The len(data) caps are what the densest well-formed
+// reserve counts, in one hop over the markup, the nodes, attributes and
+// content bytes data holds, to size the store's columns: the store adds its
+// write quarter (tree.Builder.Reserve) and no other slack. A run of bytes
+// before a '<' is text, and so is a CDATA section, a text node for each
+// stretch of them; every other '<' but an end tag's begins a node. A start
+// tag is read to its '>', counting its attributes and the bytes of their
+// values; a comment, PI or CDATA section is found whole. Content is the raw
+// bytes of the runs, values and sections, so a well-formed input is never
+// counted low: what its references and CRLFs lose in decoding, the store
+// gives back at Done. The len(data) caps are what the densest well-formed
 // input ("x<a/>") holds: garbage reserves no more than a document could.
-func (p *parser) reserve() {
-	d := p.data
-	nodes, attrs, content, inText := 1, 0, -decodeLoss(d), false
+func reserve(d []byte) (nodes, attrs, content int) {
+	nodes, inText := 1, false
 	for i := 0; i < len(d); {
 		j := 0
 		if d[i] != '<' {
@@ -94,15 +93,16 @@ func (p *parser) reserve() {
 		}
 		i += j + 1
 		if c := d[i]; c == '!' || c == '?' {
-			end, cdata := []byte(">"), bytes.HasPrefix(d[i:], []byte("![CDATA["))
+			open, end, cdata := 1, []byte(">"), bytes.HasPrefix(d[i:], []byte("![CDATA["))
 			switch {
 			case c == '?':
 				end = []byte("?>")
 			case bytes.HasPrefix(d[i:], []byte("!--")):
-				end = []byte("-->")
+				open, end = 3, []byte("-->")
 			case cdata:
-				end = []byte("]]>")
+				open, end = 8, []byte("]]>")
 			}
+			i += open
 			k := bytes.Index(d[i:], end)
 			if k < 0 {
 				k = len(d) - i
@@ -110,7 +110,7 @@ func (p *parser) reserve() {
 			if !cdata || !inText {
 				nodes++
 			}
-			content += k + decodeLoss(d[i:i+k]) // stored raw
+			content += k
 			i, inText = i+k+len(end), cdata
 			continue
 		}
@@ -122,11 +122,6 @@ func (p *parser) reserve() {
 		for { // the name, then name="value" pairs (an end tag has none)
 			for i < len(d) && class[d[i]]&cTag != 0 {
 				i++
-			}
-			if i < len(d) && d[i] == '\r' {
-				content++ // a CRLF in a tag is no content's
-				i++
-				continue
 			}
 			if i >= len(d) || d[i] != '=' {
 				break
@@ -148,30 +143,7 @@ func (p *parser) reserve() {
 		}
 		i++
 	}
-	p.b.Reserve(min(nodes, len(d)/2+1), min(attrs, len(d)/4), min(max(content, 0), len(d)))
-}
-
-// decodeLoss returns how many bytes fewer the references and CRLFs of b
-// decode to. A '&' that opens no reference (raw, in a comment or CDATA
-// section) loses nothing.
-func decodeLoss(b []byte) int {
-	n := bytes.Count(b, []byte("\r\n"))
-	for i := 0; ; i++ {
-		k := bytes.IndexByte(b[i:], '&')
-		if k < 0 {
-			return n
-		}
-		i += k
-		semi := bytes.IndexByte(b[i:], ';')
-		if semi < 0 {
-			return n
-		}
-		if ref := b[i+1 : i+semi]; predefined[string(ref)] != 0 {
-			n += semi
-		} else if r, ok := parseCharRef(ref); ok {
-			n += semi + 1 - utf8.RuneLen(r)
-		}
-	}
+	return min(nodes, len(d)/2+1), min(attrs, len(d)/4), min(content, len(d))
 }
 
 type parser struct {
@@ -259,7 +231,7 @@ const (
 	cNorm                   // '\t' '\n' '\r': a space in an attribute value
 	cData                   // anything but XML whitespace
 	cName                   // a name character (isNameChar)
-	cTag                    // a name character or whitespace but '\r': a tag's bytes outside its values
+	cTag                    // a name character or whitespace: a tag's bytes outside its values
 )
 
 var class = func() (cl [256]uint8) {
@@ -268,7 +240,7 @@ var class = func() (cl [256]uint8) {
 			cl[c] |= cName | cTag
 		}
 	}
-	cl[' '], cl['\t'], cl['\n'], cl['\r'] = cTag, cNorm|cTag, cNorm|cTag, cNorm|cCR
+	cl[' '], cl['\t'], cl['\n'], cl['\r'] = cTag, cNorm|cTag, cNorm|cTag, cNorm|cCR|cTag
 	cl['<'], cl['>'], cl['&'] = cLT|cData, cGT|cData, cAmp|cData
 	return cl
 }()
@@ -606,7 +578,11 @@ func (p *parser) decodeEntities(s []byte, inAttr bool) ([]byte, error) {
 		if c, ok := predefined[string(ent)]; ok {
 			out = append(out, c)
 		} else if ent[0] == '#' {
-			r, ok := parseCharRef(ent)
+			digits, base := ent[1:], int64(10)
+			if len(digits) > 0 && (digits[0] == 'x' || digits[0] == 'X') {
+				digits, base = digits[1:], 16
+			}
+			r, ok := parseCharRef(digits, base)
 			if !ok {
 				return nil, p.errf("bad character reference &%s;", ent)
 			}
@@ -620,17 +596,9 @@ func (p *parser) decodeEntities(s []byte, inAttr bool) ([]byte, error) {
 	return out, nil
 }
 
-// parseCharRef reads a character reference's name ("#65" or "#x41"); ok is
-// false for anything else: no '#', no digits, a bad digit, and a code point
-// XML does not allow.
-func parseCharRef(ent []byte) (r rune, ok bool) {
-	if len(ent) == 0 || ent[0] != '#' {
-		return 0, false
-	}
-	digits, base := ent[1:], int64(10)
-	if len(digits) > 0 && (digits[0] == 'x' || digits[0] == 'X') {
-		digits, base = digits[1:], 16
-	}
+// parseCharRef reads the digits of a character reference; ok is false for no
+// digits, a bad digit, and a code point XML does not allow.
+func parseCharRef(digits []byte, base int64) (r rune, ok bool) {
 	var v int64
 	for _, c := range digits {
 		var d int64

@@ -281,7 +281,9 @@ func FuzzParse(f *testing.F) {
 	for i := 0; i < 40; i++ {
 		f.Add(hostileDoc(rng))
 	}
+	f.Add([]byte("<a><!--" + strings.Repeat("&", 1000) + "-->;</a>"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bothOpts(t, data)
+		reserveNotLow(t, data)
 	})
 }
