@@ -15,15 +15,14 @@ type activeSet interface {
 	insert(key int32, end int64) bool
 	// forEach invokes f once per key whose dominant end is >= thresh.
 	forEach(thresh int64, f func(key int32))
-	// expire drops items with end < cutoff. Only valid when cutoffs are
-	// non-decreasing over the life of the set (select-narrow's candidate
-	// start values). Implementations may ignore it.
+	// expire drops items with end < cutoff (the heap: once none is left
+	// above). Only valid when cutoffs are non-decreasing over the life of the
+	// set (select-narrow's candidate start values).
 	expire(cutoff int64)
-	// maxEnd returns an upper bound for the largest active end, or
-	// math.MinInt64 when empty.
-	maxEnd() int64
-	// len returns the number of live items (diagnostics).
+	// len returns the number of live items.
 	len() int
+	// single returns the one live item when exactly one is live.
+	single() (key int32, end int64, ok bool)
 }
 
 type activeEntry struct {
@@ -122,14 +121,14 @@ func (l *listActive) expire(cutoff int64) {
 	l.items = l.items[:n]
 }
 
-func (l *listActive) maxEnd() int64 {
-	if len(l.items) == 0 {
-		return math.MinInt64
-	}
-	return l.items[0].end
-}
-
 func (l *listActive) len() int { return len(l.items) }
+
+func (l *listActive) single() (int32, int64, bool) {
+	if len(l.items) != 1 {
+		return 0, 0, false
+	}
+	return l.items[0].key, l.items[0].end, true
+}
 
 // heapActive is the heap replacement suggested by the paper's section 5 for
 // data distributions that let the active list grow long: a binary max-heap
@@ -141,6 +140,7 @@ type heapActive struct {
 	best    []int64
 	live    int
 	scratch []activeEntry
+	floor   int64 // the cutoff that last emptied the heap: a best end below it is gone
 }
 
 func newHeapActive(nKeys int32) *heapActive {
@@ -158,7 +158,7 @@ func (h *heapActive) reset(nKeys int32) *heapActive {
 	}
 	h.heap = h.heap[:0]
 	h.scratch = h.scratch[:0]
-	h.live = 0
+	h.live, h.floor = 0, math.MinInt64
 	return h
 }
 
@@ -166,7 +166,7 @@ func (h *heapActive) insert(key int32, end int64) bool {
 	if h.best[key] >= end {
 		return false
 	}
-	if h.best[key] != math.MinInt64 {
+	if old := h.best[key]; old != math.MinInt64 && old >= h.floor {
 		h.live-- // the old entry becomes stale in place
 	}
 	h.best[key] = end
@@ -227,13 +227,20 @@ func (h *heapActive) forEach(thresh int64, f func(key int32)) {
 	}
 }
 
-func (h *heapActive) expire(int64) {} // lazy: expired entries never reach forEach
-
-func (h *heapActive) maxEnd() int64 {
-	if len(h.heap) == 0 {
-		return math.MinInt64
+// expire empties the heap once its top, always live (a key's newest entry
+// ends after its stale ones), ends before cutoff; till then forEach skips
+// expired entries.
+func (h *heapActive) expire(cutoff int64) {
+	if len(h.heap) > 0 && h.heap[0].end < cutoff {
+		h.heap, h.live, h.floor = h.heap[:0], 0, cutoff
 	}
-	return h.heap[0].end
 }
 
 func (h *heapActive) len() int { return h.live }
+
+func (h *heapActive) single() (int32, int64, bool) {
+	if h.live != 1 {
+		return 0, 0, false
+	}
+	return h.heap[0].key, h.heap[0].end, true
+}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"soxq/internal/interval"
 )
 
 // JoinArena recycles the allocation-heavy scratch of the StandOff joins
@@ -23,7 +26,8 @@ type JoinArena struct {
 	loaned   []Pair   // the last Join result, reclaimed on the next Join
 
 	ctxRows  []ctxRow
-	ctxTmp   []ctxRow // sortCtxRows' other buffer
+	ctxTmp   []ctxRow            // sortCtxRows' other buffer
+	ctxRegs  [][]interval.Region // buildCtxRows' regions per context node
 	pseudo   []int32
 	ctxNodes []CtxNode // joinBasic per-iteration context remap
 	csOff    []int32   // counting-sort bucket offsets
@@ -164,6 +168,22 @@ func (a *JoinArena) getCtxTmp(n int) []ctxRow {
 func (a *JoinArena) putCtxTmp(rows []ctxRow) {
 	if a != nil {
 		a.ctxTmp = rows
+	}
+}
+
+// getRegs returns an empty buffer of region slices with capacity for n;
+// putRegs clears it (it must not keep an index alive) and stores it back.
+func (a *JoinArena) getRegs(n int) [][]interval.Region {
+	if a == nil {
+		return make([][]interval.Region, 0, n)
+	}
+	return slices.Grow(a.ctxRegs[:0], n)
+}
+
+func (a *JoinArena) putRegs(r [][]interval.Region) {
+	if a != nil {
+		clear(r)
+		a.ctxRegs = r
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Op selects one of the four StandOff joins of section 3.1.
@@ -140,38 +139,41 @@ type ctxRow struct {
 	start, end int64
 }
 
-// buildCtxRows fetches the regions of every context node and reports whether
-// any context area is multi-region. When pseudoKeys is true each ctx entry
+// buildCtxRows fetches the regions of every context node and returns them
+// ordered, with the number of keys. When pseudoKeys is true each ctx entry
 // becomes its own key (exact containment needs to know *which* context area
-// matched); pseudoToIter maps keys back to iterations.
-func buildCtxRows(ix *RegionIndex, ctx []CtxNode, pseudoKeys bool, a *JoinArena) (rows []ctxRow, pseudoToIter []int32, multi bool) {
+// matched); pseudoToIter maps keys back to iterations. All nodes are resolved
+// before any region is read, so the misses of consecutive nodes overlap.
+func buildCtxRows(ix *RegionIndex, ctx []CtxNode, pseudoKeys bool, a *JoinArena) (rows []ctxRow, pseudoToIter []int32, nKeys int32) {
+	regs := a.getRegs(len(ctx))
+	for _, cn := range ctx {
+		regs = append(regs, ix.RegionsOf(cn.Pre))
+	}
 	rows = a.getCtxRows(len(ctx))
 	if pseudoKeys {
 		pseudoToIter = a.getPseudo(len(ctx))
 	}
-	for _, cn := range ctx {
-		regs := ix.RegionsOf(cn.Pre)
-		if regs == nil {
+	for j, cn := range ctx {
+		if len(regs[j]) == 0 {
 			continue
-		}
-		if len(regs) > 1 {
-			multi = true
 		}
 		key := cn.Iter
 		if pseudoKeys {
 			key = int32(len(pseudoToIter))
 			pseudoToIter = append(pseudoToIter, cn.Iter)
 		}
-		for _, r := range regs {
+		nKeys = max(nKeys, key+1)
+		for _, r := range regs[j] {
 			rows = append(rows, ctxRow{key: key, start: r.Start, end: r.End})
 		}
 	}
+	a.putRegs(regs)
 	rows = sortCtxRows(rows, a)
 	a.putCtxRows(rows)
 	if pseudoKeys {
 		a.putPseudo(pseudoToIter)
 	}
-	return rows, pseudoToIter, multi
+	return rows, pseudoToIter, nKeys
 }
 
 // sortCtxRows orders the context table by (start, end) and returns it,
@@ -295,13 +297,7 @@ func matchNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfi
 // its bounding region, and one dominant context region per key is exact, so
 // every (key, candidate) match reaches emit exactly once.
 func mergeNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool, emit *emitState) {
-	rows, _, _ := buildCtxRows(ix, ctx, false, cfg.Arena)
-	nKeys := int32(0)
-	for _, r := range rows {
-		if r.key+1 > nKeys {
-			nKeys = r.key + 1
-		}
-	}
+	rows, _, nKeys := buildCtxRows(ix, ctx, false, cfg.Arena)
 	as := newActiveSet(nKeys, cfg)
 	tr := cfg.Trace
 	i := 0
@@ -319,20 +315,27 @@ func mergeNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfi
 			i++
 		}
 		as.expire(cs)
-		if !fullScan && tr == nil && as.len() == 0 {
-			// Empty staircase: nothing can emit until the next context region
-			// enters, so fast-forward to the first candidate that admits it
-			// (rows[i].start > cs here — the merge loop above consumed every
-			// earlier row). With the context exhausted this is the early
-			// break. Tracing keeps the plain per-candidate walk so the event
-			// stream (skip-candidate per candidate) stays byte-identical.
-			if i == len(rows) {
-				break
+		if !fullScan && tr == nil {
+			// Basic pays the paper's full scan, and tracing walks candidate
+			// by candidate so that the event stream stays byte-identical.
+			if as.len() == 0 {
+				// Empty staircase: skip to the next context row's start (> cs:
+				// the loop above consumed every earlier row), or end.
+				if i == len(rows) {
+					break
+				}
+				k = gallop(bStart, k+1, rows[i].start) - 1
+				continue
 			}
-			next := rows[i].start
-			lo := k + 1
-			k = lo + sort.Search(len(bID)-lo, func(j int) bool { return bStart[lo+j] >= next }) - 1
-			continue
+			if key, end, ok := as.single(); ok {
+				// One context: it alone decides until the next row enters.
+				lim := end
+				if i < len(rows) {
+					lim = min(lim, rows[i].start-1)
+				}
+				k = emit.run(key, end, lim, bStart, bEnd, bID, k) - 1
+				continue
+			}
 		}
 		cid := bID[k]
 		before := len(emit.out)
@@ -347,7 +350,7 @@ func mergeNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfi
 				tr(TraceEvent{Kind: "skip-candidate", Pre: cid})
 			}
 		}
-		if !fullScan && i == len(rows) && as.maxEnd() < cs {
+		if !fullScan && i == len(rows) && as.len() == 0 {
 			if tr != nil {
 				tr(TraceEvent{Kind: "break"})
 			}
@@ -387,6 +390,54 @@ func (e *emitState) callback() func(key int32) {
 	return e.cb
 }
 
+// run emits, with one active context (key, end), the candidates from k on that
+// start by lim and end by end, and returns the first candidate past lim. One
+// loop per emit mode, so a candidate costs no call.
+func (e *emitState) run(key int32, end, lim int64, bStart, bEnd []int64, bID []int32, k int) int {
+	bEnd, bID = bEnd[:len(bStart)], bID[:len(bStart)]
+	switch {
+	case e.red == nil:
+		for ; k < len(bStart) && bStart[k] <= lim; k++ {
+			if bEnd[k] <= end {
+				e.out = append(e.out, Pair{Iter: key, Pre: bID[k]})
+			}
+		}
+	case e.first:
+		r := e.red[key]
+		for ; k < len(bStart) && bStart[k] <= lim; k++ {
+			if bEnd[k] <= end && (r < 0 || bID[k] < r) {
+				r = bID[k]
+			}
+		}
+		e.red[key] = r
+	default:
+		n := e.red[key]
+		for ; k < len(bStart) && bStart[k] <= lim; k++ {
+			if bEnd[k] <= end {
+				n++
+			}
+		}
+		e.red[key] = n
+	}
+	return k
+}
+
+// gallop returns the first j >= lo with col[j] >= target (or len(col)) in an
+// ascending col: it probes lo, lo+1, lo+3, lo+7, … and binary-searches the
+// last step, so a skip of d rows costs O(log d) probes.
+func gallop(col []int64, lo int, target int64) int {
+	hi, step := lo, 1
+	for hi < len(col) && col[hi] < target {
+		lo, hi, step = hi+1, hi+step, step*2
+	}
+	j, _ := slices.BinarySearch(col[lo:min(hi, len(col))], target)
+	testHookSkip()
+	return lo + j
+}
+
+// testHookSkip is called once per gallop; tests count skips with it.
+var testHookSkip = func() {}
+
 // JoinReduce runs the Loop-Lifted select join op (SelectNarrow or
 // SelectWide) for a consumer that reads one number per key instead of the
 // pairs: with first unset it adds to out[key] how many candidates key
@@ -419,8 +470,8 @@ func JoinReduce(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, keep fu
 // by that same area (the paper's omitted post-processing, section 4.5).
 func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
 	a := cfg.Arena
-	rows, pseudoToIter, _ := buildCtxRows(ix, ctx, true, a)
-	as := newActiveSet(int32(len(pseudoToIter)), cfg)
+	rows, pseudoToIter, nKeys := buildCtxRows(ix, ctx, true, a)
+	as := newActiveSet(nKeys, cfg)
 	emit := emitState{out: a.getPairs()}
 	i := 0
 	rStart, rEnd, rID := cand.regionCols()
@@ -435,16 +486,11 @@ func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg Join
 			if i == len(rows) {
 				break
 			}
-			next := rows[i].start
-			lo := k + 1
-			k = lo + sort.Search(len(rID)-lo, func(j int) bool { return rStart[lo+j] >= next }) - 1
+			k = gallop(rStart, k+1, rows[i].start) - 1
 			continue
 		}
 		emit.pre = rID[k]
 		as.forEach(rEnd[k], emit.callback())
-		if !fullScan && i == len(rows) && as.maxEnd() < cs {
-			break
-		}
 	}
 	// Aggregate: a candidate area qualifies for a pseudo-iteration when the
 	// number of matched regions equals its region count.
@@ -472,13 +518,7 @@ func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg Join
 // monotone; the per-iteration dominant context region is exact because the
 // overlap test only constrains start from above and end from below.
 func matchWide(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig) []Pair {
-	rows, _, _ := buildCtxRows(ix, ctx, false, cfg.Arena)
-	nKeys := int32(0)
-	for _, r := range rows {
-		if r.key+1 > nKeys {
-			nKeys = r.key + 1
-		}
-	}
+	rows, _, nKeys := buildCtxRows(ix, ctx, false, cfg.Arena)
 	as := newActiveSet(nKeys, cfg)
 	emit := emitState{out: cfg.Arena.getPairs()}
 	i := 0
@@ -497,9 +537,7 @@ func matchWide(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig)
 			if i == len(rows) {
 				break
 			}
-			next := rows[i].start
-			lo := k + 1
-			k = lo + sort.Search(len(eID)-lo, func(j int) bool { return eEnd[lo+j] >= next }) - 1
+			k = gallop(eEnd, k+1, rows[i].start) - 1
 			continue
 		}
 		emit.pre = eID[k]

@@ -355,8 +355,8 @@ func TestActiveListMiddleDeletion(t *testing.T) {
 	l.insert(0, 50)
 	l.insert(1, 40)
 	l.insert(2, 30)
-	if l.len() != 3 || l.maxEnd() != 50 {
-		t.Fatalf("len=%d maxEnd=%d", l.len(), l.maxEnd())
+	if l.len() != 3 || l.items[0].end != 50 {
+		t.Fatalf("len=%d maxEnd=%d", l.len(), l.items[0].end)
 	}
 	if l.insert(1, 35) {
 		t.Fatal("dominated insert must be rejected")

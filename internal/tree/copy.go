@@ -45,7 +45,8 @@ func (b *Builder) CopyAttr(src *Doc, att int32) {
 	attr(b, b.remap(src, src.attName[att]), src.AttrValueBytes(att))
 }
 
-// copyRange appends the all-live subtree of element pre of src.
+// copyRange appends the all-live subtree of element pre of src. It reads only
+// what it writes: levels follow from rebased parents, offsets only of values.
 func (b *Builder) copyRange(src *Doc, pre int32) {
 	d := b.doc
 	lo, hi := pre, pre+src.Size(pre)+1
@@ -53,27 +54,27 @@ func (b *Builder) copyRange(src *Doc, pre int32) {
 		b.fail("document exceeds 2^31 nodes")
 		return
 	}
-	base := int32(len(d.kind))
-	shift := base - lo
-	dLevel := int16(len(b.open)) - src.level[lo]
-	d.kind = append(d.kind, src.kind[lo:hi]...)
-	d.size = append(d.size, src.size[lo:hi]...)
-	for p := lo; p < hi && int(p) < len(src.sizeHead); p++ {
-		d.size[p+shift] = src.sizeHead[p] // a snapshot's grown root element
-	}
-	d.valLen = append(d.valLen, src.valLen[lo:hi]...)
+	shift := int32(len(d.kind)) - lo
+	parent := b.open[len(b.open)-1]
 	for p := lo; p < hi; p++ {
+		if p > lo {
+			parent = src.parent[p] + shift
+		}
+		d.kind = append(d.kind, src.kind[p])
 		d.name = append(d.name, b.remap(src, src.name[p]))
-		d.level = append(d.level, src.level[p]+dLevel)
-		d.parent = append(d.parent, src.parent[p]+shift)
+		d.size = append(d.size, src.Size(p))
+		d.level = append(d.level, d.level[parent]+1)
+		d.parent = append(d.parent, parent)
+		d.valLen = append(d.valLen, src.valLen[p])
 		d.valOff = append(d.valOff, int64(len(d.content)))
-		d.content = append(d.content, src.ValueBytes(p)...)
+		if src.valLen[p] > 0 {
+			d.content = append(d.content, src.ValueBytes(p)...)
+		}
 		d.attFirst = append(d.attFirst, int32(len(d.attName))) // node p's attributes end the table
 		for a, ahi := src.Attrs(p); a < ahi; a++ {
 			addAttr(d, b.remap(src, src.attName[a]), src.AttrValueBytes(a))
 		}
 	}
-	d.parent[base] = b.open[len(b.open)-1]
 	b.inTag = false
 }
 
@@ -107,16 +108,29 @@ func (d *Doc) wholeRange(pre int32) bool {
 	return true
 }
 
-// SubtreeExtent returns what a copy of node pre's subtree holds, tombstoned
-// descendants included: nodes, attribute rows and bytes of values.
-func (d *Doc) SubtreeExtent(pre int32) (nodes, attrs, content int) {
-	end := pre + d.Size(pre)
-	for _, n := range d.valLen[pre : end+1] {
-		content += int(n)
+// SubtreesExtent totals what copies of the subtrees rooted at roots hold,
+// tombstoned descendants included: nodes, attribute rows and bytes of values.
+// One pass per column, so that the misses of consecutive roots overlap. roots
+// and scratch, which must be at least as long, are overwritten.
+func (d *Doc) SubtreesExtent(roots, scratch []int32) (nodes, attrs, content int) {
+	ends := scratch[:len(roots)]
+	for i, p := range roots {
+		ends[i] = p + d.Size(p)
+		nodes += int(ends[i]-p) + 1
 	}
-	alo, ahi := d.attFirst[pre], d.attFirst[end+1]
-	for _, n := range d.attValLn[alo:ahi] {
-		content += int(n)
+	for i, p := range roots {
+		for _, n := range d.valLen[p : ends[i]+1] {
+			content += int(n)
+		}
 	}
-	return int(end-pre) + 1, int(ahi - alo), content
+	for i, p := range roots { // from here on, roots[i] and ends[i] bound attribute rows
+		roots[i], ends[i] = d.attFirst[p], d.attFirst[ends[i]+1]
+		attrs += int(ends[i] - roots[i])
+	}
+	for i, a := range roots {
+		for _, n := range d.attValLn[a:ends[i]] {
+			content += int(n)
+		}
+	}
+	return nodes, attrs, content
 }

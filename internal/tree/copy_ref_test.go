@@ -3,10 +3,12 @@ package tree
 // The deep copy the node constructors used before Builder.CopySubtree — one
 // event, one name string and one value string per node, by recursion — kept
 // verbatim (it lived in internal/xqeval as copyNode) as the oracle of
-// TestCopySubtreeAgainstReference.
+// TestCopySubtreeAgainstReference, and the per-node extent the slab was sized
+// with, the oracle of TestSubtreesExtentAgainstReference.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -33,6 +35,20 @@ func copyNodeRef(fb *Builder, d *Doc, pre int32) {
 	case PINode:
 		fb.PI(d.NodeName(pre), d.Value(pre))
 	}
+}
+
+// SubtreeExtent is the per-node count the constructors sized their slab with
+// before Doc.SubtreesExtent, kept verbatim as its oracle.
+func (d *Doc) SubtreeExtent(pre int32) (nodes, attrs, content int) {
+	end := pre + d.Size(pre)
+	for _, n := range d.valLen[pre : end+1] {
+		content += int(n)
+	}
+	alo, ahi := d.attFirst[pre], d.attFirst[end+1]
+	for _, n := range d.attValLn[alo:ahi] {
+		content += int(n)
+	}
+	return int(end-pre) + 1, int(ahi - alo), content
 }
 
 // sameTree reports the first difference between two documents, column by
@@ -82,10 +98,11 @@ func clipped(d *Doc) bool {
 }
 
 // TestCopySubtreeAgainstReference builds fragments — literal text, copied
-// nodes of every kind (document node included), text again, so that text
-// merges across a copied text node — twice: through copyNodeRef into
-// fragment builders of their own, and through CopySubtree into fragments of
-// one slab. Sources are pristine documents, Appender snapshots and a
+// nodes of every kind (document node included) under zero to two more open
+// elements, so that a copy's levels follow from an open depth of two to four,
+// text again, so that text merges across a copied text node — twice: through
+// copyNodeRef into fragment builders of their own, and through CopySubtree
+// into fragments of one slab. Sources are pristine documents, Appender snapshots and a
 // snapshot with a tombstoned subtree; slabs are sized right, far too small
 // (every fragment outgrows its share) and for the first fragments only.
 func TestCopySubtreeAgainstReference(t *testing.T) {
@@ -126,6 +143,7 @@ func TestCopySubtreeAgainstReference(t *testing.T) {
 			src  *Doc
 			pre  int32
 			text bool
+			wrap int // elements opened around the copy
 		}
 		frags := make([][]item, 1+r.Intn(6))
 		nodes, attrs, content := 0, 0, 0
@@ -137,9 +155,10 @@ func TestCopySubtreeAgainstReference(t *testing.T) {
 					continue
 				}
 				kinds[src.Kind(pre)] = true
-				frags[f] = append(frags[f], item{src, pre, r.Intn(2) == 0})
+				it := item{src, pre, r.Intn(2) == 0, r.Intn(3)}
+				frags[f] = append(frags[f], it)
 				sn, sa, sc := src.SubtreeExtent(pre)
-				nodes, attrs, content = nodes+sn+1, attrs+sa, content+sc+1
+				nodes, attrs, content = nodes+sn+1+it.wrap, attrs+sa, content+sc+1
 			}
 		}
 		build := func(fb *Builder, items []item, copyNode func(*Builder, *Doc, int32)) *Doc {
@@ -149,7 +168,13 @@ func TestCopySubtreeAgainstReference(t *testing.T) {
 				if it.text {
 					fb.Text("t")
 				}
+				for w := 0; w < it.wrap; w++ {
+					fb.StartElement("w")
+				}
 				copyNode(fb, it.src, it.pre)
+				for w := 0; w < it.wrap; w++ {
+					fb.EndElement()
+				}
 			}
 			fb.Text("end")
 			fb.EndElement()
@@ -222,5 +247,77 @@ func TestCopySubtreeMergesText(t *testing.T) {
 	}
 	if doc.NumNodes() != 3 || doc.Value(2) != "a-mid-doc-z" {
 		t.Fatalf("got %d nodes, %s", doc.NumNodes(), doc.XMLString(0))
+	}
+}
+
+// TestSubtreesExtentAgainstReference: the batch extent of any set of roots of
+// one document — nodes of every kind, repeated, in any order — is the sum of
+// SubtreeExtent over them, on a pristine document, an Appender snapshot (its
+// root element's size read from sizeHead), a snapshot with a tombstoned
+// subtree and a slab fragment holding copies of them all.
+func TestSubtreesExtentAgainstReference(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	kinds := map[Kind]bool{}
+	for iter := 0; iter < 100; iter++ {
+		b := NewBuilder("src.xml")
+		b.Comment("lead")
+		b.StartElement("root")
+		serialSubtree(r, b, b.StartElement, b.PI, 1+r.Intn(40))
+		b.EndElement()
+		d, err := b.Done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewAppender(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serialSubtree(r, a, func(name string) { a.StartElement(name) }, nil, 1+r.Intn(10))
+		snap, err := a.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs := []*Doc{d, snap}
+		if kids := snap.Children(snap.RootElement()); len(kids) > 0 {
+			dead, err := snap.WithTombstones([]int32{kids[r.Intn(len(kids))]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, dead)
+		}
+		fb := NewFragmentSlab(1, 0, 0, 0).NewFragment()
+		fb.StartElement("f")
+		for _, src := range docs {
+			fb.CopySubtree(src, src.RootElement())
+		}
+		fb.EndElement()
+		frag, err := fb.Done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, frag)
+		for _, src := range docs {
+			roots := []int32{src.RootElement()}
+			for n := r.Intn(12); n > 0; n-- {
+				roots = append(roots, int32(r.Intn(src.NumNodes())))
+			}
+			var wn, wa, wc int
+			for _, pre := range roots {
+				kinds[src.Kind(pre)] = true
+				n, a, c := src.SubtreeExtent(pre)
+				wn, wa, wc = wn+n, wa+a, wc+c
+			}
+			batch := slices.Clone(roots)
+			gn, ga, gc := src.SubtreesExtent(batch, make([]int32, len(batch)+r.Intn(3)))
+			if gn != wn || ga != wa || gc != wc {
+				t.Fatalf("iter %d roots %v: SubtreesExtent = %d nodes %d attrs %d bytes, per node %d %d %d",
+					iter, roots, gn, ga, gc, wn, wa, wc)
+			}
+		}
+	}
+	for k := DocumentNode; k <= PINode; k++ {
+		if !kinds[k] {
+			t.Errorf("generator never counted a %v node", k)
+		}
 	}
 }

@@ -22,11 +22,10 @@ func (z fragSize) slab(frags int) *tree.FragmentSlab {
 // addContent counts items inserted as element content: nodes by deep copy,
 // attribute nodes as attributes, atomic values as text.
 func (z *fragSize) addContent(items []Item) {
+	z.addTrees(items, true)
 	for _, it := range items {
 		switch it.Kind {
-		case KNode:
-			n, a, c := it.D.SubtreeExtent(it.Pre)
-			z.nodes, z.attrs, z.content = z.nodes+n, z.attrs+a, z.content+c
+		case KNode: // counted by addTrees
 		case KAttr:
 			z.attrs++
 			z.content += valueLen(it)
@@ -39,17 +38,39 @@ func (z *fragSize) addContent(items []Item) {
 
 // addValue counts items atomized into attribute or text values.
 func (z *fragSize) addValue(items []Item) {
+	z.addTrees(items, false)
 	for _, it := range items {
 		z.content += valueLen(it) + 1
 	}
 }
 
-// valueLen bounds the length of an item's string value from above.
+// extentBlock is addTrees' batch of roots of one document, held on the stack.
+const extentBlock = 64
+
+// addTrees counts the node items' subtrees: value bytes (a bound on a node's
+// string value), and with copies set nodes and attribute rows too.
+func (z *fragSize) addTrees(items []Item, copies bool) {
+	var roots, scratch [extentBlock]int32
+	for s := 0; s < len(items); {
+		n, d := 0, items[s].D
+		for ; s < len(items) && n < extentBlock && items[s].D == d; s++ {
+			if items[s].Kind == KNode {
+				roots[n], n = items[s].Pre, n+1
+			}
+		}
+		nodes, attrs, content := d.SubtreesExtent(roots[:n], scratch[:])
+		z.content += content
+		if copies {
+			z.nodes, z.attrs = z.nodes+nodes, z.attrs+attrs
+		}
+	}
+}
+
+// valueLen bounds the length of a non-node item's string value from above.
 func valueLen(it Item) int {
 	switch it.Kind {
 	case KNode:
-		_, _, c := it.D.SubtreeExtent(it.Pre)
-		return c
+		return 0 // counted by addTrees
 	case KAttr:
 		return len(it.D.AttrValueBytes(it.Att))
 	case KString, KUntyped:
