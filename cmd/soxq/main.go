@@ -52,6 +52,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -194,10 +195,10 @@ func main() {
 		cur, err := prep.Stream(cfg)
 		fatalIf(err)
 		w := bufio.NewWriter(os.Stdout)
-		var row []byte
-		for cur.Next() {
-			row = append(cur.AppendXML(row[:0]), '\n')
-			w.Write(row) // a write error sticks; Flush reports it
+		var rows []byte
+		for k := 1; k > 0; {
+			rows, k = cur.AppendRows(rows[:0], 64, math.MaxInt, false, "", "\n")
+			w.Write(rows) // a write error sticks; Flush reports it
 		}
 		fatalIf(cur.Close())
 		fatalIf(w.Flush())

@@ -395,8 +395,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // threshold — flushMin at first, doubling per flush up to flushMax, so the
 // first rows leave early and a long reply settles on few, large writes — or
 // when flushInterval has passed since the last flush, so a slowly produced
-// stream still arrives incrementally; the clock is read once per
-// flushCheckRows rows. A reply that never reaches flushMin is
+// stream still arrives incrementally; the clock is read once per run of at
+// most flushCheckRows rows. A reply that never reaches flushMin is
 // written once when the query ends, with no explicit flush. Every write
 // carries a deadline writeStall ahead, so a client that stops reading (takes
 // longer than that to accept at most flushMax bytes) costs its query slot
@@ -410,17 +410,15 @@ const (
 )
 
 // rowSource is what writeRows drains: a streamed *soxq.Cursor, or a
-// materialised result behind resultRows. AppendXML and AppendJSON append the
-// current row's XML, or that XML as a JSON string literal, in one pass.
+// materialised result behind resultRows. AppendRows is the contract of
+// soxq.Cursor.AppendRows.
 type rowSource interface {
-	Next() bool
-	AppendXML(dst []byte) []byte
-	AppendJSON(dst []byte) []byte
+	AppendRows(dst []byte, n, limit int, asJSON bool, prefix, suffix string) ([]byte, int)
 	Err() error
 }
 
-// resultRows iterates a materialised (cached) result as a rowSource. No run
-// reads ctx for it, so it does, once per flushCheckRows rows.
+// resultRows serves a materialised (cached) result as a rowSource. No query
+// run reads ctx for it, so it reads ctx itself, once per run of rows.
 type resultRows struct {
 	ctx context.Context
 	res *soxq.Result
@@ -428,48 +426,57 @@ type resultRows struct {
 	err error
 }
 
-func (r *resultRows) Next() bool {
-	if r.n++; r.n%flushCheckRows == 0 {
-		r.err = r.ctx.Err()
+func (r *resultRows) AppendRows(dst []byte, n, limit int, asJSON bool, prefix, suffix string) ([]byte, int) {
+	if r.err = r.ctx.Err(); r.err != nil {
+		return dst, 0
 	}
-	return r.err == nil && r.n <= r.res.Len()
+	k := 0
+	for ; k < n && r.n < r.res.Len() && (k == 0 || len(dst) < limit); k, r.n = k+1, r.n+1 {
+		dst = append(dst, prefix...)
+		if v := r.res.Value(r.n); asJSON {
+			dst = v.AppendJSON(dst)
+		} else {
+			dst = v.AppendXML(dst)
+		}
+		dst = append(dst, suffix...)
+	}
+	return dst, k
 }
 
-func (r *resultRows) AppendXML(dst []byte) []byte  { return r.res.Value(r.n - 1).AppendXML(dst) }
-func (r *resultRows) AppendJSON(dst []byte) []byte { return r.res.Value(r.n - 1).AppendJSON(dst) }
-func (r *resultRows) Err() error                   { return r.err }
+func (r *resultRows) Err() error { return r.err }
 
 // writeRows drains src into the response; it is the one row loop behind the
 // streamed and the cache=1 path, so clients need not care which served them.
 // NDJSON emits one {"xml":...} object per item and a trailing
 // {"done":true,"rows":N} (or {"rows":N,"error":...}) record; XML wraps the
 // items, one per line, in a <results> element that ends in an <error>
-// element on failure. Each row is appended straight into the reused output
-// buffer, an NDJSON row's XML written as a JSON string in the same pass — no
-// per-row string, scratch, encoder call or write. A client that disconnects
-// cancels the request context, which ends the rows at the run's next chunk
-// boundary and gets no trailer; a write that fails or misses its deadline
-// stops the drain too. Either way the caller's Close and release follow.
+// element on failure. Rows go a run at a time straight into the reused
+// output buffer, an NDJSON row's XML written as a JSON string in the same
+// pass — no per-row string, scratch, encoder call or write. A client that
+// disconnects cancels the request context, which ends the rows at the run's
+// next chunk boundary and gets no trailer; a write that fails or misses its
+// deadline stops the drain too. Either way the caller's Close and release follow.
 func writeRows(w http.ResponseWriter, format string, src rowSource) {
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	xmlOut := format == "xml"
 	out := make([]byte, 0, 512) // a small reply costs one allocation, a large one grows it
+	prefix, suffix := "", "\n"
 	if xmlOut {
 		w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 		out = append(out, "<results>\n"...)
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
+		prefix, suffix = `{"xml":`, "}\n"
 	}
 	rows, limit, last := 0, flushMin, time.Now()
-	for src.Next() {
-		if xmlOut {
-			out = append(src.AppendXML(out), '\n')
-		} else {
-			out = append(src.AppendJSON(append(out, `{"xml":`...)), "}\n"...)
+	for {
+		var k int
+		if out, k = src.AppendRows(out, flushCheckRows, limit, !xmlOut, prefix, suffix); k == 0 {
+			break
 		}
-		rows++
-		if len(out) < limit && (rows%flushCheckRows != 0 || time.Since(last) < flushInterval) {
+		rows += k
+		if len(out) < limit && time.Since(last) < flushInterval {
 			continue
 		}
 		_ = rc.SetWriteDeadline(time.Now().Add(writeStall)) // fails only off a connection: nothing to stall

@@ -910,12 +910,10 @@ type countingRows struct {
 	n int
 }
 
-func (c *countingRows) Next() bool {
-	if !c.rowSource.Next() {
-		return false
-	}
-	c.n++
-	return true
+func (c *countingRows) AppendRows(dst []byte, n, limit int, asJSON bool, prefix, suffix string) ([]byte, int) {
+	dst, k := c.rowSource.AppendRows(dst, n, limit, asJSON, prefix, suffix)
+	c.n += k
+	return dst, k
 }
 
 // TestWireCachedCancel: the cache=1 path runs the same loop as the streamed

@@ -6,7 +6,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -71,7 +74,8 @@ func FuzzAppendJSONString(f *testing.F) {
 }
 
 // FuzzWireRows serves a fuzzed document's //node() and //@* rows in both
-// formats, streamed and with cache=1. Every NDJSON line but the last decodes
+// formats, streamed and with cache=1, each at the default chunk and at
+// chunks of 1 and 7. Every NDJSON line but the last decodes
 // to its row's Value.XML (as encoding/json carries it) and holds nothing
 // else, the last is the one trailer and counts them, and both bodies are
 // byte for byte what the per-row encoder wrote (legacyBody). Input LoadXML
@@ -101,8 +105,10 @@ func FuzzWireRows(f *testing.F) {
 			rows := res.Values()
 			for _, format := range []string{"ndjson", "xml"} {
 				want := legacyBody(format, rows, nil)
-				for _, cache := range []string{"", "&cache=1"} {
-					target := "/query?corpus=f&format=" + format + cache + "&q=" + queryParam(q)
+				// Chunks of 1 and 7 end the row writer's runs at odd batch
+				// boundaries.
+				for _, params := range []string{"", "&cache=1", "&chunk=1", "&cache=1&chunk=1", "&chunk=7", "&cache=1&chunk=7"} {
+					target := "/query?corpus=f&format=" + format + params + "&q=" + queryParam(q)
 					rec := httptest.NewRecorder()
 					h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
 					body := rec.Body.String()
@@ -245,6 +251,55 @@ func TestWireAllocs(t *testing.T) {
 		got := testing.AllocsPerRun(100, func() { writeRows(newSinkResponse(), "ndjson", &resultRows{ctx: req.Context(), res: res}) })
 		if got > legacy {
 			t.Errorf("%s: a one-row reply allocates %.0f times, the per-row encoder it replaced %.0f", q, got, legacy)
+		}
+	}
+}
+
+// TestWireResultRowsRuns: the cache=1 source keeps the run contract the
+// streamed cursor keeps. Call after call, with n of 1, 3 and 64 and limits
+// of 0, 1, 40 and none, in both forms, resultRows writes the next rows framed
+// by prefix and suffix as Value writes them, at most n of them, and stops
+// after the row that takes the buffer to the limit.
+func TestWireResultRowsRuns(t *testing.T) {
+	eng := soxq.New()
+	members := make([]string, len(wireDocs))
+	for i, d := range wireDocs {
+		members[i] = fmt.Sprintf("w%d.xml", i)
+		if err := eng.LoadXML(members[i], []byte(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.CreateCorpus("wire", members...); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{wireQuery, `doc("wire")//node()`} {
+		res, err := eng.QueryCorpus(q, "wire", soxq.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Values()
+		for _, asJSON := range []bool{false, true} {
+			src := &resultRows{ctx: context.Background(), res: res}
+			for call, pos := 0, 0; ; call++ {
+				n, limit := []int{1, 3, 64}[call%3], []int{0, 1, 40, math.MaxInt}[call%4]
+				want, wantK := []byte("p"), 0
+				for ; wantK < n && pos+wantK < len(rows) && (wantK == 0 || len(want) < limit); wantK++ {
+					if v := rows[pos+wantK]; asJSON {
+						want = append(v.AppendJSON(append(want, '<')), ">\n"...)
+					} else {
+						want = append(v.AppendXML(append(want, '<')), ">\n"...)
+					}
+				}
+				got, k := src.AppendRows([]byte("p"), n, limit, asJSON, "<", ">\n")
+				if k != wantK || !bytes.Equal(got, want) {
+					t.Fatalf("%s json=%v rows %d..: AppendRows(n=%d, limit=%d) wrote %d rows %q, want %d rows %q",
+						q, asJSON, pos, n, limit, k, got, wantK, want)
+				}
+				if k == 0 {
+					break
+				}
+				pos += k
+			}
 		}
 	}
 }

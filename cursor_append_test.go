@@ -4,54 +4,115 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+
+	"soxq/internal/xqexec"
 )
 
 // escapeDoc holds values that need XML escapes, JSON escapes, and both, and
-// U+2028, which JSON escapes and XML does not.
+// U+2028, which JSON escapes and XML does not, and a node of every kind.
 const escapeDoc = `<doc>
   <scene id="s&lt;1&quot;" start="0" end="99">a &amp; b "c" \ ` + "\xe2\x80\xa8" + `</scene>
   <hit id="h&#9;1" start="10" end="20">x &gt; y</hit>
-  <hit id="h2" start="40" end="50"><!--note--></hit>
+  <hit id="h2" start="40" end="50"><!--note--><?pi a<b "c"?></hit>
 </doc>`
 
-// rowCheck counts the rows checkRows saw by batch kind: node runs read
-// straight from the batch, and items read through Value.
-type rowCheck struct{ unboxed, boxed int }
+// rowCheck counts the rows checkRows saw by batch kind: node runs written
+// straight from the batch, and items written through Value.
+type rowCheck struct {
+	unboxed, boxed int
+	calls          int // AppendRows calls so far, which pick each call's n, limit and form
+}
 
-// checkRows drains cur and fails unless, row for row, Cursor.AppendXML and
-// Cursor.AppendJSON write what Value().AppendXML and Value().AppendJSON
-// write onto the same non-empty dst, the JSON decodes to Value().XML(), and,
-// when want is non-nil, the row equals want's row. It reports the first
-// difference with t.Errorf, so readers on other goroutines may call it.
+// wantRun is what Cursor.AppendRows must write for the rows of b onto dst:
+// prefix, Value.AppendXML or, with json, Value.AppendJSON of the row, and
+// suffix, row after row. ends[i] is len(out) after row i.
+func wantRun(dst []byte, b xqexec.Batch, json bool, prefix, suffix string) (out []byte, ends []int) {
+	for i := range b.Len() {
+		dst = append(dst, prefix...)
+		if v := (Value{it: b.Item(i)}); json {
+			dst = v.AppendJSON(dst)
+		} else {
+			dst = v.AppendXML(dst)
+		}
+		dst = append(dst, suffix...)
+		ends = append(ends, len(dst))
+	}
+	return dst, ends
+}
+
+// checkRows drains cur through Cursor.AppendRows and fails unless every run
+// it writes is wantRun's bytes for the rows the run covers, cut after the row
+// that takes the buffer to the limit: n cycles through 1, 3 and more than any
+// batch holds; the limit through 0, 1, no limit, and one below, at and one
+// above a row's end; the form between XML and JSON onto a non-empty dst. Each
+// JSON row must decode to Value().XML(), and, when want is non-nil, each row
+// must equal want's row. It reports the first difference with t.Errorf, so
+// readers on other goroutines may call it.
 func (rc *rowCheck) checkRows(t *testing.T, what string, cur *Cursor, want *Result) {
 	t.Helper()
 	defer cur.Close()
 	n := 0
-	for ; cur.Next(); n++ {
-		v := cur.Value()
-		if d, _ := cur.rows.Node(); d != nil {
-			rc.unboxed++
+	for ; ; rc.calls++ {
+		c := rc.calls
+		runLen, asJSON := []int{1, 3, math.MaxInt}[c%3], c%2 == 1
+		prefix, suffix := "<", ">\n"
+		if asJSON {
+			prefix, suffix = `{"xml":`, "}\n"
+		}
+		b := cur.rows.Peek(runLen)
+		full, ends := wantRun([]byte("p"), b, asJSON, prefix, suffix)
+		limit := math.MaxInt
+		if len(ends) > 0 {
+			end := ends[c/3%len(ends)]
+			limit = []int{0, 1, math.MaxInt, end - 1, end, end + 1}[c/2%6]
+		}
+		wantK := len(ends)
+		for i, e := range ends {
+			if e >= limit {
+				wantK = i + 1
+				break
+			}
+		}
+		got, k := cur.AppendRows([]byte("p"), runLen, limit, asJSON, prefix, suffix)
+		if k != wantK || (k > 0 && !bytes.Equal(got, full[:ends[k-1]])) {
+			t.Errorf("%s rows %d..: AppendRows(n=%d, limit=%d, json=%v) wrote %d rows %q, want %d rows %q",
+				what, n, runLen, limit, asJSON, k, got, wantK, full)
+			return
+		}
+		if k == 0 {
+			break
+		}
+		if b.D != nil {
+			rc.unboxed += k
 		} else {
-			rc.boxed++
+			rc.boxed += k
 		}
-		gotXML, wantXML := cur.AppendXML([]byte("p")), v.AppendXML([]byte("p"))
-		gotJSON, wantJSON := cur.AppendJSON([]byte("p")), v.AppendJSON([]byte("p"))
-		if !bytes.Equal(gotXML, wantXML) || !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("%s row %d: cursor %s / %s, value %s / %s", what, n, gotXML, gotJSON, wantXML, wantJSON)
-			return
-		}
-		var s string
-		if err := json.Unmarshal(gotJSON[1:], &s); err != nil || s != v.XML() {
-			t.Errorf("%s row %d: JSON %s decodes to %q (%v), XML is %q", what, n, gotJSON[1:], s, err, v.XML())
-			return
-		}
-		if want != nil {
-			if n >= want.Len() || want.Value(n).XML() != v.XML() {
+		for i := range k {
+			v := Value{it: b.Item(i)}
+			if asJSON {
+				start := 1
+				if i > 0 {
+					start = ends[i-1]
+				}
+				row := full[start:ends[i]]
+				var dec struct{ XML string }
+				if err := json.Unmarshal(row, &dec); err != nil || dec.XML != v.XML() {
+					t.Errorf("%s row %d: JSON %s decodes to %q (%v), XML is %q", what, n, row, dec.XML, err, v.XML())
+					return
+				}
+			}
+			if want != nil && (n >= want.Len() || want.Value(n).XML() != v.XML()) {
 				t.Errorf("%s row %d: %q differs from Exec's result", what, n, v.XML())
 				return
 			}
+			n++
+		}
+		if cur.Value().XML() != (Value{it: b.Item(k - 1)}).XML() {
+			t.Errorf("%s row %d: the current row is not the last row written", what, n-1)
+			return
 		}
 	}
 	if err := cur.Err(); err != nil {
@@ -66,8 +127,10 @@ func (rc *rowCheck) checkRows(t *testing.T, what string, cur *Cursor, want *Resu
 
 // TestCursorAppendUnboxed: for every query of the stream corpus over two
 // documents, streamed at chunk 1, 7 and 1024 and as a corpus stream, the
-// cursor's unboxed serialisers agree with Value's and the rows with Exec's.
-// Node runs, attribute and atomic items all occur.
+// cursor's run writer agrees with Value's serialisers and the rows with
+// Exec's. Node runs of every kind, attribute and atomic items all occur, and
+// so does a run holding a root element that was childless until an insert
+// grew it (its size is the snapshot's, not the shared column's).
 func TestCursorAppendUnboxed(t *testing.T) {
 	eng := streamEngine(t)
 	if err := eng.LoadXML("esc.xml", []byte(escapeDoc)); err != nil {
@@ -76,9 +139,16 @@ func TestCursorAppendUnboxed(t *testing.T) {
 	if err := eng.CreateCorpus("both", "stable.xml", "esc.xml"); err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.LoadXML("grown.xml", []byte(`<doc start="0" end="9"/>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.InsertAnnotation("grown.xml", "hit", Region{Start: 1, End: 2}); err != nil {
+		t.Fatal(err)
+	}
 	queries := append(streamCorpus,
 		`doc("esc.xml")//scene/select-narrow::hit`, `doc("esc.xml")//@*`, `doc("esc.xml")//node()`,
-		`for $h in doc("esc.xml")//hit return (string($h), $h/@id)`)
+		`doc("esc.xml")`, `for $h in doc("esc.xml")//hit return (string($h), $h/@id)`,
+		`doc("grown.xml")//node()`, `doc("grown.xml")//hit/select-wide::doc`)
 	var rc rowCheck
 	for _, q := range queries {
 		prep, err := eng.Prepare(q)

@@ -591,16 +591,19 @@ func sortDedupPairs(pairs *[]Pair, a *JoinArena) {
 // in candidate order, so iterations arrive interleaved: large inputs are dealt
 // to their iterations by a counting sort over the Iter column, and every
 // iteration's bucket is then ordered by Pre in time linear in its length.
+// Input already in order (as over disjoint contexts) comes back as it is.
 func sortPairs(p []Pair, a *JoinArena) []Pair {
 	if len(p) < 64 {
 		sortPairsDirect(p)
 		return p
 	}
-	maxIter := int32(0)
-	for _, x := range p {
-		if x.Iter > maxIter {
-			maxIter = x.Iter
-		}
+	maxIter, ordered := p[0].Iter, true
+	for i, x := range p[1:] {
+		prev := p[i]
+		maxIter, ordered = max(maxIter, x.Iter), ordered && (prev.Iter < x.Iter || prev.Iter == x.Iter && prev.Pre <= x.Pre)
+	}
+	if ordered {
+		return p
 	}
 	if int(maxIter) >= 4*len(p) { // too sparse for the counting sort to pay off
 		sortPairsDirect(p)

@@ -191,3 +191,54 @@ func BenchmarkSortDedupPairs(b *testing.B) {
 		}
 	}
 }
+
+// TestSortDedupPairsOrderedInput: sortPairs returns input already in (Iter,
+// Pre) order as it is, in its own backing array and without taking an arena
+// buffer, and orders everything else as sortPairsDirect does: sorted input,
+// sorted with duplicate pairs (which sortDedupPairs still drops), sorted but
+// for one inversion at the last pair, and reversed, under and over the
+// 64-pair counting-sort threshold.
+func TestSortDedupPairsOrderedInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{2, 10, 63, 64, 65, 300} {
+		sorted := make([]Pair, n)
+		for i := range sorted {
+			sorted[i] = Pair{Iter: rng.Int31n(4), Pre: rng.Int31n(1 << 20)}
+		}
+		sortPairsDirect(sorted)
+		dups := slices.Clone(sorted)
+		for i := 1; i < n; i += 3 {
+			dups[i] = dups[i-1]
+		}
+		last := slices.Clone(sorted)
+		last[n-2], last[n-1] = last[n-1], last[n-2]
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		for _, c := range []struct {
+			name    string
+			in      []Pair
+			ordered bool
+		}{{"sorted", sorted, true}, {"duplicates", dups, true}, {"last-inversion", last, false}, {"reversed", reversed, false}} {
+			want := slices.Clone(c.in)
+			sortPairsDirect(want)
+			if c.ordered != slices.Equal(want, c.in) {
+				t.Fatalf("n=%d %s: the case is not what it says", n, c.name)
+			}
+			a := &JoinArena{}
+			a.putPairs(make([]Pair, 0, 2*n))
+			in := slices.Clone(c.in)
+			got := sortPairs(in, a)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s: sortPairs = %v, want %v", n, c.name, got, want)
+			}
+			if c.ordered && (&got[0] != &in[0] || len(a.pairFree) != 1 || a.csOff != nil) {
+				t.Errorf("n=%d %s: ordered input was copied or took an arena buffer", n, c.name)
+			}
+			dedup, wantDedup := slices.Clone(c.in), slices.Compact(want)
+			sortDedupPairs(&dedup, a)
+			if !slices.Equal(dedup, wantDedup) {
+				t.Fatalf("n=%d %s: sortDedupPairs = %v, want %v", n, c.name, dedup, wantDedup)
+			}
+		}
+	}
+}

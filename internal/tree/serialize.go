@@ -25,6 +25,34 @@ func (d *Doc) AppendXMLJSON(dst []byte, pre int32) []byte {
 	return append(d.appendNode(append(dst, '"'), pre, &jsonForm), '"')
 }
 
+// AppendRows appends the nodes pres, each as prefix, what AppendXML — or,
+// with json, AppendXMLJSON — writes for it, and suffix, and returns dst and
+// the rows written: it stops after the row that takes dst to limit bytes or
+// more. A childless element goes straight to the walk's leaf step.
+func (d *Doc) AppendRows(dst []byte, pres []int32, limit int, json bool, prefix, suffix string) ([]byte, int) {
+	f := &xmlForm
+	if json {
+		f = &jsonForm
+	}
+	for k, pre := range pres {
+		if dst = append(dst, prefix...); json {
+			dst = append(dst, '"')
+		}
+		if d.kind[pre] == ElementNode && d.Size(pre) == 0 {
+			dst = d.appendTag(dst, pre, f, f.empty)
+		} else {
+			dst = d.appendNode(dst, pre, f)
+		}
+		if json {
+			dst = append(dst, '"')
+		}
+		if dst = append(dst, suffix...); len(dst) >= limit {
+			return dst, k + 1
+		}
+	}
+	return dst, len(pres)
+}
+
 // AppendAttrXML appends attribute row i as name="value", the value escaped
 // for a double-quoted attribute.
 func (d *Doc) AppendAttrXML(dst []byte, i int32) []byte { return d.appendAttr(dst, i, &xmlForm) }
@@ -56,19 +84,14 @@ func (d *Doc) appendNode(dst []byte, pre int32, f *form) []byte {
 			dst = d.appendNode(dst, c, f)
 		}
 	case ElementNode:
-		name := d.NodeName(pre)
-		dst = d.appendName(append(dst, f.open...), name, f)
-		for i, hi := d.Attrs(pre); i < hi; i++ {
-			dst = d.appendAttr(append(dst, ' '), i, f)
-		}
 		if d.Size(pre) == 0 {
-			return append(dst, f.empty...)
+			return d.appendTag(dst, pre, f, f.empty) // the leaf step
 		}
-		dst = append(dst, f.end...)
+		dst = d.appendTag(dst, pre, f, f.end)
 		for c := d.FirstChild(pre); c >= 0; c = d.NextSibling(c) {
 			dst = d.appendNode(dst, c, f)
 		}
-		dst = d.appendName(append(dst, f.close...), name, f)
+		dst = appendName(append(dst, f.close...), d.NodeName(pre), f, d.dict.jsonEscapes)
 		dst = append(dst, f.end...)
 	case TextNode:
 		dst = appendEscaped(dst, d.ValueBytes(pre), f.text)
@@ -76,7 +99,7 @@ func (d *Doc) appendNode(dst []byte, pre int32, f *form) []byte {
 		dst = appendEscaped(append(dst, f.comment...), d.ValueBytes(pre), f.raw)
 		dst = append(dst, f.commentEnd...)
 	case PINode:
-		dst = d.appendName(append(dst, f.pi...), d.NodeName(pre), f)
+		dst = appendName(append(dst, f.pi...), d.NodeName(pre), f, d.dict.jsonEscapes)
 		if v := d.ValueBytes(pre); len(v) > 0 {
 			dst = appendEscaped(append(dst, ' '), v, f.raw)
 		}
@@ -85,14 +108,32 @@ func (d *Doc) appendNode(dst []byte, pre int32, f *form) []byte {
 	return dst
 }
 
+// appendTag writes element pre's name and attributes, closed by end: f.end
+// before its children, or f.empty for a childless element (the walk's leaf
+// step). Attribute markup is written by constant-size appends per form.
+func (d *Doc) appendTag(dst []byte, pre int32, f *form, end string) []byte {
+	names, esc := d.dict.names, d.dict.jsonEscapes
+	dst = appendName(append(dst, f.open...), names[d.name[pre]], f, esc)
+	for i, hi := d.attFirst[pre], d.attFirst[pre+1]; i < hi; i++ {
+		dst = appendName(append(dst, ' '), names[d.attName[i]], f, esc)
+		if f == &jsonForm {
+			dst = append(appendEscaped(append(dst, `=\"`...), d.AttrValueBytes(i), f.attr), `\"`...)
+		} else {
+			dst = append(appendEscaped(append(dst, `="`...), d.AttrValueBytes(i), f.attr), '"')
+		}
+	}
+	return append(dst, end...)
+}
+
 func (d *Doc) appendAttr(dst []byte, i int32, f *form) []byte {
-	dst = d.appendName(dst, d.AttrName(i), f)
+	dst = appendName(dst, d.AttrName(i), f, d.dict.jsonEscapes)
 	dst = appendEscaped(append(dst, f.value...), d.AttrValueBytes(i), f.attr)
 	return append(dst, f.quote...)
 }
 
-func (d *Doc) appendName(dst []byte, name string, f *form) []byte {
-	if d.dict.jsonEscapes {
+// appendName appends name, escaped for f if esc (see Dict.jsonEscapes).
+func appendName(dst []byte, name string, f *form, esc bool) []byte {
+	if esc {
 		return appendEscaped(dst, name, f.raw)
 	}
 	return append(dst, name...)
@@ -114,17 +155,23 @@ func newForm(lt, gt, quot string, text, attr, raw *escaper) form {
 // escaper is one escaping of a string: esc[b] is what byte b is written as,
 // "" when it stands for itself. A byte >= 0x80 that starts a valid UTF-8
 // sequence stands for itself with the sequence (lineSep escapes U+2028 and
-// U+2029, as JSON writers do); esc[b] replaces it when it starts none.
+// U+2029, as JSON writers do); esc[b] replaces it when it starts none. plain
+// marks the ASCII bytes that stand for themselves.
 type escaper struct {
 	esc     [256]string
+	plain   [256]bool
 	lineSep bool
 }
 
-// appendEscaped appends s as e writes it. A run of bytes that stand for
+// appendEscaped appends s as e writes it. Up to the first byte that is not
+// plain it only loads bytes; from there on, a run of bytes that stand for
 // themselves costs one table lookup per byte and is copied in one append.
 func appendEscaped[S chars](dst []byte, s S, e *escaper) []byte {
-	last := 0
-	for i := 0; i < len(s); {
+	i, last := 0, 0
+	for i < len(s) && e.plain[s[i]] {
+		i++
+	}
+	for i < len(s) {
 		esc, n := e.esc[s[i]], 1
 		if esc == "" {
 			i++
@@ -165,6 +212,7 @@ var (
 	textJSON = escaper{lineSep: true}
 	attrJSON = escaper{lineSep: true}
 	rawXML   escaper
+	escapers = []*escaper{&textEsc, &attrEsc, &jsonEsc, &textJSON, &attrJSON, &rawXML}
 
 	xmlForm  = newForm("<", ">", `"`, &textEsc, &attrEsc, &rawXML)
 	jsonForm = newForm(`\u003c`, `\u003e`, `\"`, &textJSON, &attrJSON, &jsonEsc)
@@ -188,6 +236,11 @@ func init() {
 			if j := string(appendEscaped(nil, cmp.Or(x.esc[b], self), &jsonEsc)); j != self {
 				c.esc[b] = j
 			}
+		}
+	}
+	for _, e := range escapers {
+		for b := range utf8.RuneSelf {
+			e.plain[b] = e.esc[b] == ""
 		}
 	}
 }

@@ -2,6 +2,8 @@ package tree
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
 	"testing"
 )
 
@@ -22,6 +24,10 @@ var jsonNames = []string{
 var jsonValues = []string{
 	"", "plain", "x & y < z > \"q\" 'a' \\ /", "\r\t\n", "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\xef\xbf\xbd",
 	"a\xffb\xc3", "\xe2\x82", "\xed\xa0\x80", lsep + "mid" + psep, "&" + lsep + "\xff<",
+	// The first byte to escape at the start, in the middle and at the end of
+	// a plain run, for each class of escape.
+	"<plain", "pl&ain", "plain>", `"plain`, `pl\ain`, "plain\"", "\tplain", "pl\rain", "plain\n",
+	"\x01plain", "pl\x1fain", "\xffplain", "pl\xffain", "plain\xff", lsep + "plain", "plain" + psep,
 }
 
 // allASCII holds every byte below 0x80, so each XML-escapable byte, CR, TAB
@@ -199,6 +205,82 @@ func TestAppendXMLJSONMatchesTwoPasses(t *testing.T) {
 	}
 }
 
+// TestAppendRowsMatchesPerRow: over the live nodes of every document of the
+// JSON table, and of one whose root element was childless until an Appender
+// grew it (its size is the snapshot's, not the shared column's), AppendRows
+// writes, row for row, prefix + AppendXML or AppendXMLJSON + suffix onto a
+// non-empty dst, in runs of one row and of every row from each start, and
+// stops after the row that takes dst to the limit: 0, 1, none, and one
+// below, at and one above the end of rows at the start, middle and end.
+func TestAppendRowsMatchesPerRow(t *testing.T) {
+	docs := jsonTable(t)
+	b := NewBuilder("leaf.xml")
+	b.StartElement("r")
+	b.EndElement()
+	leaf, err := b.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAppender(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.StartElement("hit")
+	a.Attr("start", "1")
+	a.EndElement()
+	if docs["grown"], err = a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if g := docs["grown"]; g.size[1] != 0 || g.Size(1) == 0 {
+		t.Fatalf("grown root: shared size %d, snapshot size %d; want 0 and more", g.size[1], g.Size(1))
+	}
+	for key, d := range docs {
+		var pres []int32
+		for pre := int32(0); pre < int32(d.NumNodes()); pre++ {
+			if d.Alive(pre) {
+				pres = append(pres, pre)
+			}
+		}
+		for _, asJSON := range []bool{false, true} {
+			prefix, suffix, row := "<row>", "</row>\n", d.AppendXML
+			if asJSON {
+				prefix, suffix, row = `{"xml":`, "}\n", d.AppendXMLJSON
+			}
+			rows := make([][]byte, len(pres))
+			for i, pre := range pres {
+				rows[i] = append(row([]byte(prefix), pre), suffix...)
+			}
+			for s := range pres {
+				want, ends := []byte("p"), []int(nil)
+				for _, r := range rows[s:] {
+					want = append(want, r...)
+					ends = append(ends, len(want))
+				}
+				limits := []int{0, 1, math.MaxInt}
+				for _, j := range []int{0, len(ends) / 2, len(ends) - 1} {
+					limits = append(limits, ends[j]-1, ends[j], ends[j]+1)
+				}
+				for _, run := range [][]int32{pres[s : s+1], pres[s:]} {
+					for _, limit := range limits {
+						wantK := len(run)
+						for j, e := range ends[:len(run)] {
+							if e >= limit {
+								wantK = j + 1
+								break
+							}
+						}
+						got, k := d.AppendRows([]byte("p"), run, limit, asJSON, prefix, suffix)
+						if k != wantK || string(got) != string(want[:ends[k-1]]) {
+							t.Fatalf("%s json=%v rows %d+%d limit %d: wrote %d rows %q, want %d rows %q",
+								key, asJSON, s, len(run), limit, k, got, wantK, want[:ends[wantK-1]])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkAppendXMLJSON writes one row of the corpus query's shape as its
 // NDJSON string into a reused buffer, as the server does per row: no
 // allocation.
@@ -218,5 +300,31 @@ func BenchmarkAppendXMLJSON(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		dst = d.AppendXMLJSON(dst[:0], 2)
+	}
+}
+
+// BenchmarkAppendXMLJSONRows writes one 64-row run of the corpus query's
+// rows as NDJSON lines into a reused buffer, as the server does per run: one
+// AppendRows call, no allocation.
+func BenchmarkAppendXMLJSONRows(b *testing.B) {
+	bd := NewBuilder("run.xml")
+	bd.StartElement("doc")
+	pres := make([]int32, 64)
+	for i := range pres {
+		bd.StartElement("hit")
+		bd.Attr("start", strconv.Itoa(123410+20*i))
+		bd.Attr("end", strconv.Itoa(123411+20*i))
+		bd.EndElement()
+		pres[i] = int32(2 + i)
+	}
+	bd.EndElement()
+	d, err := bd.Done()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst, _ := d.AppendRows(nil, pres, math.MaxInt, true, `{"xml":`, "}\n")
+	b.ReportAllocs()
+	for b.Loop() {
+		dst, _ = d.AppendRows(dst[:0], pres, math.MaxInt, true, `{"xml":`, "}\n")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -355,6 +356,11 @@ func TestAppendEscapedAgainstReference(t *testing.T) {
 		check([]byte{byte(b)})
 		check([]byte{'a', byte(b), 'z'})
 		check([]byte{'&', byte(b)})
+		// The first byte that is not plain at the start, in the middle and
+		// at the end of a plain run.
+		check(append([]byte{byte(b)}, "plain run"...))
+		check(append(append([]byte("plain"), byte(b)), " run"...))
+		check(append([]byte("plain run"), byte(b)))
 	}
 	r := rand.New(rand.NewSource(1))
 	alphabet := []byte("&<>\"\t\n\r 'az\x7f\x80\xbf\xc3\xa9\xe2\x82\xac\xed\xa0\xf0\x9f\xff")
@@ -368,6 +374,27 @@ func TestAppendEscapedAgainstReference(t *testing.T) {
 			}
 		}
 		check(s)
+	}
+}
+
+// TestAppendEscapedPlainTables pins every escaper's plain table, which lets
+// appendEscaped copy a value's leading run by byte loads alone: a byte is
+// plain exactly when it is ASCII and stands for itself. Every escaper of
+// both forms is among those checked.
+func TestAppendEscapedPlainTables(t *testing.T) {
+	for i, e := range escapers {
+		for b := range 256 {
+			if want := e.esc[b] == "" && b < utf8.RuneSelf; e.plain[b] != want {
+				t.Errorf("escaper %d: plain[%#x] = %v, want %v (escape %q)", i, b, e.plain[b], want, e.esc[b])
+			}
+		}
+	}
+	for _, f := range []*form{&xmlForm, &jsonForm} {
+		for _, e := range []*escaper{f.text, f.attr, f.raw} {
+			if !slices.Contains(escapers, e) {
+				t.Errorf("an escaper of a form is missing from escapers")
+			}
+		}
 	}
 }
 

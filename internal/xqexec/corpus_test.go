@@ -120,6 +120,48 @@ func TestReaderAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestReaderPeekSkip: Peek hands out at most n rows after the current one,
+// never past the end of a batch, and passes none of them, so peeking twice
+// sees the same rows; Skip passes some of them and makes the last passed the
+// current row; Next carries on after it. Nothing is lost or repeated, and an
+// empty batch ends the stream.
+func TestReaderPeekSkip(t *testing.T) {
+	rows := NewReader(intShard(0, 9)) // batches 0 1 | 2 3 | 4 5 | 6 7 | 8
+	defer rows.Close()
+	var got []int64
+	for step := 0; ; step++ {
+		if step%3 == 2 {
+			if !rows.Next() {
+				break
+			}
+			got = append(got, rows.Item().I)
+			continue
+		}
+		n := 1 + step%2*100 // 1, or more than a batch holds
+		b := rows.Peek(n)
+		if again := rows.Peek(n); fmt.Sprint(again.Items) != fmt.Sprint(b.Items) {
+			t.Fatalf("step %d: Peek passed rows: %v then %v", step, b.Items, again.Items)
+		}
+		if b.Len() == 0 {
+			break
+		}
+		if b.Len() > min(n, fakeBatch) {
+			t.Fatalf("step %d: Peek(%d) returned %d rows", step, n, b.Len())
+		}
+		k := max(1, b.Len()-1)
+		for _, it := range b.Items[:k] {
+			got = append(got, it.I)
+		}
+		rows.Skip(k)
+		if rows.Item().I != b.Items[k-1].I {
+			t.Fatalf("step %d: current row %d after Skip(%d), want %d", step, rows.Item().I, k, b.Items[k-1].I)
+		}
+	}
+	if want := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rows %v, want %v", got, want)
+	}
+}
+
 // fillInts drains c through a Reader, chunk rows per Fill, as a consumer
 // with a fixed read size does.
 func fillInts(c Cursor, chunk int) ([]int64, error) {

@@ -129,14 +129,21 @@ func (r *Reader) refill() bool {
 // Item returns the current row; valid after a true Next.
 func (r *Reader) Item() xqeval.Item { return r.b.Item(r.i - 1) }
 
-// Node returns the current row's document and pre rank when the batch is a
-// (D, []pre) run, so it can be serialised unboxed; else a nil document.
-func (r *Reader) Node() (*tree.Doc, int32) {
-	if r.b.D == nil {
-		return nil, 0
+// Peek returns up to n rows after the current one, all of one batch, without
+// passing them (Skip does); an empty batch ends the stream (check Err).
+func (r *Reader) Peek(n int) Batch {
+	if r.i >= r.n && !r.refill() {
+		return Batch{}
 	}
-	return r.b.D, r.b.Pres[r.i-1]
+	j := r.i + min(n, r.n-r.i)
+	if r.b.D != nil {
+		return Batch{D: r.b.D, Pres: r.b.Pres[r.i:j]}
+	}
+	return Batch{Items: r.b.Items[r.i:j]}
 }
+
+// Skip passes k rows that Peek returned, the last becoming the current row.
+func (r *Reader) Skip(k int) { r.i += k }
 
 // Fill appends the next rows to dst until it holds limit items or the
 // stream ends, and returns it.

@@ -48,23 +48,32 @@ func (c *Cursor) Next() bool {
 // true.
 func (c *Cursor) Value() Value { return Value{it: c.rows.Item()} }
 
-// AppendXML appends what Value().AppendXML would for the current item. A
-// node row of a (doc, pre) batch is serialised straight from it, with no
-// Value in between.
-func (c *Cursor) AppendXML(dst []byte) []byte {
-	if d, pre := c.rows.Node(); d != nil {
-		return d.AppendXML(dst, pre)
+// AppendRows appends up to n of the next rows, all of one batch, to dst, each
+// as prefix, what Value().AppendXML — or, with json, AppendJSON — writes for
+// it, and suffix; a node run takes one serialiser call. It stops after the
+// row that takes dst to limit bytes or more, and returns dst and the rows
+// written, 0 only at the end (check Err). The last row written is current.
+func (c *Cursor) AppendRows(dst []byte, n, limit int, json bool, prefix, suffix string) ([]byte, int) {
+	b := c.rows.Peek(n)
+	k := 0
+	switch {
+	case b.D != nil:
+		dst, k = b.D.AppendRows(dst, b.Pres, limit, json, prefix, suffix)
+	case len(b.Items) == 0:
+		c.ro.finish() // the drain is complete, as in Next
+	default:
+		for ; k < len(b.Items) && (k == 0 || len(dst) < limit); k++ {
+			dst = append(dst, prefix...)
+			if v := (Value{it: b.Items[k]}); json {
+				dst = v.AppendJSON(dst)
+			} else {
+				dst = v.AppendXML(dst)
+			}
+			dst = append(dst, suffix...)
+		}
 	}
-	return c.Value().AppendXML(dst)
-}
-
-// AppendJSON appends what Value().AppendJSON would for the current item,
-// reading a node row straight from its batch as AppendXML does.
-func (c *Cursor) AppendJSON(dst []byte) []byte {
-	if d, pre := c.rows.Node(); d != nil {
-		return d.AppendXMLJSON(dst, pre)
-	}
-	return c.Value().AppendJSON(dst)
+	c.rows.Skip(k)
+	return dst, k
 }
 
 // Err returns the first error the pipeline encountered, or nil.
@@ -93,7 +102,7 @@ func (c *Cursor) WriteXML(w io.Writer) error {
 			buf = append(buf, ' ')
 		}
 		first = false
-		if buf = c.AppendXML(buf); len(buf) >= 4096 {
+		if buf = c.Value().AppendXML(buf); len(buf) >= 4096 {
 			if _, err := w.Write(buf); err != nil {
 				return err
 			}
