@@ -1,0 +1,126 @@
+package soxq
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"testing"
+
+	"soxq/internal/tree"
+	"soxq/internal/xmlparse"
+)
+
+// TestConstructorsAcrossBatchAndChunkBoundaries: direct and computed element
+// constructors serialise as fragments built one at a time with
+// tree.NewFragmentBuilder and CopySubtree, for iteration counts on both sides
+// of the 64-root sizing batch and of a 1024-iteration chunk, under several
+// StreamChunk values. The copied nodes come from two documents: in runs of 70
+// iterations, so that one document's roots fill a batch and spill into the
+// next, and alternating inside each iteration's content, next to attribute,
+// atomic and empty items.
+func TestConstructorsAcrossBatchAndChunkBoundaries(t *testing.T) {
+	const rows = 50
+	docs := map[string][]byte{}
+	parsed := map[string]*tree.Doc{}
+	for _, name := range []string{"a.xml", "b.xml"} {
+		var sb strings.Builder
+		sb.WriteString("<r>")
+		for j := 0; j < rows; j++ {
+			if j%4 == 3 { // no attributes, no text
+				fmt.Fprintf(&sb, "<n><m/></n>")
+				continue
+			}
+			fmt.Fprintf(&sb, `<n k="%s%d" v="%s">text %d<m z=""/></n>`, name[:1], j, strings.Repeat("v", j%3), j)
+		}
+		sb.WriteString("</r>")
+		docs[name] = []byte(sb.String())
+		d, err := xmlparse.Parse(name, docs[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed[name] = d
+	}
+	eng := New()
+	for name, src := range docs {
+		if err := eng.LoadXML(name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The iteration's documents: d holds its main node, o the other one.
+	pick := func(i int) (d, o string) {
+		if i%100 < 70 {
+			return "a.xml", "b.xml"
+		}
+		return "b.xml", "a.xml"
+	}
+	nth := func(name string, k int) int32 {
+		d := parsed[name]
+		return d.Children(d.RootElement())[k]
+	}
+	const prolog = `for $i in 1 to %d
+let $d := if ($i mod 100 < 70) then doc("a.xml") else doc("b.xml")
+let $o := if ($i mod 100 < 70) then doc("b.xml") else doc("a.xml")
+let $n := $d/r/n[$i mod 50 + 1]
+let $x := if ($i mod 3 = 0) then $o/r/n[1] else if ($i mod 3 = 1) then ($n, $o/r/n[2]) else ()
+let $a := if ($i mod 5 = 0) then $i else ""
+return `
+	queries := map[string]string{
+		"direct":   prolog + `<e n="{$i}">{ $n/@k }{ $n }{ $x }{ $a }</e>`,
+		"computed": prolog + `element e { $n/@k, $n, $x, $a }`,
+	}
+	// want builds iteration i's element as the constructor should.
+	want := func(form string, i int) string {
+		d, o := pick(i)
+		src, other := parsed[d], parsed[o]
+		n := nth(d, i%rows)
+		fb := tree.NewFragmentBuilder()
+		fb.StartElement("e")
+		if form == "direct" {
+			fb.Attr("n", strconv.Itoa(i))
+		}
+		for a, hi := src.Attrs(n); a < hi; a++ {
+			if src.AttrName(a) == "k" {
+				fb.CopyAttr(src, a)
+			}
+		}
+		fb.CopySubtree(src, n)
+		switch i % 3 {
+		case 0:
+			fb.CopySubtree(other, nth(o, 0))
+		case 1:
+			fb.CopySubtree(src, n)
+			fb.CopySubtree(other, nth(o, 1))
+		}
+		if i%5 == 0 {
+			fb.Text(strconv.Itoa(i))
+		}
+		fb.EndElement()
+		doc, err := fb.Done()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc.XMLString(1)
+	}
+	for _, form := range []string{"direct", "computed"} {
+		for _, iters := range []int{1, 63, 64, 65, 1025} {
+			prep, err := eng.Prepare(fmt.Sprintf(queries[form], iters))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range []int{1, 7, 0} {
+				res, err := prep.Exec(Config{StreamChunk: chunk})
+				if err != nil {
+					t.Fatalf("%s, %d iterations, chunk %d: %v", form, iters, chunk, err)
+				}
+				if res.Len() != iters {
+					t.Fatalf("%s, %d iterations, chunk %d: %d items", form, iters, chunk, res.Len())
+				}
+				for i := 1; i <= iters; i++ {
+					if got, w := res.Value(i-1).XML(), want(form, i); got != w {
+						t.Fatalf("%s, %d iterations, chunk %d, iteration %d:\n got %s\nwant %s", form, iters, chunk, i, got, w)
+					}
+				}
+			}
+		}
+	}
+}

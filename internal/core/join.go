@@ -494,7 +494,7 @@ func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg Join
 	}
 	// Aggregate: a candidate area qualifies for a pseudo-iteration when the
 	// number of matched regions equals its region count.
-	hits := sortPairs(emit.out, a)
+	hits, _ := sortPairs(emit.out, a)
 	out := a.getPairs()
 	for s := 0; s < len(hits); {
 		e := s
@@ -576,7 +576,11 @@ func complement(matched []Pair, nIters int32, areas []int32, a *JoinArena) []Pai
 
 // sortDedupPairs sorts pairs by (Iter, Pre) and removes duplicates.
 func sortDedupPairs(pairs *[]Pair, a *JoinArena) {
-	p := sortPairs(*pairs, a)
+	p, strict := sortPairs(*pairs, a)
+	if strict {
+		*pairs = p
+		return
+	}
 	out := p[:0]
 	for i, pr := range p {
 		if i == 0 || pr != p[i-1] {
@@ -591,23 +595,24 @@ func sortDedupPairs(pairs *[]Pair, a *JoinArena) {
 // in candidate order, so iterations arrive interleaved: large inputs are dealt
 // to their iterations by a counting sort over the Iter column, and every
 // iteration's bucket is then ordered by Pre in time linear in its length.
-// Input already in order (as over disjoint contexts) comes back as it is.
-func sortPairs(p []Pair, a *JoinArena) []Pair {
-	if len(p) < 64 {
-		sortPairsDirect(p)
-		return p
+// Input already in order (as over disjoint contexts) comes back as it is, and
+// strict reports whether it also held no pair twice.
+func sortPairs(p []Pair, a *JoinArena) (sorted []Pair, strict bool) {
+	if len(p) == 0 {
+		return p, true
 	}
-	maxIter, ordered := p[0].Iter, true
+	maxIter, ordered, dup := p[0].Iter, true, false
 	for i, x := range p[1:] {
 		prev := p[i]
 		maxIter, ordered = max(maxIter, x.Iter), ordered && (prev.Iter < x.Iter || prev.Iter == x.Iter && prev.Pre <= x.Pre)
+		dup = dup || prev == x
 	}
 	if ordered {
-		return p
+		return p, !dup
 	}
-	if int(maxIter) >= 4*len(p) { // too sparse for the counting sort to pay off
+	if len(p) < 64 || int(maxIter) >= 4*len(p) { // too short or sparse for the counting sort to pay off
 		sortPairsDirect(p)
-		return p
+		return p, false
 	}
 	off := a.getOff(int(maxIter) + 2)
 	for _, x := range p {
@@ -616,7 +621,7 @@ func sortPairs(p []Pair, a *JoinArena) []Pair {
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	sorted := a.getPairsLen(len(p))
+	sorted = a.getPairsLen(len(p))
 	fill := a.getFill(int(maxIter) + 1)
 	copy(fill, off[:len(off)-1])
 	for _, x := range p {
@@ -629,7 +634,7 @@ func sortPairs(p []Pair, a *JoinArena) []Pair {
 		sortByPre(sorted[off[i]:off[i+1]], p[off[i]:off[i+1]])
 	}
 	a.putPairs(p)
-	return sorted
+	return sorted, false
 }
 
 // radixMin is the bucket length from which the radix sort beats the

@@ -194,18 +194,18 @@ func BenchmarkSortDedupPairs(b *testing.B) {
 
 // TestSortDedupPairsOrderedInput: sortPairs returns input already in (Iter,
 // Pre) order as it is, in its own backing array and without taking an arena
-// buffer, and orders everything else as sortPairsDirect does: sorted input,
-// sorted with duplicate pairs (which sortDedupPairs still drops), sorted but
-// for one inversion at the last pair, and reversed, under and over the
-// 64-pair counting-sort threshold.
+// buffer, and orders everything else as sortPairsDirect does: strictly
+// ordered input, sorted with duplicate pairs (which sortDedupPairs still
+// drops), sorted but for one inversion at the last pair, and reversed, under
+// and over the 64-pair counting-sort threshold. sortDedupPairs hands strictly
+// ordered input back as it came, in the same backing array.
 func TestSortDedupPairsOrderedInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for _, n := range []int{2, 10, 63, 64, 65, 300} {
-		sorted := make([]Pair, n)
+		sorted := make([]Pair, n) // strictly ordered: no pair twice
 		for i := range sorted {
-			sorted[i] = Pair{Iter: rng.Int31n(4), Pre: rng.Int31n(1 << 20)}
+			sorted[i] = Pair{Iter: int32(4 * i / n), Pre: int32(16*i) + rng.Int31n(16)}
 		}
-		sortPairsDirect(sorted)
 		dups := slices.Clone(sorted)
 		for i := 1; i < n; i += 3 {
 			dups[i] = dups[i-1]
@@ -215,10 +215,10 @@ func TestSortDedupPairsOrderedInput(t *testing.T) {
 		reversed := slices.Clone(sorted)
 		slices.Reverse(reversed)
 		for _, c := range []struct {
-			name    string
-			in      []Pair
-			ordered bool
-		}{{"sorted", sorted, true}, {"duplicates", dups, true}, {"last-inversion", last, false}, {"reversed", reversed, false}} {
+			name            string
+			in              []Pair
+			ordered, strict bool
+		}{{"strict", sorted, true, true}, {"duplicates", dups, true, false}, {"last-inversion", last, false, false}, {"reversed", reversed, false, false}} {
 			want := slices.Clone(c.in)
 			sortPairsDirect(want)
 			if c.ordered != slices.Equal(want, c.in) {
@@ -227,17 +227,21 @@ func TestSortDedupPairsOrderedInput(t *testing.T) {
 			a := &JoinArena{}
 			a.putPairs(make([]Pair, 0, 2*n))
 			in := slices.Clone(c.in)
-			got := sortPairs(in, a)
-			if !slices.Equal(got, want) {
-				t.Fatalf("n=%d %s: sortPairs = %v, want %v", n, c.name, got, want)
+			got, strict := sortPairs(in, a)
+			if !slices.Equal(got, want) || strict != c.strict {
+				t.Fatalf("n=%d %s: sortPairs = %v strict %v, want %v strict %v", n, c.name, got, strict, want, c.strict)
 			}
 			if c.ordered && (&got[0] != &in[0] || len(a.pairFree) != 1 || a.csOff != nil) {
 				t.Errorf("n=%d %s: ordered input was copied or took an arena buffer", n, c.name)
 			}
 			dedup, wantDedup := slices.Clone(c.in), slices.Compact(want)
+			in = dedup
 			sortDedupPairs(&dedup, a)
 			if !slices.Equal(dedup, wantDedup) {
 				t.Fatalf("n=%d %s: sortDedupPairs = %v, want %v", n, c.name, dedup, wantDedup)
+			}
+			if c.strict && (&dedup[0] != &in[0] || len(dedup) != len(in) || cap(dedup) != cap(in)) {
+				t.Errorf("n=%d %s: strictly ordered input did not come back as it came", n, c.name)
 			}
 		}
 	}

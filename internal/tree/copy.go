@@ -134,3 +134,24 @@ func (d *Doc) SubtreesExtent(roots, scratch []int32) (nodes, attrs, content int)
 	}
 	return nodes, attrs, content
 }
+
+// WarmRoots reads the cells a copy of each of roots reads at the root alone —
+// kind, name, size, value length, attFirst, its attribute rows and the first
+// byte of each non-empty value — so that copies made right after find them
+// cached instead of stalling on a chain of misses each; deeper rows are
+// contiguous and a copy streams them. The result folds in every load, so
+// that the compiler cannot drop one.
+func (d *Doc) WarmRoots(roots []int32) (warm int32) {
+	for _, p := range roots {
+		warm ^= int32(d.kind[p]) ^ d.name[p] ^ d.Size(p) ^ d.valLen[p] ^ d.attFirst[p+1]
+	}
+	for _, p := range roots {
+		for a, hi := d.attFirst[p], d.attFirst[p+1]; a < hi; a++ {
+			warm ^= d.attName[a] ^ d.attValLn[a]
+			if d.attValLn[a] > 0 {
+				warm ^= int32(d.content[d.attValOf[a]])
+			}
+		}
+	}
+	return warm
+}

@@ -253,16 +253,25 @@ func TestCopySubtreeMergesText(t *testing.T) {
 // TestSubtreesExtentAgainstReference: the batch extent of any set of roots of
 // one document — nodes of every kind, repeated, in any order — is the sum of
 // SubtreeExtent over them, on a pristine document, an Appender snapshot (its
-// root element's size read from sizeHead), a snapshot with a tombstoned
-// subtree and a slab fragment holding copies of them all.
+// document node's and root element's sizes read from sizeHead), a snapshot
+// with a tombstoned subtree and a slab fragment holding copies of them all;
+// WarmRoots reads the same roots without a fault. Every batch holds the roots
+// at the edges of the columns the two read: the document node, the root
+// element, the last node, whose empty attribute value sits at the end of the
+// content arena (of the pristine document and of the snapshot), and a node
+// without attributes.
 func TestSubtreesExtentAgainstReference(t *testing.T) {
 	r := rand.New(rand.NewSource(48))
 	kinds := map[Kind]bool{}
+	emptyAtEnd := 0
 	for iter := 0; iter < 100; iter++ {
 		b := NewBuilder("src.xml")
 		b.Comment("lead")
 		b.StartElement("root")
 		serialSubtree(r, b, b.StartElement, b.PI, 1+r.Intn(40))
+		b.StartElement("tail")
+		b.Attr("e", "")
+		b.EndElement()
 		b.EndElement()
 		d, err := b.Done()
 		if err != nil {
@@ -273,6 +282,9 @@ func TestSubtreesExtentAgainstReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		serialSubtree(r, a, func(name string) { a.StartElement(name) }, nil, 1+r.Intn(10))
+		a.StartElement("tail")
+		a.Attr("e", "")
+		a.EndElement()
 		snap, err := a.Commit()
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +309,17 @@ func TestSubtreesExtentAgainstReference(t *testing.T) {
 		}
 		docs = append(docs, frag)
 		for _, src := range docs {
-			roots := []int32{src.RootElement()}
+			last := int32(src.NumNodes() - 1)
+			roots := []int32{0, src.RootElement(), last}
+			for p := int32(0); p <= last; p++ {
+				if lo, hi := src.Attrs(p); lo == hi {
+					roots = append(roots, p)
+					break
+				}
+			}
+			if lo, hi := src.Attrs(last); hi > lo && src.attValLn[hi-1] == 0 && src.attValOf[hi-1] == int64(len(src.content)) {
+				emptyAtEnd++
+			}
 			for n := r.Intn(12); n > 0; n-- {
 				roots = append(roots, int32(r.Intn(src.NumNodes())))
 			}
@@ -307,6 +329,7 @@ func TestSubtreesExtentAgainstReference(t *testing.T) {
 				n, a, c := src.SubtreeExtent(pre)
 				wn, wa, wc = wn+n, wa+a, wc+c
 			}
+			src.WarmRoots(roots)
 			batch := slices.Clone(roots)
 			gn, ga, gc := src.SubtreesExtent(batch, make([]int32, len(batch)+r.Intn(3)))
 			if gn != wn || ga != wa || gc != wc {
@@ -319,5 +342,8 @@ func TestSubtreesExtentAgainstReference(t *testing.T) {
 		if !kinds[k] {
 			t.Errorf("generator never counted a %v node", k)
 		}
+	}
+	if emptyAtEnd < 200 {
+		t.Errorf("an empty attribute value ended the content arena in %d documents, want at least 200", emptyAtEnd)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // fragSize totals what the fragments of one constructor evaluation will hold,
 // to size the slab they are cut from (tree.FragmentSlab). An estimate that
 // errs high wastes some bytes of the slab; one that errs low lets a fragment
-// grow off it.
-type fragSize struct{ nodes, attrs, content int }
+// grow off it. warm keeps what warmBlock read, so that the reads stay.
+type fragSize struct{ nodes, attrs, content, warm int }
 
 // slab allocates the slab for frags fragments of the size counted so far.
 func (z fragSize) slab(frags int) *tree.FragmentSlab {
@@ -51,19 +51,41 @@ const extentBlock = 64
 // string value), and with copies set nodes and attribute rows too.
 func (z *fragSize) addTrees(items []Item, copies bool) {
 	var roots, scratch [extentBlock]int32
-	for s := 0; s < len(items); {
-		n, d := 0, items[s].D
-		for ; s < len(items) && n < extentBlock && items[s].D == d; s++ {
-			if items[s].Kind == KNode {
-				roots[n], n = items[s].Pre, n+1
-			}
-		}
+	for len(items) > 0 {
+		d, n, rest := rootBatch(items, &roots)
 		nodes, attrs, content := d.SubtreesExtent(roots[:n], scratch[:])
-		z.content += content
+		z.content, items = z.content+content, rest
 		if copies {
 			z.nodes, z.attrs = z.nodes+nodes, z.attrs+attrs
 		}
 	}
+}
+
+// warmBlock reads what copies of the seqs' node items of iterations
+// [i, i+extentBlock) read at their roots (tree.Doc.WarmRoots), right before
+// those fragments are built: a block's roots, unlike a chunk's, touch few
+// enough pages that the copies still find the lines and their translations.
+func (z *fragSize) warmBlock(i, n int, seqs ...LLSeq) {
+	var roots [extentBlock]int32
+	for _, s := range seqs {
+		for items := s.Items[s.Off[i]:s.Off[min(i+extentBlock, n)]]; len(items) > 0; {
+			d, k, rest := rootBatch(items, &roots)
+			z.warm, items = z.warm^int(d.WarmRoots(roots[:k])), rest
+		}
+	}
+}
+
+// rootBatch gathers into roots the pres of the node items heading items, up to
+// extentBlock of one document; it returns the document, the count and the rest.
+func rootBatch(items []Item, roots *[extentBlock]int32) (d *tree.Doc, n int, rest []Item) {
+	d = items[0].D
+	k := 0
+	for ; k < len(items) && n < extentBlock && items[k].D == d; k++ {
+		if items[k].Kind == KNode {
+			roots[n], n = items[k].Pre, n+1
+		}
+	}
+	return d, n, items[k:]
 }
 
 // valueLen bounds the length of a non-node item's string value from above.
@@ -142,6 +164,9 @@ func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error
 	out := LLSeq{Off: ascOff(f.n), Items: make([]Item, f.n)}
 	var val []byte
 	for i := 0; i < f.n; i++ {
+		if i%extentBlock == 0 {
+			size.warmBlock(i, f.n, content...)
+		}
 		fb := slab.NewFragment()
 		fb.StartElementID(elem)
 		for ai := range v.Attrs {
@@ -221,6 +246,9 @@ func (ev *Evaluator) evalComputedElem(v *xqast.ComputedElem, f *frame) (LLSeq, e
 	slab := size.slab(f.n)
 	out := LLSeq{Off: ascOff(f.n), Items: make([]Item, f.n)}
 	for i := 0; i < f.n; i++ {
+		if i%extentBlock == 0 {
+			size.warmBlock(i, f.n, content)
+		}
 		fb := slab.NewFragment()
 		fb.StartElementID(slab.Intern(nameAt(names, v.Name, i)))
 		saw, prevAtomic := false, false
