@@ -177,7 +177,7 @@ var fig6Variants = []struct {
 // compares join strategies rather than parser and compiler throughput (one
 // compiled plan serves all three modes; Mode is an Exec-time knob). The
 // looplifted/scale=0.05 cells are baselined in BENCH_stream.json: Q2's
-// allocs/op is the guard on the constructors' fragment slab.
+// allocs/op is the guard on the constructors' fragment container.
 func benchFig6(b *testing.B, query int) {
 	for _, scale := range benchScales {
 		data := dataFor(b, scale)

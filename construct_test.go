@@ -124,3 +124,84 @@ return `
 		}
 	}
 }
+
+// TestConstructedNodeSemanticsAcrossChunks: each iteration's constructed
+// node, its fragment one of many in a container, navigates as the same node
+// of a fragment built on its own with tree.NewFragmentBuilder — up to its
+// root, along the sibling, following and preceding axes, by // and by the
+// stand-off steps, whose neighbours in the container carry the same region
+// coordinates — for 1, 2 and 1025 iterations under StreamChunk 1, 7 and the
+// default, so that containers hold one fragment, a few or a whole chunk. A
+// streamed stand-off path from one fragment of a container matches in that
+// fragment only.
+func TestConstructedNodeSemanticsAcrossChunks(t *testing.T) {
+	kinds := []struct{ name, construct, xml, path string }{
+		{"element", `<a n="{$i}" start="1" end="10"><b start="2" end="3"/>t<c start="5" end="20"/></a>`,
+			`<a n="%d" start="1" end="10"><b start="2" end="3"/>t<c start="5" end="20"/></a>`, "/a"},
+		{"attribute", `attribute x { $i }`, `<attribute-carrier x="%d"/>`, "/attribute-carrier/@x"},
+		{"text", `text { $i }`, `<text-carrier>%d</text-carrier>`, "/text-carrier/text()"},
+	}
+	bodies := []string{
+		`count(root($e)//node())`,
+		`count($e/..) + count($e/../..)`,
+		`count($e/../following-sibling::node()) + count($e/../preceding-sibling::node())`,
+		`count($e/following::node()) + count($e/preceding::node())`,
+		`count($e/node()/following::node())`,
+		`count($e/node()/preceding::node())`,
+		`count($e[(//@n)[1] = @n])`,
+		`count($e[string((//@*)[1]) = string(.)])`,
+		`count($e[string((//text())[1]) = string(.)])`,
+		`(root($e) is $e/.., $e/.. << $e)`,
+		`$e/select-narrow::*`,
+		`$e/b/select-wide::*`,
+		`count($e/reject-wide::*)`,
+		`count($e/c/reject-narrow::*)`,
+	}
+	eng := New()
+	eng.mu.Lock()
+	for _, k := range kinds {
+		for i := 1; i <= 1025; i++ {
+			src, err := xmlparse.Parse("", []byte(fmt.Sprintf(k.xml, i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb := tree.NewFragmentBuilder()
+			fb.CopySubtree(src, 0)
+			if eng.docs[fmt.Sprintf("%s%d", k.name, i)], err = fb.Done(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng.mu.Unlock()
+	run := func(q string, chunk int) string {
+		prep, err := eng.Prepare(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		res, err := prep.Exec(Config{StreamChunk: chunk})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res.String()
+	}
+	for _, k := range kinds {
+		for _, n := range []int{1, 2, 1025} {
+			built := fmt.Sprintf(`for $i in 1 to %d let $e := %s return `, n, k.construct)
+			ref := fmt.Sprintf(`for $i in 1 to %d let $e := doc(concat(%q, $i))%s return `, n, k.name, k.path)
+			for _, body := range bodies {
+				for _, chunk := range []int{1, 7, 0} {
+					if got, want := run(built+body, chunk), run(ref+body, chunk); got != want {
+						t.Fatalf("%s ×%d, chunk %d: %s\n got %.200s\nwant %.200s", k.name, n, chunk, body, got, want)
+					}
+				}
+			}
+			built = fmt.Sprintf(`(for $i in 1 to %d return %s)`, n, k.construct)
+			ref = fmt.Sprintf(`(for $i in 1 to %d return doc(concat(%q, $i))%s)`, n, k.name, k.path)
+			for _, path := range []string{`[last()]/select-narrow::*`, `[1]/b/select-wide::*`, `[last()]/select-wide::*/select-narrow::*`} {
+				if got, want := run(built+path, 0), run(ref+path, 0); got != want {
+					t.Fatalf("%s ×%d: %s\n got %.200s\nwant %.200s", k.name, n, path, got, want)
+				}
+			}
+		}
+	}
+}

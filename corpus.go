@@ -142,8 +142,10 @@ func (p *Prepared) corpusMerge(ctx context.Context, corpus string, cfg Config, s
 	sources := make([]xqexec.ShardSource, len(shards))
 	for i, sh := range shards {
 		sources[i] = func() (xqexec.Cursor, error) {
-			return p.build(ctx, cfg, st, &runView{eng: p.eng, opts: p.plan.Options(),
-				docs: map[string]*tree.Doc{corpus: sh.doc, sh.name: sh.doc}})
+			rv := &runView{eng: p.eng, opts: p.plan.Options()}
+			rv.docs.put(corpus, sh.doc)
+			rv.docs.put(sh.name, sh.doc)
+			return p.build(ctx, cfg, st, rv)
 		}
 	}
 	return xqexec.MergeShards(sources), nil

@@ -690,3 +690,43 @@ func TestAutoMatchesForcedModes(t *testing.T) {
 		}
 	}
 }
+
+// TestComplexityGuard: the work the Figure 6 queries do — every operator's
+// observed rows in and out and the candidates its joins scanned, summed over
+// the plan — grows at most 1.5 times as fast as the XMark document, from
+// scale 0.01 to 0.05, as a near-linear evaluation's does.
+func TestComplexityGuard(t *testing.T) {
+	scales := []float64{0.01, 0.05}
+	work := map[int][]int64{}
+	for _, scale := range scales {
+		eng := xmarkEngine(t, scale)
+		for _, q := range []int{1, 2, 6, 7} {
+			prep, err := eng.Prepare(xmarkStandOffQuery(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, pe, err := prep.Analyze(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum func(ops []*OpNode) int64
+			sum = func(ops []*OpNode) (n int64) {
+				for _, op := range ops {
+					if op.Obs != nil {
+						n += op.Obs.RowsIn + op.Obs.RowsOut + op.Obs.Candidates
+					}
+					n += sum(op.Children)
+				}
+				return n
+			}
+			work[q] = append(work[q], sum(pe.Plan))
+		}
+	}
+	bound := 1.5 * scales[1] / scales[0]
+	for q, w := range work {
+		if w[0] == 0 || float64(w[1]) > bound*float64(w[0]) {
+			t.Errorf("Q%d: work %d at scale %g, %d at %g: grows %.2fx, bound %.2fx",
+				q, w[0], scales[0], w[1], scales[1], float64(w[1])/float64(w[0]), bound)
+		}
+	}
+}

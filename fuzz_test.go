@@ -104,7 +104,7 @@ func fuzzQueries(r *rand.Rand) []string {
 		layer(), []string{"narrow", "wide"}[r.Intn(2)], layer(), axis(), layer(), axis(), layer()))
 	// The XMark Q1/Q2 shapes: positional and attribute-equality predicates on
 	// a StandOff step (filtered in place, see xqplan.PredClass) and a
-	// constructor over the result (fragments cut from one slab per chunk).
+	// constructor over the result (the fragments of a chunk in one container).
 	// Drawn last, so the queries above are what a seed always generated.
 	first := layer()
 	qs = append(qs,

@@ -164,6 +164,23 @@ func (ix *RegionIndex) CandidatesOf(nameID int32, pres []int32) *Candidates {
 		return v.(*Candidates)
 	}
 	slices.Sort(live)
+	return ix.candidatesFrom(live)
+}
+
+// Within returns the part of c whose areas lie in the pre range [lo, hi]:
+// c itself when that is all of it, else a view built like CandidatesOf's,
+// its areas cut from c's by binary search.
+func (ix *RegionIndex) Within(c *Candidates, lo, hi int32) *Candidates {
+	a, _ := slices.BinarySearch(c.areas, lo)
+	b, _ := slices.BinarySearch(c.areas, hi+1)
+	if a == 0 && b == len(c.areas) {
+		return c
+	}
+	return ix.candidatesFrom(c.areas[a:b:b])
+}
+
+// candidatesFrom builds the candidate sequence of the live areas, ascending.
+func (ix *RegionIndex) candidatesFrom(live []int32) *Candidates {
 	rows := make([]row, 0, len(live))
 	for _, p := range live {
 		for _, r := range ix.RegionsOf(p) {

@@ -44,7 +44,7 @@ func elementAttrs(d *Doc) (out [][]string) {
 
 // TestAttributeRowsReadBack drives random event streams — elements with 0–3
 // attributes, nested and empty, between text, comments and PIs — through a
-// Builder, fragments of one slab (sized too small for some of them), an
+// Builder, fragments of one container (sized too small for some of them), an
 // Appender's Commit and CopySubtree of the results, and reads every element's
 // attributes back through attFirst: exactly those written to it, in order,
 // and the document validates.
@@ -80,25 +80,25 @@ func TestAttributeRowsReadBack(t *testing.T) {
 		d2, err := a.Commit()
 		check("Appender", d2, err, arec.want)
 
-		slab := NewFragmentSlab(3, r.Intn(60), r.Intn(30), r.Intn(200))
-		fb := slab.NewFragment()
+		fb := NewContainer(r.Intn(60), r.Intn(30), r.Intn(200))
+		fb.StartFragment()
 		frec := &attrRecorder{serialEvents: fb}
 		frec.start(fb.StartElement)("frag")
 		serialSubtree(r, frec, frec.start(fb.StartElement), fb.PI, 1+r.Intn(30))
 		fb.EndElement()
-		f, err := fb.Done()
-		check("FragmentSlab", f, err, frec.want)
+		want := frec.want
 		for _, src := range []struct {
 			d    *Doc
 			want [][]string
 		}{{d, rec.want}, {d2, arec.want}} {
-			cb := slab.NewFragment()
-			cb.StartElement("copy")
-			cb.Attr("of", "src")
-			cb.CopySubtree(src.d, 0)
-			cb.EndElement()
-			c, err := cb.Done()
-			check("CopySubtree", c, err, append([][]string{{"of=src"}}, src.want...))
+			fb.StartFragment()
+			fb.StartElement("copy")
+			fb.Attr("of", "src")
+			fb.CopySubtree(src.d, 0)
+			fb.EndElement()
+			want = append(append(want, []string{"of=src"}), src.want...)
 		}
+		f, err := fb.Done()
+		check("container", f, err, want)
 	}
 }

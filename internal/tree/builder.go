@@ -21,13 +21,12 @@ import (
 // belong to.
 type Builder struct {
 	doc      *Doc
-	open     []int32 // stack of pre values of open elements
+	open     []int32 // stack of pre values of open nodes, the fragment's document node first
+	frag     int32   // pre of the open fragment's document node
 	inTag    bool    // attributes still allowed
 	err      error
 	finished bool
 	reserved bool // the columns were sized by Reserve
-
-	slab *FragmentSlab // the slab the document is cut from, or nil
 
 	// Name ids of the last document copied from, in this document's
 	// dictionary (see CopySubtree): remapIDs[id] is the id here of remapFrom's
@@ -44,19 +43,48 @@ type chars interface{ string | []byte }
 // NewBuilder starts a fresh document with the given name. The document node
 // (pre 0) is created implicitly.
 func NewBuilder(name string) *Builder {
-	d := &Doc{Name: name, dict: NewDict(), attFirst: make([]int32, 1, 2)}
-	b := &Builder{doc: d}
-	pre := pushNode(b, DocumentNode, NoName, "")
-	b.open = append(b.open, pre) // the document node stays open until Done
+	b := &Builder{doc: &Doc{Name: name, dict: NewDict(), attFirst: make([]int32, 1, 2)}}
+	b.StartFragment()
 	return b
 }
 
-// NewFragmentBuilder starts a constructed fragment (node-constructor
-// result); identical to NewBuilder but flags the Doc as a fragment.
-func NewFragmentBuilder() *Builder {
-	b := NewBuilder("")
-	b.doc.Fragment = true
+// NewContainer starts an empty container for the fragments of one node
+// constructor evaluation (see StartFragment), its columns sized for nodes
+// nodes (document nodes included), attrs attributes and content bytes of
+// values in total. The numbers are estimates: too low costs allocations, not
+// correctness.
+func NewContainer(nodes, attrs, content int) *Builder {
+	b := &Builder{doc: &Doc{Fragment: true, dict: NewDict(), attFirst: make([]int32, 1, nodes+1)}}
+	b.doc.grow(nodes, attrs, content)
 	return b
+}
+
+// NewFragmentBuilder starts a one-fragment container.
+func NewFragmentBuilder() *Builder {
+	b := NewContainer(0, 0, 0)
+	b.StartFragment()
+	return b
+}
+
+// StartFragment closes the open fragment, if any, and starts the next one of
+// the container; it returns the pre of the fragment's document node.
+func (b *Builder) StartFragment() int32 {
+	if len(b.open) > 1 {
+		b.fail("fragment at %d ends with element %q open", b.frag, b.OpenName())
+	}
+	b.endFragment()
+	b.open = b.open[:0]
+	b.frag = pushNode(b, DocumentNode, NoName, "")
+	b.open = append(b.open, b.frag) // the document node stays open until the next fragment or Done
+	b.inTag = false
+	return b.frag
+}
+
+// endFragment fixes the subtree size of the open fragment's document node.
+func (b *Builder) endFragment() {
+	if len(b.open) == 1 {
+		b.doc.size[b.frag] = int32(len(b.doc.kind)) - b.frag - 1
+	}
 }
 
 // Reserve sizes the columns once for a document of up to nodes nodes and
@@ -68,13 +96,16 @@ func NewFragmentBuilder() *Builder {
 // bytes: when references and line ends decode to much fewer, Done copies the
 // column down to what it holds and the quarter.
 func (b *Builder) Reserve(nodes, attrs, content int) {
-	d := b.doc
 	b.reserved = true
-	nodes, attrs, content = nodes+nodes/4, attrs+attrs/4, content+content/4
+	b.doc.grow(nodes+nodes/4, attrs+attrs/4, content+content/4)
+}
+
+// grow makes room in the columns for nodes more nodes, attrs attributes and
+// content bytes of values.
+func (d *Doc) grow(nodes, attrs, content int) {
 	d.kind = slices.Grow(d.kind, nodes)
 	d.name = slices.Grow(d.name, nodes)
 	d.size = slices.Grow(d.size, nodes)
-	d.level = slices.Grow(d.level, nodes)
 	d.parent = slices.Grow(d.parent, nodes)
 	d.valOff = slices.Grow(d.valOff, nodes)
 	d.valLen = slices.Grow(d.valLen, nodes)
@@ -89,6 +120,9 @@ func (b *Builder) Reserve(nodes, attrs, content int) {
 // for the id-taking events below; no string is made for a name seen before.
 func (b *Builder) Intern(name []byte) int32 { return intern(b.doc.dict, name) }
 
+// InternString is Intern for a name given as a string.
+func (b *Builder) InternString(name string) int32 { return b.doc.dict.Intern(name) }
+
 // OpenName returns the name of the innermost open element.
 func (b *Builder) OpenName() string { return b.doc.NodeName(b.open[len(b.open)-1]) }
 
@@ -101,14 +135,13 @@ func (b *Builder) fail(format string, args ...any) {
 func pushNode[S chars](b *Builder, k Kind, nameID int32, value S) int32 {
 	d := b.doc
 	pre := int32(len(d.kind))
-	parent := int32(-1) // only the document node itself
+	parent := int32(-1) // only a fragment's document node
 	if len(b.open) > 0 {
 		parent = b.open[len(b.open)-1]
 	}
 	d.kind = append(d.kind, k)
 	d.name = append(d.name, nameID)
 	d.size = append(d.size, 0)
-	d.level = append(d.level, int16(len(b.open)))
 	d.parent = append(d.parent, parent)
 	d.valOff = append(d.valOff, int64(len(d.content)))
 	d.valLen = append(d.valLen, int32(len(value)))
@@ -252,18 +285,15 @@ func (b *Builder) Done() (*Doc, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.open) != 1 {
-		return nil, fmt.Errorf("%w: %q", ErrUnclosedElement, b.doc.NodeName(b.open[len(b.open)-1]))
+	if len(b.open) > 1 {
+		return nil, fmt.Errorf("%w: %q", ErrUnclosedElement, b.OpenName())
 	}
 	b.finished = true
+	b.endFragment()
 	d := b.doc
 	d.order = docOrderCounter.Add(1)
-	d.size[0] = int32(len(d.kind)) - 1
 	if n := len(d.content) + len(d.content)/4; b.reserved && cap(d.content) > n+8<<10 { // beyond an allocation's rounding
 		d.content = append(make([]byte, 0, n), d.content...)
-	}
-	if b.slab != nil {
-		b.slab.seal(d)
 	}
 	return d, nil
 }

@@ -58,7 +58,6 @@ func (b *refBuilder) pushNode(k Kind, nameID int32, value []byte) int32 {
 	d.kind = append(d.kind, k)
 	d.name = append(d.name, nameID)
 	d.size = append(d.size, 0)
-	d.level = append(d.level, int16(len(b.open)))
 	if len(b.open) == 0 {
 		d.parent = append(d.parent, -1) // only the document node itself
 	} else {
@@ -316,7 +315,7 @@ func TestBuilderAgainstReference(t *testing.T) {
 				t.Fatalf("round %d (%s events): %v", round, form, err)
 			}
 			for _, col := range [][2]any{
-				{got.kind, want.kind}, {got.name, want.name}, {got.size, want.size}, {got.level, want.level},
+				{got.kind, want.kind}, {got.name, want.name}, {got.size, want.size},
 				{got.parent, want.parent}, {got.valLen, want.valLen},
 				{got.attName, want.attName}, {got.attValOf, want.attValOf}, {got.attValLn, want.attValLn},
 				{got.attFirst, want.attFirst}, {got.content, want.content}, {got.dict.names, want.dict.names},

@@ -63,7 +63,6 @@ func (b *Builder) copyRange(src *Doc, pre int32) {
 		d.kind = append(d.kind, src.kind[p])
 		d.name = append(d.name, b.remap(src, src.name[p]))
 		d.size = append(d.size, src.Size(p))
-		d.level = append(d.level, d.level[parent]+1)
 		d.parent = append(d.parent, parent)
 		d.valLen = append(d.valLen, src.valLen[p])
 		d.valOff = append(d.valOff, int64(len(d.content)))

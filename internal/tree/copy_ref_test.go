@@ -3,7 +3,7 @@ package tree
 // The deep copy the node constructors used before Builder.CopySubtree — one
 // event, one name string and one value string per node, by recursion — kept
 // verbatim (it lived in internal/xqeval as copyNode) as the oracle of
-// TestCopySubtreeAgainstReference, and the per-node extent the slab was sized
+// TestCopySubtreeAgainstReference, and the per-node extent the container was sized
 // with, the oracle of TestSubtreesExtentAgainstReference.
 
 import (
@@ -37,7 +37,7 @@ func copyNodeRef(fb *Builder, d *Doc, pre int32) {
 	}
 }
 
-// SubtreeExtent is the per-node count the constructors sized their slab with
+// SubtreeExtent is the per-node count the constructors sized their container with
 // before Doc.SubtreesExtent, kept verbatim as its oracle.
 func (d *Doc) SubtreeExtent(pre int32) (nodes, attrs, content int) {
 	end := pre + d.Size(pre)
@@ -51,60 +51,56 @@ func (d *Doc) SubtreeExtent(pre int32) (nodes, attrs, content int) {
 	return int(end-pre) + 1, int(ahi - alo), content
 }
 
-// sameTree reports the first difference between two documents, column by
-// column (names and values compared as strings: the dictionaries differ).
-func sameTree(t *testing.T, got, want *Doc) {
+// sameTree reports the first difference between the fragment of got headed
+// by document node r and the document want, node by node, got's pres shifted
+// by r (names and values compared as strings: the dictionaries differ).
+func sameTree(t *testing.T, got *Doc, r int32, want *Doc) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
 		t.Fatalf("copy does not validate: %v", err)
 	}
-	if got.NumNodes() != want.NumNodes() || got.NumAttrs() != want.NumAttrs() {
-		t.Fatalf("copy has %d nodes %d attrs, reference %d and %d\n%s\n%s",
-			got.NumNodes(), got.NumAttrs(), want.NumNodes(), want.NumAttrs(), got.XMLString(0), want.XMLString(0))
+	if got.Kind(r) != DocumentNode || got.Size(r) != want.Size(0) || got.FragmentRoot(r+got.Size(r)) != r {
+		t.Fatalf("fragment at %d has %d nodes, reference %d\n%s\n%s",
+			r, got.Size(r)+1, want.NumNodes(), got.XMLString(r), want.XMLString(0))
 	}
 	for pre := int32(0); pre < int32(want.NumNodes()); pre++ {
-		if got.Kind(pre) != want.Kind(pre) || got.NodeName(pre) != want.NodeName(pre) ||
-			got.Size(pre) != want.Size(pre) || got.Level(pre) != want.Level(pre) ||
-			got.Parent(pre) != want.Parent(pre) || got.Value(pre) != want.Value(pre) {
-			t.Fatalf("node %d differs: %v %q size %d level %d parent %d %q, reference %v %q size %d level %d parent %d %q",
-				pre, got.Kind(pre), got.NodeName(pre), got.Size(pre), got.Level(pre), got.Parent(pre), got.Value(pre),
-				want.Kind(pre), want.NodeName(pre), want.Size(pre), want.Level(pre), want.Parent(pre), want.Value(pre))
+		g, gp := r+pre, got.Parent(r+pre)
+		if gp >= 0 {
+			gp -= r
 		}
-		glo, ghi := got.Attrs(pre)
+		if got.Kind(g) != want.Kind(pre) || got.NodeName(g) != want.NodeName(pre) ||
+			got.Size(g) != want.Size(pre) || depthOf(got, g) != depthOf(want, pre) ||
+			gp != want.Parent(pre) || got.Value(g) != want.Value(pre) {
+			t.Fatalf("node %d differs: %v %q size %d depth %d parent %d %q, reference %v %q size %d depth %d parent %d %q",
+				pre, got.Kind(g), got.NodeName(g), got.Size(g), depthOf(got, g), gp, got.Value(g),
+				want.Kind(pre), want.NodeName(pre), want.Size(pre), depthOf(want, pre), want.Parent(pre), want.Value(pre))
+		}
+		glo, ghi := got.Attrs(g)
 		wlo, whi := want.Attrs(pre)
-		if glo != wlo || ghi != whi {
-			t.Fatalf("node %d: attribute rows [%d,%d), reference [%d,%d)", pre, glo, ghi, wlo, whi)
+		if ghi-glo != whi-wlo {
+			t.Fatalf("node %d: %d attribute rows, reference %d", pre, ghi-glo, whi-wlo)
 		}
-		for a := glo; a < ghi; a++ {
-			if got.AttrName(a) != want.AttrName(a) || got.AttrValue(a) != want.AttrValue(a) {
+		for a := int32(0); a < ghi-glo; a++ {
+			if got.AttrName(glo+a) != want.AttrName(wlo+a) || got.AttrValue(glo+a) != want.AttrValue(wlo+a) {
 				t.Fatalf("node %d, attribute %d differs: %s=%q, reference %s=%q", pre, a,
-					got.AttrName(a), got.AttrValue(a), want.AttrName(a), want.AttrValue(a))
+					got.AttrName(glo+a), got.AttrValue(glo+a), want.AttrName(wlo+a), want.AttrValue(wlo+a))
 			}
 		}
 	}
-	if g, w := string(got.AppendXML(nil, 0)), string(want.AppendXML(nil, 0)); g != w {
+	if g, w := string(got.AppendXML(nil, r)), string(want.AppendXML(nil, 0)); g != w {
 		t.Fatalf("AppendXML differs:\n%s\n%s", g, w)
 	}
 }
 
-// clipped reports whether every column of a slab-built fragment has no spare
-// capacity (an append to it must not run into the next fragment).
-func clipped(d *Doc) bool {
-	return cap(d.kind) == len(d.kind) && cap(d.name) == len(d.name) && cap(d.size) == len(d.size) &&
-		cap(d.level) == len(d.level) && cap(d.parent) == len(d.parent) && cap(d.valOff) == len(d.valOff) &&
-		cap(d.valLen) == len(d.valLen) && cap(d.attName) == len(d.attName) &&
-		cap(d.attValOf) == len(d.attValOf) && cap(d.attValLn) == len(d.attValLn) &&
-		cap(d.attFirst) == len(d.attFirst) && cap(d.content) == len(d.content)
-}
-
 // TestCopySubtreeAgainstReference builds fragments — literal text, copied
 // nodes of every kind (document node included) under zero to two more open
-// elements, so that a copy's levels follow from an open depth of two to four,
+// elements, so that a copy's parents follow from an open depth of two to four,
 // text again, so that text merges across a copied text node — twice: through
 // copyNodeRef into fragment builders of their own, and through CopySubtree
-// into fragments of one slab. Sources are pristine documents, Appender snapshots and a
-// snapshot with a tombstoned subtree; slabs are sized right, far too small
-// (every fragment outgrows its share) and for the first fragments only.
+// into fragments of one container. Sources are pristine documents, Appender
+// snapshots, a snapshot with a tombstoned subtree and a container of two
+// fragments; containers are sized right, far too small (every fragment
+// outgrows its share) and for the first fragments only.
 func TestCopySubtreeAgainstReference(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	kinds := map[Kind]bool{}
@@ -136,6 +132,17 @@ func TestCopySubtreeAgainstReference(t *testing.T) {
 			}
 			sources = append(sources, d)
 		}
+		cb := NewContainer(0, 0, 0)
+		for f := 0; f < 2; f++ {
+			cb.StartFragment()
+			cb.StartElement("root")
+			serialSubtree(r, cb, cb.StartElement, cb.PI, 1+r.Intn(10))
+			cb.EndElement()
+		}
+		if d, err = cb.Done(); err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, d)
 
 		// The plan: per fragment, the (source, pre) nodes to copy and whether
 		// literal text goes between them.
@@ -161,7 +168,7 @@ func TestCopySubtreeAgainstReference(t *testing.T) {
 				nodes, attrs, content = nodes+sn+1+it.wrap, attrs+sa, content+sc+1
 			}
 		}
-		build := func(fb *Builder, items []item, copyNode func(*Builder, *Doc, int32)) *Doc {
+		build := func(fb *Builder, items []item, copyNode func(*Builder, *Doc, int32)) {
 			fb.StartElement("f")
 			fb.Attr("n", "1")
 			for _, it := range items {
@@ -178,34 +185,35 @@ func TestCopySubtreeAgainstReference(t *testing.T) {
 			}
 			fb.Text("end")
 			fb.EndElement()
-			doc, err := fb.Done()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return doc
 		}
 		want := make([]*Doc, len(frags))
 		for f, items := range frags {
-			want[f] = build(NewFragmentBuilder(), items, copyNodeRef)
+			fb := NewFragmentBuilder()
+			build(fb, items, copyNodeRef)
+			if want[f], err = fb.Done(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		perFrag := 3 // document node, <f>, "end"
-		for _, slab := range []*FragmentSlab{
-			NewFragmentSlab(len(frags), nodes+perFrag*len(frags), attrs+len(frags), content+4*len(frags)),
-			NewFragmentSlab(0, 1, 0, 2),
-			NewFragmentSlab(1, nodes/2+perFrag, attrs/2+1, content/2+4),
+		for _, fb := range []*Builder{
+			NewContainer(nodes+perFrag*len(frags), attrs+len(frags), content+4*len(frags)),
+			NewContainer(1, 0, 2),
+			NewContainer(nodes/2+perFrag, attrs/2+1, content/2+4),
 		} {
-			got := make([]*Doc, len(frags))
+			roots := make([]int32, len(frags))
 			for f, items := range frags {
-				got[f] = build(slab.NewFragment(), items, (*Builder).CopySubtree)
+				roots[f] = fb.StartFragment()
+				build(fb, items, (*Builder).CopySubtree)
 			}
-			for f := range frags { // after all are built: no fragment wrote into another
-				sameTree(t, got[f], want[f])
-				if !got[f].Fragment || !clipped(got[f]) {
-					t.Fatalf("iter %d fragment %d: Fragment=%v clipped=%v", iter, f, got[f].Fragment, clipped(got[f]))
-				}
-				if f > 0 && (got[f].OrderKey() <= got[f-1].OrderKey() || got[f].Dict() != got[0].Dict()) {
-					t.Fatalf("iter %d fragment %d: order rank or dictionary not as a slab's", iter, f)
-				}
+			got, err := fb.Done()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Fragment || roots[0] != 0 || got.NumNodes() != int(roots[len(roots)-1]+got.Size(roots[len(roots)-1])+1) {
+				t.Fatalf("iter %d: Fragment=%v, fragments at %v of %d nodes", iter, got.Fragment, roots, got.NumNodes())
+			}
+			for f := range frags {
+				sameTree(t, got, roots[f], want[f])
 			}
 		}
 	}
@@ -233,7 +241,8 @@ func TestCopySubtreeMergesText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := NewFragmentSlab(1, 8, 0, 32).NewFragment()
+	fb := NewContainer(8, 0, 32)
+	fb.StartFragment()
 	fb.StartElement("r")
 	fb.Text("a-")
 	fb.CopySubtree(src, 2)
@@ -254,7 +263,7 @@ func TestCopySubtreeMergesText(t *testing.T) {
 // one document — nodes of every kind, repeated, in any order — is the sum of
 // SubtreeExtent over them, on a pristine document, an Appender snapshot (its
 // document node's and root element's sizes read from sizeHead), a snapshot
-// with a tombstoned subtree and a slab fragment holding copies of them all;
+// with a tombstoned subtree and a fragment holding copies of them all;
 // WarmRoots reads the same roots without a fault. Every batch holds the roots
 // at the edges of the columns the two read: the document node, the root
 // element, the last node, whose empty attribute value sits at the end of the
@@ -297,7 +306,7 @@ func TestSubtreesExtentAgainstReference(t *testing.T) {
 			}
 			docs = append(docs, dead)
 		}
-		fb := NewFragmentSlab(1, 0, 0, 0).NewFragment()
+		fb := NewFragmentBuilder()
 		fb.StartElement("f")
 		for _, src := range docs {
 			fb.CopySubtree(src, src.RootElement())

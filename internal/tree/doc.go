@@ -2,7 +2,7 @@
 // evaluates queries against. Like MonetDB/XQuery, each document is a set of
 // columns indexed by the pre-order rank of the node (the "pre" value, which
 // doubles as node id, section 4.3 of the paper) together with a subtree size
-// and level per node. This pre/size/level encoding supports all XPath axes
+// and parent per node. This pre/size/parent encoding supports all XPath axes
 // and the staircase join, while attribute values and text content live in a
 // byte arena so that multi-gigabyte documents do not drown the Go heap in
 // small strings.
@@ -18,7 +18,8 @@ import (
 type Kind uint8
 
 const (
-	// DocumentNode is the virtual root; pre 0 of every Doc.
+	// DocumentNode is the virtual root; pre 0 of every Doc, and the head of
+	// every fragment of a container.
 	DocumentNode Kind = iota
 	// ElementNode is an XML element.
 	ElementNode
@@ -50,10 +51,11 @@ func (k Kind) String() string {
 // NoName marks nodes without a name (text, comments, the document node).
 const NoName int32 = -1
 
-// Doc is one shredded XML document or constructed fragment. All slices are
-// indexed by pre-order rank; pre 0 is always the document node. A Doc is
-// immutable after the Builder seals it and therefore safe for concurrent
-// readers.
+// Doc is one shredded XML document or a container of constructed fragments.
+// All slices are indexed by pre-order rank; pre 0 is always a document node.
+// A container's fragments follow one another, each a document node without a
+// parent and its subtree (see FragmentRoot). A Doc is immutable after the
+// Builder seals it and therefore safe for concurrent readers.
 //
 // Mutation produces a new Doc snapshot instead of changing this one: an
 // Appender appends subtrees under the root element and WithTombstones marks
@@ -65,14 +67,14 @@ type Doc struct {
 	// Name is the document URI under which the document was loaded, or ""
 	// for constructed fragments.
 	Name string
-	// Fragment marks docs created by node constructors rather than parsing.
+	// Fragment marks containers of fragments built by node constructors
+	// rather than parsing.
 	Fragment bool
 
 	kind   []Kind
 	name   []int32 // dict id of element name / PI target, or NoName
 	size   []int32 // number of descendants of the node
-	level  []int16 // depth; document node is 0
-	parent []int32 // pre of parent; -1 for the document node
+	parent []int32 // pre of parent; -1 for a document node
 
 	// Text/comment/PI content: slice [valOff:valOff+valLen] of content.
 	valOff []int64
@@ -187,11 +189,20 @@ func (d *Doc) Size(pre int32) int32 {
 	return d.size[pre]
 }
 
-// Level returns the depth of node pre (document node = 0).
-func (d *Doc) Level(pre int32) int16 { return d.level[pre] }
-
-// Parent returns the pre of the parent node, or -1 for the document node.
+// Parent returns the pre of the parent node, or -1 for a document node.
 func (d *Doc) Parent(pre int32) int32 { return d.parent[pre] }
+
+// FragmentRoot returns the pre of the document node of the tree holding
+// node pre: 0 in a loaded document, the fragment's own in a container.
+func (d *Doc) FragmentRoot(pre int32) int32 {
+	if !d.Fragment {
+		return 0
+	}
+	for d.parent[pre] >= 0 {
+		pre = d.parent[pre]
+	}
+	return pre
+}
 
 // ValueBytes returns the content of a text/comment/PI node without copying.
 // The returned slice must not be modified.
@@ -325,11 +336,16 @@ func (d *Doc) FirstChild(pre int32) int32 {
 
 // NextSibling returns the pre of the next live following sibling, or -1.
 // Tombstoned siblings are stepped over structurally (a dead subtree keeps its
-// pre/size shape, it just no longer belongs to the document).
+// pre/size shape, it just no longer belongs to the document). A document
+// node has no siblings: the next fragment of a container is not one.
 func (d *Doc) NextSibling(pre int32) int32 {
+	parent := d.parent[pre]
+	if parent < 0 {
+		return -1
+	}
 	for {
 		next := pre + d.Size(pre) + 1
-		if next >= int32(len(d.kind)) || d.parent[next] != d.parent[pre] {
+		if next >= int32(len(d.kind)) || d.parent[next] != parent {
 			return -1
 		}
 		if d.Alive(next) {
@@ -355,9 +371,6 @@ func (d *Doc) Validate() error {
 	if n == 0 || d.kind[0] != DocumentNode {
 		return fmt.Errorf("tree: doc must start with a document node")
 	}
-	if d.Size(0) != n-1 {
-		return fmt.Errorf("tree: document node size %d != %d", d.Size(0), n-1)
-	}
 	if len(d.attFirst) != int(n)+1 || d.attFirst[0] != 0 || d.attFirst[n] != int32(len(d.attName)) {
 		return fmt.Errorf("tree: attFirst does not span the %d attribute rows of %d nodes", len(d.attName), n)
 	}
@@ -368,16 +381,21 @@ func (d *Doc) Validate() error {
 			return fmt.Errorf("tree: attribute %d owned by non-element %d", lo, pre)
 		}
 	}
-	for pre := int32(1); pre < n; pre++ {
+	root := int32(0) // the next fragment's document node
+	for pre := int32(0); pre < n; pre++ {
 		p := d.parent[pre]
+		if pre == root {
+			if p != -1 || d.kind[pre] != DocumentNode || pre > 0 && !d.Fragment {
+				return fmt.Errorf("tree: node %d does not start a fragment", pre)
+			}
+			root = pre + d.Size(pre) + 1
+			continue
+		}
 		if p < 0 || p >= pre {
 			return fmt.Errorf("tree: node %d has bad parent %d", pre, p)
 		}
 		if pre+d.Size(pre) > p+d.Size(p) {
 			return fmt.Errorf("tree: node %d leaks out of parent %d", pre, p)
-		}
-		if d.level[pre] != d.level[p]+1 {
-			return fmt.Errorf("tree: node %d level %d, parent level %d", pre, d.level[pre], d.level[p])
 		}
 		if d.kind[pre] != ElementNode && d.Size(pre) != 0 {
 			return fmt.Errorf("tree: leaf node %d has size %d", pre, d.Size(pre))
@@ -391,6 +409,9 @@ func (d *Doc) Validate() error {
 				}
 			}
 		}
+	}
+	if root != n {
+		return fmt.Errorf("tree: fragments span %d of %d nodes", root, n)
 	}
 	return nil
 }

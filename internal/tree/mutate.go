@@ -46,7 +46,6 @@ func (d *Doc) cloneSnapshot() *Doc {
 		kind:     d.kind,
 		name:     d.name,
 		size:     d.size,
-		level:    d.level,
 		parent:   d.parent,
 		valOff:   d.valOff,
 		valLen:   d.valLen,
@@ -214,7 +213,6 @@ func (a *Appender) pushNode(k Kind, nameID int32, value []byte) int32 {
 	d.kind = append(d.kind, k)
 	d.name = append(d.name, nameID)
 	d.size = append(d.size, 0)
-	d.level = append(d.level, d.level[parent]+1)
 	d.parent = append(d.parent, parent)
 	if value != nil {
 		d.valOff = append(d.valOff, int64(len(d.content)))

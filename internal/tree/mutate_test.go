@@ -57,8 +57,8 @@ func TestAppenderSnapshot(t *testing.T) {
 	if d2.Size(0) != beforeSize0+1 || d2.Size(1) != beforeSize1+1 {
 		t.Fatalf("grown sizes = %d/%d, want %d/%d", d2.Size(0), d2.Size(1), beforeSize0+1, beforeSize1+1)
 	}
-	if d2.Parent(pre) != 1 || d2.Level(pre) != 2 {
-		t.Fatalf("appended node parent/level = %d/%d", d2.Parent(pre), d2.Level(pre))
+	if d2.Parent(pre) != 1 || depthOf(d2, pre) != 2 {
+		t.Fatalf("appended node parent/depth = %d/%d", d2.Parent(pre), depthOf(d2, pre))
 	}
 	startID, _ := d2.Dict().Lookup("start")
 	if ai := d2.Attr(pre, startID); ai < 0 || d2.AttrValue(ai) != "5" {

@@ -113,17 +113,17 @@ func jsonTable(t *testing.T) map[string]*Doc {
 	b.EndElement()
 	done("top", b)
 
-	// Fragments of one slab share a dictionary; one of them interns an
+	// Fragments of one container share a dictionary; one of them interns an
 	// escaped name, which flags it for every fragment.
-	slab := NewFragmentSlab(3, 16, 8, 256)
+	fb := NewContainer(16, 8, 256)
 	for i, n := range []string{"f", `f"`, "f\xff"} {
-		fb := slab.NewFragment()
+		fb.StartFragment()
 		fb.StartElement(n)
 		fb.Attr("v", jsonValues[i+2])
 		fb.Text(jsonValues[i+5])
 		fb.EndElement()
-		done("fragment"+string(rune('0'+i)), fb)
 	}
+	done("fragments", fb)
 
 	// A mutation snapshot: an Appender interns an escaped name into its
 	// copy-on-write dictionary, then the element between two text nodes is

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -54,7 +55,7 @@ func TestBuilderShape(t *testing.T) {
 	if d.Size(0) != 9 || d.Size(1) != 8 || d.Size(4) != 3 || d.Size(6) != 0 {
 		t.Fatalf("sizes wrong: %d %d %d %d", d.Size(0), d.Size(1), d.Size(4), d.Size(6))
 	}
-	if d.Level(0) != 0 || d.Level(1) != 1 || d.Level(6) != 3 {
+	if depthOf(d, 0) != 0 || depthOf(d, 1) != 1 || depthOf(d, 6) != 3 {
 		t.Fatal("levels wrong")
 	}
 	if d.Parent(6) != 4 || d.Parent(1) != 0 || d.Parent(0) != -1 {
@@ -250,8 +251,8 @@ func TestDeepDocument(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Level(int32(depth)) != int16(depth) {
-		t.Fatalf("level = %d", d.Level(int32(depth)))
+	if got := depthOf(d, int32(depth)); got != depth {
+		t.Fatalf("depth = %d", got)
 	}
 	if !strings.Contains(d.XMLString(0), "bottom") {
 		t.Fatal("serialization lost the leaf")
@@ -273,5 +274,64 @@ func TestDictBasics(t *testing.T) {
 	}
 	if _, ok := dict.Lookup("gamma"); ok {
 		t.Fatal("unknown name found")
+	}
+}
+
+// TestFragmentRootInContainer: every node of a container's fragments finds
+// its fragment's document node, which has no parent and no siblings (the next
+// fragment is not one); each fragment's subtree ends where the next begins,
+// and the container validates. A loaded document is one tree rooted at 0. A
+// fragment started with an element open fails the build.
+func TestFragmentRootInContainer(t *testing.T) {
+	b := NewContainer(4, 0, 0) // outgrown: columns grow past the estimate
+	var roots []int32
+	for f := 0; f < 4; f++ {
+		roots = append(roots, b.StartFragment())
+		for e := 0; e < f; e++ { // fragment f nests f elements
+			b.StartElement("e")
+			b.Attr("f", strconv.Itoa(f))
+			b.Text("t")
+		}
+		for e := 0; e < f; e++ {
+			b.EndElement()
+		}
+	}
+	d, err := b.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for f, r := range roots {
+		end := int32(d.NumNodes())
+		if f+1 < len(roots) {
+			end = roots[f+1]
+		}
+		if d.Kind(r) != DocumentNode || d.Parent(r) != -1 || d.NextSibling(r) != -1 || r+d.Size(r)+1 != end {
+			t.Fatalf("fragment %d at %d: kind %v parent %d next sibling %d size %d, next fragment at %d",
+				f, r, d.Kind(r), d.Parent(r), d.NextSibling(r), d.Size(r), end)
+		}
+		for p := r; p < end; p++ {
+			if d.FragmentRoot(p) != r {
+				t.Fatalf("node %d: fragment root %d, want %d", p, d.FragmentRoot(p), r)
+			}
+		}
+		if got, want := d.XMLString(r), strings.Repeat(`<e f="`+strconv.Itoa(f)+`">t`, f)+strings.Repeat("</e>", f); got != want {
+			t.Fatalf("fragment %d: %s, want %s", f, got, want)
+		}
+	}
+	loaded := buildSample(t)
+	for p := int32(0); p < int32(loaded.NumNodes()); p++ {
+		if loaded.FragmentRoot(p) != 0 {
+			t.Fatalf("loaded node %d: fragment root %d", p, loaded.FragmentRoot(p))
+		}
+	}
+	b = NewContainer(0, 0, 0)
+	b.StartFragment()
+	b.StartElement("open")
+	b.StartFragment()
+	if _, err := b.Done(); err == nil || !strings.Contains(err.Error(), "open") {
+		t.Fatalf("fragment started inside an open element: error %v", err)
 	}
 }

@@ -47,6 +47,15 @@ func clip(data []byte) string {
 }
 
 // treeDiff compares two documents node by node and attribute by attribute,
+// depth counts the ancestors of node pre by walking parents.
+func depth(d *tree.Doc, pre int32) int {
+	n := 0
+	for p := d.Parent(pre); p >= 0; p = d.Parent(p) {
+		n++
+	}
+	return n
+}
+
 // then as serialised bytes; "" means equal.
 func treeDiff(a, b *tree.Doc) string {
 	if a.NumNodes() != b.NumNodes() || a.NumAttrs() != b.NumAttrs() || a.Dict().Len() != b.Dict().Len() {
@@ -60,11 +69,11 @@ func treeDiff(a, b *tree.Doc) string {
 	}
 	for pre := int32(0); pre < int32(a.NumNodes()); pre++ {
 		if a.Kind(pre) != b.Kind(pre) || a.NameID(pre) != b.NameID(pre) || a.Size(pre) != b.Size(pre) ||
-			a.Level(pre) != b.Level(pre) || a.Parent(pre) != b.Parent(pre) ||
+			depth(a, pre) != depth(b, pre) || a.Parent(pre) != b.Parent(pre) ||
 			!bytes.Equal(a.ValueBytes(pre), b.ValueBytes(pre)) {
-			return fmt.Sprintf("node %d: %v %q size %d level %d parent %d %q vs %v %q size %d level %d parent %d %q",
-				pre, a.Kind(pre), a.NodeName(pre), a.Size(pre), a.Level(pre), a.Parent(pre), a.ValueBytes(pre),
-				b.Kind(pre), b.NodeName(pre), b.Size(pre), b.Level(pre), b.Parent(pre), b.ValueBytes(pre))
+			return fmt.Sprintf("node %d: %v %q size %d depth %d parent %d %q vs %v %q size %d depth %d parent %d %q",
+				pre, a.Kind(pre), a.NodeName(pre), a.Size(pre), depth(a, pre), a.Parent(pre), a.ValueBytes(pre),
+				b.Kind(pre), b.NodeName(pre), b.Size(pre), depth(b, pre), b.Parent(pre), b.ValueBytes(pre))
 		}
 		alo, ahi := a.Attrs(pre)
 		if blo, bhi := b.Attrs(pre); alo != blo || ahi != bhi {

@@ -258,18 +258,20 @@ func AppendCompiledStep(dst []int32, d *tree.Doc, axis Axis, c Compiled, pre int
 				dst = append(dst, s)
 			}
 		}
-	case AxisFollowing:
-		dst = appendScanRange(dst, d, c, pre+d.Size(pre)+1, int32(d.NumNodes())-1)
+	case AxisFollowing: // bounded by the fragment, the tree that holds pre
+		r := d.FragmentRoot(pre)
+		dst = appendScanRange(dst, d, c, pre+d.Size(pre)+1, r+d.Size(r))
 	case AxisPreceding:
+		r := d.FragmentRoot(pre)
 		if c.isElementNameTest() {
-			for _, p := range indexRange(d, c.nameID, 0, pre-1) {
+			for _, p := range indexRange(d, c.nameID, r, pre-1) {
 				if !d.IsAncestorOf(p, pre) {
 					dst = append(dst, p)
 				}
 			}
 			break
 		}
-		for p := int32(0); p <= pre-1; p++ {
+		for p := r; p <= pre-1; p++ {
 			if c.Matches(d, p) && !d.IsAncestorOf(p, pre) {
 				dst = append(dst, p)
 			}

@@ -227,11 +227,11 @@ type StandOffStream struct {
 // from pres against it).
 func (s *StandOffStream) Doc() *tree.Doc { return s.d }
 
-// NewStandOffStream resolves one StandOff select step against a single
-// document for chunked execution. A nil stream with a nil error means the
-// step is statically or dynamically empty for this document (the node test
-// can never match an area-annotation).
-func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc) (*StandOffStream, error) {
+// NewStandOffStream resolves one StandOff select step against a single tree,
+// the one of d headed by document node root, for chunked execution. A nil
+// stream with a nil error means the step is statically or dynamically empty
+// for this tree (the node test can never match an area-annotation).
+func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc, root int32) (*StandOffStream, error) {
 	if ev.IndexFor == nil {
 		return nil, errf(codeStandOffIndex, "no region index provider configured")
 	}
@@ -243,6 +243,7 @@ func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc) (*Stand
 	if cand == nil {
 		return nil, nil
 	}
+	cand = ix.Within(cand, root, root+d.Size(root))
 	s := &StandOffStream{
 		ev: ev, sp: sp, d: d, ix: ix, cand: cand, postFilter: postFilter,
 		wide: sp.SO.Op == core.SelectWide,

@@ -9,14 +9,27 @@ import (
 )
 
 // fragSize totals what the fragments of one constructor evaluation will hold,
-// to size the slab they are cut from (tree.FragmentSlab). An estimate that
-// errs high wastes some bytes of the slab; one that errs low lets a fragment
-// grow off it. warm keeps what warmBlock read, so that the reads stay.
+// to size the container they are built into (tree.NewContainer). An estimate
+// that errs high wastes some bytes of the container; one that errs low makes
+// a column grow. warm keeps what warmBlock read, so that the reads stay.
 type fragSize struct{ nodes, attrs, content, warm int }
 
-// slab allocates the slab for frags fragments of the size counted so far.
-func (z fragSize) slab(frags int) *tree.FragmentSlab {
-	return tree.NewFragmentSlab(frags, z.nodes, z.attrs, z.content)
+// container starts the container of the size counted so far.
+func (z fragSize) container() *tree.Builder {
+	return tree.NewContainer(z.nodes, z.attrs, z.content)
+}
+
+// seal seals a constructor's container and points items at it: their Pre
+// fields hold their nodes' pres in it.
+func seal(fb *tree.Builder, items []Item, what string) error {
+	doc, err := fb.Done()
+	if err != nil {
+		return errf(codeType, "%s constructor: %v", what, err)
+	}
+	for i := range items {
+		items[i].Kind, items[i].D = KNode, doc
+	}
+	return nil
 }
 
 // addContent counts items inserted as element content: nodes by deep copy,
@@ -122,7 +135,7 @@ func appendValue(dst []byte, items []Item) []byte {
 }
 
 // evalDirectElem evaluates a direct element constructor, producing one new
-// element (a fragment document of its own) per iteration.
+// element per iteration, each in a fragment of its own, all in one container.
 func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error) {
 	// Evaluate attribute value templates and content in the current frame.
 	type valuePart struct {
@@ -155,11 +168,11 @@ func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error
 		content[ci] = seq
 		size.addContent(seq.Items)
 	}
-	slab := size.slab(f.n)
-	elem := slab.Intern(v.Name)
+	fb := size.container()
+	elem := fb.InternString(v.Name)
 	attrIDs := make([]int32, len(v.Attrs))
 	for ai, a := range v.Attrs {
-		attrIDs[ai] = slab.Intern(a.Name)
+		attrIDs[ai] = fb.InternString(a.Name)
 	}
 	out := LLSeq{Off: ascOff(f.n), Items: make([]Item, f.n)}
 	var val []byte
@@ -167,7 +180,7 @@ func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error
 		if i%extentBlock == 0 {
 			size.warmBlock(i, f.n, content...)
 		}
-		fb := slab.NewFragment()
+		out.Items[i].Pre = fb.StartFragment() + 1 // the constructed element
 		fb.StartElementID(elem)
 		for ai := range v.Attrs {
 			val = val[:0]
@@ -189,11 +202,9 @@ func (ev *Evaluator) evalDirectElem(v *xqast.DirectElem, f *frame) (LLSeq, error
 			}
 		}
 		fb.EndElement()
-		doc, err := fb.Done()
-		if err != nil {
-			return LLSeq{}, errf(codeType, "element constructor: %v", err)
-		}
-		out.Items[i] = NodeItem(doc, 1) // pre 1 is the constructed element
+	}
+	if err := seal(fb, out.Items, "element"); err != nil {
+		return LLSeq{}, err
 	}
 	return out, nil
 }
@@ -243,24 +254,22 @@ func (ev *Evaluator) evalComputedElem(v *xqast.ComputedElem, f *frame) (LLSeq, e
 	}
 	size := fragSize{nodes: 2 * f.n}
 	size.addContent(content.Items)
-	slab := size.slab(f.n)
+	fb := size.container()
 	out := LLSeq{Off: ascOff(f.n), Items: make([]Item, f.n)}
 	for i := 0; i < f.n; i++ {
 		if i%extentBlock == 0 {
 			size.warmBlock(i, f.n, content)
 		}
-		fb := slab.NewFragment()
-		fb.StartElementID(slab.Intern(nameAt(names, v.Name, i)))
+		out.Items[i].Pre = fb.StartFragment() + 1
+		fb.StartElement(nameAt(names, v.Name, i))
 		saw, prevAtomic := false, false
 		if err := appendContent(fb, content.Group(i), true, &saw, &prevAtomic); err != nil {
 			return LLSeq{}, err
 		}
 		fb.EndElement()
-		doc, err := fb.Done()
-		if err != nil {
-			return LLSeq{}, errf(codeType, "element constructor: %v", err)
-		}
-		out.Items[i] = NodeItem(doc, 1)
+	}
+	if err := seal(fb, out.Items, "element"); err != nil {
+		return LLSeq{}, err
 	}
 	return out, nil
 }
@@ -279,22 +288,24 @@ func (ev *Evaluator) evalComputedAttr(v *xqast.ComputedAttr, f *frame) (LLSeq, e
 	// pair.
 	size := fragSize{nodes: 2 * f.n, attrs: f.n}
 	size.addValue(content.Items)
-	slab := size.slab(f.n)
-	carrier := slab.Intern("attribute-carrier")
+	fb := size.container()
+	carrier := fb.InternString("attribute-carrier")
 	out := LLSeq{Off: ascOff(f.n), Items: make([]Item, f.n)}
 	var val []byte
 	for i := 0; i < f.n; i++ {
 		val = appendValue(val[:0], content.Group(i))
-		fb := slab.NewFragment()
+		out.Items[i].Pre = fb.StartFragment() + 1
 		fb.StartElementID(carrier)
-		fb.AttrID(slab.Intern(nameAt(names, v.Name, i)), val)
+		fb.AttrID(fb.InternString(nameAt(names, v.Name, i)), val)
 		fb.EndElement()
-		doc, err := fb.Done()
-		if err != nil {
-			return LLSeq{}, errf(codeType, "attribute constructor: %v", err)
-		}
-		lo, _ := doc.Attrs(1)
-		out.Items[i] = AttrItem(doc, 1, lo)
+	}
+	if err := seal(fb, out.Items, "attribute"); err != nil {
+		return LLSeq{}, err
+	}
+	for i := range out.Items { // each carrier's one attribute
+		it := &out.Items[i]
+		it.Kind = KAttr
+		it.Att, _ = it.D.Attrs(it.Pre)
 	}
 	return out, nil
 }
@@ -306,27 +317,25 @@ func (ev *Evaluator) evalComputedText(v *xqast.ComputedText, f *frame) (LLSeq, e
 	}
 	size := fragSize{nodes: 3 * f.n} // document node, carrier, text
 	size.addValue(content.Items)
-	slab := size.slab(f.n)
-	carrier := slab.Intern("text-carrier")
+	fb := size.container()
+	carrier := fb.InternString("text-carrier")
 	b := newLLBuilderCap(f.n, f.n)
 	var val []byte
 	for i := 0; i < f.n; i++ {
-		val = appendValue(val[:0], content.Group(i))
-		fb := slab.NewFragment()
-		fb.StartElementID(carrier)
-		fb.TextBytes(val)
-		fb.EndElement()
-		doc, err := fb.Done()
-		if err != nil {
-			return LLSeq{}, errf(codeType, "text constructor: %v", err)
-		}
-		if doc.NumNodes() < 3 {
+		if val = appendValue(val[:0], content.Group(i)); len(val) == 0 {
 			b.add() // empty text constructor yields the empty sequence
 			continue
 		}
-		b.add(NodeItem(doc, 2)) // pre 2 is the text node
+		b.add(Item{Pre: fb.StartFragment() + 2}) // the text node
+		fb.StartElementID(carrier)
+		fb.TextBytes(val)
+		fb.EndElement()
 	}
-	return b.done(), nil
+	out := b.done()
+	if err := seal(fb, out.Items, "text"); err != nil {
+		return LLSeq{}, err
+	}
+	return out, nil
 }
 
 // constructorNames evaluates a computed constructor's name expression per

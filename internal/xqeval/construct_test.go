@@ -8,7 +8,7 @@ import (
 	"soxq/internal/xmlparse"
 )
 
-// TestFragSizeAgainstPerItem: a constructor's slab estimate — content items
+// TestFragSizeAgainstPerItem: a constructor's container estimate — content items
 // of several documents interleaved with attribute and atomic items, counted
 // in batches per run of one document, some runs longer than a batch — is what
 // counting every item's subtree node by node gives, for element content and

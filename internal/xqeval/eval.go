@@ -58,7 +58,7 @@ type Evaluator struct {
 	depth int
 
 	// stepPres is the recycled per-context-node pre buffer of the tree
-	// steps, ctxParts those of a StandOff join's per-document contexts
+	// steps, ctxParts those of a StandOff join's per-tree contexts
 	// (single-goroutine, like the evaluator itself).
 	stepPres []int32
 	ctxParts []docContext

@@ -214,7 +214,7 @@ func (ev *Evaluator) callBuiltin(name, local string, args []LLSeq, f *frame) (LL
 				if !it.IsNode() {
 					return LLSeq{}, errf(codeType, "root() of an atomic value")
 				}
-				out = append(out, NodeItem(it.D, 0))
+				out = append(out, NodeItem(it.D, it.D.FragmentRoot(it.Pre)))
 			}
 			b.add(sortDedupNodes(out)...)
 		}

@@ -248,12 +248,14 @@ func parseNumericBytes(b []byte) (float64, bool) {
 	return float64(v), true
 }
 
+// String renders the item for tests and diagnostics: a node by its document
+// name and its pre within its tree.
 func (it Item) String() string {
 	switch it.Kind {
 	case KNode:
-		return fmt.Sprintf("node(%s:%d)", it.D.Name, it.Pre)
+		return fmt.Sprintf("node(%s:%d)", it.D.Name, it.Pre-it.D.FragmentRoot(it.Pre))
 	case KAttr:
-		return fmt.Sprintf("attr(%s:%d/@%s)", it.D.Name, it.Pre, it.D.AttrName(it.Att))
+		return fmt.Sprintf("attr(%s:%d/@%s)", it.D.Name, it.Pre-it.D.FragmentRoot(it.Pre), it.D.AttrName(it.Att))
 	default:
 		return it.StringValue()
 	}

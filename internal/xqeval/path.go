@@ -61,7 +61,7 @@ func (ev *Evaluator) pathStart(p *xqast.Path, f *frame) (LLSeq, error) {
 				if !it.IsNode() {
 					return LLSeq{}, errf(codeType, "cannot take the root of an atomic value")
 				}
-				items = append(items, NodeItem(it.D, 0))
+				items = append(items, NodeItem(it.D, it.D.FragmentRoot(it.Pre)))
 			}
 			b.add(sortDedupNodes(items)...)
 		}
@@ -303,34 +303,48 @@ func appendAttrSourceStep(dst []Item, sp *xqplan.StepPlan, it Item) []Item {
 }
 
 // docContext is the part of a StandOff step's context that lies in one
-// document: its area candidates' context nodes, Iter being the context row.
+// tree, a loaded document or one fragment of a container: its area
+// candidates' context nodes, Iter being the context row.
 type docContext struct {
 	d     *tree.Doc
+	root  int32 // the tree's document node
 	nodes []core.CtxNode
 }
 
-// partitionByDoc splits the context per document fragment (section 4.4), in
-// document order, so rows laid out part after part are in document order.
-// Attribute context items are dropped: attributes are never
-// area-annotations. The parts and their node lists reuse ev.ctxParts, so
-// they are valid until the next call.
+// cmpTree orders two parts' trees in document order: documents by creation
+// rank, a container's fragments by pre. Snapshots of one document share its
+// rank and compare equal.
+func cmpTree(a, b docContext) int {
+	return cmp.Or(cmp.Compare(a.d.OrderKey(), b.d.OrderKey()), cmp.Compare(a.root, b.root))
+}
+
+// partitionByDoc splits the context per tree (section 4.4), in document
+// order, so rows laid out part after part are in document order. Attribute
+// context items are dropped: attributes are never area-annotations. The
+// parts and their node lists reuse ev.ctxParts, so they are valid until the
+// next call.
 func (ev *Evaluator) partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
-	parts := ev.ctxParts[:0]
-	cur := -1 // index of the part the previous node went to
+	parts := ev.ctxParts[:0] // in document order throughout
+	cur := -1                // index of the part the previous node went to
 	for i := 0; i < ctx.N(); i++ {
 		for r := ctx.Off[i]; r < ctx.Off[i+1]; r++ {
 			it := ctx.Items[r]
 			if it.Kind != KNode {
 				continue
 			}
-			if cur < 0 || parts[cur].d != it.D {
-				cur = slices.IndexFunc(parts, func(p docContext) bool { return p.d == it.D })
-				if cur < 0 {
-					var nodes []core.CtxNode
-					if cur = len(parts); cur < cap(parts) {
-						nodes = parts[:cur+1][cur].nodes[:0] // this slot's buffer from an earlier call
+			if root := it.D.FragmentRoot(it.Pre); cur < 0 || parts[cur].d != it.D || parts[cur].root != root {
+				key, found := docContext{d: it.D, root: root}, false
+				cur, found = slices.BinarySearchFunc(parts, key, cmpTree)
+				for found && parts[cur].d != it.D { // another snapshot: first seen, first
+					cur++
+					found = cur < len(parts) && cmpTree(parts[cur], key) == 0
+				}
+				if !found {
+					if n := len(parts); n < cap(parts) {
+						key.nodes = parts[:n+1][n].nodes[:0] // a spare slot's buffer from an earlier call
 					}
-					parts = append(parts, docContext{d: it.D, nodes: slices.Grow(nodes, ctx.Total()-int(r))})
+					key.nodes = slices.Grow(key.nodes, ctx.Total()-int(r))
+					parts = slices.Insert(parts, cur, key)
 				}
 			}
 			row := r
@@ -341,7 +355,6 @@ func (ev *Evaluator) partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
 		}
 	}
 	ev.ctxParts = parts
-	slices.SortStableFunc(parts, func(a, b docContext) int { return cmp.Compare(a.d.OrderKey(), b.d.OrderKey()) })
 	return parts
 }
 
@@ -369,7 +382,7 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 	var ob *llBuilder
 	for _, part := range parts {
 		d := part.d
-		ix, cand, keep, err := ev.joinInputs(sp, d, pushed)
+		ix, cand, keep, err := ev.joinInputs(sp, part, pushed)
 		if err != nil {
 			return LLSeq{}, err
 		}
@@ -414,13 +427,14 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 	return ob.seq, nil
 }
 
-// joinInputs resolves what one StandOff join of sp over document d runs
-// against — the region index and the candidate sequence, narrowed by the
-// pushed predicates — and counts the join as run. keep is the node test
-// applied to the join's output when the candidates do not apply it (nil when
-// they do). A nil cand means the test can never match in d, and no join
-// runs.
-func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, d *tree.Doc, pushed []xqplan.PredPlan) (ix *core.RegionIndex, cand *core.Candidates, keep func(int32) bool, err error) {
+// joinInputs resolves what one StandOff join of sp over the tree of part t
+// runs against — the region index of its Doc and the candidate sequence,
+// narrowed by the pushed predicates and cut to the tree's pre range — and
+// counts the join as run. keep is the node test applied to the join's output
+// when the candidates do not apply it (nil when they do). A nil cand means
+// the test can never match in the Doc, and no join runs.
+func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, t docContext, pushed []xqplan.PredPlan) (ix *core.RegionIndex, cand *core.Candidates, keep func(int32) bool, err error) {
+	d := t.d
 	ix, err = ev.IndexFor(d)
 	if err != nil {
 		return nil, nil, nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
@@ -429,6 +443,7 @@ func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, d *tree.Doc, pushed []xqpla
 	if cand == nil {
 		return ix, nil, nil, nil
 	}
+	cand = ix.Within(cand, t.root, t.root+d.Size(t.root))
 	ev.countJoin(ev.Strategy)
 	ev.Stats.RecordJoin(sp, ix, int64(cand.Len()), ev.Strategy)
 	if postFilter {
@@ -457,7 +472,7 @@ func (ev *Evaluator) standOffReduce(sp *xqplan.StepPlan, ctx LLSeq, first bool) 
 		out = make([]int32, ctx.N())
 	}
 	for _, part := range ev.partitionByDoc(ctx, !first) {
-		ix, cand, keep, err := ev.joinInputs(sp, part.d, sp.Preds[:sp.Pushed])
+		ix, cand, keep, err := ev.joinInputs(sp, part, sp.Preds[:sp.Pushed])
 		if err != nil {
 			return nil, err
 		}

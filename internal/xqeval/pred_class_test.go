@@ -2,10 +2,12 @@ package xqeval
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"soxq/internal/core"
+	"soxq/internal/tree"
 	"soxq/internal/xqplan"
 )
 
@@ -235,5 +237,118 @@ func TestConstructedNodeSemantics(t *testing.T) {
 	}
 	if _, err := h.run(t, `for $i in 1 to 2 return <a>{ attribute n { 1 }, attribute n { 2 } }</a>`, core.StrategyLoopLifted); err == nil {
 		t.Error("duplicate attribute in constructor content: no error")
+	}
+	checkFragmentBoundaries(t, h)
+}
+
+// fragmentKinds are the constructors whose fragments share one container,
+// each with the reference fragment it builds for iteration i, made with
+// tree.NewFragmentBuilder, and the path that reads the constructed node out
+// of that fragment. Every element fragment carries the same region
+// coordinates, so a stand-off step that strayed into a neighbour would match.
+var fragmentKinds = []struct {
+	name, construct, path string
+	build                 func(fb *tree.Builder, i int)
+}{
+	{"element", `<a n="{$i}" start="1" end="10"><b start="2" end="3"/>t<c start="5" end="20"/></a>`, "/a",
+		func(fb *tree.Builder, i int) {
+			fb.StartElement("a")
+			fb.Attr("n", strconv.Itoa(i))
+			fb.Attr("start", "1")
+			fb.Attr("end", "10")
+			fb.StartElement("b")
+			fb.Attr("start", "2")
+			fb.Attr("end", "3")
+			fb.EndElement()
+			fb.Text("t")
+			fb.StartElement("c")
+			fb.Attr("start", "5")
+			fb.Attr("end", "20")
+			fb.EndElement()
+			fb.EndElement()
+		}},
+	{"attribute", `attribute x { $i }`, "/attribute-carrier/@x",
+		func(fb *tree.Builder, i int) {
+			fb.StartElement("attribute-carrier")
+			fb.Attr("x", strconv.Itoa(i))
+			fb.EndElement()
+		}},
+	{"text", `text { $i }`, "/text-carrier/text()",
+		func(fb *tree.Builder, i int) {
+			fb.StartElement("text-carrier")
+			fb.Text(strconv.Itoa(i))
+			fb.EndElement()
+		}},
+}
+
+// fragmentBodies read a sequence $s of constructed nodes across the
+// boundaries between their fragments: root(), /, the parent, sibling,
+// following and preceding axes, //, << and is, and the stand-off steps.
+var fragmentBodies = []string{
+	`count((for $e in $s return root($e)) | ())`,
+	`count($s/..)`,
+	`count($s/../..)`,
+	`for $e in $s return count(root($e)//node())`,
+	`count((for $e in $s return root($e))//node())`,
+	`count($s[(//@n)[1] = @n])`,
+	`count($s[string((//@*)[1]) = string(.)])`,
+	`count($s[string((//text())[1]) = string(.)])`,
+	`string-join(for $e in $s return string($e), ",")`,
+	`count($s/following-sibling::node()) + count($s/preceding-sibling::node())`,
+	`count($s/following::node())`,
+	`count($s/preceding::node())`,
+	`count($s/../following::node()) + count($s/../preceding::node())`,
+	`count($s/../following-sibling::node()) + count($s/../preceding-sibling::node())`,
+	`count($s/node()/following-sibling::node())`,
+	`count($s/node()/preceding-sibling::*)`,
+	`count($s/node()/following::*)`,
+	`count($s/node()/preceding::node())`,
+	`for $e in $s return count($e/*/following::node())`,
+	`($s[1] << $s[last()], $s[last()] << $s[1], $s[1] is $s[last()])`,
+	`($s[1]/*[last()] << $s[last()]/*[1], $s[last()]/*[1] << $s[1]/*[last()])`,
+	`count(for $e in $s return $e[.. is root(.)])`,
+	`count(for $e in $s return $e[root(.)/node() is .])`,
+	`count($s/select-narrow::*)`,
+	`count($s/select-wide::*)`,
+	`count($s/reject-narrow::*)`,
+	`count($s/reject-wide::*)`,
+	`for $e in $s return count($e/select-narrow::b)`,
+	`for $e in $s return count($e/reject-wide::*)`,
+	`count($s/b/select-wide::*)`,
+	`count($s/b/reject-narrow::*)`,
+	`for $e in $s return $e/b/select-wide::c`,
+	`for $e in $s return count($e/c/reject-wide::*)`,
+}
+
+// checkFragmentBoundaries evaluates every body over the nodes of 1, 2 and
+// 1025 iterations of each constructor, one container holding their
+// fragments, against the same body over reference fragments built one at a
+// time, under both join strategies.
+func checkFragmentBoundaries(t *testing.T, h *harness) {
+	t.Helper()
+	for _, k := range fragmentKinds {
+		for i := 1; i <= 1025; i++ {
+			fb := tree.NewFragmentBuilder()
+			k.build(fb, i)
+			d, err := fb.Done()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.docs[fmt.Sprintf("%s%d", k.name, i)] = d
+		}
+		for _, n := range []int{1, 2, 1025} {
+			built := fmt.Sprintf(`let $s := for $i in 1 to %d return %s return `, n, k.construct)
+			ref := fmt.Sprintf(`let $s := for $i in 1 to %d return doc(concat(%q, $i))%s return `, n, k.name, k.path)
+			for _, body := range fragmentBodies {
+				for _, strat := range []core.Strategy{core.StrategyLoopLifted, core.StrategyBasic} {
+					got, gerr := h.run(t, built+body, strat)
+					want, werr := h.run(t, ref+body, strat)
+					if gerr != nil || werr != nil || serialize(got) != serialize(want) {
+						t.Errorf("%s ×%d %v: %s\n got %.200s (%v)\nwant %.200s (%v)",
+							k.name, n, strat, body, serialize(got), gerr, serialize(want), werr)
+					}
+				}
+			}
+		}
 	}
 }

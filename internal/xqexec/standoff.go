@@ -95,19 +95,20 @@ type soCtx struct {
 
 // newStandoffCursor builds the chunked cursor for a StandOff select final
 // step over the evaluated context g. It returns (nil, nil) when the context
-// is not chunkable — nodes of more than one document (the join partitions
-// per document fragment; the bulk step handles that) — and the caller falls
-// back to the bulk step. Non-area and attribute context nodes can never
-// match and are dropped from the chunk stream.
+// is not chunkable — nodes of more than one tree (the join partitions per
+// document and per fragment of a container; the bulk step handles that) —
+// and the caller falls back to the bulk step. Non-area and attribute context
+// nodes can never match and are dropped from the chunk stream.
 func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*standoffCursor, error) {
 	var d *tree.Doc
+	var root int32
 	for _, it := range g {
 		if it.Kind != xqeval.KNode {
 			continue
 		}
 		if d == nil {
-			d = it.D
-		} else if it.D != d {
+			d, root = it.D, it.D.FragmentRoot(it.Pre)
+		} else if it.D != d || it.D.FragmentRoot(it.Pre) != root {
 			return nil, nil
 		}
 	}
@@ -117,7 +118,7 @@ func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*stan
 		// (and still reports its ANALYZE row counts).
 		return c, nil
 	}
-	so, err := x.ev.NewStandOffStream(sp, d)
+	so, err := x.ev.NewStandOffStream(sp, d, root)
 	if err != nil {
 		return nil, err
 	}
@@ -137,15 +138,15 @@ func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*stan
 }
 
 // newStandoffCursorFromPres builds the chunked select cursor over an
-// upstream chain stage's drained output: pres of a single document, already
+// upstream chain stage's drained output: pres of a single tree, already
 // deduplicated and in document order. Unlike the item form this never fails
-// over to the bulk step — a single document is guaranteed by construction.
+// over to the bulk step — a single tree is guaranteed by construction.
 func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32) (*standoffCursor, error) {
 	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(pres)), chunk: x.cfg.ChunkSize}
 	if d == nil || len(pres) == 0 {
 		return c, nil
 	}
-	so, err := x.ev.NewStandOffStream(sp, d)
+	so, err := x.ev.NewStandOffStream(sp, d, d.FragmentRoot(pres[0]))
 	if err != nil {
 		return nil, err
 	}

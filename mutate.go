@@ -255,52 +255,66 @@ type runView struct {
 	opts core.Options
 
 	mu   sync.Mutex
-	docs map[string]*tree.Doc
-	ixs  map[*tree.Doc]*core.RegionIndex
+	docs memo[string, *tree.Doc]
+	ixs  memo[*tree.Doc, *core.RegionIndex]
+}
+
+// memo holds the first non-zero value stored under each key. The first key
+// is kept inline: most runs touch one document, and make no map.
+type memo[K, V comparable] struct {
+	k1 K
+	v1 V
+	m  map[K]V
+}
+
+func (m *memo[K, V]) get(k K) (V, bool) {
+	var zero V
+	if m.v1 != zero && m.k1 == k {
+		return m.v1, true
+	}
+	v, ok := m.m[k]
+	return v, ok
+}
+
+// put stores v under k unless k holds a value already; it returns k's value.
+func (m *memo[K, V]) put(k K, v V) V {
+	if prev, ok := m.get(k); ok {
+		return prev
+	}
+	var zero V
+	switch {
+	case m.v1 == zero:
+		m.k1, m.v1 = k, v
+	case m.m == nil:
+		m.m = map[K]V{k: v}
+	default:
+		m.m[k] = v
+	}
+	return v
 }
 
 func (v *runView) resolve(uri string) (*tree.Doc, error) {
-	v.mu.Lock()
-	if d, ok := v.docs[uri]; ok {
-		v.mu.Unlock()
-		return d, nil
-	}
-	v.mu.Unlock()
-	d, err := v.eng.resolve(uri)
-	if err != nil {
-		return nil, err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.docs == nil {
-		v.docs = map[string]*tree.Doc{}
-	}
-	if prev, ok := v.docs[uri]; ok {
-		return prev, nil
-	}
-	v.docs[uri] = d
-	return d, nil
+	return pin(&v.mu, &v.docs, uri, func() (*tree.Doc, error) { return v.eng.resolve(uri) })
 }
 
 func (v *runView) indexFor(d *tree.Doc) (*core.RegionIndex, error) {
-	v.mu.Lock()
-	if ix, ok := v.ixs[d]; ok {
-		v.mu.Unlock()
-		return ix, nil
+	return pin(&v.mu, &v.ixs, d, func() (*core.RegionIndex, error) { return v.eng.indexFor(d, v.opts) })
+}
+
+// pin returns what m holds for k, fetching and storing it on first use;
+// fetch runs outside mu.
+func pin[K, V comparable](mu *sync.Mutex, m *memo[K, V], k K, fetch func() (V, error)) (V, error) {
+	mu.Lock()
+	v, ok := m.get(k)
+	mu.Unlock()
+	if ok {
+		return v, nil
 	}
-	v.mu.Unlock()
-	ix, err := v.eng.indexFor(d, v.opts)
+	v, err := fetch()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.ixs == nil {
-		v.ixs = map[*tree.Doc]*core.RegionIndex{}
-	}
-	if prev, ok := v.ixs[d]; ok {
-		return prev, nil
-	}
-	v.ixs[d] = ix
-	return ix, nil
+	mu.Lock()
+	defer mu.Unlock()
+	return m.put(k, v), nil
 }

@@ -935,3 +935,69 @@ func TestDeleteCostIndependentOfBaseSize(t *testing.T) {
 		t.Fatalf("delete cost grows with the base: %.1fx, want <= 4x", best)
 	}
 }
+
+// TestRunViewPinsBothDocuments: a run holds the first snapshot of every
+// document it resolves, of the first one and of those after it, and of their
+// indexes — a two-document query streamed one iteration per chunk, and a
+// two-member corpus run — while writes to both documents land mid-drain; the
+// next run sees the writes.
+func TestRunViewPinsBothDocuments(t *testing.T) {
+	eng := mutateEngine(t)
+	if err := eng.LoadXML("n.xml", []byte(mutateDoc)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CreateCorpus("both", "m.xml", "n.xml"); err != nil {
+		t.Fatal(err)
+	}
+	const q = `for $i in 1 to 3 return (count(doc("m.xml")//scene/select-narrow::hit), count(doc("n.xml")//scene/select-narrow::hit))`
+	const cq = `for $s in doc("both")//scene return count($s/select-narrow::hit)`
+	prep, err := eng.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cprep, err := eng.Prepare(cq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func(stream func() (*Cursor, error), write bool) string {
+		t.Helper()
+		cur, err := stream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for cur.Next() {
+			out = append(out, cur.Value().XML())
+			if write && len(out) == 1 {
+				for _, d := range []string{"m.xml", "n.xml"} {
+					if err := eng.InsertAnnotation(d, "hit", Region{Start: 30, End: 40}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(out, " ")
+	}
+	for _, p := range []struct {
+		name   string
+		stream func() (*Cursor, error)
+		before string
+	}{
+		{"two documents", func() (*Cursor, error) { return prep.Stream(Config{StreamChunk: 1}) }, "2 2 2 2 2 2"},
+		{"corpus", func() (*Cursor, error) { return cprep.StreamCorpus("both", Config{StreamChunk: 1}) }, ""},
+	} {
+		want := drain(p.stream, false) // the run before any write of this round
+		if p.before != "" && want != p.before {
+			t.Fatalf("%s: %s, want %s", p.name, want, p.before)
+		}
+		if got := drain(p.stream, true); got != want {
+			t.Fatalf("%s: the run drifted with the writes:\n got %s\nwant %s", p.name, got, want)
+		}
+		if after := drain(p.stream, false); after == want {
+			t.Fatalf("%s: the next run does not see the writes: %s", p.name, after)
+		}
+	}
+}
