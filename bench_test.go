@@ -11,7 +11,7 @@ package soxq
 //	BenchmarkStaircaseVsStandOff     "select-narrow is <20% slower than
 //	                                 loop-lifted descendant Staircase Join"
 //	BenchmarkAblation_*              design-choice ablations (pushdown,
-//	                                 active-list structure, paper section 5)
+//	                                 active-set shapes, paper section 5)
 
 import (
 	"fmt"
@@ -336,32 +336,39 @@ func BenchmarkAblation_SelectionPushdown(b *testing.B) {
 
 // ---- E9: active-set structure ablation (paper section 5) ----------------
 
-// BenchmarkAblation_ActiveList compares the paper's sorted list (with middle
-// deletions) against the heap it suggests as future work ("in
-// data-distributions that cause it to grow long"). The "disjoint"
-// distribution expires list entries as fast as they arrive (XMark-like, the
-// list stays short and wins on constant factors); the "ascending"
-// distribution inserts context regions with ever-growing ends that never
-// expire, so every list insert shifts the whole array — the quadratic case
-// the heap fixes. Output sizes are near zero in both shapes so the
-// structures, not result materialisation, dominate.
+// BenchmarkAblation_ActiveList times the join's one active set on the shapes
+// that favour each of its states. The paper keeps a sorted list with middle
+// deletions and suggests a heap as future work "in data-distributions that
+// cause it to grow long"; the set is the list while few contexts are live
+// and turns into the heap past a fixed depth. "disjoint" expires each
+// context before the next one arrives (XMark-like: the list stays short and
+// wins on constant factors). "ascending" inserts contexts with ever-growing
+// ends that never expire, so a list would shift the whole array on every
+// insert. "wide" is the per-iteration select-wide shape of
+// sum(for $h in //hit return count($h/select-wide::scene)), hits 20 positions
+// apart and scenes of 1000: the overlap merge never expires, so every hit
+// stays live. Output sizes are small next to the context counts so the
+// structure, not result materialisation, dominates.
 func BenchmarkAblation_ActiveList(b *testing.B) {
-	build := func(n int, adversarial bool) (*core.RegionIndex, []core.CtxNode, int32) {
+	const n = 20000
+	for _, shape := range []string{"disjoint", "ascending", "wide"} {
 		var sb []byte
 		sb = append(sb, "<doc>"...)
-		big := int64(10 * n)
-		for i := 0; i < n; i++ {
-			if adversarial {
-				// Contexts [i, big+i]: ascending starts AND ends; all stay
-				// active forever. Candidates [n+i, big+n+i] are contained
-				// in no context, so emission walks stop at the list head.
-				sb = append(sb, fmt.Sprintf(`<c start="%d" end="%d"/>`, int64(i), big+int64(i))...)
-				sb = append(sb, fmt.Sprintf(`<r start="%d" end="%d"/>`, int64(n+i), big+int64(n+i))...)
-			} else {
-				// Disjoint contexts: each expires before the next candidate.
-				s := int64(i * 20)
-				sb = append(sb, fmt.Sprintf(`<c start="%d" end="%d"/>`, s, s+15)...)
-				sb = append(sb, fmt.Sprintf(`<r start="%d" end="%d"/>`, s+1, s+3)...)
+		for i := int64(0); i < n; i++ {
+			switch shape {
+			case "disjoint":
+				// Each context expires before the next candidate.
+				sb = fmt.Appendf(sb, `<c start="%d" end="%d"/><r start="%d" end="%d"/>`, 20*i, 20*i+15, 20*i+1, 20*i+3)
+			case "ascending":
+				// Contexts [i, 10n+i]: ascending starts AND ends; all stay
+				// active forever. Candidates [n+i, 10n+n+i] are contained
+				// in no context, so emission walks stop at the top.
+				sb = fmt.Appendf(sb, `<c start="%d" end="%d"/><r start="%d" end="%d"/>`, i, 10*n+i, n+i, 10*n+n+i)
+			case "wide":
+				sb = fmt.Appendf(sb, `<c start="%d" end="%d"/>`, 20*i, 20*i+5)
+				if i%50 == 0 {
+					sb = fmt.Appendf(sb, `<r start="%d" end="%d"/>`, 20*i, 20*i+999)
+				}
 			}
 		}
 		sb = append(sb, "</doc>"...)
@@ -374,36 +381,21 @@ func BenchmarkAblation_ActiveList(b *testing.B) {
 			b.Fatal(err)
 		}
 		cID, _ := doc.Dict().Lookup("c")
+		rID, _ := doc.Dict().Lookup("r")
 		var ctx []core.CtxNode
 		for i, pre := range doc.ElementsByName(cID) {
 			ctx = append(ctx, core.CtxNode{Iter: int32(i), Pre: pre})
 		}
-		return ix, ctx, int32(len(ctx))
-	}
-	for _, shape := range []struct {
-		name        string
-		adversarial bool
-		n           int
-	}{
-		{"disjoint", false, 20000},
-		{"ascending", true, 20000},
-	} {
-		ix, ctx, nIters := build(shape.n, shape.adversarial)
-		rID, _ := ix.Doc().Dict().Lookup("r")
 		cands := ix.FilterByName(rID)
-		for _, structure := range []struct {
-			name string
-			cfg  core.JoinConfig
-		}{
-			{"list", core.JoinConfig{}},
-			{"heap", core.JoinConfig{UseHeap: true}},
-		} {
-			b.Run(shape.name+"/"+structure.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.Join(ix, core.SelectNarrow, core.StrategyLoopLifted, ctx, nIters, cands, structure.cfg)
-				}
-			})
+		op := core.SelectNarrow
+		if shape == "wide" {
+			op = core.SelectWide
 		}
+		b.Run(shape, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.Join(ix, op, core.StrategyLoopLifted, ctx, int32(len(ctx)), cands, core.JoinConfig{})
+			}
+		})
 	}
 }
 

@@ -78,7 +78,6 @@ func main() {
 	queryFile := flag.String("f", "", "file containing the query")
 	mode := flag.String("mode", "auto", "execution mode: auto, looplifted, basic or udf")
 	noPushdown := flag.Bool("no-pushdown", false, "disable candidate-sequence pushdown")
-	heap := flag.Bool("heap", false, "use the heap-based active set (paper section 5)")
 	timing := flag.Bool("time", false, "print load and evaluation timing to stderr")
 	explain := flag.Bool("explain", false, "print the compiled plan instead of results")
 	analyze := flag.Bool("analyze", false, "run the query and print the plan annotated with observed per-operator counters (EXPLAIN ANALYZE)")
@@ -99,8 +98,7 @@ func main() {
 		fatalIf(err)
 		q = string(data)
 	}
-	cfg := soxq.Config{NoPushdown: *noPushdown, HeapActiveList: *heap,
-		StreamChunk: *streamChunk, Trace: *trace || *traceDurations}
+	cfg := soxq.Config{NoPushdown: *noPushdown, StreamChunk: *streamChunk, Trace: *trace || *traceDurations}
 	switch *mode {
 	case "auto":
 		cfg.Mode = soxq.ModeAuto

@@ -33,8 +33,7 @@ type JoinArena struct {
 	csOff    []int32   // counting-sort bucket offsets
 	csFill   []int32   // counting-sort fill positions
 
-	list listActive
-	heap heapActive
+	active activeSet
 }
 
 // maxFreePairBufs bounds the free list; a join pipeline holds at most a

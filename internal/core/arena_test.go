@@ -8,7 +8,7 @@ import (
 // TestJoinArenaEquivalence pins the arena's ownership contract: joins that
 // share one arena across many invocations (recycled pair buffers, reused
 // active sets and context rows) return exactly what arena-free joins return,
-// for every operator, strategy, and active-set structure.
+// for every operator, strategy, and active-set list bound.
 func TestJoinArenaEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	arena := AcquireJoinArena()
@@ -34,12 +34,13 @@ func TestJoinArenaEquivalence(t *testing.T) {
 		}
 		for op := SelectNarrow; op <= RejectWide; op++ {
 			for _, strat := range []Strategy{StrategyNaive, StrategyBasic, StrategyLoopLifted} {
-				for _, heap := range []bool{false, true} {
-					ref := Join(ix, op, strat, ctx, nIters, cand, JoinConfig{UseHeap: heap})
-					got := Join(ix, op, strat, ctx, nIters, cand, JoinConfig{UseHeap: heap, Arena: arena})
+				for _, d := range listMaxes {
+					setListMax(t, d)
+					ref := Join(ix, op, strat, ctx, nIters, cand, JoinConfig{})
+					got := Join(ix, op, strat, ctx, nIters, cand, JoinConfig{Arena: arena})
 					if !pairsEqual(got, ref) {
-						t.Fatalf("round %d: %v/%v(heap=%v) with arena disagrees:\n got  %v\nwant %v\nctx %v",
-							round, op, strat, heap, got, ref, ctx)
+						t.Fatalf("round %d: %v/%v(D=%d) with arena disagrees:\n got  %v\nwant %v\nctx %v",
+							round, op, strat, d, got, ref, ctx)
 					}
 					// got is on loan until the next arena Join — compared
 					// above, not referenced below.
@@ -62,31 +63,32 @@ func TestComplementDenseMatch(t *testing.T) {
 	umbrella := areas[0]
 	nIters := int32(3)
 	ctx := []CtxNode{{Iter: 0, Pre: umbrella}, {Iter: 1, Pre: umbrella}, {Iter: 2, Pre: umbrella}}
-	for _, heap := range []bool{false, true} {
+	for _, d := range listMaxes {
+		setListMax(t, d)
 		for _, arena := range []*JoinArena{nil, AcquireJoinArena()} {
-			cfg := JoinConfig{UseHeap: heap, Arena: arena}
+			cfg := JoinConfig{Arena: arena}
 			sel := Join(ix, SelectNarrow, StrategyLoopLifted, ctx, nIters, ix.All(), cfg)
 			if len(sel) != int(nIters)*len(areas) {
-				t.Fatalf("heap=%v arena=%v: dense select-narrow returned %d pairs, want %d",
-					heap, arena != nil, len(sel), int(nIters)*len(areas))
+				t.Fatalf("D=%d arena=%v: dense select-narrow returned %d pairs, want %d",
+					d, arena != nil, len(sel), int(nIters)*len(areas))
 			}
 			rej := Join(ix, RejectNarrow, StrategyLoopLifted, ctx, nIters, ix.All(), cfg)
 			if len(rej) != 0 {
-				t.Fatalf("heap=%v arena=%v: dense reject-narrow returned %d pairs, want 0: %v",
-					heap, arena != nil, len(rej), rej)
+				t.Fatalf("D=%d arena=%v: dense reject-narrow returned %d pairs, want 0: %v",
+					d, arena != nil, len(rej), rej)
 			}
 			// Partially dense: one iteration has no context at all, so its
 			// whole candidate row set is the complement.
 			part := []CtxNode{{Iter: 0, Pre: umbrella}, {Iter: 2, Pre: umbrella}}
 			rej = Join(ix, RejectNarrow, StrategyLoopLifted, part, nIters, ix.All(), cfg)
 			if len(rej) != len(areas) {
-				t.Fatalf("heap=%v arena=%v: partial reject-narrow returned %d pairs, want %d",
-					heap, arena != nil, len(rej), len(areas))
+				t.Fatalf("D=%d arena=%v: partial reject-narrow returned %d pairs, want %d",
+					d, arena != nil, len(rej), len(areas))
 			}
 			for i, p := range rej {
 				if p.Iter != 1 || p.Pre != areas[i] {
-					t.Fatalf("heap=%v arena=%v: partial reject pair %d = %v, want {1 %d}",
-						heap, arena != nil, i, p, areas[i])
+					t.Fatalf("D=%d arena=%v: partial reject pair %d = %v, want {1 %d}",
+						d, arena != nil, i, p, areas[i])
 				}
 			}
 			arena.Release()

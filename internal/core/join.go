@@ -99,9 +99,6 @@ type Tracer func(TraceEvent)
 
 // JoinConfig tunes the join execution.
 type JoinConfig struct {
-	// UseHeap replaces the sorted active list by the max-heap suggested in
-	// the paper's section 5 (future work; see the ablation benchmarks).
-	UseHeap bool
 	// Trace receives execution events (Figure 4); nil disables tracing.
 	Trace Tracer
 	// Arena recycles join scratch and output buffers across invocations
@@ -248,17 +245,11 @@ func ctxHasMultiRegion(ix *RegionIndex, ctx []CtxNode) bool {
 	return false
 }
 
-func newActiveSet(nKeys int32, cfg JoinConfig) activeSet {
-	if a := cfg.Arena; a != nil {
-		if cfg.UseHeap {
-			return a.heap.reset(nKeys)
-		}
-		return a.list.reset(nKeys)
+func newActiveSet(nKeys int32, a *JoinArena) *activeSet {
+	if a != nil {
+		return a.active.reset(nKeys)
 	}
-	if cfg.UseHeap {
-		return newHeapActive(nKeys)
-	}
-	return newListActive(nKeys)
+	return new(activeSet).reset(nKeys)
 }
 
 // joinLoopLifted is the entry point of the Loop-Lifted StandOff MergeJoin.
@@ -298,7 +289,7 @@ func matchNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfi
 // every (key, candidate) match reaches emit exactly once.
 func mergeNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool, emit *emitState) {
 	rows, _, nKeys := buildCtxRows(ix, ctx, false, cfg.Arena)
-	as := newActiveSet(nKeys, cfg)
+	as := newActiveSet(nKeys, cfg.Arena)
 	tr := cfg.Trace
 	i := 0
 	bStart, bEnd, bID := cand.boundsCols()
@@ -471,7 +462,7 @@ func JoinReduce(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, keep fu
 func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
 	a := cfg.Arena
 	rows, pseudoToIter, nKeys := buildCtxRows(ix, ctx, true, a)
-	as := newActiveSet(nKeys, cfg)
+	as := newActiveSet(nKeys, a)
 	emit := emitState{out: a.getPairs()}
 	i := 0
 	rStart, rEnd, rID := cand.regionCols()
@@ -519,7 +510,7 @@ func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg Join
 // overlap test only constrains start from above and end from below.
 func matchWide(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig) []Pair {
 	rows, _, nKeys := buildCtxRows(ix, ctx, false, cfg.Arena)
-	as := newActiveSet(nKeys, cfg)
+	as := newActiveSet(nKeys, cfg.Arena)
 	emit := emitState{out: cfg.Arena.getPairs()}
 	i := 0
 	eStart, eEnd, eID := cand.endCols()

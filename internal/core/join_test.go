@@ -167,10 +167,11 @@ func TestFigure4AllStrategies(t *testing.T) {
 	cands := ix.Filter(d.ElementsByName(rID))
 	ref := Join(ix, SelectNarrow, StrategyNaive, ctx, 3, cands, JoinConfig{})
 	for _, strat := range []Strategy{StrategyBasic, StrategyLoopLifted} {
-		for _, heap := range []bool{false, true} {
-			got := Join(ix, SelectNarrow, strat, ctx, 3, cands, JoinConfig{UseHeap: heap})
+		for _, d := range listMaxes {
+			setListMax(t, d)
+			got := Join(ix, SelectNarrow, strat, ctx, 3, cands, JoinConfig{})
 			if !pairsEqual(got, ref) {
-				t.Errorf("%v(heap=%v) = %v, want %v", strat, heap, got, ref)
+				t.Errorf("%v(D=%d) = %v, want %v", strat, d, got, ref)
 			}
 		}
 	}
@@ -234,11 +235,12 @@ func TestStrategiesAgreeSingleRegion(t *testing.T) {
 		for op := SelectNarrow; op <= RejectWide; op++ {
 			ref := Join(ix, op, StrategyNaive, ctx, nIters, cand, JoinConfig{})
 			for _, strat := range []Strategy{StrategyBasic, StrategyLoopLifted} {
-				for _, heap := range []bool{false, true} {
-					got := Join(ix, op, strat, ctx, nIters, cand, JoinConfig{UseHeap: heap})
+				for _, d := range listMaxes {
+					setListMax(t, d)
+					got := Join(ix, op, strat, ctx, nIters, cand, JoinConfig{})
 					if !pairsEqual(got, ref) {
-						t.Fatalf("round %d: %v/%v(heap=%v) disagrees with naive:\n got  %v\nwant %v\nctx %v",
-							round, op, strat, heap, got, ref, ctx)
+						t.Fatalf("round %d: %v/%v(D=%d) disagrees with naive:\n got  %v\nwant %v\nctx %v",
+							round, op, strat, d, got, ref, ctx)
 					}
 				}
 			}
@@ -278,11 +280,12 @@ func TestStrategiesAgreeMultiRegion(t *testing.T) {
 		for op := SelectNarrow; op <= RejectWide; op++ {
 			ref := Join(ix, op, StrategyNaive, ctx, nIters, ix.All(), JoinConfig{})
 			for _, strat := range []Strategy{StrategyBasic, StrategyLoopLifted} {
-				for _, heap := range []bool{false, true} {
-					got := Join(ix, op, strat, ctx, nIters, ix.All(), JoinConfig{UseHeap: heap})
+				for _, d := range listMaxes {
+					setListMax(t, d)
+					got := Join(ix, op, strat, ctx, nIters, ix.All(), JoinConfig{})
 					if !pairsEqual(got, ref) {
-						t.Fatalf("round %d: %v/%v(heap=%v) disagrees:\n got  %v\nwant %v\ndoc %s\nctx %v",
-							round, op, strat, heap, got, ref, sb.String(), ctx)
+						t.Fatalf("round %d: %v/%v(D=%d) disagrees:\n got  %v\nwant %v\ndoc %s\nctx %v",
+							round, op, strat, d, got, ref, sb.String(), ctx)
 					}
 				}
 			}
@@ -344,69 +347,6 @@ func TestDuplicateContextNodes(t *testing.T) {
 	// Iter 0 and iter 2 each match Intro and Interview; iter 1 matches nothing.
 	if len(got) != 4 || got[0].Iter != 0 || got[2].Iter != 2 {
 		t.Fatalf("duplicate-context join = %v", got)
-	}
-}
-
-// TestActiveListMiddleDeletion exercises the list structure directly: a new
-// dominant region for a key must replace the key's older entry even when it
-// sits in the middle of the list.
-func TestActiveListMiddleDeletion(t *testing.T) {
-	l := newListActive(3)
-	l.insert(0, 50)
-	l.insert(1, 40)
-	l.insert(2, 30)
-	if l.len() != 3 || l.items[0].end != 50 {
-		t.Fatalf("len=%d maxEnd=%d", l.len(), l.items[0].end)
-	}
-	if l.insert(1, 35) {
-		t.Fatal("dominated insert must be rejected")
-	}
-	if !l.insert(1, 60) {
-		t.Fatal("dominant insert must be accepted")
-	}
-	if l.len() != 3 {
-		t.Fatalf("middle deletion failed, len=%d", l.len())
-	}
-	var keys []int32
-	l.forEach(0, func(k int32) { keys = append(keys, k) })
-	if fmt.Sprint(keys) != "[1 0 2]" {
-		t.Fatalf("order after middle deletion = %v", keys)
-	}
-	l.expire(35)
-	if l.len() != 2 {
-		t.Fatalf("expire failed, len=%d", l.len())
-	}
-	keys = nil
-	l.forEach(45, func(k int32) { keys = append(keys, k) })
-	if fmt.Sprint(keys) != "[1 0]" {
-		t.Fatalf("forEach(45) = %v", keys)
-	}
-}
-
-// TestHeapActiveLazyStaleness exercises the heap structure's lazy deletion.
-func TestHeapActiveLazyStaleness(t *testing.T) {
-	h := newHeapActive(2)
-	h.insert(0, 10)
-	h.insert(1, 20)
-	h.insert(0, 30) // supersedes (0,10)
-	if h.len() != 2 {
-		t.Fatalf("live = %d", h.len())
-	}
-	var got []string
-	h.forEach(5, func(k int32) { got = append(got, fmt.Sprint(k)) })
-	if strings.Join(got, ",") != "0,1" {
-		t.Fatalf("forEach = %v (stale entry leaked?)", got)
-	}
-	// Re-run: items must have been pushed back.
-	got = nil
-	h.forEach(15, func(k int32) { got = append(got, fmt.Sprint(k)) })
-	if strings.Join(got, ",") != "0,1" {
-		t.Fatalf("second forEach = %v", got)
-	}
-	got = nil
-	h.forEach(25, func(k int32) { got = append(got, fmt.Sprint(k)) })
-	if strings.Join(got, ",") != "0" {
-		t.Fatalf("forEach(25) = %v", got)
 	}
 }
 
@@ -475,12 +415,15 @@ func TestJoinReduceAgainstJoin(t *testing.T) {
 					if got := reducePairs(ll, keep, first, init); !slices.Equal(got, want) {
 						t.Fatalf("round %d %v first=%v: reduced Join %v, reduced naive %v", round, op, first, got, want)
 					}
-					for _, cfg := range []JoinConfig{{}, {UseHeap: true}, {Arena: arena}, {UseHeap: true, Arena: arena}} {
-						got := slices.Clone(init)
-						JoinReduce(ix, op, ctx, cand, keep, first, got, cfg)
-						if !slices.Equal(got, want) {
-							t.Fatalf("round %d %v first=%v keep=%v heap=%v: JoinReduce %v, want %v\nctx %v",
-								round, op, first, keep != nil, cfg.UseHeap, got, want, ctx)
+					for _, d := range listMaxes {
+						setListMax(t, d)
+						for _, cfg := range []JoinConfig{{}, {Arena: arena}} {
+							got := slices.Clone(init)
+							JoinReduce(ix, op, ctx, cand, keep, first, got, cfg)
+							if !slices.Equal(got, want) {
+								t.Fatalf("round %d %v first=%v keep=%v D=%d: JoinReduce %v, want %v\nctx %v",
+									round, op, first, keep != nil, d, got, want, ctx)
+							}
 						}
 					}
 				}

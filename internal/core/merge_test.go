@@ -90,15 +90,25 @@ func newTiledJoin(t *testing.T, rng *rand.Rand) tiledJoin {
 
 // checkAgainstNaive holds every loop-lifted join of the input — Join under all four
 // ops, JoinReduce's counts and first matches under both select ops — against
-// the naive nested loop, for both active sets, with and without an arena.
+// the naive nested loop, under the production list bound and under a bound of
+// one, which turns the active set into a heap and back whenever two keys are
+// live, with and without an arena.
 func checkAgainstNaive(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters int32, cand *Candidates, arena *JoinArena) {
 	t.Helper()
-	cfgs := []JoinConfig{{}, {UseHeap: true}, {Arena: arena}, {UseHeap: true, Arena: arena}}
+	for _, d := range []int{activeListMax, 1} {
+		setListMax(t, d)
+		checkAgainstNaiveAt(t, ix, ctx, nIters, cand, arena, d)
+	}
+}
+
+func checkAgainstNaiveAt(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters int32, cand *Candidates, arena *JoinArena, d int) {
+	t.Helper()
+	cfgs := []JoinConfig{{}, {Arena: arena}}
 	for op := SelectNarrow; op <= RejectWide; op++ {
 		naive := Join(ix, op, StrategyNaive, ctx, nIters, cand, JoinConfig{})
 		for _, cfg := range cfgs {
 			if got := Join(ix, op, StrategyLoopLifted, ctx, nIters, cand, cfg); !pairsEqual(got, naive) {
-				t.Fatalf("%v heap=%v arena=%v:\n got  %v\nwant %v\nctx %v", op, cfg.UseHeap, cfg.Arena != nil, got, naive, ctx)
+				t.Fatalf("%v D=%d arena=%v:\n got  %v\nwant %v\nctx %v", op, d, cfg.Arena != nil, got, naive, ctx)
 			}
 		}
 		if op != SelectNarrow && op != SelectWide {
@@ -116,8 +126,8 @@ func checkAgainstNaive(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters int3
 				got := slices.Clone(init)
 				JoinReduce(ix, op, ctx, cand, nil, first, got, cfg)
 				if !slices.Equal(got, want) {
-					t.Fatalf("JoinReduce %v first=%v heap=%v arena=%v: %v, want %v\nctx %v",
-						op, first, cfg.UseHeap, cfg.Arena != nil, got, want, ctx)
+					t.Fatalf("JoinReduce %v first=%v D=%d arena=%v: %v, want %v\nctx %v",
+						op, first, d, cfg.Arena != nil, got, want, ctx)
 				}
 			}
 		}
@@ -166,9 +176,10 @@ func TestGallopAgainstSortSearch(t *testing.T) {
 	}
 }
 
-// TestHeapJoinSkipsLikeList: over sparse contexts, the heap's merge skips the
-// candidates between contexts as the list's does — once per gap, so a join
-// costs the contexts, not the candidate column.
+// TestHeapJoinSkipsLikeList: over sparse contexts, the merge skips the
+// candidates between contexts with the active set in its heap state (list
+// bound 0) as it does in its list state — once per gap, so a join costs the
+// contexts, not the candidate column.
 func TestHeapJoinSkipsLikeList(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<doc>")
@@ -194,9 +205,10 @@ func TestHeapJoinSkipsLikeList(t *testing.T) {
 	defer func() { testHookSkip = hook }()
 	var pairs [2][]Pair
 	var count [2]int
-	for h, heap := range []bool{false, true} {
+	for h, d := range []int{activeListMax, 0} {
+		setListMax(t, d)
 		skips = 0
-		pairs[h] = Join(ix, SelectNarrow, StrategyLoopLifted, ctx, nCtx, cand, JoinConfig{UseHeap: heap})
+		pairs[h] = Join(ix, SelectNarrow, StrategyLoopLifted, ctx, nCtx, cand, JoinConfig{})
 		count[h] = skips
 	}
 	if !pairsEqual(pairs[0], pairs[1]) || len(pairs[0]) != 3*nCtx {
@@ -208,10 +220,10 @@ func TestHeapJoinSkipsLikeList(t *testing.T) {
 }
 
 // FuzzMergeJoin holds the loop-lifted joins against the naive nested loop
-// (checkAgainstNaive: all four ops, count and first, list and heap) on a
-// random region document — single-region areas at random or tiling the
-// positions, or multi-region areas in the region-element encoding — with
-// random contexts and a random candidate subset.
+// (checkAgainstNaive: all four ops, count and first, list bound 1 and the
+// production one) on a random region document — single-region areas at
+// random or tiling the positions, or multi-region areas in the region-element
+// encoding — with random contexts and a random candidate subset.
 func FuzzMergeJoin(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed, seed%3 == 0)

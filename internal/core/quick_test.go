@@ -224,45 +224,3 @@ func TestQuickTimecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickActiveSetsAgree: the sorted list and the heap expose identical
-// forEach behaviour under a random operation mix with non-decreasing expiry
-// cutoffs (the list's contract).
-func TestQuickActiveSetsAgree(t *testing.T) {
-	f := func(ops []uint16, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const nKeys = 8
-		l := newListActive(nKeys)
-		h := newHeapActive(nKeys)
-		cutoff := int64(0)
-		for _, op := range ops {
-			switch op % 3 {
-			case 0: // insert
-				key, end := int32(op%nKeys), int64(op/3)+cutoff
-				li := l.insert(key, end)
-				hi := h.insert(key, end)
-				if li != hi {
-					return false
-				}
-			case 1: // expire with a non-decreasing cutoff
-				cutoff += int64(op % 7)
-				l.expire(cutoff)
-				h.expire(cutoff)
-			case 2: // forEach at a threshold >= cutoff
-				thresh := cutoff + int64(rng.Intn(20))
-				var lk, hk []int32
-				l.forEach(thresh, func(k int32) { lk = append(lk, k) })
-				h.forEach(thresh, func(k int32) { hk = append(hk, k) })
-				sort.Slice(lk, func(i, j int) bool { return lk[i] < lk[j] })
-				sort.Slice(hk, func(i, j int) bool { return hk[i] < hk[j] })
-				if fmt.Sprint(lk) != fmt.Sprint(hk) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

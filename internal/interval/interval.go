@@ -1,8 +1,7 @@
 // Package interval provides the region primitives underlying stand-off
 // annotation: closed integer intervals ("regions"), possibly non-contiguous
-// ordered sets of regions ("areas"), the containment and overlap predicates
-// of Alink et al. (XIME-P 2006, section 3.1), and Allen's thirteen interval
-// relations that those predicates abstract over.
+// ordered sets of regions ("areas"), and the containment and overlap
+// predicates of Alink et al. (XIME-P 2006, section 3.1).
 //
 // Positions are int64, which covers byte offsets in multi-terabyte BLOBs as
 // well as millisecond or nanosecond time-stamps (section 2 of the paper:
@@ -59,24 +58,6 @@ func (r Region) Overlaps(s Region) bool {
 	return r.Start <= s.End && r.End >= s.Start
 }
 
-// Intersect returns the common sub-region of r and s. ok is false when the
-// regions are disjoint.
-func (r Region) Intersect(s Region) (Region, bool) {
-	if !r.Overlaps(s) {
-		return Region{}, false
-	}
-	return Region{Start: max64(r.Start, s.Start), End: min64(r.End, s.End)}, true
-}
-
-// Union returns the smallest single region covering both r and s, and
-// whether r and s actually form a contiguous range (overlap or touch
-// end-to-start) so that the union is exact.
-func (r Region) Union(s Region) (Region, bool) {
-	u := Region{Start: min64(r.Start, s.Start), End: max64(r.End, s.End)}
-	contiguous := r.Overlaps(s) || r.End+1 == s.Start || s.End+1 == r.Start
-	return u, contiguous
-}
-
 func (r Region) String() string { return fmt.Sprintf("[%d,%d]", r.Start, r.End) }
 
 // Compare orders regions by Start, breaking ties on End. It returns -1, 0 or
@@ -94,90 +75,4 @@ func Compare(a, b Region) int {
 	default:
 		return 0
 	}
-}
-
-// Relation is one of Allen's thirteen qualitative relations between two
-// intervals (Allen, CACM 1983), which the paper cites as the full spectrum
-// that the StandOff joins deliberately collapse into containment and overlap.
-type Relation int
-
-const (
-	Precedes      Relation = iota // a entirely before b, with a gap
-	Meets                         // a.End + 1 == b.Start (closed-interval adjacency)
-	OverlapsLeft                  // a starts first, they overlap, b ends last
-	FinishedBy                    // a starts first, both end together
-	ContainsRel                   // a strictly contains b on both sides
-	Starts                        // both start together, a ends first
-	Equals                        // identical intervals
-	StartedBy                     // both start together, b ends first
-	During                        // b strictly contains a on both sides
-	Finishes                      // b starts first, both end together
-	OverlapsRight                 // b starts first, they overlap, a ends last
-	MetBy                         // b.End + 1 == a.Start
-	PrecededBy                    // a entirely after b, with a gap
-)
-
-var relationNames = [...]string{
-	"precedes", "meets", "overlaps", "finished-by", "contains", "starts",
-	"equals", "started-by", "during", "finishes", "overlapped-by", "met-by",
-	"preceded-by",
-}
-
-func (rel Relation) String() string {
-	if rel < 0 || int(rel) >= len(relationNames) {
-		return fmt.Sprintf("Relation(%d)", int(rel))
-	}
-	return relationNames[rel]
-}
-
-// Classify returns the Allen relation holding between a and b. Because the
-// position domain is discrete and regions are closed, "meets" is defined as
-// exact adjacency (a.End+1 == b.Start); adjacent regions do not overlap in
-// the continuous sense but *touch*.
-func Classify(a, b Region) Relation {
-	switch {
-	case a.End+1 < b.Start:
-		return Precedes
-	case a.End+1 == b.Start:
-		return Meets
-	case b.End+1 < a.Start:
-		return PrecededBy
-	case b.End+1 == a.Start:
-		return MetBy
-	}
-	// The intervals share at least one position from here on.
-	switch {
-	case a.Start == b.Start && a.End == b.End:
-		return Equals
-	case a.Start == b.Start && a.End < b.End:
-		return Starts
-	case a.Start == b.Start: // a.End > b.End
-		return StartedBy
-	case a.End == b.End && a.Start < b.Start:
-		return FinishedBy
-	case a.End == b.End: // a.Start > b.Start
-		return Finishes
-	case a.Start < b.Start && a.End > b.End:
-		return ContainsRel
-	case a.Start > b.Start && a.End < b.End:
-		return During
-	case a.Start < b.Start: // overlapping, a first
-		return OverlapsLeft
-	default:
-		return OverlapsRight
-	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

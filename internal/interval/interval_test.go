@@ -1,7 +1,6 @@
 package interval
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -77,25 +76,6 @@ func TestContainsImpliesOverlaps(t *testing.T) {
 	}
 }
 
-func TestIntersectUnion(t *testing.T) {
-	a, b := Region{0, 10}, Region{5, 20}
-	got, ok := a.Intersect(b)
-	if !ok || got != (Region{5, 10}) {
-		t.Fatalf("Intersect = %v,%v", got, ok)
-	}
-	if _, ok := (Region{0, 3}).Intersect(Region{5, 9}); ok {
-		t.Fatal("disjoint regions should not intersect")
-	}
-	u, contiguous := (Region{0, 4}).Union(Region{5, 9})
-	if u != (Region{0, 9}) || !contiguous {
-		t.Fatalf("touching union = %v contiguous=%v", u, contiguous)
-	}
-	u, contiguous = (Region{0, 3}).Union(Region{7, 9})
-	if u != (Region{0, 9}) || contiguous {
-		t.Fatalf("gapped union = %v contiguous=%v", u, contiguous)
-	}
-}
-
 func TestCompareOrdering(t *testing.T) {
 	if Compare(Region{1, 5}, Region{2, 3}) != -1 ||
 		Compare(Region{2, 3}, Region{1, 5}) != 1 ||
@@ -105,70 +85,6 @@ func TestCompareOrdering(t *testing.T) {
 	}
 }
 
-// The thirteen Allen relations must partition all region pairs: exactly one
-// relation holds, and Classify(a,b) must be the converse of Classify(b,a).
-func TestAllenRelationsPartition(t *testing.T) {
-	converse := map[Relation]Relation{
-		Precedes: PrecededBy, Meets: MetBy, OverlapsLeft: OverlapsRight,
-		FinishedBy: Finishes, ContainsRel: During, Starts: StartedBy,
-		Equals: Equals, StartedBy: Starts, During: ContainsRel,
-		Finishes: FinishedBy, OverlapsRight: OverlapsLeft, MetBy: Meets,
-		PrecededBy: Precedes,
-	}
-	rng := rand.New(rand.NewSource(42))
-	for n := 0; n < 5000; n++ {
-		a := normRegion(int64(rng.Intn(40)), int64(rng.Intn(40)))
-		b := normRegion(int64(rng.Intn(40)), int64(rng.Intn(40)))
-		ra, rb := Classify(a, b), Classify(b, a)
-		if converse[ra] != rb {
-			t.Fatalf("Classify(%s,%s)=%s but Classify(%s,%s)=%s (not converse)",
-				a, b, ra, b, a, rb)
-		}
-		// Relation must be consistent with Overlaps: everything except
-		// precedes/meets/met-by/preceded-by shares a position.
-		wantOverlap := ra != Precedes && ra != Meets && ra != MetBy && ra != PrecededBy
-		if a.Overlaps(b) != wantOverlap {
-			t.Fatalf("relation %s inconsistent with Overlaps(%s,%s)=%v", ra, a, b, a.Overlaps(b))
-		}
-	}
-}
-
-func TestAllenExamples(t *testing.T) {
-	cases := []struct {
-		a, b Region
-		want Relation
-	}{
-		{Region{0, 2}, Region{5, 9}, Precedes},
-		{Region{0, 4}, Region{5, 9}, Meets},
-		{Region{0, 6}, Region{4, 9}, OverlapsLeft},
-		{Region{0, 9}, Region{4, 9}, FinishedBy},
-		{Region{0, 9}, Region{3, 7}, ContainsRel},
-		{Region{3, 5}, Region{3, 9}, Starts},
-		{Region{3, 9}, Region{3, 9}, Equals},
-		{Region{3, 9}, Region{3, 5}, StartedBy},
-		{Region{4, 6}, Region{0, 9}, During},
-		{Region{5, 9}, Region{0, 9}, Finishes},
-		{Region{4, 9}, Region{0, 6}, OverlapsRight},
-		{Region{5, 9}, Region{0, 4}, MetBy},
-		{Region{7, 9}, Region{0, 2}, PrecededBy},
-	}
-	for _, c := range cases {
-		if got := Classify(c.a, c.b); got != c.want {
-			t.Errorf("Classify(%s,%s) = %s, want %s", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestRelationString(t *testing.T) {
-	if Equals.String() != "equals" || Precedes.String() != "precedes" {
-		t.Fatal("relation names wrong")
-	}
-	if Relation(99).String() != "Relation(99)" {
-		t.Fatal("out-of-range relation name wrong")
-	}
-}
-
-// normRegion builds a valid region from two arbitrary positions.
 func normRegion(a, b int64) Region {
 	if a > b {
 		a, b = b, a

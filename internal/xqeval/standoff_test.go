@@ -239,7 +239,7 @@ func TestRegionElementsAndBlobText(t *testing.T) {
 
 // TestStrategiesAgreeOnRandomQueries is the end-to-end equivalence property:
 // random stand-off documents, queried through full XQuery with all three
-// strategies (and the heap ablation), must agree.
+// strategies, must agree.
 func TestStrategiesAgreeOnRandomQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	queryTemplates := []string{

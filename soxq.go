@@ -114,9 +114,6 @@ type Config struct {
 	// all annotations and filters afterwards (section 3.3's optimizer
 	// discussion).
 	NoPushdown bool
-	// HeapActiveList replaces the paper's sorted active list with the
-	// max-heap suggested in its section 5 (future work).
-	HeapActiveList bool
 	// Parallelism is ignored: every run executes on its caller's goroutine.
 	// Concurrency comes from running several queries at once.
 	//

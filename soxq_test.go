@@ -491,3 +491,53 @@ func TestReloadSweepsIndexes(t *testing.T) {
 		t.Fatalf("run after the reload = %q", s)
 	}
 }
+
+// TestWideAggregateAllPaths: a per-hit select-wide count summed over many
+// hits, the shape that keeps every hit live in the overlap merge's active
+// set, answers the same through Exec, Stream, ModeBasic and ModeUDF. Hits
+// [20i, 20i+5] fall inside one of the tiling scenes of 1000 positions each,
+// so the sum is the hit count.
+func TestWideAggregateAllPaths(t *testing.T) {
+	const hits = 400
+	var sb strings.Builder
+	sb.WriteString("<doc>")
+	for i := 0; i < hits/50; i++ {
+		fmt.Fprintf(&sb, `<scene start="%d" end="%d"/>`, 1000*i, 1000*i+999)
+	}
+	for i := 0; i < hits; i++ {
+		fmt.Fprintf(&sb, `<hit start="%d" end="%d"/>`, 20*i, 20*i+5)
+	}
+	sb.WriteString("</doc>")
+	eng := New()
+	if err := eng.LoadXML("d", []byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(`sum(for $h in doc("d")//hit return count($h/select-wide::scene))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(hits)
+	for _, mode := range []Mode{ModeLoopLifted, ModeBasic, ModeUDF} {
+		res, err := prep.Exec(Config{Mode: mode})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got := strings.Join(res.Strings(), " "); got != want {
+			t.Errorf("%v Exec = %q, want %q", mode, got, want)
+		}
+	}
+	cur, err := prep.Stream(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for cur.Next() {
+		got = append(got, cur.Value().String())
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, " ") != want {
+		t.Errorf("Stream = %q, want %q", got, want)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"soxq/internal/core"
 	"soxq/internal/xqeval"
 	"soxq/internal/xqexec"
 	"soxq/internal/xqplan"
@@ -166,7 +165,6 @@ func (p *Prepared) build(ctx context.Context, cfg Config, st *xqplan.ExecStats, 
 		IndexFor: rv.indexFor,
 		BlobFor:  p.eng.blobFor,
 		Strategy: cfg.Mode.strategy(),
-		JoinCfg:  core.JoinConfig{UseHeap: cfg.HeapActiveList},
 		Pushdown: !cfg.NoPushdown,
 		Stats:    st,
 	}
