@@ -113,7 +113,6 @@ func ExamplePrepared_Explain() {
 	fmt.Print(prep.Explain().String())
 	// Output:
 	// options: type=xs:integer start=@start end=@end
-	// folds: 0
 	// plan:
 	//   path doc("d.xml")
 	//     step descendant::music (fused //)

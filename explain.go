@@ -10,11 +10,10 @@ import (
 
 // PlanExplain is the structured description of a prepared query's compiled
 // form and — after Analyze — of one execution's observed behaviour. It holds
-// the effective stand-off options, the constant-fold count, the operator
-// tree of the whole query (FLWOR, filter and conditional structure, with
-// every path's compiled step program nested inside), the flat per-path step
-// list, and the streaming pipeline shape. See docs/EXPLAIN.md for the full
-// output reference.
+// the effective stand-off options, the operator tree of the whole query
+// (FLWOR, filter and conditional structure, with every path's compiled step
+// program nested inside), the flat per-path step list, and the streaming
+// pipeline shape. See docs/EXPLAIN.md for the full output reference.
 //
 // Two modes produce it:
 //
@@ -28,8 +27,6 @@ type PlanExplain struct {
 	// Options renders the effective stand-off options the plan was
 	// compiled under.
 	Options string
-	// Folds is the number of constant-folding rewrites applied.
-	Folds int
 	// Analyzed reports whether observed counters are attached (the
 	// explain came from Analyze).
 	Analyzed bool
@@ -149,7 +146,7 @@ func (p *Prepared) Explain() *PlanExplain {
 // observed counters of one execution attached when st is non-nil.
 func (p *Prepared) explainWith(st *xqplan.ExecStats) *PlanExplain {
 	ix := p.plan.ExplainWith(st)
-	out := &PlanExplain{Options: ix.Options.String(), Folds: ix.Folds, Analyzed: ix.Analyzed}
+	out := &PlanExplain{Options: ix.Options.String(), Analyzed: ix.Analyzed}
 	for _, pe := range ix.Paths {
 		var path PathExplain
 		for _, se := range pe.Steps {
@@ -207,13 +204,11 @@ func publicNode(n *xqplan.Node) *OpNode {
 	return out
 }
 
-// String renders the plan description: the options and fold count, the
-// operator tree (one line per operator, annotated with standoff decisions
-// and — after Analyze — observed counters), and the streaming pipeline
-// shape:
+// String renders the plan description: the options, the operator tree (one
+// line per operator, annotated with standoff decisions and — after Analyze —
+// observed counters), and the streaming pipeline shape:
 //
 //	options: type=xs:integer start=@start end=@end
-//	folds: 0
 //	plan:
 //	  flwor (tuples=1 out=1 chunks=1)
 //	    for $s in
@@ -227,7 +222,6 @@ func publicNode(n *xqplan.Node) *OpNode {
 func (x *PlanExplain) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "options: %s\n", x.Options)
-	fmt.Fprintf(&sb, "folds: %d\n", x.Folds)
 	sb.WriteString("plan:\n")
 	for _, n := range x.Plan {
 		n.render(&sb, 1)

@@ -20,7 +20,7 @@ import (
 // construct; create a fresh one per Run — a single Evaluator must not be
 // shared between goroutines or reused across runs.
 type Evaluator struct {
-	// Plan is the compiled query (function table, globals, folded body,
+	// Plan is the compiled query (function table, globals, body,
 	// static StandOff step decisions, effective options).
 	Plan *xqplan.Plan
 	// Resolver loads a document for fn:doc.
@@ -181,30 +181,58 @@ func (ev *Evaluator) evalBinary(v *xqast.Binary, f *frame) (LLSeq, error) {
 	}
 }
 
+// evalLogical evaluates its right operand only over the iterations the left
+// operand leaves undecided (true for and, false for or), restricting the
+// frame as evalIf does; XQuery section 3.6 lets a processor skip the other
+// operand, so false() and E never evaluates E. When the left operand decides
+// no iteration the right one runs over the frame as it is.
 func (ev *Evaluator) evalLogical(v *xqast.Binary, f *frame) (LLSeq, error) {
+	and := v.Op == "and"
 	l, err := ev.eval(v.L, f)
 	if err != nil {
 		return LLSeq{}, err
 	}
-	r, err := ev.eval(v.R, f)
-	if err != nil {
-		return LLSeq{}, err
-	}
-	b := ev.scrBuilderCap(f.n, f.n)
+	undecided := 0
 	for i := 0; i < f.n; i++ {
 		lb, err := ebv(l.Group(i))
 		if err != nil {
 			return LLSeq{}, err
 		}
-		rb, err := ebv(r.Group(i))
+		if lb == and {
+			undecided++
+		}
+	}
+	var r LLSeq
+	switch {
+	case undecided == f.n:
+		r, err = ev.eval(v.R, f)
+	case undecided > 0:
+		iters := make([]int32, 0, undecided)
+		for i := 0; i < f.n; i++ {
+			if lb, _ := ebv(l.Group(i)); lb == and {
+				iters = append(iters, int32(i))
+			}
+		}
+		r, err = ev.eval(v.R, f.restrict(iters))
+	}
+	if err != nil {
+		return LLSeq{}, err
+	}
+	b := ev.scrBuilderCap(f.n, f.n)
+	ri := 0
+	for i := 0; i < f.n; i++ {
+		if undecided < f.n {
+			if lb, _ := ebv(l.Group(i)); lb != and {
+				b.add(Bool(lb))
+				continue
+			}
+		}
+		rb, err := ebv(r.Group(ri))
 		if err != nil {
 			return LLSeq{}, err
 		}
-		if v.Op == "and" {
-			b.add(Bool(lb && rb))
-		} else {
-			b.add(Bool(lb || rb))
-		}
+		ri++
+		b.add(Bool(rb))
 	}
 	return b.done(), nil
 }

@@ -192,10 +192,32 @@ func TestEvalBasics(t *testing.T) {
 		{`every $x in (1, 2, 3) satisfies $x > 1`, `false`},
 		{`some $x in () satisfies $x`, `false`},
 		{`every $x in () satisfies $x`, `true`},
+		{`1 div 2`, `0.5`},
+		{`-(4 - 6)`, `2`},
+		{`string(2.0)`, `2`},
+		{`string(-7)`, `-7`},
+		{`"a" < "b"`, `true`},
+		{`1 = 1.0`, `true`},
+		{`false() and doc("missing.xml")`, `false`},
+		{`true() or doc("missing.xml")`, `true`},
+		{`if (false()) then doc("missing.xml") else 1`, `1`},
+		{`declare function concat($a, $b) { 0 }; concat("a", "b")`, `0`},
+		{`for $x in (1, 2, 3) return ($x > 1 and $x < 3)`, `false true false`},
+		{`for $x in (1, 2, 3) return ($x > 1 or $x < 2)`, `true true true`},
 	}
 	for _, c := range cases {
 		wantEval(t, h, c[0], c[1])
 	}
+}
+
+// TestLogicalSkipsDecidedIterations pins that and/or evaluate their right
+// operand only where the left one leaves the result open: 1 idiv 0 would
+// raise an error in the iteration the left operand already decides.
+func TestLogicalSkipsDecidedIterations(t *testing.T) {
+	h := newHarness()
+	wantEval(t, h, `for $x in (0, 1, 2) return ($x = 0 or 2 idiv $x = 2)`, `true true false`)
+	wantEval(t, h, `for $x in (0, 1, 2) return ($x != 0 and 2 idiv $x = 1)`, `false false true`)
+	wantEval(t, h, `(0, 1, 2)[. = 0 or 2 idiv . = 1]`, `0 2`)
 }
 
 func TestEvalFLWOR(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	goparser "go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,22 +43,28 @@ func seedQueries(t testing.TB) []string {
 }
 
 // FuzzQueryParse feeds arbitrary query text to Parse and, when it parses, to
-// xqplan.Compile (constant folding, step programs, the // fusion test).
-// Neither may panic or hang.
+// xqplan.Compile (step programs, the // fusion test). Neither may panic or
+// hang, and Compile only reads the module: the compiled copy must stay
+// deeply equal to a second parse of the same text.
 func FuzzQueryParse(f *testing.F) {
 	qs := seedQueries(f)
 	if len(qs) < 20 {
 		f.Fatalf("found %d seed queries, want the examples' and the fuzz harness's", len(qs))
 	}
-	for _, q := range qs {
+	for _, q := range append(qs, `1 + 2`, `if (true() and "a" = "a") then -(4 - 6) else 0`) {
 		f.Add(q)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			if m, err := Parse(src); err == nil {
-				_, _ = xqplan.Compile(m, core.DefaultOptions())
+			m, err := Parse(src)
+			if err != nil {
+				return
+			}
+			_, _ = xqplan.Compile(m, core.DefaultOptions())
+			if fresh, _ := Parse(src); !reflect.DeepEqual(m, fresh) {
+				t.Errorf("Compile rewrote the module of %q", src)
 			}
 		}()
 		select {

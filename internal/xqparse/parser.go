@@ -37,22 +37,6 @@ func Parse(src string) (*xqast.Module, error) {
 	return m, nil
 }
 
-// ParseExpr parses a stand-alone expression (no prolog).
-func ParseExpr(src string) (xqast.Expr, error) {
-	p := &parser{lx: xqlex.New(src)}
-	if err := p.next(); err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.tok.Kind != xqlex.EOF {
-		return nil, p.errf("unexpected %s after expression", p.tok)
-	}
-	return e, nil
-}
-
 type parser struct {
 	lx     *xqlex.Lexer
 	tok    xqlex.Token

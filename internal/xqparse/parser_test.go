@@ -331,6 +331,7 @@ func TestParseErrors(t *testing.T) {
 		`count(1,`,
 		`foo::bar`,
 		`1 2`,
+		`1 +`,
 		`(: unterminated`,
 		`<a>}</a>`,
 	}
@@ -338,16 +339,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
-	}
-}
-
-func TestParseExprEntry(t *testing.T) {
-	e, err := ParseExpr(`1 + 2`)
-	if err != nil || dump(e) != `(+ 1 2)` {
-		t.Fatalf("ParseExpr: %v %v", e, err)
-	}
-	if _, err := ParseExpr(`1 +`); err == nil {
-		t.Fatal("bad expr should fail")
 	}
 }
 

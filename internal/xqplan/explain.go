@@ -11,14 +11,13 @@ import (
 )
 
 // Explain is the structured description of a compiled plan: the effective
-// options, the fold count, the flat per-path step list (kept for
-// programmatic consumers), and the operator tree of the whole query —
+// options, the flat per-path step list (kept for programmatic consumers),
+// and the operator tree of the whole query —
 // FLWOR/filter/conditional structure included, not just paths. Built by
 // Plan.Explain (compile-time structure only) or Plan.ExplainWith (plus the
 // observed counters of one execution: EXPLAIN ANALYZE).
 type Explain struct {
 	Options core.Options
-	Folds   int
 	Paths   []PathExplain
 	// Root is the operator tree: a synthetic "query" node whose children
 	// are the user function declarations followed by the query body.
@@ -86,7 +85,7 @@ func (p *Plan) Explain() *Explain { return p.ExplainWith(nil) }
 // the observed per-operator counters of the execution st collected —
 // EXPLAIN ANALYZE.
 func (p *Plan) ExplainWith(st *ExecStats) *Explain {
-	ex := &Explain{Options: p.opts, Folds: p.folds, Analyzed: st != nil}
+	ex := &Explain{Options: p.opts, Analyzed: st != nil}
 	for _, path := range p.paths {
 		var pe PathExplain
 		for _, sp := range p.programs[path] {

@@ -2,11 +2,11 @@
 // internal/xqeval. Compile turns a parsed xqast.Module plus the engine's
 // stand-off options into an immutable Plan: preamble options resolved, the
 // function table built and arity-checked once, global variables ordered,
-// constant subexpressions folded, and every path expression compiled into a
-// step program — per step, the axis with the // fusion applied, the node
-// test, and the stand-off classification with the section 3.3
-// candidate-pushdown decision. Every StandOff step runs the Loop-Lifted join
-// unless the execution forces a baseline (Basic or the naive UDF join).
+// and every path expression compiled into a step program — per step, the
+// axis with the // fusion applied, the node test, and the stand-off
+// classification with the section 3.3 candidate-pushdown decision. Every
+// StandOff step runs the Loop-Lifted join unless the execution forces a
+// baseline (Basic or the naive UDF join).
 //
 // A Plan carries no mutable state besides per-step memo tables of compiled
 // node tests and no references to documents or indexes, so one Plan can back
@@ -143,14 +143,13 @@ type Plan struct {
 	declOrder []*xqast.FunctionDecl // declaration order, for deterministic EXPLAIN
 	programs  map[*xqast.Path]Program
 	paths     []*xqast.Path // discovery order, for deterministic EXPLAIN
-	folds     int           // number of constant-folding rewrites applied
 }
 
 // Compile builds a Plan from a parsed module. base is the engine-wide option
 // set; the module's preamble overrides it (option names are matched on their
-// local name, as in section 2). The module is consumed: Compile may rewrite
-// its expressions in place (constant folding), so callers must not share the
-// module or evaluate it directly afterwards.
+// local name, as in section 2). Compile only reads the module: the Plan keys
+// its step programs on the module's path expressions, so the module must not
+// change afterwards.
 func Compile(m *xqast.Module, base core.Options) (*Plan, error) {
 	p := &Plan{
 		opts:     base,
@@ -169,7 +168,7 @@ func Compile(m *xqast.Module, base core.Options) (*Plan, error) {
 	}
 	// (2) Build the function table once, checking name/arity collisions and
 	// duplicate parameters. This happens before the expression pass so that
-	// folding can tell built-ins from user declarations that shadow them.
+	// markCountOnly can tell built-ins from user declarations that shadow them.
 	for _, fd := range m.Functions {
 		key := FuncKey(fd.Name, len(fd.Params))
 		if _, dup := p.funcs[key]; dup {
@@ -185,79 +184,36 @@ func Compile(m *xqast.Module, base core.Options) (*Plan, error) {
 		p.funcs[key] = fd
 		p.declOrder = append(p.declOrder, fd)
 	}
-	// (3) The single expression pass: fold constants and compile the step
-	// program of every path, function bodies and globals included.
+	// (3) The single expression pass: compile the step program of every
+	// path, function bodies and globals included.
 	for _, fd := range m.Functions {
-		fd.Body = p.pass(fd.Body)
+		p.pass(fd.Body)
 	}
 	for _, vd := range m.Variables {
-		vd.Value = p.pass(vd.Value)
+		p.pass(vd.Value)
 	}
-	m.Body = p.pass(m.Body)
+	p.pass(m.Body)
 	p.body = m.Body
 	p.globals = m.Variables
 	return p, nil
 }
 
 // pass is the one compile-time traversal: post-order over each expression
-// (children first, through the shared rewriteChildren enumeration), folding
-// constants and compiling path step programs on the way back up. Each
+// (children first, through visitChildren), compiling path step programs on
+// the way back up, so a count-only mark sees its argument's program. Each
 // expression is walked exactly once per Compile.
-func (p *Plan) pass(e xqast.Expr) xqast.Expr {
+func (p *Plan) pass(e xqast.Expr) {
 	if e == nil {
-		return nil
+		return
 	}
-	rewriteChildren(e, p.pass)
+	visitChildren(e, p.pass)
 	switch v := e.(type) {
-	case *xqast.Binary:
-		if folded, ok := foldArith(v); ok {
-			p.folds++
-			return folded
-		}
-		if folded, ok := p.foldComparison(v); ok {
-			p.folds++
-			return folded
-		}
-		if v.Op == "and" || v.Op == "or" {
-			if folded, ok := p.foldLogical(v); ok {
-				p.folds++
-				return folded
-			}
-		}
-	case *xqast.Unary:
-		if folded, ok := foldUnary(v); ok {
-			p.folds++
-			return folded
-		}
-	case *xqast.IfExpr:
-		if bv, ok := p.litEBV(v.Cond); ok {
-			p.folds++
-			if bv {
-				p.prune(v.Else)
-				return v.Then
-			}
-			p.prune(v.Then)
-			return v.Else
-		}
 	case *xqast.FuncCall:
-		if folded, ok := p.foldConcat(v); ok {
-			p.folds++
-			return folded
-		}
-		if folded, ok := p.foldBooleanWrap(v); ok {
-			p.folds++
-			return folded
-		}
-		if folded, ok := p.foldStringNumber(v); ok {
-			p.folds++
-			return folded
-		}
 		p.markCountOnly(v)
 	case *xqast.Path:
 		p.paths = append(p.paths, v)
 		p.programs[v] = p.compileProgram(v)
 	}
-	return e
 }
 
 // markCountOnly marks the final step of the path argument of the built-in
@@ -279,27 +235,20 @@ func (p *Plan) markCountOnly(v *xqast.FuncCall) {
 	}
 }
 
-// prune unregisters the step programs of a subtree a fold rule discarded
-// (a dead if-branch, the skipped operand of a decided and/or), so EXPLAIN
-// and NumStandOffSteps only describe steps that can actually execute.
-// Discards are rare, so the extra walk stays off the common path.
-func (p *Plan) prune(e xqast.Expr) xqast.Expr {
-	if e == nil {
-		return nil
+// localName strips an optional namespace prefix.
+func localName(name string) string {
+	if i := strings.IndexByte(name, ':'); i >= 0 {
+		return name[i+1:]
 	}
-	rewriteChildren(e, p.prune)
-	if path, ok := e.(*xqast.Path); ok {
-		if _, registered := p.programs[path]; registered {
-			delete(p.programs, path)
-			for i, q := range p.paths {
-				if q == path {
-					p.paths = append(p.paths[:i], p.paths[i+1:]...)
-					break
-				}
-			}
-		}
-	}
-	return e
+	return name
+}
+
+// shadowed reports whether a user-declared function hides the built-in of
+// the same name and arity (the evaluator resolves UDFs first on the exact
+// QName).
+func (p *Plan) shadowed(name string, arity int) bool {
+	_, ok := p.funcs[FuncKey(name, arity)]
+	return ok
 }
 
 // Body returns the compiled query body.
@@ -316,32 +265,6 @@ func (p *Plan) Options() core.Options { return p.opts }
 func (p *Plan) Function(name string, arity int) (*xqast.FunctionDecl, bool) {
 	fd, ok := p.funcs[FuncKey(name, arity)]
 	return fd, ok
-}
-
-// NumFunctions returns the size of the function table.
-func (p *Plan) NumFunctions() int { return len(p.funcs) }
-
-// NumStandOffSteps returns how many StandOff axis steps were compiled.
-func (p *Plan) NumStandOffSteps() int {
-	n := 0
-	for _, prog := range p.programs {
-		n += prog.NumStandOff()
-	}
-	return n
-}
-
-// Folds returns the number of constant-folding rewrites Compile applied.
-func (p *Plan) Folds() int { return p.folds }
-
-// Programs returns every compiled step program in path discovery order
-// (post-order of the compile pass). Used by EXPLAIN and by tests; the
-// evaluator looks programs up per path via Program.
-func (p *Plan) Programs() []Program {
-	out := make([]Program, len(p.paths))
-	for i, path := range p.paths {
-		out[i] = p.programs[path]
-	}
-	return out
 }
 
 // Program returns the compiled step program of a path expression. Paths that

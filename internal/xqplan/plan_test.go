@@ -39,9 +39,6 @@ func TestCompileFunctionTable(t *testing.T) {
 		declare function local:one($a) { $a };
 		declare function local:one($a, $b) { ($a, $b) };
 		local:one(1)`)
-	if p.NumFunctions() != 2 {
-		t.Fatalf("NumFunctions = %d, want 2", p.NumFunctions())
-	}
 	if _, ok := p.Function("local:one", 1); !ok {
 		t.Fatal("local:one#1 missing")
 	}
@@ -109,86 +106,35 @@ func TestCompileBadOption(t *testing.T) {
 	}
 }
 
-func TestConstantFolding(t *testing.T) {
-	for _, tc := range []struct {
-		q    string
-		want xqast.Expr
-	}{
-		{`1 + 2 * 3`, &xqast.IntLit{V: 7}},
-		{`-(4 - 6)`, &xqast.IntLit{V: 2}},
-		{`7 idiv 2`, &xqast.IntLit{V: 3}},
-		{`7 mod 2`, &xqast.IntLit{V: 1}},
-		{`1 div 2`, &xqast.FloatLit{V: 0.5}},
-		{`1.5 + 0.25`, &xqast.FloatLit{V: 1.75}},
-	} {
-		p := compile(t, tc.q)
-		switch want := tc.want.(type) {
-		case *xqast.IntLit:
-			got, ok := p.Body().(*xqast.IntLit)
-			if !ok || got.V != want.V {
-				t.Errorf("%s: body = %#v, want IntLit %d", tc.q, p.Body(), want.V)
-			}
-		case *xqast.FloatLit:
-			got, ok := p.Body().(*xqast.FloatLit)
-			if !ok || got.V != want.V {
-				t.Errorf("%s: body = %#v, want FloatLit %v", tc.q, p.Body(), want.V)
+// standOffSteps lists the compiled StandOff steps of every path, as EXPLAIN
+// describes them.
+func standOffSteps(p *Plan) []StepExplain {
+	var out []StepExplain
+	for _, pe := range p.Explain().Paths {
+		for _, se := range pe.Steps {
+			if se.StandOff {
+				out = append(out, se)
 			}
 		}
 	}
-}
-
-func TestFoldingPreservesDynamicErrors(t *testing.T) {
-	// Division by zero must stay a runtime error, not a compile crash or a
-	// silently folded value.
-	p := compile(t, `1 idiv 0`)
-	if _, folded := p.Body().(*xqast.IntLit); folded {
-		t.Fatal("1 idiv 0 must not fold")
-	}
-}
-
-func TestFoldingReachesNestedScopes(t *testing.T) {
-	p := compile(t, `
-		declare variable $g := 2 + 3;
-		declare function local:f($x) { $x + (1 + 1) };
-		for $i in 1 to (2 * 2) where $i > (0 + 1) return local:f($i)`)
-	if g, ok := p.Globals()[0].Value.(*xqast.IntLit); !ok || g.V != 5 {
-		t.Fatalf("global not folded: %#v", p.Globals()[0].Value)
-	}
-	fd, _ := p.Function("local:f", 1)
-	body, ok := fd.Body.(*xqast.Binary)
-	if !ok {
-		t.Fatalf("function body shape: %#v", fd.Body)
-	}
-	if r, ok := body.R.(*xqast.IntLit); !ok || r.V != 2 {
-		t.Fatalf("function body constant not folded: %#v", body.R)
-	}
+	return out
 }
 
 func TestStandOffDecisions(t *testing.T) {
 	p := compile(t, `doc("d.xml")//music/select-narrow::shot`)
-	if p.NumStandOffSteps() != 1 {
-		t.Fatalf("NumStandOffSteps = %d, want 1", p.NumStandOffSteps())
+	steps := standOffSteps(p)
+	if len(steps) != 1 {
+		t.Fatalf("%d StandOff steps, want 1", len(steps))
 	}
-	var so SOStep
-	var found bool
-	for _, path := range p.paths {
-		for _, sp := range p.programs[path] {
-			if sp.StandOff {
-				so, found = sp.SO, true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no StandOff step in any program")
-	}
-	if so.Op != core.SelectNarrow {
+	so := steps[0]
+	if so.Op != core.SelectNarrow.String() {
 		t.Fatalf("Op = %v", so.Op)
 	}
-	if so.Policy(true) != CandByName || so.Name != "shot" {
-		t.Fatalf("pushdown policy = %v name %q", so.Policy(true), so.Name)
+	if so.PushPolicy != CandByName.String() || so.Name != "shot" {
+		t.Fatalf("pushdown policy = %v name %q", so.PushPolicy, so.Name)
 	}
-	if so.Policy(false) != CandAllFiltered {
-		t.Fatalf("no-pushdown policy = %v", so.Policy(false))
+	if so.NoPushPolicy != CandAllFiltered.String() {
+		t.Fatalf("no-pushdown policy = %v", so.NoPushPolicy)
 	}
 }
 
@@ -219,7 +165,7 @@ func TestStandOffStepsEverywhere(t *testing.T) {
 		declare function local:f($s) { $s/select-wide::b };
 		for $x in doc("d.xml")//a[./select-narrow::c]
 		return <r>{ local:f($x), $x/reject-wide::d }</r>`)
-	if got := p.NumStandOffSteps(); got != 3 {
-		t.Fatalf("NumStandOffSteps = %d, want 3", got)
+	if got := len(standOffSteps(p)); got != 3 {
+		t.Fatalf("%d StandOff steps, want 3", got)
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // PredClass is the shape class of a step predicate, decided once at compile
-// time from the (constant-folded) predicate expression alone. The two
-// classified shapes filter a step's result where it lies — no inner
-// iteration per result node, no position()/last() columns — and everything
-// else runs through the evaluator as PredGeneric.
+// time from the predicate expression alone. The two classified shapes filter
+// a step's result where it lies — no inner iteration per result node, no
+// position()/last() columns — and everything else runs through the
+// evaluator as PredGeneric.
 type PredClass uint8
 
 const (
@@ -54,40 +54,55 @@ type PredPlan struct {
 var flipComparison = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 // classifyPredicate recognises the two filtered-in-place predicate shapes.
-// It runs after the compile pass folded the predicate, so [-1] arrives as an
-// integer literal.
 func classifyPredicate(e xqast.Expr) PredPlan {
+	if k, _, isInt, ok := signedLit(e); ok && isInt {
+		return PredPlan{Class: PredPosition, Pos: k}
+	}
+	v, ok := e.(*xqast.Binary)
+	if !ok {
+		return PredPlan{}
+	}
+	op, flipped := v.Op, flipComparison[v.Op]
+	if flipped == "" {
+		return PredPlan{}
+	}
+	name, ok := attrOfContext(v.L)
+	lit := v.R
+	if !ok {
+		name, ok = attrOfContext(v.R)
+		lit, op = v.L, flipped
+	}
+	if !ok {
+		return PredPlan{}
+	}
+	pp := PredPlan{Class: PredAttrCompare, Attr: name, Op: op}
+	if s, isStr := lit.(*xqast.StringLit); isStr {
+		pp.Str = s.V
+	} else if _, f, _, isNum := signedLit(lit); isNum {
+		pp.Numeric, pp.Num = true, f
+	} else {
+		return PredPlan{}
+	}
+	return pp
+}
+
+// signedLit reads a numeric literal under unary signs: the lexer has no
+// negative literal, so -1 parses as a unary minus over 1. k is the value of
+// an integer literal (isInt), f the value as a double.
+func signedLit(e xqast.Expr) (k int64, f float64, isInt, ok bool) {
 	switch v := e.(type) {
 	case *xqast.IntLit:
-		return PredPlan{Class: PredPosition, Pos: v.V}
-	case *xqast.Binary:
-		op, flipped := v.Op, flipComparison[v.Op]
-		if flipped == "" {
-			return PredPlan{}
+		return v.V, float64(v.V), true, true
+	case *xqast.FloatLit:
+		return 0, v.V, false, true
+	case *xqast.Unary:
+		k, f, isInt, ok = signedLit(v.X)
+		if v.Neg {
+			k, f = -k, -f
 		}
-		name, ok := attrOfContext(v.L)
-		lit := v.R
-		if !ok {
-			name, ok = attrOfContext(v.R)
-			lit, op = v.L, flipped
-		}
-		if !ok {
-			return PredPlan{}
-		}
-		pp := PredPlan{Class: PredAttrCompare, Attr: name, Op: op}
-		switch l := lit.(type) {
-		case *xqast.StringLit:
-			pp.Str = l.V
-		case *xqast.IntLit:
-			pp.Numeric, pp.Num = true, float64(l.V)
-		case *xqast.FloatLit:
-			pp.Numeric, pp.Num = true, l.V
-		default:
-			return PredPlan{}
-		}
-		return pp
+		return k, f, isInt, ok
 	}
-	return PredPlan{}
+	return 0, 0, false, false
 }
 
 // attrOfContext matches the relative path @name: one predicate-free

@@ -77,17 +77,6 @@ func (sp *StepPlan) Chunked() bool {
 // fusion applied (a Program can be shorter than the source step list).
 type Program []*StepPlan
 
-// NumStandOff returns how many StandOff steps the program contains.
-func (pr Program) NumStandOff() int {
-	n := 0
-	for _, sp := range pr {
-		if sp.StandOff {
-			n++
-		}
-	}
-	return n
-}
-
 // CompileStep compiles a single step. Compile uses it for every step of the
 // module; the evaluator uses it for steps synthesised at run time (the
 // so:select-narrow(...) function form).

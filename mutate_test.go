@@ -415,7 +415,6 @@ func TestExplainGoldenDeltaMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `options: type=xs:integer start=@start end=@end
-folds: 0
 plan:
   flwor (tuples=2 out=2 chunks=1)
     for $s in

@@ -158,7 +158,7 @@ func TestTraceGolden(t *testing.T) {
 	want := `trace: for $s in doc("d.xml")//music[@artist = "U2"]/select-narrow::shot return string($s/@id)
 mode: exec
   parse
-  compile folds=0
+  compile
   execute
     flwor in=1 out=1 chunks=1
       for $s in

@@ -76,7 +76,6 @@ func (p *Prepared) buildTrace(mode string, start time.Time, nanos int64, st *xqp
 	if p.compileNanos == 0 {
 		compile.Attr("cached", "true")
 	}
-	compile.AttrInt("folds", int64(pe.Folds))
 
 	exec := root.Child("execute")
 	exec.Nanos = nanos - p.compileNanos
