@@ -4,8 +4,8 @@
 // (files may be fragmented — non-contiguous areas!), a keyword scanner and a
 // file-type carver. The stand-off queries combine the tools' outputs.
 //
-//	go run ./examples/forensics
-package main
+//	go test -v ./examples/forensics
+package forensics
 
 import (
 	"bytes"
@@ -17,7 +17,7 @@ import (
 	"soxq/internal/blob"
 )
 
-func main() {
+func Example() {
 	// ---- Synthesise a tiny "disk image" BLOB -------------------------
 	// Layout (offsets in bytes):
 	//     0- 511: boot sector (zeros)
@@ -103,6 +103,24 @@ func main() {
 	content := bytes.TrimRight([]byte(res.Strings()[0]), "\x00")
 	fmt.Printf("Reassembled report.txt (fragments joined in position order):\n  %q\n",
 		strings.ReplaceAll(string(content), "\x00", "."))
+
+	// Output:
+	// Forensic queries over one disk image, three annotation tools
+	//
+	// Files containing card-number hits (select-narrow over fragmented areas):
+	//   -> [report.txt]
+	//
+	// Keyword hits inside unallocated space:
+	//   -> [5500 0000 0000 0004]
+	//
+	// Hits outside every file (reject-narrow):
+	//   -> [5500 0000 0000 0004]
+	//
+	// Files overlapping a carved JPEG signature (select-wide):
+	//   -> [cat.jpg]
+	//
+	// Reassembled report.txt (fragments joined in position order):
+	//   "QUARTERLY REPORT: the transfer of 4111 1111 1111 1111 was ......................................................................................................................................................................................................................................................................................................................................................................................................................................................................approved by the board. END OF REPORT."
 }
 
 func show(eng *soxq.Engine, label, q string) {

@@ -5,8 +5,8 @@
 // boundary, a variant can fall between genes), so stand-off regions — not
 // element nesting — carry the structure.
 //
-//	go run ./examples/genomics
-package main
+//	go test -v ./examples/genomics
+package genomics
 
 import (
 	"fmt"
@@ -37,7 +37,7 @@ const chromosome = `<chromosome name="chr21">
   </variants>
 </chromosome>`
 
-func main() {
+func Example() {
 	eng := soxq.New()
 	if err := eng.LoadXML("chr21.xml", []byte(chromosome)); err != nil {
 		log.Fatal(err)
@@ -69,6 +69,25 @@ func main() {
 		 where some $v in $g/select-narrow::variant
 		       satisfies empty($v/select-wide::read)
 		 return string($g/@id)`)
+
+	// Output:
+	// Genome annotations on chr21: genes, reads, variant calls
+	//
+	// Variants inside genes, with the gene they hit:
+	//   -> [v1 in APP v3 in SOD1 v4 in DYRK1A]
+	//
+	// Intergenic variants (reject-narrow from all genes):
+	//   -> [v2]
+	//
+	// Reads straddling a gene boundary: not contained in any gene
+	//   (reject-narrow) intersected with overlapping some gene (select-wide):
+	//   -> [r1 r2 r5]
+	//
+	// Coverage: reads per gene (overlap join in one pass):
+	//   -> [APP=2 SOD1=1 DYRK1A=1]
+	//
+	// Genes containing a variant that no read covers:
+	//   -> [SOD1 DYRK1A]
 }
 
 func show(eng *soxq.Engine, label, q string) {

@@ -4,8 +4,8 @@
 // stand-off annotation in the paper's introduction (LMNL-style inline markup
 // cannot express this without duplication).
 //
-//	go run ./examples/multimedia
-package main
+//	go test -v ./examples/multimedia
+package multimedia
 
 import (
 	"fmt"
@@ -47,7 +47,7 @@ func run(eng *soxq.Engine, label, q string) {
 	fmt.Printf("%s\n  -> %v\n\n", label, res.Strings())
 }
 
-func main() {
+func Example() {
 	eng := soxq.New()
 	if err := eng.Declare("standoff-type", "so:timecode"); err != nil {
 		log.Fatal(err)
@@ -86,4 +86,28 @@ func main() {
 		`for $t in doc("broadcast.xml")//turn
 		 where exists($t/select-wide::face[@who != $t/@speaker])
 		 return concat(string($t/@speaker), "@", string($t/@start))`)
+
+	// Output:
+	// Querying three overlapping annotation hierarchies of one stream
+	//
+	// Shots in which the minister speaks (select-wide = overlap):
+	//   //turn[@speaker="minister"]/select-wide::shot
+	//   -> [shot 3]
+	//
+	// Speaker turns fully inside shot 3 (select-narrow = containment):
+	//   //shot[@no="3"]/select-narrow::turn
+	//   -> [minister reporter]
+	//
+	// Faces on screen while their owner is NOT speaking (reject-wide):
+	//   faces whose region does not overlap any same-person turn
+	//   -> []
+	//
+	// Shots in which the anchor's face never appears (reject-wide is an
+	//   anti-join over the WHOLE context sequence, section 3.1):
+	//   //face[@who="anchor"]/reject-wide::shot
+	//   -> [shot 2]
+	//
+	// Cross-hierarchy join: speakers whose turn overlaps a face of
+	//   someone else (interview situations)
+	//   -> [anchor@0:02 reporter@4:52]
 }

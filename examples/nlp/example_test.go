@@ -4,8 +4,8 @@
 // which inline XML cannot represent; stand-off annotation handles it
 // naturally, with word positions as the region domain.
 //
-//	go run ./examples/nlp
-package main
+//	go test -v ./examples/nlp
+package nlp
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 	"soxq/internal/blob"
 )
 
-func main() {
+func Example() {
 	// The corpus: 24 words; regions below are word offsets (not bytes),
 	// demonstrating that the position domain is configurable data, not
 	// always byte offsets.
@@ -93,6 +93,29 @@ func main() {
 		fmt.Sscanf(lohi[1], "%d", &hi)
 		fmt.Printf("  %-12s %q\n", idPart, strings.Join(words[lo:hi+1], " "))
 	}
+
+	// Output:
+	// Concurrent markup: physical pages vs. linguistic structure
+	//
+	// Entities fully on page 1 (select-narrow):
+	//   -> [holmes london]
+	//
+	// Sentences that straddle the page break (overlap both pages):
+	//   -> [s2]
+	//
+	// Entities not contained in any single page (reject-narrow):
+	//   -> [baskerville]
+	//
+	// Sentences containing a person entity:
+	//   -> [s1 s2]
+	//
+	// Pages on which each sentence appears (overlap join per sentence):
+	//   -> [s1:1 s2:1+2 s3:2]
+	//
+	// Entity word ranges resolved back to text:
+	//   holmes       "mr holmes"
+	//   london       "london"
+	//   baskerville  "sir charles baskerville"
 }
 
 func show(eng *soxq.Engine, label, q string) {

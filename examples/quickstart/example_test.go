@@ -1,8 +1,8 @@
 // Quickstart: load the multimedia annotation document of the paper's
 // Figure 1 and run the four StandOff joins of its section 3.1 table.
 //
-//	go run ./examples/quickstart
-package main
+//	go test -v ./examples/quickstart
+package quickstart
 
 import (
 	"fmt"
@@ -26,7 +26,7 @@ const sample = `<sample>
   </audio>
 </sample>`
 
-func main() {
+func Example() {
 	eng := soxq.New()
 	// Positions are [hh:]mm:ss timecodes rather than integers.
 	if err := eng.Declare("standoff-type", "so:timecode"); err != nil {
@@ -55,4 +55,18 @@ func main() {
   select-wide   : shots during which U2 played at some point
   reject-narrow : shots during which U2 paused at some point
   reject-wide   : shots entirely without U2`)
+
+	// Output:
+	// StandOff joins between U2 music and video shots (paper section 3.1):
+	//
+	//   select-narrow(//music[artist="U2"], //shot)   [Intro]
+	//   select-wide(//music[artist="U2"], //shot)     [Intro Interview]
+	//   reject-narrow(//music[artist="U2"], //shot)   [Interview Outro]
+	//   reject-wide(//music[artist="U2"], //shot)     [Outro]
+	//
+	// Reading of the table:
+	//   select-narrow : shots during which U2 played the whole time
+	//   select-wide   : shots during which U2 played at some point
+	//   reject-narrow : shots during which U2 paused at some point
+	//   reject-wide   : shots entirely without U2
 }

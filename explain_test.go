@@ -654,6 +654,35 @@ func TestAnalyzeReportsForcedJoins(t *testing.T) {
 	}
 }
 
+// TestCandidatesPerIteration: Candidates counts what the joins scan, the
+// shape of the paper's Table 3.1. For one StandOff step inside a for, over two
+// documents 5× apart, the Basic join re-scans the candidates once per
+// iteration, so its count grows with iterations × candidates (25×); the
+// Loop-Lifted join scans them once per call (5×).
+func TestCandidatesPerIteration(t *testing.T) {
+	const q = `for $c in doc("d.xml")//chapter return count($c/select-narrow::word)`
+	cand := map[Mode][]int64{}
+	for _, size := range []int{1, 5} {
+		prep, err := bigStandoffEngine(t, 200*size, 20*size).Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []Mode{ModeAuto, ModeBasic} {
+			_, pe, err := prep.Analyze(Config{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand[mode] = append(cand[mode], soStep(t, pe).Obs.Candidates)
+		}
+	}
+	for mode, want := range map[Mode]float64{ModeAuto: 5, ModeBasic: 25} {
+		c := cand[mode]
+		if grows := float64(c[1]) / float64(c[0]); grows < 0.9*want || grows > 1.1*want {
+			t.Errorf("mode %v: candidates %d, then %d: grow %.2fx, want about %.0fx", mode, c[0], c[1], grows, want)
+		}
+	}
+}
+
 // TestAutoMatchesForcedModes: the default mode's answer is identical to
 // every forced mode.
 func TestAutoMatchesForcedModes(t *testing.T) {
@@ -675,18 +704,20 @@ func TestAutoMatchesForcedModes(t *testing.T) {
 }
 
 // TestComplexityGuard: the work a query does — every operator's observed rows
-// in and out and the candidates its joins scanned, summed over the plan —
-// grows at most 1.5 times as fast as the document, over two sizes 5× apart,
-// as a near-linear evaluation's does. The shapes are the Figure 6 queries on
-// XMark 0.01 and 0.05, and one-iteration StandOff paths over region-element
-// documents with multi-region areas, whose results are node sets of the
-// document and so linear by definition. knownQuadratic lists the queries
-// whose work is known to grow faster: each must still exceed the bound, so
-// the entry is deleted when its query is made linear.
+// in and out, the rows its steps produced before predicates and dedup, and
+// the candidates its joins scanned, summed over the plan — grows at most 1.5
+// times as fast as the document, over two sizes 5× apart, as a near-linear
+// evaluation's does. The shapes are the Figure 6 queries and plain XMark
+// queries on XMark 0.01 and 0.05, and one-iteration StandOff paths over
+// region-element documents with multi-region areas, whose results are node
+// sets of the document and so linear by definition. knownQuadratic lists the
+// queries whose work is known to grow faster: each must still exceed the
+// bound, so the entry is deleted when its query is made linear.
 func TestComplexityGuard(t *testing.T) {
 	const ratio = 5
 	bound := 1.5 * ratio
-	knownQuadratic := map[string]bool{"xmark Q8": true}
+	reject := `for $s in doc("g.xml")//section return count($s/reject-narrow::word)`
+	knownQuadratic := map[string]bool{"xmark Q8": true, reject: true}
 	work := map[string][]int64{}
 	for _, scale := range []float64{0.01, 0.01 * ratio} {
 		eng := xmarkEngine(t, scale)
@@ -694,9 +725,37 @@ func TestComplexityGuard(t *testing.T) {
 			name := fmt.Sprintf("stand-off Q%d", q)
 			work[name] = append(work[name], analyzedWork(t, eng, xmarkStandOffQuery(q)))
 		}
-		work["xmark Q8"] = append(work["xmark Q8"], analyzedWork(t, eng, xmark.Query(8, "xmark.xml")))
+		for _, q := range []int{1, 2, 3, 5, 6, 7, 8} {
+			name := fmt.Sprintf("xmark Q%d", q)
+			work[name] = append(work[name], analyzedWork(t, eng, xmark.Query(q, "xmark.xml")))
+		}
 	}
-	var shapes []string
+	// Tree axes from every context node: each context node's axis emits
+	// rows the per-iteration merge folds together again. t.xml is n flat
+	// <w/>, c.xml a chain of n/5 nested <s>, each holding 20 <w/>.
+	flat := []string{
+		`count(doc("t.xml")//w/following::w)`,
+		`count(doc("t.xml")//w/following-sibling::w)`,
+		`count(doc("t.xml")//w/preceding::w)`,
+	}
+	chained := []string{`count(doc("c.xml")//s//w)`, `count(doc("c.xml")//w/ancestor::s)`}
+	for _, n := range []int{100, 100 * ratio} {
+		eng := New()
+		chain := n / 5
+		for name, doc := range map[string]string{
+			"t.xml": "<r>" + strings.Repeat("<w/>", n) + "</r>",
+			"c.xml": strings.Repeat("<s>"+strings.Repeat("<w/>", 20), chain) + strings.Repeat("</s>", chain),
+		} {
+			if err := eng.LoadXML(name, []byte(doc)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range append(flat, chained...) {
+			knownQuadratic[q] = true
+			work[q] = append(work[q], analyzedWork(t, eng, q))
+		}
+	}
+	shapes := []string{reject}
 	for _, axis := range []string{"select-narrow", "select-wide", "reject-narrow", "reject-wide"} {
 		shapes = append(shapes, `doc("g.xml")//sentence/`+axis+`::word`, `doc("g.xml")//section/`+axis+`::sentence`)
 		if strings.HasPrefix(axis, "select") {
@@ -726,8 +785,8 @@ func TestComplexityGuard(t *testing.T) {
 	}
 }
 
-// analyzedWork runs q under Analyze and sums RowsIn + RowsOut + Candidates
-// over every operator that executed.
+// analyzedWork runs q under Analyze and sums RowsIn + RowsOut + Produced +
+// Candidates over every operator that executed.
 func analyzedWork(t *testing.T, eng *Engine, q string) int64 {
 	t.Helper()
 	prep, err := eng.Prepare(q)
@@ -742,7 +801,7 @@ func analyzedWork(t *testing.T, eng *Engine, q string) int64 {
 	sum = func(ops []*OpNode) (n int64) {
 		for _, op := range ops {
 			if op.Obs != nil {
-				n += op.Obs.RowsIn + op.Obs.RowsOut + op.Obs.Candidates
+				n += op.Obs.RowsIn + op.Obs.RowsOut + op.Obs.Produced + op.Obs.Candidates
 			}
 			n += sum(op.Children)
 		}

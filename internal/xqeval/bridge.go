@@ -292,6 +292,7 @@ func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
 	pairs := core.Join(s.ix, s.sp.SO.Op, s.ev.Strategy, ctx, 1, s.cand, s.ev.JoinCfg)
 	s.ev.countJoin(s.ev.Strategy)
 	s.ev.Stats.RecordJoin(s.sp, s.ix, int64(s.cand.Len()), s.ev.Strategy)
+	s.ev.Stats.RecordProduced(s.sp, int64(len(pairs)))
 	out := s.outPres[:0]
 	if cap(out) < len(pairs) {
 		out = make([]int32, 0, len(pairs))

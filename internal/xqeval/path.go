@@ -106,15 +106,17 @@ func (ev *Evaluator) evalStep(sp *xqplan.StepPlan, ctx LLSeq, f *frame) (LLSeq, 
 	var rows LLSeq
 	var err error
 	applied := 0 // leading predicates the candidates or the join applied
+	emitted := 0 // the rows a tree axis emitted (Obs.Produced)
+	reduced := sp.FirstByJoin && ev.reduces(sp)
 	switch {
-	case sp.FirstByJoin && ev.reduces(sp):
+	case reduced:
 		rows, err = ev.firstRows(sp, ctx)
 		applied = sp.Pushed + 1
 	case sp.StandOff:
 		applied = ev.pushedPreds(sp)
 		rows, err = ev.standOffRows(sp, ctx, perIteration, sp.Preds[:applied])
 	default:
-		rows, applied = ev.treeRows(sp, ctx)
+		rows, applied, emitted = ev.treeRows(sp, ctx)
 	}
 	if err != nil {
 		return LLSeq{}, err
@@ -133,6 +135,12 @@ func (ev *Evaluator) evalStep(sp *xqplan.StepPlan, ctx LLSeq, f *frame) (LLSeq, 
 		out = ev.mergeRows(rows, ctx)
 	}
 	ev.Stats.RecordStep(sp, int64(ctx.Total()), int64(out.Total()))
+	switch { // a StandOff join that does not reduce records its pairs
+	case reduced:
+		ev.Stats.RecordProduced(sp, int64(out.Total()))
+	case !sp.StandOff:
+		ev.Stats.RecordProduced(sp, int64(emitted))
+	}
 	return out, nil
 }
 
@@ -215,25 +223,29 @@ func (ev *Evaluator) countJoin(strat core.Strategy) {
 
 // treeRows evaluates a standard axis: one row per context node, matches
 // written straight into the row buffer. The step's leading attribute
-// comparisons filter the matches before they are boxed; applied is how many.
-func (ev *Evaluator) treeRows(sp *xqplan.StepPlan, ctx LLSeq) (rows LLSeq, applied int) {
+// comparisons filter the matches before they are boxed; applied is how many,
+// and emitted counts the matches before them.
+func (ev *Evaluator) treeRows(sp *xqplan.StepPlan, ctx LLSeq) (rows LLSeq, applied, emitted int) {
 	var ms []attrMatcher
 	for !ev.genericPredicates && len(ms) < len(sp.Preds) && sp.Preds[len(ms)].Class == xqplan.PredAttrCompare {
 		ms = append(ms, attrMatcher{pp: sp.Preds[len(ms)]})
 	}
 	ob := ev.scrBuilderCap(ctx.Total(), ctx.Total())
 	for _, it := range ctx.Items {
-		ob.seq.Items = ev.appendTreeStep(ob.seq.Items, sp, it, ms)
+		var n int
+		ob.seq.Items, n = ev.appendTreeStep(ob.seq.Items, sp, it, ms)
+		emitted += n
 		ob.endGroup()
 	}
-	return ob.seq, len(ms)
+	return ob.seq, len(ms), emitted
 }
 
 // appendTreeStep appends the matches of a standard axis step from one context
 // node that satisfy every matcher in ms, in document order, using the step's
-// per-document pre-compiled node test. The pre scratch lives on the evaluator
-// (nothing here re-enters eval, so the buffer cannot be in use twice).
-func (ev *Evaluator) appendTreeStep(dst []Item, sp *xqplan.StepPlan, it Item, ms []attrMatcher) []Item {
+// per-document pre-compiled node test, and returns how many the axis matched
+// before ms. The pre scratch lives on the evaluator (nothing here re-enters
+// eval, so the buffer cannot be in use twice).
+func (ev *Evaluator) appendTreeStep(dst []Item, sp *xqplan.StepPlan, it Item, ms []attrMatcher) ([]Item, int) {
 	n := len(dst)
 	switch {
 	case it.Kind == KAttr:
@@ -250,13 +262,14 @@ func (ev *Evaluator) appendTreeStep(dst []Item, sp *xqplan.StepPlan, it Item, ms
 				dst = append(dst, NodeItem(it.D, p))
 			}
 		}
-		return dst
+		return dst, len(ev.stepPres)
 	}
+	emitted := len(dst) - n
 	if len(ms) == 0 {
-		return dst
+		return dst, emitted
 	}
 	kept := slices.DeleteFunc(dst[n:], func(x Item) bool { return x.Kind != KNode || !matchAll(ms, x.D, x.Pre) })
-	return dst[:n+len(kept)]
+	return dst[:n+len(kept)], emitted
 }
 
 // appendAttrAxis appends the matching attribute nodes of an element to dst.
@@ -382,7 +395,7 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 	var ob *llBuilder
 	for _, part := range parts {
 		d := part.d
-		ix, cand, keep, err := ev.joinInputs(sp, part, pushed)
+		ix, cand, keep, err := ev.joinInputs(sp, part, pushed, nRows)
 		if err != nil {
 			return LLSeq{}, err
 		}
@@ -390,6 +403,7 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 			continue // the test can never match an area-annotation
 		}
 		pairs := core.Join(ix, sp.SO.Op, ev.Strategy, part.nodes, int32(nRows), cand, ev.JoinCfg)
+		ev.Stats.RecordProduced(sp, int64(len(pairs)))
 		pb := ev.scrBuilderCap(nRows, len(pairs))
 		touched := part.nodes // reject: the rows at or after the current pair's that touch d
 		for _, pr := range pairs {
@@ -430,10 +444,12 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 // joinInputs resolves what one StandOff join of sp over the tree of part t
 // runs against — the region index of its Doc and the candidate sequence,
 // narrowed by the pushed predicates and cut to the tree's pre range — and
-// counts the join as run. keep is the node test applied to the join's output
-// when the candidates do not apply it (nil when they do). A nil cand means
-// the test can never match in the Doc, and no join runs.
-func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, t docContext, pushed []xqplan.PredPlan) (ix *core.RegionIndex, cand *core.Candidates, keep func(int32) bool, err error) {
+// counts the join as run over iters iterations: the Basic and naive joins
+// scan the candidates once per iteration, the Loop-Lifted join once. keep is
+// the node test applied to the join's output when the candidates do not apply
+// it (nil when they do). A nil cand means the test can never match in the
+// Doc, and no join runs.
+func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, t docContext, pushed []xqplan.PredPlan, iters int) (ix *core.RegionIndex, cand *core.Candidates, keep func(int32) bool, err error) {
 	d := t.d
 	ix, err = ev.IndexFor(d)
 	if err != nil {
@@ -445,7 +461,10 @@ func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, t docContext, pushed []xqpl
 	}
 	cand = ix.Within(cand, t.root, t.root+d.Size(t.root))
 	ev.countJoin(ev.Strategy)
-	ev.Stats.RecordJoin(sp, ix, int64(cand.Len()), ev.Strategy)
+	if ev.Strategy == core.StrategyLoopLifted {
+		iters = 1
+	}
+	ev.Stats.RecordJoin(sp, ix, int64(cand.Len())*int64(iters), ev.Strategy)
 	if postFilter {
 		test := sp.CompiledTest(d)
 		keep = func(pre int32) bool { return test.Matches(d, pre) }
@@ -472,7 +491,7 @@ func (ev *Evaluator) standOffReduce(sp *xqplan.StepPlan, ctx LLSeq, first bool) 
 		out = make([]int32, ctx.N())
 	}
 	for _, part := range ev.partitionByDoc(ctx, !first) {
-		ix, cand, keep, err := ev.joinInputs(sp, part, sp.Preds[:sp.Pushed])
+		ix, cand, keep, err := ev.joinInputs(sp, part, sp.Preds[:sp.Pushed], 1)
 		if err != nil {
 			return nil, err
 		}
@@ -524,6 +543,7 @@ func (ev *Evaluator) pathCounts(arg xqast.Expr, f *frame) (counts []int32, ok bo
 		total += int64(n)
 	}
 	ev.Stats.RecordStep(last, int64(ctx.Total()), total)
+	ev.Stats.RecordProduced(last, total)
 	ev.Stats.RecordOp(p, 0, total)
 	return counts, true, nil
 }

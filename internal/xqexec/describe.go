@@ -7,32 +7,17 @@ import (
 	"soxq/internal/xqplan"
 )
 
-// OpExplain describes one operator of the pipeline a plan would stream
-// through: whether it is pipelined or materialised, and why. It mirrors the
-// decisions build makes, without executing anything — the one decision only
-// the run time can make (is the path context single-document?) is reported as
-// the condition it is.
-type OpExplain struct {
-	// Kind names the operator: "flwor", "flwor-nested", "path", "seq",
-	// "range", "materialise".
-	Kind string
-	// Pipelined reports whether the operator streams its output.
-	Pipelined bool
-	// Detail explains the decision (what streams, or why it cannot).
-	Detail string
-	// Children are the operator's streamed inputs (a flwor's binding
-	// stream, a seq's operands).
-	Children []*OpExplain
-}
-
 // Describe returns the pipeline shape Build would construct for the plan:
 // the operator tree of the top-level expression with each operator's
-// pipelined/materialised decision.
-func Describe(plan *xqplan.Plan) *OpExplain {
+// pipelined/materialised decision, and why. It mirrors the decisions build
+// makes, without executing anything — the one decision only the run time can
+// make (is the path context single-document?) is reported as the condition
+// it is.
+func Describe(plan *xqplan.Plan) *xqplan.StreamOp {
 	return describeExpr(plan, plan.Body())
 }
 
-func describeExpr(plan *xqplan.Plan, e xqast.Expr) *OpExplain {
+func describeExpr(plan *xqplan.Plan, e xqast.Expr) *xqplan.StreamOp {
 	switch v := e.(type) {
 	case *xqast.FLWOR:
 		if !streamableFLWOR(v) {
@@ -40,7 +25,7 @@ func describeExpr(plan *xqplan.Plan, e xqast.Expr) *OpExplain {
 			if len(v.OrderBy) > 0 {
 				reason = "order by needs every tuple before the first result"
 			}
-			return &OpExplain{Kind: "flwor", Detail: reason}
+			return &xqplan.StreamOp{Op: "flwor", Detail: reason}
 		}
 		var first *xqast.ForClause
 		var firstAt int
@@ -50,11 +35,11 @@ func describeExpr(plan *xqplan.Plan, e xqast.Expr) *OpExplain {
 				break
 			}
 		}
-		op := &OpExplain{
-			Kind:      "flwor",
+		op := &xqplan.StreamOp{
+			Op:        "flwor",
 			Pipelined: true,
 			Detail:    fmt.Sprintf("for $%s tuples stream in chunks; loop body loop-lifted per chunk", first.Var),
-			Children:  []*OpExplain{describeExpr(plan, first.Seq)},
+			Children:  []*xqplan.StreamOp{describeExpr(plan, first.Seq)},
 		}
 		// Nested cursor-valued bindings: each immediately following for
 		// clause over a streamable StandOff-free binding drives a child
@@ -65,12 +50,12 @@ func describeExpr(plan *xqplan.Plan, e xqast.Expr) *OpExplain {
 			if !ok || !streamableBinding(fc.Seq) {
 				break
 			}
-			op.Children = append(op.Children, &OpExplain{
-				Kind:      "flwor-nested",
+			op.Children = append(op.Children, &xqplan.StreamOp{
+				Op:        "flwor-nested",
 				Pipelined: true,
 				Detail: fmt.Sprintf("inner for $%s binds a child cursor per parent tuple under bounded chunks; inner tuples stream in chunks of their own",
 					fc.Var),
-				Children: []*OpExplain{describeExpr(plan, fc.Seq)},
+				Children: []*xqplan.StreamOp{describeExpr(plan, fc.Seq)},
 			})
 		}
 		return op
@@ -79,26 +64,26 @@ func describeExpr(plan *xqplan.Plan, e xqast.Expr) *OpExplain {
 	case *xqast.Binary:
 		switch v.Op {
 		case ",":
-			op := &OpExplain{Kind: "seq", Pipelined: true,
+			op := &xqplan.StreamOp{Op: "seq", Pipelined: true,
 				Detail: "operands stream one after another"}
 			for _, part := range flattenSeq(v) {
 				op.Children = append(op.Children, describeExpr(plan, part))
 			}
 			return op
 		case "to":
-			return &OpExplain{Kind: "range", Pipelined: true,
+			return &xqplan.StreamOp{Op: "range", Pipelined: true,
 				Detail: "integers generated on demand"}
 		}
 	case *xqast.Enclosed:
 		return describeExpr(plan, v.X)
 	}
-	return &OpExplain{Kind: "materialise", Detail: exprName(e) + " evaluates in full"}
+	return &xqplan.StreamOp{Op: "materialise", Detail: exprName(e) + " evaluates in full"}
 }
 
-func describePath(plan *xqplan.Plan, p *xqast.Path) *OpExplain {
+func describePath(plan *xqplan.Plan, p *xqast.Path) *xqplan.StreamOp {
 	prog := plan.Program(p)
 	if len(prog) == 0 {
-		return &OpExplain{Kind: "path", Detail: "no steps"}
+		return &xqplan.StreamOp{Op: "path", Detail: "no steps"}
 	}
 	last := prog[len(prog)-1]
 	// Consecutive Chunked StandOff steps before the final step compose into
@@ -114,7 +99,7 @@ func describePath(plan *xqplan.Plan, p *xqast.Path) *OpExplain {
 	var reason string
 	switch {
 	case last.Chunked():
-		return &OpExplain{Kind: "path", Pipelined: true,
+		return &xqplan.StreamOp{Op: "path", Pipelined: true,
 			Detail: fmt.Sprintf("final StandOff step %s streams per context chunk through an ordered dedup merge when the context is single-document%s",
 				last.SO.Op, suffix)}
 	case len(last.Predicates) > 0:
@@ -124,7 +109,7 @@ func describePath(plan *xqplan.Plan, p *xqast.Path) *OpExplain {
 	default:
 		reason = fmt.Sprintf("final step %s::%s runs in bulk", last.Axis, last.Test)
 	}
-	return &OpExplain{Kind: "path", Detail: reason + suffix}
+	return &xqplan.StreamOp{Op: "path", Detail: reason + suffix}
 }
 
 // exprName gives a friendly name for a non-pipelined expression form.

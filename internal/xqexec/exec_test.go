@@ -451,9 +451,9 @@ func TestDescribeShapes(t *testing.T) {
 	for _, c := range cases {
 		ev := env.evaluator(t, c.q)
 		op := Describe(ev.Plan)
-		if op.Kind != c.kind || op.Pipelined != c.pipelined || (c.detail != "" && op.Detail != c.detail) {
+		if op.Op != c.kind || op.Pipelined != c.pipelined || (c.detail != "" && op.Detail != c.detail) {
 			t.Errorf("Describe(%q) = %s/pipelined=%v (%s), want %s/pipelined=%v (%s)",
-				c.q, op.Kind, op.Pipelined, op.Detail, c.kind, c.pipelined, c.detail)
+				c.q, op.Op, op.Pipelined, op.Detail, c.kind, c.pipelined, c.detail)
 		}
 	}
 
@@ -461,7 +461,7 @@ func TestDescribeShapes(t *testing.T) {
 	// nested StandOff binding must not (it keeps the loop-lifted expansion).
 	nested := Describe(env.evaluator(t,
 		`for $s in doc("t.xml")//scene for $w in $s/speech return $w`).Plan)
-	if len(nested.Children) != 2 || nested.Children[1].Kind != "flwor-nested" {
+	if len(nested.Children) != 2 || nested.Children[1].Op != "flwor-nested" {
 		t.Errorf("nested for: children = %+v, want [binding, flwor-nested]", nested.Children)
 	}
 	lifted := Describe(env.evaluator(t,

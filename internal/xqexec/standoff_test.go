@@ -125,16 +125,16 @@ func TestRunMergeOnReversedLayer(t *testing.T) {
 // stepOuts lists the analyzed out count of every step of ev's plan, and the
 // most rows a stream's merge held pending.
 func stepOuts(ev *xqeval.Evaluator) (outs []int64, pending int) {
-	var walk func(n *xqplan.Node)
-	walk = func(n *xqplan.Node) {
-		if n.StepObs != nil {
-			outs = append(outs, n.StepObs.RowsOut)
-			pending = max(pending, n.StepObs.PendingMax)
-		}
-		for _, ch := range n.Children {
-			walk(ch)
+	var walk func(ns []*xqplan.Node)
+	walk = func(ns []*xqplan.Node) {
+		for _, n := range ns {
+			if n.Kind == "step" && n.Obs != nil {
+				outs = append(outs, n.Obs.RowsOut)
+				pending = max(pending, n.Obs.PendingMax)
+			}
+			walk(n.Children)
 		}
 	}
-	walk(ev.Plan.ExplainWith(ev.Stats).Root)
+	walk(ev.Plan.ExplainWith(ev.Stats).Plan)
 	return outs, pending
 }

@@ -19,7 +19,7 @@ import (
 // package's differential fuzz harness: every string literal of those files
 // that calls doc(, its fmt verbs filled in.
 func seedQueries(t testing.TB) []string {
-	files, err := filepath.Glob("../../examples/*/main.go")
+	files, err := filepath.Glob("../../examples/*/example_test.go")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,46 +5,55 @@ import (
 	"strconv"
 	"strings"
 
-	"soxq/internal/core"
 	"soxq/internal/xpath"
 	"soxq/internal/xqast"
 )
 
 // Explain is the structured description of a compiled plan: the effective
-// options, the flat per-path step list (kept for programmatic consumers),
-// and the operator tree of the whole query —
-// FLWOR/filter/conditional structure included, not just paths. Built by
-// Plan.Explain (compile-time structure only) or Plan.ExplainWith (plus the
-// observed counters of one execution: EXPLAIN ANALYZE).
+// options, the operator tree of the whole query — FLWOR/filter/conditional
+// structure included, not just paths — the flat per-path step list, and the
+// streaming pipeline shape. Built by Plan.Explain (compile-time structure
+// only) or Plan.ExplainWith (plus the observed counters of one execution:
+// EXPLAIN ANALYZE); the engine attaches Stream (xqexec.Describe). See
+// docs/EXPLAIN.md for the full output reference.
 type Explain struct {
-	Options core.Options
-	Paths   []PathExplain
-	// Root is the operator tree: a synthetic "query" node whose children
-	// are the user function declarations followed by the query body.
-	Root *Node
-	// Analyzed reports whether observed counters were attached (an
+	// Options renders the effective stand-off options the plan was
+	// compiled under.
+	Options string
+	// Analyzed reports whether observed counters are attached (an
 	// ExecStats collector was supplied).
 	Analyzed bool
+	// Plan is the operator tree of the query: function declarations and
+	// global variables first, then the body.
+	Plan []*Node
+	// Paths holds one step program per path expression, in compile
+	// discovery order (a predicate's path precedes the path of the step it
+	// filters).
+	Paths []PathExplain
+	// Stream is the pipeline shape a Stream (or Exec, which drains the
+	// same pipeline) would execute: per top-level operator, whether it is
+	// pipelined or materialised and why.
+	Stream *StreamOp
 }
 
-// Node is one operator of the rendered plan tree. Label is the fully
-// rendered line (including the standoff{...} and observed (...)
-// annotations); the structured fields carry the same information for
-// programmatic use.
+// Node is one operator of the plan tree.
 type Node struct {
-	// Kind classifies the operator: "query", "declare", "flwor", "for",
-	// "let", "where", "order by", "return", "path", "step", "predicate",
+	// Kind classifies the operator: "declare", "flwor", "for", "let",
+	// "where", "order by", "key", "return", "path", "step", "predicate",
 	// "filter", "if", "then", "else", "quantified", "satisfies",
-	// "function", "constructor", "op", "seq", "expr".
+	// "function", "constructor", "attribute", "name", "op", "seq", "expr".
 	Kind string
-	// Label is the rendered line for this node.
+	// Name is the operator's line without annotations: what a trace span
+	// is named after.
+	Name string
+	// Label is Name followed by the standoff{...} decisions and, when
+	// analyzed, the observed (...) counters: the rendered plan line.
 	Label string
 	// Step is set for Kind "step": the compiled step description.
 	Step *StepExplain
-	// StepObs / OpObs carry the observed counters when the Explain was
-	// built with an ExecStats collector and the operator executed.
-	StepObs *StepObs
-	OpObs   *OpObs
+	// Obs is set when analyzed and the operator executed: the observed
+	// counters.
+	Obs *Obs
 	// Children are the operator's structural inputs, in evaluation order.
 	Children []*Node
 }
@@ -56,9 +65,14 @@ type PathExplain struct {
 
 // StepExplain describes one compiled step.
 type StepExplain struct {
-	Axis       string
-	Test       string
-	Fused      bool // produced by the compile-time // fusion
+	// Axis and Test render the step as compiled — a step fused from the //
+	// abbreviation shows the descendant axis it actually executes.
+	Axis string
+	Test string
+	// Fused marks a step produced by the compile-time fusion of
+	// descendant-or-self::node()/child::T.
+	Fused bool
+	// Predicates is the number of predicates applied after the step.
 	Predicates int
 	// PredClasses is the compile-time class of each predicate, in order:
 	// "pos", "attr" or "generic" (see PredClass), "attr→cand" for one a
@@ -68,13 +82,32 @@ type StepExplain struct {
 	// CountOnly: the join hands count/exists/empty per-iteration counts
 	// (StepPlan.CountOnly).
 	CountOnly bool
+	// StandOff marks one of the four StandOff axes; the remaining fields
+	// are only meaningful when it is set.
+	StandOff bool
+	// Op is the join operator (select-narrow, ...).
+	Op string
+	// PushPolicy and NoPushPolicy are the section 3.3 candidate policies
+	// under the two optimizer settings: "all", "all+filter", "impossible"
+	// or "by-name(shot)", the element name attached.
+	PushPolicy   string
+	NoPushPolicy string
+}
 
-	// StandOff step description; zero values for tree axes.
-	StandOff     bool
-	Op           string
-	PushPolicy   string // candidate policy with pushdown enabled
-	NoPushPolicy string // candidate policy with pushdown disabled
-	Name         string // element name for the by-name policy
+// StreamOp is one operator of the pipeline a plan would stream through
+// (xqexec.Describe): whether it is pipelined or materialised, and why.
+type StreamOp struct {
+	// Op names the operator: "flwor", "flwor-nested", "path", "seq",
+	// "range", "materialise".
+	Op string
+	// Pipelined reports whether the operator streams its output; a false
+	// value means the operator materialises and Detail says why.
+	Pipelined bool
+	// Detail explains the decision (what streams, or why it cannot).
+	Detail string
+	// Children are the operator's streamed inputs (a flwor's binding
+	// stream, a seq's operands).
+	Children []*StreamOp
 }
 
 // Explain returns the structured description of the plan's compiled form
@@ -85,7 +118,7 @@ func (p *Plan) Explain() *Explain { return p.ExplainWith(nil) }
 // the observed per-operator counters of the execution st collected —
 // EXPLAIN ANALYZE.
 func (p *Plan) ExplainWith(st *ExecStats) *Explain {
-	ex := &Explain{Options: p.opts, Analyzed: st != nil}
+	ex := &Explain{Options: p.opts.String(), Analyzed: st != nil}
 	for _, path := range p.paths {
 		var pe PathExplain
 		for _, sp := range p.programs[path] {
@@ -94,21 +127,15 @@ func (p *Plan) ExplainWith(st *ExecStats) *Explain {
 		ex.Paths = append(ex.Paths, pe)
 	}
 	b := &treeBuilder{plan: p, st: st}
-	root := &Node{Kind: "query", Label: "query"}
 	for _, fd := range p.declOrder {
-		decl := &Node{
-			Kind:  "declare",
-			Label: fmt.Sprintf("declare function %s#%d", fd.Name, len(fd.Params)),
-		}
+		decl := newNode("declare", fmt.Sprintf("declare function %s#%d", fd.Name, len(fd.Params)))
 		decl.Children = append(decl.Children, b.node(fd.Body))
-		root.Children = append(root.Children, decl)
+		ex.Plan = append(ex.Plan, decl)
 	}
 	for _, vd := range p.globals {
-		root.Children = append(root.Children,
-			b.labeled("declare", "declare variable $"+vd.Name+" :=", vd.Value))
+		ex.Plan = append(ex.Plan, b.labeled("declare", "declare variable $"+vd.Name+" :=", vd.Value))
 	}
-	root.Children = append(root.Children, b.node(p.body))
-	ex.Root = root
+	ex.Plan = append(ex.Plan, b.node(p.body))
 	return ex
 }
 
@@ -132,11 +159,24 @@ func stepExplain(sp *StepPlan) StepExplain {
 	}
 	if sp.StandOff {
 		se.Op = sp.SO.Op.String()
-		se.PushPolicy = sp.SO.Push.String()
-		se.NoPushPolicy = sp.SO.NoPush.String()
-		se.Name = sp.SO.Name
+		se.PushPolicy = policyString(sp.SO.Push, sp.SO.Name)
+		se.NoPushPolicy = policyString(sp.SO.NoPush, sp.SO.Name)
 	}
 	return se
+}
+
+// policyString renders a candidate policy with its element name attached
+// ("by-name(shot)").
+func policyString(c CandPolicy, name string) string {
+	if c == CandByName {
+		return "by-name(" + name + ")"
+	}
+	return c.String()
+}
+
+// newNode returns an operator without annotations: its Label is its Name.
+func newNode(kind, name string) *Node {
+	return &Node{Kind: kind, Name: name, Label: name}
 }
 
 // treeBuilder walks the compiled body and builds the operator tree.
@@ -145,19 +185,29 @@ type treeBuilder struct {
 	st   *ExecStats
 }
 
+// observe attaches the observed counters of key's operator to n and returns
+// them, or nil when nothing was collected for it.
+func (b *treeBuilder) observe(n *Node, key any) *Obs {
+	n.Obs = b.st.obs(key)
+	return n.Obs
+}
+
 // node builds the tree node of one expression. Compact expressions (ones
 // renderExpr can print on one line) become "expr" leaves; structural forms
 // get a node per operator.
 func (b *treeBuilder) node(e xqast.Expr) *Node {
 	if s, ok := renderExpr(e); ok {
-		return &Node{Kind: "expr", Label: s}
+		return newNode("expr", s)
 	}
 	switch v := e.(type) {
 	case *xqast.FLWOR:
-		n := &Node{Kind: "flwor", Label: "flwor"}
-		if o, ok := b.st.OpObs(v); ok {
-			n.OpObs = &o
-			n.Label += " " + renderFLWORObs(&o)
+		n := newNode("flwor", "flwor")
+		if o := b.observe(n, v); o != nil {
+			n.Label += fmt.Sprintf(" (tuples=%d out=%d", o.RowsIn, o.RowsOut)
+			if o.Chunks > 0 {
+				n.Label += fmt.Sprintf(" chunks=%d", o.Chunks)
+			}
+			n.Label += ")"
 		}
 		for _, cl := range v.Clauses {
 			switch c := cl.(type) {
@@ -175,7 +225,7 @@ func (b *treeBuilder) node(e xqast.Expr) *Node {
 			n.Children = append(n.Children, b.labeled("where", "where", v.Where))
 		}
 		if len(v.OrderBy) > 0 {
-			ob := &Node{Kind: "order by", Label: "order by"}
+			ob := newNode("order by", "order by")
 			for _, spec := range v.OrderBy {
 				suffix := ""
 				if spec.Descending {
@@ -190,9 +240,8 @@ func (b *treeBuilder) node(e xqast.Expr) *Node {
 	case *xqast.Path:
 		return b.pathNode(v)
 	case *xqast.Filter:
-		n := &Node{Kind: "filter", Label: "filter"}
-		if o, ok := b.st.OpObs(v); ok {
-			n.OpObs = &o
+		n := newNode("filter", "filter")
+		if o := b.observe(n, v); o != nil {
 			n.Label += fmt.Sprintf(" (in=%d out=%d)", o.RowsIn, o.RowsOut)
 		}
 		n.Children = append(n.Children, b.node(v.Base))
@@ -214,20 +263,20 @@ func (b *treeBuilder) node(e xqast.Expr) *Node {
 		n.Children = append(n.Children, b.labeled("satisfies", "satisfies", v.Satisfies))
 		return n
 	case *xqast.FuncCall:
-		n := &Node{Kind: "function", Label: fmt.Sprintf("function %s#%d", v.Name, len(v.Args))}
+		n := newNode("function", fmt.Sprintf("function %s#%d", v.Name, len(v.Args)))
 		for _, a := range v.Args {
 			n.Children = append(n.Children, b.node(a))
 		}
 		return n
 	case *xqast.Binary:
 		if v.Op == "," {
-			n := &Node{Kind: "seq", Label: "seq"}
+			n := newNode("seq", "seq")
 			for _, part := range flattenSeqExpr(v) {
 				n.Children = append(n.Children, b.node(part))
 			}
 			return n
 		}
-		n := &Node{Kind: "op", Label: "op " + strconv.Quote(v.Op)}
+		n := newNode("op", "op "+strconv.Quote(v.Op))
 		n.Children = append(n.Children, b.node(v.L), b.node(v.R))
 		return n
 	case *xqast.Unary:
@@ -235,13 +284,13 @@ func (b *treeBuilder) node(e xqast.Expr) *Node {
 		if v.Neg {
 			op = "-"
 		}
-		n := &Node{Kind: "op", Label: "op " + strconv.Quote(op)}
+		n := newNode("op", "op "+strconv.Quote(op))
 		n.Children = append(n.Children, b.node(v.X))
 		return n
 	case *xqast.Enclosed:
 		return b.node(v.X)
 	case *xqast.DirectElem:
-		n := &Node{Kind: "constructor", Label: "element <" + v.Name + ">"}
+		n := newNode("constructor", "element <"+v.Name+">")
 		for _, at := range v.Attrs {
 			for _, part := range at.Value {
 				if enc, ok := part.(*xqast.Enclosed); ok {
@@ -263,7 +312,7 @@ func (b *treeBuilder) node(e xqast.Expr) *Node {
 	case *xqast.ComputedText:
 		return b.computedNode("text", "", nil, v.Content)
 	default:
-		return &Node{Kind: "expr", Label: fmt.Sprintf("%T", e)}
+		return newNode("expr", fmt.Sprintf("%T", e))
 	}
 }
 
@@ -272,7 +321,7 @@ func (b *treeBuilder) computedNode(kw, name string, nameExpr xqast.Expr, content
 	if name != "" {
 		label += " " + name
 	}
-	n := &Node{Kind: "constructor", Label: label}
+	n := newNode("constructor", label)
 	if nameExpr != nil {
 		n.Children = append(n.Children, b.labeled("name", "name:", nameExpr))
 	}
@@ -287,22 +336,24 @@ func (b *treeBuilder) computedNode(kw, name string, nameExpr xqast.Expr, content
 // operand becomes the node's subtree.
 func (b *treeBuilder) labeled(kind, prefix string, e xqast.Expr) *Node {
 	if s, ok := renderExpr(e); ok {
-		return &Node{Kind: kind, Label: prefix + " " + s}
+		return newNode(kind, prefix+" "+s)
 	}
-	return &Node{Kind: kind, Label: prefix, Children: []*Node{b.node(e)}}
+	n := newNode(kind, prefix)
+	n.Children = []*Node{b.node(e)}
+	return n
 }
 
 // pathNode builds the node of a path expression: the start rendering in the
-// label when compact, one child per compiled step, observed row counts
+// name when compact, one child per compiled step, observed row counts
 // attached when analyzing.
 func (b *treeBuilder) pathNode(v *xqast.Path) *Node {
-	n := &Node{Kind: "path", Label: "path"}
+	name := "path"
 	start, startCompact := renderPathStart(v)
 	if startCompact && start != "" {
-		n.Label += " " + start
+		name += " " + start
 	}
-	if o, ok := b.st.OpObs(v); ok {
-		n.OpObs = &o
+	n := newNode("path", name)
+	if o := b.observe(n, v); o != nil {
 		n.Label += fmt.Sprintf(" (out=%d)", o.RowsOut)
 	}
 	if !startCompact {
@@ -315,8 +366,9 @@ func (b *treeBuilder) pathNode(v *xqast.Path) *Node {
 }
 
 // stepNode renders one compiled step: axis::test, inline compact predicates
-// and their pred{...} classes, the fusion marker, the standoff{...} block,
-// and the observed (...) counters.
+// and their pred{...} classes, the fusion marker and the reduced output make
+// its name; the standoff{...} block and the observed (...) counters follow
+// in the label.
 func (b *treeBuilder) stepNode(sp *StepPlan) *Node {
 	se := stepExplain(sp)
 	n := &Node{Kind: "step", Step: &se}
@@ -341,48 +393,31 @@ func (b *treeBuilder) stepNode(sp *StepPlan) *Node {
 	if se.CountOnly {
 		sb.WriteString(" out{count}")
 	}
+	n.Name = sb.String()
 	if se.StandOff {
-		fmt.Fprintf(&sb, " standoff{op=%s push=%s nopush=%s}",
-			se.Op, PolicyString(se.PushPolicy, se.Name), PolicyString(se.NoPushPolicy, se.Name))
+		fmt.Fprintf(&sb, " standoff{op=%s push=%s nopush=%s}", se.Op, se.PushPolicy, se.NoPushPolicy)
 	}
-	if o, ok := b.st.StepObs(sp); ok {
-		n.StepObs = &o
-		sb.WriteString(" " + renderStepObs(&o, se.StandOff))
+	if o := b.observe(n, sp); o != nil {
+		sb.WriteString(" " + stepCounters(o, se.StandOff))
 	}
 	n.Label = sb.String()
 	return n
 }
 
-// PolicyString renders a candidate policy with its element name attached
-// ("by-name(shot)"); shared by the internal plan labels and the public
-// explain surface.
-func PolicyString(policy, name string) string {
-	if policy == "by-name" {
-		return "by-name(" + name + ")"
-	}
-	return policy
-}
-
-func renderFLWORObs(o *OpObs) string {
-	s := fmt.Sprintf("(tuples=%d out=%d", o.RowsIn, o.RowsOut)
-	if o.Chunks > 0 {
-		s += fmt.Sprintf(" chunks=%d", o.Chunks)
-	}
-	return s + ")"
-}
-
-func renderStepObs(o *StepObs, standoff bool) string {
+// stepCounters renders a step's observed (...) group; the StandOff groups
+// appear only on a StandOff step.
+func stepCounters(o *Obs, standoff bool) string {
 	s := fmt.Sprintf("(in=%d out=%d", o.RowsIn, o.RowsOut)
 	if standoff {
 		s += fmt.Sprintf(" cand=%d", o.Candidates)
-		if joins := o.JoinsString(); joins != "" {
-			s += " joins=" + joins
+		if o.Joins != "" {
+			s += " joins=" + o.Joins
 		}
 		if o.DeltaIns > 0 || o.DeltaDead > 0 {
 			s += fmt.Sprintf(" merge{+ins=%d -del=%d}", o.DeltaIns, o.DeltaDead)
 		}
-		if o.StreamChunks > 0 {
-			s += fmt.Sprintf(" stream{chunks=%d chunk=%d..%d", o.StreamChunks, o.ChunkMin, o.ChunkMax)
+		if o.Chunks > 0 {
+			s += fmt.Sprintf(" stream{chunks=%d chunk=%d..%d", o.Chunks, o.ChunkMin, o.ChunkMax)
 			if o.PendingMax > 0 {
 				s += fmt.Sprintf(" pending≤%d runs≤%d", o.PendingMax, o.RunsMax)
 			}
@@ -390,6 +425,53 @@ func renderStepObs(o *StepObs, standoff bool) string {
 		}
 	}
 	return s + ")"
+}
+
+// String renders the plan description: the options, the operator tree (one
+// line per operator, annotated with standoff decisions and — when analyzed —
+// observed counters), and the streaming pipeline shape:
+//
+//	options: type=xs:integer start=@start end=@end
+//	plan:
+//	  flwor (tuples=1 out=1 chunks=1)
+//	    for $s in
+//	      path doc("d.xml") (out=1)
+//	        step descendant::music[@artist = "U2"] pred{attr} (fused //) (in=1 out=1)
+//	        step select-narrow::shot standoff{op=select-narrow push=by-name(shot)
+//	          nopush=all+filter} (in=1 out=1 cand=3 joins=looplifted:1)
+//	    return string($s/@id)
+//	stream:
+//	  flwor [pipelined] for $s tuples stream in chunks; ...
+func (x *Explain) String() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "options: %s\n", x.Options)
+	sb.WriteString("plan:\n")
+	for _, n := range x.Plan {
+		n.render(&sb, 1)
+	}
+	if x.Stream != nil {
+		sb.WriteString("stream:\n")
+		x.Stream.render(&sb, 1)
+	}
+	return sb.String()
+}
+
+func (n *Node) render(sb *strings.Builder, depth int) {
+	fmt.Fprintf(sb, "%s%s\n", strings.Repeat("  ", depth), n.Label)
+	for _, ch := range n.Children {
+		ch.render(sb, depth+1)
+	}
+}
+
+func (s *StreamOp) render(sb *strings.Builder, depth int) {
+	mode := "materialised"
+	if s.Pipelined {
+		mode = "pipelined"
+	}
+	fmt.Fprintf(sb, "%s%s [%s] %s\n", strings.Repeat("  ", depth), s.Op, mode, s.Detail)
+	for _, ch := range s.Children {
+		ch.render(sb, depth+1)
+	}
 }
 
 // flattenSeqExpr collects the operands of a (left-leaning) `,` chain.

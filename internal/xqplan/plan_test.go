@@ -130,8 +130,8 @@ func TestStandOffDecisions(t *testing.T) {
 	if so.Op != core.SelectNarrow.String() {
 		t.Fatalf("Op = %v", so.Op)
 	}
-	if so.PushPolicy != CandByName.String() || so.Name != "shot" {
-		t.Fatalf("pushdown policy = %v name %q", so.PushPolicy, so.Name)
+	if so.PushPolicy != "by-name(shot)" {
+		t.Fatalf("pushdown policy = %v", so.PushPolicy)
 	}
 	if so.NoPushPolicy != CandAllFiltered.String() {
 		t.Fatalf("no-pushdown policy = %v", so.NoPushPolicy)

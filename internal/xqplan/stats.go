@@ -2,7 +2,6 @@ package xqplan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"soxq/internal/core"
@@ -21,65 +20,92 @@ import (
 // carry a single nil check per operator. Like the execution it describes, a
 // collector is used from one goroutine at a time.
 type ExecStats struct {
-	steps map[*StepPlan]*StepObs
-	ops   map[xqast.Expr]*OpObs
+	// ops maps a *StepPlan or a structural xqast.Expr to its counters.
+	ops map[any]*Obs
 }
 
 // NewExecStats returns an empty collector for one execution.
 func NewExecStats() *ExecStats {
-	return &ExecStats{steps: map[*StepPlan]*StepObs{}, ops: map[xqast.Expr]*OpObs{}}
+	return &ExecStats{ops: map[any]*Obs{}}
 }
 
-// StepObs aggregates the observed counters of one compiled step across its
-// invocations within a single execution (a step inside a nested loop body
-// is invoked once per outer evaluation; counts accumulate).
-type StepObs struct {
-	// Invocations is how many times the step executed.
+// Obs aggregates the observed counters of one operator — a compiled step or
+// a structural operator (FLWOR, path, filter) — across its invocations
+// within a single execution (a step inside a nested loop body is invoked
+// once per outer evaluation; counts accumulate). Every counter but Produced
+// is rendered in the operator's plan label.
+type Obs struct {
+	// Invocations is how many times the operator executed.
 	Invocations int64
-	// RowsIn is the total context rows fed to the step (iterations ×
-	// context nodes).
-	RowsIn int64
-	// RowsOut is the total result rows the step produced, after
-	// predicates and per-iteration dedup.
+	// RowsIn and RowsOut are operator-specific row totals: context rows in
+	// (iterations × context nodes) and result rows out after predicates and
+	// per-iteration dedup for steps, tuples bound (before where) and items
+	// out for FLWORs, input and kept rows for filters; a path's RowsIn is
+	// zero.
+	RowsIn  int64
 	RowsOut int64
-	// Candidates is the total candidate-area cardinality the step's
-	// StandOff joins consumed (one candidate-sequence length per join
-	// invocation; zero for tree-axis steps).
+	// Produced is what a step generated before anything cut it down: the
+	// rows a tree axis emitted before predicates and before the
+	// per-iteration merge, the pairs a StandOff join returned (summed per
+	// chunk when streamed), RowsOut for a step its join reduced. Steps only;
+	// not rendered.
+	Produced int64
+	// Candidates is the candidate-area cardinality the step's StandOff joins
+	// scanned: |cand| per iteration under Basic and the naive join, |cand|
+	// per call under Loop-Lifted (zero for tree-axis steps).
 	Candidates int64
-	// Joins counts StandOff join invocations per algorithm actually run.
-	Joins map[core.Strategy]int64
+	// Chunks is how many pipeline chunks the operator evaluated: streamed
+	// FLWOR chunks, or the chunk joins of a chunk-streamed StandOff step
+	// (zero for materialised evaluation).
+	Chunks int64
+	// Joins renders the StandOff join invocations per algorithm actually
+	// run, "name:count" in ascending strategy order, e.g. "basic:1" or
+	// "basic:1,looplifted:3" (empty for tree axes and structural operators).
+	Joins string
 	// DeltaIns and DeltaDead are the annotation write-path delta sizes of
 	// the region indexes the step's joins ran on (the largest seen; both
 	// zero for a compacted or fresh index): the candidates streamed through
 	// the LSM-style delta merge rather than a plain base scan.
 	DeltaIns  int
 	DeltaDead int
-	// StreamChunks, ChunkMin and ChunkMax describe a chunk-streamed run of
-	// the step: how many chunk joins executed and the smallest/largest chunk
-	// actually joined (zero when the step ran in bulk).
-	StreamChunks int64
-	ChunkMin     int
-	ChunkMax     int
+	// ChunkMin and ChunkMax are the smallest and largest chunk a
+	// chunk-streamed step actually joined.
+	ChunkMin int
+	ChunkMax int
 	// PendingMax and RunsMax are the peak rows and sorted runs the stream's
 	// merge held back, waiting for the watermark (zero when every chunk's
 	// output was final on arrival).
 	PendingMax int
 	RunsMax    int
+
+	joins [core.StrategyLoopLifted + 1]int64 // join invocations per core.Strategy
 }
 
-// OpObs aggregates the observed counters of one structural operator (FLWOR,
-// path, filter) within a single execution.
-type OpObs struct {
-	// Invocations is how many times the operator was evaluated.
-	Invocations int64
-	// RowsIn is operator-specific: FLWOR tuples after clause expansion
-	// (before where), filter input rows. Zero for paths.
-	RowsIn int64
-	// RowsOut is the total result items produced.
-	RowsOut int64
-	// Chunks is how many pipeline chunks a streamed FLWOR evaluated; zero
-	// when the operator ran through the materialising path.
-	Chunks int64
+// of returns (creating if needed) the counters of key's operator.
+func (s *ExecStats) of(key any) *Obs {
+	o := s.ops[key]
+	if o == nil {
+		o = &Obs{}
+		s.ops[key] = o
+	}
+	return o
+}
+
+// obs returns a copy of key's counters with Joins rendered, or nil when the
+// operator never executed under this collector.
+func (s *ExecStats) obs(key any) *Obs {
+	if s == nil || s.ops[key] == nil {
+		return nil
+	}
+	o := *s.ops[key]
+	var parts []string
+	for strat, n := range o.joins {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%s:%d", core.Strategy(strat), n))
+		}
+	}
+	o.Joins = strings.Join(parts, ",")
+	return &o
 }
 
 // RecordStep accumulates one step invocation's row counts.
@@ -87,34 +113,32 @@ func (s *ExecStats) RecordStep(sp *StepPlan, rowsIn, rowsOut int64) {
 	if s == nil {
 		return
 	}
-	o := s.steps[sp]
-	if o == nil {
-		o = &StepObs{}
-		s.steps[sp] = o
-	}
+	o := s.of(sp)
 	o.Invocations++
 	o.RowsIn += rowsIn
 	o.RowsOut += rowsOut
 }
 
-// RecordJoin accumulates one StandOff join invocation: the candidate
-// cardinality it scanned, the algorithm that actually ran, and the delta
-// sizes of the region index it ran on.
+// RecordProduced accumulates rows a step generated before predicates and
+// dedup cut them down (Obs.Produced).
+func (s *ExecStats) RecordProduced(sp *StepPlan, rows int64) {
+	if s == nil {
+		return
+	}
+	s.of(sp).Produced += rows
+}
+
+// RecordJoin accumulates one StandOff join invocation: the candidates it
+// scanned, the algorithm that actually ran, and the delta sizes of the region
+// index it ran on.
 func (s *ExecStats) RecordJoin(sp *StepPlan, ix *core.RegionIndex, candidates int64, strat core.Strategy) {
 	if s == nil {
 		return
 	}
 	ins, del := ix.DeltaStats()
-	o := s.steps[sp]
-	if o == nil {
-		o = &StepObs{}
-		s.steps[sp] = o
-	}
+	o := s.of(sp)
 	o.Candidates += candidates
-	if o.Joins == nil {
-		o.Joins = map[core.Strategy]int64{}
-	}
-	o.Joins[strat]++
+	o.joins[strat]++
 	o.DeltaIns = max(o.DeltaIns, ins)
 	o.DeltaDead = max(o.DeltaDead, del)
 }
@@ -126,12 +150,8 @@ func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunk
 	if s == nil || chunks == 0 {
 		return
 	}
-	o := s.steps[sp]
-	if o == nil {
-		o = &StepObs{}
-		s.steps[sp] = o
-	}
-	o.StreamChunks += chunks
+	o := s.of(sp)
+	o.Chunks += chunks
 	if o.ChunkMin == 0 || (chunkMin > 0 && chunkMin < o.ChunkMin) {
 		o.ChunkMin = chunkMin
 	}
@@ -145,7 +165,7 @@ func (s *ExecStats) RecordOp(e xqast.Expr, rowsIn, rowsOut int64) {
 	if s == nil {
 		return
 	}
-	o := s.op(e)
+	o := s.of(e)
 	o.Invocations++
 	o.RowsIn += rowsIn
 	o.RowsOut += rowsOut
@@ -158,70 +178,8 @@ func (s *ExecStats) RecordChunk(e xqast.Expr, tuples, rowsOut int64) {
 	if s == nil {
 		return
 	}
-	o := s.op(e)
+	o := s.of(e)
 	o.Chunks++
 	o.RowsIn += tuples
 	o.RowsOut += rowsOut
-}
-
-// op returns (creating if needed) the operator entry.
-func (s *ExecStats) op(e xqast.Expr) *OpObs {
-	o := s.ops[e]
-	if o == nil {
-		o = &OpObs{}
-		s.ops[e] = o
-	}
-	return o
-}
-
-// StepObs returns a copy of the step's observed counters (ok=false when the
-// step never executed under this collector).
-func (s *ExecStats) StepObs(sp *StepPlan) (StepObs, bool) {
-	if s == nil {
-		return StepObs{}, false
-	}
-	o := s.steps[sp]
-	if o == nil {
-		return StepObs{}, false
-	}
-	out := *o
-	if o.Joins != nil {
-		out.Joins = make(map[core.Strategy]int64, len(o.Joins))
-		for k, v := range o.Joins {
-			out.Joins[k] = v
-		}
-	}
-	return out, true
-}
-
-// JoinsString renders the observed join algorithms as "name:count" pairs in
-// ascending strategy order, e.g. "basic:1" or "basic:1,looplifted:3" — the
-// single source for both the internal plan labels and the public explain.
-func (o *StepObs) JoinsString() string {
-	if len(o.Joins) == 0 {
-		return ""
-	}
-	strats := make([]core.Strategy, 0, len(o.Joins))
-	for k := range o.Joins {
-		strats = append(strats, k)
-	}
-	sort.Slice(strats, func(i, j int) bool { return strats[i] < strats[j] })
-	parts := make([]string, len(strats))
-	for i, k := range strats {
-		parts[i] = fmt.Sprintf("%s:%d", k, o.Joins[k])
-	}
-	return strings.Join(parts, ",")
-}
-
-// OpObs returns a copy of a structural operator's observed counters
-// (ok=false when the operator never executed under this collector).
-func (s *ExecStats) OpObs(e xqast.Expr) (OpObs, bool) {
-	if s == nil {
-		return OpObs{}, false
-	}
-	o := s.ops[e]
-	if o == nil {
-		return OpObs{}, false
-	}
-	return *o, true
 }

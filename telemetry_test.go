@@ -199,6 +199,24 @@ mode: exec
 	if len(traces) != 1 || traces[0].String() != want {
 		t.Fatalf("RecentTraces = %d entries", len(traces))
 	}
+
+	// A span is named by the operator, not by cutting its rendered line: a
+	// literal that reads like an annotation stays whole.
+	lit := New()
+	if err := lit.LoadXML("d.xml", []byte(`<r><w v=" (in=x"/></r>`)); err != nil {
+		t.Fatal(err)
+	}
+	prep, err = lit.Prepare(`doc("d.xml")//w[@v = " (in=x"]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.Exec(Config{Trace: true}); err != nil {
+		t.Fatal(err)
+	}
+	step := `    step descendant::w[@v = " (in=x"] pred{attr} (fused //) in=1 out=1` + "\n"
+	if got := prep.TraceLast().String(); !strings.Contains(got, step) {
+		t.Fatalf("trace:\n%s\nwant the step span:\n%s", got, step)
+	}
 }
 
 // TestTraceMatchesAnalyze checks the acceptance criterion on a real XMark
@@ -227,7 +245,7 @@ func TestTraceMatchesAnalyze(t *testing.T) {
 		var walk func(n *OpNode)
 		walk = func(n *OpNode) {
 			if n.Obs != nil {
-				line := spanName(n.Label) + fmt.Sprintf(" in=%d out=%d", n.Obs.RowsIn, n.Obs.RowsOut)
+				line := n.Name + fmt.Sprintf(" in=%d out=%d", n.Obs.RowsIn, n.Obs.RowsOut)
 				if n.Step != nil && n.Step.StandOff {
 					line += fmt.Sprintf(" cand=%d joins=%s", n.Obs.Candidates, n.Obs.Joins)
 				}

@@ -1,7 +1,6 @@
 package soxq
 
 import (
-	"strings"
 	"time"
 
 	"soxq/internal/obs"
@@ -87,25 +86,19 @@ func (p *Prepared) buildTrace(mode string, start time.Time, nanos int64, st *xqp
 }
 
 // spanFromOp converts one explain operator node into a trace span under
-// parent: the span name is the operator label with its volatile annotations
-// (standoff{}, observed counters) stripped, and the observed counters
-// re-attach as explicit span attributes.
+// parent: the span is named after the operator's Name (its line without the
+// standoff{} decisions and observed counters), and the observed counters
+// attach as explicit span attributes.
 func spanFromOp(parent *obs.Span, n *OpNode) {
-	s := parent.Child(spanName(n.Label))
-	if n.Obs != nil {
-		o := n.Obs
-		if n.Kind == "step" {
-			s.AttrInt("in", o.RowsIn)
-			s.AttrInt("out", o.RowsOut)
-			if n.Step != nil && n.Step.StandOff {
-				s.AttrInt("cand", o.Candidates)
-				if o.Joins != "" {
-					s.Attr("joins", o.Joins)
-				}
+	s := parent.Child(n.Name)
+	if o := n.Obs; o != nil {
+		s.AttrInt("in", o.RowsIn)
+		s.AttrInt("out", o.RowsOut)
+		if n.Step != nil && n.Step.StandOff {
+			s.AttrInt("cand", o.Candidates)
+			if o.Joins != "" {
+				s.Attr("joins", o.Joins)
 			}
-		} else {
-			s.AttrInt("in", o.RowsIn)
-			s.AttrInt("out", o.RowsOut)
 		}
 		if o.Chunks > 0 {
 			s.AttrInt("chunks", o.Chunks)
@@ -114,21 +107,4 @@ func spanFromOp(parent *obs.Span, n *OpNode) {
 	for _, ch := range n.Children {
 		spanFromOp(s, ch)
 	}
-}
-
-// spanAnnotations are the label substrings that start the volatile
-// annotation tail of an explain operator line (standoff decisions, observed
-// counters) — everything before the earliest one is
-// the operator's structural identity, which is what a trace span is named
-// after.
-var spanAnnotations = []string{" standoff{", " stream{", " (in=", " (out=", " (tuples="}
-
-func spanName(label string) string {
-	cut := len(label)
-	for _, marker := range spanAnnotations {
-		if i := strings.Index(label, marker); i >= 0 && i < cut {
-			cut = i
-		}
-	}
-	return label[:cut]
 }
