@@ -315,7 +315,7 @@ func analyzeScenes(t *testing.T, doc, q string, cfg Config) (string, string) {
 func TestAnalyzeChunkSchedule(t *testing.T) {
 	for _, tc := range []struct{ doc, ids, stream string }{
 		{scenesDoc, "h1 h2 h3 h4 h5", "stream{chunks=3 chunk=1..2}"},
-		{reversedScenesDoc, "h5 h4 h3 h2 h1", "stream{chunks=3 chunk=1..2 pending≤5 runs≤3}"},
+		{reversedScenesDoc, "h5 h4 h3 h2 h1", "stream{chunks=3 chunk=1..2 pending≤5}"},
 	} {
 		ids, got := analyzeScenes(t, tc.doc, `doc("r.xml")//scene/select-narrow::hit`, Config{StreamChunk: 2})
 		if ids != tc.ids {

@@ -368,10 +368,6 @@ func (ix *RegionIndex) NumRegions() int { return ix.nRegions }
 // MultiRegion reports whether any area has more than one region.
 func (ix *RegionIndex) MultiRegion() bool { return ix.multiRegion }
 
-// Areas returns the ascending pre list of all area-annotations. The returned
-// slice must not be modified.
-func (ix *RegionIndex) Areas() []int32 { ix.materialize(); return ix.areas }
-
 // IsArea reports whether node pre is an area-annotation.
 func (ix *RegionIndex) IsArea(pre int32) bool { return ix.RegionsOf(pre) != nil }
 

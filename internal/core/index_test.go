@@ -9,6 +9,10 @@ import (
 	"soxq/internal/xmlparse"
 )
 
+// Areas returns the ascending pre list of all area-annotations. The returned
+// slice must not be modified.
+func (ix *RegionIndex) Areas() []int32 { ix.materialize(); return ix.areas }
+
 func parseDoc(t *testing.T, src string) *tree.Doc {
 	t.Helper()
 	d, err := xmlparse.Parse("test.xml", []byte(src))

@@ -124,8 +124,20 @@ func Join(ix *RegionIndex, op Op, strat Strategy, ctx []CtxNode, nIters int32, c
 	case StrategyBasic:
 		out = joinBasic(ix, op, ctx, nIters, cand, cfg)
 	default:
-		out = joinLoopLifted(ix, op, ctx, nIters, cand, cfg)
+		out = order(match(ix, op, ctx, cand, cfg, false), op, nIters, cand, cfg.Arena)
 	}
+	cfg.Arena.loan(out)
+	return out
+}
+
+// Match is the match step of the Loop-Lifted StandOff MergeJoin alone: the
+// pairs of op's select half (select-narrow for reject-narrow, select-wide
+// for reject-wide), each once, in no set order. Join is this step, then the
+// sort and, for a reject op, the complement. The returned slice is on loan
+// from cfg.Arena like Join's.
+func Match(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, cfg JoinConfig) []Pair {
+	cfg.Arena.reclaim()
+	out := match(ix, op, ctx, cand, cfg, false)
 	cfg.Arena.loan(out)
 	return out
 }
@@ -252,16 +264,33 @@ func newActiveSet(nKeys int32, a *JoinArena) *activeSet {
 	return new(activeSet).reset(nKeys)
 }
 
-// joinLoopLifted is the entry point of the Loop-Lifted StandOff MergeJoin.
-func joinLoopLifted(ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candidates, cfg JoinConfig) []Pair {
-	a := cfg.Arena
-	var matched []Pair
+// match computes the pairs of op's select half, each once, in no set order.
+// fullScan forces visiting every candidate row (Basic behaviour: no early
+// break). Only two shapes can match a (key, candidate) pair twice, and only
+// they are sorted here: exact containment (two context areas of one
+// iteration) and overlap with a multi-region candidate (two of its regions).
+func match(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
+	var m []Pair
 	switch op {
 	case SelectNarrow, RejectNarrow:
-		matched = matchNarrow(ix, ctx, cand, cfg, false)
-	case SelectWide, RejectWide:
-		matched = matchWide(ix, ctx, cand, cfg)
+		if !ctxHasMultiRegion(ix, ctx) {
+			emit := emitState{out: cfg.Arena.getPairs()}
+			mergeNarrow(ix, ctx, cand, cfg, fullScan, &emit)
+			return emit.out
+		}
+		m = matchNarrowExact(ix, ctx, cand, cfg, fullScan)
+	default:
+		if m = matchWide(ix, ctx, cand, cfg); len(cand.rID) == len(cand.areas) {
+			return m
+		}
 	}
+	sortDedupPairs(&m, cfg.Arena)
+	return m
+}
+
+// order sorts matched select pairs by (Iter, Pre) and, for a reject op,
+// turns them into its pairs: the complement over nIters iterations.
+func order(matched []Pair, op Op, nIters int32, cand *Candidates, a *JoinArena) []Pair {
 	sortDedupPairs(&matched, a)
 	if op == RejectNarrow || op == RejectWide {
 		out := complement(matched, nIters, cand.AreaPres(), a)
@@ -271,22 +300,10 @@ func joinLoopLifted(ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *C
 	return matched
 }
 
-// matchNarrow computes the containment semi-join pairs (unsorted, possibly
-// with duplicates in exact mode). fullScan forces visiting every candidate
-// row (Basic behaviour: no early break).
-func matchNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
-	if ctxHasMultiRegion(ix, ctx) {
-		return matchNarrowExact(ix, ctx, cand, cfg, fullScan)
-	}
-	emit := emitState{out: cfg.Arena.getPairs()}
-	mergeNarrow(ix, ctx, cand, cfg, fullScan, &emit)
-	return emit.out
-}
-
-// mergeNarrow is matchNarrow's fast path, for contexts whose areas are all
-// single regions: containment of a candidate area reduces to containment of
-// its bounding region, and one dominant context region per key is exact, so
-// every (key, candidate) match reaches emit exactly once.
+// mergeNarrow is match's containment fast path, for contexts whose areas are
+// all single regions: containment of a candidate area reduces to containment
+// of its bounding region, and one dominant context region per key is exact,
+// so every (key, candidate) match reaches emit exactly once.
 func mergeNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool, emit *emitState) {
 	rows, _, nKeys := buildCtxRows(ix, ctx, false, cfg.Arena)
 	as := newActiveSet(nKeys, cfg.Arena)
@@ -706,19 +723,7 @@ func joinBasic(ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candid
 		for _, cn := range group {
 			local = append(local, CtxNode{Iter: 0, Pre: cn.Pre})
 		}
-		var matched []Pair
-		switch op {
-		case SelectNarrow, RejectNarrow:
-			matched = matchNarrow(ix, local, cand, cfg, true)
-		default:
-			matched = matchWide(ix, local, cand, cfg)
-		}
-		sortDedupPairs(&matched, a)
-		if op == RejectNarrow || op == RejectWide {
-			comp := complement(matched, 1, cand.AreaPres(), a)
-			a.putPairs(matched)
-			matched = comp
-		}
+		matched := order(match(ix, op, local, cand, cfg, true), op, 1, cand, a)
 		for _, p := range matched {
 			all = append(all, Pair{Iter: iter, Pre: p.Pre})
 		}

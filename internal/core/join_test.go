@@ -289,6 +289,7 @@ func TestStrategiesAgreeMultiRegion(t *testing.T) {
 					}
 				}
 			}
+			checkMatch(t, ix, op, ctx, nIters, ix.All(), JoinConfig{})
 		}
 	}
 }

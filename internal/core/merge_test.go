@@ -110,6 +110,7 @@ func checkAgainstNaiveAt(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters in
 			if got := Join(ix, op, StrategyLoopLifted, ctx, nIters, cand, cfg); !pairsEqual(got, naive) {
 				t.Fatalf("%v D=%d arena=%v:\n got  %v\nwant %v\nctx %v", op, d, cfg.Arena != nil, got, naive, ctx)
 			}
+			checkMatch(t, ix, op, ctx, nIters, cand, cfg)
 		}
 		if op != SelectNarrow && op != SelectWide {
 			continue
@@ -131,6 +132,19 @@ func checkAgainstNaiveAt(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters in
 				}
 			}
 		}
+	}
+}
+
+// checkMatch holds Match to its contract: the pairs of op's select half,
+// each once, in any order.
+func checkMatch(t *testing.T, ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candidates, cfg JoinConfig) {
+	t.Helper()
+	sel := op % 2 // reject-narrow → select-narrow, reject-wide → select-wide
+	want := slices.Clone(Join(ix, sel, StrategyNaive, ctx, nIters, cand, JoinConfig{}))
+	got := slices.Clone(Match(ix, op, ctx, cand, cfg))
+	sortPairsDirect(got) // no dedup: a pair matched twice fails
+	if !pairsEqual(got, want) {
+		t.Fatalf("Match %v arena=%v:\n got  %v\nwant %v\nctx %v", op, cfg.Arena != nil, got, want, ctx)
 	}
 }
 

@@ -108,14 +108,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // Snapshot copies the bucket counts into dst (which must have histBuckets
 // room) and returns count and sum. The copy is not atomic across buckets —
 // scrapes tolerate observations landing mid-snapshot.

@@ -10,6 +10,14 @@ import (
 	"time"
 )
 
+// Sum returns the sum of all observed values.
+func (h *Histogram) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
+}
+
 func TestCounterGaugeNilSafe(t *testing.T) {
 	var c *Counter
 	c.Inc()

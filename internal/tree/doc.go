@@ -142,11 +142,6 @@ var docOrderCounter atomic.Int64
 // its order relative to other documents) is stable across writes.
 func (d *Doc) OrderKey() int64 { return d.order }
 
-// MutSeq returns the number of mutations (append/tombstone snapshots) between
-// the pristine document and this snapshot; 0 for a Builder-sealed doc. The
-// (OrderKey, MutSeq) pair identifies a document generation.
-func (d *Doc) MutSeq() uint64 { return d.mutSeq }
-
 // Alive reports whether node pre is part of this snapshot's logical document
 // (not tombstoned). Tombstones always cover whole subtrees, so every ancestor
 // of a live node is live.

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// MutSeq returns the number of mutations (append/tombstone snapshots) between
+// the pristine document and this snapshot; 0 for a Builder-sealed doc.
+func (d *Doc) MutSeq() uint64 { return d.mutSeq }
+
 // appendHit appends <hit start end> under the root element and commits.
 func appendHit(t *testing.T, d *Doc, start, end string) (*Doc, int32) {
 	t.Helper()

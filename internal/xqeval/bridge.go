@@ -277,10 +277,11 @@ func (s *StandOffStream) CtxStartPre(pre int32) (int64, bool) {
 }
 
 // JoinChunkPres runs the step's join over one chunk of context node pres and
-// returns the matching candidate pres, sorted and duplicate-free in document
-// order. The returned slice is the stream's recycled buffer — valid only
-// until the next JoinChunkPres call. One ANALYZE join invocation is recorded
-// per chunk — the chunked run truly executes that many merges.
+// returns the matching candidate pres, each once, in no set order (the
+// Loop-Lifted join's matches are not sorted; Basic and Naive come sorted).
+// The returned slice is the stream's recycled buffer — valid only until the
+// next JoinChunkPres call. One ANALYZE join invocation is recorded per chunk
+// — the chunked run truly executes that many merges.
 func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
 	if cap(s.ctxBuf) < len(chunk) {
 		s.ctxBuf = make([]core.CtxNode, len(chunk))
@@ -289,7 +290,12 @@ func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
 	for i, pre := range chunk {
 		ctx[i] = core.CtxNode{Iter: 0, Pre: pre}
 	}
-	pairs := core.Join(s.ix, s.sp.SO.Op, s.ev.Strategy, ctx, 1, s.cand, s.ev.JoinCfg)
+	var pairs []core.Pair
+	if s.ev.Strategy == core.StrategyLoopLifted {
+		pairs = core.Match(s.ix, s.sp.SO.Op, ctx, s.cand, s.ev.JoinCfg)
+	} else {
+		pairs = core.Join(s.ix, s.sp.SO.Op, s.ev.Strategy, ctx, 1, s.cand, s.ev.JoinCfg)
+	}
 	s.ev.countJoin(s.ev.Strategy)
 	s.ev.Stats.RecordJoin(s.sp, s.ix, int64(s.cand.Len()), s.ev.Strategy)
 	s.ev.Stats.RecordProduced(s.sp, int64(len(pairs)))
@@ -305,6 +311,15 @@ func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
 	}
 	s.outPres = out
 	return out
+}
+
+// MinPre returns the smallest pre the stream can produce: its candidate
+// view's first area (0 for an empty view).
+func (s *StandOffStream) MinPre() int32 {
+	if areas := s.cand.AreaPres(); len(areas) > 0 {
+		return areas[0]
+	}
+	return 0
 }
 
 // Watermark returns the exclusive emission bound once every unprocessed

@@ -11,8 +11,8 @@ import (
 // predicate-free StandOff select steps) evaluate in bulk exactly as the
 // materialising path does. The trailing Chunked steps run as chained
 // standoffCursor stages: each joins its context one chunk of areas at a time,
-// merges the chunk outputs through the watermark-gated document-order heap,
-// and hands its pres (12 bytes per intermediate row, never an item sequence)
+// puts the chunk matches in document order through the watermark-gated
+// pending-pre set, and hands its pres (12 bytes per intermediate row, never an item sequence)
 // to the next stage's start-sorted context. If the path ends in a Chunked
 // step, the last stage's batches are the path's; otherwise the final step
 // runs in bulk over the drained chain and its result leaves as one batch.

@@ -3,8 +3,10 @@ package xqexec
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"soxq/internal/tree"
 	"soxq/internal/xqeval"
@@ -14,45 +16,45 @@ import (
 // standoffCursor pipelines a StandOff select step per context-node
 // chunk. The bulk step runs one loop-lifted join over the whole context and
 // materialises the whole output; this cursor instead sorts the context areas
-// by region start, runs the same join one chunk of context nodes at a time,
-// and feeds the chunk outputs through a streaming ordered merge — so only
-// one chunk's join state plus the merge's pending heap is ever live.
+// by region start, runs the join's match step one chunk of context nodes at
+// a time, and puts the chunk matches in document order through a set of
+// pending pres — so only one chunk's join state plus the pending set is ever
+// live.
 //
-// The merge is where the streaming is earned. Chunk outputs are each sorted
-// in document order, but outputs of different chunks may interleave
-// arbitrarily (region order and document order are unrelated in a permuted
-// stand-off document), so the cursor cannot simply concatenate them. It
-// keeps each chunk's pending output as a sorted run (all items are nodes of
-// one document, so the pre rank is the identity) and emits an item only
-// when the candidate-interval watermark proves no remaining chunk can
-// produce a smaller one: once every unprocessed context area starts at or
-// after position S, a contained candidate must start at or after S
-// (select-narrow) and an overlapping candidate must end at or after S
-// (select-wide), and the suffix-min arrays over the candidate sequence's
+// The pending set is where the streaming is earned. A chunk's matches come
+// in region order, not document order, and matches of different chunks may
+// interleave arbitrarily (the two orders are unrelated in a permuted
+// stand-off document, or in one that grows by annotation, where marks are
+// appended wherever their regions fall), so the cursor cannot simply
+// concatenate them. It holds every match not yet final as one bit per pre
+// (all items are nodes of one document, so the pre rank is the identity),
+// and emits a pre only when the candidate-interval watermark proves no
+// remaining chunk can produce a smaller one: once every unprocessed context
+// area starts at or after position S, a contained candidate must start at or
+// after S (select-narrow) and an overlapping candidate must end at or after
+// S (select-wide), and the suffix-min arrays over the candidate sequence's
 // start- and end-ordered rows (internal/core) translate that interval bound
-// into the smallest still-reachable pre. Everything below it is final and
-// leaves by a k-way merge of the pending runs: a min-heap over the runs'
-// heads, k = pending runs, so O(n log k) over contiguous memory, with one
-// heap fix per switch of run rather than per row. Cross-chunk duplicates —
-// one candidate matched by context nodes of different chunks — are still
-// pending together when the second copy arrives (the watermark that let the
-// first copy out would have ruled the second one impossible), so the merge
-// yields them adjacently and dedup at emission is exact.
-//
-// The whole pipeline runs on pre ranks, not items: context areas, the
-// pending runs, and the final output buffer are all int32 pres (a sixteenth
-// of an Item), and the output buffer leaves as a Pres batch, so an Item is
-// only built by a consumer that reads one. Together with the stream's
-// recycled join buffers this makes the per-chunk steady state
-// allocation-free.
+// into the smallest still-reachable pre. Every pending bit below it leaves
+// in ascending order, a word at a time. A candidate matched by context
+// nodes of different chunks sets the same bit twice — the watermark that
+// would have let the first copy out rules the second one impossible — so
+// the set is also the cross-chunk dedup.
 //
 // For annotation corpora whose document order roughly follows region order —
-// the common case the paper's conversion produces — the watermark advances
-// with the frontier and a run's output is mostly final on arrival, so little
-// is ever pending. A fully permuted layer degrades gracefully: the pending
-// runs grow toward the output size, never past it, and the result is still
-// byte-identical to the bulk step. ANALYZE reports the peak pending rows and
-// runs (stream{... pending≤P runs≤R}).
+// the common case the paper's conversion produces — a chunk's matches arrive
+// ascending and mostly final: while nothing is pending, their prefix below
+// the watermark goes straight to the output and only the rest is set. A
+// fully permuted layer degrades gracefully: the pending set grows toward the
+// output's pre span, never past it, and the result is still byte-identical
+// to the bulk step. ANALYZE reports the peak pending pres
+// (stream{... pending≤P}).
+//
+// The whole pipeline runs on pre ranks, not items: context areas, the
+// pending set, and the final output buffer are all int32 pres or bits, and
+// the output buffer leaves as a Pres batch, so an Item is only built by a
+// consumer that reads one. Together with the stream's recycled join buffers
+// and pooled set words this makes the per-chunk steady state
+// allocation-free.
 //
 // Consecutive select steps of a path compose: the path cursor drains one
 // cursor's pres into the next one's context (newStageFromUpstream) — 12 bytes
@@ -74,13 +76,11 @@ type standoffCursor struct {
 	chunkMax int
 	chunks   int64
 
-	runs runMerge
+	pend pendingSet
 	out  []int32 // pres proven final, in document order; the batch buffer
 
 	rowsIn   int64 // full context row count, for the step's ANALYZE record
 	produced int64
-	lastPre  int32
-	emitted  bool // lastPre is valid (guards the pre==0 first emission)
 	recorded bool
 
 	done bool
@@ -125,8 +125,7 @@ func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*stan
 	if so == nil {
 		return c, nil // no candidate can ever match: empty stream
 	}
-	c.so = so
-	c.d = so.Doc()
+	c.so, c.d, c.pend.lo = so, so.Doc(), so.MinPre()
 	c.ctx = make([]soCtx, 0, len(g))
 	for _, it := range g {
 		if s, ok := so.CtxStart(it); ok {
@@ -153,8 +152,7 @@ func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pr
 	if so == nil {
 		return c, nil
 	}
-	c.so = so
-	c.d = so.Doc()
+	c.so, c.d, c.pend.lo = so, so.Doc(), so.MinPre()
 	c.ctx = ctxFromPres(so, pres)
 	return c, nil
 }
@@ -176,12 +174,11 @@ func sortCtxByStart(ctx []soCtx) {
 	slices.SortFunc(ctx, func(a, b soCtx) int { return cmp.Compare(a.start, b.start) })
 }
 
-// refill processes context chunks until at least one pending item is proven
-// final, the context areas run out or the run's context is done. A chunk's
-// join output is itself a sorted run, so when nothing is pending the run's
-// prefix below the watermark is emitted wholesale — an in-order corpus never
-// pays for the merge at all; it only engages for runs that genuinely
-// interleave across chunks.
+// refill processes context chunks until at least one pending pre is proven
+// final, the context areas run out or the run's context is done. While
+// nothing is pending, a chunk whose matches ascend passes its prefix below
+// the watermark straight through — an in-order corpus never sets a bit for
+// it; only matches that genuinely interleave across chunks wait in the set.
 func (c *standoffCursor) refill() {
 	for {
 		if c.i >= len(c.ctx) {
@@ -189,7 +186,7 @@ func (c *standoffCursor) refill() {
 			return
 		}
 		if c.err = c.x.ctx.Err(); c.err != nil {
-			c.done = true // pending runs are dropped: the stream ends here
+			c.done = true // pending pres are dropped: the stream ends here
 			return
 		}
 		n := min(c.chunk, len(c.ctx)-c.i)
@@ -215,14 +212,7 @@ func (c *standoffCursor) refill() {
 				c.i = len(c.ctx)
 			}
 		}
-		if len(c.runs.heads) == 0 {
-			k := sort.Search(len(joined), func(i int) bool { return int64(joined[i]) >= wm })
-			c.emitRun(joined[:k])
-			c.runs.push(joined[k:])
-		} else {
-			c.runs.push(joined)
-			c.emitBelow(wm)
-		}
+		c.out = c.pend.take(c.out, joined, wm)
 		if c.i >= len(c.ctx) {
 			c.flush()
 			return
@@ -245,62 +235,10 @@ func (c *standoffCursor) noteChunk(n int) {
 	c.chunkMax = max(c.chunkMax, n)
 }
 
-// flush emits every pending item (all are final) and ends the stream.
+// flush emits every pending pre (all are final) and ends the stream.
 func (c *standoffCursor) flush() {
-	c.emitBelow(math.MaxInt64)
+	c.out = c.pend.drain(c.out, math.MaxInt64)
 	c.done = true
-}
-
-// emitBelow emits the pending pres below wm in document order: the k-way
-// merge of the pending runs. The run at the heap's top emits while its rows
-// stay at or below every other run's head, then the heap is fixed once.
-func (c *standoffCursor) emitBelow(wm int64) {
-	m := &c.runs
-	for len(m.heads) > 0 && int64(m.buf[m.heads[0].lo]) < wm {
-		top := &m.heads[0]
-		next := int32(math.MaxInt32)
-		if len(m.heads) > 1 {
-			next = m.head(1)
-		}
-		if len(m.heads) > 2 {
-			next = min(next, m.head(2))
-		}
-		lo := top.lo
-		for ; lo < top.hi && int64(m.buf[lo]) < wm && m.buf[lo] <= next; lo++ {
-			c.emit(m.buf[lo])
-		}
-		m.live -= lo - top.lo
-		top.lo = lo
-		if lo == top.hi {
-			last := len(m.heads) - 1
-			m.heads[0] = m.heads[last]
-			m.heads = m.heads[:last]
-		}
-		m.down()
-	}
-}
-
-// emitRun appends a sorted duplicate-free run of final pres to the output
-// buffer. Runs never overlap previously emitted pres — a run is only emitted
-// below a watermark that ruled its items out for every remaining chunk.
-func (c *standoffCursor) emitRun(pres []int32) {
-	if len(pres) == 0 {
-		return
-	}
-	c.out = append(c.out, pres...)
-	c.emitted, c.lastPre = true, pres[len(pres)-1]
-	c.produced += int64(len(pres))
-}
-
-// emit appends a merged pre to the output buffer, dropping cross-chunk
-// duplicates (the merge yields equal pres adjacently).
-func (c *standoffCursor) emit(pre int32) {
-	if c.emitted && pre == c.lastPre {
-		return
-	}
-	c.emitted, c.lastPre = true, pre
-	c.out = append(c.out, pre)
-	c.produced++
 }
 
 // NextBatch hands out the pres the last refill proved final as one run; the
@@ -314,6 +252,7 @@ func (c *standoffCursor) NextBatch() Batch {
 		c.record()
 		return Batch{}
 	}
+	c.produced += int64(len(c.out))
 	return Batch{D: c.d, Pres: c.out}
 }
 
@@ -325,7 +264,7 @@ func (c *standoffCursor) record() {
 	}
 	c.recorded = true
 	c.x.ev.Stats.RecordStep(c.sp, c.rowsIn, c.produced)
-	c.x.ev.Stats.RecordStepStream(c.sp, c.chunks, c.chunkMin, c.chunkMax, c.runs.maxRows, c.runs.maxRuns)
+	c.x.ev.Stats.RecordStepStream(c.sp, c.chunks, c.chunkMin, c.chunkMax, c.pend.peak)
 }
 
 func (c *standoffCursor) Err() error { return c.err }
@@ -333,86 +272,119 @@ func (c *standoffCursor) Err() error { return c.err }
 func (c *standoffCursor) Close() {
 	c.record()
 	c.done = true
+	c.pend.release()
 	c.ctx, c.out, c.scratch = nil, nil, nil
-	c.runs.buf, c.runs.heads, c.runs.order = nil, nil, nil
 	c.i = 0
 }
 
-// runMerge holds the pending sorted runs of the streaming merge: their rows
-// back to back in buf, and a min-heap of the live runs' spans keyed by their
-// head pre. All pres share one document, so pre order is document order and
-// equal pres are the same node.
-type runMerge struct {
-	buf   []int32
-	heads []runSpan
-	live  int   // pending rows: the heads' span lengths summed
-	order []int // compact's scratch
-
-	maxRows, maxRuns int // peak pending rows and runs, for ANALYZE
+// pendingSet holds the pres a stream has joined but not yet proven final:
+// one bit per pre, counted from lo, the smallest pre the stream can produce.
+// words reaches only up to the highest pending pre, and every word below from
+// is zero: bits are only set at or above the watermark, which never falls,
+// and drain clears what it emits. The words come from wordPool with the
+// first pending pre and go back all zero on release.
+type pendingSet struct {
+	lo    int32
+	words []uint64
+	from  int
+	box   *[]uint64 // wordPool's holder of words, nil before the first pre
+	n     int       // pending pres
+	peak  int       // most pres held back for the watermark, for ANALYZE
 }
 
-// runSpan is one pending run, buf[lo:hi], non-empty.
-type runSpan struct{ lo, hi int }
+var wordPool = sync.Pool{New: func() any { return new([]uint64) }}
 
-// push adds a sorted run (copied: the join's buffer is recycled). buf is
-// reset when nothing is pending and compacted when its consumed rows
-// outnumber the pending ones, so it stays within twice the pending rows.
-func (m *runMerge) push(run []int32) {
-	if len(run) == 0 {
-		return
+// take puts one chunk's matches, each at least lo and none below the last
+// chunk's watermark, in document order: the pres below wm, pending ones
+// included, are appended to out, and the rest are held. While nothing is
+// pending, matches that strictly ascend need no bits: their prefix below wm
+// goes straight to out.
+func (p *pendingSet) take(out, pres []int32, wm int64) []int32 {
+	if p.n == 0 && ascending(pres) {
+		k := sort.Search(len(pres), func(i int) bool { return int64(pres[i]) >= wm })
+		out = append(out, pres[:k]...)
+		p.add(pres[k:])
+	} else {
+		// ANALYZE's peak counts a chunk that joins pres held back from
+		// earlier chunks whole, and otherwise what stays after the drain.
+		held := p.n > 0
+		p.add(pres)
+		if held {
+			p.peak = max(p.peak, p.n)
+		}
+		out = p.drain(out, wm)
 	}
-	if len(m.heads) == 0 {
-		m.buf = m.buf[:0]
-	} else if len(m.buf)-m.live > m.live {
-		m.compact()
+	p.peak = max(p.peak, p.n)
+	return out
+}
+
+func ascending(pres []int32) bool {
+	for i := 1; i < len(pres); i++ {
+		if pres[i] <= pres[i-1] {
+			return false
+		}
 	}
-	m.heads = append(m.heads, runSpan{len(m.buf), len(m.buf) + len(run)})
-	m.buf = append(m.buf, run...)
-	m.live += len(run)
-	m.maxRows, m.maxRuns = max(m.maxRows, m.live), max(m.maxRuns, len(m.heads))
-	for i := len(m.heads) - 1; i > 0; {
-		p := (i - 1) / 2
-		if m.head(p) <= m.head(i) {
+	return true
+}
+
+// add sets the bits of pres, each at least lo.
+func (p *pendingSet) add(pres []int32) {
+	for _, pre := range pres {
+		i := int(pre - p.lo)
+		w := i >> 6
+		if w >= len(p.words) {
+			if p.box == nil {
+				p.box = wordPool.Get().(*[]uint64)
+				p.words = *p.box
+			}
+			// Words past len are zero, in the old array and a grown one.
+			p.words = slices.Grow(p.words, w+1-len(p.words))[:w+1]
+		}
+		if m := uint64(1) << (i & 63); p.words[w]&m == 0 {
+			p.words[w] |= m
+			p.n++
+		}
+	}
+}
+
+// drain appends the pending pres below wm to out, ascending, and clears
+// their bits.
+func (p *pendingSet) drain(out []int32, wm int64) []int32 {
+	out = slices.Grow(out, p.n)
+	lim := wm - int64(p.lo) // bits below lim are final
+	for ; p.n > 0 && p.from < len(p.words); p.from++ {
+		base := int64(p.from) << 6
+		if base >= lim {
 			break
 		}
-		m.heads[p], m.heads[i] = m.heads[i], m.heads[p]
-		i = p
+		w := p.words[p.from]
+		if rest := lim - base; rest < 64 {
+			keep := w >> rest << rest // bits at or past lim stay
+			p.words[p.from] = keep
+			return p.emit(out, w^keep, base)
+		}
+		p.words[p.from] = 0
+		out = p.emit(out, w, base)
 	}
+	return out
 }
 
-func (m *runMerge) head(i int) int32 { return m.buf[m.heads[i].lo] }
-
-// down restores the heap order after the top run's head advanced.
-func (m *runMerge) down() {
-	for i := 0; ; {
-		l, r, small := 2*i+1, 2*i+2, i
-		if l < len(m.heads) && m.head(l) < m.head(small) {
-			small = l
-		}
-		if r < len(m.heads) && m.head(r) < m.head(small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		m.heads[i], m.heads[small] = m.heads[small], m.heads[i]
-		i = small
+// emit appends the pres of word w, whose bit 0 is lo+base.
+func (p *pendingSet) emit(out []int32, w uint64, base int64) []int32 {
+	for ; w != 0; w &= w - 1 {
+		out = append(out, p.lo+int32(base)+int32(bits.TrailingZeros64(w)))
+		p.n--
 	}
+	return out
 }
 
-// compact moves the pending rows to the front of buf, run by run in buf
-// order; moving a span changes no head, so the heap order holds.
-func (m *runMerge) compact() {
-	m.order = m.order[:0]
-	for i := range m.heads {
-		m.order = append(m.order, i)
+// release clears the bits still set and hands the words back to wordPool.
+func (p *pendingSet) release() {
+	if p.box == nil {
+		return
 	}
-	slices.SortFunc(m.order, func(a, b int) int { return m.heads[a].lo - m.heads[b].lo })
-	n := 0
-	for _, i := range m.order {
-		s := &m.heads[i]
-		k := copy(m.buf[n:], m.buf[s.lo:s.hi])
-		s.lo, s.hi, n = n, n+k, n+k
-	}
-	m.buf = m.buf[:n]
+	clear(p.words[p.from:])
+	*p.box = p.words[:0]
+	wordPool.Put(p.box)
+	p.box, p.words, p.from, p.n = nil, nil, 0, 0
 }

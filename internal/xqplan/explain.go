@@ -419,7 +419,7 @@ func stepCounters(o *Obs, standoff bool) string {
 		if o.Chunks > 0 {
 			s += fmt.Sprintf(" stream{chunks=%d chunk=%d..%d", o.Chunks, o.ChunkMin, o.ChunkMax)
 			if o.PendingMax > 0 {
-				s += fmt.Sprintf(" pending≤%d runs≤%d", o.PendingMax, o.RunsMax)
+				s += fmt.Sprintf(" pending≤%d", o.PendingMax)
 			}
 			s += "}"
 		}

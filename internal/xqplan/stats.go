@@ -72,11 +72,10 @@ type Obs struct {
 	// chunk-streamed step actually joined.
 	ChunkMin int
 	ChunkMax int
-	// PendingMax and RunsMax are the peak rows and sorted runs the stream's
-	// merge held back, waiting for the watermark (zero when every chunk's
-	// output was final on arrival).
+	// PendingMax is the peak number of pres the stream held back, waiting
+	// for the watermark (zero when every chunk's output was final on
+	// arrival).
 	PendingMax int
-	RunsMax    int
 
 	joins [core.StrategyLoopLifted + 1]int64 // join invocations per core.Strategy
 }
@@ -145,8 +144,8 @@ func (s *ExecStats) RecordJoin(sp *StepPlan, ix *core.RegionIndex, candidates in
 
 // RecordStepStream accumulates the chunk counters of one chunk-streamed run
 // of a step: chunk joins executed, the smallest/largest chunk joined, and
-// the peak rows and runs its merge held pending.
-func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunkMax, pending, runs int) {
+// the peak number of pres it held pending.
+func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunkMax, pending int) {
 	if s == nil || chunks == 0 {
 		return
 	}
@@ -157,7 +156,6 @@ func (s *ExecStats) RecordStepStream(sp *StepPlan, chunks int64, chunkMin, chunk
 	}
 	o.ChunkMax = max(o.ChunkMax, chunkMax)
 	o.PendingMax = max(o.PendingMax, pending)
-	o.RunsMax = max(o.RunsMax, runs)
 }
 
 // RecordOp accumulates one evaluation of a structural operator.
