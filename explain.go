@@ -1,9 +1,6 @@
 package soxq
 
-import (
-	"soxq/internal/xqexec"
-	"soxq/internal/xqplan"
-)
+import "soxq/internal/xqplan"
 
 // The plan description has one set of types, declared in internal/xqplan
 // and aliased here; docs/EXPLAIN.md is the full output reference.
@@ -35,13 +32,5 @@ type (
 // shape. It shows only what compilation knows, so it reads the same before
 // and after any execution; Analyze adds the observed counters.
 func (p *Prepared) Explain() *PlanExplain {
-	return p.explainWith(nil)
-}
-
-// explainWith builds the plan description with the pipeline shape attached
-// and, when st is non-nil, the observed counters of one execution.
-func (p *Prepared) explainWith(st *xqplan.ExecStats) *PlanExplain {
-	ex := p.plan.ExplainWith(st)
-	ex.Stream = xqexec.Describe(p.plan)
-	return ex
+	return p.plan.Explain()
 }

@@ -11,7 +11,6 @@ package xqeval
 import (
 	"soxq/internal/core"
 	"soxq/internal/tree"
-	"soxq/internal/xpath"
 	"soxq/internal/xqast"
 	"soxq/internal/xqplan"
 )
@@ -114,55 +113,20 @@ func (ev *Evaluator) FLWORTail(v *xqast.FLWOR, clauses []xqast.Clause, f *Frame)
 	return ret, nil
 }
 
-// PathPrefix evaluates a path's starting context and every compiled step but
-// the last, returning the context sequence the final step would consume plus
-// that final step's plan. A nil StepPlan means the program is empty and the
-// returned sequence is already the path's result.
-func (ev *Evaluator) PathPrefix(p *xqast.Path, f *Frame) (LLSeq, *xqplan.StepPlan, error) {
+// PathPrefix evaluates a path's starting context and the first n steps of
+// its compiled program, returning the context sequence step n consumes (the
+// path's result when n is the program's length).
+func (ev *Evaluator) PathPrefix(p *xqast.Path, f *Frame, n int) (LLSeq, error) {
 	cur, err := ev.pathStart(p, f)
 	if err != nil {
-		return LLSeq{}, nil, err
+		return LLSeq{}, err
 	}
-	prog := ev.Plan.Program(p)
-	if len(prog) == 0 {
-		return cur, nil, nil
-	}
-	for _, sp := range prog[:len(prog)-1] {
-		cur, err = ev.evalStep(sp, cur, f)
-		if err != nil {
-			return LLSeq{}, nil, err
+	for _, sp := range ev.Plan.Program(p)[:n] {
+		if cur, err = ev.evalStep(sp, cur, f); err != nil {
+			return LLSeq{}, err
 		}
 	}
-	return cur, prog[len(prog)-1], nil
-}
-
-// PathPrefixStream evaluates a path's start and the steps before its longest
-// chunk-streamable suffix, returning the context sequence plus the remaining
-// compiled steps. The suffix always includes the final step (whatever its
-// class); earlier steps join it only while they are Chunked — the executor
-// runs those through composed pres-based cursors instead of the bulk
-// evaluator. An empty step slice means the program is empty and the returned
-// sequence is already the path's result.
-func (ev *Evaluator) PathPrefixStream(p *xqast.Path, f *Frame) (LLSeq, []*xqplan.StepPlan, error) {
-	cur, err := ev.pathStart(p, f)
-	if err != nil {
-		return LLSeq{}, nil, err
-	}
-	prog := ev.Plan.Program(p)
-	if len(prog) == 0 {
-		return cur, nil, nil
-	}
-	cut := len(prog) - 1
-	for cut > 0 && prog[cut-1].Chunked() {
-		cut--
-	}
-	for _, sp := range prog[:cut] {
-		cur, err = ev.evalStep(sp, cur, f)
-		if err != nil {
-			return LLSeq{}, nil, err
-		}
-	}
-	return cur, prog[cut:], nil
+	return cur, nil
 }
 
 // GroupSeq wraps a flat item slice as a single-group sequence — the shape a
@@ -177,45 +141,19 @@ func (ev *Evaluator) EvalStepBulk(sp *xqplan.StepPlan, ctx LLSeq, f *Frame) (LLS
 	return ev.evalStep(sp, ctx, f)
 }
 
-// EvalStepTypeError is the error the bulk step raises for an atomic context
-// item. The pipelined path cursor raises the identical error before any
-// chunked step starts, so both execution styles fail the same way.
-func (ev *Evaluator) EvalStepTypeError() error {
-	return errf(codeType, "axis step applied to an atomic value")
-}
-
-// SingletonInt coerces a 0/1-item group to an integer, with ok=false on an
-// empty group — the `to` range-bound coercion, exported for the executor's
-// pipelined range cursor.
-func SingletonInt(items []Item) (int64, bool, error) {
-	return singletonInt(items)
-}
-
-// RangeLimit caps the size of a `to` range. The materialising evaluator
-// enforces it because it builds the whole range at once; the pipelined range
-// cursor enforces the same limit so streaming and materialised executions
-// fail identically.
-const RangeLimit = 1 << 24
-
-// ErrRangeTooLarge is the error both executions raise at the RangeLimit.
-func ErrRangeTooLarge(lo, hi int64) error {
-	return errf(codeType, "range %d to %d is too large", lo, hi)
-}
-
 // StandOffStream is the chunked execution handle of a pipelined StandOff
 // select step: the per-document residue — region index, candidate sequence,
 // pushdown post-filter — resolved once. The executor runs one loop-lifted
 // join per chunk of context nodes (JoinChunkPres) and gates emission on the
 // candidate-interval watermark.
 type StandOffStream struct {
-	ev         *Evaluator
-	sp         *xqplan.StepPlan
-	d          *tree.Doc
-	ix         *core.RegionIndex
-	cand       *core.Candidates
-	postFilter bool
-	test       xpath.Compiled
-	wide       bool
+	ev   *Evaluator
+	sp   *xqplan.StepPlan
+	d    *tree.Doc
+	ix   *core.RegionIndex
+	cand *core.Candidates
+	keep func(int32) bool // the post-filter node test, nil when the candidates apply it
+	wide bool
 
 	// Per-stream scratch, recycled across chunks: the context-node rows
 	// handed to the join and the pre buffer handed back to the cursor.
@@ -235,39 +173,18 @@ func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc, root in
 	if ev.IndexFor == nil {
 		return nil, errf(codeStandOffIndex, "no region index provider configured")
 	}
-	ix, err := ev.IndexFor(d)
-	if err != nil {
-		return nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
-	}
-	cand, postFilter := ev.candidatesFor(ix, sp.SO, nil)
+	ix, cand, keep, err := ev.resolveJoin(sp, d, root, nil)
 	if cand == nil {
-		return nil, nil
+		return nil, err
 	}
-	cand = ix.Within(cand, root, root+d.Size(root))
-	s := &StandOffStream{
-		ev: ev, sp: sp, d: d, ix: ix, cand: cand, postFilter: postFilter,
-		wide: sp.SO.Op == core.SelectWide,
-	}
-	if postFilter {
-		s.test = sp.CompiledTest(d)
-	}
-	return s, nil
+	return &StandOffStream{ev: ev, sp: sp, d: d, ix: ix, cand: cand, keep: keep,
+		wide: sp.SO.Op == core.SelectWide}, nil
 }
 
-// CtxStart returns the document-position start of a context node's area (the
-// minimum region start — RegionsOf is start-ordered). ok=false means the
-// node is not an area-annotation of this stream's document and can never
-// produce a match.
-func (s *StandOffStream) CtxStart(it Item) (int64, bool) {
-	if it.Kind != KNode || it.D != s.d {
-		return 0, false
-	}
-	return s.CtxStartPre(it.Pre)
-}
-
-// CtxStartPre is CtxStart for a bare pre rank of the stream's document — the
-// composed-cursor path, where upstream stages hand pres across without ever
-// materialising items.
+// CtxStartPre returns the document-position start of the area of a context
+// node of the stream's tree, given by its pre rank (the minimum region start
+// — RegionsOf is start-ordered). ok=false means the node is not an
+// area-annotation and can never produce a match.
 func (s *StandOffStream) CtxStartPre(pre int32) (int64, bool) {
 	regs := s.ix.RegionsOf(pre)
 	if len(regs) == 0 {
@@ -304,7 +221,7 @@ func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
 		out = make([]int32, 0, len(pairs))
 	}
 	for _, pr := range pairs {
-		if s.postFilter && !s.test.Matches(s.d, pr.Pre) {
+		if s.keep != nil && !s.keep(pr.Pre) {
 			continue
 		}
 		out = append(out, pr.Pre)
@@ -334,20 +251,29 @@ func (s *StandOffStream) Watermark(frontier int64) (int32, bool) {
 	return s.cand.MinPreStartFrom(frontier)
 }
 
-// AttachArena equips the evaluator with a pooled join arena for one
-// execution run; a no-op when one is already attached. The owner of the run
-// must call DetachArena when the run's cursor closes.
-func (ev *Evaluator) AttachArena() {
+// Attach equips the evaluator with the pooled arenas of one execution run:
+// the join arena and the seq arena (seqarena.go), each kept when one is
+// already attached. The owner of the run must call Detach when the run's
+// cursor closes.
+func (ev *Evaluator) Attach() {
 	if ev.JoinCfg.Arena == nil {
 		ev.JoinCfg.Arena = core.AcquireJoinArena()
 	}
+	if ev.seqs == nil {
+		ev.seqs = seqArenaPool.Get().(*seqArena)
+	}
 }
 
-// DetachArena releases the attached arena (and every buffer on loan from
-// it) back to the pool. Safe to call repeatedly.
-func (ev *Evaluator) DetachArena() {
+// Detach releases the attached arenas, and every buffer on loan from them,
+// back to their pools, dropping any document references the recycled
+// buffers still hold. Safe to call repeatedly.
+func (ev *Evaluator) Detach() {
 	if a := ev.JoinCfg.Arena; a != nil {
 		ev.JoinCfg.Arena = nil
 		a.Release()
+	}
+	if a := ev.seqs; a != nil {
+		ev.seqs = nil
+		a.release()
 	}
 }

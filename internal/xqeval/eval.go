@@ -80,8 +80,8 @@ type Evaluator struct {
 // tests hold that pipeline against.
 func (ev *Evaluator) Run() ([]Item, error) {
 	if ev.JoinCfg.Arena == nil {
-		ev.AttachArena()
-		defer ev.DetachArena()
+		ev.Attach()
+		defer ev.Detach()
 	}
 	f, err := ev.NewRootFrame()
 	if err != nil {
@@ -248,27 +248,43 @@ func (ev *Evaluator) evalRange(v *xqast.Binary, f *frame) (LLSeq, error) {
 	}
 	b := ev.scrBuilderCap(f.n, 0)
 	for i := 0; i < f.n; i++ {
-		lo, loOK, err := singletonInt(l.Group(i))
+		lo, hi, ok, err := RangeBounds(l.Group(i), r.Group(i))
 		if err != nil {
 			return LLSeq{}, err
 		}
-		hi, hiOK, err := singletonInt(r.Group(i))
-		if err != nil {
-			return LLSeq{}, err
-		}
-		if !loOK || !hiOK || lo > hi {
-			b.add()
-			continue
-		}
-		if hi-lo >= RangeLimit {
-			return LLSeq{}, ErrRangeTooLarge(lo, hi)
-		}
-		for x := lo; x <= hi; x++ {
-			b.appendItem(Int(x))
+		if ok {
+			for x := lo; x < hi; x++ { // x <= hi would wrap at the largest int64
+				b.appendItem(Int(x))
+			}
+			b.appendItem(Int(hi))
 		}
 		b.endGroup()
 	}
 	return b.done(), nil
+}
+
+// rangeLimit caps the size of a `to` range: the materialising evaluator
+// builds the whole range at once.
+const rangeLimit = 1 << 24
+
+// RangeBounds coerces the operands of `l to r` to the range's first and last
+// integer; ok is false for an empty range. A range of rangeLimit or more
+// integers is an error, in the materialising evaluator and the pipelined
+// range cursor alike.
+func RangeBounds(l, r []Item) (lo, hi int64, ok bool, err error) {
+	lo, loOK, err := singletonInt(l)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	hi, hiOK, err := singletonInt(r)
+	if err != nil || !loOK || !hiOK || lo > hi {
+		return 0, 0, false, err
+	}
+	// hi-lo wraps past the int64 range, never past the uint64 one.
+	if uint64(hi-lo) >= rangeLimit {
+		return 0, 0, false, errf(codeType, "range %d to %d is too large", lo, hi)
+	}
+	return lo, hi, true, nil
 }
 
 // singletonInt coerces a 0/1-item group to an integer; ok=false on empty.

@@ -174,6 +174,9 @@ func TestEvalBasics(t *testing.T) {
 		{`ends-with("hello", "lo")`, `true`},
 		{`substring("hello", 2)`, `ello`},
 		{`substring("hello", 2, 3)`, `ell`},
+		// A length past the int range clamps instead of wrapping.
+		{`substring("abcdef", 2, 1E300)`, `bcdef`},
+		{`substring("abcdef", 2, 9223372036854775807)`, `bcdef`},
 		{`string-length("héllo")`, `5`},
 		{`normalize-space("  a   b ")`, `a b`},
 		{`upper-case("abç")`, `ABÇ`},

@@ -63,17 +63,6 @@ func (b *binding) lift(outerOf []int32) *binding {
 	return &binding{seq: b.seq, ind: ind}
 }
 
-// liftBroadcast fans the binding of a single-iteration frame out to n
-// descendant iterations. The caller guarantees the binding has exactly one
-// effective group (f.n == 1).
-func (b *binding) liftBroadcast(n int) *binding {
-	src := b.bsrc
-	if !b.bcast && b.ind != nil {
-		src = int(b.ind[0])
-	}
-	return &binding{seq: b.seq, bcast: true, bn: n, bsrc: src}
-}
-
 // materialize flattens the indirection into a plain LLSeq.
 func (b *binding) materialize() LLSeq {
 	if b.bcast {
@@ -152,29 +141,6 @@ func (f *frame) expand(outerOf []int32) *frame {
 	}
 	if f.last != nil {
 		nf.last = liftI64(f.last, outerOf)
-	}
-	return nf
-}
-
-// expandBroadcast fans a single-iteration frame out to n descendant
-// iterations (the executor's chunk expansion): every binding becomes a
-// broadcast of its one effective group. The caller guarantees f.n == 1.
-func (f *frame) expandBroadcast(n int) *frame {
-	nf := &frame{n: n}
-	if len(f.vars) > 0 {
-		nf.vars = make([]varBind, len(f.vars))
-		for i, vb := range f.vars {
-			nf.vars[i] = varBind{vb.name, vb.b.liftBroadcast(n)}
-		}
-	}
-	if f.ctx != nil {
-		nf.ctx = f.ctx.liftBroadcast(n)
-	}
-	if f.pos != nil {
-		nf.pos = broadcastI64(f.pos[0], n)
-	}
-	if f.last != nil {
-		nf.last = broadcastI64(f.last[0], n)
 	}
 	return nf
 }

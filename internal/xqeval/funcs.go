@@ -388,17 +388,14 @@ func (ev *Evaluator) callBuiltin(name, local string, args []LLSeq, f *frame) (LL
 			if arity == 3 {
 				length, _ = singletonFloat(args[2].Group(i))
 			}
-			start := int(math.Round(startF))
-			lo := start - 1
+			// The characters at positions p with round(start) <= p <
+			// round(start) + round(length), clamped to the string in float:
+			// a bound past the int range must not wrap.
+			first := math.Round(startF)
+			lo := clampRunes(first-1, len(s))
 			hi := len(s)
 			if !math.IsInf(length, 1) {
-				hi = start - 1 + int(math.Round(length))
-			}
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > len(s) {
-				hi = len(s)
+				hi = clampRunes(first-1+math.Round(length), len(s))
 			}
 			if lo >= hi {
 				b.add(Str(""))
@@ -895,4 +892,15 @@ func (ev *Evaluator) regionsOfItem(it Item) ([]interval.Region, error) {
 func treeFragment(name string, attrs map[string]string) Item {
 	fb := newFragmentElem(name, attrs)
 	return fb
+}
+
+// clampRunes clamps a 0-based rune offset to [0, n]; NaN clamps to 0.
+func clampRunes(x float64, n int) int {
+	switch {
+	case !(x > 0):
+		return 0
+	case x >= float64(n):
+		return n
+	}
+	return int(x)
 }

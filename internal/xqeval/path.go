@@ -21,15 +21,9 @@ import (
 // fusion, name tests and stand-off decisions were all made at compile time;
 // this function only executes them.
 func (ev *Evaluator) evalPath(p *xqast.Path, f *frame) (LLSeq, error) {
-	cur, err := ev.pathStart(p, f)
+	cur, err := ev.PathPrefix(p, f, len(ev.Plan.Program(p)))
 	if err != nil {
 		return LLSeq{}, err
-	}
-	for _, sp := range ev.Plan.Program(p) {
-		cur, err = ev.evalStep(sp, cur, f)
-		if err != nil {
-			return LLSeq{}, err
-		}
 	}
 	ev.Stats.RecordOp(p, 0, int64(cur.Total()))
 	return cur, nil
@@ -442,15 +436,28 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 }
 
 // joinInputs resolves what one StandOff join of sp over the tree of part t
-// runs against — the region index of its Doc and the candidate sequence,
-// narrowed by the pushed predicates and cut to the tree's pre range — and
-// counts the join as run over iters iterations: the Basic and naive joins
-// scan the candidates once per iteration, the Loop-Lifted join once. keep is
-// the node test applied to the join's output when the candidates do not apply
-// it (nil when they do). A nil cand means the test can never match in the
-// Doc, and no join runs.
+// runs against (resolveJoin) and counts the join as run over iters
+// iterations: the Basic and naive joins scan the candidates once per
+// iteration, the Loop-Lifted join once.
 func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, t docContext, pushed []xqplan.PredPlan, iters int) (ix *core.RegionIndex, cand *core.Candidates, keep func(int32) bool, err error) {
-	d := t.d
+	ix, cand, keep, err = ev.resolveJoin(sp, t.d, t.root, pushed)
+	if cand != nil {
+		ev.countJoin(ev.Strategy)
+		if ev.Strategy == core.StrategyLoopLifted {
+			iters = 1
+		}
+		ev.Stats.RecordJoin(sp, ix, int64(cand.Len())*int64(iters), ev.Strategy)
+	}
+	return ix, cand, keep, err
+}
+
+// resolveJoin resolves what a StandOff join of sp over the tree of d headed
+// by document node root runs against: the region index of d and the
+// candidate sequence, narrowed by the pushed predicates and cut to the
+// tree's pre range. keep is the node test applied to the join's output when
+// the candidates do not apply it (nil when they do). A nil cand means the
+// test can never match in d, and no join runs.
+func (ev *Evaluator) resolveJoin(sp *xqplan.StepPlan, d *tree.Doc, root int32, pushed []xqplan.PredPlan) (ix *core.RegionIndex, cand *core.Candidates, keep func(int32) bool, err error) {
 	ix, err = ev.IndexFor(d)
 	if err != nil {
 		return nil, nil, nil, errf(codeStandOffIndex, "building region index for %q: %v", d.Name, err)
@@ -459,12 +466,7 @@ func (ev *Evaluator) joinInputs(sp *xqplan.StepPlan, t docContext, pushed []xqpl
 	if cand == nil {
 		return ix, nil, nil, nil
 	}
-	cand = ix.Within(cand, t.root, t.root+d.Size(t.root))
-	ev.countJoin(ev.Strategy)
-	if ev.Strategy == core.StrategyLoopLifted {
-		iters = 1
-	}
-	ev.Stats.RecordJoin(sp, ix, int64(cand.Len())*int64(iters), ev.Strategy)
+	cand = ix.Within(cand, root, root+d.Size(root))
 	if postFilter {
 		test := sp.CompiledTest(d)
 		keep = func(pre int32) bool { return test.Matches(d, pre) }
@@ -528,10 +530,12 @@ func (ev *Evaluator) pathCounts(arg xqast.Expr, f *frame) (counts []int32, ok bo
 	if !isPath {
 		return nil, false, nil
 	}
-	if prog := ev.Plan.Program(p); len(prog) == 0 || !prog[len(prog)-1].CountOnly || !ev.reduces(prog[len(prog)-1]) {
+	prog := ev.Plan.Program(p)
+	if len(prog) == 0 || !prog[len(prog)-1].CountOnly || !ev.reduces(prog[len(prog)-1]) {
 		return nil, false, nil
 	}
-	ctx, last, err := ev.PathPrefix(p, f)
+	last := prog[len(prog)-1]
+	ctx, err := ev.PathPrefix(p, f, len(prog)-1)
 	if err == nil {
 		counts, err = ev.standOffReduce(last, ctx, false)
 	}

@@ -56,25 +56,6 @@ const (
 
 var seqArenaPool = sync.Pool{New: func() any { return &seqArena{} }}
 
-// AttachSeqArena equips the evaluator with a pooled scratch arena for one
-// streaming run; a no-op when one is already attached. The owner must call
-// DetachSeqArena when the run's cursor closes.
-func (ev *Evaluator) AttachSeqArena() {
-	if ev.seqs == nil {
-		ev.seqs = seqArenaPool.Get().(*seqArena)
-	}
-}
-
-// DetachSeqArena releases the attached arena back to the pool, dropping any
-// document references the recycled buffers still hold. Safe to call
-// repeatedly.
-func (ev *Evaluator) DetachSeqArena() {
-	if a := ev.seqs; a != nil {
-		ev.seqs = nil
-		a.release()
-	}
-}
-
 // OpenScope starts an allocation scope: until the matching CloseScope,
 // arena-aware helpers hand out recycled structures recorded as loans of
 // this scope. Returns nil (and the helpers allocate plainly) when no arena
@@ -330,12 +311,10 @@ func (ev *Evaluator) scrMaterialize(b *binding) LLSeq {
 	return out.done()
 }
 
-// scrExpandBroadcast is the arena-aware frame.expandBroadcast (the chunk
-// expansion of BindChunk). The caller guarantees f.n == 1.
+// scrExpandBroadcast fans a single-iteration frame out to n descendant
+// iterations (the chunk expansion of BindChunk): every binding becomes a
+// broadcast of its one effective group. The caller guarantees f.n == 1.
 func (ev *Evaluator) scrExpandBroadcast(f *frame, n int) *frame {
-	if ev.active() == nil {
-		return f.expandBroadcast(n)
-	}
 	nf := ev.scrFrame(n)
 	for _, vb := range f.vars {
 		nf.vars = append(nf.vars, varBind{vb.name, ev.scrLiftBroadcast(vb.b, n)})
@@ -352,7 +331,9 @@ func (ev *Evaluator) scrExpandBroadcast(f *frame, n int) *frame {
 	return nf
 }
 
-// scrLiftBroadcast is the arena-aware binding.liftBroadcast.
+// scrLiftBroadcast fans the binding of a single-iteration frame out to n
+// descendant iterations. The caller guarantees the binding has exactly one
+// effective group.
 func (ev *Evaluator) scrLiftBroadcast(b *binding, n int) *binding {
 	src := b.bsrc
 	if !b.bcast && b.ind != nil {

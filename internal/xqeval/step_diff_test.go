@@ -136,7 +136,7 @@ func TestEvalStepAgainstReference(t *testing.T) {
 			want, wantErr := ev.evalStepRef(sp, ctx, f)
 			var scope *SeqScope
 			if try%2 == 1 {
-				ev.AttachSeqArena()
+				ev.Attach()
 				scope = ev.OpenScope()
 			}
 			got, gotErr := ev.evalStep(sp, ctx, f)
@@ -158,7 +158,7 @@ func TestEvalStepAgainstReference(t *testing.T) {
 						}
 					}
 				}
-				ev.DetachSeqArena()
+				ev.Detach()
 			}
 		}
 	}

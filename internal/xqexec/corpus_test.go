@@ -63,11 +63,11 @@ func drainInts(t *testing.T, c Cursor) ([]int64, error) {
 	var got []int64
 	for b := c.NextBatch(); b.Len() > 0; b = c.NextBatch() {
 		for i := range b.Len() {
-			n, ok, err := xqeval.SingletonInt([]xqeval.Item{b.Item(i)})
-			if err != nil || !ok {
-				t.Fatalf("non-int item: %v %v", ok, err)
+			it := b.Item(i)
+			if it.Kind != xqeval.KInt {
+				t.Fatalf("non-int item: %v", it)
 			}
-			got = append(got, n)
+			got = append(got, it.I)
 		}
 	}
 	err := c.Err()

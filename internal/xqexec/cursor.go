@@ -26,13 +26,13 @@
 // is read once per batch handed out, FLWOR chunk and StandOff join chunk,
 // never per row; once it is done the stream ends with ctx.Err().
 //
-// The pipeline participates in EXPLAIN twice over. Describe reports the
-// shape Build would construct — which operators pipeline and which
-// materialise, and why — without executing anything. And when the driving
-// evaluator carries an xqplan.ExecStats collector (Prepared.Analyze), the
-// cursors record the streaming-path counters the materialising evaluator
-// cannot see: chunks and tuples per FLWOR, and the rows and chunks of a
-// chunked StandOff step.
+// The pipeline's shape is not decided here: xqplan.Compile decides it once
+// per plan (Plan.Stream) — which operators pipeline and which materialise,
+// and why — and Build walks that tree, the same one EXPLAIN's stream:
+// section renders. When the driving evaluator carries an xqplan.ExecStats
+// collector (Prepared.Analyze), the cursors record the streaming-path
+// counters the materialising evaluator cannot see: chunks and tuples per
+// FLWOR, and the rows and chunks of a chunked StandOff step.
 package xqexec
 
 import (
@@ -42,6 +42,7 @@ import (
 	"soxq/internal/tree"
 	"soxq/internal/xqast"
 	"soxq/internal/xqeval"
+	"soxq/internal/xqplan"
 )
 
 // Cursor is a pull-based result stream, drained a batch at a time: call
@@ -187,33 +188,29 @@ type Config struct {
 const DefaultChunkSize = 1024
 
 // Build compiles the plan body into a cursor pipeline: globals are evaluated
-// eagerly (so their errors surface here), then the top-level expression is
-// matched against the pipelined operator forms, recursively for operators
-// with streamable inputs. Anything else becomes a materialising cursor.
+// eagerly (so their errors surface here), then the plan's pipeline shape
+// (xqplan.Plan.Stream) is built into cursors, a materialising cursor for
+// every operator the shape does not stream.
 func Build(ctx context.Context, ev *xqeval.Evaluator, cfg Config) (Cursor, error) {
-	// The pipeline owns a pooled join arena for its whole run (globals,
-	// every chunk join); the wrapping cursor hands it back on Close.
-	ev.AttachArena()
-	// The seq arena recycles frames, bindings, and sequence buffers across
-	// the pipeline's chunk scopes.
-	ev.AttachSeqArena()
+	// The pipeline owns the evaluator's pooled arenas for its whole run
+	// (globals, every chunk); the wrapping cursor hands them back on Close.
+	ev.Attach()
 	root, err := ev.NewRootFrame()
 	if err != nil {
-		ev.DetachSeqArena()
-		ev.DetachArena()
+		ev.Detach()
 		return nil, err
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = DefaultChunkSize
 	}
 	x := &executor{ctx: ctx, ev: ev, cfg: cfg}
-	return &pipelineCursor{Cursor: x.build(ev.Plan.Body(), root), x: x}, nil
+	return &pipelineCursor{Cursor: x.build(ev.Plan.Stream(), root), x: x}, nil
 }
 
 // pipelineCursor wraps a pipeline's root cursor to scope the evaluator's
-// join arena to the run: Close (soxq.Cursor.Close forwards it) releases the
-// arena and every buffer on loan from it back to the pool. It reads the
-// run's context before each batch.
+// arenas to the run: Close (soxq.Cursor.Close forwards it) releases them and
+// every buffer on loan from them back to the pool. It reads the run's
+// context before each batch.
 type pipelineCursor struct {
 	Cursor
 	x   *executor
@@ -231,8 +228,7 @@ func (c *pipelineCursor) Err() error { return cmp.Or(c.err, c.Cursor.Err()) }
 
 func (c *pipelineCursor) Close() {
 	c.Cursor.Close()
-	c.x.ev.DetachArena()
-	c.x.ev.DetachSeqArena()
+	c.x.ev.Detach()
 }
 
 // executor carries the build context shared by all cursors of one pipeline.
@@ -242,81 +238,40 @@ type executor struct {
 	cfg Config
 }
 
-// build constructs the cursor for one expression under a root-shaped frame
-// (one iteration). It never evaluates anything: evaluation happens lazily on
-// the first NextBatch, except for globals which Build resolved already.
-func (x *executor) build(e xqast.Expr, f *xqeval.Frame) Cursor {
-	switch v := e.(type) {
+// build constructs the cursor of one operator of the pipeline shape under a
+// root-shaped frame (one iteration). It never evaluates anything: evaluation
+// happens lazily on the first NextBatch, except for globals which Build
+// resolved already.
+func (x *executor) build(op *xqplan.StreamOp, f *xqeval.Frame) Cursor {
+	switch v := op.Expr().(type) {
 	case *xqast.FLWOR:
-		if streamableFLWOR(v) {
-			return newFLWORCursor(x, v, f)
+		if op.Pipelined {
+			return newFLWORCursor(x, op, v, f)
 		}
 	case *xqast.Path:
-		return &pathCursor{x: x, p: v, f: f}
+		return &pathCursor{x: x, p: v, cut: op.Cut(), f: f}
 	case *xqast.Binary:
 		switch v.Op {
 		case ",":
-			exprs := flattenSeq(v)
-			return &concatCursor{n: len(exprs), part: func(i int) (Cursor, error) {
-				return x.build(exprs[i], f), nil
+			return &concatCursor{n: len(op.Children), part: func(i int) (Cursor, error) {
+				return x.build(op.Children[i], f), nil
 			}}
 		case "to":
 			return newRangeCursor(x, v, f)
 		}
-	case *xqast.Enclosed:
-		return x.build(v.X, f)
 	}
-	return &materialCursor{ev: x.ev, e: e, f: f}
-}
-
-// streamableFLWOR reports whether a FLWOR can run through the chunked tuple
-// pipeline: at least one for clause to stream over, and no order by (a sort
-// needs every tuple before the first result item).
-func streamableFLWOR(v *xqast.FLWOR) bool {
-	if len(v.OrderBy) > 0 {
-		return false
-	}
-	for _, cl := range v.Clauses {
-		if _, ok := cl.(*xqast.ForClause); ok {
-			return true
-		}
-	}
-	return false
+	return &materialCursor{ev: x.ev, e: op.Expr(), f: f}
 }
 
 // buildReuse rebuilds a reset level's binding cursor, reusing the shelved
-// sibling's cursor in place when it was built for the same expression (the
+// sibling's cursor in place when it was built for the same range (the
 // common shape: every parent tuple re-binds the same inner `1 to N` range).
-func (x *executor) buildReuse(e xqast.Expr, f *xqeval.Frame, old Cursor) Cursor {
-	if rc, ok := old.(*rangeCursor); ok {
-		if v, ok2 := unwrapRange(e); ok2 && v == rc.v {
-			rc.reset(f)
-			return rc
-		}
+func (x *executor) buildReuse(op *xqplan.StreamOp, f *xqeval.Frame, old Cursor) Cursor {
+	if rc, ok := old.(*rangeCursor); ok && rc.v == op.Expr() {
+		rc.reset(f)
+		return rc
 	}
-	return x.build(e, f)
-}
-
-// unwrapRange peels Enclosed wrappers down to a `to` binary, if that is what
-// the expression is.
-func unwrapRange(e xqast.Expr) (*xqast.Binary, bool) {
-	switch v := e.(type) {
-	case *xqast.Binary:
-		if v.Op == "to" {
-			return v, true
-		}
-	case *xqast.Enclosed:
-		return unwrapRange(v.X)
-	}
-	return nil, false
-}
-
-// flattenSeq collects the operands of a (left-leaning) `,` chain in order.
-func flattenSeq(v *xqast.Binary) []xqast.Expr {
-	if l, ok := v.L.(*xqast.Binary); ok && l.Op == "," {
-		return append(flattenSeq(l), v.R)
-	}
-	return []xqast.Expr{v.L, v.R}
+	return x.build(op, f)
 }
 
 // materialCursor is the fallback operator: it evaluates the whole expression
@@ -417,11 +372,14 @@ type rangeCursor struct {
 	next    int64
 	hi      int64
 	buf     []xqeval.Item // reused batch buffer
-	// lit caches bounds recognised as integer literals at build time, so a
-	// reset-reused cursor (`for $x in 1 to N` under a nested loop) re-arms
-	// without re-evaluating — and thus without allocating — anything.
+	// lit caches the outcome of bounds recognised as integer literals at
+	// build time, so a reset-reused cursor (`for $x in 1 to N` under a
+	// nested loop) re-arms without re-evaluating — and thus without
+	// allocating — anything.
 	lit          bool
 	litLo, litHi int64
+	litOK        bool
+	litErr       error
 	err          error
 }
 
@@ -430,7 +388,9 @@ func newRangeCursor(x *executor, v *xqast.Binary, f *xqeval.Frame) *rangeCursor 
 	c := &rangeCursor{x: x, v: v, f: f}
 	if l, ok := v.L.(*xqast.IntLit); ok {
 		if r, ok2 := v.R.(*xqast.IntLit); ok2 {
-			c.lit, c.litLo, c.litHi = true, l.V, r.V
+			c.lit = true
+			c.litLo, c.litHi, c.litOK, c.litErr = xqeval.RangeBounds(
+				[]xqeval.Item{xqeval.Int(l.V)}, []xqeval.Item{xqeval.Int(r.V)})
 		}
 	}
 	return c
@@ -445,44 +405,16 @@ func (c *rangeCursor) reset(f *xqeval.Frame) {
 
 func (c *rangeCursor) init() {
 	c.started = true
-	var lo, hi int64
-	if c.lit {
-		lo, hi = c.litLo, c.litHi
-	} else {
-		l, err := c.x.ev.EvalExpr(c.v.L, c.f)
-		if err != nil {
-			c.err = err
-			return
-		}
-		r, err := c.x.ev.EvalExpr(c.v.R, c.f)
-		if err != nil {
-			c.err = err
-			return
-		}
-		var loOK, hiOK bool
-		lo, loOK, err = xqeval.SingletonInt(l.Group(0))
-		if err != nil {
-			c.err = err
-			return
-		}
-		hi, hiOK, err = xqeval.SingletonInt(r.Group(0))
-		if err != nil {
-			c.err = err
-			return
-		}
-		if !loOK || !hiOK {
-			c.done = true
-			return
+	lo, hi, ok, err := c.litLo, c.litHi, c.litOK, c.litErr
+	if !c.lit {
+		var l, r xqeval.LLSeq
+		if l, err = c.x.ev.EvalExpr(c.v.L, c.f); err == nil {
+			if r, err = c.x.ev.EvalExpr(c.v.R, c.f); err == nil {
+				lo, hi, ok, err = xqeval.RangeBounds(l.Group(0), r.Group(0))
+			}
 		}
 	}
-	if lo > hi {
-		c.done = true
-		return
-	}
-	if hi-lo >= xqeval.RangeLimit {
-		c.err = xqeval.ErrRangeTooLarge(lo, hi)
-		return
-	}
+	c.err, c.done = err, !ok
 	c.next, c.hi = lo, hi
 }
 

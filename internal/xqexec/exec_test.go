@@ -3,6 +3,7 @@ package xqexec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -422,10 +423,11 @@ func TestPathStreamingModes(t *testing.T) {
 	pc.Close()
 }
 
-// TestDescribeShapes sanity-checks the static pipeline description against
-// the operator forms.
+// TestDescribeShapes sanity-checks the plan's pipeline shape, the one Build
+// walks and EXPLAIN renders, against the operator forms.
 func TestDescribeShapes(t *testing.T) {
 	env := newTestEnv(t)
+	shape := func(q string) *xqplan.StreamOp { return env.evaluator(t, q).Plan.Explain().Stream }
 	cases := []struct {
 		q         string
 		kind      string
@@ -434,6 +436,9 @@ func TestDescribeShapes(t *testing.T) {
 	}{
 		{`for $s in doc("t.xml")//scene return $s`, "flwor", true, ""},
 		{`for $s in doc("t.xml")//scene order by $s/@id return $s`, "flwor", false, ""},
+		// Leading lets bind before the first for clause, which still streams.
+		{`let $d := doc("t.xml") for $s in $d//scene return $s`, "flwor", true,
+			"for $s tuples stream in chunks; loop body loop-lifted per chunk"},
 		{`doc("t.xml")//speech`, "path", false, "final step descendant::speech runs in bulk"},
 		{`doc("t.xml")//scene/select-narrow::hit`, "path", true, ""},
 		{`doc("t.xml")//scene/reject-narrow::hit`, "path", false,
@@ -449,25 +454,48 @@ func TestDescribeShapes(t *testing.T) {
 		{`count(doc("t.xml")//hit)`, "materialise", false, ""},
 	}
 	for _, c := range cases {
-		ev := env.evaluator(t, c.q)
-		op := Describe(ev.Plan)
+		op := shape(c.q)
 		if op.Op != c.kind || op.Pipelined != c.pipelined || (c.detail != "" && op.Detail != c.detail) {
-			t.Errorf("Describe(%q) = %s/pipelined=%v (%s), want %s/pipelined=%v (%s)",
+			t.Errorf("shape(%q) = %s/pipelined=%v (%s), want %s/pipelined=%v (%s)",
 				c.q, op.Op, op.Pipelined, op.Detail, c.kind, c.pipelined, c.detail)
 		}
 	}
 
-	// A nested streamable for clause shows up as a flwor-nested child; a
-	// nested StandOff binding must not (it keeps the loop-lifted expansion).
-	nested := Describe(env.evaluator(t,
-		`for $s in doc("t.xml")//scene for $w in $s/speech return $w`).Plan)
-	if len(nested.Children) != 2 || nested.Children[1].Op != "flwor-nested" {
-		t.Errorf("nested for: children = %+v, want [binding, flwor-nested]", nested.Children)
+	ops := func(op *xqplan.StreamOp) []string {
+		var out []string
+		for _, ch := range op.Children {
+			out = append(out, ch.Op)
+		}
+		return out
 	}
-	lifted := Describe(env.evaluator(t,
-		`for $s in doc("t.xml")//scene for $h in $s/select-narrow::hit return $h`).Plan)
-	if len(lifted.Children) != 1 {
-		t.Errorf("StandOff inner binding: children = %+v, want only the outer binding", lifted.Children)
+	for _, c := range []struct {
+		q    string
+		want []string // the top flwor's children
+	}{
+		// A nested streamable for clause shows up as a flwor-nested child; a
+		// nested StandOff binding must not (it keeps the loop-lifted
+		// expansion).
+		{`for $s in doc("t.xml")//scene for $w in $s/speech return $w`, []string{"path", "flwor-nested"}},
+		{`for $s in doc("t.xml")//scene for $h in $s/select-narrow::hit return $h`, []string{"path"}},
+		// Three levels: each nested level is its own child, in clause order.
+		{`for $s in doc("t.xml")//scene for $w in $s/speech for $i in 1 to 2 return $i`,
+			[]string{"path", "flwor-nested", "flwor-nested"}},
+		// A for bound to a FLWOR streams that FLWOR as its binding.
+		{`for $x in (for $s in doc("t.xml")//scene return $s) return $x`, []string{"flwor"}},
+		{`for $i in 1 to 2 for $x in (for $s in doc("t.xml")//scene return $s) return $x`,
+			[]string{"range", "flwor-nested"}},
+	} {
+		if got := ops(shape(c.q)); !slices.Equal(got, c.want) {
+			t.Errorf("shape(%q) children = %v, want %v", c.q, got, c.want)
+		}
+	}
+	three := shape(`for $s in doc("t.xml")//scene for $w in $s/speech for $i in 1 to 2 return $i`)
+	if got := ops(three.Children[2]); !slices.Equal(got, []string{"range"}) {
+		t.Errorf("third level's binding = %v, want [range]", got)
+	}
+	bound := shape(`for $i in 1 to 2 for $x in (for $s in doc("t.xml")//scene return $s) return $x`)
+	if inner := bound.Children[1].Children[0]; inner.Op != "flwor" || !inner.Pipelined {
+		t.Errorf("FLWOR binding = %s/pipelined=%v, want a pipelined flwor", inner.Op, inner.Pipelined)
 	}
 }
 
@@ -561,8 +589,8 @@ func TestNestedCursorEngages(t *testing.T) {
 		if err := fl.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if (fl.inner != nil) != wantNested {
-			t.Errorf("%q chunk=%d: nested=%v, want %v", q, chunk, fl.inner != nil, wantNested)
+		if (len(fl.nested) > 0) != wantNested {
+			t.Errorf("%q chunk=%d: nested=%v, want %v", q, chunk, len(fl.nested) > 0, wantNested)
 		}
 		fl.Close()
 	}

@@ -13,18 +13,16 @@ import (
 // body still runs one join per chunk of iterations, not one per iteration,
 // while only a chunk of tuples and its results are ever live.
 //
-// Nested loops compound the bound. When the clause right after the streamed
-// for is itself a for over a sequence the pipeline can generate on demand
-// (a range, a StandOff-free path), the inner loop is not expanded
-// loop-lifted into the chunk — expansion would materialise chunk×inner
-// tuples at once, unbounded by the chunk size. Instead each parent tuple
-// drives a child flworCursor over the inner binding: the child pulls inner
-// tuples in chunks of its own and evaluates the remaining tail loop-lifted
-// per inner chunk, recursively for deeper nests, so the live tuple count
-// stays proportional to ChunkSize at every nesting depth. Bindings that
-// contain StandOff joins stay on the expanded path deliberately — a join in
-// the inner binding wants the chunk-level loop-lifting, not a per-parent-
-// tuple re-run (the per-iteration cost the paper's loop-lifting avoids).
+// Nested loops compound the bound. When the plan's pipeline shape gives the
+// streamed for a flwor-nested level (xqplan.StreamOp: the clause right after
+// it is a for over a StandOff-free sequence the pipeline generates on
+// demand), the inner loop is not expanded loop-lifted into the chunk —
+// expansion would materialise chunk×inner tuples at once, unbounded by the
+// chunk size. Instead each parent tuple drives a child flworCursor over the
+// inner binding: the child pulls inner tuples in chunks of its own and
+// evaluates the remaining tail loop-lifted per inner chunk, recursively for
+// deeper nests, so the live tuple count stays proportional to ChunkSize at
+// every nesting depth.
 //
 // Order-correctness needs no merge: tuples expand in order and where keeps
 // order, so the chunk (and child-cursor) results concatenate into exactly
@@ -48,20 +46,18 @@ type flworCursor struct {
 	rest  []xqast.Clause
 	bind  Reader // stream of the first for clause's binding sequence
 
-	// Nested cursor-valued binding: when rest starts with a streamable for
-	// clause, each tuple of the chunk drives a child cursor over
-	// inner/innerRest instead of expanding into the chunk frame. memo caches
-	// the decision per level: every sibling child cursor shares its parent's
-	// clause suffix, so the classification walk runs once per nesting level,
-	// not once per parent tuple.
-	memo      *nestedDecision
-	inner     *xqast.ForClause
-	innerRest []xqast.Clause
-	child     *flworCursor
-	ti        int // next chunk tuple to drive a child with
+	// bindOp is the pipeline shape of this level's binding sequence; nested
+	// holds the flwor-nested levels below this one. When there is one, each
+	// tuple of the chunk drives a child cursor over nested[0]'s binding
+	// instead of expanding into the chunk frame.
+	bindOp *xqplan.StreamOp
+	nested []*xqplan.StreamOp
+	child  *flworCursor
+	ti     int // next chunk tuple to drive a child with
 	// childFree is the shelved previous child cursor, reset in place for the
-	// next parent tuple (strictly one sibling lives at a time); bindFree is
-	// this cursor's own parked binding cursor across a shelve/reset cycle.
+	// next parent tuple (strictly one sibling lives at a time), its chunk and
+	// seed buffers with it; bindFree is this cursor's own parked binding
+	// cursor across a shelve/reset cycle.
 	childFree *flworCursor
 	bindFree  Cursor
 
@@ -80,32 +76,19 @@ type flworCursor struct {
 	err     error
 }
 
-func newFLWORCursor(x *executor, v *xqast.FLWOR, f *xqeval.Frame) *flworCursor {
-	return &flworCursor{x: x, v: v, clauses: v.Clauses, root: true, f: f, memo: &nestedDecision{}}
+// newFLWORCursor builds the root cursor of the FLWOR v, whose pipeline
+// shape is op.
+func newFLWORCursor(x *executor, op *xqplan.StreamOp, v *xqast.FLWOR, f *xqeval.Frame) *flworCursor {
+	return &flworCursor{x: x, v: v, clauses: v.Clauses, root: true, f: f,
+		bindOp: op.Children[0], nested: op.Children[1:]}
 }
 
-// newChildCursor builds the cursor of one nested for level: clauses is the
-// suffix starting at the nested for clause, f the single-tuple frame of the
-// parent binding, memo the level's shared decision cache.
-func newChildCursor(x *executor, v *xqast.FLWOR, clauses []xqast.Clause, f *xqeval.Frame, memo *nestedDecision) *flworCursor {
-	return &flworCursor{x: x, v: v, clauses: clauses, f: f, memo: memo}
-}
-
-// nestedDecision caches one nesting level's cursor-valued-binding decision.
-// A cursor and all its sibling cursors (children of one parent, one per
-// parent tuple) share the same clause suffix, so the first sibling decides
-// and the rest reuse — the classification walk is per level, not per tuple.
-type nestedDecision struct {
-	decided   bool
-	inner     *xqast.ForClause
-	innerRest []xqast.Clause
-	child     *nestedDecision // the next level's cache, set when inner is
-
-	// chunkBuf recycles the binding-tuple chunk buffer across the level's
-	// sibling cursors (one per parent tuple, strictly one live at a time —
-	// and a closed sibling has been fully drained, so every batch that could
-	// alias the buffer was consumed before the next sibling overwrites it).
-	chunkBuf []xqeval.Item
+// newChild builds the cursor of the next nested for level: its clauses are
+// the suffix starting at the nested for clause, f the single-tuple frame of
+// the parent binding.
+func (c *flworCursor) newChild(f *xqeval.Frame) *flworCursor {
+	return &flworCursor{x: c.x, v: c.v, clauses: c.rest, f: f,
+		bindOp: c.nested[0].Children[0], nested: c.nested[1:]}
 }
 
 // init evaluates the let clauses preceding this level's for clause (they see
@@ -132,53 +115,14 @@ func (c *flworCursor) init() {
 			c.f = f
 			c.first = cl
 			c.rest = c.clauses[i+1:]
-			c.bind = NewReader(c.x.buildReuse(cl.Seq, f, c.bindFree))
+			c.bind = NewReader(c.x.buildReuse(c.bindOp, f, c.bindFree))
 			c.bindFree = nil
-			c.initNested()
 			return
 		}
 	}
-	// Unreachable at the root (streamableFLWOR guaranteed a for clause);
-	// children always start at one.
+	// Unreachable at the root (the plan streams a FLWOR only with a for
+	// clause); children always start at one.
 	c.done = true
-}
-
-// initNested engages the cursor-valued-binding mode: an immediately
-// following for clause over a streamable binding makes each parent tuple
-// drive a child cursor.
-func (c *flworCursor) initNested() {
-	m := c.memo
-	if !m.decided {
-		m.decided = true
-		if len(c.rest) > 0 {
-			if fc, ok := c.rest[0].(*xqast.ForClause); ok && streamableBinding(fc.Seq) {
-				m.inner, m.innerRest = fc, c.rest[1:]
-				m.child = &nestedDecision{}
-			}
-		}
-	}
-	c.inner, c.innerRest = m.inner, m.innerRest
-}
-
-// streamableBinding reports whether a nested for clause's binding sequence
-// should drive a child cursor: a form the pipeline generates on demand
-// (range, sequence, path, nested FLWOR) that evaluates no StandOff join —
-// joins want the chunk-level loop-lifting of the expanded path.
-func streamableBinding(e xqast.Expr) bool {
-	if xqplan.ContainsStandOff(e) {
-		return false
-	}
-	switch v := e.(type) {
-	case *xqast.Binary:
-		return v.Op == "to" || v.Op == ","
-	case *xqast.Enclosed:
-		return streamableBinding(v.X)
-	case *xqast.Path:
-		return true
-	case *xqast.FLWOR:
-		return streamableFLWOR(v)
-	}
-	return false
 }
 
 // nextChunk pulls up to one chunk of binding tuples. In expanded mode it
@@ -198,12 +142,6 @@ func (c *flworCursor) nextChunk() {
 	if c.err = c.x.ctx.Err(); c.err != nil {
 		return
 	}
-	if c.chunk == nil && c.memo != nil {
-		// Adopt the level's recycled chunk buffer (returned on Close). The
-		// previous sibling was drained before this cursor started, so its
-		// contents are dead.
-		c.chunk, c.memo.chunkBuf = c.memo.chunkBuf, nil
-	}
 	c.chunk = c.chunk[:0]
 	c.ti = 0
 	c.chunk = c.bind.Fill(c.chunk, c.x.cfg.ChunkSize)
@@ -215,7 +153,7 @@ func (c *flworCursor) nextChunk() {
 		c.done = true
 		return
 	}
-	if c.inner != nil {
+	if len(c.nested) > 0 {
 		c.basePos += int64(len(c.chunk))
 		return
 	}
@@ -257,7 +195,7 @@ func (c *flworCursor) startChild() {
 		ch.reset(nf)
 		c.child = ch
 	} else {
-		c.child = newChildCursor(c.x, c.v, c.rest, nf, c.memo.child)
+		c.child = c.newChild(nf)
 	}
 }
 
@@ -276,7 +214,7 @@ func (c *flworCursor) retireChild() {
 
 // shelve deactivates a child cursor for in-place reuse: its own scopes
 // close, the binding cursor parks for a reset rebuild, and the chunk/seed
-// buffers and decision memo stay attached to the struct.
+// buffers stay attached to the struct.
 func (c *flworCursor) shelve() {
 	c.started, c.done = true, true
 	if c.child != nil { // error paths can leave a grandchild active
@@ -295,14 +233,13 @@ func (c *flworCursor) shelve() {
 }
 
 // reset re-arms a shelved child under a fresh parent-tuple frame; clause
-// structure, chunk and seed buffers, the decision memo, the parked binding
+// structure, pipeline shape, chunk and seed buffers, the parked binding
 // cursor, and any deeper shelved descendants all carry over.
 func (c *flworCursor) reset(f *xqeval.Frame) {
 	c.f = f
 	c.started, c.done = false, false
 	c.err = nil
 	c.first, c.rest = nil, nil
-	c.inner, c.innerRest = nil, nil
 	c.ti = 0
 	c.basePos = 0
 	c.out = nil
@@ -323,7 +260,7 @@ func (c *flworCursor) NextBatch() Batch {
 			c.retireChild()
 			continue
 		}
-		if c.inner != nil && c.ti < len(c.chunk) {
+		if len(c.nested) > 0 && c.ti < len(c.chunk) {
 			c.startChild()
 			continue
 		}
@@ -344,9 +281,6 @@ func (c *flworCursor) Close() {
 	// Close must not resurrect the pipeline by running init.
 	c.started, c.done = true, true
 	c.out = nil
-	if c.memo != nil && c.chunk != nil && c.memo.chunkBuf == nil {
-		c.memo.chunkBuf = c.chunk // recycle for the next sibling cursor
-	}
 	c.chunk, c.ti, c.seed = nil, 0, nil
 	if c.child != nil {
 		c.child.Close()

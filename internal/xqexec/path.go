@@ -1,27 +1,29 @@
 package xqexec
 
 import (
+	"soxq/internal/tree"
 	"soxq/internal/xqast"
 	"soxq/internal/xqeval"
 	"soxq/internal/xqplan"
 )
 
 // pathCursor pipelines a path expression in one of two ways. The steps before
-// the path's trailing run of Chunked steps (xqplan.StepPlan.Chunked:
-// predicate-free StandOff select steps) evaluate in bulk exactly as the
-// materialising path does. The trailing Chunked steps run as chained
-// standoffCursor stages: each joins its context one chunk of areas at a time,
-// puts the chunk matches in document order through the watermark-gated
-// pending-pre set, and hands its pres (12 bytes per intermediate row, never an item sequence)
-// to the next stage's start-sorted context. If the path ends in a Chunked
-// step, the last stage's batches are the path's; otherwise the final step
-// runs in bulk over the drained chain and its result leaves as one batch.
-// A Chunked step whose context spans documents runs in bulk too, and the
-// chain restarts after it.
+// the plan's cut (xqplan.StreamOp.Cut: the path's trailing run of Chunked
+// steps, predicate-free StandOff select steps, and its final step) evaluate
+// in bulk exactly as the materialising path does. The trailing Chunked steps
+// run as chained standoffCursor stages: each joins its context one chunk of
+// areas at a time, puts the chunk matches in document order through the
+// watermark-gated pending-pre set, and hands its pres (12 bytes per
+// intermediate row, never an item sequence) to the next stage's
+// start-sorted context. If the path ends in a Chunked step, the last stage's
+// batches are the path's; otherwise the final step runs in bulk over the
+// drained chain and its result leaves as one batch. A Chunked step whose
+// context spans trees runs in bulk too, and the chain restarts after it.
 type pathCursor struct {
-	x *executor
-	p *xqast.Path
-	f *xqeval.Frame
+	x   *executor
+	p   *xqast.Path
+	cut int // the first step of the streamed suffix
+	f   *xqeval.Frame
 
 	started bool
 	err     error
@@ -43,40 +45,29 @@ type pathCursor struct {
 
 func (c *pathCursor) init() {
 	c.started = true
-	ctxSeq, steps, err := c.x.ev.PathPrefixStream(c.p, c.f)
+	ctxSeq, err := c.x.ev.PathPrefix(c.p, c.f, c.cut)
 	if err != nil {
 		c.err = err
 		return
 	}
 	g := ctxSeq.Group(0)
-	if len(steps) > 0 && steps[0].Chunked() {
-		for _, it := range g {
-			if !it.IsNode() {
-				// The bulk step rejects atomic context items before joining;
-				// fail identically before any streaming starts. Step outputs
-				// are always nodes, so the check never recurs.
-				c.err = c.x.ev.EvalStepTypeError()
+	var up *standoffCursor
+	for _, sp := range c.x.ev.Plan.Program(c.p)[c.cut:] {
+		if sp.Chunked() {
+			var st *standoffCursor
+			if up != nil {
+				st, err = newStageFromUpstream(c.x, sp, up)
+			} else if d, pres, ok := treePres(g); ok {
+				st, err = newStandoffCursorFromPres(c.x, sp, d, pres, len(g))
+			}
+			if err != nil {
+				c.err = err
 				return
 			}
-		}
-	}
-	var up *standoffCursor
-	for _, sp := range steps {
-		var st *standoffCursor
-		switch {
-		case !sp.Chunked(): // only ever the final step
-		case up != nil:
-			st, err = newStageFromUpstream(c.x, sp, up)
-		default:
-			st, err = newStandoffCursor(c.x, sp, g)
-		}
-		if err != nil {
-			c.err = err
-			return
-		}
-		if st != nil {
-			up = st
-			continue
+			if st != nil {
+				up = st
+				continue
+			}
 		}
 		if up != nil {
 			// Materialise the chain output: exactly the context the bulk
@@ -100,6 +91,30 @@ func (c *pathCursor) init() {
 	}
 }
 
+// treePres turns the item context of a chunked stage into the pres of the
+// one tree it lies in. The join partitions its context per document and per
+// fragment of a container, so a context spanning trees runs the step in
+// bulk (ok is false), and so does one holding an atomic value, which the
+// bulk step rejects. Attribute nodes can never match and are dropped.
+func treePres(g []xqeval.Item) (d *tree.Doc, pres []int32, ok bool) {
+	var root int32
+	pres = make([]int32, 0, len(g))
+	for _, it := range g {
+		switch {
+		case !it.IsNode():
+			return nil, nil, false
+		case it.Kind != xqeval.KNode:
+			continue
+		case d == nil:
+			d, root = it.D, it.D.FragmentRoot(it.Pre)
+		case it.D != d || it.D.FragmentRoot(it.Pre) != root:
+			return nil, nil, false
+		}
+		pres = append(pres, it.Pre)
+	}
+	return d, pres, true
+}
+
 // newStageFromUpstream drains the upstream stage into a pres context — 12
 // bytes per row, never a materialised item sequence — and builds the next
 // chunked stage over it. The drain is what composition costs: a chunked
@@ -116,7 +131,7 @@ func newStageFromUpstream(x *executor, sp *xqplan.StepPlan, up *standoffCursor) 
 	if err := up.Err(); err != nil {
 		return nil, err
 	}
-	return newStandoffCursorFromPres(x, sp, d, pres)
+	return newStandoffCursorFromPres(x, sp, d, pres, len(pres))
 }
 
 func (c *pathCursor) NextBatch() Batch {

@@ -93,56 +93,15 @@ type soCtx struct {
 	pre   int32
 }
 
-// newStandoffCursor builds the chunked cursor for a StandOff select final
-// step over the evaluated context g. It returns (nil, nil) when the context
-// is not chunkable — nodes of more than one tree (the join partitions per
-// document and per fragment of a container; the bulk step handles that) —
-// and the caller falls back to the bulk step. Non-area and attribute context
-// nodes can never match and are dropped from the chunk stream.
-func newStandoffCursor(x *executor, sp *xqplan.StepPlan, g []xqeval.Item) (*standoffCursor, error) {
-	var d *tree.Doc
-	var root int32
-	for _, it := range g {
-		if it.Kind != xqeval.KNode {
-			continue
-		}
-		if d == nil {
-			d, root = it.D, it.D.FragmentRoot(it.Pre)
-		} else if it.D != d || it.D.FragmentRoot(it.Pre) != root {
-			return nil, nil
-		}
-	}
-	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(g)), chunk: x.cfg.ChunkSize}
-	if d == nil {
+// newStandoffCursorFromPres builds the chunked cursor of a StandOff select
+// step over a context of pres of the one tree of d that pres[0] lies in: the
+// path cursor's context, or an upstream chain stage's drained output. in is
+// the whole context's row count, for the step's ANALYZE record.
+func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32, in int) (*standoffCursor, error) {
+	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(in), chunk: x.cfg.ChunkSize}
+	if len(pres) == 0 {
 		// No element context at all: the step is empty, but still streams
 		// (and still reports its ANALYZE row counts).
-		return c, nil
-	}
-	so, err := x.ev.NewStandOffStream(sp, d, root)
-	if err != nil {
-		return nil, err
-	}
-	if so == nil {
-		return c, nil // no candidate can ever match: empty stream
-	}
-	c.so, c.d, c.pend.lo = so, so.Doc(), so.MinPre()
-	c.ctx = make([]soCtx, 0, len(g))
-	for _, it := range g {
-		if s, ok := so.CtxStart(it); ok {
-			c.ctx = append(c.ctx, soCtx{start: s, pre: it.Pre})
-		}
-	}
-	sortCtxByStart(c.ctx)
-	return c, nil
-}
-
-// newStandoffCursorFromPres builds the chunked select cursor over an
-// upstream chain stage's drained output: pres of a single tree, already
-// deduplicated and in document order. Unlike the item form this never fails
-// over to the bulk step — a single tree is guaranteed by construction.
-func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32) (*standoffCursor, error) {
-	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(len(pres)), chunk: x.cfg.ChunkSize}
-	if d == nil || len(pres) == 0 {
 		return c, nil
 	}
 	so, err := x.ev.NewStandOffStream(sp, d, d.FragmentRoot(pres[0]))
@@ -150,15 +109,15 @@ func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pr
 		return nil, err
 	}
 	if so == nil {
-		return c, nil
+		return c, nil // no candidate can ever match: empty stream
 	}
 	c.so, c.d, c.pend.lo = so, so.Doc(), so.MinPre()
 	c.ctx = ctxFromPres(so, pres)
 	return c, nil
 }
 
-// ctxFromPres builds the start-sorted context table from bare pres (the
-// composed-cursor handoff). Pres without regions can never match and drop.
+// ctxFromPres builds the start-sorted context table from bare pres. Pres
+// without regions can never match and drop.
 func ctxFromPres(so *xqeval.StandOffStream, pres []int32) []soCtx {
 	ctx := make([]soCtx, 0, len(pres))
 	for _, pre := range pres {
@@ -166,12 +125,8 @@ func ctxFromPres(so *xqeval.StandOffStream, pres []int32) []soCtx {
 			ctx = append(ctx, soCtx{start: s, pre: pre})
 		}
 	}
-	sortCtxByStart(ctx)
-	return ctx
-}
-
-func sortCtxByStart(ctx []soCtx) {
 	slices.SortFunc(ctx, func(a, b soCtx) int { return cmp.Compare(a.start, b.start) })
+	return ctx
 }
 
 // refill processes context chunks until at least one pending pre is proven

@@ -14,8 +14,7 @@ import (
 // structure included, not just paths — the flat per-path step list, and the
 // streaming pipeline shape. Built by Plan.Explain (compile-time structure
 // only) or Plan.ExplainWith (plus the observed counters of one execution:
-// EXPLAIN ANALYZE); the engine attaches Stream (xqexec.Describe). See
-// docs/EXPLAIN.md for the full output reference.
+// EXPLAIN ANALYZE). See docs/EXPLAIN.md for the full output reference.
 type Explain struct {
 	// Options renders the effective stand-off options the plan was
 	// compiled under.
@@ -31,8 +30,9 @@ type Explain struct {
 	// filters).
 	Paths []PathExplain
 	// Stream is the pipeline shape a Stream (or Exec, which drains the
-	// same pipeline) would execute: per top-level operator, whether it is
-	// pipelined or materialised and why.
+	// same pipeline) executes: per top-level operator, whether it is
+	// pipelined or materialised and why. It is a copy of the shape the
+	// executor builds from (Plan.Stream).
 	Stream *StreamOp
 }
 
@@ -94,8 +94,9 @@ type StepExplain struct {
 	NoPushPolicy string
 }
 
-// StreamOp is one operator of the pipeline a plan would stream through
-// (xqexec.Describe): whether it is pipelined or materialised, and why.
+// StreamOp is one operator of the pipeline a plan streams through, decided
+// at compile time (stream.go): whether it is pipelined or materialised, and
+// why.
 type StreamOp struct {
 	// Op names the operator: "flwor", "flwor-nested", "path", "seq",
 	// "range", "materialise".
@@ -106,8 +107,12 @@ type StreamOp struct {
 	// Detail explains the decision (what streams, or why it cannot).
 	Detail string
 	// Children are the operator's streamed inputs (a flwor's binding
+	// stream and its flwor-nested levels, a flwor-nested level's binding
 	// stream, a seq's operands).
 	Children []*StreamOp
+
+	expr xqast.Expr // the expression the operator runs
+	cut  int        // a path's first streamed step (Cut)
 }
 
 // Explain returns the structured description of the plan's compiled form
@@ -118,7 +123,7 @@ func (p *Plan) Explain() *Explain { return p.ExplainWith(nil) }
 // the observed per-operator counters of the execution st collected —
 // EXPLAIN ANALYZE.
 func (p *Plan) ExplainWith(st *ExecStats) *Explain {
-	ex := &Explain{Options: p.opts.String(), Analyzed: st != nil}
+	ex := &Explain{Options: p.opts.String(), Analyzed: st != nil, Stream: p.stream.clone()}
 	for _, path := range p.paths {
 		var pe PathExplain
 		for _, sp := range p.programs[path] {

@@ -6,7 +6,8 @@
 // axis with the // fusion applied, the node test, and the stand-off
 // classification with the section 3.3 candidate-pushdown decision. Every
 // StandOff step runs the Loop-Lifted join unless the execution forces a
-// baseline (Basic or the naive UDF join).
+// baseline (Basic or the naive UDF join). Last, the body's pipeline shape is
+// decided (stream.go): which operator streams, and how.
 //
 // A Plan carries no mutable state besides per-step memo tables of compiled
 // node tests and no references to documents or indexes, so one Plan can back
@@ -143,6 +144,7 @@ type Plan struct {
 	declOrder []*xqast.FunctionDecl // declaration order, for deterministic EXPLAIN
 	programs  map[*xqast.Path]Program
 	paths     []*xqast.Path // discovery order, for deterministic EXPLAIN
+	stream    *StreamOp     // the body's pipeline shape (stream.go)
 }
 
 // Compile builds a Plan from a parsed module. base is the engine-wide option
@@ -195,6 +197,8 @@ func Compile(m *xqast.Module, base core.Options) (*Plan, error) {
 	p.pass(m.Body)
 	p.body = m.Body
 	p.globals = m.Variables
+	// (4) Decide the body's pipeline shape over the compiled programs.
+	p.stream = p.streamOp(m.Body)
 	return p, nil
 }
 

@@ -7,13 +7,12 @@ import (
 	"soxq/internal/xqast"
 )
 
-// ContainsStandOff reports whether e can evaluate a StandOff join: a path
+// containsStandOff reports whether e can evaluate a StandOff join: a path
 // step (or step predicate, or nested expression) with a StandOff axis, or a
 // call into a user-defined or so: function whose body this walk cannot see
-// (treated conservatively as containing one). The executor's nested-cursor
-// gate uses it at execution time over the shared immutable plan, so the
-// walk must be strictly read-only.
-func ContainsStandOff(e xqast.Expr) bool {
+// (treated conservatively as containing one). The pipeline shape's
+// nested-cursor decision uses it.
+func containsStandOff(e xqast.Expr) bool {
 	return anyExpr(e, func(x xqast.Expr) bool {
 		switch v := x.(type) {
 		case *xqast.Path:

@@ -6,7 +6,7 @@ import (
 	"soxq/internal/xqparse"
 )
 
-// TestContainsStandOff pins the execution-time classifier: StandOff axes
+// TestContainsStandOff pins the nested-cursor classifier: StandOff axes
 // anywhere under the expression (including predicates) count, user/extension
 // function calls are conservatively treated as containing one, and plain
 // tree-axis forms do not.
@@ -29,8 +29,8 @@ func TestContainsStandOff(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.q, err)
 		}
-		if got := ContainsStandOff(m.Body); got != c.want {
-			t.Errorf("ContainsStandOff(%q) = %v, want %v", c.q, got, c.want)
+		if got := containsStandOff(m.Body); got != c.want {
+			t.Errorf("containsStandOff(%q) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }

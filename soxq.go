@@ -427,7 +427,7 @@ func (p *Prepared) Analyze(cfg Config) (*Result, *PlanExplain, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, p.explainWith(c.ro.st), nil
+	return res, p.plan.ExplainWith(c.ro.st), nil
 }
 
 // Query runs an XQuery with the default configuration, reusing a cached

@@ -118,6 +118,31 @@ func TestStreamExecEquivalence(t *testing.T) {
 	}
 }
 
+// TestRangeTooLarge pins the range-size limit at the edges of the integer
+// range, where hi-lo overflows an int64: Exec and Stream both reject each
+// range as too large, as a bare range, under count and bound by a for.
+func TestRangeTooLarge(t *testing.T) {
+	eng := streamEngine(t)
+	for _, r := range []string{`-1 to 9223372036854775807`, `-9223372036854775807 to 9223372036854775807`} {
+		for _, q := range []string{r, `count(` + r + `)`, `for $i in ` + r + ` return $i`} {
+			prep, err := eng.Prepare(q)
+			if err != nil {
+				t.Fatalf("prepare %q: %v", q, err)
+			}
+			_, execErr := prep.Exec(Config{})
+			cur, streamErr := prep.Stream(Config{})
+			if streamErr == nil {
+				_, streamErr = drainStream(cur)
+			}
+			for _, err := range []error{execErr, streamErr} {
+				if err == nil || !strings.Contains(err.Error(), "XPTY0004") || !strings.Contains(err.Error(), "too large") {
+					t.Errorf("%q: err %v, want XPTY0004 too large", q, err)
+				}
+			}
+		}
+	}
+}
+
 // TestStreamLargeLoopConcurrent pins the equivalence on a loop of many
 // chunks, streaming and draining from several goroutines at once over one
 // shared Prepared — the -race test of the concurrency contract.

@@ -244,7 +244,7 @@ func (ro *runObs) finish() {
 			Mode:  ro.mode,
 			Start: ro.start,
 			Nanos: nanos,
-			Plan:  ro.p.explainWith(st).String(),
+			Plan:  ro.p.plan.ExplainWith(st).String(),
 		}
 		if tr != nil {
 			entry.Trace = tr.Render(false)

@@ -65,7 +65,7 @@ func (p *Prepared) TraceLast() *QueryTrace {
 // instrumentation points, so its counts agree with Analyze's by
 // construction.
 func (p *Prepared) buildTrace(mode string, start time.Time, nanos int64, st *xqplan.ExecStats) *obs.QueryTrace {
-	pe := p.explainWith(st)
+	pe := p.plan.ExplainWith(st)
 	root := &obs.Span{Name: "query"}
 
 	parse := root.Child("parse")
