@@ -177,6 +177,13 @@ func TestEvalBasics(t *testing.T) {
 		// A length past the int range clamps instead of wrapping.
 		{`substring("abcdef", 2, 1E300)`, `bcdef`},
 		{`substring("abcdef", 2, 9223372036854775807)`, `bcdef`},
+		{`substring("12345", number("-INF"), number("INF"))`, ``},
+		{`substring("abcdef", number("x"))`, ``},
+		{`substring("12345", -42, number("INF"))`, `12345`},
+		{`substring("12345", 1.5, 2.6)`, `234`},
+		{`substring("12345", 0, 3)`, `12`},
+		{`substring("12345", 5, -3)`, ``},
+		{`substring("12345", number("x"), 3)`, ``},
 		{`string-length("héllo")`, `5`},
 		{`normalize-space("  a   b ")`, `a b`},
 		{`upper-case("abç")`, `ABÇ`},

@@ -384,20 +384,18 @@ func (ev *Evaluator) callBuiltin(name, local string, args []LLSeq, f *frame) (LL
 		for i := 0; i < f.n; i++ {
 			s := []rune(optString(args[0].Group(i)))
 			startF, _ := singletonFloat(args[1].Group(i))
-			length := math.Inf(1)
-			if arity == 3 {
-				length, _ = singletonFloat(args[2].Group(i))
-			}
 			// The characters at positions p with round(start) <= p <
 			// round(start) + round(length), clamped to the string in float:
-			// a bound past the int range must not wrap.
+			// a bound past the int range must not wrap. A NaN start admits
+			// no position, and so does -INF + INF; a NaN bound clamps to 0.
 			first := math.Round(startF)
 			lo := clampRunes(first-1, len(s))
 			hi := len(s)
-			if !math.IsInf(length, 1) {
+			if arity == 3 {
+				length, _ := singletonFloat(args[2].Group(i))
 				hi = clampRunes(first-1+math.Round(length), len(s))
 			}
-			if lo >= hi {
+			if math.IsNaN(first) || lo >= hi {
 				b.add(Str(""))
 				continue
 			}

@@ -57,8 +57,11 @@ func (c *pathCursor) init() {
 			var st *standoffCursor
 			if up != nil {
 				st, err = newStageFromUpstream(c.x, sp, up)
-			} else if d, pres, ok := treePres(g); ok {
-				st, err = newStandoffCursorFromPres(c.x, sp, d, pres, len(g))
+			} else if d, root, ok := treeOf(g); ok {
+				st, err = newStandoffCursor(c.x, sp, d, root, len(g), func(i int) (int32, bool) {
+					// Attribute nodes can never match.
+					return g[i].Pre, g[i].Kind == xqeval.KNode
+				})
 			}
 			if err != nil {
 				c.err = err
@@ -91,28 +94,24 @@ func (c *pathCursor) init() {
 	}
 }
 
-// treePres turns the item context of a chunked stage into the pres of the
-// one tree it lies in. The join partitions its context per document and per
-// fragment of a container, so a context spanning trees runs the step in
-// bulk (ok is false), and so does one holding an atomic value, which the
-// bulk step rejects. Attribute nodes can never match and are dropped.
-func treePres(g []xqeval.Item) (d *tree.Doc, pres []int32, ok bool) {
-	var root int32
-	pres = make([]int32, 0, len(g))
+// treeOf reports the one tree the item context of a chunked stage lies in:
+// its document and fragment root, d nil when it holds no element. The join
+// partitions its context per document and per fragment of a container, so a
+// context spanning trees runs the step in bulk (ok is false), and so does one
+// holding an atomic value, which the bulk step rejects.
+func treeOf(g []xqeval.Item) (d *tree.Doc, root int32, ok bool) {
 	for _, it := range g {
 		switch {
 		case !it.IsNode():
-			return nil, nil, false
+			return nil, 0, false
 		case it.Kind != xqeval.KNode:
-			continue
 		case d == nil:
 			d, root = it.D, it.D.FragmentRoot(it.Pre)
 		case it.D != d || it.D.FragmentRoot(it.Pre) != root:
-			return nil, nil, false
+			return nil, 0, false
 		}
-		pres = append(pres, it.Pre)
 	}
-	return d, pres, true
+	return d, root, true
 }
 
 // newStageFromUpstream drains the upstream stage into a pres context — 12
@@ -126,12 +125,17 @@ func newStageFromUpstream(x *executor, sp *xqplan.StepPlan, up *standoffCursor) 
 	for b := up.NextBatch(); b.Len() > 0; b = up.NextBatch() {
 		pres = append(pres, b.Pres...)
 	}
-	d := up.d
+	d, root := up.d, int32(0)
 	up.Close()
 	if err := up.Err(); err != nil {
 		return nil, err
 	}
-	return newStandoffCursorFromPres(x, sp, d, pres, len(pres))
+	if len(pres) == 0 {
+		d = nil
+	} else {
+		root = d.FragmentRoot(pres[0])
+	}
+	return newStandoffCursor(x, sp, d, root, len(pres), func(i int) (int32, bool) { return pres[i], true })
 }
 
 func (c *pathCursor) NextBatch() Batch {

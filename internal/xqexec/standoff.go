@@ -93,18 +93,19 @@ type soCtx struct {
 	pre   int32
 }
 
-// newStandoffCursorFromPres builds the chunked cursor of a StandOff select
-// step over a context of pres of the one tree of d that pres[0] lies in: the
-// path cursor's context, or an upstream chain stage's drained output. in is
-// the whole context's row count, for the step's ANALYZE record.
-func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pres []int32, in int) (*standoffCursor, error) {
-	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(in), chunk: x.cfg.ChunkSize}
-	if len(pres) == 0 {
+// newStandoffCursor builds the chunked cursor of a StandOff select step over
+// a context of n rows, all of the tree of d rooted at root: the path cursor's
+// items, or an upstream chain stage's drained pres. pre returns row i's pre
+// and whether it is an element that may match; d is nil when no row is. n is
+// also the step's ANALYZE in= count.
+func newStandoffCursor(x *executor, sp *xqplan.StepPlan, d *tree.Doc, root int32, n int, pre func(i int) (int32, bool)) (*standoffCursor, error) {
+	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(n), chunk: x.cfg.ChunkSize}
+	if d == nil {
 		// No element context at all: the step is empty, but still streams
 		// (and still reports its ANALYZE row counts).
 		return c, nil
 	}
-	so, err := x.ev.NewStandOffStream(sp, d, d.FragmentRoot(pres[0]))
+	so, err := x.ev.NewStandOffStream(sp, d, root)
 	if err != nil {
 		return nil, err
 	}
@@ -112,21 +113,18 @@ func newStandoffCursorFromPres(x *executor, sp *xqplan.StepPlan, d *tree.Doc, pr
 		return c, nil // no candidate can ever match: empty stream
 	}
 	c.so, c.d, c.pend.lo = so, so.Doc(), so.MinPre()
-	c.ctx = ctxFromPres(so, pres)
-	return c, nil
-}
-
-// ctxFromPres builds the start-sorted context table from bare pres. Pres
-// without regions can never match and drop.
-func ctxFromPres(so *xqeval.StandOffStream, pres []int32) []soCtx {
-	ctx := make([]soCtx, 0, len(pres))
-	for _, pre := range pres {
-		if s, ok := so.CtxStartPre(pre); ok {
-			ctx = append(ctx, soCtx{start: s, pre: pre})
+	// The start-sorted context table. Pres without regions can never match
+	// and drop.
+	c.ctx = make([]soCtx, 0, n)
+	for i := range n {
+		if p, ok := pre(i); ok {
+			if s, ok := so.CtxStartPre(p); ok {
+				c.ctx = append(c.ctx, soCtx{start: s, pre: p})
+			}
 		}
 	}
-	slices.SortFunc(ctx, func(a, b soCtx) int { return cmp.Compare(a.start, b.start) })
-	return ctx
+	slices.SortFunc(c.ctx, func(a, b soCtx) int { return cmp.Compare(a.start, b.start) })
+	return c, nil
 }
 
 // refill processes context chunks until at least one pending pre is proven

@@ -104,15 +104,17 @@ type StreamOp struct {
 	// Pipelined reports whether the operator streams its output; a false
 	// value means the operator materialises and Detail says why.
 	Pipelined bool
-	// Detail explains the decision (what streams, or why it cannot).
+	// Detail explains the decision (what streams, or why it cannot); only
+	// Explain's copy carries it.
 	Detail string
 	// Children are the operator's streamed inputs (a flwor's binding
 	// stream and its flwor-nested levels, a flwor-nested level's binding
 	// stream, a seq's operands).
 	Children []*StreamOp
 
-	expr xqast.Expr // the expression the operator runs
-	cut  int        // a path's first streamed step (Cut)
+	expr  xqast.Expr // the expression the operator runs
+	cut   int        // a path's first streamed step (Cut)
+	bound string     // a flwor-nested level's variable
 }
 
 // Explain returns the structured description of the plan's compiled form
@@ -123,7 +125,7 @@ func (p *Plan) Explain() *Explain { return p.ExplainWith(nil) }
 // the observed per-operator counters of the execution st collected —
 // EXPLAIN ANALYZE.
 func (p *Plan) ExplainWith(st *ExecStats) *Explain {
-	ex := &Explain{Options: p.opts.String(), Analyzed: st != nil, Stream: p.stream.clone()}
+	ex := &Explain{Options: p.opts.String(), Analyzed: st != nil, Stream: p.explainStream(p.stream)}
 	for _, path := range p.paths {
 		var pe PathExplain
 		for _, sp := range p.programs[path] {

@@ -15,7 +15,8 @@ import (
 // reported as the condition it is.
 
 // Stream returns the pipeline shape of the plan body, shared by every run of
-// the plan: callers must not change it. Explain carries a copy.
+// the plan: callers must not change it. Its operators carry no Detail;
+// Explain carries a copy with the Detail rendered.
 func (p *Plan) Stream() *StreamOp { return p.stream }
 
 // Expr returns the expression the operator runs (an Enclosed wrapper is
@@ -27,13 +28,15 @@ func (s *StreamOp) Expr() xqast.Expr { return s.expr }
 // step. The steps before it run in bulk.
 func (s *StreamOp) Cut() int { return s.cut }
 
-// clone returns a deep copy of the tree, so that a caller editing an
-// Explain cannot change what the next run builds.
-func (s *StreamOp) clone() *StreamOp {
+// explainStream returns a copy of the tree with each operator's Detail rendered,
+// so that a caller editing an Explain cannot change what the next run builds
+// and a compile that is never explained formats no text.
+func (p *Plan) explainStream(s *StreamOp) *StreamOp {
 	c := *s
+	c.Detail = p.detail(s)
 	c.Children = nil
 	for _, ch := range s.Children {
-		c.Children = append(c.Children, ch.clone())
+		c.Children = append(c.Children, p.explainStream(ch))
 	}
 	return &c
 }
@@ -48,20 +51,28 @@ func (p *Plan) streamOp(e xqast.Expr) *StreamOp {
 	case *xqast.Binary:
 		switch v.Op {
 		case ",":
-			op := &StreamOp{Op: "seq", Pipelined: true, expr: v,
-				Detail: "operands stream one after another"}
+			op := &StreamOp{Op: "seq", Pipelined: true, expr: v}
 			for _, part := range flattenSeqExpr(v) {
 				op.Children = append(op.Children, p.streamOp(part))
 			}
 			return op
 		case "to":
-			return &StreamOp{Op: "range", Pipelined: true, expr: v,
-				Detail: "integers generated on demand"}
+			return &StreamOp{Op: "range", Pipelined: true, expr: v}
 		}
 	case *xqast.Enclosed:
 		return p.streamOp(v.X)
 	}
-	return &StreamOp{Op: "materialise", expr: e, Detail: exprName(e) + " evaluates in full"}
+	return &StreamOp{Op: "materialise", expr: e}
+}
+
+// firstFor returns the index of a FLWOR's first for clause, or -1.
+func firstFor(v *xqast.FLWOR) int {
+	for i, cl := range v.Clauses {
+		if _, ok := cl.(*xqast.ForClause); ok {
+			return i
+		}
+	}
+	return -1
 }
 
 // flworOp streams a FLWOR with a for clause and no order by (a sort needs
@@ -72,28 +83,13 @@ func (p *Plan) streamOp(e xqast.Expr) *StreamOp {
 // chunks, compounding the memory bound. The chain stops at the first clause
 // that expands into the parent's chunk instead.
 func (p *Plan) flworOp(v *xqast.FLWOR) *StreamOp {
-	first := -1
-	for i, cl := range v.Clauses {
-		if _, ok := cl.(*xqast.ForClause); ok {
-			first = i
-			break
-		}
-	}
+	first := firstFor(v)
 	if first < 0 || len(v.OrderBy) > 0 {
-		reason := "no for clause to stream over"
-		if len(v.OrderBy) > 0 {
-			reason = "order by needs every tuple before the first result"
-		}
-		return &StreamOp{Op: "flwor", expr: v, Detail: reason}
+		return &StreamOp{Op: "flwor", expr: v}
 	}
 	fc := v.Clauses[first].(*xqast.ForClause)
-	op := &StreamOp{
-		Op:        "flwor",
-		Pipelined: true,
-		expr:      v,
-		Detail:    "for $" + fc.Var + " tuples stream in chunks; loop body loop-lifted per chunk",
-		Children:  []*StreamOp{p.streamOp(fc.Seq)},
-	}
+	op := &StreamOp{Op: "flwor", Pipelined: true, expr: v,
+		Children: []*StreamOp{p.streamOp(fc.Seq)}}
 	for _, cl := range v.Clauses[first+1:] {
 		fc, ok := cl.(*xqast.ForClause)
 		if !ok || containsStandOff(fc.Seq) {
@@ -105,13 +101,8 @@ func (p *Plan) flworOp(v *xqast.FLWOR) *StreamOp {
 		if !bind.Pipelined && bind.Op != "path" {
 			break
 		}
-		op.Children = append(op.Children, &StreamOp{
-			Op:        "flwor-nested",
-			Pipelined: true,
-			Detail: "inner for $" + fc.Var +
-				" binds a child cursor per parent tuple under bounded chunks; inner tuples stream in chunks of their own",
-			Children: []*StreamOp{bind},
-		})
+		op.Children = append(op.Children, &StreamOp{Op: "flwor-nested", Pipelined: true,
+			bound: fc.Var, Children: []*StreamOp{bind}})
 	}
 	return op
 }
@@ -121,31 +112,61 @@ func (p *Plan) flworOp(v *xqast.FLWOR) *StreamOp {
 // stages. The path streams when its final step is Chunked.
 func (p *Plan) pathOp(v *xqast.Path) *StreamOp {
 	prog := p.Program(v)
+	op := &StreamOp{Op: "path", expr: v}
 	if len(prog) == 0 {
-		return &StreamOp{Op: "path", expr: v, Detail: "no steps"}
+		return op
 	}
-	cut := len(prog) - 1
-	for cut > 0 && prog[cut-1].Chunked() {
-		cut--
+	op.cut = len(prog) - 1
+	for op.cut > 0 && prog[op.cut-1].Chunked() {
+		op.cut--
 	}
-	op := &StreamOp{Op: "path", expr: v, cut: cut}
-	suffix := ""
-	if chain := len(prog) - 1 - cut; chain > 0 {
-		suffix = "; " + strconv.Itoa(chain) + " StandOff prefix step(s) stream through composed pres-based stages"
-	}
-	switch last := prog[len(prog)-1]; {
-	case last.Chunked():
-		op.Pipelined = true
-		op.Detail = "final StandOff step " + last.SO.Op.String() +
-			" streams per context chunk through an ordered dedup merge when the context is single-document" + suffix
-	case len(last.Predicates) > 0:
-		op.Detail = "predicates on the final step re-rank positions per context group" + suffix
-	case last.StandOff:
-		op.Detail = "final StandOff step " + last.SO.Op.String() + " is an anti-join over the whole context and runs in bulk" + suffix
-	default:
-		op.Detail = "final step " + last.Axis.String() + "::" + last.Test.String() + " runs in bulk" + suffix
-	}
+	op.Pipelined = prog[len(prog)-1].Chunked()
 	return op
+}
+
+// detail says why an operator streams or materialises, for EXPLAIN.
+func (p *Plan) detail(s *StreamOp) string {
+	switch s.Op {
+	case "seq":
+		return "operands stream one after another"
+	case "range":
+		return "integers generated on demand"
+	case "flwor-nested":
+		return "inner for $" + s.bound +
+			" binds a child cursor per parent tuple under bounded chunks; inner tuples stream in chunks of their own"
+	case "flwor":
+		v := s.expr.(*xqast.FLWOR)
+		switch first := firstFor(v); {
+		case first < 0:
+			return "no for clause to stream over"
+		case len(v.OrderBy) > 0:
+			return "order by needs every tuple before the first result"
+		default:
+			return "for $" + v.Clauses[first].(*xqast.ForClause).Var +
+				" tuples stream in chunks; loop body loop-lifted per chunk"
+		}
+	case "path":
+		prog := p.Program(s.expr.(*xqast.Path))
+		if len(prog) == 0 {
+			return "no steps"
+		}
+		suffix := ""
+		if chain := len(prog) - 1 - s.cut; chain > 0 {
+			suffix = "; " + strconv.Itoa(chain) + " StandOff prefix step(s) stream through composed pres-based stages"
+		}
+		switch last := prog[len(prog)-1]; {
+		case last.Chunked():
+			return "final StandOff step " + last.SO.Op.String() +
+				" streams per context chunk through an ordered dedup merge when the context is single-document" + suffix
+		case len(last.Predicates) > 0:
+			return "predicates on the final step re-rank positions per context group" + suffix
+		case last.StandOff:
+			return "final StandOff step " + last.SO.Op.String() + " is an anti-join over the whole context and runs in bulk" + suffix
+		default:
+			return "final step " + last.Axis.String() + "::" + last.Test.String() + " runs in bulk" + suffix
+		}
+	}
+	return exprName(s.expr) + " evaluates in full"
 }
 
 // exprName gives a friendly name for a materialised expression form.
