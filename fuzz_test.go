@@ -119,6 +119,13 @@ func fuzzQueries(r *rand.Rand) []string {
 	qs = append(qs,
 		fmt.Sprintf(`doc("f.xml")//%s/%s::%s[@start < %d]`, layer(), sel[r.Intn(2)], layer(), r.Intn(1000)),
 		fmt.Sprintf(`doc("f.xml")//%s/%s::%s[@end >= %d][1]`, layer(), sel[r.Intn(2)], layer(), r.Intn(1000)))
+	// A //N context feeding a chunked select step, which the first stage
+	// reads from the region index by name (xqplan.StreamOp.ByName), alone
+	// and chained; note has no region anywhere.
+	qs = append(qs,
+		fmt.Sprintf(`doc("f.xml")//%s/select-narrow::%s`, layer(), layer()),
+		fmt.Sprintf(`doc("f.xml")//%s/select-wide::%s/%s::%s`, layer(), layer(), sel[r.Intn(2)], layer()),
+		fmt.Sprintf(`doc("f.xml")//note/select-wide::%s`, layer()))
 	return qs
 }
 
@@ -304,6 +311,11 @@ func fuzzRegionQueries(r *rand.Rand) []string {
 			layer(), axis(), layer(), id(), id()),
 		fmt.Sprintf(`for $a in doc("f.xml")//%s return <r>{ $a/%s::*[1]/%s::%s[1] }</r>`, layer(), axis(), axis(), layer()),
 	}
+	// The by-name context of a chunked select step, over multi-region
+	// context areas.
+	qs = append(qs,
+		fmt.Sprintf(`doc("f.xml")//%s/select-narrow::%s`, layer(), layer()),
+		fmt.Sprintf(`doc("f.xml")//%s/select-wide::%s`, layer(), layer()))
 	for i, q := range qs {
 		qs[i] = `declare option standoff-region "region"; ` + q
 	}

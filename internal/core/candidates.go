@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"soxq/internal/interval"
 )
 
 // Candidates is the candidate sequence of a StandOff join (sections 3.2 and
@@ -200,6 +202,55 @@ func (ix *RegionIndex) candidatesFrom(live []int32) *Candidates {
 	}
 	c.bStart, c.bEnd, c.bID = sortedCols(rows)
 	return c
+}
+
+// ContextAreas returns the areas among the nodes pres as a context of
+// MatchAreas, each node's regions looked up once; a node that is not an
+// area-annotation drops. Areas of equal bounds keep the order of pres, so
+// pres in document order give a by-name view's order.
+func (ix *RegionIndex) ContextAreas(pres []int32) Areas {
+	rows := make([]row, 0, len(pres))
+	var regs [][]interval.Region
+	if ix.multiRegion {
+		regs = make([][]interval.Region, len(pres))
+	}
+	multi := false
+	for i, p := range pres {
+		r := ix.RegionsOf(p)
+		if len(r) == 0 {
+			continue
+		}
+		rows = append(rows, row{r[0].Start, r[len(r)-1].End, int32(i)}) // id: the position in pres
+		if regs != nil {
+			regs[i], multi = r, multi || len(r) > 1
+		}
+	}
+	var a Areas
+	a.Start, a.End, a.Pre = sortedCols(rows)
+	if multi {
+		a.Regs = make([][]interval.Region, len(a.Pre))
+	}
+	for j, i := range a.Pre {
+		if multi {
+			a.Regs[j] = regs[i]
+		}
+		a.Pre[j] = pres[i]
+	}
+	return a
+}
+
+// ViewAreas returns the areas of a candidate view as a context of
+// MatchAreas: its bounds rows as they are, with each area's regions looked
+// up only when some area has several.
+func (ix *RegionIndex) ViewAreas(c *Candidates) Areas {
+	a := Areas{Start: c.bStart, End: c.bEnd, Pre: c.bID}
+	if len(c.rID) != len(c.areas) {
+		a.Regs = make([][]interval.Region, len(c.bID))
+		for i, p := range c.bID {
+			a.Regs[i] = ix.RegionsOf(p)
+		}
+	}
+	return a
 }
 
 // AttrOrder is the value ordering of one attribute over the areas of one

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"soxq/internal/interval"
 )
 
 // Op selects one of the four StandOff joins of section 3.1.
@@ -130,14 +132,52 @@ func Join(ix *RegionIndex, op Op, strat Strategy, ctx []CtxNode, nIters int32, c
 	return out
 }
 
-// Match is the match step of the Loop-Lifted StandOff MergeJoin alone: the
-// pairs of op's select half (select-narrow for reject-narrow, select-wide
-// for reject-wide), each once, in no set order. Join is this step, then the
-// sort and, for a reject op, the complement. The returned slice is on loan
-// from cfg.Arena like Join's.
-func Match(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, cfg JoinConfig) []Pair {
+// Areas is the context of one iteration given by its area-annotations
+// rather than by node pres, so that a join over it looks no region up: area
+// i is node Pre[i], covered by [Start[i], End[i]] (its first region's start
+// and its last region's end), and the areas ascend by (Start, End, Pre) —
+// the order of a candidate view's bounds rows. Regs holds each area's
+// regions and must be set when some area has more than one; it may be nil
+// otherwise. An Areas may alias an index's columns: it is read-only.
+type Areas struct {
+	Start, End []int64
+	Pre        []int32
+	Regs       [][]interval.Region
+}
+
+// Len returns the number of areas.
+func (a Areas) Len() int { return len(a.Pre) }
+
+// Slice returns areas i through j-1.
+func (a Areas) Slice(i, j int) Areas {
+	s := Areas{Start: a.Start[i:j], End: a.End[i:j], Pre: a.Pre[i:j]}
+	if a.Regs != nil {
+		s.Regs = a.Regs[i:j]
+	}
+	return s
+}
+
+// multi reports whether some area has more than one region.
+func (a Areas) multi() bool {
+	for _, r := range a.Regs {
+		if len(r) > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// MatchAreas is the match step of the Loop-Lifted StandOff MergeJoin alone,
+// over a context of one iteration given as its areas: the pairs of op's
+// select half (select-narrow for reject-narrow, select-wide for
+// reject-wide), all of iteration 0, each once, in no set order. Join is this
+// step, then the sort and, for a reject op, the complement. The regions come
+// from ctx; no context node's regions are looked up. The returned slice is on
+// loan from cfg.Arena like Join's.
+func MatchAreas(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, cfg JoinConfig) []Pair {
 	cfg.Arena.reclaim()
-	out := match(ix, op, ctx, cand, cfg, false)
+	exact := narrow(op) && ctx.multi()
+	out := matchTable(ix, op, areaRows(ctx, exact, cfg.Arena), exact, cand, cfg, false)
 	cfg.Arena.loan(out)
 	return out
 }
@@ -148,19 +188,28 @@ type ctxRow struct {
 	start, end int64
 }
 
+// ctxTable is the context table a merge reads: its rows ordered by
+// (start, end), the number of keys and, with pseudo-keys, each key's
+// iteration.
+type ctxTable struct {
+	rows         []ctxRow
+	pseudoToIter []int32
+	nKeys        int32
+}
+
 // buildCtxRows fetches the regions of every context node and returns them
-// ordered, with the number of keys. When pseudoKeys is true each ctx entry
-// becomes its own key (exact containment needs to know *which* context area
-// matched); pseudoToIter maps keys back to iterations. All nodes are resolved
-// before any region is read, so the misses of consecutive nodes overlap.
-func buildCtxRows(ix *RegionIndex, ctx []CtxNode, pseudoKeys bool, a *JoinArena) (rows []ctxRow, pseudoToIter []int32, nKeys int32) {
+// ordered. When pseudoKeys is true each ctx entry becomes its own key (exact
+// containment needs to know *which* context area matched). All nodes are
+// resolved before any region is read, so the misses of consecutive nodes
+// overlap.
+func buildCtxRows(ix *RegionIndex, ctx []CtxNode, pseudoKeys bool, a *JoinArena) ctxTable {
 	regs := a.getRegs(len(ctx))
 	for _, cn := range ctx {
 		regs = append(regs, ix.RegionsOf(cn.Pre))
 	}
-	rows = a.getCtxRows(len(ctx))
+	t := ctxTable{rows: a.getCtxRows(len(ctx))}
 	if pseudoKeys {
-		pseudoToIter = a.getPseudo(len(ctx))
+		t.pseudoToIter = a.getPseudo(len(ctx))
 	}
 	for j, cn := range ctx {
 		if len(regs[j]) == 0 {
@@ -168,21 +217,55 @@ func buildCtxRows(ix *RegionIndex, ctx []CtxNode, pseudoKeys bool, a *JoinArena)
 		}
 		key := cn.Iter
 		if pseudoKeys {
-			key = int32(len(pseudoToIter))
-			pseudoToIter = append(pseudoToIter, cn.Iter)
+			key = int32(len(t.pseudoToIter))
+			t.pseudoToIter = append(t.pseudoToIter, cn.Iter)
 		}
-		nKeys = max(nKeys, key+1)
+		t.nKeys = max(t.nKeys, key+1)
 		for _, r := range regs[j] {
-			rows = append(rows, ctxRow{key: key, start: r.Start, end: r.End})
+			t.rows = append(t.rows, ctxRow{key: key, start: r.Start, end: r.End})
 		}
 	}
 	a.putRegs(regs)
-	rows = sortCtxRows(rows, a)
-	a.putCtxRows(rows)
+	t.rows = sortCtxRows(t.rows, a)
+	a.putCtxRows(t.rows)
 	if pseudoKeys {
-		a.putPseudo(pseudoToIter)
+		a.putPseudo(t.pseudoToIter)
 	}
-	return rows, pseudoToIter, nKeys
+	return t
+}
+
+// areaRows is buildCtxRows for a context of one iteration given as areas:
+// the rows are their regions, already in order unless some area has several.
+func areaRows(ctx Areas, pseudoKeys bool, a *JoinArena) ctxTable {
+	t := ctxTable{rows: a.getCtxRows(ctx.Len()), nKeys: min(int32(ctx.Len()), 1)}
+	if pseudoKeys {
+		t.pseudoToIter = a.getPseudo(ctx.Len())
+		t.nKeys = int32(ctx.Len())
+	}
+	sorted := true
+	for i := range ctx.Pre {
+		key := int32(0)
+		if pseudoKeys {
+			key = int32(i)
+			t.pseudoToIter = append(t.pseudoToIter, 0)
+		}
+		if ctx.Regs == nil || len(ctx.Regs[i]) <= 1 {
+			t.rows = append(t.rows, ctxRow{key: key, start: ctx.Start[i], end: ctx.End[i]})
+			continue
+		}
+		sorted = false
+		for _, r := range ctx.Regs[i] {
+			t.rows = append(t.rows, ctxRow{key: key, start: r.Start, end: r.End})
+		}
+	}
+	if !sorted {
+		t.rows = sortCtxRows(t.rows, a)
+	}
+	a.putCtxRows(t.rows)
+	if pseudoKeys {
+		a.putPseudo(t.pseudoToIter)
+	}
+	return t
 }
 
 // sortCtxRows orders the context table by (start, end) and returns it,
@@ -264,23 +347,33 @@ func newActiveSet(nKeys int32, a *JoinArena) *activeSet {
 	return new(activeSet).reset(nKeys)
 }
 
+// narrow reports whether op is one of the containment joins.
+func narrow(op Op) bool { return op == SelectNarrow || op == RejectNarrow }
+
 // match computes the pairs of op's select half, each once, in no set order.
 // fullScan forces visiting every candidate row (Basic behaviour: no early
-// break). Only two shapes can match a (key, candidate) pair twice, and only
-// they are sorted here: exact containment (two context areas of one
-// iteration) and overlap with a multi-region candidate (two of its regions).
+// break).
 func match(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
+	exact := narrow(op) && ctxHasMultiRegion(ix, ctx)
+	return matchTable(ix, op, buildCtxRows(ix, ctx, exact, cfg.Arena), exact, cand, cfg, fullScan)
+}
+
+// matchTable is match over a built context table, pseudo-keyed when exact
+// (containment with a multi-region context area). Only two shapes can match
+// a (key, candidate) pair twice, and only they are sorted here: exact
+// containment (two context areas of one iteration) and overlap with a
+// multi-region candidate (two of its regions).
+func matchTable(ix *RegionIndex, op Op, t ctxTable, exact bool, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
 	var m []Pair
-	switch op {
-	case SelectNarrow, RejectNarrow:
-		if !ctxHasMultiRegion(ix, ctx) {
-			emit := emitState{out: cfg.Arena.getPairs()}
-			mergeNarrow(ix, ctx, cand, cfg, fullScan, &emit)
-			return emit.out
-		}
-		m = matchNarrowExact(ix, ctx, cand, cfg, fullScan)
+	switch {
+	case exact:
+		m = matchNarrowExact(ix, t, cand, cfg, fullScan)
+	case narrow(op):
+		emit := emitState{out: cfg.Arena.getPairs()}
+		mergeNarrow(t, cand, cfg, fullScan, &emit)
+		return emit.out
 	default:
-		if m = matchWide(ix, ctx, cand, cfg); len(cand.rID) == len(cand.areas) {
+		if m = matchWide(t, cand, cfg); len(cand.rID) == len(cand.areas) {
 			return m
 		}
 	}
@@ -304,9 +397,9 @@ func order(matched []Pair, op Op, nIters int32, cand *Candidates, a *JoinArena) 
 // all single regions: containment of a candidate area reduces to containment
 // of its bounding region, and one dominant context region per key is exact,
 // so every (key, candidate) match reaches emit exactly once.
-func mergeNarrow(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool, emit *emitState) {
-	rows, _, nKeys := buildCtxRows(ix, ctx, false, cfg.Arena)
-	as := newActiveSet(nKeys, cfg.Arena)
+func mergeNarrow(t ctxTable, cand *Candidates, cfg JoinConfig, fullScan bool, emit *emitState) {
+	rows := t.rows
+	as := newActiveSet(t.nKeys, cfg.Arena)
 	tr := cfg.Trace
 	i := 0
 	bStart, bEnd, bID := cand.boundsCols()
@@ -460,7 +553,7 @@ var testHookSkip = func() {}
 func JoinReduce(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, keep func(pre int32) bool, first bool, out []int32, cfg JoinConfig) {
 	emit := &emitState{red: out, first: first}
 	if op == SelectNarrow && keep == nil && cfg.Trace == nil && !ctxHasMultiRegion(ix, ctx) {
-		mergeNarrow(ix, ctx, cand, cfg, false, emit)
+		mergeNarrow(buildCtxRows(ix, ctx, false, cfg.Arena), cand, cfg, false, emit)
 		return
 	}
 	cb := emit.callback()
@@ -476,10 +569,10 @@ func JoinReduce(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, keep fu
 // becomes its own pseudo-iteration, the join runs at region granularity, and
 // a candidate matches a context area only if *all* its regions were matched
 // by that same area (the paper's omitted post-processing, section 4.5).
-func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
+func matchNarrowExact(ix *RegionIndex, t ctxTable, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
 	a := cfg.Arena
-	rows, pseudoToIter, nKeys := buildCtxRows(ix, ctx, true, a)
-	as := newActiveSet(nKeys, a)
+	rows, pseudoToIter := t.rows, t.pseudoToIter
+	as := newActiveSet(t.nKeys, a)
 	emit := emitState{out: a.getPairs()}
 	i := 0
 	rStart, rEnd, rID := cand.regionCols()
@@ -525,9 +618,9 @@ func matchNarrowExact(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg Join
 // order so that the context insertion threshold (ctx.start <= cand.end) is
 // monotone; the per-iteration dominant context region is exact because the
 // overlap test only constrains start from above and end from below.
-func matchWide(ix *RegionIndex, ctx []CtxNode, cand *Candidates, cfg JoinConfig) []Pair {
-	rows, _, nKeys := buildCtxRows(ix, ctx, false, cfg.Arena)
-	as := newActiveSet(nKeys, cfg.Arena)
+func matchWide(t ctxTable, cand *Candidates, cfg JoinConfig) []Pair {
+	rows := t.rows
+	as := newActiveSet(t.nKeys, cfg.Arena)
 	emit := emitState{out: cfg.Arena.getPairs()}
 	i := 0
 	eStart, eEnd, eID := cand.endCols()

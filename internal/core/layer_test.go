@@ -200,6 +200,13 @@ func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionInd
 		if all := ix.CandidatesOf(id, slices.Clone(named)); all != ix.FilterByName(id) {
 			t.Fatalf("%s: CandidatesOf(every named area) is not the cached FilterByName sequence", what)
 		}
+		// The by-name view as a join context is, row for row, what
+		// ContextAreas resolves from the name's live elements.
+		view, ctx := ix.ViewAreas(ix.FilterByName(id)), ix.ContextAreas(d.ElementsByName(id))
+		if !slices.Equal(view.Start, ctx.Start) || !slices.Equal(view.End, ctx.End) || !slices.Equal(view.Pre, ctx.Pre) ||
+			len(view.Regs) != len(ctx.Regs) || !slices.EqualFunc(view.Regs, ctx.Regs, slices.Equal) {
+			t.Fatalf("%s: ViewAreas = %+v, ContextAreas of the live elements = %+v", what, view, ctx)
+		}
 	}
 	if ix.NumAreas() != fresh.NumAreas() || ix.NumRegions() != fresh.NumRegions() || ix.MultiRegion() != fresh.MultiRegion() {
 		t.Fatalf("step %d: areas=%d regions=%d multi=%v, rebuild has %d/%d/%v", step,

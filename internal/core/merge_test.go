@@ -135,16 +135,27 @@ func checkAgainstNaiveAt(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters in
 	}
 }
 
-// checkMatch holds Match to its contract: the pairs of op's select half,
-// each once, in any order.
+// checkMatch holds MatchAreas to its contract: each iteration's context
+// alone, as the areas ContextAreas resolves, gives that iteration's pairs of
+// op's select half, each once, in any order.
 func checkMatch(t *testing.T, ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candidates, cfg JoinConfig) {
 	t.Helper()
 	sel := op % 2 // reject-narrow → select-narrow, reject-wide → select-wide
-	want := slices.Clone(Join(ix, sel, StrategyNaive, ctx, nIters, cand, JoinConfig{}))
-	got := slices.Clone(Match(ix, op, ctx, cand, cfg))
-	sortPairsDirect(got) // no dedup: a pair matched twice fails
-	if !pairsEqual(got, want) {
-		t.Fatalf("Match %v arena=%v:\n got  %v\nwant %v\nctx %v", op, cfg.Arena != nil, got, want, ctx)
+	want := map[int32][]Pair{}
+	for _, p := range Join(ix, sel, StrategyNaive, ctx, nIters, cand, JoinConfig{}) {
+		want[p.Iter] = append(want[p.Iter], Pair{Pre: p.Pre})
+	}
+	byIter := map[int32][]int32{}
+	for _, cn := range ctx {
+		byIter[cn.Iter] = append(byIter[cn.Iter], cn.Pre)
+	}
+	for iter, pres := range byIter {
+		slices.Sort(pres)
+		got := slices.Clone(MatchAreas(ix, op, ix.ContextAreas(slices.Compact(pres)), cand, cfg))
+		sortPairsDirect(got) // no dedup: a pair matched twice fails
+		if !pairsEqual(got, want[iter]) {
+			t.Fatalf("MatchAreas %v arena=%v iteration %d:\n got  %v\nwant %v\npres %v", op, cfg.Arena != nil, iter, got, want[iter], pres)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package xqeval
 import (
 	"soxq/internal/core"
 	"soxq/internal/tree"
+	"soxq/internal/xpath"
 	"soxq/internal/xqast"
 	"soxq/internal/xqplan"
 )
@@ -141,10 +142,26 @@ func (ev *Evaluator) EvalStepBulk(sp *xqplan.StepPlan, ctx LLSeq, f *Frame) (LLS
 	return ev.evalStep(sp, ctx, f)
 }
 
+// AnalyzeSkippedStep records, under ANALYZE, what the bulk tree step sp
+// records over the one context node it did not run on, because the
+// pipeline read its result from the region index instead: one row in, and
+// the nodes its axis emits both out and produced. It returns that count, and
+// computes nothing without a collector.
+func (ev *Evaluator) AnalyzeSkippedStep(sp *xqplan.StepPlan, it Item) int64 {
+	if ev.Stats == nil {
+		return 0
+	}
+	ev.stepPres = xpath.AppendCompiledStep(ev.stepPres[:0], it.D, sp.Axis, sp.CompiledTest(it.D), it.Pre)
+	n := int64(len(ev.stepPres))
+	ev.Stats.RecordStep(sp, 1, n)
+	ev.Stats.RecordProduced(sp, n)
+	return n
+}
+
 // StandOffStream is the chunked execution handle of a pipelined StandOff
 // select step: the per-document residue — region index, candidate sequence,
 // pushdown post-filter — resolved once. The executor runs one loop-lifted
-// join per chunk of context nodes (JoinChunkPres) and gates emission on the
+// join per chunk of context areas (JoinChunk) and gates emission on the
 // candidate-interval watermark.
 type StandOffStream struct {
 	ev   *Evaluator
@@ -156,7 +173,8 @@ type StandOffStream struct {
 	wide bool
 
 	// Per-stream scratch, recycled across chunks: the context-node rows
-	// handed to the join and the pre buffer handed back to the cursor.
+	// handed to a Basic or naive join and the pre buffer handed back to the
+	// cursor.
 	ctxBuf  []core.CtxNode
 	outPres []int32
 }
@@ -181,36 +199,40 @@ func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc, root in
 		wide: sp.SO.Op == core.SelectWide}, nil
 }
 
-// CtxStartPre returns the document-position start of the area of a context
-// node of the stream's tree, given by its pre rank (the minimum region start
-// — RegionsOf is start-ordered). ok=false means the node is not an
-// area-annotation and can never produce a match.
-func (s *StandOffStream) CtxStartPre(pre int32) (int64, bool) {
-	regs := s.ix.RegionsOf(pre)
-	if len(regs) == 0 {
-		return 0, false
-	}
-	return regs[0].Start, true
+// ContextAreas returns the areas among the context nodes pres of the
+// stream's tree as the start-sorted context table its chunk joins read:
+// each node's regions are looked up here, once.
+func (s *StandOffStream) ContextAreas(pres []int32) core.Areas {
+	return s.ix.ContextAreas(pres)
 }
 
-// JoinChunkPres runs the step's join over one chunk of context node pres and
-// returns the matching candidate pres, each once, in no set order (the
-// Loop-Lifted join's matches are not sorted; Basic and Naive come sorted).
-// The returned slice is the stream's recycled buffer — valid only until the
-// next JoinChunkPres call. One ANALYZE join invocation is recorded per chunk
-// — the chunked run truly executes that many merges.
-func (s *StandOffStream) JoinChunkPres(chunk []int32) []int32 {
-	if cap(s.ctxBuf) < len(chunk) {
-		s.ctxBuf = make([]core.CtxNode, len(chunk))
-	}
-	ctx := s.ctxBuf[:len(chunk)]
-	for i, pre := range chunk {
-		ctx[i] = core.CtxNode{Iter: 0, Pre: pre}
-	}
+// NameAreas returns the context table of a predicate-free descendant::N
+// step from the stream's document node, N's name id being nameID: the
+// region index's by-name view of N, the one candidatesFor reads for a
+// by-name step, cut to the tree. The tree step does not run; its elements
+// without regions, which could never match, are not in the view.
+func (s *StandOffStream) NameAreas(nameID int32) core.Areas {
+	return s.ix.ViewAreas(s.ix.Within(s.ix.FilterByName(nameID), 0, s.d.Size(0)))
+}
+
+// JoinChunk runs the step's join over one chunk of context areas and returns
+// the matching candidate pres, each once, in no set order (the Loop-Lifted
+// join's matches are not sorted; Basic and Naive come sorted). The returned
+// slice is the stream's recycled buffer — valid only until the next JoinChunk
+// call. One ANALYZE join invocation is recorded per chunk — the chunked run
+// truly executes that many merges.
+func (s *StandOffStream) JoinChunk(chunk core.Areas) []int32 {
 	var pairs []core.Pair
 	if s.ev.Strategy == core.StrategyLoopLifted {
-		pairs = core.Match(s.ix, s.sp.SO.Op, ctx, s.cand, s.ev.JoinCfg)
+		pairs = core.MatchAreas(s.ix, s.sp.SO.Op, chunk, s.cand, s.ev.JoinCfg)
 	} else {
+		if cap(s.ctxBuf) < chunk.Len() {
+			s.ctxBuf = make([]core.CtxNode, chunk.Len())
+		}
+		ctx := s.ctxBuf[:chunk.Len()]
+		for i, pre := range chunk.Pre {
+			ctx[i] = core.CtxNode{Iter: 0, Pre: pre}
+		}
 		pairs = core.Join(s.ix, s.sp.SO.Op, s.ev.Strategy, ctx, 1, s.cand, s.ev.JoinCfg)
 	}
 	s.ev.countJoin(s.ev.Strategy)

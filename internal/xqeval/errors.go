@@ -23,6 +23,7 @@ const (
 	codeUndefFunc     = "XPST0017" // undeclared function / wrong arity
 	codeDocNotFound   = "FODC0002" // document not available
 	codeDivZero       = "FOAR0001" // division by zero
+	codeOverflow      = "FOAR0002" // numeric overflow
 	codeAttrLate      = "XQTY0024" // attribute after non-attribute content
 	codeRecursion     = "SOXQ0001" // recursion depth exceeded (engine limit)
 	codeCardinality   = "FORG0005" // fn:exactly-one etc. cardinality violation

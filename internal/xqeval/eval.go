@@ -350,24 +350,31 @@ func arith(op string, a, b Item) (Item, error) {
 	// Integer fast path (div always yields a double, as xs:decimal).
 	if a.Kind == KInt && b.Kind == KInt && op != "div" {
 		x, y := a.I, b.I
+		r, ok := int64(0), false
 		switch op {
 		case "+":
-			return Int(x + y), nil
+			r, ok = addInt(x, y)
 		case "-":
-			return Int(x - y), nil
+			r, ok = subInt(x, y)
 		case "*":
-			return Int(x * y), nil
+			r, ok = mulInt(x, y)
 		case "idiv":
 			if y == 0 {
 				return Item{}, errf(codeDivZero, "integer division by zero")
 			}
-			return Int(x / y), nil
+			r, ok = x/y, x != math.MinInt64 || y != -1
 		case "mod":
 			if y == 0 {
 				return Item{}, errf(codeDivZero, "modulus by zero")
 			}
 			return Int(x % y), nil
+		default:
+			return Item{}, errf(codeType, "unknown arithmetic operator %q", op)
 		}
+		if !ok {
+			return Item{}, errf(codeOverflow, "integer overflow in %d %s %d", x, op, y)
+		}
+		return Int(r), nil
 	}
 	x, okx := a.NumericValue()
 	y, oky := b.NumericValue()
@@ -390,7 +397,13 @@ func arith(op string, a, b Item) (Item, error) {
 		if y == 0 {
 			return Item{}, errf(codeDivZero, "integer division by zero")
 		}
-		return Int(int64(x / y)), nil
+		// A NaN or infinite operand, or a quotient past the int64 range,
+		// has no integer result.
+		q := math.Trunc(x / y)
+		if math.IsNaN(q) || q < math.MinInt64 || q >= -math.MinInt64 {
+			return Item{}, errf(codeOverflow, "%g idiv %g has no integer result", x, y)
+		}
+		return Int(int64(q)), nil
 	case "mod":
 		if y == 0 {
 			return Item{}, errf(codeDivZero, "modulus by zero")
@@ -398,6 +411,23 @@ func arith(op string, a, b Item) (Item, error) {
 		return Float(math.Mod(x, y)), nil
 	}
 	return Item{}, errf(codeType, "unknown arithmetic operator %q", op)
+}
+
+// addInt, subInt and mulInt are the int64 operations, ok false where Go
+// would wrap around (XQuery raises FOAR0002 there).
+func addInt(x, y int64) (int64, bool) {
+	s := x + y
+	return s, (s > x) == (y > 0)
+}
+
+func subInt(x, y int64) (int64, bool) {
+	d := x - y
+	return d, (d < x) == (y > 0)
+}
+
+func mulInt(x, y int64) (int64, bool) {
+	p := x * y
+	return p, x == 0 || (p/x == y && (x != -1 || y != math.MinInt64))
 }
 
 func pickBad(firstOK bool, a, b Item) Item {
@@ -431,6 +461,9 @@ func (ev *Evaluator) evalUnary(v *xqast.Unary, f *frame) (LLSeq, error) {
 		}
 		switch a.Kind {
 		case KInt:
+			if a.I == math.MinInt64 {
+				return LLSeq{}, errf(codeOverflow, "integer overflow in -(%d)", a.I)
+			}
 			b.add(Int(-a.I))
 		case KFloat:
 			b.add(Float(-a.F))

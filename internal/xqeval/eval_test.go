@@ -370,6 +370,52 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
+// TestEvalIntegerOverflow pins FOAR0002 wherever xs:integer arithmetic would
+// leave the int64 range, and an idiv whose quotient has no integer value,
+// next to the results at the edge of the range that must not raise it
+// (min and max among them, exact past float64's 2^53).
+func TestEvalIntegerOverflow(t *testing.T) {
+	h := newHarness()
+	for _, q := range []string{
+		`9223372036854775807 + 1`,
+		`-9223372036854775807 - 2`,
+		`9223372036854775807 * 2`,
+		`(-9223372036854775807 - 1) * -1`,
+		`-1 * (-9223372036854775807 - 1)`,
+		`(-9223372036854775807 - 1) idiv -1`,
+		`-(-9223372036854775807 - 1)`,
+		`abs(-9223372036854775807 - 1)`,
+		`sum((9223372036854775807, 1))`,
+		`sum((-9223372036854775807, -2))`,
+		`number("x") idiv 2`,
+		`2 idiv number("x")`,
+		`1E300 idiv 1E-300`,
+		`-1E300 idiv 1E-300`,
+	} {
+		_, err := h.run(t, q, core.StrategyLoopLifted)
+		if e, ok := err.(*Error); !ok || e.Code != codeOverflow {
+			t.Errorf("eval %q: error %v, want %s", q, err, codeOverflow)
+		}
+	}
+	cases := [][2]string{
+		{`-9223372036854775807 - 1`, `-9223372036854775808`},
+		{`9223372036854775806 + 1`, `9223372036854775807`},
+		{`4611686018427387904 * -2`, `-9223372036854775808`},
+		{`(-9223372036854775807 - 1) idiv 1`, `-9223372036854775808`},
+		{`(-9223372036854775807 - 1) mod -1`, `0`},
+		{`sum((9223372036854775807, -1, 1))`, `9223372036854775807`},
+		{`sum((9223372036854775807, 1, 0.5))`, `9.223372036854776E+18`},
+		{`max((9223372036854775807, 1))`, `9223372036854775807`},
+		{`min((9223372036854775807, 9223372036854775806))`, `9223372036854775806`},
+		{`max((9007199254740993, 1))`, `9007199254740993`},
+		{`1E0 idiv 0.5`, `2`},
+		{`-7.5 idiv 2`, `-3`},
+	}
+	for _, c := range cases {
+		wantEval(t, h, c[0], c[1])
+	}
+}
+
 func TestEvalFilterExprs(t *testing.T) {
 	h := newHarness()
 	cases := [][2]string{

@@ -488,6 +488,9 @@ func (ev *Evaluator) callBuiltin(name, local string, args []LLSeq, f *frame) (LL
 			switch local {
 			case "abs":
 				if a.Kind == KInt {
+					if a.I == math.MinInt64 {
+						return Item{}, errf(codeOverflow, "abs(%d) overflows", a.I)
+					}
 					if a.I < 0 {
 						return Int(-a.I), nil
 					}
@@ -734,10 +737,11 @@ func aggregate(kind string, seq LLSeq, n int) (LLSeq, error) {
 			}
 			continue
 		}
-		allInt := true
+		allInt, intOK := true, true
 		var sumF float64
 		var sumI int64
 		minV, maxV := math.Inf(1), math.Inf(-1)
+		minI, maxI := int64(math.MaxInt64), int64(math.MinInt64) // exact where float64 rounds
 		for _, it := range g {
 			a := it.Atomize()
 			v, ok := a.NumericValue()
@@ -746,14 +750,21 @@ func aggregate(kind string, seq LLSeq, n int) (LLSeq, error) {
 			}
 			if a.Kind != KInt {
 				allInt = false
+			} else {
+				minI, maxI = min(minI, a.I), max(maxI, a.I)
 			}
 			sumF += v
-			sumI += a.I
+			if intOK {
+				sumI, intOK = addInt(sumI, a.I)
+			}
 			minV = math.Min(minV, v)
 			maxV = math.Max(maxV, v)
 		}
 		switch kind {
 		case "sum":
+			if allInt && !intOK {
+				return LLSeq{}, errf(codeOverflow, "integer overflow in sum()")
+			}
 			if allInt {
 				b.add(Int(sumI))
 			} else {
@@ -763,13 +774,13 @@ func aggregate(kind string, seq LLSeq, n int) (LLSeq, error) {
 			b.add(Float(sumF / float64(len(g))))
 		case "min":
 			if allInt {
-				b.add(Int(int64(minV)))
+				b.add(Int(minI))
 			} else {
 				b.add(Float(minV))
 			}
 		case "max":
 			if allInt {
-				b.add(Int(int64(maxV)))
+				b.add(Int(maxI))
 			} else {
 				b.add(Float(maxV))
 			}

@@ -249,7 +249,7 @@ func (x *executor) build(op *xqplan.StreamOp, f *xqeval.Frame) Cursor {
 			return newFLWORCursor(x, op, v, f)
 		}
 	case *xqast.Path:
-		return &pathCursor{x: x, p: v, cut: op.Cut(), f: f}
+		return &pathCursor{x: x, p: v, cut: op.Cut(), byName: op.ByName(), f: f}
 	case *xqast.Binary:
 		switch v.Op {
 		case ",":

@@ -444,7 +444,8 @@ func TestDescribeShapes(t *testing.T) {
 		{`doc("t.xml")//scene/reject-narrow::hit`, "path", false,
 			"final StandOff step reject-narrow is an anti-join over the whole context and runs in bulk"},
 		{`doc("t.xml")//scene/select-wide::hit/@id`, "path", false,
-			"final step attribute::id runs in bulk; 1 StandOff prefix step(s) stream through composed pres-based stages"},
+			"final step attribute::id runs in bulk; 1 StandOff prefix step(s) stream through composed pres-based stages" +
+				"; context descendant::scene read from the region index by name when the path head is one document node"},
 		// The chain restarts after a bulk reject: only the steps after it
 		// stream, and here that is just the final select step.
 		{`doc("t.xml")//scene/reject-narrow::hit/select-wide::scene`, "path", true,
@@ -458,6 +459,28 @@ func TestDescribeShapes(t *testing.T) {
 		if op.Op != c.kind || op.Pipelined != c.pipelined || (c.detail != "" && op.Detail != c.detail) {
 			t.Errorf("shape(%q) = %s/pipelined=%v (%s), want %s/pipelined=%v (%s)",
 				c.q, op.Op, op.Pipelined, op.Detail, c.kind, c.pipelined, c.detail)
+		}
+	}
+
+	// Which paths read the context of their first streamed stage by name:
+	// a predicate-free by-name descendant step right before the cut, fused
+	// or not.
+	for q, want := range map[string]bool{
+		`doc("t.xml")//scene/select-narrow::hit`:                       true,
+		`doc("t.xml")/descendant::scene/select-wide::hit`:              true,
+		`doc("t.xml")/play//scene/select-narrow::hit/select-wide::hit`: true,
+		`doc("t.xml")//scene/select-wide::hit/@id`:                     true,
+		`doc("t.xml")//scene[@id = "s1"]/select-narrow::hit`:           false,
+		`doc("t.xml")//*/select-narrow::hit`:                           false,
+		`doc("t.xml")//scene/child::act/select-narrow::hit`:            false,
+		`doc("t.xml")/descendant-or-self::scene/select-narrow::hit`:    false,
+		`doc("t.xml")//scene/reject-narrow::hit/select-wide::scene`:    false,
+		`doc("t.xml")//scene/select-narrow::hit[1]`:                    false,
+		`doc("t.xml")//scene/select-narrow::hit/select-narrow::hit[1]`: true,
+		`doc("t.xml")//scene`:                                          false,
+	} {
+		if got := env.evaluator(t, q).Plan.Stream().ByName(); got != want {
+			t.Errorf("ByName(%q) = %v, want %v", q, got, want)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package xqexec
 
 import (
+	"soxq/internal/core"
 	"soxq/internal/tree"
 	"soxq/internal/xqast"
 	"soxq/internal/xqeval"
@@ -19,11 +20,15 @@ import (
 // batches are the path's; otherwise the final step runs in bulk over the
 // drained chain and its result leaves as one batch. A Chunked step whose
 // context spans trees runs in bulk too, and the chain restarts after it.
+// When the step before the cut is a predicate-free descendant::N
+// (StreamOp.ByName) and its context is one document node, that step does
+// not run: the first stage reads its context from the region index by name.
 type pathCursor struct {
-	x   *executor
-	p   *xqast.Path
-	cut int // the first step of the streamed suffix
-	f   *xqeval.Frame
+	x      *executor
+	p      *xqast.Path
+	cut    int  // the first step of the streamed suffix
+	byName bool // the step before the cut may be read by name (StreamOp.ByName)
+	f      *xqeval.Frame
 
 	started bool
 	err     error
@@ -45,23 +50,34 @@ type pathCursor struct {
 
 func (c *pathCursor) init() {
 	c.started = true
-	ctxSeq, err := c.x.ev.PathPrefix(c.p, c.f, c.cut)
+	prog, from := c.x.ev.Plan.Program(c.p), c.cut
+	if c.byName {
+		from--
+	}
+	ctxSeq, err := c.x.ev.PathPrefix(c.p, c.f, from)
 	if err != nil {
 		c.err = err
 		return
 	}
 	g := ctxSeq.Group(0)
 	var up *standoffCursor
-	for _, sp := range c.x.ev.Plan.Program(c.p)[c.cut:] {
+	if c.byName {
+		// The step before the cut, descendant::N, from one document node:
+		// the first stage reads its context from the region index by name.
+		if it, ok := docNode(g); ok {
+			if up, c.err = newNamedStage(c.x, prog[from], prog[c.cut], it); c.err != nil {
+				return
+			}
+			from = c.cut + 1
+		}
+	}
+	for _, sp := range prog[from:] {
 		if sp.Chunked() {
 			var st *standoffCursor
 			if up != nil {
 				st, err = newStageFromUpstream(c.x, sp, up)
 			} else if d, root, ok := treeOf(g); ok {
-				st, err = newStandoffCursor(c.x, sp, d, root, len(g), func(i int) (int32, bool) {
-					// Attribute nodes can never match.
-					return g[i].Pre, g[i].Kind == xqeval.KNode
-				})
+				st, err = newItemStage(c.x, sp, d, root, g)
 			}
 			if err != nil {
 				c.err = err
@@ -94,6 +110,17 @@ func (c *pathCursor) init() {
 	}
 }
 
+// docNode reports the document node of a loaded document when it is the
+// whole context g: the one head from which descendant::N is exactly the
+// document's elements named N. Several nodes, a constructed node or an
+// atomic value are not.
+func docNode(g []xqeval.Item) (xqeval.Item, bool) {
+	if len(g) != 1 || g[0].Kind != xqeval.KNode || g[0].D.Fragment || g[0].Pre != 0 {
+		return xqeval.Item{}, false
+	}
+	return g[0], true
+}
+
 // treeOf reports the one tree the item context of a chunked stage lies in:
 // its document and fragment root, d nil when it holds no element. The join
 // partitions its context per document and per fragment of a container, so a
@@ -112,6 +139,37 @@ func treeOf(g []xqeval.Item) (d *tree.Doc, root int32, ok bool) {
 		}
 	}
 	return d, root, true
+}
+
+// newItemStage builds the first chunked stage over the item context g, all
+// of the tree of d rooted at root. Attribute nodes can never match and
+// drop.
+func newItemStage(x *executor, sp *xqplan.StepPlan, d *tree.Doc, root int32, g []xqeval.Item) (*standoffCursor, error) {
+	pres := make([]int32, 0, len(g))
+	for _, it := range g {
+		if it.Kind == xqeval.KNode {
+			pres = append(pres, it.Pre)
+		}
+	}
+	return newStandoffCursor(x, sp, d, root, int64(len(g)), func(so *xqeval.StandOffStream) core.Areas {
+		return so.ContextAreas(pres)
+	})
+}
+
+// newNamedStage builds the first chunked stage sp over the context that
+// step, descendant::N, yields from the document node it: the region index's
+// by-name view of N, so the tree step never runs and no context node is
+// boxed or looked up. ANALYZE still sees the step's counts.
+func newNamedStage(x *executor, step, sp *xqplan.StepPlan, it xqeval.Item) (*standoffCursor, error) {
+	rowsIn := x.ev.AnalyzeSkippedStep(step, it)
+	d := it.D
+	id, ok := d.Dict().Lookup(step.Test.Name)
+	if !ok || len(d.ElementsByName(id)) == 0 {
+		d = nil // no context node, as over an empty item context
+	}
+	return newStandoffCursor(x, sp, d, 0, rowsIn, func(so *xqeval.StandOffStream) core.Areas {
+		return so.NameAreas(id)
+	})
 }
 
 // newStageFromUpstream drains the upstream stage into a pres context — 12
@@ -135,7 +193,9 @@ func newStageFromUpstream(x *executor, sp *xqplan.StepPlan, up *standoffCursor) 
 	} else {
 		root = d.FragmentRoot(pres[0])
 	}
-	return newStandoffCursor(x, sp, d, root, len(pres), func(i int) (int32, bool) { return pres[i], true })
+	return newStandoffCursor(x, sp, d, root, int64(len(pres)), func(so *xqeval.StandOffStream) core.Areas {
+		return so.ContextAreas(pres)
+	})
 }
 
 func (c *pathCursor) NextBatch() Batch {

@@ -1,13 +1,13 @@
 package xqexec
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
 	"sync"
 
+	"soxq/internal/core"
 	"soxq/internal/tree"
 	"soxq/internal/xqeval"
 	"soxq/internal/xqplan"
@@ -65,9 +65,8 @@ type standoffCursor struct {
 	so *xqeval.StandOffStream
 	d  *tree.Doc // the stream's single document; nil when the step is empty
 
-	ctx     []soCtx // area context nodes, ascending by region start
-	i       int     // next unprocessed context index
-	scratch []int32 // reused per-chunk context pre buffer
+	ctx core.Areas // the context areas, ascending by region start
+	i   int        // next unprocessed context index
 
 	// chunk is the configured context chunk size. chunkMin/chunkMax/chunks
 	// record the chunks actually joined, for the step's ANALYZE record.
@@ -87,19 +86,13 @@ type standoffCursor struct {
 	err  error // the run context's error, once it ended the stream
 }
 
-// soCtx is one context area pre with its sort key (minimum region start).
-type soCtx struct {
-	start int64
-	pre   int32
-}
-
 // newStandoffCursor builds the chunked cursor of a StandOff select step over
-// a context of n rows, all of the tree of d rooted at root: the path cursor's
-// items, or an upstream chain stage's drained pres. pre returns row i's pre
-// and whether it is an element that may match; d is nil when no row is. n is
-// also the step's ANALYZE in= count.
-func newStandoffCursor(x *executor, sp *xqplan.StepPlan, d *tree.Doc, root int32, n int, pre func(i int) (int32, bool)) (*standoffCursor, error) {
-	c := &standoffCursor{x: x, sp: sp, rowsIn: int64(n), chunk: x.cfg.ChunkSize}
+// a context of rowsIn rows, all of the tree of d rooted at root; d is nil
+// when no row is an element that may match. ctx returns the context's areas
+// for the step's stream — the start-sorted table its chunks are cut from.
+// rowsIn is the step's ANALYZE in= count.
+func newStandoffCursor(x *executor, sp *xqplan.StepPlan, d *tree.Doc, root int32, rowsIn int64, ctx func(*xqeval.StandOffStream) core.Areas) (*standoffCursor, error) {
+	c := &standoffCursor{x: x, sp: sp, rowsIn: rowsIn, chunk: x.cfg.ChunkSize}
 	if d == nil {
 		// No element context at all: the step is empty, but still streams
 		// (and still reports its ANALYZE row counts).
@@ -113,17 +106,7 @@ func newStandoffCursor(x *executor, sp *xqplan.StepPlan, d *tree.Doc, root int32
 		return c, nil // no candidate can ever match: empty stream
 	}
 	c.so, c.d, c.pend.lo = so, so.Doc(), so.MinPre()
-	// The start-sorted context table. Pres without regions can never match
-	// and drop.
-	c.ctx = make([]soCtx, 0, n)
-	for i := range n {
-		if p, ok := pre(i); ok {
-			if s, ok := so.CtxStartPre(p); ok {
-				c.ctx = append(c.ctx, soCtx{start: s, pre: p})
-			}
-		}
-	}
-	slices.SortFunc(c.ctx, func(a, b soCtx) int { return cmp.Compare(a.start, b.start) })
+	c.ctx = ctx(so)
 	return c, nil
 }
 
@@ -134,7 +117,7 @@ func newStandoffCursor(x *executor, sp *xqplan.StepPlan, d *tree.Doc, root int32
 // it; only matches that genuinely interleave across chunks wait in the set.
 func (c *standoffCursor) refill() {
 	for {
-		if c.i >= len(c.ctx) {
+		if c.i >= c.ctx.Len() {
 			c.flush()
 			return
 		}
@@ -142,37 +125,30 @@ func (c *standoffCursor) refill() {
 			c.done = true // pending pres are dropped: the stream ends here
 			return
 		}
-		n := min(c.chunk, len(c.ctx)-c.i)
+		n := min(c.chunk, c.ctx.Len()-c.i)
 		c.noteChunk(n)
-		if cap(c.scratch) < n {
-			c.scratch = make([]int32, 0, n)
-		}
-		c.scratch = c.scratch[:0]
-		for j := 0; j < n; j++ {
-			c.scratch = append(c.scratch, c.ctx[c.i+j].pre)
-		}
+		joined := c.so.JoinChunk(c.ctx.Slice(c.i, c.i+n))
 		c.i += n
-		joined := c.so.JoinChunkPres(c.scratch)
 		wm := int64(math.MaxInt64) // past the last chunk, every pre is final
-		if c.i < len(c.ctx) {
-			if w, ok := c.so.Watermark(c.ctx[c.i].start); ok {
+		if c.i < c.ctx.Len() {
+			if w, ok := c.so.Watermark(c.ctx.Start[c.i]); ok {
 				wm = int64(w)
 			} else {
 				// No remaining candidate can match any remaining context
 				// area: the joins of the remaining chunks would all come
 				// back empty, so skip them (the chunked analogue of the
 				// merge join's early break) and finish.
-				c.i = len(c.ctx)
+				c.i = c.ctx.Len()
 			}
 		}
 		c.out = c.pend.take(c.out, joined, wm)
-		if c.i >= len(c.ctx) {
+		if c.i >= c.ctx.Len() {
 			c.flush()
 			return
 		}
 		if len(c.out) > 0 {
 			// Emitted pres were copied out of the stream's joined buffer
-			// into c.out, so the next JoinChunkPres may reuse it while the
+			// into c.out, so the next JoinChunk may reuse it while the
 			// consumer still reads this batch.
 			return
 		}
@@ -226,7 +202,7 @@ func (c *standoffCursor) Close() {
 	c.record()
 	c.done = true
 	c.pend.release()
-	c.ctx, c.out, c.scratch = nil, nil, nil
+	c.ctx, c.out = core.Areas{}, nil
 	c.i = 0
 }
 

@@ -112,9 +112,10 @@ type StreamOp struct {
 	// stream, a seq's operands).
 	Children []*StreamOp
 
-	expr  xqast.Expr // the expression the operator runs
-	cut   int        // a path's first streamed step (Cut)
-	bound string     // a flwor-nested level's variable
+	expr   xqast.Expr // the expression the operator runs
+	cut    int        // a path's first streamed step (Cut)
+	byName bool       // a path's first stage may read its context by name (ByName)
+	bound  string     // a flwor-nested level's variable
 }
 
 // Explain returns the structured description of the plan's compiled form

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"soxq/internal/xpath"
 	"soxq/internal/xqast"
 )
 
@@ -27,6 +28,13 @@ func (s *StreamOp) Expr() xqast.Expr { return s.expr }
 // path's streamed suffix: the trailing run of Chunked steps and the final
 // step. The steps before it run in bulk.
 func (s *StreamOp) Cut() int { return s.cut }
+
+// ByName reports, for a path operator, whether the step before the cut is a
+// predicate-free by-name descendant::N step feeding a Chunked step: when
+// its context is exactly one document node, the first streamed stage reads
+// its context from the region index's by-name view of N, and the tree step
+// does not run.
+func (s *StreamOp) ByName() bool { return s.byName }
 
 // explainStream returns a copy of the tree with each operator's Detail rendered,
 // so that a caller editing an Explain cannot change what the next run builds
@@ -121,7 +129,16 @@ func (p *Plan) pathOp(v *xqast.Path) *StreamOp {
 		op.cut--
 	}
 	op.Pipelined = prog[len(prog)-1].Chunked()
+	op.byName = op.cut > 0 && prog[op.cut].Chunked() && byNameDescendant(prog[op.cut-1])
 	return op
+}
+
+// byNameDescendant reports whether sp is descendant::N with a name test and
+// no predicates (// fused into it or not): from a document node, exactly the
+// elements named N of the document, which the region index lists by name.
+func byNameDescendant(sp *StepPlan) bool {
+	return sp.Axis == xpath.AxisDescendant && sp.Test.Kind == xpath.TestElement && sp.Test.Name != "" &&
+		len(sp.Predicates) == 0
 }
 
 // detail says why an operator streams or materialises, for EXPLAIN.
@@ -153,6 +170,10 @@ func (p *Plan) detail(s *StreamOp) string {
 		suffix := ""
 		if chain := len(prog) - 1 - s.cut; chain > 0 {
 			suffix = "; " + strconv.Itoa(chain) + " StandOff prefix step(s) stream through composed pres-based stages"
+		}
+		if s.byName {
+			suffix += "; context descendant::" + prog[s.cut-1].Test.Name +
+				" read from the region index by name when the path head is one document node"
 		}
 		switch last := prog[len(prog)-1]; {
 		case last.Chunked():
