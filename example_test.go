@@ -118,7 +118,7 @@ func ExamplePrepared_Explain() {
 	//     step descendant::music (fused //)
 	//     step select-narrow::shot standoff{op=select-narrow push=by-name(shot) nopush=all+filter}
 	// stream:
-	//   path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document; context descendant::music read from the region index by name when the path head is one document node
+	//   path [pipelined] final StandOff step select-narrow streams per context chunk through a watermark-gated pending-pre set when the context is single-document; context descendant::music read from the region index by name when the path head is one document node
 }
 
 func ExampleEngine_LoadStandOff() {

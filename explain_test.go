@@ -67,7 +67,7 @@ plan:
     return string($s/@id)
 stream:
   flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk
-    path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
+    path [pipelined] final StandOff step select-narrow streams per context chunk through a watermark-gated pending-pre set when the context is single-document
 `
 	if got := prep.Explain().String(); got != wantBefore {
 		t.Fatalf("explain before exec:\n%s\nwant:\n%s", got, wantBefore)
@@ -114,7 +114,7 @@ plan:
     return string($s/@id)
 stream:
   flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk
-    path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
+    path [pipelined] final StandOff step select-narrow streams per context chunk through a watermark-gated pending-pre set when the context is single-document
 `
 	if got := pe.String(); got != want {
 		t.Fatalf("analyze:\n%s\nwant:\n%s", got, want)
@@ -176,7 +176,7 @@ func TestExplainGoldenXMarkReduced(t *testing.T) {
           step ` + step("increase") + ` (in=23 out=23 cand=116 joins=looplifted:1)
 stream:
   flwor [pipelined] for $b tuples stream in chunks; loop body loop-lifted per chunk
-    path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document; 1 StandOff prefix step(s) stream through composed pres-based stages; context descendant::site read from the region index by name when the path head is one document node
+    path [pipelined] final StandOff step select-narrow streams per context chunk through a watermark-gated pending-pre set when the context is single-document; 1 StandOff prefix step(s) stream through composed pres-based stages; context descendant::site read from the region index by name when the path head is one document node
 `,
 		6: head + `  flwor (tuples=1 out=1 chunks=1)
     for $b in
@@ -187,7 +187,7 @@ stream:
           step select-narrow::item out{count} ` + fmt.Sprintf(so, "item") + ` (in=1 out=43 cand=43 joins=looplifted:1)
 stream:
   flwor [pipelined] for $b tuples stream in chunks; loop body loop-lifted per chunk
-    path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document; context descendant::site read from the region index by name when the path head is one document node
+    path [pipelined] final StandOff step select-narrow streams per context chunk through a watermark-gated pending-pre set when the context is single-document; context descendant::site read from the region index by name when the path head is one document node
 `,
 		7: head + `  flwor (tuples=1 out=1 chunks=1)
     for $p in
@@ -327,7 +327,7 @@ plan:
     step descendant::scene (fused //) (in=1 out=5)
     step select-narrow::hit standoff{op=select-narrow push=by-name(hit) nopush=all+filter} (in=5 out=5 cand=21 joins=looplifted:3 ` + tc.stream + `)
 stream:
-  path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document; context descendant::scene read from the region index by name when the path head is one document node
+  path [pipelined] final StandOff step select-narrow streams per context chunk through a watermark-gated pending-pre set when the context is single-document; context descendant::scene read from the region index by name when the path head is one document node
 `
 		if got != want {
 			t.Fatalf("analyze:\n%s\nwant:\n%s", got, want)

@@ -4,34 +4,32 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"soxq/internal/interval"
 )
 
 // JoinArena recycles the allocation-heavy scratch of the StandOff joins
 // across invocations: []Pair outputs, the counting-sort offset and fill
-// arrays of sortDedupPairs, the iter|start|end context rows, and the active
-// sets. One arena belongs to exactly one execution run (one Exec/Stream
-// drain); the evaluator threads it through JoinConfig and releases it when
-// the run's cursor closes. Arenas are not goroutine-safe, and need not be: a
-// run executes on the one goroutine that drains it.
+// arrays of sortDedupPairs, the columns of a bulk context's Areas, the
+// iter|start|end context rows, and the active sets. One arena belongs to
+// exactly one execution run (one Exec/Stream drain); the evaluator threads
+// it through JoinConfig and releases it when the run's cursor closes. Arenas
+// are not goroutine-safe, and need not be: a run executes on the one
+// goroutine that drains it.
 //
-// Ownership contract: the []Pair returned by Join is on loan from the arena
-// and stays valid only until the next Join call with the same arena (which
-// reclaims it). Every Join call site consumes its pairs before joining
-// again, so the loan is invisible above the core layer. A nil *JoinArena is
-// valid everywhere and degrades to plain allocation.
+// Ownership contract: the []Pair returned by JoinAreas or MatchAreas is on
+// loan from the arena and stays valid only until the next join call with the
+// same arena (which reclaims it); the Areas returned by ContextAreas stay
+// valid until its next call with the arena. Every caller consumes them
+// before joining again, so the loan is invisible above the core layer. A nil
+// *JoinArena is valid everywhere and degrades to plain allocation.
 type JoinArena struct {
 	pairFree [][]Pair // recycled pair buffers (len 0, spare capacity)
-	loaned   []Pair   // the last Join result, reclaimed on the next Join
+	loaned   []Pair   // the last join result, reclaimed on the next join
 
-	ctxRows  []ctxRow
-	ctxTmp   []ctxRow            // sortCtxRows' other buffer
-	ctxRegs  [][]interval.Region // buildCtxRows' regions per context node
-	pseudo   []int32
-	ctxNodes []CtxNode // joinBasic per-iteration context remap
-	csOff    []int32   // counting-sort bucket offsets
-	csFill   []int32   // counting-sort fill positions
+	areas   Areas    // ContextAreas' columns
+	ctxRows []ctxRow // areaRows' table, and ContextAreas' rows before it
+	ctxTmp  []ctxRow // sortCtxRows' other buffer
+	csOff   []int32  // counting-sort bucket offsets
+	csFill  []int32  // counting-sort fill positions
 
 	active activeSet
 }
@@ -79,10 +77,11 @@ func (a *JoinArena) Release() {
 		return
 	}
 	a.reclaim()
+	clear(a.areas.Regs[:cap(a.areas.Regs)]) // keep no index alive
 	arenaPool.Put(a)
 }
 
-// reclaim takes back the buffer loaned to the previous Join caller.
+// reclaim takes back the buffer loaned to the previous join caller.
 func (a *JoinArena) reclaim() {
 	if a == nil || a.loaned == nil {
 		return
@@ -91,7 +90,7 @@ func (a *JoinArena) reclaim() {
 	a.loaned = nil
 }
 
-// loan records the buffer handed to the Join caller so the next Join (or
+// loan records the buffer handed to the join caller so the next join (or
 // Release) can recycle it.
 func (a *JoinArena) loan(p []Pair) {
 	if a != nil {
@@ -170,38 +169,24 @@ func (a *JoinArena) putCtxTmp(rows []ctxRow) {
 	}
 }
 
-// getRegs returns an empty buffer of region slices with capacity for n;
-// putRegs clears it (it must not keep an index alive) and stores it back.
-func (a *JoinArena) getRegs(n int) [][]interval.Region {
-	if a == nil {
-		return make([][]interval.Region, 0, n)
-	}
-	return slices.Grow(a.ctxRegs[:0], n)
-}
-
-func (a *JoinArena) putRegs(r [][]interval.Region) {
+// getAreas returns Areas columns of n areas with arbitrary contents, Iter and
+// Regs only when asked for, valid until the next getAreas call.
+func (a *JoinArena) getAreas(n int, iters, regs bool) Areas {
+	b := &Areas{}
 	if a != nil {
-		clear(r)
-		a.ctxRegs = r
+		b = &a.areas
 	}
-}
-
-// getPseudo returns an empty int32 buffer for pseudo-iteration maps, valid
-// until the next getPseudo call.
-func (a *JoinArena) getPseudo(n int) []int32 {
-	if a == nil {
-		return make([]int32, 0, n)
+	b.Start, b.End, b.Pre = slices.Grow(b.Start[:0], n), slices.Grow(b.End[:0], n), slices.Grow(b.Pre[:0], n)
+	out := Areas{Start: b.Start[:n], End: b.End[:n], Pre: b.Pre[:n]}
+	if iters {
+		b.Iter = slices.Grow(b.Iter[:0], n)
+		out.Iter = b.Iter[:n]
 	}
-	if cap(a.pseudo) < n {
-		a.pseudo = make([]int32, 0, n)
+	if regs {
+		b.Regs = slices.Grow(b.Regs[:0], n)
+		out.Regs = b.Regs[:n]
 	}
-	return a.pseudo[:0]
-}
-
-func (a *JoinArena) putPseudo(p []int32) {
-	if a != nil {
-		a.pseudo = p
-	}
+	return out
 }
 
 // getOff returns a zeroed int32 buffer of length n (counting-sort offsets).
@@ -238,21 +223,4 @@ func (a *JoinArena) getFill(n int) []int32 {
 		a.csFill = b
 	}
 	return b
-}
-
-// getCtxNodes returns an empty CtxNode buffer with capacity for n nodes.
-func (a *JoinArena) getCtxNodes(n int) []CtxNode {
-	if a == nil {
-		return make([]CtxNode, 0, n)
-	}
-	if cap(a.ctxNodes) < n {
-		a.ctxNodes = make([]CtxNode, 0, n)
-	}
-	return a.ctxNodes[:0]
-}
-
-func (a *JoinArena) putCtxNodes(p []CtxNode) {
-	if a != nil {
-		a.ctxNodes = p
-	}
 }

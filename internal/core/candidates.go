@@ -204,39 +204,40 @@ func (ix *RegionIndex) candidatesFrom(live []int32) *Candidates {
 	return c
 }
 
-// ContextAreas returns the areas among the nodes pres as a context of
-// MatchAreas, each node's regions looked up once; a node that is not an
-// area-annotation drops. Areas of equal bounds keep the order of pres, so
-// pres in document order give a by-name view's order.
-func (ix *RegionIndex) ContextAreas(pres []int32) Areas {
-	rows := make([]row, 0, len(pres))
-	var regs [][]interval.Region
-	if ix.multiRegion {
-		regs = make([][]interval.Region, len(pres))
-	}
+// ContextAreas resolves the context nodes pres, node pres[i] bound in
+// iteration iters[i] (every node in iteration 0 when iters is nil), to the
+// Areas a join reads: each node's regions are looked up once (a second time
+// only when some area has several), a node that is not an area-annotation
+// drops, and one sort orders the rest by (start, end, iteration, pre), which
+// within one iteration is a by-name view's order. With an arena the columns
+// are on loan from it until the next ContextAreas call with it.
+func (ix *RegionIndex) ContextAreas(pres, iters []int32, a *JoinArena) Areas {
+	rows := a.getCtxRows(len(pres))
 	multi := false
 	for i, p := range pres {
-		r := ix.RegionsOf(p)
-		if len(r) == 0 {
-			continue
-		}
-		rows = append(rows, row{r[0].Start, r[len(r)-1].End, int32(i)}) // id: the position in pres
-		if regs != nil {
-			regs[i], multi = r, multi || len(r) > 1
+		if r := ix.RegionsOf(p); len(r) > 0 {
+			row := ctxRow{pre: p, start: r[0].Start, end: r[len(r)-1].End}
+			if iters != nil {
+				row.key = iters[i]
+			}
+			rows = append(rows, row)
+			multi = multi || len(r) > 1
 		}
 	}
-	var a Areas
-	a.Start, a.End, a.Pre = sortedCols(rows)
-	if multi {
-		a.Regs = make([][]interval.Region, len(a.Pre))
-	}
-	for j, i := range a.Pre {
+	rows = sortCtxRows(rows, a)
+	out := a.getAreas(len(rows), iters != nil, multi)
+	start, end, pre := out.Start[:len(rows)], out.End[:len(rows)], out.Pre[:len(rows)]
+	for j, r := range rows {
+		start[j], end[j], pre[j] = r.start, r.end, r.pre
+		if iters != nil {
+			out.Iter[j] = r.key
+		}
 		if multi {
-			a.Regs[j] = regs[i]
+			out.Regs[j] = ix.RegionsOf(r.pre)
 		}
-		a.Pre[j] = pres[i]
 	}
-	return a
+	a.putCtxRows(rows)
+	return out
 }
 
 // ViewAreas returns the areas of a candidate view as a context of

@@ -71,9 +71,8 @@ func (s Strategy) String() string {
 	}
 }
 
-// CtxNode is one context item of a loop-lifted StandOff step: node Pre bound
-// in iteration Iter. The paper's iter|start|end context table is derived
-// from these by fetching each node's regions from the index.
+// CtxNode is one context item of a loop-lifted StandOff step, node Pre bound
+// in iteration Iter: Join's form of a context, which it resolves to Areas.
 type CtxNode struct {
 	Iter int32
 	Pre  int32
@@ -109,15 +108,24 @@ type JoinConfig struct {
 	Arena *JoinArena
 }
 
-// Join evaluates one StandOff join. ctx holds the context nodes of all
-// iterations (any order); nIters is the iteration count (every ctx.Iter must
-// be < nIters); cand is the candidate sequence. The result is sorted by
-// (Iter, Pre) and duplicate-free. Context nodes that are not
+// Join is JoinAreas over the context nodes ctx of all iterations (any
+// order), resolved by ContextAreas: context nodes that are not
 // area-annotations simply produce no matches.
+func Join(ix *RegionIndex, op Op, strat Strategy, ctx []CtxNode, nIters int32, cand *Candidates, cfg JoinConfig) []Pair {
+	pres, iters := make([]int32, len(ctx)), make([]int32, len(ctx))
+	for i, cn := range ctx {
+		pres[i], iters[i] = cn.Pre, cn.Iter
+	}
+	return JoinAreas(ix, op, strat, ix.ContextAreas(pres, iters, cfg.Arena), nIters, cand, cfg)
+}
+
+// JoinAreas evaluates one StandOff join of the context ctx, whose areas lie
+// in nIters iterations, against the candidate sequence cand. The result is
+// sorted by (Iter, Pre) and duplicate-free.
 //
 // With cfg.Arena set, the returned slice is borrowed from the arena and is
-// valid only until the next Join call carrying the same arena.
-func Join(ix *RegionIndex, op Op, strat Strategy, ctx []CtxNode, nIters int32, cand *Candidates, cfg JoinConfig) []Pair {
+// valid only until the next join call carrying the same arena.
+func JoinAreas(ix *RegionIndex, op Op, strat Strategy, ctx Areas, nIters int32, cand *Candidates, cfg JoinConfig) []Pair {
 	cfg.Arena.reclaim()
 	var out []Pair
 	switch strat {
@@ -132,16 +140,17 @@ func Join(ix *RegionIndex, op Op, strat Strategy, ctx []CtxNode, nIters int32, c
 	return out
 }
 
-// Areas is the context of one iteration given by its area-annotations
-// rather than by node pres, so that a join over it looks no region up: area
-// i is node Pre[i], covered by [Start[i], End[i]] (its first region's start
-// and its last region's end), and the areas ascend by (Start, End, Pre) —
-// the order of a candidate view's bounds rows. Regs holds each area's
-// regions and must be set when some area has more than one; it may be nil
-// otherwise. An Areas may alias an index's columns: it is read-only.
+// Areas is a join's context given by its area-annotations rather than by
+// node pres, so that a join over it looks no region up: area i is node
+// Pre[i] bound in iteration Iter[i] (every area in iteration 0 when Iter is
+// nil), covered by [Start[i], End[i]] (its first region's start and its last
+// region's end), and the areas ascend by (Start, End) — the order of a
+// candidate view's bounds rows. Regs holds each area's regions and must be
+// set when some area has more than one; it may be nil otherwise. An Areas
+// may alias an index's columns: it is read-only.
 type Areas struct {
 	Start, End []int64
-	Pre        []int32
+	Pre, Iter  []int32
 	Regs       [][]interval.Region
 }
 
@@ -151,10 +160,45 @@ func (a Areas) Len() int { return len(a.Pre) }
 // Slice returns areas i through j-1.
 func (a Areas) Slice(i, j int) Areas {
 	s := Areas{Start: a.Start[i:j], End: a.End[i:j], Pre: a.Pre[i:j]}
+	if a.Iter != nil {
+		s.Iter = a.Iter[i:j]
+	}
 	if a.Regs != nil {
 		s.Regs = a.Regs[i:j]
 	}
 	return s
+}
+
+// groups returns a's areas grouped by iteration, each group in a's order,
+// group i of nIters being g.Slice(off[i], off[i+1]); g has no Iter column.
+func (a Areas) groups(nIters int32) (g Areas, off []int) {
+	off = make([]int, nIters+1)
+	if a.Iter == nil {
+		for i := 1; i < len(off); i++ {
+			off[i] = a.Len()
+		}
+		return a, off
+	}
+	for _, it := range a.Iter {
+		off[it+1]++
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	g = Areas{Start: make([]int64, a.Len()), End: make([]int64, a.Len()), Pre: make([]int32, a.Len())}
+	if a.Regs != nil {
+		g.Regs = make([][]interval.Region, a.Len())
+	}
+	fill := slices.Clone(off)
+	for i, it := range a.Iter {
+		j := fill[it]
+		fill[it]++
+		g.Start[j], g.End[j], g.Pre[j] = a.Start[i], a.End[i], a.Pre[i]
+		if g.Regs != nil {
+			g.Regs[j] = a.Regs[i]
+		}
+	}
+	return g, off
 }
 
 // multi reports whether some area has more than one region.
@@ -167,17 +211,14 @@ func (a Areas) multi() bool {
 	return false
 }
 
-// MatchAreas is the match step of the Loop-Lifted StandOff MergeJoin alone,
-// over a context of one iteration given as its areas: the pairs of op's
-// select half (select-narrow for reject-narrow, select-wide for
-// reject-wide), all of iteration 0, each once, in no set order. Join is this
-// step, then the sort and, for a reject op, the complement. The regions come
-// from ctx; no context node's regions are looked up. The returned slice is on
-// loan from cfg.Arena like Join's.
+// MatchAreas is the match step of the Loop-Lifted StandOff MergeJoin alone:
+// the pairs of op's select half (select-narrow for reject-narrow,
+// select-wide for reject-wide), each once, in no set order. JoinAreas is this
+// step, then the sort and, for a reject op, the complement. The returned
+// slice is on loan from cfg.Arena like JoinAreas'.
 func MatchAreas(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, cfg JoinConfig) []Pair {
 	cfg.Arena.reclaim()
-	exact := narrow(op) && ctx.multi()
-	out := matchTable(ix, op, areaRows(ctx, exact, cfg.Arena), exact, cand, cfg, false)
+	out := match(ix, op, ctx, cand, cfg, false)
 	cfg.Arena.loan(out)
 	return out
 }
@@ -185,70 +226,38 @@ func MatchAreas(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, cfg JoinCon
 // ctxRow is one region of a context area in the iter|start|end table.
 type ctxRow struct {
 	key        int32 // iteration, or pseudo-iteration in exact-narrow mode
+	pre        int32 // the area, in ContextAreas' rows (areaRows leaves it 0)
 	start, end int64
 }
 
 // ctxTable is the context table a merge reads: its rows ordered by
 // (start, end), the number of keys and, with pseudo-keys, each key's
-// iteration.
+// iteration (nil when all are in iteration 0).
 type ctxTable struct {
 	rows         []ctxRow
 	pseudoToIter []int32
 	nKeys        int32
 }
 
-// buildCtxRows fetches the regions of every context node and returns them
-// ordered. When pseudoKeys is true each ctx entry becomes its own key (exact
-// containment needs to know *which* context area matched). All nodes are
-// resolved before any region is read, so the misses of consecutive nodes
-// overlap.
-func buildCtxRows(ix *RegionIndex, ctx []CtxNode, pseudoKeys bool, a *JoinArena) ctxTable {
-	regs := a.getRegs(len(ctx))
-	for _, cn := range ctx {
-		regs = append(regs, ix.RegionsOf(cn.Pre))
-	}
-	t := ctxTable{rows: a.getCtxRows(len(ctx))}
-	if pseudoKeys {
-		t.pseudoToIter = a.getPseudo(len(ctx))
-	}
-	for j, cn := range ctx {
-		if len(regs[j]) == 0 {
-			continue
-		}
-		key := cn.Iter
-		if pseudoKeys {
-			key = int32(len(t.pseudoToIter))
-			t.pseudoToIter = append(t.pseudoToIter, cn.Iter)
-		}
-		t.nKeys = max(t.nKeys, key+1)
-		for _, r := range regs[j] {
-			t.rows = append(t.rows, ctxRow{key: key, start: r.Start, end: r.End})
-		}
-	}
-	a.putRegs(regs)
-	t.rows = sortCtxRows(t.rows, a)
-	a.putCtxRows(t.rows)
-	if pseudoKeys {
-		a.putPseudo(t.pseudoToIter)
-	}
-	return t
-}
-
-// areaRows is buildCtxRows for a context of one iteration given as areas:
-// the rows are their regions, already in order unless some area has several.
+// areaRows is the one builder of a join's iter|start|end table: the regions
+// of the areas ctx, each keyed by its area's iteration or, when pseudoKeys is
+// true, by the area's index (exact containment needs to know *which* context
+// area matched). The rows are already in order unless some area has several.
 func areaRows(ctx Areas, pseudoKeys bool, a *JoinArena) ctxTable {
-	t := ctxTable{rows: a.getCtxRows(ctx.Len()), nKeys: min(int32(ctx.Len()), 1)}
+	t := ctxTable{rows: a.getCtxRows(ctx.Len())}
 	if pseudoKeys {
-		t.pseudoToIter = a.getPseudo(ctx.Len())
-		t.nKeys = int32(ctx.Len())
+		t.pseudoToIter = ctx.Iter
 	}
 	sorted := true
 	for i := range ctx.Pre {
 		key := int32(0)
-		if pseudoKeys {
+		switch {
+		case pseudoKeys:
 			key = int32(i)
-			t.pseudoToIter = append(t.pseudoToIter, 0)
+		case ctx.Iter != nil:
+			key = ctx.Iter[i]
 		}
+		t.nKeys = max(t.nKeys, key+1)
 		if ctx.Regs == nil || len(ctx.Regs[i]) <= 1 {
 			t.rows = append(t.rows, ctxRow{key: key, start: ctx.Start[i], end: ctx.End[i]})
 			continue
@@ -262,24 +271,26 @@ func areaRows(ctx Areas, pseudoKeys bool, a *JoinArena) ctxTable {
 		t.rows = sortCtxRows(t.rows, a)
 	}
 	a.putCtxRows(t.rows)
-	if pseudoKeys {
-		a.putPseudo(t.pseudoToIter)
-	}
 	return t
 }
 
-// sortCtxRows orders the context table by (start, end) and returns it,
-// possibly in the arena's other row buffer. Like sortByPre: nothing to do for
-// rows that arrive ordered (a context in document order over a document
+// sortCtxRows orders the context table by (start, end, key, pre) and returns
+// it, possibly in the arena's other row buffer. Like sortByPre: nothing to do
+// for rows that arrive ordered (a context in document order over a document
 // written in position order), the comparison sort for a short table, else an
 // LSD radix sort over the bytes of start that vary, equal starts then put in
-// end order.
+// (end, key, pre) order.
 func sortCtxRows(rows []ctxRow, a *JoinArena) []ctxRow {
 	cmpRows := func(x, y ctxRow) int {
-		if x.start != y.start {
+		switch {
+		case x.start != y.start:
 			return cmp.Compare(x.start, y.start)
+		case x.end != y.end:
+			return cmp.Compare(x.end, y.end)
+		case x.key != y.key:
+			return cmp.Compare(x.key, y.key)
 		}
-		return cmp.Compare(x.end, y.end)
+		return cmp.Compare(x.pre, y.pre)
 	}
 	if slices.IsSortedFunc(rows, cmpRows) {
 		return rows
@@ -327,19 +338,6 @@ func sortCtxRows(rows []ctxRow, a *JoinArena) []ctxRow {
 	return src
 }
 
-// ctxHasMultiRegion reports whether any context node is a multi-region area.
-func ctxHasMultiRegion(ix *RegionIndex, ctx []CtxNode) bool {
-	if !ix.multiRegion {
-		return false
-	}
-	for _, cn := range ctx {
-		if regs := ix.RegionsOf(cn.Pre); len(regs) > 1 {
-			return true
-		}
-	}
-	return false
-}
-
 func newActiveSet(nKeys int32, a *JoinArena) *activeSet {
 	if a != nil {
 		return a.active.reset(nKeys)
@@ -352,18 +350,14 @@ func narrow(op Op) bool { return op == SelectNarrow || op == RejectNarrow }
 
 // match computes the pairs of op's select half, each once, in no set order.
 // fullScan forces visiting every candidate row (Basic behaviour: no early
-// break).
-func match(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
-	exact := narrow(op) && ctxHasMultiRegion(ix, ctx)
-	return matchTable(ix, op, buildCtxRows(ix, ctx, exact, cfg.Arena), exact, cand, cfg, fullScan)
-}
-
-// matchTable is match over a built context table, pseudo-keyed when exact
-// (containment with a multi-region context area). Only two shapes can match
-// a (key, candidate) pair twice, and only they are sorted here: exact
-// containment (two context areas of one iteration) and overlap with a
-// multi-region candidate (two of its regions).
-func matchTable(ix *RegionIndex, op Op, t ctxTable, exact bool, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
+// break). The table is pseudo-keyed, exact, for containment with a
+// multi-region context area. Only two shapes can match a (key, candidate)
+// pair twice, and only they are sorted here: exact containment (two context
+// areas of one iteration) and overlap with a multi-region candidate (two of
+// its regions).
+func match(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
+	exact := narrow(op) && ctx.multi()
+	t := areaRows(ctx, exact, cfg.Arena)
 	var m []Pair
 	switch {
 	case exact:
@@ -547,17 +541,17 @@ var testHookSkip = func() {}
 // candidates it rejects first. Every ctx.Iter must be < len(out); out
 // accumulates, so one out can gather the joins of several documents.
 //
-// The result equals reducing Join's pairs. For single-region contexts of
+// The result equals reducing JoinAreas' pairs. For single-region contexts of
 // select-narrow the merge reduces each match as it emits it, with no pair
-// buffer and no sort; every other shape reduces Join's sorted pairs.
-func JoinReduce(ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, keep func(pre int32) bool, first bool, out []int32, cfg JoinConfig) {
+// buffer and no sort; every other shape reduces JoinAreas' sorted pairs.
+func JoinReduce(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, keep func(pre int32) bool, first bool, out []int32, cfg JoinConfig) {
 	emit := &emitState{red: out, first: first}
-	if op == SelectNarrow && keep == nil && cfg.Trace == nil && !ctxHasMultiRegion(ix, ctx) {
-		mergeNarrow(buildCtxRows(ix, ctx, false, cfg.Arena), cand, cfg, false, emit)
+	if op == SelectNarrow && keep == nil && cfg.Trace == nil && !ctx.multi() {
+		mergeNarrow(areaRows(ctx, false, cfg.Arena), cand, cfg, false, emit)
 		return
 	}
 	cb := emit.callback()
-	for _, p := range Join(ix, op, StrategyLoopLifted, ctx, int32(len(out)), cand, cfg) {
+	for _, p := range JoinAreas(ix, op, StrategyLoopLifted, ctx, int32(len(out)), cand, cfg) {
 		if keep == nil || keep(p.Pre) {
 			emit.pre = p.Pre
 			cb(p.Iter)
@@ -605,7 +599,11 @@ func matchNarrowExact(ix *RegionIndex, t ctxTable, cand *Candidates, cfg JoinCon
 		// Regions of one candidate are distinct rows, so equal (key,pre)
 		// hits count matched regions of that candidate.
 		if int32(e-s) == ix.regionCount(hits[s].Pre) {
-			out = append(out, Pair{Iter: pseudoToIter[hits[s].Iter], Pre: hits[s].Pre})
+			iter := int32(0)
+			if pseudoToIter != nil {
+				iter = pseudoToIter[hits[s].Iter]
+			}
+			out = append(out, Pair{Iter: iter, Pre: hits[s].Pre})
 		}
 		s = e
 	}
@@ -801,39 +799,26 @@ func sortPairsDirect(p []Pair) {
 // joinBasic evaluates the join with the Basic StandOff MergeJoin: the merge
 // is re-run for every iteration, so every iteration pays a fresh scan of the
 // candidate sequence (the behaviour that makes XMark Q2 DNF in Figure 6).
-func joinBasic(ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candidates, cfg JoinConfig) []Pair {
+func joinBasic(ix *RegionIndex, op Op, ctx Areas, nIters int32, cand *Candidates, cfg JoinConfig) []Pair {
 	a := cfg.Arena
-	byIter := make([][]CtxNode, nIters)
-	for _, cn := range ctx {
-		byIter[cn.Iter] = append(byIter[cn.Iter], cn)
-	}
+	g, off := ctx.groups(nIters)
 	all := a.getPairs()
-	local := a.getCtxNodes(len(ctx))
 	for iter := int32(0); iter < nIters; iter++ {
-		group := byIter[iter]
-		// Remap the group to a single iteration and run the full merge.
-		local = local[:0]
-		for _, cn := range group {
-			local = append(local, CtxNode{Iter: 0, Pre: cn.Pre})
-		}
-		matched := order(match(ix, op, local, cand, cfg, true), op, 1, cand, a)
+		// The group alone is a context of iteration 0: run the full merge.
+		matched := order(match(ix, op, g.Slice(off[iter], off[iter+1]), cand, cfg, true), op, 1, cand, a)
 		for _, p := range matched {
 			all = append(all, Pair{Iter: iter, Pre: p.Pre})
 		}
 		a.putPairs(matched)
 	}
-	a.putCtxNodes(local)
 	return all
 }
 
 // joinNaive evaluates the join exactly like the XQuery functions of Figures
 // 2 and 3: per iteration, a nested loop compares every context area with
 // every candidate area.
-func joinNaive(ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candidates) []Pair {
-	byIter := make([][]CtxNode, nIters)
-	for _, cn := range ctx {
-		byIter[cn.Iter] = append(byIter[cn.Iter], cn)
-	}
+func joinNaive(ix *RegionIndex, op Op, ctx Areas, nIters int32, cand *Candidates) []Pair {
+	g, off := ctx.groups(nIters)
 	areas := cand.AreaPres()
 	var out []Pair
 	for iter := int32(0); iter < nIters; iter++ {
@@ -843,8 +828,8 @@ func joinNaive(ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candid
 				continue
 			}
 			match := false
-			for _, cn := range byIter[iter] {
-				ctxArea, ok := ix.AreaOf(cn.Pre)
+			for _, ctxPre := range g.Pre[off[iter]:off[iter+1]] {
+				ctxArea, ok := ix.AreaOf(ctxPre)
 				if !ok {
 					continue
 				}

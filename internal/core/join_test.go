@@ -289,7 +289,7 @@ func TestStrategiesAgreeMultiRegion(t *testing.T) {
 					}
 				}
 			}
-			checkMatch(t, ix, op, ctx, nIters, ix.All(), JoinConfig{})
+			checkMatch(t, ix, op, ctx, ix.All(), naiveJoin(ix, op%2, ctx, nIters, ix.All()), JoinConfig{})
 		}
 	}
 }
@@ -420,7 +420,7 @@ func TestJoinReduceAgainstJoin(t *testing.T) {
 						setListMax(t, d)
 						for _, cfg := range []JoinConfig{{}, {Arena: arena}} {
 							got := slices.Clone(init)
-							JoinReduce(ix, op, ctx, cand, keep, first, got, cfg)
+							JoinReduce(ix, op, areasOf(ix, ctx, cfg.Arena), cand, keep, first, got, cfg)
 							if !slices.Equal(got, want) {
 								t.Fatalf("round %d %v first=%v keep=%v D=%d: JoinReduce %v, want %v\nctx %v",
 									round, op, first, keep != nil, d, got, want, ctx)

@@ -202,7 +202,7 @@ func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionInd
 		}
 		// The by-name view as a join context is, row for row, what
 		// ContextAreas resolves from the name's live elements.
-		view, ctx := ix.ViewAreas(ix.FilterByName(id)), ix.ContextAreas(d.ElementsByName(id))
+		view, ctx := ix.ViewAreas(ix.FilterByName(id)), ix.ContextAreas(d.ElementsByName(id), nil, nil)
 		if !slices.Equal(view.Start, ctx.Start) || !slices.Equal(view.End, ctx.End) || !slices.Equal(view.Pre, ctx.Pre) ||
 			len(view.Regs) != len(ctx.Regs) || !slices.EqualFunc(view.Regs, ctx.Regs, slices.Equal) {
 			t.Fatalf("%s: ViewAreas = %+v, ContextAreas of the live elements = %+v", what, view, ctx)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -88,11 +89,34 @@ func newTiledJoin(t *testing.T, rng *rand.Rand) tiledJoin {
 	return j
 }
 
-// checkAgainstNaive holds every loop-lifted join of the input — Join under all four
-// ops, JoinReduce's counts and first matches under both select ops — against
-// the naive nested loop, under the production list bound and under a bound of
-// one, which turns the active set into a heap and back whenever two keys are
-// live, with and without an arena.
+// areasOf resolves the context nodes ctx with ContextAreas, as Join does.
+func areasOf(ix *RegionIndex, ctx []CtxNode, a *JoinArena) Areas {
+	pres, iters := make([]int32, len(ctx)), make([]int32, len(ctx))
+	for i, cn := range ctx {
+		pres[i], iters[i] = cn.Pre, cn.Iter
+	}
+	return ix.ContextAreas(pres, iters, a)
+}
+
+// naiveJoin is joinNaive over the context nodes as they come: in ctx's
+// order, unresolved, nodes that are not areas included. It is the oracle,
+// and it does not go through ContextAreas.
+func naiveJoin(ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candidates) []Pair {
+	a := Areas{Start: make([]int64, len(ctx)), End: make([]int64, len(ctx))}
+	for _, cn := range ctx {
+		a.Pre, a.Iter = append(a.Pre, cn.Pre), append(a.Iter, cn.Iter)
+	}
+	return joinNaive(ix, op, a, nIters, cand)
+}
+
+// checkAgainstNaive holds every join of the input against the naive nested
+// loop: Join under all four ops, JoinAreas' Basic and Loop-Lifted joins
+// called directly on the ContextAreas of all iterations (pseudo-keyed when a
+// context area has several regions), MatchAreas per iteration, and
+// JoinReduce's counts and first matches under both select ops. Each runs
+// under the production list bound and under a bound of one, which turns the
+// active set into a heap and back whenever two keys are live, with and
+// without an arena.
 func checkAgainstNaive(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters int32, cand *Candidates, arena *JoinArena) {
 	t.Helper()
 	for _, d := range []int{activeListMax, 1} {
@@ -105,12 +129,17 @@ func checkAgainstNaiveAt(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters in
 	t.Helper()
 	cfgs := []JoinConfig{{}, {Arena: arena}}
 	for op := SelectNarrow; op <= RejectWide; op++ {
-		naive := Join(ix, op, StrategyNaive, ctx, nIters, cand, JoinConfig{})
+		naive := naiveJoin(ix, op, ctx, nIters, cand)
 		for _, cfg := range cfgs {
 			if got := Join(ix, op, StrategyLoopLifted, ctx, nIters, cand, cfg); !pairsEqual(got, naive) {
 				t.Fatalf("%v D=%d arena=%v:\n got  %v\nwant %v\nctx %v", op, d, cfg.Arena != nil, got, naive, ctx)
 			}
-			checkMatch(t, ix, op, ctx, nIters, cand, cfg)
+			for _, strat := range []Strategy{StrategyBasic, StrategyLoopLifted} {
+				if got := JoinAreas(ix, op, strat, areasOf(ix, ctx, cfg.Arena), nIters, cand, cfg); !pairsEqual(got, naive) {
+					t.Fatalf("JoinAreas %v/%v D=%d arena=%v:\n got  %v\nwant %v\nctx %v", op, strat, d, cfg.Arena != nil, got, naive, ctx)
+				}
+			}
+			checkMatch(t, ix, op, ctx, cand, naiveJoin(ix, op%2, ctx, nIters, cand), cfg)
 		}
 		if op != SelectNarrow && op != SelectWide {
 			continue
@@ -125,7 +154,7 @@ func checkAgainstNaiveAt(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters in
 			want := reducePairs(naive, nil, first, init)
 			for _, cfg := range cfgs {
 				got := slices.Clone(init)
-				JoinReduce(ix, op, ctx, cand, nil, first, got, cfg)
+				JoinReduce(ix, op, areasOf(ix, ctx, cfg.Arena), cand, nil, first, got, cfg)
 				if !slices.Equal(got, want) {
 					t.Fatalf("JoinReduce %v first=%v D=%d arena=%v: %v, want %v\nctx %v",
 						op, first, d, cfg.Arena != nil, got, want, ctx)
@@ -136,13 +165,13 @@ func checkAgainstNaiveAt(t *testing.T, ix *RegionIndex, ctx []CtxNode, nIters in
 }
 
 // checkMatch holds MatchAreas to its contract: each iteration's context
-// alone, as the areas ContextAreas resolves, gives that iteration's pairs of
-// op's select half, each once, in any order.
-func checkMatch(t *testing.T, ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candidates, cfg JoinConfig) {
+// alone, as the areas ContextAreas resolves with no Iter column, repeated
+// nodes kept, gives that iteration's pairs of op's select half (sel, the
+// naive join's), each once, in any order.
+func checkMatch(t *testing.T, ix *RegionIndex, op Op, ctx []CtxNode, cand *Candidates, sel []Pair, cfg JoinConfig) {
 	t.Helper()
-	sel := op % 2 // reject-narrow → select-narrow, reject-wide → select-wide
 	want := map[int32][]Pair{}
-	for _, p := range Join(ix, sel, StrategyNaive, ctx, nIters, cand, JoinConfig{}) {
+	for _, p := range sel {
 		want[p.Iter] = append(want[p.Iter], Pair{Pre: p.Pre})
 	}
 	byIter := map[int32][]int32{}
@@ -150,8 +179,7 @@ func checkMatch(t *testing.T, ix *RegionIndex, op Op, ctx []CtxNode, nIters int3
 		byIter[cn.Iter] = append(byIter[cn.Iter], cn.Pre)
 	}
 	for iter, pres := range byIter {
-		slices.Sort(pres)
-		got := slices.Clone(MatchAreas(ix, op, ix.ContextAreas(slices.Compact(pres)), cand, cfg))
+		got := slices.Clone(MatchAreas(ix, op, ix.ContextAreas(pres, nil, cfg.Arena), cand, cfg))
 		sortPairsDirect(got) // no dedup: a pair matched twice fails
 		if !pairsEqual(got, want[iter]) {
 			t.Fatalf("MatchAreas %v arena=%v iteration %d:\n got  %v\nwant %v\npres %v", op, cfg.Arena != nil, iter, got, want[iter], pres)
@@ -244,11 +272,13 @@ func TestHeapJoinSkipsLikeList(t *testing.T) {
 	}
 }
 
-// FuzzMergeJoin holds the loop-lifted joins against the naive nested loop
+// FuzzMergeJoin holds the joins against the naive nested loop
 // (checkAgainstNaive: all four ops, count and first, list bound 1 and the
 // production one) on a random region document — single-region areas at
 // random or tiling the positions, or multi-region areas in the region-element
-// encoding — with random contexts and a random candidate subset.
+// encoding — with random contexts and a random candidate subset. A context
+// may hold nodes that are not areas (the <doc> element, any other node) and
+// a node twice, in one iteration or in two.
 func FuzzMergeJoin(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed, seed%3 == 0)
@@ -289,7 +319,21 @@ func FuzzMergeJoin(f *testing.F) {
 		nIters := 1 + rng.Int31n(6)
 		var ctx []CtxNode
 		for i := rng.Intn(16); i > 0; i-- {
-			ctx = append(ctx, CtxNode{Iter: rng.Int31n(nIters), Pre: areas[rng.Intn(len(areas))]})
+			pre := areas[rng.Intn(len(areas))]
+			switch rng.Intn(10) {
+			case 0:
+				pre = 1 // the <doc> element
+			case 1:
+				pre = rng.Int31n(int32(ix.doc.NumNodes())) // any node
+			}
+			cn := CtxNode{Iter: rng.Int31n(nIters), Pre: pre}
+			ctx = append(ctx, cn)
+			switch rng.Intn(5) {
+			case 0:
+				ctx = append(ctx, cn)
+			case 1:
+				ctx = append(ctx, CtxNode{Iter: rng.Int31n(nIters), Pre: pre})
+			}
 		}
 		cand := ix.All()
 		if rng.Intn(2) == 0 {
@@ -303,4 +347,85 @@ func FuzzMergeJoin(f *testing.F) {
 		}
 		checkAgainstNaive(t, ix, ctx, nIters, cand, arena)
 	})
+}
+
+// TestContextAreasResolvesAnyContext: ContextAreas keeps the context nodes
+// that are areas, repeats included, with their iterations, ordered by
+// (start, end, iteration, pre); regions come along only when some kept area
+// has several. With and without an arena, single- and multi-region.
+func TestContextAreasResolvesAnyContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	arena := AcquireJoinArena()
+	defer arena.Release()
+	for round := 0; round < 200; round++ {
+		var sb strings.Builder
+		sb.WriteString("<doc>")
+		multi := round%2 == 1
+		for n := 1 + rng.Intn(30); n > 0; n-- {
+			s := rng.Int63n(40)
+			if !multi {
+				fmt.Fprintf(&sb, `<a start="%d" end="%d"/>`, s, s+rng.Int63n(10))
+				continue
+			}
+			sb.WriteString("<a>")
+			for r := 1 + rng.Intn(3); r > 0; r-- {
+				fmt.Fprintf(&sb, "<region><start>%d</start><end>%d</end></region>", s, s+rng.Int63n(5))
+				s += 6 + rng.Int63n(10)
+			}
+			sb.WriteString("</a>")
+		}
+		sb.WriteString("</doc>")
+		opts := DefaultOptions()
+		if multi {
+			opts.Region, opts.UseRegionElements = "region", true
+		}
+		ix := buildIx(t, sb.String(), opts)
+		var pres, iters []int32
+		for i := rng.Intn(150); i > 0; i-- { // past radixMin rows at times
+			pres = append(pres, rng.Int31n(int32(ix.doc.NumNodes())))
+			iters = append(iters, rng.Int31n(5))
+		}
+		if rng.Intn(3) == 0 {
+			iters = nil
+		}
+		type area struct {
+			start, end int64
+			pre, iter  int32
+			regs       int
+		}
+		var want []area
+		anyMulti := false
+		for i, p := range pres {
+			if r := ix.RegionsOf(p); len(r) > 0 {
+				a := area{start: r[0].Start, end: r[len(r)-1].End, pre: p, regs: len(r)}
+				if iters != nil {
+					a.iter = iters[i]
+				}
+				want = append(want, a)
+				anyMulti = anyMulti || len(r) > 1
+			}
+		}
+		slices.SortFunc(want, func(x, y area) int {
+			return cmp.Or(cmp.Compare(x.start, y.start), cmp.Compare(x.end, y.end), cmp.Compare(x.iter, y.iter), cmp.Compare(x.pre, y.pre))
+		})
+		for _, a := range []*JoinArena{nil, arena} {
+			got := ix.ContextAreas(pres, iters, a)
+			if got.Len() != len(want) || len(want) > 0 && (got.Iter == nil) != (iters == nil) || (got.Regs != nil) != anyMulti {
+				t.Fatalf("round %d arena=%v: %d areas, Iter %v, Regs %v; want %d, %v, %v",
+					round, a != nil, got.Len(), got.Iter != nil, got.Regs != nil, len(want), iters != nil, anyMulti)
+			}
+			for j, w := range want {
+				g := area{start: got.Start[j], end: got.End[j], pre: got.Pre[j], regs: w.regs}
+				if iters != nil {
+					g.iter = got.Iter[j]
+				}
+				if anyMulti && !slices.Equal(got.Regs[j], ix.RegionsOf(w.pre)) {
+					g.regs = -1
+				}
+				if g != w {
+					t.Fatalf("round %d arena=%v: area %d = %+v, want %+v", round, a != nil, j, g, w)
+				}
+			}
+		}
+	}
 }

@@ -172,10 +172,7 @@ type StandOffStream struct {
 	keep func(int32) bool // the post-filter node test, nil when the candidates apply it
 	wide bool
 
-	// Per-stream scratch, recycled across chunks: the context-node rows
-	// handed to a Basic or naive join and the pre buffer handed back to the
-	// cursor.
-	ctxBuf  []core.CtxNode
+	// The pre buffer handed back to the cursor, recycled across chunks.
 	outPres []int32
 }
 
@@ -203,7 +200,7 @@ func (ev *Evaluator) NewStandOffStream(sp *xqplan.StepPlan, d *tree.Doc, root in
 // stream's tree as the start-sorted context table its chunk joins read:
 // each node's regions are looked up here, once.
 func (s *StandOffStream) ContextAreas(pres []int32) core.Areas {
-	return s.ix.ContextAreas(pres)
+	return s.ix.ContextAreas(pres, nil, nil)
 }
 
 // NameAreas returns the context table of a predicate-free descendant::N
@@ -217,7 +214,8 @@ func (s *StandOffStream) NameAreas(nameID int32) core.Areas {
 
 // JoinChunk runs the step's join over one chunk of context areas and returns
 // the matching candidate pres, each once, in no set order (the Loop-Lifted
-// join's matches are not sorted; Basic and Naive come sorted). The returned
+// join's match step, core.MatchAreas, does not sort; the Basic and naive
+// joins of core.JoinAreas come sorted). The returned
 // slice is the stream's recycled buffer — valid only until the next JoinChunk
 // call. One ANALYZE join invocation is recorded per chunk — the chunked run
 // truly executes that many merges.
@@ -226,14 +224,7 @@ func (s *StandOffStream) JoinChunk(chunk core.Areas) []int32 {
 	if s.ev.Strategy == core.StrategyLoopLifted {
 		pairs = core.MatchAreas(s.ix, s.sp.SO.Op, chunk, s.cand, s.ev.JoinCfg)
 	} else {
-		if cap(s.ctxBuf) < chunk.Len() {
-			s.ctxBuf = make([]core.CtxNode, chunk.Len())
-		}
-		ctx := s.ctxBuf[:chunk.Len()]
-		for i, pre := range chunk.Pre {
-			ctx[i] = core.CtxNode{Iter: 0, Pre: pre}
-		}
-		pairs = core.Join(s.ix, s.sp.SO.Op, s.ev.Strategy, ctx, 1, s.cand, s.ev.JoinCfg)
+		pairs = core.JoinAreas(s.ix, s.sp.SO.Op, s.ev.Strategy, chunk, 1, s.cand, s.ev.JoinCfg)
 	}
 	s.ev.countJoin(s.ev.Strategy)
 	s.ev.Stats.RecordJoin(s.sp, s.ix, int64(s.cand.Len()), s.ev.Strategy)

@@ -197,9 +197,10 @@ func (ev *Evaluator) mergeRows(rows, ctx LLSeq) LLSeq {
 	return LLSeq{Off: off, Items: rows.Items[:w]}
 }
 
-// countJoin feeds the always-on per-algorithm join counter. Called at every
-// core.Join call site (bulk and chunked, select and reject side), so the
-// counters reflect join invocations actually run — one atomic add each.
+// countJoin feeds the always-on per-algorithm join counter. Called once per
+// join run — a bulk core.JoinAreas or core.JoinReduce per tree (joinInputs),
+// a chunk's core.MatchAreas or core.JoinAreas (JoinChunk) — so the counters
+// reflect join invocations actually run, one atomic add each.
 func (ev *Evaluator) countJoin(strat core.Strategy) {
 	m := ev.Met
 	if m == nil {
@@ -310,13 +311,19 @@ func appendAttrSourceStep(dst []Item, sp *xqplan.StepPlan, it Item) []Item {
 }
 
 // docContext is the part of a StandOff step's context that lies in one
-// tree, a loaded document or one fragment of a container: its area
-// candidates' context nodes, Iter being the context row.
+// tree, a loaded document or one fragment of a container: its n context
+// nodes, node pres()[i] in context row iters()[i]. iters ascends, and holds
+// the rows of nodes that are not areas too. Both lists live in buf, the pres
+// in its first half and the rows in its second.
 type docContext struct {
-	d     *tree.Doc
-	root  int32 // the tree's document node
-	nodes []core.CtxNode
+	d    *tree.Doc
+	root int32 // the tree's document node
+	n    int32
+	buf  []int32
 }
+
+func (t docContext) pres() []int32  { return t.buf[:t.n] }
+func (t docContext) iters() []int32 { return t.buf[len(t.buf)/2:][:t.n] }
 
 // cmpTree orders two parts' trees in document order: documents by creation
 // rank, a container's fragments by pre. Snapshots of one document share its
@@ -348,9 +355,11 @@ func (ev *Evaluator) partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
 				}
 				if !found {
 					if n := len(parts); n < cap(parts) {
-						key.nodes = parts[:n+1][n].nodes[:0] // a spare slot's buffer from an earlier call
+						key.buf = parts[:n+1][n].buf // a spare slot's buffer from an earlier call
 					}
-					key.nodes = slices.Grow(key.nodes, ctx.Total()-int(r))
+					if need := 2 * (ctx.Total() - int(r)); len(key.buf) < need { // the rest of the context bounds the part
+						key.buf = make([]int32, need)
+					}
 					parts = slices.Insert(parts, cur, key)
 				}
 			}
@@ -358,7 +367,9 @@ func (ev *Evaluator) partitionByDoc(ctx LLSeq, perIteration bool) []docContext {
 			if perIteration {
 				row = int32(i)
 			}
-			parts[cur].nodes = append(parts[cur].nodes, core.CtxNode{Iter: row, Pre: it.Pre})
+			p := &parts[cur]
+			p.buf[p.n], p.buf[len(p.buf)/2+int(p.n)] = it.Pre, row
+			p.n++
 		}
 	}
 	ev.ctxParts = parts
@@ -396,16 +407,17 @@ func (ev *Evaluator) standOffRows(sp *xqplan.StepPlan, ctx LLSeq, perIteration b
 		if cand == nil {
 			continue // the test can never match an area-annotation
 		}
-		pairs := core.Join(ix, sp.SO.Op, ev.Strategy, part.nodes, int32(nRows), cand, ev.JoinCfg)
+		areas := ix.ContextAreas(part.pres(), part.iters(), ev.JoinCfg.Arena)
+		pairs := core.JoinAreas(ix, sp.SO.Op, ev.Strategy, areas, int32(nRows), cand, ev.JoinCfg)
 		ev.Stats.RecordProduced(sp, int64(len(pairs)))
 		pb := ev.scrBuilderCap(nRows, len(pairs))
-		touched := part.nodes // reject: the rows at or after the current pair's that touch d
+		touched := part.iters() // reject: the rows at or after the current pair's that touch d
 		for _, pr := range pairs {
 			if perIteration {
-				for len(touched) > 0 && touched[0].Iter < pr.Iter {
+				for len(touched) > 0 && touched[0] < pr.Iter {
 					touched = touched[1:]
 				}
-				if len(touched) == 0 || touched[0].Iter != pr.Iter {
+				if len(touched) == 0 || touched[0] != pr.Iter {
 					continue // iteration has no context node in this document
 				}
 			}
@@ -498,7 +510,7 @@ func (ev *Evaluator) standOffReduce(sp *xqplan.StepPlan, ctx LLSeq, first bool) 
 			return nil, err
 		}
 		if cand != nil {
-			core.JoinReduce(ix, sp.SO.Op, part.nodes, cand, keep, first, out, ev.JoinCfg)
+			core.JoinReduce(ix, sp.SO.Op, ix.ContextAreas(part.pres(), part.iters(), ev.JoinCfg.Arena), cand, keep, first, out, ev.JoinCfg)
 		}
 	}
 	return out, nil

@@ -9,7 +9,7 @@
 // StandOff-free binding drives a child cursor per parent tuple (see
 // flwor.go). A path runs its steps in bulk, except that its trailing
 // predicate-free StandOff select steps stream per context chunk through a
-// watermark-gated ordered dedup merge, chained pres to pres (see path.go and
+// watermark-gated pending-pre set, chained pres to pres (see path.go and
 // standoff.go). Expression forms that cannot stream (order by, aggregates,
 // ...) fall back to a cursor wrapping the materialising evaluator, so every
 // query works under either execution style and both return identical

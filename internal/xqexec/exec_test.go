@@ -449,7 +449,7 @@ func TestDescribeShapes(t *testing.T) {
 		// The chain restarts after a bulk reject: only the steps after it
 		// stream, and here that is just the final select step.
 		{`doc("t.xml")//scene/reject-narrow::hit/select-wide::scene`, "path", true,
-			"final StandOff step select-wide streams per context chunk through an ordered dedup merge when the context is single-document"},
+			"final StandOff step select-wide streams per context chunk through a watermark-gated pending-pre set when the context is single-document"},
 		{`(1, 2)`, "seq", true, ""},
 		{`1 to 9`, "range", true, ""},
 		{`count(doc("t.xml")//hit)`, "materialise", false, ""},

@@ -178,7 +178,7 @@ func (p *Plan) detail(s *StreamOp) string {
 		switch last := prog[len(prog)-1]; {
 		case last.Chunked():
 			return "final StandOff step " + last.SO.Op.String() +
-				" streams per context chunk through an ordered dedup merge when the context is single-document" + suffix
+				" streams per context chunk through a watermark-gated pending-pre set when the context is single-document" + suffix
 		case len(last.Predicates) > 0:
 			return "predicates on the final step re-rank positions per context group" + suffix
 		case last.StandOff:

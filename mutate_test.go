@@ -424,7 +424,7 @@ plan:
     return string($s/@id)
 stream:
   flwor [pipelined] for $s tuples stream in chunks; loop body loop-lifted per chunk
-    path [pipelined] final StandOff step select-narrow streams per context chunk through an ordered dedup merge when the context is single-document
+    path [pipelined] final StandOff step select-narrow streams per context chunk through a watermark-gated pending-pre set when the context is single-document
 `
 	if got := pe.String(); got != want {
 		t.Fatalf("delta analyze:\n%s\nwant:\n%s", got, want)

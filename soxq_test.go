@@ -99,6 +99,46 @@ func TestSection31TableAllModes(t *testing.T) {
 	}
 }
 
+// TestRejectTouchedDocument: in a for, an iteration whose only context node
+// in a document is no area-annotation (the document element) still touches
+// that document, so its reject step returns all of the document's
+// candidates — in every mode, executed and streamed.
+func TestRejectTouchedDocument(t *testing.T) {
+	eng := New()
+	if err := eng.LoadXML("a.xml", []byte(`<d><s start="0" end="9"/><w n="a1" start="20" end="29"/><w n="a2" start="5" end="8"/></d>`)); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		`for $x in (doc("a.xml")/*, doc("a.xml")//s, doc("a.xml")//w[@n="a1"]) return count($x/reject-narrow::w)`: "2 1 1",
+		`for $x in (doc("a.xml")/*, doc("a.xml")//s) return string-join($x/reject-wide::w/@n, ",")`:               "a1,a2 a1",
+	}
+	for q, w := range want {
+		p, err := eng.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []Mode{ModeUDF, ModeBasic, ModeLoopLifted} {
+			for _, chunk := range []int{0, 1} {
+				cfg := Config{Mode: mode, StreamChunk: chunk}
+				res, err := p.Exec(cfg)
+				if err != nil {
+					t.Fatalf("%v exec: %s: %v", mode, q, err)
+				}
+				if got := strings.Join(res.Strings(), " "); got != w {
+					t.Errorf("%v exec chunk=%d: %s = %q, want %q", mode, chunk, q, got, w)
+				}
+				cur, err := p.Stream(cfg)
+				if err != nil {
+					t.Fatalf("%v stream: %s: %v", mode, q, err)
+				}
+				if got, err := drainStream(cur); err != nil || got != w {
+					t.Errorf("%v stream chunk=%d: %s = %q (%v), want %q", mode, chunk, q, got, err, w)
+				}
+			}
+		}
+	}
+}
+
 func TestEngineBasics(t *testing.T) {
 	eng := New()
 	if err := eng.LoadXML("a.xml", []byte(`<a><b>1</b></a>`)); err != nil {
