@@ -8,12 +8,12 @@ import (
 
 // JoinArena recycles the allocation-heavy scratch of the StandOff joins
 // across invocations: []Pair outputs, the counting-sort offset and fill
-// arrays of sortDedupPairs, the columns of a bulk context's Areas, the
-// iter|start|end context rows, and the active sets. One arena belongs to
-// exactly one execution run (one Exec/Stream drain); the evaluator threads
-// it through JoinConfig and releases it when the run's cursor closes. Arenas
-// are not goroutine-safe, and need not be: a run executes on the one
-// goroutine that drains it.
+// arrays of sortDedupPairs, the columns of a bulk context's Areas (and of
+// its region rows over a multi-region index), the rows of the context sort,
+// and the active sets. One arena belongs to exactly one execution run (one
+// Exec/Stream drain); the evaluator threads it through JoinConfig and
+// releases it when the run's cursor closes. Arenas are not goroutine-safe,
+// and need not be: a run executes on the one goroutine that drains it.
 //
 // Ownership contract: the []Pair returned by JoinAreas or MatchAreas is on
 // loan from the arena and stays valid only until the next join call with the
@@ -26,7 +26,8 @@ type JoinArena struct {
 	loaned   []Pair   // the last join result, reclaimed on the next join
 
 	areas   Areas    // ContextAreas' columns
-	ctxRows []ctxRow // areaRows' table, and ContextAreas' rows before it
+	regions Areas    // regionRows' columns
+	ctxRows []ctxRow // the rows ContextAreas and regionRows sort
 	ctxTmp  []ctxRow // sortCtxRows' other buffer
 	csOff   []int32  // counting-sort bucket offsets
 	csFill  []int32  // counting-sort fill positions
@@ -77,7 +78,6 @@ func (a *JoinArena) Release() {
 		return
 	}
 	a.reclaim()
-	clear(a.areas.Regs[:cap(a.areas.Regs)]) // keep no index alive
 	arenaPool.Put(a)
 }
 
@@ -169,11 +169,15 @@ func (a *JoinArena) putCtxTmp(rows []ctxRow) {
 	}
 }
 
-// getAreas returns Areas columns of n areas with arbitrary contents, Iter and
-// Regs only when asked for, valid until the next getAreas call.
-func (a *JoinArena) getAreas(n int, iters, regs bool) Areas {
+// getAreas returns Areas columns of n areas with arbitrary contents, Iter
+// only when asked for: regionRows' buffer when regions is set, ContextAreas'
+// otherwise, valid until the next getAreas call for the same buffer.
+func (a *JoinArena) getAreas(n int, iters, regions bool) Areas {
 	b := &Areas{}
-	if a != nil {
+	switch {
+	case a != nil && regions:
+		b = &a.regions
+	case a != nil:
 		b = &a.areas
 	}
 	b.Start, b.End, b.Pre = slices.Grow(b.Start[:0], n), slices.Grow(b.End[:0], n), slices.Grow(b.Pre[:0], n)
@@ -181,10 +185,6 @@ func (a *JoinArena) getAreas(n int, iters, regs bool) Areas {
 	if iters {
 		b.Iter = slices.Grow(b.Iter[:0], n)
 		out.Iter = b.Iter[:n]
-	}
-	if regs {
-		b.Regs = slices.Grow(b.Regs[:0], n)
-		out.Regs = b.Regs[:n]
 	}
 	return out
 }

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"soxq/internal/interval"
 )
 
 // Candidates is the candidate sequence of a StandOff join (sections 3.2 and
@@ -206,14 +204,13 @@ func (ix *RegionIndex) candidatesFrom(live []int32) *Candidates {
 
 // ContextAreas resolves the context nodes pres, node pres[i] bound in
 // iteration iters[i] (every node in iteration 0 when iters is nil), to the
-// Areas a join reads: each node's regions are looked up once (a second time
-// only when some area has several), a node that is not an area-annotation
-// drops, and one sort orders the rest by (start, end, iteration, pre), which
-// within one iteration is a by-name view's order. With an arena the columns
-// are on loan from it until the next ContextAreas call with it.
+// Areas a join reads: each node's regions are looked up once, a node that is
+// not an area-annotation drops, and one sort orders the rest by (start, end,
+// iteration, pre), which within one iteration is a by-name view's order.
+// With an arena the columns are on loan from it until the next ContextAreas
+// call with it.
 func (ix *RegionIndex) ContextAreas(pres, iters []int32, a *JoinArena) Areas {
 	rows := a.getCtxRows(len(pres))
-	multi := false
 	for i, p := range pres {
 		if r := ix.RegionsOf(p); len(r) > 0 {
 			row := ctxRow{pre: p, start: r[0].Start, end: r[len(r)-1].End}
@@ -221,37 +218,15 @@ func (ix *RegionIndex) ContextAreas(pres, iters []int32, a *JoinArena) Areas {
 				row.key = iters[i]
 			}
 			rows = append(rows, row)
-			multi = multi || len(r) > 1
 		}
 	}
-	rows = sortCtxRows(rows, a)
-	out := a.getAreas(len(rows), iters != nil, multi)
-	start, end, pre := out.Start[:len(rows)], out.End[:len(rows)], out.Pre[:len(rows)]
-	for j, r := range rows {
-		start[j], end[j], pre[j] = r.start, r.end, r.pre
-		if iters != nil {
-			out.Iter[j] = r.key
-		}
-		if multi {
-			out.Regs[j] = ix.RegionsOf(r.pre)
-		}
-	}
-	a.putCtxRows(rows)
-	return out
+	return sortedAreas(rows, iters != nil, false, a)
 }
 
-// ViewAreas returns the areas of a candidate view as a context of
-// MatchAreas: its bounds rows as they are, with each area's regions looked
-// up only when some area has several.
-func (ix *RegionIndex) ViewAreas(c *Candidates) Areas {
-	a := Areas{Start: c.bStart, End: c.bEnd, Pre: c.bID}
-	if len(c.rID) != len(c.areas) {
-		a.Regs = make([][]interval.Region, len(c.bID))
-		for i, p := range c.bID {
-			a.Regs[i] = ix.RegionsOf(p)
-		}
-	}
-	return a
+// Areas returns the view's areas as a context of MatchAreas: its bounds
+// rows, as they are.
+func (c *Candidates) Areas() Areas {
+	return Areas{Start: c.bStart, End: c.bEnd, Pre: c.bID}
 }
 
 // AttrOrder is the value ordering of one attribute over the areas of one

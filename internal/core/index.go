@@ -428,22 +428,28 @@ func parseIntBytes(b []byte) (int64, error) {
 			return 0, fmt.Errorf("bare sign")
 		}
 	}
-	var v int64
+	// The magnitude is bounded by MaxInt64, or by its successor for a
+	// negative value, so MinInt64 parses.
+	limit := uint64(1<<63 - 1)
+	if neg {
+		limit++
+	}
+	var v uint64
 	for ; i < len(b); i++ {
 		c := b[i]
 		if c < '0' || c > '9' {
 			return 0, fmt.Errorf("bad digit %q in %q", c, b)
 		}
-		d := int64(c - '0')
-		if v > (1<<63-1-d)/10 {
+		d := uint64(c - '0')
+		if v > (limit-d)/10 {
 			return 0, fmt.Errorf("integer overflow in %q", b)
 		}
 		v = v*10 + d
 	}
 	if neg {
-		return -v, nil
+		return -int64(v), nil
 	}
-	return v, nil
+	return int64(v), nil
 }
 
 func pick(cond bool, a, b string) string {

@@ -227,6 +227,8 @@ func TestParseIntBytes(t *testing.T) {
 		{"0", 0, true}, {"42", 42, true}, {"-7", -7, true}, {"+9", 9, true},
 		{"9223372036854775807", 1<<63 - 1, true},
 		{"9223372036854775808", 0, false},
+		{"-9223372036854775808", -1 << 63, true},
+		{"-9223372036854775809", 0, false},
 		{"", 0, false}, {"-", 0, false}, {"1x", 0, false}, {"1.5", 0, false},
 	}
 	for _, c := range cases {

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"soxq/internal/interval"
 )
 
 // Op selects one of the four StandOff joins of section 3.1.
@@ -134,7 +132,7 @@ func JoinAreas(ix *RegionIndex, op Op, strat Strategy, ctx Areas, nIters int32, 
 	case StrategyBasic:
 		out = joinBasic(ix, op, ctx, nIters, cand, cfg)
 	default:
-		out = order(match(ix, op, ctx, cand, cfg, false), op, nIters, cand, cfg.Arena)
+		out = order(match(ix, op, ctx, nIters, cand, cfg, false), op, nIters, cand, cfg.Arena)
 	}
 	cfg.Arena.loan(out)
 	return out
@@ -145,26 +143,31 @@ func JoinAreas(ix *RegionIndex, op Op, strat Strategy, ctx Areas, nIters int32, 
 // Pre[i] bound in iteration Iter[i] (every area in iteration 0 when Iter is
 // nil), covered by [Start[i], End[i]] (its first region's start and its last
 // region's end), and the areas ascend by (Start, End) — the order of a
-// candidate view's bounds rows. Regs holds each area's regions and must be
-// set when some area has more than one; it may be nil otherwise. An Areas
-// may alias an index's columns: it is read-only.
+// candidate view's bounds rows. It is the iter|start|end table the merges
+// read, as it is; only over an index with a multi-region area does a merge
+// first expand it to one row per region (regionRows). An Areas may alias an
+// index's columns: it is read-only.
 type Areas struct {
 	Start, End []int64
 	Pre, Iter  []int32
-	Regs       [][]interval.Region
 }
 
 // Len returns the number of areas.
 func (a Areas) Len() int { return len(a.Pre) }
+
+// key returns area i's iteration.
+func (a Areas) key(i int) int32 {
+	if a.Iter == nil {
+		return 0
+	}
+	return a.Iter[i]
+}
 
 // Slice returns areas i through j-1.
 func (a Areas) Slice(i, j int) Areas {
 	s := Areas{Start: a.Start[i:j], End: a.End[i:j], Pre: a.Pre[i:j]}
 	if a.Iter != nil {
 		s.Iter = a.Iter[i:j]
-	}
-	if a.Regs != nil {
-		s.Regs = a.Regs[i:j]
 	}
 	return s
 }
@@ -186,92 +189,73 @@ func (a Areas) groups(nIters int32) (g Areas, off []int) {
 		off[i] += off[i-1]
 	}
 	g = Areas{Start: make([]int64, a.Len()), End: make([]int64, a.Len()), Pre: make([]int32, a.Len())}
-	if a.Regs != nil {
-		g.Regs = make([][]interval.Region, a.Len())
-	}
 	fill := slices.Clone(off)
 	for i, it := range a.Iter {
 		j := fill[it]
 		fill[it]++
 		g.Start[j], g.End[j], g.Pre[j] = a.Start[i], a.End[i], a.Pre[i]
-		if g.Regs != nil {
-			g.Regs[j] = a.Regs[i]
-		}
 	}
 	return g, off
-}
-
-// multi reports whether some area has more than one region.
-func (a Areas) multi() bool {
-	for _, r := range a.Regs {
-		if len(r) > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // MatchAreas is the match step of the Loop-Lifted StandOff MergeJoin alone:
 // the pairs of op's select half (select-narrow for reject-narrow,
 // select-wide for reject-wide), each once, in no set order. JoinAreas is this
-// step, then the sort and, for a reject op, the complement. The returned
+// step, then the sort and, for a reject op, the complement. ctx is the
+// context of one iteration, 0: its Iter column is nil or all 0. The returned
 // slice is on loan from cfg.Arena like JoinAreas'.
 func MatchAreas(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, cfg JoinConfig) []Pair {
 	cfg.Arena.reclaim()
-	out := match(ix, op, ctx, cand, cfg, false)
+	out := match(ix, op, ctx, 1, cand, cfg, false)
 	cfg.Arena.loan(out)
 	return out
 }
 
-// ctxRow is one region of a context area in the iter|start|end table.
+// ctxRow is one row of the context sort: a context area, or one of its
+// regions, with its key (iteration, or pseudo-iteration in exact-narrow
+// mode).
 type ctxRow struct {
-	key        int32 // iteration, or pseudo-iteration in exact-narrow mode
-	pre        int32 // the area, in ContextAreas' rows (areaRows leaves it 0)
+	key        int32
+	pre        int32
 	start, end int64
 }
 
-// ctxTable is the context table a merge reads: its rows ordered by
-// (start, end), the number of keys and, with pseudo-keys, each key's
-// iteration (nil when all are in iteration 0).
-type ctxTable struct {
-	rows         []ctxRow
-	pseudoToIter []int32
-	nKeys        int32
+// regionRows is the context table of ctx over an index with a multi-region
+// area: one row per region of each area, from RegionsOf, ordered by
+// sortCtxRows. A row's key (its Iter) is its area's iteration or, when exact
+// is set, the area's index in ctx: exact containment needs to know *which*
+// context area matched. This is the one copy of a context between its
+// resolution and a merge; the rows are on loan from the arena until its next
+// regionRows call.
+func (ix *RegionIndex) regionRows(ctx Areas, exact bool, a *JoinArena) Areas {
+	rows := a.getCtxRows(ctx.Len())
+	for i, p := range ctx.Pre {
+		key := ctx.key(i)
+		if exact {
+			key = int32(i)
+		}
+		for _, r := range ix.RegionsOf(p) {
+			rows = append(rows, ctxRow{key: key, pre: p, start: r.Start, end: r.End})
+		}
+	}
+	return sortedAreas(rows, exact || ctx.Iter != nil, true, a)
 }
 
-// areaRows is the one builder of a join's iter|start|end table: the regions
-// of the areas ctx, each keyed by its area's iteration or, when pseudoKeys is
-// true, by the area's index (exact containment needs to know *which* context
-// area matched). The rows are already in order unless some area has several.
-func areaRows(ctx Areas, pseudoKeys bool, a *JoinArena) ctxTable {
-	t := ctxTable{rows: a.getCtxRows(ctx.Len())}
-	if pseudoKeys {
-		t.pseudoToIter = ctx.Iter
-	}
-	sorted := true
-	for i := range ctx.Pre {
-		key := int32(0)
-		switch {
-		case pseudoKeys:
-			key = int32(i)
-		case ctx.Iter != nil:
-			key = ctx.Iter[i]
-		}
-		t.nKeys = max(t.nKeys, key+1)
-		if ctx.Regs == nil || len(ctx.Regs[i]) <= 1 {
-			t.rows = append(t.rows, ctxRow{key: key, start: ctx.Start[i], end: ctx.End[i]})
-			continue
-		}
-		sorted = false
-		for _, r := range ctx.Regs[i] {
-			t.rows = append(t.rows, ctxRow{key: key, start: r.Start, end: r.End})
+// sortedAreas orders rows by sortCtxRows and writes them out as the columns
+// of an Areas on loan from the arena (regionRows' buffer when regions is
+// set, ContextAreas' otherwise), with the keys as Iter when iters is set.
+func sortedAreas(rows []ctxRow, iters, regions bool, a *JoinArena) Areas {
+	rows = sortCtxRows(rows, a)
+	out := a.getAreas(len(rows), iters, regions)
+	start, end, pre := out.Start[:len(rows)], out.End[:len(rows)], out.Pre[:len(rows)]
+	for j, r := range rows {
+		start[j], end[j], pre[j] = r.start, r.end, r.pre
+		if iters {
+			out.Iter[j] = r.key
 		}
 	}
-	if !sorted {
-		t.rows = sortCtxRows(t.rows, a)
-	}
-	a.putCtxRows(t.rows)
-	return t
+	a.putCtxRows(rows)
+	return out
 }
 
 // sortCtxRows orders the context table by (start, end, key, pre) and returns
@@ -348,26 +332,27 @@ func newActiveSet(nKeys int32, a *JoinArena) *activeSet {
 // narrow reports whether op is one of the containment joins.
 func narrow(op Op) bool { return op == SelectNarrow || op == RejectNarrow }
 
-// match computes the pairs of op's select half, each once, in no set order.
-// fullScan forces visiting every candidate row (Basic behaviour: no early
-// break). The table is pseudo-keyed, exact, for containment with a
-// multi-region context area. Only two shapes can match a (key, candidate)
-// pair twice, and only they are sorted here: exact containment (two context
-// areas of one iteration) and overlap with a multi-region candidate (two of
-// its regions).
-func match(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
-	exact := narrow(op) && ctx.multi()
-	t := areaRows(ctx, exact, cfg.Arena)
+// match computes the pairs of op's select half for the nKeys iterations of
+// ctx, each once, in no set order. fullScan forces visiting every candidate
+// row (Basic behaviour: no early break). Over an index with a multi-region
+// area, containment is exact (pseudo-keyed) and overlap reads the context's
+// regions. Only two shapes can match a (key, candidate) pair twice, and only
+// they are sorted here: exact containment (two context areas of one
+// iteration) and overlap with a multi-region candidate (two of its regions).
+func match(ix *RegionIndex, op Op, ctx Areas, nKeys int32, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
 	var m []Pair
 	switch {
-	case exact:
-		m = matchNarrowExact(ix, t, cand, cfg, fullScan)
+	case narrow(op) && ix.MultiRegion():
+		m = matchNarrowExact(ix, ctx, cand, cfg, fullScan)
 	case narrow(op):
 		emit := emitState{out: cfg.Arena.getPairs()}
-		mergeNarrow(t, cand, cfg, fullScan, &emit)
+		mergeNarrow(ctx, nKeys, cand, cfg, fullScan, &emit)
 		return emit.out
 	default:
-		if m = matchWide(t, cand, cfg); len(cand.rID) == len(cand.areas) {
+		if ix.MultiRegion() {
+			ctx = ix.regionRows(ctx, false, cfg.Arena)
+		}
+		if m = matchWide(ctx, nKeys, cand, cfg); len(cand.rID) == len(cand.areas) {
 			return m
 		}
 	}
@@ -387,25 +372,27 @@ func order(matched []Pair, op Op, nIters int32, cand *Candidates, a *JoinArena) 
 	return matched
 }
 
-// mergeNarrow is match's containment fast path, for contexts whose areas are
-// all single regions: containment of a candidate area reduces to containment
-// of its bounding region, and one dominant context region per key is exact,
-// so every (key, candidate) match reaches emit exactly once.
-func mergeNarrow(t ctxTable, cand *Candidates, cfg JoinConfig, fullScan bool, emit *emitState) {
-	rows := t.rows
-	as := newActiveSet(t.nKeys, cfg.Arena)
+// mergeNarrow is match's containment fast path over an index whose areas
+// are all single regions: containment of a candidate area reduces to
+// containment of its bounding region, and one dominant context region per
+// key is exact, so every (key, candidate) match reaches emit exactly once.
+// It reads ctx's columns as they are, keyed by iteration, nKeys of them.
+func mergeNarrow(ctx Areas, nKeys int32, cand *Candidates, cfg JoinConfig, fullScan bool, emit *emitState) {
+	n := ctx.Len()
+	as := newActiveSet(nKeys, cfg.Arena)
 	tr := cfg.Trace
 	i := 0
 	bStart, bEnd, bID := cand.boundsCols()
 	for k := 0; k < len(bID); k++ {
 		cs := bStart[k]
-		for i < len(rows) && rows[i].start <= cs {
-			if as.insert(rows[i].key, rows[i].end) {
+		for i < n && ctx.Start[i] <= cs {
+			key, end := ctx.key(i), ctx.End[i]
+			if as.insert(key, end) {
 				if tr != nil {
-					tr(TraceEvent{Kind: "add-context", Key: rows[i].key, End: rows[i].end})
+					tr(TraceEvent{Kind: "add-context", Key: key, End: end})
 				}
 			} else if tr != nil {
-				tr(TraceEvent{Kind: "skip-context", Key: rows[i].key, End: rows[i].end})
+				tr(TraceEvent{Kind: "skip-context", Key: key, End: end})
 			}
 			i++
 		}
@@ -416,17 +403,17 @@ func mergeNarrow(t ctxTable, cand *Candidates, cfg JoinConfig, fullScan bool, em
 			if as.len() == 0 {
 				// Empty staircase: skip to the next context row's start (> cs:
 				// the loop above consumed every earlier row), or end.
-				if i == len(rows) {
+				if i == n {
 					break
 				}
-				k = gallop(bStart, k+1, rows[i].start) - 1
+				k = gallop(bStart, k+1, ctx.Start[i]) - 1
 				continue
 			}
 			if key, end, ok := as.single(); ok {
 				// One context: it alone decides until the next row enters.
 				lim := end
-				if i < len(rows) {
-					lim = min(lim, rows[i].start-1)
+				if i < n {
+					lim = min(lim, ctx.Start[i]-1)
 				}
 				k = emit.run(key, end, lim, bStart, bEnd, bID, k) - 1
 				continue
@@ -445,7 +432,7 @@ func mergeNarrow(t ctxTable, cand *Candidates, cfg JoinConfig, fullScan bool, em
 				tr(TraceEvent{Kind: "skip-candidate", Pre: cid})
 			}
 		}
-		if !fullScan && i == len(rows) && as.len() == 0 {
+		if !fullScan && i == n && as.len() == 0 {
 			if tr != nil {
 				tr(TraceEvent{Kind: "break"})
 			}
@@ -541,13 +528,14 @@ var testHookSkip = func() {}
 // candidates it rejects first. Every ctx.Iter must be < len(out); out
 // accumulates, so one out can gather the joins of several documents.
 //
-// The result equals reducing JoinAreas' pairs. For single-region contexts of
-// select-narrow the merge reduces each match as it emits it, with no pair
-// buffer and no sort; every other shape reduces JoinAreas' sorted pairs.
+// The result equals reducing JoinAreas' pairs. For select-narrow over an
+// index whose areas are all single regions the merge reduces each match as
+// it emits it, with no pair buffer and no sort; every other shape reduces
+// JoinAreas' sorted pairs.
 func JoinReduce(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, keep func(pre int32) bool, first bool, out []int32, cfg JoinConfig) {
 	emit := &emitState{red: out, first: first}
-	if op == SelectNarrow && keep == nil && cfg.Trace == nil && !ctx.multi() {
-		mergeNarrow(areaRows(ctx, false, cfg.Arena), cand, cfg, false, emit)
+	if op == SelectNarrow && keep == nil && cfg.Trace == nil && !ix.MultiRegion() {
+		mergeNarrow(ctx, int32(len(out)), cand, cfg, false, emit)
 		return
 	}
 	cb := emit.callback()
@@ -559,29 +547,30 @@ func JoinReduce(ix *RegionIndex, op Op, ctx Areas, cand *Candidates, keep func(p
 	}
 }
 
-// matchNarrowExact handles multi-region context areas: each context area
-// becomes its own pseudo-iteration, the join runs at region granularity, and
-// a candidate matches a context area only if *all* its regions were matched
-// by that same area (the paper's omitted post-processing, section 4.5).
-func matchNarrowExact(ix *RegionIndex, t ctxTable, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
+// matchNarrowExact is containment over an index with multi-region areas:
+// each context area becomes its own pseudo-iteration, the join runs at
+// region granularity, and a candidate matches a context area only if *all*
+// its regions were matched by that same area (the paper's omitted
+// post-processing, section 4.5).
+func matchNarrowExact(ix *RegionIndex, ctx Areas, cand *Candidates, cfg JoinConfig, fullScan bool) []Pair {
 	a := cfg.Arena
-	rows, pseudoToIter := t.rows, t.pseudoToIter
-	as := newActiveSet(t.nKeys, a)
+	rows := ix.regionRows(ctx, true, a)
+	as := newActiveSet(int32(ctx.Len()), a)
 	emit := emitState{out: a.getPairs()}
 	i := 0
 	rStart, rEnd, rID := cand.regionCols()
 	for k := 0; k < len(rID); k++ {
 		cs := rStart[k]
-		for i < len(rows) && rows[i].start <= cs {
-			as.insert(rows[i].key, rows[i].end)
+		for i < rows.Len() && rows.Start[i] <= cs {
+			as.insert(rows.Iter[i], rows.End[i])
 			i++
 		}
 		as.expire(cs)
 		if !fullScan && as.len() == 0 {
-			if i == len(rows) {
+			if i == rows.Len() {
 				break
 			}
-			k = gallop(rStart, k+1, rows[i].start) - 1
+			k = gallop(rStart, k+1, rows.Start[i]) - 1
 			continue
 		}
 		emit.pre = rID[k]
@@ -599,11 +588,7 @@ func matchNarrowExact(ix *RegionIndex, t ctxTable, cand *Candidates, cfg JoinCon
 		// Regions of one candidate are distinct rows, so equal (key,pre)
 		// hits count matched regions of that candidate.
 		if int32(e-s) == ix.regionCount(hits[s].Pre) {
-			iter := int32(0)
-			if pseudoToIter != nil {
-				iter = pseudoToIter[hits[s].Iter]
-			}
-			out = append(out, Pair{Iter: iter, Pre: hits[s].Pre})
+			out = append(out, Pair{Iter: ctx.key(int(hits[s].Iter)), Pre: hits[s].Pre})
 		}
 		s = e
 	}
@@ -615,17 +600,18 @@ func matchNarrowExact(ix *RegionIndex, t ctxTable, cand *Candidates, cfg JoinCon
 // duplicates for multi-region candidates). Candidates are consumed in end
 // order so that the context insertion threshold (ctx.start <= cand.end) is
 // monotone; the per-iteration dominant context region is exact because the
-// overlap test only constrains start from above and end from below.
-func matchWide(t ctxTable, cand *Candidates, cfg JoinConfig) []Pair {
-	rows := t.rows
-	as := newActiveSet(t.nKeys, cfg.Arena)
+// overlap test only constrains start from above and end from below. ctx is
+// keyed by iteration, nKeys of them.
+func matchWide(ctx Areas, nKeys int32, cand *Candidates, cfg JoinConfig) []Pair {
+	n := ctx.Len()
+	as := newActiveSet(nKeys, cfg.Arena)
 	emit := emitState{out: cfg.Arena.getPairs()}
 	i := 0
 	eStart, eEnd, eID := cand.endCols()
 	for k := 0; k < len(eID); k++ {
 		ce := eEnd[k]
-		for i < len(rows) && rows[i].start <= ce {
-			as.insert(rows[i].key, rows[i].end)
+		for i < n && ctx.Start[i] <= ce {
+			as.insert(ctx.key(i), ctx.End[i])
 			i++
 		}
 		if as.len() == 0 {
@@ -633,10 +619,10 @@ func matchWide(t ctxTable, cand *Candidates, cfg JoinConfig) []Pair {
 			// never removes entries, so this only holds on the leading
 			// candidate run): fast-forward to the first candidate whose end
 			// reaches the next context region's start.
-			if i == len(rows) {
+			if i == n {
 				break
 			}
-			k = gallop(eEnd, k+1, rows[i].start) - 1
+			k = gallop(eEnd, k+1, ctx.Start[i]) - 1
 			continue
 		}
 		emit.pre = eID[k]
@@ -805,7 +791,7 @@ func joinBasic(ix *RegionIndex, op Op, ctx Areas, nIters int32, cand *Candidates
 	all := a.getPairs()
 	for iter := int32(0); iter < nIters; iter++ {
 		// The group alone is a context of iteration 0: run the full merge.
-		matched := order(match(ix, op, g.Slice(off[iter], off[iter+1]), cand, cfg, true), op, 1, cand, a)
+		matched := order(match(ix, op, g.Slice(off[iter], off[iter+1]), 1, cand, cfg, true), op, 1, cand, a)
 		for _, p := range matched {
 			all = append(all, Pair{Iter: iter, Pre: p.Pre})
 		}

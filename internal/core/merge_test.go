@@ -111,8 +111,8 @@ func naiveJoin(ix *RegionIndex, op Op, ctx []CtxNode, nIters int32, cand *Candid
 
 // checkAgainstNaive holds every join of the input against the naive nested
 // loop: Join under all four ops, JoinAreas' Basic and Loop-Lifted joins
-// called directly on the ContextAreas of all iterations (pseudo-keyed when a
-// context area has several regions), MatchAreas per iteration, and
+// called directly on the ContextAreas of all iterations (pseudo-keyed over an
+// index with a multi-region area), MatchAreas per iteration, and
 // JoinReduce's counts and first matches under both select ops. Each runs
 // under the production list bound and under a bound of one, which turns the
 // active set into a heap and back whenever two keys are live, with and
@@ -351,8 +351,9 @@ func FuzzMergeJoin(f *testing.F) {
 
 // TestContextAreasResolvesAnyContext: ContextAreas keeps the context nodes
 // that are areas, repeats included, with their iterations, ordered by
-// (start, end, iteration, pre); regions come along only when some kept area
-// has several. With and without an arena, single- and multi-region.
+// (start, end, iteration, pre), an area's start its first region's and its
+// end its last region's. With and without an arena, single- and
+// multi-region.
 func TestContextAreasResolvesAnyContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	arena := AcquireJoinArena()
@@ -391,18 +392,15 @@ func TestContextAreasResolvesAnyContext(t *testing.T) {
 		type area struct {
 			start, end int64
 			pre, iter  int32
-			regs       int
 		}
 		var want []area
-		anyMulti := false
 		for i, p := range pres {
 			if r := ix.RegionsOf(p); len(r) > 0 {
-				a := area{start: r[0].Start, end: r[len(r)-1].End, pre: p, regs: len(r)}
+				a := area{start: r[0].Start, end: r[len(r)-1].End, pre: p}
 				if iters != nil {
 					a.iter = iters[i]
 				}
 				want = append(want, a)
-				anyMulti = anyMulti || len(r) > 1
 			}
 		}
 		slices.SortFunc(want, func(x, y area) int {
@@ -410,21 +408,94 @@ func TestContextAreasResolvesAnyContext(t *testing.T) {
 		})
 		for _, a := range []*JoinArena{nil, arena} {
 			got := ix.ContextAreas(pres, iters, a)
-			if got.Len() != len(want) || len(want) > 0 && (got.Iter == nil) != (iters == nil) || (got.Regs != nil) != anyMulti {
-				t.Fatalf("round %d arena=%v: %d areas, Iter %v, Regs %v; want %d, %v, %v",
-					round, a != nil, got.Len(), got.Iter != nil, got.Regs != nil, len(want), iters != nil, anyMulti)
+			if got.Len() != len(want) || len(want) > 0 && (got.Iter == nil) != (iters == nil) {
+				t.Fatalf("round %d arena=%v: %d areas, Iter %v; want %d, %v",
+					round, a != nil, got.Len(), got.Iter != nil, len(want), iters != nil)
 			}
 			for j, w := range want {
-				g := area{start: got.Start[j], end: got.End[j], pre: got.Pre[j], regs: w.regs}
+				g := area{start: got.Start[j], end: got.End[j], pre: got.Pre[j]}
 				if iters != nil {
 					g.iter = got.Iter[j]
-				}
-				if anyMulti && !slices.Equal(got.Regs[j], ix.RegionsOf(w.pre)) {
-					g.regs = -1
 				}
 				if g != w {
 					t.Fatalf("round %d arena=%v: area %d = %+v, want %+v", round, a != nil, j, g, w)
 				}
+			}
+		}
+	}
+}
+
+// TestRegionRowsFollowDeltaIndex: whether a join expands its context to
+// region rows is the index's MultiRegion, so it follows the writes. A
+// single-region base gets a multi-region area inserted and then deleted
+// (MultiRegion false, true, false), and each version holds every join
+// against the naive loop (checkAgainstNaive) on contexts that mix the
+// inserted area with single-region ones. On each version regionRows, in
+// both key modes, is the rows RegionsOf gives in (start, end, key, pre)
+// order; over a single-region version no join reaches it.
+func TestRegionRowsFollowDeltaIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for round := 0; round < 20; round++ {
+		var sb strings.Builder
+		sb.WriteString("<doc>")
+		for n := 2 + rng.Intn(30); n > 0; n-- {
+			s := rng.Int63n(80)
+			fmt.Fprintf(&sb, "<%s><region><start>%d</start><end>%d</end></region></%[1]s>", layerNames[n%2], s, s+rng.Int63n(20))
+		}
+		sb.WriteString("</doc>")
+		base := buildIx(t, sb.String(), regionOpts(t))
+		regs := randArea(rng)
+		for len(regs) < 2 {
+			regs = randArea(rng)
+		}
+		d1, ix1, pre := carryInsert(t, base.doc, base, layerNames[rng.Intn(2)], regs)
+		_, ix2 := layerDelete(t, d1, ix1, pre)
+		for v, ix := range []*RegionIndex{base, ix1, ix2} {
+			if ix.MultiRegion() != (v == 1) {
+				t.Fatalf("round %d version %d: MultiRegion = %v", round, v, ix.MultiRegion())
+			}
+			nIters := 1 + rng.Int31n(4)
+			areas := ix.Areas()
+			ctx := []CtxNode{{Iter: rng.Int31n(nIters), Pre: pre}}
+			for i := rng.Intn(12); i > 0; i-- {
+				ctx = append(ctx, CtxNode{Iter: rng.Int31n(nIters), Pre: areas[rng.Intn(len(areas))]})
+			}
+			id, _ := ix.doc.Dict().Lookup(layerNames[rng.Intn(2)])
+			arena := new(JoinArena) // not the pool's: its regions must start empty
+			for _, cand := range []*Candidates{ix.All(), ix.FilterByName(id)} {
+				checkAgainstNaive(t, ix, ctx, nIters, cand, arena)
+			}
+			if expanded := arena.regions.Start != nil; expanded != ix.MultiRegion() {
+				t.Fatalf("round %d version %d: region rows built = %v, MultiRegion = %v", round, v, expanded, ix.MultiRegion())
+			}
+			checkRegionRows(t, ix, areasOf(ix, ctx, nil))
+		}
+	}
+}
+
+// checkRegionRows holds regionRows to the rows of ctx's areas' regions, read
+// from RegionsOf, keyed by iteration or by area index, in (start, end, key,
+// pre) order.
+func checkRegionRows(t *testing.T, ix *RegionIndex, ctx Areas) {
+	t.Helper()
+	for _, exact := range []bool{false, true} {
+		var want []ctxRow
+		for i, p := range ctx.Pre {
+			key := ctx.key(i)
+			if exact {
+				key = int32(i)
+			}
+			for _, r := range ix.RegionsOf(p) {
+				want = append(want, ctxRow{key: key, pre: p, start: r.Start, end: r.End})
+			}
+		}
+		slices.SortFunc(want, func(x, y ctxRow) int {
+			return cmp.Or(cmp.Compare(x.start, y.start), cmp.Compare(x.end, y.end), cmp.Compare(x.key, y.key), cmp.Compare(x.pre, y.pre))
+		})
+		got := ix.regionRows(ctx, exact, nil)
+		for j := 0; j < max(got.Len(), len(want)); j++ {
+			if j >= got.Len() || j >= len(want) || (ctxRow{got.key(j), got.Pre[j], got.Start[j], got.End[j]}) != want[j] {
+				t.Fatalf("regionRows exact=%v = %+v, want %+v", exact, got, want)
 			}
 		}
 	}

@@ -209,7 +209,7 @@ func (s *StandOffStream) ContextAreas(pres []int32) core.Areas {
 // by-name step, cut to the tree. The tree step does not run; its elements
 // without regions, which could never match, are not in the view.
 func (s *StandOffStream) NameAreas(nameID int32) core.Areas {
-	return s.ix.ViewAreas(s.ix.Within(s.ix.FilterByName(nameID), 0, s.d.Size(0)))
+	return s.ix.Within(s.ix.FilterByName(nameID), 0, s.d.Size(0)).Areas()
 }
 
 // JoinChunk runs the step's join over one chunk of context areas and returns

@@ -239,9 +239,9 @@ func (ev *Evaluator) standOffStepRef(sp *xqplan.StepPlan, rows []stepRowRef) ([]
 		if cand == nil {
 			continue // the test can never match an area-annotation
 		}
-		// ctxRows for the cost model is the iteration count the join runs
-		// over — the Basic variant re-scans the candidate sequence once per
-		// iteration, empty iterations included.
+		// The join runs over len(rows) iterations — the Basic variant
+		// re-scans the candidate sequence once per iteration, empty
+		// iterations included.
 		strat := ev.Strategy
 		pairs := core.Join(ix, op, strat, byDoc[d], int32(len(rows)), cand, ev.JoinCfg)
 		ev.countJoin(strat)
