@@ -3,6 +3,8 @@ package soxq
 import (
 	"fmt"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -782,6 +784,52 @@ func TestComplexityGuard(t *testing.T) {
 		case !knownQuadratic[q] && grows > bound:
 			t.Errorf("%s: work %d, then %d: grows %.2fx, bound %.2fx", q, w[0], w[1], grows, bound)
 		}
+	}
+}
+
+// TestWriteComplexityGuard is TestComplexityGuard's write-path half: the
+// bytes one DeleteAnnotation allocates (runtime.MemStats.TotalAlloc, median
+// over 16 deletes) grow at most 1.5 times, from a scene document with a mark
+// layer to one 4 times larger with a 4 times larger mark layer. The layer has
+// been read once, as by any query. A delete that copied the name's element
+// list and a document-wide tombstone bitset grew about 4 times.
+func TestWriteComplexityGuard(t *testing.T) {
+	const ratio = 4
+	perDelete := func(scenes, marks int) uint64 {
+		eng := New()
+		if err := eng.LoadXML("big.xml", sceneCorpusXML(scenes)); err != nil {
+			t.Fatal(err)
+		}
+		span := int64(scenes) * 100
+		for j := 0; j < marks; j++ {
+			s := int64(j*197) % span
+			if err := eng.InsertAnnotation("big.xml", "mark", Region{Start: s, End: s + 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.Query(`count(doc("big.xml")//scene/select-narrow::mark)`); err != nil {
+			t.Fatal(err)
+		}
+		var each []uint64
+		var ms runtime.MemStats
+		for j := 0; j < 16; j++ {
+			s := int64(j*197) % span
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			n, err := eng.DeleteAnnotation("big.xml", "mark", s, s+2)
+			runtime.ReadMemStats(&ms)
+			if err != nil || n != 1 {
+				t.Fatalf("delete mark %d: removed %d, err %v", j, n, err)
+			}
+			each = append(each, ms.TotalAlloc-before)
+		}
+		slices.Sort(each)
+		return each[len(each)/2]
+	}
+	small, large := perDelete(500, 1000), perDelete(500*ratio, 1000*ratio)
+	t.Logf("bytes per delete: %d, then %d (%.2fx)", small, large, float64(large)/float64(small))
+	if float64(large) > 1.5*float64(small) {
+		t.Fatalf("bytes per delete grow with the document: %d, then %d", small, large)
 	}
 }
 

@@ -251,17 +251,27 @@ type carriedLayer struct {
 // from the base's cached candidates, coverage (0, 0) — and applies the
 // name's writes since.
 func (ix *RegionIndex) layer(nameID int32) *Candidates {
-	from := &carriedLayer{c: ix.base.FilterByName(nameID)}
-	if v, ok := ix.base.carried.Load(nameID); ok {
-		if m := v.(*carriedLayer); m.ins <= len(ix.insPre) && m.del <= len(ix.delLog) {
-			from = m
-		}
-	}
+	from := ix.layerFrom(nameID)
 	if from.ins == len(ix.insPre) && from.del == len(ix.delLog) {
 		return from.c
 	}
 	layerMerges.Add(1)
 	return ix.deltaOf(nameID, false, from.ins, from.del).apply(from.c, ix.multiRegion)
+}
+
+// layerFrom returns the newest layer of nameID that ix's writes cover: the
+// lineage's memo when its coverage is within ix's, else the base's cached
+// candidates, coverage (0, 0) — ix's own on a base index.
+func (ix *RegionIndex) layerFrom(nameID int32) carriedLayer {
+	if ix.base == nil {
+		return carriedLayer{c: ix.FilterByName(nameID)}
+	}
+	if v, ok := ix.base.carried.Load(nameID); ok {
+		if m := v.(*carriedLayer); m.ins <= len(ix.insPre) && m.del <= len(ix.delLog) {
+			return *m
+		}
+	}
+	return carriedLayer{c: ix.base.FilterByName(nameID)}
 }
 
 // carry publishes c, the fully built layer of nameID at ix's coverage, as
@@ -281,15 +291,14 @@ func (ix *RegionIndex) carry(nameID int32, c *Candidates) {
 }
 
 // AreasWithBounds returns the live area-annotations named nameID whose
-// covering bounds are exactly [start, end]: a binary search of the base's
-// per-name bounds columns, a scan of the delta inserts, a tombstone check —
-// no merge.
+// covering bounds are exactly [start, end], ascending: a binary search of the
+// bounds columns of the newest layer of the name that ix's writes cover
+// (layerFrom: the lineage's memo, else the base's), a scan of the delta
+// inserts after that layer's coverage, a tombstone check for the deletes
+// after it — no merge. With no memo the scan covers every insert.
 func (ix *RegionIndex) AreasWithBounds(nameID int32, start, end int64) []int32 {
-	b := ix
-	if ix.base != nil {
-		b = ix.base
-	}
-	bs, be, bid := b.FilterByName(nameID).boundsCols()
+	from := ix.layerFrom(nameID)
+	bs, be, bid := from.c.boundsCols()
 	k := sort.Search(len(bid), func(k int) bool { return bs[k] > start || bs[k] == start && be[k] >= end })
 	var out []int32
 	for ; k < len(bid) && bs[k] == start && be[k] == end; k++ {
@@ -297,10 +306,10 @@ func (ix *RegionIndex) AreasWithBounds(nameID int32, start, end int64) []int32 {
 			out = append(out, bid[k])
 		}
 	}
-	for i, pre := range ix.insPre {
+	for i := from.ins; i < len(ix.insPre); i++ {
 		if regs := ix.insRegions(i); ix.insName[i] == nameID && regs[0].Start == start &&
-			regs[len(regs)-1].End == end && !ix.tombstoned(pre) {
-			out = append(out, pre)
+			regs[len(regs)-1].End == end && !ix.tombstoned(ix.insPre[i]) {
+			out = append(out, ix.insPre[i])
 		}
 	}
 	return out

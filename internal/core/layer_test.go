@@ -307,6 +307,168 @@ func TestLayerViewMatchesRebuild(t *testing.T) {
 	}
 }
 
+// layerAppend appends one annotation of the given name and regions and
+// mirrors it onto the index.
+func layerAppend(t *testing.T, d *tree.Doc, ix *RegionIndex, name string, regs []interval.Region) (*tree.Doc, *RegionIndex) {
+	t.Helper()
+	a, err := tree.NewAppender(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := a.StartElement(name)
+	writeRegions(regs, func(n string) { a.StartElement(n) }, a.Text, a.EndElement)
+	a.EndElement()
+	d2, err := a.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := d2.Dict().Lookup(name)
+	return d2, ix.ApplyInsert(d2, pre, id, regs)
+}
+
+// boundsLags counts the lineage memo states the bounds oracle met: a name
+// with pending inserts and no memo (no read since the last compaction), a
+// memo that lags the queried version, and, for a lagging memo, a match on
+// both sides of its coverage, a match at the first insert after it, and a
+// memo row deleted after it that was itself an insert; and an older version
+// queried while the memo is newer.
+type boundsLags struct {
+	noMemo, lagged, straddled, firstAfter, insertKilledAfter, older int
+}
+
+// assertBoundsMatchScan checks AreasWithBounds on ix, which reads no layer
+// of ix, against a scan of a fresh build's live areas, for the bounds of
+// every area the lineage wrote, live or deleted.
+func assertBoundsMatchScan(t *testing.T, what string, d *tree.Doc, ix *RegionIndex, opts Options, lags *boundsLags) {
+	t.Helper()
+	fresh, err := BuildIndex(d, opts)
+	if err != nil {
+		t.Fatalf("%s: rebuild: %v", what, err)
+	}
+	type bounds struct {
+		name int32
+		s, e int64
+	}
+	queries := map[bounds]bool{}
+	add := func(pre int32, regs []interval.Region) {
+		queries[bounds{d.NameID(pre), regs[0].Start, regs[len(regs)-1].End}] = true
+	}
+	base := ix
+	if ix.base != nil {
+		base = ix.base
+	}
+	for _, p := range base.areas {
+		add(p, base.RegionsOf(p))
+	}
+	for i, p := range ix.insPre {
+		add(p, ix.insRegions(i))
+	}
+	live := fresh.Areas()
+	for q := range queries {
+		var want []int32
+		for _, p := range live {
+			if r := fresh.RegionsOf(p); d.NameID(p) == q.name && r[0].Start == q.s && r[len(r)-1].End == q.e {
+				want = append(want, p)
+			}
+		}
+		if got := ix.AreasWithBounds(q.name, q.s, q.e); !slices.Equal(got, want) {
+			t.Fatalf("%s: AreasWithBounds(%s, %d, %d) = %v, scan says %v", what, d.Dict().Name(q.name), q.s, q.e, got, want)
+		}
+		if ix.base == nil {
+			continue
+		}
+		v, ok := ix.base.carried.Load(q.name)
+		if !ok {
+			if slices.Contains(ix.insName, q.name) {
+				lags.noMemo++
+			}
+			continue
+		}
+		m := v.(*carriedLayer)
+		switch {
+		case m.ins > len(ix.insPre) || m.del > len(ix.delLog):
+			lags.older++
+			continue
+		case m.ins == len(ix.insPre) && m.del == len(ix.delLog):
+			continue
+		}
+		lags.lagged++
+		bs, be, bid := m.c.boundsCols()
+		inMemo := false
+		for k := range bid {
+			if bs[k] != q.s || be[k] != q.e {
+				continue
+			}
+			inMemo = inMemo || slices.Contains(want, bid[k])
+			if i := inSorted(ix.insPre, bid[k]); i >= 0 && ix.tombstoned(bid[k]) {
+				lags.insertKilledAfter++
+			}
+		}
+		if m.ins < len(ix.insPre) {
+			if inMemo && want[len(want)-1] >= ix.insPre[m.ins] {
+				lags.straddled++
+			}
+			if slices.Contains(want, ix.insPre[m.ins]) {
+				lags.firstAfter++
+			}
+		}
+	}
+}
+
+// TestAreasWithBoundsAtMemoLags: the bounds lookup that every delete starts
+// with reads the lineage's memo of the name and scans only the inserts after
+// its coverage. Across random histories whose reads are sparse — k writes
+// between two reads of a name, writes before the first read since a
+// compaction, twins inserted with the bounds of a live area on both sides of
+// a read, inserts deleted after the read that carried them — it equals a
+// scan of the live areas, on the newest version and on older ones queried
+// after the memo moved past them.
+func TestAreasWithBoundsAtMemoLags(t *testing.T) {
+	opts := regionOpts(t)
+	var lags boundsLags
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := layerBase(t, rng, 24)
+		ix, err := BuildIndex(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type version struct {
+			d  *tree.Doc
+			ix *RegionIndex
+		}
+		var versions []version
+		for step := 0; step < 80; step++ {
+			live := ix.AreasIn(0, math.MaxInt32)
+			switch op := rng.Intn(20); {
+			case op < 6:
+				d, ix = layerInsert(t, rng, d, ix)
+			case op < 10 && len(live) > 0:
+				p := live[rng.Intn(len(live))]
+				d, ix = layerAppend(t, d, ix, d.Dict().Name(d.NameID(p)), ix.RegionsOf(p))
+			case op < 15 && len(live) > 1:
+				d, ix = layerDelete(t, d, ix, live[rng.Intn(len(live))])
+			case op < 19:
+				if id, ok := d.Dict().Lookup(layerNames[rng.Intn(len(layerNames))]); ok {
+					ix.FilterByName(id) // publishes the lineage's memo of the name
+				}
+			default:
+				ix = ix.Compact()
+			}
+			versions = append(versions, version{d, ix})
+			assertBoundsMatchScan(t, fmt.Sprintf("seed %d step %d", seed, step), d, ix, opts, &lags)
+			if v := versions[rng.Intn(len(versions))]; rng.Intn(3) == 0 {
+				assertBoundsMatchScan(t, fmt.Sprintf("seed %d step %d, older version", seed, step), v.d, v.ix, opts, &lags)
+			}
+		}
+	}
+	t.Logf("%+v", lags)
+	if lags.noMemo == 0 || lags.lagged == 0 || lags.straddled == 0 || lags.firstAfter == 0 ||
+		lags.insertKilledAfter == 0 || lags.older == 0 {
+		t.Fatalf("a memo state was never reached: %+v", lags)
+	}
+}
+
 // TestLayerMergeCounts pins which reads merge what: a touched name merges its
 // layer once per snapshot, an untouched name and the point lookups nothing,
 // a wildcard read the whole index once.

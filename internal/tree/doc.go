@@ -61,8 +61,8 @@ const NoName int32 = -1
 // Appender appends subtrees under the root element and WithTombstones marks
 // subtrees deleted. Snapshots share the column arrays of their ancestors
 // (appends land beyond every older snapshot's slice length, tombstones live
-// in a copy-on-write bitset), so in-flight readers of an older snapshot are
-// never disturbed — see mutate.go.
+// in copy-on-write bitset pages), so in-flight readers of an older snapshot
+// are never disturbed — see mutate.go.
 type Doc struct {
 	// Name is the document URI under which the document was loaded, or ""
 	// for constructed fragments.
@@ -100,23 +100,61 @@ type Doc struct {
 	// counts the mutations applied since (0 on the pristine doc). sizeHead
 	// overrides size[0..len) — appending under the root element grows the
 	// document node's and root element's subtree without touching the size
-	// column older snapshots still read. dead is the tombstone bitset
-	// (whole subtrees; copy-on-write per delete). elems holds the live
-	// element list of every name the lineage's mutations touched, sorted by
-	// name id (immutable once the snapshot is committed; other names read the
-	// pristine index).
+	// column older snapshots still read. dead is the tombstone bitset (whole
+	// subtrees) as a table of deadPageNodes-node pages: a nil page, or one
+	// past the table's end, is all alive, and a delete copies the table and
+	// only the pages it touches. elems holds the element list of every name
+	// the lineage's mutations touched, sorted by name id (immutable once the
+	// snapshot is committed, but for a stale list's filtered copy, set once
+	// on first read; other names read the pristine index).
 	base     *Doc
 	mutSeq   uint64
 	sizeHead []int32
-	dead     []uint64
-	deadCnt  int32
+	dead     []*deadPage
 	elems    []nameElems
 }
 
-// nameElems is one element name's ascending live pre list.
+// Tombstone pages: deadPageNodes nodes, 512 bytes, each.
+const (
+	deadPageShift = 12
+	deadPageNodes = 1 << deadPageShift
+	deadPageWords = deadPageNodes / 64
+)
+
+// deadPage is one page of the tombstone bitset: bit p&63 of word
+// p>>6 & (deadPageWords-1) is set when node p of the page's range is dead.
+type deadPage [deadPageWords]uint64
+
+// nameElems is one element name's ascending pre list. A delete that kills
+// elements of the name does not cut them out: it marks the list stale, and
+// the snapshot's first read of it filters pres through Alive into live,
+// once. A stale list thus holds at most the pres killed since the name was
+// last read.
 type nameElems struct {
-	id   int32
-	pres []int32
+	id    int32
+	stale bool
+	pres  []int32
+	live  atomic.Pointer[[]int32]
+}
+
+// read returns the live list of e on snapshot d. Concurrent first reads of a
+// stale list may each filter it; the first to publish wins and every reader
+// returns that one.
+func (e *nameElems) read(d *Doc) []int32 {
+	if !e.stale {
+		return e.pres
+	}
+	if l := e.live.Load(); l != nil {
+		return *l
+	}
+	l := make([]int32, 0, len(e.pres))
+	for _, p := range e.pres {
+		if d.Alive(p) {
+			l = append(l, p)
+		}
+	}
+	e.live.CompareAndSwap(nil, &l)
+	return *e.live.Load()
 }
 
 // findElems locates name id in the sorted elems list: its slot, and whether
@@ -146,7 +184,12 @@ func (d *Doc) OrderKey() int64 { return d.order }
 // (not tombstoned). Tombstones always cover whole subtrees, so every ancestor
 // of a live node is live.
 func (d *Doc) Alive(pre int32) bool {
-	return d.dead == nil || d.dead[pre>>6]&(1<<(uint(pre)&63)) == 0
+	if k := uint32(pre) >> deadPageShift; k < uint32(len(d.dead)) {
+		if pg := d.dead[k]; pg != nil {
+			return pg[pre>>6&(deadPageWords-1)]&(1<<(uint(pre)&63)) == 0
+		}
+	}
+	return true
 }
 
 // NumNodes returns the node count including the document node.
@@ -256,12 +299,13 @@ func (d *Doc) AttrByName(pre int32, name string) (value string, ok bool) {
 // The index is built lazily on first use and shared by all callers; the
 // returned slice must not be modified. A mutation snapshot serves its own
 // list for the names its lineage touched — each commit derives it from the
-// parent's list plus the nodes it appended or tombstoned (see mutate.go) —
-// and the pristine ancestor's list for every other name.
+// parent's list plus the nodes it appended, and the first read after a
+// tombstone filters out the nodes killed since (see mutate.go) — and the
+// pristine ancestor's list for every other name.
 func (d *Doc) ElementsByName(id int32) []int32 {
 	if d.base != nil {
 		if k, ok := findElems(d.elems, id); ok {
-			return d.elems[k].pres
+			return d.elems[k].read(d)
 		}
 		return d.base.ElementsByName(id)
 	}

@@ -14,9 +14,12 @@ import (
 //     length — old snapshots cannot see them because their slice headers cap
 //     reads — and override the two subtree sizes that grow (document node and
 //     root element) in a small per-snapshot sizeHead array.
-//   - Deletes (WithTombstones) mark whole subtrees dead in a copy-on-write
-//     bitset; the pre/size shape is untouched, traversal just skips dead
-//     nodes.
+//   - Deletes (WithTombstones) mark whole subtrees dead in a paged bitset,
+//     copying the page table and only the pages the subtrees touch; the
+//     pre/size shape is untouched, traversal just skips dead nodes. The
+//     element lists of the names they kill are not cut: each is filtered on
+//     the snapshot's first read of it, and the next snapshot starts from the
+//     filtered list when there is one.
 //
 // Writers must be serialized by the caller and must always mutate the newest
 // snapshot (the engine holds its write lock across a mutation); readers of
@@ -36,9 +39,9 @@ func (d *Doc) RootElement() int32 {
 }
 
 // cloneSnapshot derives a new snapshot sharing all column storage with d.
-// The caller adjusts sizeHead/dead/elems as its mutation requires. (Doc holds
-// a sync.Once, so snapshots are built field-by-field rather than by struct
-// copy.)
+// The caller adjusts sizeHead/dead and derives elems as its mutation
+// requires. (Doc holds a sync.Once, so snapshots are built field-by-field
+// rather than by struct copy.)
 func (d *Doc) cloneSnapshot() *Doc {
 	c := &Doc{
 		Name:     d.Name,
@@ -59,8 +62,6 @@ func (d *Doc) cloneSnapshot() *Doc {
 		mutSeq:   d.mutSeq + 1,
 		sizeHead: d.sizeHead,
 		dead:     d.dead,
-		deadCnt:  d.deadCnt,
-		elems:    d.elems,
 	}
 	if d.base != nil {
 		c.base = d.base
@@ -73,7 +74,9 @@ func (d *Doc) cloneSnapshot() *Doc {
 // WithTombstones returns a snapshot with the subtrees rooted at the given
 // pres marked deleted. The document node and the root element cannot be
 // tombstoned; already-dead pres are rejected (the caller addressed a node the
-// snapshot no longer contains).
+// snapshot no longer contains). The cost is the killed nodes plus one copy
+// of the page table and of each page they touch: the element lists of the
+// names they kill are only marked stale.
 func (d *Doc) WithTombstones(pres []int32) (*Doc, error) {
 	if len(pres) == 0 {
 		return d, nil
@@ -81,9 +84,8 @@ func (d *Doc) WithTombstones(pres []int32) (*Doc, error) {
 	root := d.RootElement()
 	n := int32(len(d.kind))
 	c := d.cloneSnapshot()
-	nd := make([]uint64, (int(n)+63)/64)
-	copy(nd, d.dead)
-	hit := map[int32]struct{}{} // names of the elements this call kills
+	c.dead = slices.Clone(d.dead)
+	c.elems = d.deriveElems()
 	for _, pre := range pres {
 		switch {
 		case pre <= 0 || pre >= n:
@@ -94,48 +96,66 @@ func (d *Doc) WithTombstones(pres []int32) (*Doc, error) {
 			return nil, fmt.Errorf("tree: node %d is already deleted", pre)
 		}
 		for p := pre; p <= pre+d.Size(pre); p++ {
-			w, b := p>>6, uint(p)&63
-			if nd[w]&(1<<b) == 0 {
-				nd[w] |= 1 << b
-				c.deadCnt++
+			pg, w, b := c.ownPage(d, p), p>>6&(deadPageWords-1), uint64(1)<<(uint(p)&63)
+			if pg[w]&b == 0 {
+				pg[w] |= b
 				if d.kind[p] == ElementNode {
-					hit[d.name[p]] = struct{}{}
+					c.ownElems(d.name[p]).stale = true
 				}
 			}
 		}
 	}
-	c.dead = nd
-	// Element lists of the names that lost a node: the parent's live list
-	// with each killed subtree's pre range cut out by binary search over the
-	// sorted roots, O(k log L) plus one O(L) copy. A root inside an earlier
-	// one's range (a duplicate or a descendant) finds nothing left to cut.
-	// Nothing else is rescanned.
-	roots := slices.Sorted(slices.Values(pres))
-	c.elems = slices.Clone(d.elems)
-	for id := range hit {
-		l := c.ownElems(id)
-		live, rest := make([]int32, 0, len(*l)), *l
-		for _, r := range roots {
-			lo, _ := slices.BinarySearch(rest, r)
-			hi, _ := slices.BinarySearch(rest, r+d.Size(r)+1)
-			live, rest = append(live, rest[:lo]...), rest[hi:]
-		}
-		*l = append(live, rest...)
-	}
 	return c, nil
 }
 
+// ownPage returns the tombstone page of node p in c, first copying it when c
+// still holds its parent d's page (nil included) there. Pointer inequality
+// with d's page tells a page this call already copied.
+func (c *Doc) ownPage(d *Doc, p int32) *deadPage {
+	k := int(p >> deadPageShift)
+	for k >= len(c.dead) {
+		c.dead = append(c.dead, nil)
+	}
+	var old *deadPage
+	if k < len(d.dead) {
+		old = d.dead[k]
+	}
+	if c.dead[k] == old {
+		pg := new(deadPage)
+		if old != nil {
+			*pg = *old
+		}
+		c.dead[k] = pg
+	}
+	return c.dead[k]
+}
+
+// deriveElems returns the element lists a snapshot derived from d starts
+// from: a stale list d has read hands on its filtered copy; one not read yet
+// stays stale, for the new snapshot's own first read to filter.
+func (d *Doc) deriveElems() []nameElems {
+	out := make([]nameElems, len(d.elems))
+	for i := range d.elems {
+		e, o := &d.elems[i], &out[i]
+		o.id, o.stale, o.pres = e.id, e.stale, e.pres
+		if l := e.live.Load(); l != nil {
+			o.stale, o.pres = false, *l
+		}
+	}
+	return out
+}
+
 // ownElems returns the snapshot's own element list of name id for the
-// mutation deriving the snapshot to replace, on its own copy of elems. A name
+// mutation deriving the snapshot to change, on its own derived elems. A name
 // the lineage had not touched starts from the pristine list, capped so that
 // an append copies it rather than extending it in place.
-func (d *Doc) ownElems(id int32) *[]int32 {
+func (d *Doc) ownElems(id int32) *nameElems {
 	k, ok := findElems(d.elems, id)
 	if !ok {
 		l := d.base.ElementsByName(id)
-		d.elems = slices.Insert(d.elems, k, nameElems{id, l[:len(l):len(l)]})
+		d.elems = slices.Insert(d.elems, k, nameElems{id: id, pres: l[:len(l):len(l)]})
 	}
-	return &d.elems[k].pres
+	return &d.elems[k]
 }
 
 // Appender extends a sealed document with new subtrees appended as the last
@@ -334,21 +354,17 @@ func (a *Appender) Commit() (*Doc, error) {
 	head[a.rootElem] += added
 	d.sizeHead = head
 
-	// The tombstone bitset (when present) must cover the appended pres; the
-	// extra words are zero, so the new nodes are alive everywhere.
-	for int64(len(d.dead))*64 < int64(n) && d.dead != nil {
-		d.dead = append(d.dead, 0)
-	}
-
 	// Element lists: the parent's list of each appended element's name plus
 	// the new pres, which exceed every older one. A list the lineage already
 	// owns extends in place beyond the parent's length (the column
-	// discipline); the pristine document's list is never extended in place.
-	d.elems = slices.Clone(a.src.elems)
+	// discipline), a stale one staying stale; the pristine document's list is
+	// never extended in place. The tombstone pages need nothing: an appended
+	// node's bit is clear in its page, or it lies past the page table's end.
+	d.elems = a.src.deriveElems()
 	for pre := a.baseN; pre < n; pre++ {
 		if d.kind[pre] == ElementNode {
 			l := d.ownElems(d.name[pre])
-			*l = append(*l, pre)
+			l.pres = append(l.pres, pre)
 		}
 	}
 	return d, nil

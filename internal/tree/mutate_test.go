@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -253,15 +254,19 @@ func randSubtree(rng *rand.Rand, names []string, depth int, start func(string), 
 }
 
 // TestElementListsDeriveFromParent drives random append/tombstone histories
-// and checks, after every commit, that each name's element list equals a full
-// scan of the new snapshot — and that every older snapshot still reads
-// exactly the list it had (lists extend in place beyond an older snapshot's
-// length, never inside it). One tombstone call gets several pres at once:
-// base-document and appended nodes, duplicates, and ancestors with their
-// descendants, in any order.
+// and checks each name's element list against a full scan of its snapshot,
+// and that every older snapshot still reads exactly the list it had (lists
+// extend in place beyond an older snapshot's length, never inside it). One
+// tombstone call gets several pres at once: base-document and appended
+// nodes, duplicates, and ancestors with their descendants, in any order.
+// Seeds 1–4 read every list after every commit; the others read after one
+// commit in three, so several deletes land between two reads and appends
+// extend lists not yet filtered, and they read a pinned older snapshot again
+// now and then, after newer writes.
 func TestElementListsDeriveFromParent(t *testing.T) {
 	names := []string{"a", "b", "c", "hit", "note", "mark"}
-	for seed := int64(1); seed <= 8; seed++ {
+	var unreadDeletes, staleAppends, oldReads int
+	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		b := NewBuilder("lists.xml")
 		b.StartElement("doc")
@@ -276,23 +281,54 @@ func TestElementListsDeriveFromParent(t *testing.T) {
 		baseN := int32(d.NumNodes())
 		type pinned struct {
 			d     *Doc
-			lists map[int32][]int32
+			lists map[int32][]int32 // what the snapshot read, if it was read
 		}
 		var history []pinned
-		check := func(d *Doc) {
+		check := func(p *pinned) {
 			t.Helper()
-			p := pinned{d: d, lists: map[int32][]int32{}}
-			for id := int32(0); id < int32(d.Dict().Len()); id++ {
-				got, want := d.ElementsByName(id), scanElems(d, id)
+			if p.lists == nil {
+				p.lists = map[int32][]int32{}
+			}
+			for id := int32(0); id < int32(p.d.Dict().Len()); id++ {
+				got, want := p.d.ElementsByName(id), scanElems(p.d, id)
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d seq %d: ElementsByName(%s) = %v, scan says %v",
-						seed, d.MutSeq(), d.Dict().Name(id), got, want)
+						seed, p.d.MutSeq(), p.d.Dict().Name(id), got, want)
+				}
+				if was, ok := p.lists[id]; ok && !slices.Equal(got, was) {
+					t.Fatalf("seed %d snapshot seq %d: list of %s changed under later writes: %v, was %v",
+						seed, p.d.MutSeq(), p.d.Dict().Name(id), got, was)
 				}
 				p.lists[id] = slices.Clone(got)
 			}
-			history = append(history, p)
 		}
-		check(d)
+		commit := func(next *Doc) {
+			t.Helper()
+			parent := history[len(history)-1]
+			// A list holds no pre that was dead when its name was last read.
+			for i := range next.elems {
+				if parent.lists == nil {
+					break
+				}
+				for _, p := range next.elems[i].pres {
+					if p < int32(parent.d.NumNodes()) && !parent.d.Alive(p) {
+						t.Fatalf("seed %d seq %d: list of %s carries pre %d, dead before the last read",
+							seed, next.MutSeq(), next.Dict().Name(next.elems[i].id), p)
+					}
+				}
+			}
+			history = append(history, pinned{d: next})
+			if seed <= 4 || rng.Intn(3) == 0 {
+				check(&history[len(history)-1])
+			}
+			if seed > 4 && rng.Intn(4) == 0 {
+				oldReads++
+				check(&history[rng.Intn(len(history))])
+			}
+		}
+		history = append(history, pinned{d: d})
+		check(&history[0])
+		prevDelete := false
 		for step := 0; step < 120; step++ {
 			if rng.Intn(2) > 0 {
 				a, err := NewAppender(d)
@@ -300,10 +336,17 @@ func TestElementListsDeriveFromParent(t *testing.T) {
 					t.Fatal(err)
 				}
 				randSubtree(rng, names, 3, func(n string) { a.StartElement(n) }, a.Text, a.EndElement)
+				for pre := a.baseN; pre < int32(len(a.d.kind)); pre++ {
+					if k, ok := findElems(d.elems, a.d.name[pre]); ok && d.elems[k].stale && d.elems[k].live.Load() == nil {
+						staleAppends++
+						break
+					}
+				}
 				if d, err = a.Commit(); err != nil {
 					t.Fatal(err)
 				}
-				check(d)
+				commit(d)
+				prevDelete = false
 				continue
 			}
 			var base, appended []int32
@@ -343,6 +386,10 @@ func TestElementListsDeriveFromParent(t *testing.T) {
 				continue
 			}
 			rng.Shuffle(len(pres), func(i, j int) { pres[i], pres[j] = pres[j], pres[i] })
+			if prevDelete && history[len(history)-1].lists == nil {
+				unreadDeletes++
+			}
+			prevDelete = true
 			if d, err = d.WithTombstones(pres); err != nil {
 				t.Fatal(err)
 			}
@@ -351,15 +398,90 @@ func TestElementListsDeriveFromParent(t *testing.T) {
 					t.Fatalf("seed %d: tombstoned pre %d still alive", seed, p)
 				}
 			}
-			check(d)
+			commit(d)
 		}
-		for _, p := range history {
-			for id, want := range p.lists {
-				if got := p.d.ElementsByName(id); !slices.Equal(got, want) {
-					t.Fatalf("seed %d snapshot seq %d: list of %s changed under later writes: %v, was %v",
-						seed, p.d.MutSeq(), p.d.Dict().Name(id), got, want)
-				}
+		for i := range history {
+			check(&history[i])
+		}
+	}
+	t.Logf("%d deletes after an unread delete, %d appends onto unfiltered lists, %d re-reads of older snapshots",
+		unreadDeletes, staleAppends, oldReads)
+	if unreadDeletes == 0 || staleAppends == 0 || oldReads == 0 {
+		t.Fatal("the lineages never skipped a read")
+	}
+}
+
+// TestElementsByNameFirstReadConcurrent: several goroutines make the first
+// read of one snapshot's stale element list together, while the writer
+// derives the next snapshot from it (an append of the same name). Every
+// reader gets the scan's list, all of them the one published copy, and the
+// derived snapshot's list is exact whichever of filtered or stale it started
+// from. Run under the race detector in CI.
+func TestElementsByNameFirstReadConcurrent(t *testing.T) {
+	b := NewBuilder("race.xml")
+	b.StartElement("doc")
+	for i := 0; i < 300; i++ {
+		b.StartElement("a")
+		b.StartElement("b")
+		b.EndElement()
+		b.EndElement()
+	}
+	b.EndElement()
+	d, err := b.Done()
+	if err != nil {
+		t.Fatal(err)
+	}
+	aID, _ := d.Dict().Lookup("a")
+	rng := rand.New(rand.NewSource(1))
+	const readers = 6
+	for round := 0; round < 40; round++ {
+		live := d.ElementsByName(aID)
+		if d, err = d.WithTombstones([]int32{live[rng.Intn(len(live))], live[rng.Intn(len(live))]}); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		got := make([][]int32, readers)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g] = d.ElementsByName(aID)
+			}()
+		}
+		var next *Doc
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			a, err := NewAppender(d)
+			if err == nil {
+				a.StartElement("a")
+				a.EndElement()
+				next, err = a.Commit()
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		want := scanElems(d, aID)
+		for g, l := range got {
+			if !slices.Equal(l, want) {
+				t.Fatalf("round %d reader %d: %v, scan says %v", round, g, l, want)
+			}
+			if &l[0] != &got[0][0] {
+				t.Fatalf("round %d: readers %d and 0 got different copies of the filtered list", round, g)
 			}
 		}
+		if l, want := next.ElementsByName(aID), scanElems(next, aID); !slices.Equal(l, want) {
+			t.Fatalf("round %d: derived snapshot reads %v, scan says %v", round, l, want)
+		}
+		d = next
 	}
 }
