@@ -12,15 +12,15 @@ import (
 
 // Candidates is the candidate sequence of a StandOff join (sections 3.2 and
 // 4.3): the set of area-annotations that may appear in the result. Without a
-// selection, the entire region index is the candidate sequence; with a
-// pushed-down selection (e.g. an element name test), an index intersection
-// on node id is performed that preserves the start ordering of the region
-// index.
+// selection, the entire region index is the candidate sequence (All); with a
+// pushed-down selection (e.g. an element name test), the selected areas'
+// regions are read from the index's per-area geometry into the start
+// ordering of the region index, without reading the unrestricted table.
 //
 // The sequence is stored struct-of-arrays: parallel start/end/id columns in
 // each of the orders the joins consume, so the merge loops scan contiguous
-// memory instead of chasing per-row indirections. The unrestricted view
-// aliases the index's own columns; filtered views materialise their own.
+// memory instead of chasing per-row indirections. Every view owns its
+// columns; the unrestricted one is the index's start|end|id table itself.
 //
 // A view may be shared (the unrestricted one and those FilterByName caches
 // are), so what it builds after creation it builds once: the suffix-mins of
@@ -58,9 +58,11 @@ type Candidates struct {
 	endMin   []int32
 }
 
-// All returns the unrestricted candidate sequence (the whole index).
+// All returns the unrestricted candidate sequence (the whole index), built
+// on first use: a base index sorts its geometry into the start-ordered
+// region and bounds tables, a delta index merges its writes into its base's.
 func (ix *RegionIndex) All() *Candidates {
-	ix.materialize()
+	ix.allOnce.Do(ix.buildAll)
 	return ix.all
 }
 
@@ -68,43 +70,19 @@ func (ix *RegionIndex) All() *Candidates {
 // which must be sorted ascending and duplicate-free (document order, as an
 // element-name index delivers them). Nodes that are not area-annotations are
 // dropped silently: they can never be returned by a StandOff step. The
-// intersection scans the region index once, preserving its start order
-// (section 4.3).
+// view is built from the areas' geometry in start order (section 4.3); the
+// unrestricted table is neither read nor built.
 func (ix *RegionIndex) Filter(pres []int32) *Candidates {
-	ix.materialize()
-	c := &Candidates{}
-	if len(pres) == 0 {
-		return c
-	}
-	bits := make([]uint64, (ix.doc.NumNodes()+63)/64)
+	var live []int32
 	for _, p := range pres {
 		if ix.IsArea(p) {
-			bits[p>>6] |= 1 << (uint(p) & 63)
-			c.areas = append(c.areas, p)
+			live = append(live, p)
 		}
 	}
-	if !sort.SliceIsSorted(c.areas, func(i, j int) bool { return c.areas[i] < c.areas[j] }) {
-		sort.Slice(c.areas, func(i, j int) bool { return c.areas[i] < c.areas[j] })
+	if !slices.IsSorted(live) {
+		slices.Sort(live)
 	}
-	for i := range ix.rID {
-		if id := ix.rID[i]; bits[id>>6]&(1<<(uint(id)&63)) != 0 {
-			c.rStart = append(c.rStart, ix.rStart[i])
-			c.rEnd = append(c.rEnd, ix.rEnd[i])
-			c.rID = append(c.rID, id)
-		}
-	}
-	if !ix.multiRegion {
-		c.bStart, c.bEnd, c.bID = c.rStart, c.rEnd, c.rID
-		return c
-	}
-	for i := range ix.bID {
-		if id := ix.bID[i]; bits[id>>6]&(1<<(uint(id)&63)) != 0 {
-			c.bStart = append(c.bStart, ix.bStart[i])
-			c.bEnd = append(c.bEnd, ix.bEnd[i])
-			c.bID = append(c.bID, id)
-		}
-	}
-	return c
+	return ix.candidatesFrom(live)
 }
 
 // FilterByName returns the candidate sequence of all area-annotations with
@@ -116,11 +94,12 @@ func (ix *RegionIndex) FilterByName(nameID int32) *Candidates {
 	if v, ok := ix.nameCands.Load(nameID); ok {
 		return v.(*Candidates)
 	}
-	// On a delta index, a name no insert or delete ever touched has exactly
-	// the base's candidate set (inserted areas carry touched names; deletes
-	// record every killed area's name) and is served by the base's per-name
-	// cache; a touched name applies its writes since the lineage's newest
-	// layer of it (delta.go). Neither looks at another layer's rows.
+	// A base index builds the view from its geometry. On a delta index, a
+	// name no insert or delete ever touched has exactly the base's candidate
+	// set (inserted areas carry touched names; deletes record every killed
+	// area's name) and is served by the base's per-name cache; a touched
+	// name applies its writes since the lineage's newest layer of it
+	// (delta.go). Neither looks at another layer's rows.
 	var c *Candidates
 	switch {
 	case ix.base == nil:
@@ -179,7 +158,9 @@ func (ix *RegionIndex) Within(c *Candidates, lo, hi int32) *Candidates {
 	return ix.candidatesFrom(c.areas[a:b:b])
 }
 
-// candidatesFrom builds the candidate sequence of the live areas, ascending.
+// candidatesFrom builds the candidate sequence of the live areas, ascending,
+// from their regions; rows that arrive in start order, as those of a
+// document written in position order do, are not sorted.
 func (ix *RegionIndex) candidatesFrom(live []int32) *Candidates {
 	rows := make([]row, 0, len(live))
 	for _, p := range live {

@@ -26,11 +26,13 @@ import (
 // newer. With no usable memo the start is the base's candidates, coverage
 // (0, 0): there is one layer builder. Point lookups (IsArea/RegionsOf) and
 // the live counts binary-search the delta columns and otherwise defer to the
-// base. Only what needs every row — All, Areas, Filter, Compact — merges the
-// whole index, once per wrapper, by the same delta rows from coverage (0, 0)
-// over the base's columns. Value orderings (AttrOrder) are never merged: a
-// wrapper serves the base's, and its reader drops tombstones and tests the
-// live inserts itself.
+// base; Filter, CandidatesOf and Within build their views from those lookups.
+// Only All, the unrestricted view of a wildcard or no-pushdown step, merges
+// the whole index, once per wrapper, by the same delta rows from coverage
+// (0, 0) over the base's unrestricted view, which the base builds on that
+// first use. Value orderings (AttrOrder) are never merged: a wrapper serves
+// the base's, and its reader drops tombstones and tests the live inserts
+// itself.
 //
 // Derivation must be linear: always derive from the newest index, under the
 // engine's write lock (insert columns and the delete log extend the parent's
@@ -40,18 +42,24 @@ import (
 // suffix of the logs, so a pair of log lengths identifies a version's
 // contents. Readers of any layer are lock-free.
 //
-// Compact folds the deltas into a new base identical to a fresh
-// BuildIndex over the current document snapshot, with empty per-name,
-// value-ordering and memo caches: a new lineage.
+// Compact folds the deltas into a new base identical to a fresh BuildIndex
+// over the current document snapshot, a new lineage with an empty memo: it
+// splices the per-area geometry and carries over the views and value
+// orderings the folded writes left exact. It merges no table.
 
-// Process-wide merge counts by scope (see IndexMergeStats).
-var layerMerges, fullMerges atomic.Uint64
+// Process-wide merge and build counts by scope (see IndexMergeStats).
+var layerMerges, fullMerges, tableBuilds atomic.Uint64
 
 // IndexMergeStats returns how many delta merges ran, process-wide: layer
-// merges touch one name's candidate rows, full merges every row of the index.
+// merges touch one name's candidate rows, full merges every row of the index
+// — a delta index's merge or a base index's table build (IndexTableBuilds).
 func IndexMergeStats() (layer, full uint64) {
-	return layerMerges.Load(), fullMerges.Load()
+	return layerMerges.Load(), fullMerges.Load() + tableBuilds.Load()
 }
+
+// IndexTableBuilds returns how many base indexes built their unrestricted
+// start-ordered table, process-wide.
+func IndexTableBuilds() uint64 { return tableBuilds.Load() }
 
 // ApplyInsert derives an index for snapshot doc with the area-annotation
 // (pre, nameID, regs) added. regs must be in normalised interval.Area order
@@ -63,6 +71,7 @@ func (ix *RegionIndex) ApplyInsert(doc *tree.Doc, pre, nameID int32, regs []inte
 	n.insName = append(n.insName, nameID)
 	n.insRegs = append(n.insRegs, regs...)
 	n.insOff = append(n.insOff, int32(len(n.insRegs)))
+	n.touch(nameID)
 	n.count(regs, 1)
 	return n
 }
@@ -85,6 +94,7 @@ func (ix *RegionIndex) ApplyDelete(doc *tree.Doc, pres, names []int32) *RegionIn
 		k, _ := slices.BinarySearch(n.delPre, p)
 		n.delPre = slices.Insert(n.delPre, k, p)
 		n.delLog = append(n.delLog, tomb{p, names[i]})
+		n.touch(names[i])
 		n.count(regs, -1)
 	}
 	return n
@@ -98,7 +108,7 @@ func (ix *RegionIndex) derive(doc *tree.Doc) *RegionIndex {
 	n := &RegionIndex{
 		doc: doc, opts: ix.opts, base: ix.base,
 		insPre: ix.insPre, insName: ix.insName, insOff: ix.insOff, insRegs: ix.insRegs,
-		delPre: ix.delPre, delLog: ix.delLog,
+		delPre: ix.delPre, delLog: ix.delLog, touched: ix.touched,
 		nAreas: ix.nAreas, nRegions: ix.nRegions, nMulti: ix.nMulti, multiRegion: ix.multiRegion,
 	}
 	if ix.base == nil {
@@ -106,6 +116,14 @@ func (ix *RegionIndex) derive(doc *tree.Doc) *RegionIndex {
 		n.insOff = []int32{0}
 	}
 	return n
+}
+
+// touch adds nameID to the lineage's touched names. The set is shared with
+// older versions, so a new name copies it; a known one costs a search.
+func (ix *RegionIndex) touch(nameID int32) {
+	if k, ok := slices.BinarySearch(ix.touched, nameID); !ok {
+		ix.touched = slices.Insert(slices.Clip(ix.touched), k, nameID)
+	}
 }
 
 // count adds (sign +1) or removes (sign -1) one area from the live counts.
@@ -219,22 +237,18 @@ func (dr *deltaRows) apply(src *Candidates, multi bool) *Candidates {
 	return c
 }
 
-// materialize merges the delta layers into the base orderings, once, for the
-// readers that need every row. No-op for a base index.
-func (ix *RegionIndex) materialize() {
-	if ix.base != nil {
-		ix.mergeOnce.Do(ix.merge)
+// buildAll builds the unrestricted view, once (All): a base index sorts its
+// geometry's rows; a delta index merges its writes into the base's view.
+func (ix *RegionIndex) buildAll() {
+	if ix.base == nil {
+		tableBuilds.Add(1)
+		ix.all = ix.candidatesFrom(ix.areas)
+		return
 	}
-}
-
-func (ix *RegionIndex) merge() {
 	fullMerges.Add(1)
 	dr, src := ix.deltaOf(0, true, 0, 0), ix.base.All()
 	c := dr.apply(src, ix.multiRegion)
 	c.from, c.dr = src, dr // src lives with the base: merge its end order if a base query builds it first
-	ix.areas = c.areas
-	ix.rStart, ix.rEnd, ix.rID = c.rStart, c.rEnd, c.rID
-	ix.bStart, ix.bEnd, ix.bID = c.bStart, c.bEnd, c.bID
 	ix.all = c
 }
 
@@ -350,47 +364,95 @@ func (ix *RegionIndex) InsertedAreas(nameID int32) []int32 {
 // nameTouched reports whether any delta insert or delete concerns an
 // annotation with the given element name.
 func (ix *RegionIndex) nameTouched(nameID int32) bool {
-	return slices.Contains(ix.insName, nameID) ||
-		slices.ContainsFunc(ix.delLog, func(t tomb) bool { return t.name == nameID })
+	_, ok := slices.BinarySearch(ix.touched, nameID)
+	return ok
 }
 
 // Compact folds the delta layers into a fresh base index over the current
-// document snapshot. The result is identical — orderings, per-area geometry,
-// multi-region flag — to BuildIndex over the same snapshot, and starts with
-// empty caches. Returns ix unchanged when there is nothing to fold.
+// document snapshot. The result is identical — per-area geometry, rank,
+// multi-region flag and, once both are built, the unrestricted table — to
+// BuildIndex over the same snapshot. Returns ix unchanged when there is
+// nothing to fold.
 //
-// Nothing is sorted: the new base adopts the wrapper's full merge (areas,
-// region and bounds rows) and rebuilds only the per-area geometry and rank.
-// Its end order stays lazy, built on the first read that needs it.
+// Nothing is merged or sorted: the new geometry is the base's, its dead areas
+// cut out and the live inserts appended, by bulk copies; the table stays lazy
+// (All). The new base keeps the base's views and value orderings of every
+// name the folded writes did not touch, and each touched name's view that a
+// delta version has read (the lineage memo holds a layer of it), brought to
+// the final coverage from that memo (layer), so that reads of those names
+// after the fold rebuild nothing.
 func (ix *RegionIndex) Compact() *RegionIndex {
 	if ix.base == nil {
 		return ix
 	}
-	ix.materialize()
 	b := ix.base
 	n := &RegionIndex{
-		doc: ix.doc, opts: ix.opts, areas: ix.areas,
+		doc: ix.doc, opts: ix.opts,
 		nAreas: ix.nAreas, nRegions: ix.nRegions, nMulti: ix.nMulti, multiRegion: ix.multiRegion,
-		rStart: ix.rStart, rEnd: ix.rEnd, rID: ix.rID,
-		bStart: ix.bStart, bEnd: ix.bEnd, bID: ix.bID,
+		areas:    make([]int32, 0, ix.nAreas),
 		areaRegs: make([]interval.Region, 0, ix.nRegions),
 	}
-	// The live base areas, then the live inserts, both ascending: one
-	// forward walk over the insert column.
-	i := 0
-	for _, pre := range n.areas {
-		regs := b.RegionsOf(pre)
-		if regs == nil {
-			for ix.insPre[i] != pre {
-				i++
-			}
-			regs = ix.insRegions(i)
+	if ix.multiRegion {
+		n.areaOff = make([]int32, 0, ix.nAreas+1)
+	}
+	// The live base areas, in runs between the dead ones, then the live
+	// inserts, which exceed every base pre.
+	lo := int32(0)
+	for _, p := range ix.delPre {
+		if uint(p) < uint(len(b.rank)) && b.rank[p] >= 0 {
+			n.spliceAreas(b, lo, b.rank[p])
+			lo = b.rank[p] + 1
 		}
-		n.addRegions(regs)
+	}
+	n.spliceAreas(b, lo, int32(len(b.areas)))
+	for i, pre := range ix.insPre {
+		if !ix.tombstoned(pre) {
+			n.areas = append(n.areas, pre)
+			n.addRegions(ix.insRegions(i))
+		}
 	}
 	n.sealAreas()
-	n.all = n.view()
+
+	b.nameCands.Range(func(k, v any) bool {
+		if !ix.nameTouched(k.(int32)) {
+			n.nameCands.Store(k, v)
+		}
+		return true
+	})
+	for _, id := range ix.touched {
+		if _, ok := b.carried.Load(id); ok {
+			n.nameCands.Store(id, ix.FilterByName(id))
+		}
+	}
+	b.attrOrders.Range(func(k, v any) bool {
+		if !ix.nameTouched(k.(attrKey).name) {
+			n.attrOrders.Store(k, v)
+		}
+		return true
+	})
 	return n
+}
+
+// spliceAreas appends the areas of ranks [lo, hi) of base index b, with
+// their regions and, when ix keeps offsets, their offsets shifted to where
+// the regions land.
+func (ix *RegionIndex) spliceAreas(b *RegionIndex, lo, hi int32) {
+	r0, r1 := lo, hi
+	if b.areaOff != nil {
+		r0, r1 = b.areaOff[lo], b.areaOff[hi]
+	}
+	if ix.areaOff != nil {
+		shift := int32(len(ix.areaRegs)) - r0
+		for k := lo; k < hi; k++ {
+			off := k
+			if b.areaOff != nil {
+				off = b.areaOff[k]
+			}
+			ix.areaOff = append(ix.areaOff, off+shift)
+		}
+	}
+	ix.areas = append(ix.areas, b.areas[lo:hi]...)
+	ix.areaRegs = append(ix.areaRegs, b.areaRegs[r0:r1]...)
 }
 
 // mergeRows applies sorted delta rows to (k1, k2, id)-ordered base columns:

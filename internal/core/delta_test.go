@@ -83,10 +83,11 @@ func assertIndexEqual(t *testing.T, got, want *RegionIndex) {
 		t.Fatalf("areas=%d/%d regions=%d/%d multi=%v/%v", got.NumAreas(), want.NumAreas(),
 			got.NumRegions(), want.NumRegions(), got.MultiRegion(), want.MultiRegion())
 	}
-	if !reflect.DeepEqual(got.rStart, want.rStart) || !reflect.DeepEqual(got.rEnd, want.rEnd) || !reflect.DeepEqual(got.rID, want.rID) {
-		t.Fatalf("region rows differ:\n%v %v %v\n%v %v %v", got.rStart, got.rEnd, got.rID, want.rStart, want.rEnd, want.rID)
+	g, w := got.All(), want.All()
+	if !reflect.DeepEqual(g.rStart, w.rStart) || !reflect.DeepEqual(g.rEnd, w.rEnd) || !reflect.DeepEqual(g.rID, w.rID) {
+		t.Fatalf("region rows differ:\n%v %v %v\n%v %v %v", g.rStart, g.rEnd, g.rID, w.rStart, w.rEnd, w.rID)
 	}
-	if !reflect.DeepEqual(got.bStart, want.bStart) || !reflect.DeepEqual(got.bEnd, want.bEnd) || !reflect.DeepEqual(got.bID, want.bID) {
+	if !reflect.DeepEqual(g.bStart, w.bStart) || !reflect.DeepEqual(g.bEnd, w.bEnd) || !reflect.DeepEqual(g.bID, w.bID) {
 		t.Fatalf("bounds rows differ")
 	}
 	for _, pre := range want.Areas() {
@@ -179,7 +180,6 @@ func TestDeltaInsertDeleteInterleavedMatchesRebuild(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s := int64(i * 13)
 		d, cur = applyInsert(t, d, cur, "hit", s, s+9)
-		cur.materialize()
 		inserted = append(inserted, cur.Areas()[len(cur.Areas())-1])
 	}
 	// Delete two originals and two of the fresh inserts.
@@ -208,7 +208,6 @@ func TestCompactIdenticalToFreshBuild(t *testing.T) {
 		s := int64(i * 7)
 		d, cur = applyInsert(t, d, cur, "hit", s, s+int64(i%5)+1)
 	}
-	cur.materialize()
 	d, cur = applyDelete(t, d, cur, cur.Areas()[4])
 	d, cur = applyDelete(t, d, cur, cur.Areas()[10])
 

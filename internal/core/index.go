@@ -11,19 +11,22 @@ import (
 	"soxq/internal/tree"
 )
 
-// RegionIndex is the paper's region index (section 4.3): a start|end|id
-// table clustered on start, where id is the pre-order rank of the
-// area-annotation element. Non-contiguous areas are represented by repeating
-// the same id in several rows. In addition the index keeps, per annotated
-// node, its region list (for context fetch) and a bounds table with one row
-// per area (used by the containment fast path). Its unrestricted candidate
-// view (All) builds the end order the overlap joins read on first use.
+// RegionIndex is the paper's region index (section 4.3). A base index is
+// its per-area geometry: the ascending pre list of the area-annotation
+// elements, each area's region list (for context fetch and the candidate
+// views) and a dense pre -> rank column. The steps read candidate views built
+// from it on demand: one per element name (FilterByName, section 3.3), or for
+// any set of areas (Filter, CandidatesOf, Within). The paper's start|end|id
+// table clustered on start, with a bounds table of one row per area (the
+// containment fast path), is the unrestricted view (All): built on the first
+// read that needs every row, a wildcard or no-pushdown step, and never by a
+// by-name step. Non-contiguous areas repeat the same id in several rows.
 //
 // A RegionIndex is immutable after Build and safe for concurrent use.
 // Annotation writes derive new index layers instead of mutating (see
 // delta.go): a delta index carries the base pointer and its delta columns,
-// serves named candidate sequences and point lookups from them, and fills the
-// merged orderings below only for a reader that needs every row.
+// serves named candidate sequences and point lookups from them, and merges
+// its unrestricted view only for a reader that needs every row.
 type RegionIndex struct {
 	doc  *tree.Doc
 	opts Options
@@ -31,16 +34,17 @@ type RegionIndex struct {
 	// Delta layers (nil/empty on a base index; see delta.go). insPre ascends
 	// and insPre[i] owns insRegs[insOff[i]:insOff[i+1]]; delPre lists every
 	// tombstoned area, ascending, and delLog the same deletes in derivation
-	// order with their names. The insert columns and the delete log extend
-	// the parent layer's in place, so derivation must be linear and
-	// serialized (engine write lock).
+	// order with their names; touched is the ascending set of names the
+	// lineage's inserts and deletes concern. The insert columns and the
+	// delete log extend the parent layer's in place, so derivation must be
+	// linear and serialized (engine write lock).
 	base            *RegionIndex
 	insPre, insName []int32
 	insOff          []int32
 	insRegs         []interval.Region
 	delPre          []int32
 	delLog          []tomb
-	mergeOnce       sync.Once
+	touched         []int32
 
 	// carried is the lineage's layer memo, on its base index only: element
 	// name id -> *carriedLayer, the newest materialised layer of that name.
@@ -50,30 +54,19 @@ type RegionIndex struct {
 	// carried and adjusted by every delta derivation.
 	nAreas, nRegions, nMulti int
 
-	// Region rows, sorted by (start, end, id).
-	rStart []int64
-	rEnd   []int64
-	rID    []int32
-
-	// Bounds rows: one row per area (covering region), sorted by
-	// (start, end, id). Aliases the region rows when every area is
-	// single-region.
-	bStart []int64
-	bEnd   []int64
-	bID    []int32
-
-	// Per-area geometry: areas is the ascending pre list of annotated
-	// nodes; area i owns areaRegs[areaOff[i]:areaOff[i+1]], or areaRegs[i]
-	// while every area has one region and areaOff is nil (see addRegions).
+	// Per-area geometry (base only): areas is the ascending pre list of
+	// annotated nodes; area i owns areaRegs[areaOff[i]:areaOff[i+1]], or
+	// areaRegs[i] while every area has one region and areaOff is nil (see
+	// addRegions).
 	areas    []int32
 	areaOff  []int32
 	areaRegs []interval.Region
 	rank     []int32 // pre -> position in areas, -1 for no area; ends at the last area
-	rows     []row   // build scratch: the region rows before sorting
 
 	multiRegion bool
 
-	all *Candidates // the unrestricted view; a delta index sets it at its full merge
+	allOnce sync.Once
+	all     *Candidates // the unrestricted view, built by All
 
 	nameCands  sync.Map // element name id -> *Candidates (FilterByName cache)
 	attrOrders sync.Map // attrKey -> *AttrOrder (AttrOrder cache, base only)
@@ -96,7 +89,7 @@ func BuildIndex(doc *tree.Doc, opts Options) (*RegionIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.sortRows()
+	ix.sealAreas()
 	return ix, nil
 }
 
@@ -218,21 +211,17 @@ func (ix *RegionIndex) readRegionElement(pre, startID, endID int32) (interval.Re
 	return interval.NewRegion(start, end)
 }
 
-// reserve sizes the build for at most areas areas and regions region rows, so
+// reserve sizes the build for at most areas areas and regions regions, so
 // that addArea never re-grows a column.
 func (ix *RegionIndex) reserve(areas, regions int) {
 	ix.areas = make([]int32, 0, areas)
 	ix.areaRegs = make([]interval.Region, 0, regions)
-	ix.rows = make([]row, 0, regions)
 }
 
 // addArea appends one area; pres must ascend across calls.
 func (ix *RegionIndex) addArea(pre int32, regions []interval.Region) {
 	ix.areas = append(ix.areas, pre)
 	ix.addRegions(regions)
-	for _, r := range regions {
-		ix.rows = append(ix.rows, row{r.Start, r.End, pre})
-	}
 	ix.count(regions, 1)
 }
 
@@ -277,31 +266,7 @@ func (ix *RegionIndex) sealAreas() {
 	}
 }
 
-// sortRows seals a build: the per-area geometry and rank, the region rows in
-// (start, end, id) order and, when some area has several regions, one
-// covering bounds row per area in the same order.
-func (ix *RegionIndex) sortRows() {
-	ix.sealAreas()
-	ix.rStart, ix.rEnd, ix.rID = sortedCols(ix.rows)
-	ix.rows = nil
-	ix.bStart, ix.bEnd, ix.bID = ix.rStart, ix.rEnd, ix.rID
-	if ix.multiRegion {
-		bounds := make([]row, len(ix.areas))
-		for i, pre := range ix.areas {
-			regs := ix.areaRegions(int32(i))
-			bounds[i] = row{regs[0].Start, regs[len(regs)-1].End, pre}
-		}
-		ix.bStart, ix.bEnd, ix.bID = sortedCols(bounds)
-	}
-	ix.all = ix.view()
-}
-
-// view returns a candidate view over the index's own columns.
-func (ix *RegionIndex) view() *Candidates {
-	return &Candidates{areas: ix.areas, rStart: ix.rStart, rEnd: ix.rEnd, rID: ix.rID, bStart: ix.bStart, bEnd: ix.bEnd, bID: ix.bID}
-}
-
-// row is one sort key of the build: a region or bounds row keyed
+// row is one sort key of a candidate view: a region or bounds row keyed
 // (start, end, id), or a region row keyed (end, start, id) for the end order.
 type row struct {
 	k1, k2 int64

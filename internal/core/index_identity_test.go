@@ -90,12 +90,14 @@ func (ix *RegionIndex) suffixMins() ([]int32, []int32) {
 	return ix.All().startSuffixMin(), ix.All().endSuffixMin()
 }
 
-// assertIdentity holds every column of a base index to the reference's.
+// assertIdentity holds every column of a base index to the reference's, its
+// unrestricted table forced.
 func assertIdentity(t *testing.T, what string, ix *RegionIndex, ref *refIndex) {
 	t.Helper()
-	if ix.base != nil || ix.rows != nil {
-		t.Fatalf("%s: not a sealed base index", what)
+	if ix.base != nil {
+		t.Fatalf("%s: not a base index", what)
 	}
+	all := ix.All()
 	es, ee, eid := ix.endCols()
 	bMin, eMin := ix.suffixMins()
 	refMin := func(ids []int32) []int32 {
@@ -110,9 +112,9 @@ func assertIdentity(t *testing.T, what string, ix *RegionIndex, ref *refIndex) {
 		name      string
 		got, want any
 	}{
-		{"rStart", ix.rStart, ref.rStart}, {"rEnd", ix.rEnd, ref.rEnd}, {"rID", ix.rID, ref.rID},
-		{"bStart", ix.bStart, ref.bStart}, {"bEnd", ix.bEnd, ref.bEnd}, {"bID", ix.bID, ref.bID},
-		{"areas", ix.areas, ref.areas}, {"areaOff", areaOffsets(ix), ref.areaOff}, {"areaRegs", ix.areaRegs, ref.areaRegs},
+		{"rStart", all.rStart, ref.rStart}, {"rEnd", all.rEnd, ref.rEnd}, {"rID", all.rID, ref.rID},
+		{"bStart", all.bStart, ref.bStart}, {"bEnd", all.bEnd, ref.bEnd}, {"bID", all.bID, ref.bID},
+		{"areas", ix.areas, ref.areas}, {"all.areas", all.areas, ref.areas}, {"areaOff", areaOffsets(ix), ref.areaOff}, {"areaRegs", ix.areaRegs, ref.areaRegs},
 		{"eStart", es, ref.eStart}, {"eEnd", ee, ref.eEnd}, {"eID", eid, ref.eID},
 		{"bSuffixMin", bMin, refMin(ref.bID)}, {"eSuffixMin", eMin, refMin(ref.eID)},
 	} {
@@ -127,7 +129,7 @@ func assertIdentity(t *testing.T, what string, ix *RegionIndex, ref *refIndex) {
 	if (ix.areaOff != nil) != ix.multiRegion {
 		t.Fatalf("%s: area offsets kept = %v with multiRegion = %v", what, ix.areaOff != nil, ix.multiRegion)
 	}
-	if aliased := len(ix.bID) > 0 && &ix.bID[0] == &ix.rID[0]; len(ix.bID) > 0 && aliased == ix.multiRegion {
+	if aliased := len(all.bID) > 0 && &all.bID[0] == &all.rID[0]; len(all.bID) > 0 && aliased == ix.multiRegion {
 		t.Fatalf("%s: bounds alias the region rows = %v with multiRegion = %v", what, aliased, ix.multiRegion)
 	}
 	// The dense rank column is the old map: it ends at the last area, holds
@@ -247,8 +249,9 @@ func TestIndexIdentityRegionElements(t *testing.T) {
 }
 
 // TestIndexIdentityCompact: after a random insert/delete history, Compact
-// yields the reference's columns for the final snapshot, and the delta layers
-// answer point lookups beyond the base's dense rank column on the way there.
+// yields the reference's columns for the final snapshot, its table built only
+// when assertIdentity forces it, and the delta layers answer point lookups
+// beyond the base's dense rank column on the way there.
 func TestIndexIdentityCompact(t *testing.T) {
 	opts := regionOpts(t)
 	for seed := int64(0); seed < 12; seed++ {
@@ -280,10 +283,21 @@ func TestIndexIdentityCompact(t *testing.T) {
 				}
 			}
 			if step%13 == 12 {
-				ix = ix.Compact()
+				ix = compactLazy(t, ix)
 				assertIdentity(t, fmt.Sprintf("seed %d step %d", seed, step), ix, ref)
 			}
 		}
-		assertIdentity(t, fmt.Sprint("seed ", seed), ix.Compact(), refBuild(t, d, opts))
+		assertIdentity(t, fmt.Sprint("seed ", seed), compactLazy(t, ix), refBuild(t, d, opts))
 	}
+}
+
+// compactLazy compacts ix and checks that the fold built no table.
+func compactLazy(t *testing.T, ix *RegionIndex) *RegionIndex {
+	t.Helper()
+	before := IndexTableBuilds()
+	n := ix.Compact()
+	if n.all != nil || IndexTableBuilds() != before {
+		t.Fatal("Compact built a table")
+	}
+	return n
 }

@@ -9,9 +9,15 @@ import (
 	"soxq/internal/xmlparse"
 )
 
-// Areas returns the ascending pre list of all area-annotations. The returned
-// slice must not be modified.
-func (ix *RegionIndex) Areas() []int32 { ix.materialize(); return ix.areas }
+// Areas returns the ascending pre list of all area-annotations: a base
+// index's geometry, a delta index's unrestricted view. The returned slice
+// must not be modified.
+func (ix *RegionIndex) Areas() []int32 {
+	if ix.base == nil {
+		return ix.areas
+	}
+	return ix.All().areas
+}
 
 func parseDoc(t *testing.T, src string) *tree.Doc {
 	t.Helper()
@@ -42,9 +48,10 @@ func TestBuildIndexAttributes(t *testing.T) {
 	}
 	// Rows must be clustered on start: (1,100,c), (5,8,b), (10,20,a).
 	wantStart := []int64{1, 5, 10}
+	rStart, _, _ := ix.All().regionCols()
 	for i, s := range wantStart {
-		if ix.rStart[i] != s {
-			t.Fatalf("row %d start = %d, want %d (rows %v)", i, ix.rStart[i], s, ix.rStart)
+		if rStart[i] != s {
+			t.Fatalf("row %d start = %d, want %d (rows %v)", i, rStart[i], s, rStart)
 		}
 	}
 	if ix.MultiRegion() {
@@ -102,8 +109,8 @@ func TestBuildIndexRegionElements(t *testing.T) {
 		t.Fatalf("regionCount(file) = %d", ix.regionCount(file))
 	}
 	// Bounds table has one row per area.
-	if len(ix.bID) != 2 {
-		t.Fatalf("bounds rows = %d", len(ix.bID))
+	if _, _, bID := ix.All().boundsCols(); len(bID) != 2 {
+		t.Fatalf("bounds rows = %d", len(bID))
 	}
 }
 

@@ -173,9 +173,11 @@ func assertCandidatesEqual(t *testing.T, what string, got, want *Candidates) {
 
 // assertLayersMatchRebuild checks everything a named read, a point lookup and
 // a delete take from a delta index, and its live counts, against a fresh
-// build.
+// build, and that none of it builds or merges a whole-index table; then the
+// unrestricted views, forced on both sides.
 func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionIndex, opts Options) {
 	t.Helper()
+	_, full0 := IndexMergeStats()
 	fresh, err := BuildIndex(d, opts)
 	if err != nil {
 		t.Fatalf("step %d: rebuild: %v", step, err)
@@ -212,7 +214,7 @@ func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionInd
 		t.Fatalf("step %d: areas=%d regions=%d multi=%v, rebuild has %d/%d/%v", step,
 			ix.NumAreas(), ix.NumRegions(), ix.MultiRegion(), fresh.NumAreas(), fresh.NumRegions(), fresh.MultiRegion())
 	}
-	all := fresh.Areas()
+	all := fresh.areas
 	if got := ix.AreasIn(0, math.MaxInt32); !slices.Equal(got, all) {
 		t.Fatalf("step %d: AreasIn(all) = %v, rebuild has %v", step, got, all)
 	}
@@ -240,6 +242,10 @@ func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionInd
 			t.Fatalf("step %d: AreasWithBounds on absent bounds = %v", step, miss)
 		}
 	}
+	if _, full := IndexMergeStats(); full != full0 {
+		t.Fatalf("step %d: named reads and lookups built or merged %d whole-index tables", step, full-full0)
+	}
+	assertCandidatesEqual(t, fmt.Sprintf("step %d, unrestricted view", step), ix.All(), fresh.All())
 }
 
 // TestLayerViewMatchesRebuild is the per-name view property: across random
@@ -247,7 +253,7 @@ func assertLayersMatchRebuild(t *testing.T, step int, d *tree.Doc, ix *RegionInd
 // insert-then-delete inside one delta window — every name's candidate
 // sequence, the point lookups, the bounds lookup and the live counts of the
 // delta index equal a fresh BuildIndex over the same snapshot, and none of it
-// runs the whole-index merge. Each Compact of a wrapper is its one full merge.
+// runs the whole-index merge; nor does a write or a Compact.
 func TestLayerViewMatchesRebuild(t *testing.T) {
 	opts := regionOpts(t)
 	for seed := int64(1); seed <= 12; seed++ {
@@ -260,10 +266,9 @@ func TestLayerViewMatchesRebuild(t *testing.T) {
 		if seed%2 == 0 {
 			ix.All().endCols() // a warm base, as after a wildcard query
 		}
-		_, full0 := IndexMergeStats()
-		var folds uint64
 		var lastInsert int32 = -1
 		for step := 0; step < 60; step++ {
+			_, before := IndexMergeStats()
 			switch op := rng.Intn(10); {
 			case op < 5:
 				d, ix = layerInsert(t, rng, d, ix)
@@ -279,23 +284,12 @@ func TestLayerViewMatchesRebuild(t *testing.T) {
 					d, ix = layerDelete(t, d, ix, live[rng.Intn(len(live))])
 				}
 			default:
-				// A wrapper's fold is its one full merge, none when a
-				// wildcard read already paid for it; a base folds nothing.
-				var want uint64
-				if ix.base != nil && ix.all == nil {
-					want = 1
-				}
-				_, before := IndexMergeStats()
 				ix = ix.Compact()
-				if _, after := IndexMergeStats(); after-before != want {
-					t.Fatalf("seed %d step %d: Compact ran %d whole-index merges, want %d", seed, step, after-before, want)
-				}
-				folds += want
+			}
+			if _, after := IndexMergeStats(); after != before {
+				t.Fatalf("seed %d step %d: a write or Compact ran %d whole-index merges", seed, step, after-before)
 			}
 			assertLayersMatchRebuild(t, step, d, ix, opts)
-		}
-		if _, full := IndexMergeStats(); full-full0 != folds {
-			t.Fatalf("seed %d: %d whole-index merges behind named reads, lookups and deletes", seed, full-full0-folds)
 		}
 		// The whole-index view still agrees too (this is what merges).
 		fresh, err := BuildIndex(d, opts)
@@ -471,7 +465,8 @@ func TestAreasWithBoundsAtMemoLags(t *testing.T) {
 
 // TestLayerMergeCounts pins which reads merge what: a touched name merges its
 // layer once per snapshot, an untouched name and the point lookups nothing,
-// a wildcard read the whole index once.
+// a wildcard read the whole index once, over the base's table, which it
+// builds once.
 func TestLayerMergeCounts(t *testing.T) {
 	d, ix := buildDelta(t)
 	d, delta := applyInsert(t, d, ix, "hit", 42, 43)
@@ -479,6 +474,7 @@ func TestLayerMergeCounts(t *testing.T) {
 	sceneID, _ := d.Dict().Lookup("scene")
 
 	layer0, full0 := IndexMergeStats()
+	tables0 := IndexTableBuilds()
 	delta.FilterByName(hitID)
 	delta.FilterByName(hitID)
 	delta.FilterByName(sceneID)
@@ -487,10 +483,15 @@ func TestLayerMergeCounts(t *testing.T) {
 	if layer, full := IndexMergeStats(); layer != layer0+1 || full != full0 {
 		t.Fatalf("named reads: %d layer / %d full merges, want 1 / 0", layer-layer0, full-full0)
 	}
+	if IndexTableBuilds() != tables0 {
+		t.Fatal("named reads built the base's table")
+	}
 	delta.All()
 	delta.Areas()
-	if layer, full := IndexMergeStats(); layer != layer0+1 || full != full0+1 {
-		t.Fatalf("wildcard read: %d layer / %d full merges, want 1 / 1", layer-layer0, full-full0)
+	delta.base.All()
+	if layer, full := IndexMergeStats(); layer != layer0+1 || full != full0+2 || IndexTableBuilds() != tables0+1 {
+		t.Fatalf("wildcard read: %d layer / %d full merges, %d table builds, want 1 / 2 (the merge and the base's table), 1",
+			layer-layer0, full-full0, IndexTableBuilds()-tables0)
 	}
 }
 

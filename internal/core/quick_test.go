@@ -49,16 +49,17 @@ func TestQuickIndexInvariants(t *testing.T) {
 		if ix.NumAreas() != len(spec.Starts) || ix.NumRegions() != len(spec.Starts) {
 			return false
 		}
-		for i := 1; i < len(ix.rStart); i++ {
-			if ix.rStart[i] < ix.rStart[i-1] {
+		rStart, rEnd, rID := ix.All().regionCols()
+		for i := 1; i < len(rStart); i++ {
+			if rStart[i] < rStart[i-1] {
 				return false
 			}
-			if ix.rStart[i] == ix.rStart[i-1] && ix.rEnd[i] < ix.rEnd[i-1] {
+			if rStart[i] == rStart[i-1] && rEnd[i] < rEnd[i-1] {
 				return false
 			}
 		}
 		_, ee, eid := ix.endCols()
-		if len(eid) != len(ix.rID) || !slices.IsSorted(ee) {
+		if len(eid) != len(rID) || !slices.IsSorted(ee) {
 			return false
 		}
 		// areas are ascending pres and each one resolves to its region.

@@ -104,7 +104,7 @@ func newEngineObs(e *Engine) *engineObs {
 	// named read after a write merges one annotation layer; a full merge
 	// touches every row of the index, and is what a slow write or first row
 	// paid when this moves.
-	r.CounterFunc(`soxq_index_merges_total{scope="layer"}`, "region-index delta merges by scope (process-wide)",
+	r.CounterFunc(`soxq_index_merges_total{scope="layer"}`, "region-index merges by scope: a layer, or a whole table built or merged (process-wide)",
 		func() int64 { l, _ := core.IndexMergeStats(); return int64(l) })
 	r.CounterFunc(`soxq_index_merges_total{scope="full"}`, "",
 		func() int64 { _, f := core.IndexMergeStats(); return int64(f) })
